@@ -6,7 +6,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import stats
@@ -184,34 +184,24 @@ def _ols_rss(design: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, float,
     return coef, float(resid @ resid), int(rank)
 
 
-def granger_fit(x_values, y_values, p: int = DEFAULT_LAG_ORDER) -> GrangerResult:
-    """Test whether x's history improves one-step prediction of y.
+def _restricted_fit(y: np.ndarray, p: int) -> Tuple[float, bool]:
+    """(RSS, full rank) of the lag-p autoregression of y on its own history."""
+    design, target = _lag_design(y, None, p)
+    _, rss, rank = _ols_rss(design, target)
+    return rss, rank == design.shape[1]
 
-    Fits the restricted autoregression of y on its own p lags and the
-    unrestricted one adding x's p lags, then compares residual sums of squares
-    with an F test on (p, T - 2p - 1) degrees of freedom, T being the number
-    of regression rows.
-    """
-    x = np.asarray(x_values, dtype=float)
-    y = np.asarray(y_values, dtype=float)
-    if p <= 0:
-        raise ValueError("lag order must be positive")
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    n = len(y)
-    if n < 4 * p + 8:
-        raise ValueError(f"need at least {4 * p + 8} aligned samples, got {n}")
 
-    t_obs = n - p
+def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: Tuple[float, bool]) -> GrangerResult:
+    """The unrestricted fit of y on its own and x's lags, F-tested against
+    the ``restricted`` fit of y alone (from :func:`_restricted_fit`)."""
+    rss_r, full_rank_r = restricted
+    t_obs = len(y) - p
     df_denom = t_obs - (2 * p + 1)
-    design_r, target = _lag_design(y, None, p)
-    design_u, _ = _lag_design(y, x, p)
-
-    coef_r, rss_r, rank_r = _ols_rss(design_r, target)
+    design_u, target = _lag_design(y, x, p)
     coef_u, rss_u, rank_u = _ols_rss(design_u, target)
+    coefficients = tuple(float(c) for c in coef_u)
 
-    degenerate_coeffs = tuple(float(c) for c in coef_u)
-    if rank_r < design_r.shape[1] or rank_u < design_u.shape[1]:
+    if not full_rank_r or rank_u < design_u.shape[1]:
         return GrangerResult(
             f_stat=0.0,
             p_value=1.0,
@@ -219,7 +209,7 @@ def granger_fit(x_values, y_values, p: int = DEFAULT_LAG_ORDER) -> GrangerResult
             n_obs=t_obs,
             rss_restricted=rss_r,
             rss_unrestricted=rss_u,
-            coefficients=degenerate_coeffs,
+            coefficients=coefficients,
             residual_std=math.sqrt(max(rss_u, 0.0) / df_denom) if df_denom > 0 else 0.0,
             degenerate=True,
         )
@@ -241,17 +231,29 @@ def granger_fit(x_values, y_values, p: int = DEFAULT_LAG_ORDER) -> GrangerResult
         n_obs=t_obs,
         rss_restricted=rss_r,
         rss_unrestricted=rss_u,
-        coefficients=tuple(float(c) for c in coef_u),
+        coefficients=coefficients,
         residual_std=residual_std,
     )
 
 
-def granger_test(x: TimeSeries, y: TimeSeries, p: int = DEFAULT_LAG_ORDER) -> Tuple[float, float]:
-    """(F statistic, p-value) for 'x causes y'.  Series must share timestamps."""
-    if not np.array_equal(x.timestamps, y.timestamps):
-        raise ValueError("granger_test requires series aligned on identical timestamps")
-    result = granger_fit(x.values, y.values, p)
-    return result.f_stat, result.p_value
+def granger_fit(x_values, y_values, p: int = DEFAULT_LAG_ORDER) -> GrangerResult:
+    """Test whether x's history improves one-step prediction of y.
+
+    Fits the restricted autoregression of y on its own p lags and the
+    unrestricted one adding x's p lags, then compares residual sums of squares
+    with an F test on (p, T - 2p - 1) degrees of freedom, T being the number
+    of regression rows.
+    """
+    x = np.asarray(x_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    if p <= 0:
+        raise ValueError("lag order must be positive")
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    n = len(y)
+    if n < 4 * p + 8:
+        raise ValueError(f"need at least {4 * p + 8} aligned samples, got {n}")
+    return _granger_from(x, y, p, _restricted_fit(y, p))
 
 
 @dataclass(frozen=True)
@@ -276,9 +278,47 @@ class GrangerEdge:
             raise ValueError("residual_std must be positive")
 
 
-def _aligned_values(a: TimeSeries, b: TimeSeries) -> Tuple[np.ndarray, np.ndarray]:
-    common, ia, ib = np.intersect1d(a.timestamps, b.timestamps, return_indices=True)
-    return a.values[ia], b.values[ib]
+def _alignment_edges(
+    kpis: List[KpiId],
+    rows: List[np.ndarray],
+    pairs: List[Tuple[int, int]],
+    p: int,
+    alpha: float,
+    prefilter_r: float,
+) -> Iterator[GrangerEdge]:
+    """Test (cause row, effect row) ``pairs`` of ``rows``, the values of
+    ``kpis`` on their shared timestamps; yield every kept edge."""
+    n = len(rows[0])
+    if n < 4 * p + 8:
+        for c, e in pairs:
+            logger.info("graph: %s -> %s skipped (only %d aligned samples)", kpis[c], kpis[e], n)
+        return
+    sds = [row.std() for row in rows]
+    if prefilter_r > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):  # constant rows are skipped below
+            r = np.corrcoef(rows)
+    restricted: Dict[int, Tuple[float, bool]] = {}
+    for c, e in pairs:
+        if sds[c] == 0.0 or sds[e] == 0.0:
+            logger.info("graph: %s -> %s skipped (constant series)", kpis[c], kpis[e])
+            continue
+        if prefilter_r > 0.0 and abs(r[c, e]) < prefilter_r:
+            continue
+        if e not in restricted:
+            restricted[e] = _restricted_fit(rows[e], p)
+        result = _granger_from(rows[c], rows[e], p, restricted[e])
+        if result.degenerate:
+            logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
+            continue
+        if result.p_value < alpha:
+            yield GrangerEdge(
+                cause=kpis[c],
+                effect=kpis[e],
+                weight=1.0 - result.p_value,
+                lag_order=p,
+                coefficients=result.coefficients,
+                residual_std=result.residual_std,
+            )
 
 
 def build_graph(
@@ -289,53 +329,45 @@ def build_graph(
 ) -> List[GrangerEdge]:
     """Assemble the causality graph over every ordered KPI pair.
 
-    Pairs whose absolute Pearson correlation falls below ``prefilter_r`` are
-    skipped (set it to 0 to disable the prefilter).  Degenerate fits and pairs
-    with too little aligned history are skipped with a log entry.  An edge is
-    kept when the test's p-value beats ``alpha``; its weight is 1 - p_value.
+    Each pair is tested on the timestamps both KPIs share.  Pairs whose
+    absolute Pearson correlation falls below ``prefilter_r`` are skipped (set
+    it to 0 to disable the prefilter).  Degenerate fits and pairs with too
+    little aligned history are skipped with a log entry.  An edge is kept
+    when the test's p-value beats ``alpha``; its weight is 1 - p_value.
+    Edges come back ordered by (cause, effect).
     """
+    if p <= 0:
+        raise ValueError("lag order must be positive")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if prefilter_r < 0 or prefilter_r >= 1:
         raise ValueError("prefilter_r must lie in [0, 1)")
     kpis = sorted(training)
+    # KPIs sampled at identical timestamps form a group; a pair inside one
+    # group needs no alignment, a pair across two is aligned once per group pair.
+    by_stamps: Dict[bytes, List[KpiId]] = {}
+    for kpi in kpis:
+        by_stamps.setdefault(training[kpi].timestamps.tobytes(), []).append(kpi)
+    groups = list(by_stamps.values())
     edges: List[GrangerEdge] = []
-    if len(kpis) < 2:
-        return edges
-    min_len = 4 * p + 8
-    for cause in kpis:
-        for effect in kpis:
-            if cause == effect:
-                continue
-            x, y = _aligned_values(training[cause], training[effect])
-            if len(x) < min_len:
-                logger.info("graph: %s -> %s skipped (only %d aligned samples)", cause, effect, len(x))
-                continue
-            x_sd = x.std()
-            y_sd = y.std()
-            if x_sd == 0.0 or y_sd == 0.0:
-                logger.info("graph: %s -> %s skipped (constant series)", cause, effect)
-                continue
-            if prefilter_r > 0.0:
-                r = float(np.corrcoef(x, y)[0, 1])
-                if abs(r) < prefilter_r:
-                    continue
-            result = granger_fit(x, y, p)
-            if result.degenerate:
-                logger.info("graph: %s -> %s degenerate fit skipped", cause, effect)
-                continue
-            if result.p_value < alpha:
-                edges.append(
-                    GrangerEdge(
-                        cause=cause,
-                        effect=effect,
-                        weight=1.0 - result.p_value,
-                        lag_order=p,
-                        coefficients=result.coefficients,
-                        residual_std=result.residual_std,
-                    )
-                )
-    return edges
+    for i, left in enumerate(groups):
+        stamps = training[left[0]].timestamps
+        m = len(left)
+        rows = [training[kpi].values for kpi in left]
+        pairs = [(c, e) for c in range(m) for e in range(m) if c != e]
+        edges.extend(_alignment_edges(left, rows, pairs, p, alpha, prefilter_r))
+        for right in groups[i + 1 :]:
+            _, il, ir = np.intersect1d(
+                stamps, training[right[0]].timestamps, assume_unique=True, return_indices=True
+            )
+            members = left + right
+            rows = [training[kpi].values[il] for kpi in left] + [
+                training[kpi].values[ir] for kpi in right
+            ]
+            cross = [(c, e) for c in range(m) for e in range(m, len(members))]
+            pairs = cross + [(e, c) for c, e in cross]
+            edges.extend(_alignment_edges(members, rows, pairs, p, alpha, prefilter_r))
+    return sorted(edges, key=lambda edge: (edge.cause, edge.effect))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .core import (
     format_timestamp,
     parse_timestamp,
 )
+from .io import _open_text
 
 logger = logging.getLogger(__name__)
 
@@ -122,11 +123,12 @@ def detect_multivariate(
 
 
 def _interval_slices(timestamps: np.ndarray, run_start: int, interval_s: int):
-    """Yield (interval_start, lo, hi) index ranges per collection interval."""
+    """Yield (interval_start, lo, hi) index ranges per collection interval,
+    from the first ``run_start``-aligned interval that holds a sample."""
     if len(timestamps) == 0:
         return
     end = int(timestamps[-1]) + 1
-    start = run_start
+    start = run_start + max(0, (int(timestamps[0]) - run_start) // interval_s) * interval_s
     while start < end:
         lo = np.searchsorted(timestamps, start, side="left")
         hi = np.searchsorted(timestamps, start + interval_s, side="left")
@@ -209,12 +211,6 @@ def detect_stream(
 
 # ---------------------------------------------------------------------------
 # the anomaly log
-
-
-def _open_text(path_or_stream, mode: str):
-    if isinstance(path_or_stream, (str, os.PathLike)):
-        return open(path_or_stream, mode, encoding="utf-8", newline=""), True
-    return path_or_stream, False
 
 
 def write_anomaly_log(events: Sequence[AnomalyEvent], target: Union[str, os.PathLike, TextIO]) -> None:

@@ -7,8 +7,11 @@ import io
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, TextIO, Union
+from typing import Dict, List, Optional, TextIO, Tuple, Union
+
+import numpy as np
 
 from .core import (
     CsvParseError,
@@ -22,6 +25,11 @@ from .core import (
 )
 
 CSV_HEADER = ["timestamp", "resource", "metric", "value"]
+
+#: Timestamps the CSV can carry: years 1000-9999, which the reader's
+#: four-digit ``%Y`` accepts (1000-01-01T00:00:00Z .. 9999-12-31T23:59:59Z).
+MIN_CSV_TIMESTAMP = -30610224000
+MAX_CSV_TIMESTAMP = 253402300799
 
 MANIFEST_KIND = "faultcast-run-manifest"
 MANIFEST_SCHEMA_VERSION = 1
@@ -47,58 +55,106 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
         header = next(reader, None)
         if header != CSV_HEADER:
             raise CsvParseError(1, f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
-        rows: Dict[KpiId, list] = {}
+        # A file repeats few distinct timestamps and KPIs over many rows, so
+        # each distinct text is parsed and validated once.
+        ts_memo: Dict[str, int] = {}
+        kpi_memo: Dict[Tuple[str, str], int] = {}
+        kpis: List[KpiId] = []
+        # typed columns hold 8 bytes a row, not a Python object each
+        ts_col, kpi_col, line_col, value_col = array("q"), array("q"), array("q"), array("d")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 4:
                 raise CsvParseError(line_no, f"expected 4 fields, got {len(row)}")
             ts_text, resource, metric, value_text = row
-            try:
-                ts = parse_timestamp(ts_text)
-            except ValueError:
-                raise CsvParseError(line_no, f"bad timestamp {ts_text!r}") from None
-            try:
-                kpi = KpiId(resource, metric)
-            except ValueError as exc:
-                raise CsvParseError(line_no, str(exc)) from None
+            ts = ts_memo.get(ts_text)
+            if ts is None:
+                try:
+                    ts = ts_memo[ts_text] = parse_timestamp(ts_text)
+                except ValueError:
+                    raise CsvParseError(line_no, f"bad timestamp {ts_text!r}") from None
+            kid = kpi_memo.get((resource, metric))
+            if kid is None:
+                try:
+                    kpis.append(KpiId(resource, metric))
+                except ValueError as exc:
+                    raise CsvParseError(line_no, str(exc)) from None
+                kid = kpi_memo[(resource, metric)] = len(kpis) - 1
             try:
                 value = float(value_text)
             except ValueError:
                 raise CsvParseError(line_no, f"bad value {value_text!r}") from None
             if not math.isfinite(value):
                 raise CsvParseError(line_no, f"non-finite value {value_text!r}")
-            rows.setdefault(kpi, []).append((ts, value, line_no))
-        result: Dict[KpiId, TimeSeries] = {}
-        for kpi, triples in rows.items():
-            triples.sort(key=lambda t: (t[0], t[2]))
-            for a, b in zip(triples, triples[1:]):
-                if a[0] == b[0]:
-                    raise DuplicateSampleError(
-                        b[2], f"duplicate sample for {kpi} at {format_timestamp(b[0])}"
-                    )
-            result[kpi] = TimeSeries(kpi, [t[0] for t in triples], [t[1] for t in triples])
-        return result
+            ts_col.append(ts)
+            kpi_col.append(kid)
+            value_col.append(value)
+            line_col.append(line_no)
+        if not kpis:
+            return {}
+        # KPIs are numbered in order of first appearance; sorting by (KPI,
+        # timestamp, line) groups each KPI's samples in time order.
+        lines, stamps, kids, values = (
+            np.frombuffer(col, dtype=col.typecode) for col in (line_col, ts_col, kpi_col, value_col)
+        )
+        order = np.lexsort((lines, stamps, kids))
+        lines, stamps, kids, values = lines[order], stamps[order], kids[order], values[order]
+        repeated = np.flatnonzero((stamps[1:] == stamps[:-1]) & (kids[1:] == kids[:-1]))
+        if len(repeated):
+            at = repeated[0] + 1
+            raise DuplicateSampleError(
+                int(lines[at]),
+                f"duplicate sample for {kpis[kids[at]]} at {format_timestamp(stamps[at])}",
+            )
+        bounds = np.searchsorted(kids, np.arange(len(kpis) + 1))
+        return {
+            kpi: TimeSeries(kpi, stamps[lo:hi], values[lo:hi])
+            for kpi, lo, hi in zip(kpis, bounds[:-1], bounds[1:])
+        }
     finally:
         if owned:
             stream.close()
+
+
+def _kpi_fields(kpi: KpiId) -> str:
+    """The ``,resource,metric,`` middle of a CSV row, quoted by the csv writer."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(["", kpi.resource, kpi.metric, ""])
+    return buf.getvalue()
 
 
 def write_csv(series_map: Dict[KpiId, TimeSeries], target: Union[str, os.PathLike, TextIO]) -> None:
     """Serialize a KPI map to CSV, grouped by KPI in sorted order.
 
     The output re-ingests to an equal map and is byte-stable for equal input.
+    Timestamps must lie in years 1000-9999, the range the reader accepts;
+    otherwise :class:`ValueError` names the first offending KPI and nothing
+    is written.
     """
+    kpis = sorted(series_map)
+    for kpi in kpis:
+        timestamps = series_map[kpi].timestamps
+        if timestamps.min() < MIN_CSV_TIMESTAMP or timestamps.max() > MAX_CSV_TIMESTAMP:
+            raise ValueError(
+                f"timestamps of {kpi} fall outside {format_timestamp(MIN_CSV_TIMESTAMP)}"
+                f" .. {format_timestamp(MAX_CSV_TIMESTAMP)}"
+            )
     stream, owned = _open_text(target, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for kpi in sorted(series_map):
+        for kpi in kpis:
             series = series_map[kpi]
-            for ts, value in zip(series.timestamps, series.values):
-                writer.writerow(
-                    [format_timestamp(int(ts)), kpi.resource, kpi.metric, repr(float(value))]
+            # one KPI at a time: a whole-file string would double peak memory
+            middle = "Z" + _kpi_fields(kpi)
+            stamps = series.timestamps.astype("datetime64[s]").astype(str).tolist()
+            stream.write(
+                "".join(
+                    f"{ts}{middle}{value!r}\n"
+                    for ts, value in zip(stamps, series.values.tolist())
                 )
+            )
     finally:
         if owned:
             stream.close()

@@ -20,7 +20,7 @@ from .core import (
     format_timestamp,
 )
 from .detect import AnomalyEvent, detect_stream
-from .io import RunManifest
+from .io import RunManifest, _open_text
 from .signature import SignatureModel
 
 DEFAULT_CONFIDENCE = 0.9
@@ -322,11 +322,7 @@ def measure_earliness(
 
 def write_alert_log(alerts: Sequence[Alert], target: Union[str, os.PathLike, TextIO]) -> None:
     """Write alerts as CSV: raised_at,kind,fault_type,resource,confidence,evidence_count."""
-    if isinstance(target, (str, os.PathLike)):
-        stream = open(target, "w", encoding="utf-8", newline="")
-        owned = True
-    else:
-        stream, owned = target, False
+    stream, owned = _open_text(target, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(ALERT_LOG_HEADER)

@@ -5,11 +5,13 @@ route built on the pseudoinverse, and the F survival function evaluated with
 mpmath's regularized incomplete beta instead of scipy.
 """
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from faultcast.baseline import (
     BaselineModel,
@@ -19,7 +21,6 @@ from faultcast.baseline import (
     fit_baseline_model,
     fit_univariate,
     granger_fit,
-    granger_test,
 )
 from faultcast.core import (
     CADENCE_S,
@@ -30,6 +31,7 @@ from faultcast.core import (
     TimeSeries,
     hour_of_week,
 )
+from faultcast.sim import WorkloadModel, default_topology, gen_run
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +244,6 @@ def test_granger_degenerate_inputs():
     assert res.p_value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_granger_test_requires_aligned_series():
-    kpi_a, kpi_b = KpiId("A", "m"), KpiId("B", "m")
-    rng = np.random.default_rng(4)
-    ts = 60 * np.arange(50, dtype=np.int64)
-    a = TimeSeries(kpi_a, ts, rng.standard_normal(50))
-    b = TimeSeries(kpi_b, ts + 60, rng.standard_normal(50))
-    with pytest.raises(ValueError):
-        granger_test(a, b)
-    f_stat, p_value = granger_test(a, TimeSeries(kpi_b, ts, rng.standard_normal(50)))
-    assert math.isfinite(f_stat) and 0.0 <= p_value <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # graph assembly
 
@@ -308,6 +298,51 @@ def test_edge_weight_is_recomputable():
         assert edge.residual_std == pytest.approx(res.residual_std, rel=1e-12)
 
 
+@st.composite
+def ragged_training(draw):
+    """KPIs on two timestamp grids, one gappy, one constant, one barely
+    overlapping the rest, all sampled from shared coupled processes."""
+    n = draw(st.integers(40, 300))
+    shift = draw(st.integers(0, n // 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x, y = coupled_pair(seed, n=n + shift, gain=draw(st.sampled_from([0.1, 0.8])))
+    w = np.zeros(n + shift)
+    for t in range(1, n + shift):
+        w[t] = 0.3 * w[t - 1] + 0.7 * y[t - 1] + rng.standard_normal()
+    z = rng.standard_normal(n + shift)
+    plateau = np.where(np.arange(n + shift) < n, 4.0, z)  # constant where it meets grid A
+    grid_a = np.arange(n)
+    grid_b = np.arange(shift, n + shift)
+    gappy = np.sort(rng.choice(n, size=max(n - draw(st.integers(0, n // 3)), 1), replace=False))
+    late = np.arange(n + shift - draw(st.integers(1, 30)), n + shift)
+    layout = {
+        KpiId("A", "x"): (grid_a, x),
+        KpiId("A", "y"): (grid_a, y),
+        KpiId("A", "const"): (grid_a, np.full(n + shift, 7.5)),
+        KpiId("B", "w"): (grid_b, w),
+        KpiId("B", "z"): (grid_b, z),
+        KpiId("B", "plateau"): (grid_b, plateau),
+        KpiId("C", "gappy"): (gappy, y + 0.5 * rng.standard_normal(n + shift)),
+        KpiId("D", "late"): (late, x),
+    }
+    return {kpi: TimeSeries(kpi, 60 * idx, values[idx]) for kpi, (idx, values) in layout.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_training(), st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.2]))
+def test_graph_matches_the_pairwise_oracle_on_ragged_input(training, p, prefilter_r):
+    edges = build_graph(training, p=p, prefilter_r=prefilter_r)
+    assert edges == oracles.build_graph_pairwise(training, p=p, prefilter_r=prefilter_r)
+
+
+def test_graph_matches_the_pairwise_oracle_on_simulated_days():
+    training, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 2 * DAY_S, seed=5)
+    edges = build_graph(training)
+    assert len(edges) > 100
+    assert edges == oracles.build_graph_pairwise(training)
+
+
 def test_graph_argument_gates():
     training = three_kpi_training(n=100)
     with pytest.raises(ValueError):
@@ -318,6 +353,8 @@ def test_graph_argument_gates():
         build_graph(training, prefilter_r=1.0)
     with pytest.raises(ValueError):
         build_graph(training, prefilter_r=-0.1)
+    with pytest.raises(ValueError):
+        build_graph(training, p=0)
 
 
 def test_granger_edge_validation():

@@ -1,6 +1,7 @@
 """Interval detectors: seasonal-band checks, edge-residual checks, streaming."""
 
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -256,3 +257,26 @@ def test_fault_free_event_rate_stays_below_two_percent(suite_data):
         assert rate <= 0.02, f"{manifest.run_id}: {rate:.4f} of {slots} slots flagged"
         checked += 1
     assert checked >= 3
+
+
+def test_stream_early_run_start_skips_empty_intervals():
+    # a run_start 10^5 intervals before the data lands on the same interval
+    # grid, so the verdicts are the same; the empty intervals are not walked
+    kx, ky = KpiId("A", "x"), KpiId("B", "y")
+    model = BaselineModel(
+        baselines={kx: flat_baseline(kx, 0.0, 1.0), ky: flat_baseline(ky, 0.0, 1.0)},
+        edges=(GrangerEdge(cause=kx, effect=ky, weight=0.99, lag_order=1,
+                           coefficients=(0.0, 0.0, 1.0), residual_std=0.5),),
+    )
+    rng = np.random.default_rng(3)
+    ts = 120 + 60 * np.concatenate([np.arange(20), np.arange(31, 60)]).astype(np.int64)
+    series = {
+        kx: TimeSeries(kx, ts, rng.standard_normal(len(ts))),
+        ky: TimeSeries(ky, ts, 4.0 * rng.standard_normal(len(ts))),
+    }
+    expected = detect_stream(model, series, 0)
+    assert {e.kind for e in expected} == set(AnomalyKind)
+    t0 = time.perf_counter()
+    early = detect_stream(model, series, -(10**5) * 300)
+    assert time.perf_counter() - t0 < 1.0
+    assert early == expected

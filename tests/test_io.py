@@ -1,8 +1,13 @@
 """CSV ingestion/serialization and run manifests."""
 
+import csv
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from faultcast.core import (
     CsvParseError,
@@ -13,7 +18,16 @@ from faultcast.core import (
     TimeSeries,
     parse_timestamp,
 )
-from faultcast.io import InjectedFault, RunManifest, csv_to_string, ingest_csv, write_csv
+from faultcast.io import (
+    CSV_HEADER,
+    MAX_CSV_TIMESTAMP,
+    MIN_CSV_TIMESTAMP,
+    InjectedFault,
+    RunManifest,
+    csv_to_string,
+    ingest_csv,
+    write_csv,
+)
 
 
 HEADER = "timestamp,resource,metric,value\n"
@@ -130,3 +144,147 @@ def test_manifest_validation():
         RunManifest(run_id="x", start=100, end=100)
     with pytest.raises(ValueError):
         RunManifest(run_id="", start=0, end=10)
+
+
+def test_write_csv_timestamp_range_edges():
+    kpi = KpiId("Homer", "CpuIdlePct")
+    inside = {kpi: TimeSeries(kpi, [MIN_CSV_TIMESTAMP, MAX_CSV_TIMESTAMP], [1.0, 2.0])}
+    text = csv_to_string(inside)
+    assert text.splitlines()[1:] == [
+        "1000-01-01T00:00:00Z,Homer,CpuIdlePct,1.0",
+        "9999-12-31T23:59:59Z,Homer,CpuIdlePct,2.0",
+    ]
+    assert ingest_csv(io.StringIO(text)) == inside
+    for outside in ([MIN_CSV_TIMESTAMP - 1, 0], [0, MAX_CSV_TIMESTAMP + 1], [-62101036800, 0]):
+        other = KpiId("Sprout", "MemUsedPct")
+        series_map = {**inside, other: TimeSeries(other, outside, [1.0, 2.0])}
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="Sprout/MemUsedPct"):
+            write_csv(series_map, buf)
+        assert buf.getvalue() == "", "nothing is written for a rejected map"
+
+
+# ---------------------------------------------------------------------------
+# the array-shaped reader and writer against the row-at-a-time oracles
+
+NAME = st.text(alphabet='ab Z"\'é;\t', min_size=1, max_size=6)
+VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 123456789.125]
+    ),
+)
+
+
+@st.composite
+def series_maps(draw, max_kpis=4, max_len=8):
+    kpis = draw(st.lists(st.builds(KpiId, NAME, NAME), min_size=1, max_size=max_kpis, unique=True))
+    out = {}
+    for kpi in kpis:
+        stamps = draw(
+            st.lists(
+                st.integers(MIN_CSV_TIMESTAMP, MAX_CSV_TIMESTAMP) | st.integers(0, 600),
+                min_size=1,
+                max_size=max_len,
+                unique=True,
+            )
+        )
+        values = draw(st.lists(VALUE, min_size=len(stamps), max_size=len(stamps)))
+        out[kpi] = TimeSeries(kpi, sorted(stamps), values)
+    return out
+
+
+def reference_text(series_map):
+    buf = io.StringIO()
+    oracles.write_csv_rows(series_map, buf)
+    return buf.getvalue()
+
+
+def outcome(reader, text):
+    """The map a reader returns, or the type, line and message it raises."""
+    try:
+        return reader(io.StringIO(text))
+    except CsvParseError as exc:
+        return type(exc), exc.line_no, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_maps())
+def test_writer_bytes_match_row_at_a_time_oracle(series_map):
+    assert csv_to_string(series_map) == reference_text(series_map)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_maps(), st.randoms(use_true_random=False))
+def test_shuffled_rows_ingest_to_an_equal_map(series_map, rnd):
+    header, *body = reference_text(series_map).splitlines(keepends=True)
+    rnd.shuffle(body)
+    text = header + "".join(body)
+    assert ingest_csv(io.StringIO(text)) == series_map
+    assert outcome(ingest_csv, text) == outcome(oracles.ingest_csv_rows, text)
+
+
+BAD_FIELDS = st.sampled_from(
+    [
+        ("timestamp", "2016-13-01T00:00:00Z"),
+        ("timestamp", "2-02-05T00:00:00Z"),
+        ("timestamp", "2016-1-5T1:2:3Z"),  # strptime takes one-digit fields
+        ("timestamp", "2016-01-05 00:00:00Z"),
+        ("timestamp", ""),
+        ("resource", ""),
+        ("metric", ""),
+        ("value", "five"),
+        ("value", "nan"),
+        ("value", "-inf"),
+        ("value", " 7 "),
+        ("value", "1_0"),
+        ("value", "1\n2"),  # a quoted newline: one row over two physical lines
+        ("fields", None),
+        ("duplicate", None),
+        ("blank", None),
+    ]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    series_maps(max_kpis=3, max_len=5),
+    st.lists(st.tuples(st.integers(0, 10**6), BAD_FIELDS), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd):
+    header, *body = reference_text(series_map).splitlines(keepends=True)
+    rnd.shuffle(body)
+    rows = list(csv.reader(body))
+    for where, (part, text) in damage:
+        i = where % len(rows)
+        if part == "fields":
+            rows[i] = rows[i][:3]
+        elif part == "duplicate":
+            rows.insert(i, rows[(where // 7) % len(rows)][:3] + ["1.5"])
+        elif part == "blank":
+            rows.insert(i, [])
+        else:
+            rows[i] = (rows[i] + [""] * 4)[:4]
+            rows[i][CSV_HEADER.index(part)] = text
+    buf = io.StringIO(header)
+    buf.seek(0, io.SEEK_END)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    assert outcome(ingest_csv, text) == outcome(oracles.ingest_csv_rows, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series_maps(),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_duplicates_fail_like_the_oracle(series_map, copies, rnd):
+    header, *body = reference_text(series_map).splitlines(keepends=True)
+    body += [body[i % len(body)] for i in copies]
+    rnd.shuffle(body)
+    text = header + "".join(body)
+    expected = outcome(oracles.ingest_csv_rows, text)
+    assert expected[0] is DuplicateSampleError
+    assert outcome(ingest_csv, text) == expected
