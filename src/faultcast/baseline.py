@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import (
     HOURS_PER_WEEK,
@@ -223,7 +223,7 @@ def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: Tuple[float,
         p_value = 0.0
     else:
         f_stat = (diff / p) / (rss_u / df_denom)
-        p_value = float(stats.f.sf(f_stat, p, df_denom))
+        p_value = float(special.fdtrc(p, df_denom, f_stat))
     return GrangerResult(
         f_stat=float(f_stat),
         p_value=p_value,

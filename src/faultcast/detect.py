@@ -7,11 +7,11 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
-from .baseline import BaselineModel, GrangerEdge, UnivariateBaseline
+from .baseline import BaselineModel, GrangerEdge
 from .core import (
     CADENCE_S,
     INTERVAL_S,
@@ -30,8 +30,12 @@ DEFAULT_TAU = 3.0
 
 ANOMALY_LOG_HEADER = ["interval_start", "resource", "metric", "kind", "score"]
 
+#: Cells of one [edges, samples] block scored at once by the multivariate
+#: detector (2 MB of float64 per temporary).
+_CHUNK_CELLS = 1 << 18
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, slots=True)
 class AnomalyEvent:
     """One KPI flagged anomalous in one collection interval."""
 
@@ -45,95 +49,52 @@ class AnomalyEvent:
             raise ValueError("anomaly score must be finite and non-negative")
 
 
-def detect_univariate(
-    baseline: UnivariateBaseline,
-    timestamps: Sequence[int],
-    values: Sequence[float],
-    interval_start: Optional[int] = None,
-) -> Optional[AnomalyEvent]:
-    """Check one interval's samples against the seasonal band.
+def _interval_bins(timestamps: np.ndarray, run_start: int, interval_s: int):
+    """(start, lo, hi) arrays: the start time and the ``[lo, hi)`` index range
+    of every ``run_start``-aligned interval that holds a sample.
 
-    The interval is anomalous iff the largest z-score |y - expected| / bucket
-    std exceeds the model's k_sigma; the score is that largest z.
+    Samples before ``run_start`` fall in no interval; they still count as
+    positions, so they serve as lag history.
     """
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    if len(timestamps) == 0:
-        return None
-    z = baseline.zscores(timestamps, values)
-    peak = float(z.max())
-    if peak > baseline.k_sigma:
-        start = int(timestamps[0]) if interval_start is None else int(interval_start)
-        return AnomalyEvent(start, baseline.kpi, AnomalyKind.UNIVARIATE, peak)
-    return None
+    first = run_start + max(0, (int(timestamps[0]) - run_start) // interval_s) * interval_s
+    m0 = int(np.searchsorted(timestamps, first))
+    k = (timestamps[m0:] - first) // interval_s
+    lo = m0 + np.flatnonzero(np.diff(k, prepend=-1))
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[-1:] = len(timestamps)
+    return first + k[lo - m0] * interval_s, lo, hi
 
 
-def predict_from_edge(edge: GrangerEdge, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One-step predictions of the effect series over its last positions.
+def _edge_scores(
+    edges: Sequence[GrangerEdge], x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """RMS(one-step residuals) / residual_std of every edge over every
+    ``[lo, hi)`` interval, as an [edges, intervals] matrix.
 
-    ``x`` and ``y`` are aligned histories ending at the prediction horizon;
-    predictions are produced for every position with a full set of lags.
+    Row i of ``x`` and ``y`` holds edge i's aligned cause and effect values;
+    every edge has the same lag order p and every ``lo`` is at least p.  The
+    prediction adds the lag terms in a fixed order and each interval's squares
+    are summed as one contiguous row, so a score does not depend on how many
+    edges or intervals are scored together.
     """
-    p = edge.lag_order
-    if len(y) <= p:
-        return np.empty(0)
-    coef = np.asarray(edge.coefficients)
-    n = len(y)
-    pred = np.full(n - p, coef[0])
+    p = edges[0].lag_order
+    n = y.shape[1]
+    coef = np.array([edge.coefficients for edge in edges])
+    pred = np.empty((len(edges), n - p))
+    pred[:] = coef[:, :1]
     for i in range(1, p + 1):
-        pred += coef[i] * y[p - i : n - i]
-        pred += coef[p + i] * x[p - i : n - i]
-    return pred
-
-
-def detect_multivariate(
-    edge: GrangerEdge,
-    x_recent: Sequence[float],
-    y_recent: Sequence[float],
-    h: int,
-    tau: float = DEFAULT_TAU,
-    interval_start: Optional[int] = None,
-) -> Optional[AnomalyEvent]:
-    """Score the effect KPI of one edge over its last ``h`` samples.
-
-    The score is RMS(one-step residuals) / residual_std; an event is raised on
-    the effect KPI when it exceeds ``tau``.  Returns None (with a log entry)
-    when the history is too short for ``h`` predictions.
-    """
-    x = np.asarray(x_recent, dtype=float)
-    y = np.asarray(y_recent, dtype=float)
-    if h <= 0:
-        raise ValueError("h must be positive")
-    p = edge.lag_order
-    if len(y) < p + h or len(x) < p + h:
-        logger.debug(
-            "multivariate %s -> %s skipped: need %d samples, have %d",
-            edge.cause,
-            edge.effect,
-            p + h,
-            min(len(x), len(y)),
-        )
-        return None
-    pred = predict_from_edge(edge, x, y)[-h:]
-    resid = y[-h:] - pred
-    score = float(np.sqrt(np.mean(resid**2)) / edge.residual_std)
-    if score > tau:
-        start = 0 if interval_start is None else int(interval_start)
-        return AnomalyEvent(start, edge.effect, AnomalyKind.MULTIVARIATE, score)
-    return None
-
-
-def _interval_slices(timestamps: np.ndarray, run_start: int, interval_s: int):
-    """Yield (interval_start, lo, hi) index ranges per collection interval,
-    from the first ``run_start``-aligned interval that holds a sample."""
-    if len(timestamps) == 0:
-        return
-    end = int(timestamps[-1]) + 1
-    start = run_start + max(0, (int(timestamps[0]) - run_start) // interval_s) * interval_s
-    while start < end:
-        lo = np.searchsorted(timestamps, start, side="left")
-        hi = np.searchsorted(timestamps, start + interval_s, side="left")
-        yield start, int(lo), int(hi)
-        start += interval_s
+        pred += coef[:, i : i + 1] * y[:, p - i : n - i]
+        pred += coef[:, p + i : p + i + 1] * x[:, p - i : n - i]
+    sq = (y[:, p:] - pred) ** 2
+    h = hi - lo
+    sums = np.empty((len(edges), len(lo)))
+    for width in np.unique(h):
+        at = np.flatnonzero(h == width)
+        cols = (lo[at] - p)[:, None] + np.arange(width)
+        sums[:, at] = np.add.reduce(np.take(sq, cols, axis=1), axis=-1)
+    std = np.array([edge.residual_std for edge in edges])
+    return np.sqrt(sums / h) / std[:, None]
 
 
 def detect_stream(
@@ -149,61 +110,73 @@ def detect_stream(
 
     Intervals are aligned to ``run_start``.  A KPI is evaluated in an interval
     only when at least half of the expected samples are present; KPIs without
-    a baseline entry are skipped with a warning.  Events come back sorted by
-    (interval start, KPI, kind).
+    a baseline entry are skipped with a warning.
+
+    Univariate: an interval is anomalous when the largest z-score
+    |y - expected| / bucket std of its samples exceeds the baseline's k_sigma;
+    the score is that z.  Multivariate: each edge predicts its effect one step
+    ahead from the p preceding aligned samples of both KPIs; the score is
+    RMS(residuals over the interval) / residual_std, raised on the effect
+    when it exceeds ``tau``.  An interval needs p aligned samples before it.
+    Events come back sorted by (interval start, KPI, kind).
     """
-    if interval_s <= 0 or interval_s % cadence_s != 0:
+    if cadence_s <= 0 or interval_s <= 0 or interval_s % cadence_s != 0:
         raise ValueError("interval must be a positive multiple of the cadence")
     events: List[AnomalyEvent] = []
     expected = interval_s // cadence_s
+    # KPIs sampled at identical timestamps share one interval binning and,
+    # for the edges between two such groups, one alignment.
+    stamps = {kpi: series.timestamps.tobytes() for kpi, series in series_map.items()}
+    bins: Dict[bytes, tuple] = {}
 
     for kpi in sorted(series_map):
-        if kpi not in model.baselines:
+        baseline = model.baselines.get(kpi)
+        if baseline is None:
             logger.warning("detect: no baseline for %s; skipping", kpi)
             continue
-        baseline = model.baselines[kpi]
         series = series_map[kpi]
-        for interval_start, lo, hi in _interval_slices(series.timestamps, run_start, interval_s):
-            if 2 * (hi - lo) < expected:
-                continue
-            event = detect_univariate(
-                baseline,
-                series.timestamps[lo:hi],
-                series.values[lo:hi],
-                interval_start=interval_start,
-            )
-            if event is not None:
-                events.append(event)
+        if stamps[kpi] not in bins:
+            bins[stamps[kpi]] = _interval_bins(series.timestamps, run_start, interval_s)
+        starts, lo, hi = bins[stamps[kpi]]
+        peaks = np.maximum.reduceat(baseline.zscores(series.timestamps, series.values), lo)
+        for i in np.flatnonzero((2 * (hi - lo) >= expected) & (peaks > baseline.k_sigma)):
+            events.append(AnomalyEvent(int(starts[i]), kpi, AnomalyKind.UNIVARIATE, float(peaks[i])))
 
+    blocks: Dict[Tuple[bytes, bytes, int], List[GrangerEdge]] = {}
+    for edge in model.edges:
+        if edge.cause in series_map and edge.effect in series_map:
+            blocks.setdefault((stamps[edge.cause], stamps[edge.effect], edge.lag_order), []).append(edge)
     # Several causes can point at one effect KPI; keep a single verdict per
     # (interval, effect) carrying the worst score over its incoming edges.
-    worst: Dict[Tuple[int, KpiId], AnomalyEvent] = {}
-    for edge in model.edges:
-        if edge.cause not in series_map or edge.effect not in series_map:
-            continue
-        cause = series_map[edge.cause]
-        effect = series_map[edge.effect]
-        common, ic, ie = np.intersect1d(
-            cause.timestamps, effect.timestamps, return_indices=True
-        )
+    worst: Dict[Tuple[int, KpiId], float] = {}
+    for (cause_key, effect_key, p), edges in blocks.items():
+        cause_ts = series_map[edges[0].cause].timestamps
+        if cause_key == effect_key:
+            common, ic, ie = cause_ts, slice(None), slice(None)
+        else:
+            common, ic, ie = np.intersect1d(
+                cause_ts, series_map[edges[0].effect].timestamps, assume_unique=True, return_indices=True
+            )
         if len(common) == 0:
             continue
-        x = cause.values[ic]
-        y = effect.values[ie]
-        p = edge.lag_order
-        for interval_start, lo, hi in _interval_slices(common, run_start, interval_s):
-            h = hi - lo
-            if 2 * h < expected or lo < p:
-                continue
-            event = detect_multivariate(
-                edge, x[:hi], y[:hi], h, tau=tau, interval_start=interval_start
-            )
-            if event is not None:
-                key = (interval_start, edge.effect)
-                seen = worst.get(key)
-                if seen is None or event.score > seen.score:
-                    worst[key] = event
-    events.extend(worst.values())
+        starts, lo, hi = _interval_bins(common, run_start, interval_s)
+        keep = (2 * (hi - lo) >= expected) & (lo >= p)
+        starts, lo, hi = starts[keep], lo[keep], hi[keep]
+        if len(lo) == 0:
+            continue
+        step = max(1, _CHUNK_CELLS // len(common))  # bounds the [edges, samples] temporaries
+        for first in range(0, len(edges), step):
+            chunk = edges[first : first + step]
+            x = np.stack([series_map[edge.cause].values for edge in chunk])[:, ic]
+            y = np.stack([series_map[edge.effect].values for edge in chunk])[:, ie]
+            scores = _edge_scores(chunk, x, y, lo, hi)
+            for e, s in zip(*np.nonzero(scores > tau)):
+                key = (int(starts[s]), chunk[e].effect)
+                score = float(scores[e, s])
+                if score > worst.get(key, -math.inf):
+                    worst[key] = score
+    for (start, kpi), score in worst.items():
+        events.append(AnomalyEvent(start, kpi, AnomalyKind.MULTIVARIATE, score))
 
     events.sort()
     return events
@@ -242,20 +215,23 @@ def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> List[AnomalyEve
         if header != ANOMALY_LOG_HEADER:
             raise CsvParseError(1, f"expected header {','.join(ANOMALY_LOG_HEADER)!r}, got {header!r}")
         events = []
+        # a log repeats few distinct timestamps and KPIs: parse each once and
+        # let the events share the KpiId objects
+        ts_memo: Dict[str, int] = {}
+        kpi_memo: Dict[Tuple[str, str], KpiId] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 5:
                 raise CsvParseError(line_no, f"expected 5 fields, got {len(row)}")
             try:
-                events.append(
-                    AnomalyEvent(
-                        interval_start=parse_timestamp(row[0]),
-                        kpi=KpiId(row[1], row[2]),
-                        kind=AnomalyKind(row[3]),
-                        score=float(row[4]),
-                    )
-                )
+                ts = ts_memo.get(row[0])
+                if ts is None:
+                    ts = ts_memo[row[0]] = parse_timestamp(row[0])
+                kpi = kpi_memo.get((row[1], row[2]))
+                if kpi is None:
+                    kpi = kpi_memo[(row[1], row[2])] = KpiId(row[1], row[2])
+                events.append(AnomalyEvent(ts, kpi, AnomalyKind(row[3]), float(row[4])))
             except ValueError as exc:
                 raise CsvParseError(line_no, str(exc)) from None
         return events

@@ -1,19 +1,24 @@
 """Straightforward reference implementations kept as test oracles.
 
-These are the row-at-a-time CSV writer and reader and the per-pair causality
-graph loop that the array-shaped versions in ``faultcast.io`` and
-``faultcast.baseline`` replaced.  The optimized code must match them exactly:
-the same bytes, the same maps, the same errors at the same lines and the same
-edges.
+These are the row-at-a-time CSV writer and reader, the per-pair causality
+graph loop and the per-(edge, interval) detector that the array-shaped
+versions in ``faultcast.io``, ``faultcast.baseline`` and ``faultcast.detect``
+replaced.  The optimized code must match them exactly: the same bytes, the
+same maps, the same errors at the same lines, the same edges and the same
+events with equal scores.
 """
 
 import csv
+import logging
 import math
 
 import numpy as np
 
 from faultcast.baseline import GrangerEdge, granger_fit
 from faultcast.core import (
+    CADENCE_S,
+    INTERVAL_S,
+    AnomalyKind,
     CsvParseError,
     DuplicateSampleError,
     KpiId,
@@ -21,7 +26,10 @@ from faultcast.core import (
     format_timestamp,
     parse_timestamp,
 )
+from faultcast.detect import DEFAULT_TAU, AnomalyEvent
 from faultcast.io import CSV_HEADER
+
+logger = logging.getLogger(__name__)
 
 
 def write_csv_rows(series_map, stream):
@@ -101,3 +109,112 @@ def build_graph_pairwise(training, p=3, alpha=0.01, prefilter_r=0.2):
                     )
                 )
     return edges
+
+
+def detect_univariate(baseline, timestamps, values, interval_start=None):
+    """One interval against the seasonal band: an event iff the largest
+    z-score exceeds k_sigma."""
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    if len(timestamps) == 0:
+        return None
+    z = baseline.zscores(timestamps, values)
+    peak = float(z.max())
+    if peak > baseline.k_sigma:
+        start = int(timestamps[0]) if interval_start is None else int(interval_start)
+        return AnomalyEvent(start, baseline.kpi, AnomalyKind.UNIVARIATE, peak)
+    return None
+
+
+def predict_from_edge(edge, x, y):
+    """One-step predictions of the effect at every position with p lags."""
+    p = edge.lag_order
+    if len(y) <= p:
+        return np.empty(0)
+    coef = np.asarray(edge.coefficients)
+    n = len(y)
+    pred = np.full(n - p, coef[0])
+    for i in range(1, p + 1):
+        pred += coef[i] * y[p - i : n - i]
+        pred += coef[p + i] * x[p - i : n - i]
+    return pred
+
+
+def detect_multivariate(edge, x_recent, y_recent, h, tau=DEFAULT_TAU, interval_start=None):
+    """Score the effect over the last ``h`` samples of aligned histories:
+    RMS(residuals) / residual_std, an event iff it exceeds ``tau``."""
+    x = np.asarray(x_recent, dtype=float)
+    y = np.asarray(y_recent, dtype=float)
+    if h <= 0:
+        raise ValueError("h must be positive")
+    p = edge.lag_order
+    if len(y) < p + h or len(x) < p + h:
+        return None
+    pred = predict_from_edge(edge, x, y)[-h:]
+    resid = y[-h:] - pred
+    score = float(np.sqrt(np.mean(resid**2)) / edge.residual_std)
+    if score > tau:
+        start = 0 if interval_start is None else int(interval_start)
+        return AnomalyEvent(start, edge.effect, AnomalyKind.MULTIVARIATE, score)
+    return None
+
+
+def _interval_slices(timestamps, run_start, interval_s):
+    """(interval_start, lo, hi) per interval, from the first ``run_start``-aligned
+    interval that holds a sample."""
+    if len(timestamps) == 0:
+        return
+    end = int(timestamps[-1]) + 1
+    start = run_start + max(0, (int(timestamps[0]) - run_start) // interval_s) * interval_s
+    while start < end:
+        lo = np.searchsorted(timestamps, start, side="left")
+        hi = np.searchsorted(timestamps, start + interval_s, side="left")
+        yield start, int(lo), int(hi)
+        start += interval_s
+
+
+def detect_stream_loop(model, series_map, run_start, *, interval_s=INTERVAL_S, tau=DEFAULT_TAU, cadence_s=CADENCE_S):
+    """One detector call per (KPI, interval) and per (edge, interval), each
+    edge aligned on its own and re-predicting the whole prefix."""
+    if interval_s <= 0 or interval_s % cadence_s != 0:
+        raise ValueError("interval must be a positive multiple of the cadence")
+    events = []
+    expected = interval_s // cadence_s
+    for kpi in sorted(series_map):
+        if kpi not in model.baselines:
+            logger.warning("detect: no baseline for %s; skipping", kpi)
+            continue
+        baseline = model.baselines[kpi]
+        series = series_map[kpi]
+        for interval_start, lo, hi in _interval_slices(series.timestamps, run_start, interval_s):
+            if 2 * (hi - lo) < expected:
+                continue
+            event = detect_univariate(
+                baseline, series.timestamps[lo:hi], series.values[lo:hi], interval_start=interval_start
+            )
+            if event is not None:
+                events.append(event)
+    worst = {}
+    for edge in model.edges:
+        if edge.cause not in series_map or edge.effect not in series_map:
+            continue
+        cause = series_map[edge.cause]
+        effect = series_map[edge.effect]
+        common, ic, ie = np.intersect1d(cause.timestamps, effect.timestamps, return_indices=True)
+        if len(common) == 0:
+            continue
+        x = cause.values[ic]
+        y = effect.values[ie]
+        p = edge.lag_order
+        for interval_start, lo, hi in _interval_slices(common, run_start, interval_s):
+            h = hi - lo
+            if 2 * h < expected or lo < p:
+                continue
+            event = detect_multivariate(edge, x[:hi], y[:hi], h, tau=tau, interval_start=interval_start)
+            if event is not None:
+                key = (interval_start, edge.effect)
+                seen = worst.get(key)
+                if seen is None or event.score > seen.score:
+                    worst[key] = event
+    events.extend(worst.values())
+    events.sort()
+    return events

@@ -5,6 +5,9 @@ route built on the pseudoinverse, and the F survival function evaluated with
 mpmath's regularized incomplete beta instead of scipy.
 """
 
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -189,6 +192,31 @@ def test_granger_matches_independent_oracle():
         f_rev, p_rev = oracle_granger(y, x, 3)
         assert res_rev.f_stat == pytest.approx(f_rev, rel=1e-9, abs=1e-12)
         assert res_rev.p_value == pytest.approx(p_rev, rel=1e-9)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 100_000),
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 10.0),
+        st.floats(1e-12, 1e12),
+        st.floats(0.0, 1e300, allow_infinity=False),
+    ),
+)
+def test_f_survival_equals_scipy_stats(p, df_denom, f_stat):
+    # the graph computes the F test's p-value with scipy.special.fdtrc so that
+    # importing faultcast does not load scipy.stats; both give the same bits
+    from scipy import special, stats
+
+    assert special.fdtrc(p, df_denom, f_stat) == stats.f.sf(f_stat, p, df_denom)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, faultcast; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_granger_frozen_anchor():

@@ -1,11 +1,19 @@
 """Interval detectors: seasonal-band checks, edge-residual checks, streaming."""
 
+import io
 import logging
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import detect_multivariate, detect_univariate, predict_from_edge
+
+from faultcast import detect
 from faultcast.baseline import BaselineModel, GrangerEdge, UnivariateBaseline
 from faultcast.core import (
     HOURS_PER_WEEK,
@@ -16,13 +24,12 @@ from faultcast.core import (
 )
 from faultcast.detect import (
     AnomalyEvent,
-    detect_multivariate,
     detect_stream,
-    detect_univariate,
-    predict_from_edge,
     read_anomaly_log,
     write_anomaly_log,
 )
+from faultcast.evaluate import default_run_specs
+from faultcast.sim import gen_run
 
 
 def flat_baseline(kpi, mean, std, k_sigma=3.0):
@@ -134,6 +141,8 @@ def test_stream_rejects_bad_interval():
         detect_stream(model, {}, 0, interval_s=90)
     with pytest.raises(ValueError):
         detect_stream(model, {}, 0, interval_s=0)
+    with pytest.raises(ValueError):
+        detect_stream(model, {}, 0, cadence_s=-60)
 
 
 def test_stream_skips_unknown_kpi(caplog):
@@ -280,3 +289,127 @@ def test_stream_early_run_start_skips_empty_intervals():
     early = detect_stream(model, series, -(10**5) * 300)
     assert time.perf_counter() - t0 < 1.0
     assert early == expected
+
+
+# ---------------------------------------------------------------------------
+# the batched detector against the per-(edge, interval) oracle
+
+
+@st.composite
+def detection_cases(draw):
+    """A model, a run and its detection settings, drawn to reach the corners
+    of interval binning and alignment: gaps, KPIs on different or disjoint
+    grids, dropped KPIs and KPIs without a baseline, samples before
+    ``run_start`` or a far-early ``run_start``, sub-cadence sampling with 8 to
+    300 samples an interval, mixed lag orders and runs shorter than p."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kpis = [KpiId(f"R{i}", "m") for i in range(draw(st.integers(2, 5)))]
+    cadence = draw(st.sampled_from([60, 60, 30, 20, 10, 1]))
+    t0 = 1_700_000_000 + draw(st.integers(0, 299))
+    n = draw(st.one_of(st.integers(0, 6), st.integers(7, 60 if cadence >= 10 else 1200)))
+    base = t0 + cadence * np.arange(n, dtype=np.int64)
+    keep = draw(st.sampled_from([1.0, 0.9, 0.5]))
+    grids = [base] + [base[rng.random(n) < keep] for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        grids.append(base + 7)  # shares no timestamp with the others
+    scale = draw(st.sampled_from([0.5, 2.0, 10.0]))
+    series = {}
+    for kpi in kpis + [KpiId("Stray", "m")]:  # the stray KPI has no baseline
+        stamps = grids[int(rng.integers(len(grids)))]
+        if len(stamps) and rng.random() < 0.85:  # the rest are dropped from the run
+            series[kpi] = TimeSeries(kpi, stamps, rng.normal(0.0, scale, len(stamps)))
+    baselines = {
+        kpi: UnivariateBaseline(
+            kpi=kpi,
+            bucket_means=rng.normal(0.0, 1.0, HOURS_PER_WEEK),
+            bucket_stds=rng.uniform(0.5, 2.0, HOURS_PER_WEEK),
+            k_sigma=draw(st.sampled_from([0.5, 1.0, 3.0])),
+            std_floor=1e-12,
+            global_mean=0.0,
+            global_std=1.0,
+        )
+        for kpi in kpis
+    }
+    edges = []
+    for _ in range(draw(st.integers(1, 8))):
+        cause, effect = rng.choice(len(kpis), size=2, replace=False)
+        p = draw(st.integers(1, 3))
+        edges.append(
+            GrangerEdge(
+                cause=kpis[cause],
+                effect=kpis[effect],
+                weight=0.99,
+                lag_order=p,
+                coefficients=tuple(rng.normal(0.0, 0.5, 2 * p + 1)),
+                residual_std=float(rng.uniform(0.2, 2.0)),
+            )
+        )
+    run_start = draw(
+        st.sampled_from(
+            [
+                t0 - 600,  # aligned before the data
+                t0 + 150,  # some samples before run_start
+                t0 - (10**5) * 300 + 17,  # far early, off the data's grid
+                t0 + cadence * n + 300,  # after every sample
+            ]
+        )
+    )
+    interval_s = draw(st.sampled_from([300, 300, 120, 600]))
+    tau = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    return BaselineModel(baselines=baselines, edges=tuple(edges)), series, run_start, interval_s, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_cases(), st.sampled_from([detect._CHUNK_CELLS, 1, 40]))
+def test_batched_stream_equals_the_per_edge_oracle(case, chunk_cells):
+    model, series, run_start, interval_s, tau = case
+    # small blocks split one alignment's edges over several scoring passes
+    with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells):
+        batched = detect_stream(model, series, run_start, interval_s=interval_s, tau=tau)
+    expected = oracles.detect_stream_loop(model, series, run_start, interval_s=interval_s, tau=tau)
+    assert batched == expected  # equal events compare their scores with ==
+
+
+def test_batched_stream_equals_the_oracle_on_faulty_suite_runs(suite_data):
+    config = suite_data.config
+    faulty = [spec for spec in default_run_specs(config) if spec.fault is not None][::7]
+    for spec in faulty[:3]:
+        series, _ = gen_run(
+            suite_data.topology, config.workload, spec.fault, spec.start, spec.duration_s, spec.seed
+        )
+        batched = detect_stream(suite_data.baseline, series, spec.start, tau=config.tau)
+        assert batched == oracles.detect_stream_loop(suite_data.baseline, series, spec.start, tau=config.tau)
+        assert {e.kind for e in batched} == set(AnomalyKind), spec.run_id
+
+
+def test_long_run_detection_is_not_quadratic(suite_data):
+    # Scoring every interval by re-predicting the whole prefix took 18.7 s
+    # for two days; one pass over the run takes well under a second.
+    config = suite_data.config
+    spec = next(spec for spec in default_run_specs(config) if spec.fault is not None)
+    series, _ = gen_run(suite_data.topology, config.workload, spec.fault, spec.start, 2880 * 60, spec.seed)
+    t0 = time.perf_counter()
+    events = detect_stream(suite_data.baseline, series, spec.start, tau=config.tau)
+    assert time.perf_counter() - t0 < 3.0
+    assert events
+
+
+def test_anomaly_log_reader_shares_kpis_and_keeps_error_lines():
+    text = (
+        "interval_start,resource,metric,kind,score\n"
+        "2026-01-01T00:00:00Z,Homer,m,Univariate,4.0\n"
+        "2026-01-01T00:00:00Z,Homer,m,Multivariate,5.0\n"
+        "2026-01-01T00:05:00Z,Homer,m,Univariate,4.5\n"
+    )
+    events = read_anomaly_log(io.StringIO(text))
+    assert [e.interval_start for e in events] == [1767225600, 1767225600, 1767225900]
+    assert events[0].kpi is events[1].kpi is events[2].kpi
+    # a bad repeat of a good timestamp or KPI still fails at its own line
+    for bad, message in [
+        ("2026-01-01T00:00:00,Homer,m,Univariate,1.0", "line 5"),
+        ("2026-01-01T00:00:00Z,,m,Univariate,1.0", "line 5"),
+        ("2026-01-01T00:00:00Z,Homer,m,Sideways,1.0", "line 5"),
+        ("2026-01-01T00:00:00Z,Homer,m,Univariate,-1.0", "line 5"),
+    ]:
+        with pytest.raises(CsvParseError, match=message):
+            read_anomaly_log(io.StringIO(text + bad + "\n"))
