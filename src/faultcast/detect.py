@@ -6,6 +6,7 @@ import csv
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, TextIO, Tuple, Union
 
@@ -128,6 +129,12 @@ def detect_stream(
     # for the edges between two such groups, one alignment.
     stamps = {kpi: series.timestamps.tobytes() for kpi, series in series_map.items()}
     bins: Dict[bytes, tuple] = {}
+    # the events of one interval share one int for its start
+    shared: Dict[int, int] = {}
+
+    def start_of(value) -> int:
+        value = int(value)
+        return shared.setdefault(value, value)
 
     for kpi in sorted(series_map):
         baseline = model.baselines.get(kpi)
@@ -140,7 +147,7 @@ def detect_stream(
         starts, lo, hi = bins[stamps[kpi]]
         peaks = np.maximum.reduceat(baseline.zscores(series.timestamps, series.values), lo)
         for i in np.flatnonzero((2 * (hi - lo) >= expected) & (peaks > baseline.k_sigma)):
-            events.append(AnomalyEvent(int(starts[i]), kpi, AnomalyKind.UNIVARIATE, float(peaks[i])))
+            events.append(AnomalyEvent(start_of(starts[i]), kpi, AnomalyKind.UNIVARIATE, float(peaks[i])))
 
     blocks: Dict[Tuple[bytes, bytes, int], List[GrangerEdge]] = {}
     for edge in model.edges:
@@ -171,7 +178,7 @@ def detect_stream(
             y = np.stack([series_map[edge.effect].values for edge in chunk])[:, ie]
             scores = _edge_scores(chunk, x, y, lo, hi)
             for e, s in zip(*np.nonzero(scores > tau)):
-                key = (int(starts[s]), chunk[e].effect)
+                key = (start_of(starts[s]), chunk[e].effect)
                 score = float(scores[e, s])
                 if score > worst.get(key, -math.inf):
                     worst[key] = score
@@ -216,7 +223,7 @@ def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> List[AnomalyEve
             raise CsvParseError(1, f"expected header {','.join(ANOMALY_LOG_HEADER)!r}, got {header!r}")
         events = []
         # a log repeats few distinct timestamps and KPIs: parse each once and
-        # let the events share the KpiId objects
+        # let the events share the KpiId objects, whose names are interned
         ts_memo: Dict[str, int] = {}
         kpi_memo: Dict[Tuple[str, str], KpiId] = {}
         for line_no, row in enumerate(reader, start=2):
@@ -230,7 +237,7 @@ def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> List[AnomalyEve
                     ts = ts_memo[row[0]] = parse_timestamp(row[0])
                 kpi = kpi_memo.get((row[1], row[2]))
                 if kpi is None:
-                    kpi = kpi_memo[(row[1], row[2])] = KpiId(row[1], row[2])
+                    kpi = kpi_memo[(row[1], row[2])] = KpiId(sys.intern(row[1]), sys.intern(row[2]))
                 events.append(AnomalyEvent(ts, kpi, AnomalyKind(row[3]), float(row[4])))
             except ValueError as exc:
                 raise CsvParseError(line_no, str(exc)) from None

@@ -11,8 +11,6 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 from .baseline import BaselineModel
 from .core import (
     INTERVAL_S,
-    AnomalousKpi,
-    AnomalyKind,
     FailureClass,
     KpiId,
     OrderingError,
@@ -21,7 +19,7 @@ from .core import (
 )
 from .detect import AnomalyEvent, detect_stream
 from .io import RunManifest, _open_text
-from .signature import SignatureModel
+from .signature import SignatureModel, anomalous_kpis
 
 DEFAULT_CONFIDENCE = 0.9
 DEFAULT_STREAK = 4
@@ -76,16 +74,7 @@ class PredictorState:
     fs_fired: bool = False
 
     def window_anomalies(self) -> frozenset:
-        first_seen: Dict[Tuple[KpiId, AnomalyKind], int] = {}
-        for interval_start, events in self.buffer:
-            for event in events:
-                key = (event.kpi, event.kind)
-                seen = first_seen.get(key)
-                if seen is None or event.interval_start < seen:
-                    first_seen[key] = event.interval_start
-        return frozenset(
-            AnomalousKpi(kpi, kind, seen) for (kpi, kind), seen in first_seen.items()
-        )
+        return anomalous_kpis(event for _, events in self.buffer for event in events)
 
 
 def new_state(window_min: int = 90, interval_s: int = INTERVAL_S) -> PredictorState:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -91,9 +92,18 @@ class Vocabulary:
         )
 
 
-def encode_window(anomalies: Iterable[AnomalousKpi], vocab: Vocabulary) -> np.ndarray:
-    """Binary feature vector of a window's anomalous KPI set."""
-    return vocab.encode(anomalies)
+def anomalous_kpis(events: Iterable) -> frozenset:
+    """The anomalous KPIs of a window's events: one :class:`AnomalousKpi` per
+    (KPI, kind), stamped with the earliest interval it was seen in."""
+    earliest: Dict[tuple, object] = {}
+    for event in events:
+        # keyed by the KPI's strings, which cache their hash (KpiId's is
+        # computed in Python on every lookup)
+        key = (event.kpi.resource, event.kpi.metric, event.kind)
+        seen = earliest.setdefault(key, event)
+        if event.interval_start < seen.interval_start:
+            earliest[key] = event
+    return frozenset(AnomalousKpi(e.kpi, e.kind, e.interval_start) for e in earliest.values())
 
 
 def windowize_events(events, windows, label_fn=None) -> List[WindowSample]:
@@ -104,20 +114,13 @@ def windowize_events(events, windows, label_fn=None) -> List[WindowSample]:
     across overlapping windows until they slide out.  ``label_fn`` maps
     (start, end) to an optional FailureClass.
     """
+    ordered = sorted(events, key=attrgetter("interval_start"))
+    starts = [event.interval_start for event in ordered]
     out = []
     for start, end in windows:
-        first_seen: Dict[Tuple[KpiId, AnomalyKind], int] = {}
-        for event in events:
-            if start <= event.interval_start < end:
-                key = (event.kpi, event.kind)
-                seen = first_seen.get(key)
-                if seen is None or event.interval_start < seen:
-                    first_seen[key] = event.interval_start
-        anomalies = frozenset(
-            AnomalousKpi(kpi, kind, seen) for (kpi, kind), seen in first_seen.items()
-        )
+        inside = ordered[bisect_left(starts, start) : bisect_left(starts, end)]
         label = label_fn(start, end) if label_fn is not None else None
-        out.append(WindowSample(start, end, anomalies, label))
+        out.append(WindowSample(start, end, anomalous_kpis(inside), label))
     return out
 
 
@@ -195,12 +198,84 @@ class TreeNode:
         )
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _check_tree(root: TreeNode, n_classes: int, n_features: int) -> None:
+    """Reject a loaded tree that could not be evaluated: a split on a bit
+    outside the vocabulary, or a leaf whose class or counts do not fit."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            if not 0 <= node.feature < n_features:
+                raise ValueError(f"tree splits on bit {node.feature}; the vocabulary has {n_features}")
+            stack += [node.nominal, node.anomalous]
+        elif not (
+            0 <= node.class_index < n_classes
+            and 0 <= node.correct <= node.total
+            and node.total >= 1
+            and len(node.counts) == n_classes
+        ):
+            raise ValueError(
+                f"tree leaf (class_index={node.class_index}, total={node.total}, "
+                f"correct={node.correct}, {len(node.counts)} counts) does not fit {n_classes} classes"
+            )
+
+
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of an [R, C] class-count matrix.
+
+    Each row's value equals ``-(p * log2(p)).sum()`` over its non-zero
+    shares taken as a 1-D array, bit for bit: numpy adds fewer than 8 terms
+    left to right, which a column-by-column sum reproduces (zero terms add
+    nothing), and sums 8 or more pairwise, so rows with that many non-zero
+    classes are summed as packed [rows, width] blocks.  An all-zero row has
+    entropy 0.
+    """
+    nonzero = counts > 0
+    width = nonzero.sum(axis=1)
+    p = counts[nonzero] / np.repeat(counts.sum(axis=1), width)
+    terms = np.zeros(counts.shape)
+    terms[nonzero] = p * np.log2(p)
+    total = np.zeros(len(counts))
+    for column in terms.T:
+        total += column
+    wide = width >= 8
+    if wide.any():
+        for w in np.unique(width[wide]):
+            rows = np.flatnonzero(width == w)
+            total[rows] = terms[rows][nonzero[rows]].reshape(len(rows), w).sum(axis=1)
+    return -total
+
+
+def _feature_rows(bits, n_features: int) -> np.ndarray:
+    """``bits`` as an [n, n_features] matrix; a 1-D vector is one row."""
+    bits = np.asarray(bits)
+    if bits.ndim not in (1, 2) or bits.shape[-1] != n_features:
+        raise ValueError(
+            f"feature vector has dimension {bits.shape}, model expects {n_features}"
+        )
+    return bits.reshape(-1, n_features)
+
+
+def _leaf_proba(node: TreeNode, k: int) -> np.ndarray:
+    """The leaf's confidence on its class, the rest spread by its counts."""
+    probs = np.zeros(k)
+    confidence = node.correct / node.total
+    probs[node.class_index] = confidence
+    remainder = 1.0 - confidence
+    if remainder > 0.0:
+        others = np.asarray(node.counts, dtype=float)
+        others[node.class_index] = 0.0
+        mass = others.sum()
+        if mass > 0.0:
+            probs += remainder * others / mass
+        elif k > 1:
+            spread = remainder / (k - 1)
+            for i in range(k):
+                if i != node.class_index:
+                    probs[i] += spread
+        else:
+            probs[node.class_index] = 1.0
+    return probs
 
 
 @dataclass(frozen=True)
@@ -214,33 +289,20 @@ class DecisionTreeModel:
     root: TreeNode
 
     def predict_proba(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits)
-        if bits.shape != (self.n_features,):
-            raise ValueError(
-                f"feature vector has dimension {bits.shape}, model expects {self.n_features}"
-            )
-        node = self.root
-        while not node.is_leaf:
-            node = node.anomalous if bits[node.feature] else node.nominal
-        k = len(self.classes)
-        probs = np.zeros(k)
-        confidence = node.correct / node.total
-        probs[node.class_index] = confidence
-        remainder = 1.0 - confidence
-        if remainder > 0.0:
-            others = np.asarray(node.counts, dtype=float)
-            others[node.class_index] = 0.0
-            mass = others.sum()
-            if mass > 0.0:
-                probs += remainder * others / mass
-            elif k > 1:
-                spread = remainder / (k - 1)
-                for i in range(k):
-                    if i != node.class_index:
-                        probs[i] += spread
-            else:
-                probs[node.class_index] = 1.0
-        return probs
+        """Class probabilities of each row of an [n, F] bit matrix, as
+        [n, classes]; a 1-D vector gives one distribution."""
+        rows = _feature_rows(bits, self.n_features)
+        out = np.empty((len(rows), len(self.classes)))
+        leaves: Dict[int, np.ndarray] = {}
+        for r, row in enumerate(rows.tolist()):
+            node = self.root
+            while not node.is_leaf:
+                node = node.anomalous if row[node.feature] else node.nominal
+            probs = leaves.get(id(node))
+            if probs is None:
+                probs = leaves[id(node)] = _leaf_proba(node, len(self.classes))
+            out[r] = probs
+        return out if np.ndim(bits) == 2 else out[0]
 
     def depth(self) -> int:
         def walk(node: TreeNode) -> int:
@@ -251,8 +313,24 @@ class DecisionTreeModel:
         return walk(self.root)
 
 
+def _best_feature(gains: np.ndarray) -> Optional[int]:
+    """The feature a scan in bit order picks: one replaces the best so far
+    only when its gain is more than ``_GAIN_EPS`` higher, so near-ties go to
+    the lower bit.  None when no gain exceeds ``_GAIN_EPS``."""
+    best = None
+    threshold = _GAIN_EPS
+    while True:
+        start = 0 if best is None else best + 1
+        later = np.flatnonzero(gains[start:] > threshold)
+        if not len(later):
+            return best
+        best = start + int(later[0])
+        threshold = gains[best] + _GAIN_EPS
+
+
 def _grow_tree(
-    x: np.ndarray,
+    on: np.ndarray,
+    one_hot: np.ndarray,
     y: np.ndarray,
     indices: np.ndarray,
     n_classes: int,
@@ -260,6 +338,8 @@ def _grow_tree(
     max_depth: Optional[int],
     depth: int,
 ) -> TreeNode:
+    """The subtree over the samples ``indices``: ``on`` is the [N, F] 0/1
+    matrix of set bits and ``one_hot`` the [N, C] labels, both as floats."""
     counts = np.bincount(y[indices], minlength=n_classes)
     majority = int(np.argmax(counts))
 
@@ -279,30 +359,28 @@ def _grow_tree(
     if max_depth is not None and depth >= max_depth:
         return leaf()
 
-    parent_entropy = _entropy(counts)
-    best_gain = 0.0
-    best_feature = None
-    sub = x[indices]
-    for f in range(x.shape[1]):
-        mask = sub[:, f] == 1
-        n_on = int(mask.sum())
-        n_off = n - n_on
-        if n_on < min_leaf or n_off < min_leaf:
-            continue
-        on_counts = np.bincount(y[indices[mask]], minlength=n_classes)
-        off_counts = counts - on_counts
-        child = (n_on * _entropy(on_counts) + n_off * _entropy(off_counts)) / n
-        gain = parent_entropy - child
-        if gain > best_gain + _GAIN_EPS:
-            best_gain = gain
-            best_feature = f
-    if best_feature is None or best_gain <= _GAIN_EPS:
+    # [F, C] per-class counts of the samples with each bit set; sums of 0/1
+    # products, so the floats are exact integers
+    sub = on[indices]
+    on_counts = (sub.T @ one_hot[indices]).astype(np.int64)
+    n_on = on_counts.sum(axis=1)
+    n_off = n - n_on
+    valid = np.flatnonzero((n_on >= min_leaf) & (n_off >= min_leaf))
+    gains = np.full(len(n_on), -np.inf)
+    if len(valid):
+        n_on, n_off, on_counts = n_on[valid], n_off[valid], on_counts[valid]
+        # one pass over the parent, the on sides and the off sides
+        h = _entropies(np.concatenate([counts[None], on_counts, counts - on_counts]))
+        child = (n_on * h[1 : len(valid) + 1] + n_off * h[len(valid) + 1 :]) / n
+        gains[valid] = h[0] - child
+    best_feature = _best_feature(gains)
+    if best_feature is None:
         return leaf()
-    mask = sub[:, best_feature] == 1
+    mask = sub[:, best_feature] == 1.0
     return TreeNode(
         feature=best_feature,
-        nominal=_grow_tree(x, y, indices[~mask], n_classes, min_leaf, max_depth, depth + 1),
-        anomalous=_grow_tree(x, y, indices[mask], n_classes, min_leaf, max_depth, depth + 1),
+        nominal=_grow_tree(on, one_hot, y, indices[~mask], n_classes, min_leaf, max_depth, depth + 1),
+        anomalous=_grow_tree(on, one_hot, y, indices[mask], n_classes, min_leaf, max_depth, depth + 1),
     )
 
 
@@ -331,9 +409,9 @@ def train_tree(
     classes = tuple(classes)
     if y.max(initial=-1) >= len(classes):
         raise ValueError("label index out of range for the class list")
-    root = _grow_tree(
-        x, y, np.arange(len(y)), len(classes), min_leaf, max_depth, depth=0
-    )
+    on = (x == 1).astype(float)
+    one_hot = np.eye(len(classes))[y]
+    root = _grow_tree(on, one_hot, y, np.arange(len(y)), len(classes), min_leaf, max_depth, depth=0)
     return DecisionTreeModel(
         classes=classes,
         n_features=int(x.shape[1]),
@@ -358,22 +436,24 @@ class NaiveBayesModel:
     theta: np.ndarray  # (n_classes, n_features) P(bit = 1 | class)
 
     def predict_proba(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits)
-        if bits.shape != (self.n_features,):
-            raise ValueError(
-                f"feature vector has dimension {bits.shape}, model expects {self.n_features}"
-            )
-        probs = self.priors.copy()
+        """Posteriors of each row of an [n, F] bit matrix, as [n, classes];
+        a 1-D vector gives one distribution."""
+        rows = _feature_rows(bits, self.n_features) != 0
+        probs = np.tile(self.priors, (len(rows), 1))
+        absent = 1.0 - self.theta
         for j in range(self.n_features):
-            probs = probs * (self.theta[:, j] if bits[j] else 1.0 - self.theta[:, j])
-            if probs.max() < 1e-100:
+            probs *= np.where(rows[:, j : j + 1], self.theta[:, j], absent[:, j])
+            low = probs.max(axis=1) < 1e-100
+            if low.any():
                 # rescale by an exact power of two: the normalization below
                 # cancels it without introducing rounding error
-                probs = np.ldexp(probs, 340)
-        total = probs.sum()
-        if total == 0.0:
-            return np.full(len(self.classes), 1.0 / len(self.classes))
-        return probs / total
+                probs[low] = np.ldexp(probs[low], 340)
+        total = probs.sum(axis=1, keepdims=True)
+        empty = total[:, 0] == 0.0
+        total[empty] = 1.0
+        probs /= total
+        probs[empty] = 1.0 / len(self.classes)
+        return probs if np.ndim(bits) == 2 else probs[0]
 
 
 def train_nb(
@@ -491,9 +571,15 @@ class SignatureModel:
                 max_depth=payload["max_depth"],
                 root=TreeNode.from_dict(payload["root"]),
             )
+            _check_tree(model.root, len(classes), vocab.dimension)
         elif algorithm == "nb":
             priors = np.asarray(payload["priors"], dtype=float)
             theta = np.asarray(payload["theta"], dtype=float)
+            if priors.shape != (len(classes),) or theta.shape != (len(classes), vocab.dimension):
+                raise ValueError(
+                    f"naive Bayes priors {priors.shape} and theta {theta.shape} do not fit "
+                    f"{len(classes)} classes over {vocab.dimension} features"
+                )
             priors.setflags(write=False)
             theta.setflags(write=False)
             model = NaiveBayesModel(
@@ -641,9 +727,7 @@ def cross_validate(
             model = train_nb(x[train_idx], y[train_idx], sub_classes, alpha=alpha)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected 'tree' or 'nb'")
-        for idx in fold:
-            probs = model.predict_proba(x[idx])
-            preds[idx] = int(np.argmax(probs))
+        preds[fold] = np.argmax(model.predict_proba(x[fold]), axis=1)
     per_class: Dict[FailureClass, Contingency] = {}
     for ci, cls in enumerate(classes):
         tp = int(np.sum((preds == ci) & (y == ci)))
@@ -651,7 +735,11 @@ def cross_validate(
         fn = int(np.sum((preds != ci) & (y == ci)))
         tn = int(np.sum((preds != ci) & (y != ci)))
         per_class[cls] = Contingency(tp=tp, fp=fp, fn=fn, tn=tn)
-    predictions = [(classes[t], classes[p]) for t, p in zip(y, preds)]
+    # samples with the same (truth, predicted) pair share one tuple
+    pairs: Dict[Tuple[int, int], Tuple[FailureClass, FailureClass]] = {}
+    predictions = [
+        pairs.setdefault((t, p), (classes[t], classes[p])) for t, p in zip(y.tolist(), preds.tolist())
+    ]
     return CrossValidationResult(
         per_class=per_class,
         predictions=predictions,

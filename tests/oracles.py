@@ -1,11 +1,13 @@
 """Straightforward reference implementations kept as test oracles.
 
 These are the row-at-a-time CSV writer and reader, the per-pair causality
-graph loop and the per-(edge, interval) detector that the array-shaped
-versions in ``faultcast.io``, ``faultcast.baseline`` and ``faultcast.detect``
-replaced.  The optimized code must match them exactly: the same bytes, the
-same maps, the same errors at the same lines, the same edges and the same
-events with equal scores.
+graph loop, the per-(edge, interval) detector, and the per-feature tree
+grower, per-row classifiers and per-window event scans that the array-shaped
+versions in ``faultcast.io``, ``faultcast.baseline``, ``faultcast.detect``,
+``faultcast.signature`` and ``faultcast.predict`` replaced.  The optimized
+code must match them exactly: the same bytes, the same maps, the same errors
+at the same lines, the same edges, the same events with equal scores, the
+same trees, equal probabilities and the same windows.
 """
 
 import csv
@@ -18,16 +20,26 @@ from faultcast.baseline import GrangerEdge, granger_fit
 from faultcast.core import (
     CADENCE_S,
     INTERVAL_S,
+    AnomalousKpi,
     AnomalyKind,
     CsvParseError,
     DuplicateSampleError,
     KpiId,
     TimeSeries,
+    WindowSample,
     format_timestamp,
     parse_timestamp,
 )
 from faultcast.detect import DEFAULT_TAU, AnomalyEvent
 from faultcast.io import CSV_HEADER
+from faultcast.signature import (
+    _GAIN_EPS,
+    DecisionTreeModel,
+    TreeNode,
+    _encode_dataset,
+    stratified_folds,
+    train_nb,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -218,3 +230,162 @@ def detect_stream_loop(model, series_map, run_start, *, interval_s=INTERVAL_S, t
     events.extend(worst.values())
     events.sort()
     return events
+
+
+def entropy(counts):
+    """Entropy in bits of one class-count vector."""
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices=None, depth=0):
+    """One ``np.bincount`` and two ``entropy`` calls per feature per node."""
+    if indices is None:
+        indices = np.arange(len(y))
+    counts = np.bincount(y[indices], minlength=n_classes)
+    majority = int(np.argmax(counts))
+
+    def leaf():
+        return TreeNode(
+            class_index=majority,
+            total=int(counts.sum()),
+            correct=int(counts[majority]),
+            counts=tuple(int(c) for c in counts),
+        )
+
+    n = len(indices)
+    if counts.max() == n:
+        return leaf()
+    if n < 2 * min_leaf:
+        return leaf()
+    if max_depth is not None and depth >= max_depth:
+        return leaf()
+
+    parent_entropy = entropy(counts)
+    best_gain = 0.0
+    best_feature = None
+    sub = x[indices]
+    for f in range(x.shape[1]):
+        mask = sub[:, f] == 1
+        n_on = int(mask.sum())
+        n_off = n - n_on
+        if n_on < min_leaf or n_off < min_leaf:
+            continue
+        on_counts = np.bincount(y[indices[mask]], minlength=n_classes)
+        off_counts = counts - on_counts
+        child = (n_on * entropy(on_counts) + n_off * entropy(off_counts)) / n
+        gain = parent_entropy - child
+        if gain > best_gain + _GAIN_EPS:
+            best_gain = gain
+            best_feature = f
+    if best_feature is None or best_gain <= _GAIN_EPS:
+        return leaf()
+    mask = sub[:, best_feature] == 1
+    return TreeNode(
+        feature=best_feature,
+        nominal=grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices[~mask], depth + 1),
+        anomalous=grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices[mask], depth + 1),
+    )
+
+
+def best_feature_scan(gains):
+    """The split choice of ``grow_tree_loop`` over precomputed gains."""
+    best_gain, best_feature = 0.0, None
+    for f, gain in enumerate(gains):
+        if gain > best_gain + _GAIN_EPS:
+            best_gain, best_feature = gain, f
+    return best_feature
+
+
+def tree_proba_row(model, bits):
+    """Walk one bit vector down the tree; spread the leaf's residual mass."""
+    bits = np.asarray(bits)
+    if bits.shape != (model.n_features,):
+        raise ValueError(f"feature vector has dimension {bits.shape}, model expects {model.n_features}")
+    node = model.root
+    while not node.is_leaf:
+        node = node.anomalous if bits[node.feature] else node.nominal
+    k = len(model.classes)
+    probs = np.zeros(k)
+    confidence = node.correct / node.total
+    probs[node.class_index] = confidence
+    remainder = 1.0 - confidence
+    if remainder > 0.0:
+        others = np.asarray(node.counts, dtype=float)
+        others[node.class_index] = 0.0
+        mass = others.sum()
+        if mass > 0.0:
+            probs += remainder * others / mass
+        elif k > 1:
+            spread = remainder / (k - 1)
+            for i in range(k):
+                if i != node.class_index:
+                    probs[i] += spread
+        else:
+            probs[node.class_index] = 1.0
+    return probs
+
+
+def nb_proba_row(model, bits):
+    """Multiply one bit vector's likelihoods in feature order, rescaling by
+    2**340 whenever every class drops below 1e-100."""
+    bits = np.asarray(bits)
+    if bits.shape != (model.n_features,):
+        raise ValueError(f"feature vector has dimension {bits.shape}, model expects {model.n_features}")
+    probs = model.priors.copy()
+    for j in range(model.n_features):
+        probs = probs * (model.theta[:, j] if bits[j] else 1.0 - model.theta[:, j])
+        if probs.max() < 1e-100:
+            probs = np.ldexp(probs, 340)
+    total = probs.sum()
+    if total == 0.0:
+        return np.full(len(model.classes), 1.0 / len(model.classes))
+    return probs / total
+
+
+def cross_validate_rows(samples, vocab, k=10, seed=0, algorithm="tree", min_leaf=2, max_depth=None, alpha=1.0):
+    """(truth, predicted) per sample: loop-grown trees, one prediction per
+    held-out window."""
+    x, y, classes = _encode_dataset(samples, vocab)
+    folds = stratified_folds([s.label for s in samples], k, seed)
+    preds = np.full(len(y), -1, dtype=np.intp)
+    for fold in folds:
+        train = np.setdiff1d(np.arange(len(y)), fold)
+        if algorithm == "tree":
+            root = grow_tree_loop(x[train], y[train], len(classes), min_leaf, max_depth)
+            model = DecisionTreeModel(classes, x.shape[1], min_leaf, max_depth, root)
+            proba = tree_proba_row
+        else:
+            model = train_nb(x[train], y[train], classes, alpha=alpha)
+            proba = nb_proba_row
+        for idx in fold:
+            preds[idx] = int(np.argmax(proba(model, x[idx])))
+    return [(classes[t], classes[p]) for t, p in zip(y, preds)]
+
+
+def _first_seen(events):
+    first_seen = {}
+    for event in events:
+        key = (event.kpi, event.kind)
+        seen = first_seen.get(key)
+        if seen is None or event.interval_start < seen:
+            first_seen[key] = event.interval_start
+    return frozenset(AnomalousKpi(kpi, kind, seen) for (kpi, kind), seen in first_seen.items())
+
+
+def windowize_events_scan(events, windows, label_fn=None):
+    """Every event tested against every window."""
+    out = []
+    for start, end in windows:
+        inside = [event for event in events if start <= event.interval_start < end]
+        label = label_fn(start, end) if label_fn is not None else None
+        out.append(WindowSample(start, end, _first_seen(inside), label))
+    return out
+
+
+def buffer_anomalies(buffer):
+    """A predictor buffer of (interval_start, events) pairs, scanned whole."""
+    return _first_seen(event for _, events in buffer for event in events)

@@ -7,10 +7,16 @@ training run, its baseline model, and a faulty run) come from the shared
 ``short_pipeline`` session fixture.
 """
 
+import json
 import re
 
+import pytest
+
+from faultcast.baseline import BaselineModel
+from faultcast.core import NORMAL_CLASS, AnomalousKpi, AnomalyKind, FailureClass, FaultType, WindowSample
 from faultcast.detect import read_anomaly_log
 from faultcast.evaluate import SuiteConfig
+from faultcast.signature import Vocabulary, train_signature
 
 from conftest import run_cli
 
@@ -173,6 +179,48 @@ def test_train_signature_then_predict(short_pipeline, tmp_path):
         fields = row.split(",")
         if fields[1] == "FailureSpecific":
             assert fields[2] == "MemoryLeak" and fields[3] == "Sprout", row
+
+
+def _spoil_leaves(node):
+    if "feature" in node:
+        _spoil_leaves(node["nominal"])
+        _spoil_leaves(node["anomalous"])
+    else:
+        node.update(total=0, correct=0)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda model, vocab: model["root"].update(feature=vocab.dimension),
+        lambda model, vocab: _spoil_leaves(model["root"]),
+    ],
+    ids=["feature-outside-vocabulary", "empty-leaves"],
+)
+def test_predict_rejects_a_malformed_signature_file(short_pipeline, tmp_path, spoil):
+    vocab = Vocabulary(BaselineModel.load(short_pipeline["baseline"]).baselines.keys())
+    leak = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
+    marked = frozenset([AnomalousKpi(vocab.kpis[0], AnomalyKind.UNIVARIATE, 0)])
+    samples = [WindowSample(0, 5400, marked, leak)] * 2 + [WindowSample(0, 5400, frozenset(), NORMAL_CLASS)] * 2
+    data = train_signature(samples, vocab, "tree", 90).to_dict()
+    spoil(data["model"], vocab)
+    signature = tmp_path / "signature.json"
+    signature.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli(
+        "predict",
+        "--baseline",
+        str(short_pipeline["baseline"]),
+        "--signature",
+        str(signature),
+        "--data",
+        str(short_pipeline["fault_csv"]),
+        "--out",
+        str(tmp_path / "alerts.csv"),
+        "--run-start",
+        short_pipeline["run_start"],
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
 
 
 def test_missing_input_file_exits_nonzero(tmp_path):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+
 from faultcast.core import (
     DAY_S,
     NORMAL_CLASS,
@@ -14,6 +16,7 @@ from faultcast.core import (
     SchemaVersionError,
     hour_of_week,
     parse_timestamp,
+    slide_windows,
 )
 from faultcast.io import InjectedFault, RunManifest
 from faultcast.metrics import Contingency, EffectivenessMetrics, metrics
@@ -21,6 +24,7 @@ from faultcast.evaluate import (
     Rq1Row,
     Rq3Run,
     SuiteConfig,
+    assemble_windows,
     default_run_specs,
     failure_class_of,
     render_rq1,
@@ -30,6 +34,7 @@ from faultcast.evaluate import (
     run_day,
     window_label,
 )
+from faultcast.signature import cross_validate
 
 LEAK_SPROUT = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
 
@@ -179,3 +184,22 @@ def test_metrics_render_width_for_reports():
     line = metrics(Contingency(10, 0, 0, 90)).render("PacketLoss(Homer)")
     assert line.startswith("PacketLoss(Homer)")
     assert "100.000" in line
+
+
+def test_rq1_windows_and_cross_validation_equal_the_oracles(suite_data):
+    config = suite_data.config
+    for l_min in (60, 90, 120):
+        samples = assemble_windows(suite_data.runs, l_min, config.step_min)
+        scanned = []
+        for rec in suite_data.runs:
+            windows = slide_windows(rec.manifest.start, rec.manifest.end, l_min, config.step_min)
+            scanned += oracles.windowize_events_scan(
+                rec.events, windows, lambda start, end, m=rec.manifest: window_label(m, start, end)
+            )
+        assert samples == scanned
+        for algorithm in ("tree", "nb"):
+            cv = cross_validate(samples, suite_data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm)
+            expected = oracles.cross_validate_rows(
+                samples, suite_data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm
+            )
+            assert cv.predictions == expected, f"{l_min}-min {algorithm}"

@@ -1,6 +1,12 @@
 """Online alerting: sliding-window state machine and earliness measures."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from faultcast.core import (
     AnomalyKind,
@@ -171,6 +177,23 @@ def test_window_buffer_evicts_old_intervals():
     assert {e.kpi for _, evs in state.buffer for e in evs} == {KpiId("Homer", "m")}
     state, _ = step(state, 600, [], signature)
     assert state.buffer == ((300, ()), (600, ()))
+
+
+events_at = st.builds(
+    AnomalyEvent,
+    st.integers(0, 20).map(lambda i: 300 * i),
+    st.sampled_from([KpiId("Homer", "m"), KpiId("Homer", "n"), KpiId("Sprout", "m")]),
+    st.sampled_from(list(AnomalyKind)),
+    st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 20).map(lambda i: 300 * i), st.lists(events_at, max_size=6)), max_size=18))
+def test_window_anomalies_equal_the_buffer_scan(buffer):
+    # events may repeat and carry interval starts other than their slot's
+    state = replace(new_state(window_min=90), buffer=tuple((start, tuple(evs)) for start, evs in buffer))
+    assert state.window_anomalies() == oracles.buffer_anomalies(state.buffer)
 
 
 def test_alert_validation():

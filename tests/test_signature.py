@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from faultcast.core import (
     NORMAL_CLASS,
@@ -19,8 +23,11 @@ from faultcast.core import (
 from faultcast.detect import AnomalyEvent
 from faultcast.signature import (
     ClassDistribution,
+    NaiveBayesModel,
     SignatureModel,
     Vocabulary,
+    _best_feature,
+    _entropies,
     cross_validate,
     stratified_folds,
     train_nb,
@@ -33,6 +40,18 @@ K = [KpiId("Homer", f"m{i}") for i in range(8)]
 LOSS_HOMER = FailureClass(FaultType.PACKET_LOSS, "Homer")
 LOSS_SPROUT = FailureClass(FaultType.PACKET_LOSS, "Sprout")
 HOG_HOMER = FailureClass(FaultType.CPU_HOG, "Homer")
+#: 16 distinct classes for the randomized classifier checks
+MANY_CLASSES = (NORMAL_CLASS,) + tuple(
+    FailureClass(fault_type, resource)
+    for fault_type in (
+        FaultType.PACKET_LOSS,
+        FaultType.PACKET_LATENCY,
+        FaultType.PACKET_CORRUPTION,
+        FaultType.MEMORY_LEAK,
+        FaultType.CPU_HOG,
+    )
+    for resource in ("Bono", "Homer", "Sprout")
+)
 
 
 def anomaly(kpi, kind=AnomalyKind.UNIVARIATE, first_seen=0):
@@ -136,6 +155,39 @@ def test_windowize_applies_label_fn():
     assert samples[0].anomalies == frozenset()
 
 
+events_at = st.builds(
+    AnomalyEvent,
+    st.integers(-4, 30).map(lambda i: 300 * i),
+    st.sampled_from(K[:4]),
+    st.sampled_from(list(AnomalyKind)),
+    st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_windowize_equals_the_per_window_scan(data):
+    # unsorted events with repeats, windows without events, and events
+    # before, between and after every window
+    events = data.draw(st.lists(events_at, max_size=40))
+    if events:
+        events += data.draw(st.lists(st.sampled_from(events), max_size=10))
+    events = data.draw(st.permutations(events))
+    windows = data.draw(
+        st.lists(
+            st.tuples(st.integers(-3, 28), st.integers(1, 18)).map(
+                lambda w: (300 * w[0], 300 * (w[0] + w[1]))
+            ),
+            max_size=12,
+        )
+    )
+
+    def label_fn(start, end):
+        return MANY_CLASSES[(start // 300) % 3]
+
+    assert windowize_events(events, windows, label_fn) == oracles.windowize_events_scan(events, windows, label_fn)
+
+
 # ---------------------------------------------------------------------------
 # class distributions
 
@@ -213,6 +265,31 @@ def test_nb_survives_many_features_without_underflow():
     dist = proba(model, x[0])
     assert dist[NORMAL_CLASS] + dist[LOSS_HOMER] == pytest.approx(1.0, abs=1e-9)
     assert dist[NORMAL_CLASS] > 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.one_of(st.integers(1, 12), st.integers(100, 600)),
+    n_classes=st.integers(2, 14),
+    certain=st.booleans(),
+)
+def test_nb_batch_equals_the_per_row_oracle(seed, n_features, n_classes, certain):
+    # hundreds of features underflow and rescale rows at different steps
+    rng = np.random.default_rng(seed)
+    x = (rng.random((60, n_features)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+    y = rng.integers(0, n_classes, 60)
+    model = train_nb(x, y, MANY_CLASSES[:n_classes], alpha=float(rng.choice([0.1, 1.0, 3.0])))
+    if certain:  # bits a class always or never sets: rows can reach 0 for every class
+        theta = model.theta.copy()
+        hit = rng.random(theta.shape) < 0.05
+        theta[hit] = rng.integers(0, 2, int(hit.sum()))
+        model = NaiveBayesModel(model.classes, n_features, model.alpha, model.priors, theta)
+    rows = rng.choice(np.array([0, 1, 2], dtype=np.uint8), size=(25, n_features), p=[0.5, 0.45, 0.05])
+    batch = model.predict_proba(rows)
+    expected = np.stack([oracles.nb_proba_row(model, row) for row in rows])
+    assert np.array_equal(batch, expected)
+    assert np.array_equal(model.predict_proba(rows[3]), expected[3])
 
 
 def test_nb_input_gates():
@@ -351,6 +428,62 @@ def test_tree_input_gates():
         train_tree(np.array([[1]], dtype=np.uint8), np.array([0]), (NORMAL_CLASS,), min_leaf=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.integers(1, 16).flatmap(
+        lambda width: st.lists(st.lists(st.integers(0, 40), min_size=width, max_size=width), min_size=1, max_size=20)
+    )
+)
+@example(counts=[[3] * 16, [0] * 16, [1, 0] * 8, [5] * 8 + [0] * 8, [2] * 7 + [0] * 9])
+def test_entropies_equal_the_row_oracle(counts):
+    # rows with 8 or more non-zero classes are summed pairwise by numpy
+    counts = np.array(counts, dtype=np.int64)
+    assert _entropies(counts).tolist() == [oracles.entropy(row) for row in counts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-3, 8).map(lambda i: 0.25 + i * 0.4e-12),  # gains closer than _GAIN_EPS
+            st.sampled_from([-np.inf, 0.0, 0.5e-12, 1e-12, 1.5e-12]),
+        ),
+        max_size=12,
+    )
+)
+def test_best_feature_equals_the_scan_oracle(gains):
+    assert _best_feature(np.array(gains)) == oracles.best_feature_scan(gains)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 200),
+    n_classes=st.integers(2, 14),
+    min_leaf=st.integers(1, 5),
+    max_depth=st.sampled_from([None, 1, 3]),
+)
+@example(seed=7, n=400, n_classes=14, min_leaf=1, max_depth=None)
+def test_tree_equals_the_per_feature_oracle(seed, n, n_classes, min_leaf, max_depth):
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n, int(rng.integers(1, 10)))) < rng.choice([0.1, 0.3, 0.5, 0.8])).astype(np.uint8)
+    x[rng.random(x.shape) < 0.02] = 2  # training splits on bits equal to 1 only
+    # duplicate and constant columns tie on gain, in shuffled positions
+    extra = [x[:, rng.integers(x.shape[1])] for _ in range(rng.integers(0, 4))]
+    extra += [np.full(n, rng.integers(0, 2), dtype=np.uint8) for _ in range(rng.integers(0, 3))]
+    x = np.column_stack([x, *extra])[:, rng.permutation(x.shape[1] + len(extra))]
+    y = rng.integers(0, n_classes, n)
+    if rng.random() < 0.5:  # labels partly set by the bits, so the tree grows deep
+        y = (x[:, :3].astype(np.intp) @ rng.integers(0, n_classes, min(3, x.shape[1])) + y * (rng.random(n) < 0.2)) % n_classes
+    model = train_tree(x, y, MANY_CLASSES[:n_classes], min_leaf=min_leaf, max_depth=max_depth)
+    assert model.root == oracles.grow_tree_loop(x, y, n_classes, min_leaf, max_depth)
+    rows = rng.integers(0, 3, (30, x.shape[1])).astype(np.uint8)
+    batch = model.predict_proba(rows)
+    expected = np.stack([oracles.tree_proba_row(model, row) for row in rows])
+    assert np.array_equal(batch, expected)
+    assert np.array_equal(model.predict_proba(rows[0]), expected[0])
+
+
 # ---------------------------------------------------------------------------
 # the packaged signature model
 
@@ -422,6 +555,36 @@ def test_signature_rejects_wrong_payload(tmp_path):
     unlabeled = [WindowSample(0, 600, frozenset())]
     with pytest.raises(ValueError):
         train_signature(unlabeled, vocab)
+
+
+def first_leaf(node):
+    while "feature" in node:
+        node = node["nominal"]
+    return node
+
+
+@pytest.mark.parametrize(
+    "algorithm, corrupt",
+    [
+        ("tree", lambda m: m["root"].update(feature=3)),  # the vocabulary has bits 0..2
+        ("tree", lambda m: m["root"].update(feature=-1)),
+        ("tree", lambda m: first_leaf(m["root"]).update(total=0, correct=0)),
+        ("tree", lambda m: first_leaf(m["root"]).update(correct=first_leaf(m["root"])["total"] + 1)),
+        ("tree", lambda m: first_leaf(m["root"]).update(correct=-1)),
+        ("tree", lambda m: first_leaf(m["root"]).update(class_index=3)),  # 3 classes
+        ("tree", lambda m: first_leaf(m["root"]).update(class_index=-1)),
+        ("tree", lambda m: first_leaf(m["root"])["counts"].append(0)),
+        ("nb", lambda m: m["priors"].pop()),
+        ("nb", lambda m: m["theta"].pop()),
+        ("nb", lambda m: [row.pop() for row in m["theta"]]),
+    ],
+)
+def test_signature_rejects_a_model_it_cannot_evaluate(algorithm, corrupt):
+    vocab, samples = window_fixture()
+    data = train_signature(samples, vocab, algorithm=algorithm).to_dict()
+    corrupt(data["model"])
+    with pytest.raises(ValueError):
+        SignatureModel.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
