@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -17,10 +16,10 @@ from .core import (
     CADENCE_S,
     InsufficientTrainingError,
     KpiId,
-    SchemaVersionError,
     TimeSeries,
     hour_of_week,
 )
+from .io import check_kind, load_json, save_json
 
 logger = logging.getLogger(__name__)
 
@@ -62,18 +61,6 @@ class UnivariateBaseline:
             raise ValueError("k_sigma must be positive")
         if np.any(self.bucket_stds < self.std_floor):
             raise ValueError("bucket stds must respect the std floor")
-
-    def expected(self, ts) -> "float | np.ndarray":
-        """Predicted value at a timestamp: the mean of its hour-of-week bucket."""
-        out = self.bucket_means[hour_of_week(ts)]
-        return float(out) if np.ndim(out) == 0 else out
-
-    def band(self, ts) -> Tuple[float, float]:
-        """The (low, high) tolerance band at a timestamp."""
-        bucket = hour_of_week(ts)
-        mean = self.bucket_means[bucket]
-        spread = self.k_sigma * self.bucket_stds[bucket]
-        return mean - spread, mean + spread
 
     def zscores(self, timestamps, values) -> np.ndarray:
         """|value - expected| / bucket std, element-wise."""
@@ -440,12 +427,7 @@ class BaselineModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineModel":
-        if data.get("kind") != BASELINE_KIND:
-            raise SchemaVersionError(f"not a baseline model: kind={data.get('kind')!r}")
-        if data.get("schema_version") != BASELINE_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"unsupported baseline schema_version {data.get('schema_version')!r}"
-            )
+        check_kind(data, BASELINE_KIND, BASELINE_SCHEMA_VERSION)
         cfg = data["config"]
         config = BaselineConfig(
             lag_order=int(cfg["lag_order"]),
@@ -483,14 +465,11 @@ class BaselineModel:
         return cls(baselines=baselines, edges=edges, config=config)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "BaselineModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path, cls.from_dict)
 
 
 def fit_baseline_model(

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from .baseline import BaselineModel, fit_baseline_model
-from .core import FaultcastError, WindowSample, parse_timestamp, slide_windows
+from .core import FaultcastError, parse_timestamp
 from .detect import detect_stream, read_anomaly_log, write_anomaly_log
 from .evaluate import (
+    RunRecord,
     SuiteConfig,
+    assemble_windows,
     build_suite,
     render_rq1,
     render_rq2,
@@ -24,12 +25,11 @@ from .evaluate import (
     run_rq2,
     run_rq3,
     run_rq4,
-    window_label,
 )
 from .io import RunManifest, ingest_csv, write_csv
 from .predict import run_predictor, write_alert_log
 from .sim import default_topology, load_scenario
-from .signature import SignatureModel, Vocabulary, train_signature, windowize_events
+from .signature import SignatureModel, Vocabulary, train_signature
 
 logger = logging.getLogger(__name__)
 
@@ -100,16 +100,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_train_signature(args: argparse.Namespace) -> int:
     baseline = BaselineModel.load(args.baseline)
     vocab = Vocabulary(baseline.baselines.keys(), split_kinds=args.split_kinds)
-    samples: List[WindowSample] = []
-    for anomalies_path, manifest_path in args.run:
-        events = read_anomaly_log(anomalies_path)
-        manifest = RunManifest.load(manifest_path)
-        windows = slide_windows(manifest.start, manifest.end, args.window_min, args.step_min)
-
-        def label_fn(start: int, end: int, manifest=manifest):
-            return window_label(manifest, start, end)
-
-        samples.extend(windowize_events(events, windows, label_fn))
+    runs = [
+        RunRecord(events=tuple(read_anomaly_log(anomalies_path)), manifest=RunManifest.load(manifest_path))
+        for anomalies_path, manifest_path in args.run
+    ]
+    samples = assemble_windows(runs, args.window_min, args.step_min)
     model = train_signature(samples, vocab, args.algo, args.window_min)
     model.save(args.out)
     print(
@@ -261,10 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except FaultcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (FaultcastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,10 +45,6 @@ class DuplicateSampleError(CsvParseError):
 
 class InsufficientTrainingError(FaultcastError):
     """Training data does not span the required period."""
-
-
-class UnknownKpiError(FaultcastError):
-    """A KPI was referenced that the model does not know about."""
 
 
 class SchemaVersionError(FaultcastError):
@@ -114,18 +109,6 @@ class KpiId:
         return f"{self.resource}/{self.metric}"
 
 
-@dataclass(frozen=True, order=True)
-class Sample:
-    """One measurement: epoch-second timestamp and a finite value."""
-
-    timestamp: int
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"sample value at {self.timestamp} is not finite")
-
-
 class TimeSeries:
     """Samples of one KPI with strictly increasing timestamps.
 
@@ -154,11 +137,6 @@ class TimeSeries:
         self.timestamps = timestamps
         self.values = values
 
-    @classmethod
-    def from_samples(cls, kpi: KpiId, samples: Iterable[Sample]) -> "TimeSeries":
-        samples = list(samples)
-        return cls(kpi, [s.timestamp for s in samples], [s.value for s in samples])
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -173,10 +151,6 @@ class TimeSeries:
     def __repr__(self) -> str:
         return f"TimeSeries({self.kpi}, n={len(self)})"
 
-    def samples(self) -> Iterator[Sample]:
-        for ts, v in zip(self.timestamps, self.values):
-            yield Sample(int(ts), float(v))
-
     @property
     def start(self) -> int:
         return int(self.timestamps[0])
@@ -189,12 +163,6 @@ class TimeSeries:
     def span_s(self) -> int:
         """Elapsed seconds between first and last sample."""
         return self.end - self.start
-
-    def between(self, start: int, end: int) -> "tuple[np.ndarray, np.ndarray]":
-        """Return (timestamps, values) restricted to the half-open [start, end)."""
-        lo = np.searchsorted(self.timestamps, start, side="left")
-        hi = np.searchsorted(self.timestamps, end, side="left")
-        return self.timestamps[lo:hi], self.values[lo:hi]
 
 
 # ---------------------------------------------------------------------------

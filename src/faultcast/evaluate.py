@@ -11,7 +11,6 @@ RQ4  how early alerts precede the eventual failure, per fault type and
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,7 +23,6 @@ from .core import (
     KpiId,
     NORMAL_CLASS,
     SYSTEM_RESOURCE,
-    SchemaVersionError,
     TimeSeries,
     WindowSample,
     format_timestamp,
@@ -33,7 +31,7 @@ from .core import (
     slide_windows,
 )
 from .detect import AnomalyEvent, detect_stream
-from .io import RunManifest
+from .io import RunManifest, check_kind, load_json, save_json
 from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
 from .predict import EarlinessReport, measure_earliness, run_predictor
 from .sim import (
@@ -119,12 +117,7 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        if data.get("kind") != SUITE_KIND:
-            raise SchemaVersionError(f"not a suite config: kind={data.get('kind')!r}")
-        if data.get("schema_version") != SUITE_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"unsupported suite schema_version {data.get('schema_version')!r}"
-            )
+        check_kind(data, SUITE_KIND, SUITE_SCHEMA_VERSION)
         kwargs = {k: v for k, v in data.items() if k not in ("kind", "schema_version")}
         kwargs["training_start"] = parse_timestamp(kwargs["training_start"])
         kwargs["fault_targets"] = tuple(kwargs.get("fault_targets", ("Sprout", "Homer")))
@@ -134,13 +127,10 @@ class SuiteConfig:
 
     @classmethod
     def load(cls, path) -> "SuiteConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path, cls.from_dict)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
 
 @dataclass(frozen=True)
@@ -363,7 +353,6 @@ class Rq1Row:
     algorithm: str
     n_windows: int
     windows_per_run: int  # sliding count, offset zero included
-    windows_per_run_later: int  # the variant that counts only strictly later offsets
     micro: EffectivenessMetrics
     alarm_rate: Optional[float]  # share of truly-Normal windows classified faulty
 
@@ -396,7 +385,6 @@ def run_rq1(
                     algorithm=algorithm,
                     n_windows=len(samples),
                     windows_per_run=per_run,
-                    windows_per_run_later=per_run - 1,
                     micro=metrics(micro_contingency(cv.per_class)),
                     alarm_rate=_alarm_rate(cv.per_class),
                 )
@@ -432,7 +420,7 @@ def render_rq1(rows: Sequence[Rq1Row]) -> str:
         r = rows[0]
         lines.append(
             f"(a {r.window_min}-min window sliding by 5 gives {r.windows_per_run} windows "
-            f"per run counting the start itself, {r.windows_per_run_later} counting only later offsets)"
+            f"per run counting the start itself, {r.windows_per_run - 1} counting only later offsets)"
         )
     return "\n".join(lines)
 

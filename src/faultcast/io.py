@@ -1,4 +1,5 @@
-"""File formats: the KPI sample CSV and the JSON run manifest."""
+"""File formats: the KPI sample CSV, the JSON run manifest, and the envelope
+every JSON artifact shares."""
 
 from __future__ import annotations
 
@@ -167,6 +168,41 @@ def csv_to_string(series_map: Dict[KpiId, TimeSeries]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON artifacts: models, suite configs, run manifests and scenarios are JSON
+# objects tagged with a "kind" and a "schema_version"
+
+
+def save_json(data: dict, path) -> None:
+    """Write an artifact as JSON indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def check_kind(data, kind: str, version: int) -> None:
+    """Raise :class:`SchemaVersionError` unless ``data`` is a JSON object with
+    the given ``kind`` and ``schema_version``."""
+    if not isinstance(data, dict):
+        raise SchemaVersionError(f"not a {kind} file: the top-level value is not a JSON object")
+    if data.get("kind") != kind:
+        raise SchemaVersionError(f"not a {kind} file: kind={data.get('kind')!r}")
+    if data.get("schema_version") != version:
+        raise SchemaVersionError(f"unsupported {kind} schema_version {data.get('schema_version')!r}")
+
+
+def load_json(path, from_dict):
+    """Read an artifact file and decode it with ``from_dict``.  A missing key or
+    a value of the wrong type or shape becomes a :class:`ValueError` naming the
+    file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        return from_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {os.fspath(path)}: {type(exc).__name__} {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # run manifests
 
 
@@ -221,12 +257,7 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        if data.get("kind") != MANIFEST_KIND:
-            raise SchemaVersionError(f"not a run manifest: kind={data.get('kind')!r}")
-        if data.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"unsupported manifest schema_version {data.get('schema_version')!r}"
-            )
+        check_kind(data, MANIFEST_KIND, MANIFEST_SCHEMA_VERSION)
         fault = None
         if data.get("fault") is not None:
             f = data["fault"]
@@ -246,11 +277,8 @@ class RunManifest:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path, cls.from_dict)

@@ -7,7 +7,6 @@ classes with a confidence distribution.
 
 from __future__ import annotations
 
-import json
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -23,9 +22,9 @@ from .core import (
     FaultType,
     KpiId,
     NORMAL_CLASS,
-    SchemaVersionError,
     WindowSample,
 )
+from .io import check_kind, load_json, save_json
 from .metrics import Contingency
 
 logger = logging.getLogger(__name__)
@@ -549,12 +548,7 @@ class SignatureModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignatureModel":
-        if data.get("kind") != SIGNATURE_KIND:
-            raise SchemaVersionError(f"not a signature model: kind={data.get('kind')!r}")
-        if data.get("schema_version") != SIGNATURE_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"unsupported signature schema_version {data.get('schema_version')!r}"
-            )
+        check_kind(data, SIGNATURE_KIND, SIGNATURE_SCHEMA_VERSION)
         vocab = Vocabulary(
             (KpiId(r, m) for r, m in data["vocabulary"]),
             split_kinds=bool(data["split_kinds"]),
@@ -594,14 +588,11 @@ class SignatureModel:
         return cls(vocabulary=vocab, algorithm=algorithm, window_min=int(data["window_min"]), model=model)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "SignatureModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path, cls.from_dict)
 
 
 def _encode_dataset(
@@ -619,6 +610,15 @@ def _encode_dataset(
     return x, y, classes
 
 
+def _fitter(algorithm: str, min_leaf: int, max_depth: Optional[int], alpha: float):
+    """The training function ``(x, y, classes) -> model`` of one algorithm."""
+    if algorithm == "tree":
+        return lambda x, y, classes: train_tree(x, y, classes, min_leaf=min_leaf, max_depth=max_depth)
+    if algorithm == "nb":
+        return lambda x, y, classes: train_nb(x, y, classes, alpha=alpha)
+    raise ValueError(f"unknown algorithm {algorithm!r}; expected 'tree' or 'nb'")
+
+
 def train_signature(
     samples: Sequence[WindowSample],
     vocab: Vocabulary,
@@ -630,13 +630,8 @@ def train_signature(
     alpha: float = DEFAULT_ALPHA,
 ) -> SignatureModel:
     """Train a signature classifier from labeled window samples."""
-    x, y, classes = _encode_dataset(samples, vocab)
-    if algorithm == "tree":
-        model = train_tree(x, y, classes, min_leaf=min_leaf, max_depth=max_depth)
-    elif algorithm == "nb":
-        model = train_nb(x, y, classes, alpha=alpha)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'tree' or 'nb'")
+    fit = _fitter(algorithm, min_leaf, max_depth, alpha)
+    model = fit(*_encode_dataset(samples, vocab))
     return SignatureModel(vocabulary=vocab, algorithm=algorithm, window_min=window_min, model=model)
 
 
@@ -711,6 +706,7 @@ def cross_validate(
     Per-class one-vs-rest TP/FP/FN/TN counts are aggregated over all folds;
     each held-out sample is predicted by the top class of the distribution.
     """
+    fit = _fitter(algorithm, min_leaf, max_depth, alpha)
     x, y, classes = _encode_dataset(samples, vocab)
     labels = [s.label for s in samples]
     folds = stratified_folds(labels, k, seed)
@@ -720,13 +716,8 @@ def cross_validate(
         mask = np.ones(len(y), dtype=bool)
         mask[fold] = False
         train_idx = all_indices[mask]
-        sub_classes = classes  # keep global class list so indices line up
-        if algorithm == "tree":
-            model = train_tree(x[train_idx], y[train_idx], sub_classes, min_leaf=min_leaf, max_depth=max_depth)
-        elif algorithm == "nb":
-            model = train_nb(x[train_idx], y[train_idx], sub_classes, alpha=alpha)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}; expected 'tree' or 'nb'")
+        # the global class list keeps class indices aligned across folds
+        model = fit(x[train_idx], y[train_idx], classes)
         preds[fold] = np.argmax(model.predict_proba(x[fold]), axis=1)
     per_class: Dict[FailureClass, Contingency] = {}
     for ci, cls in enumerate(classes):

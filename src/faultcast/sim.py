@@ -10,7 +10,6 @@ learned.  Byte-identical output is guaranteed for identical inputs and seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,13 +22,12 @@ from .core import (
     FaultType,
     KpiId,
     SYSTEM_RESOURCE,
-    SchemaVersionError,
     TimeSeries,
     format_timestamp,
     hour_of_week,
     parse_timestamp,
 )
-from .io import InjectedFault, RunManifest
+from .io import InjectedFault, RunManifest, check_kind, load_json
 
 SCENARIO_KIND = "faultcast-scenario"
 SCENARIO_SCHEMA_VERSION = 1
@@ -303,24 +301,6 @@ def _seasonal_factors(model: WorkloadModel, timestamps: np.ndarray) -> np.ndarra
     return model.base_rate * day_factor * profile[hour]
 
 
-def gen_workload(
-    model: WorkloadModel, start: int, duration_s: int, seed: int
-) -> TimeSeries:
-    """The call-rate series: seasonal mean times (1 + Gaussian noise), >= 0."""
-    if duration_s < CADENCE_S:
-        raise ValueError("duration must cover at least one sample")
-    n = duration_s // CADENCE_S
-    timestamps = start + CADENCE_S * np.arange(n, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x77]))
-    noise = (
-        np.clip(rng.standard_normal(n), -_NOISE_CLIP, _NOISE_CLIP)
-        if model.noise_std > 0
-        else np.zeros(n)
-    )
-    rate = _seasonal_factors(model, timestamps) * (1.0 + model.noise_std * noise)
-    return TimeSeries(KpiId(SYSTEM_RESOURCE, CALLS), timestamps, np.clip(rate, 0.0, None))
-
-
 def perturbation_factors(
     n: int, deviation: float, seed: int, block: int
 ) -> np.ndarray:
@@ -331,23 +311,6 @@ def perturbation_factors(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD37]))
     factors = 1.0 + deviation * rng.uniform(-1.0, 1.0, n_blocks)
     return np.repeat(factors, block)[:n]
-
-
-def gen_workload_perturbed(
-    model: WorkloadModel,
-    start: int,
-    duration_s: int,
-    seed: int,
-    deviation: float,
-    block_s: int = 300,
-) -> TimeSeries:
-    """A workload whose per-block rate deviates by up to ``deviation`` from the
-    nominal model.  With deviation 0 this is exactly :func:`gen_workload`."""
-    base = gen_workload(model, start, duration_s, seed)
-    if deviation == 0.0:
-        return base
-    factors = perturbation_factors(len(base), deviation, seed, block_s // CADENCE_S)
-    return TimeSeries(base.kpi, base.timestamps, np.clip(base.values * factors, 0.0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -745,42 +708,39 @@ class Scenario:
             workload_deviation=self.workload_deviation,
         )
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Scenario":
+        check_kind(data, SCENARIO_KIND, SCENARIO_SCHEMA_VERSION)
+        start = parse_timestamp(data["start"])
+        fault = None
+        if data.get("fault") is not None:
+            f = dict(data["fault"])
+            fault_type = FaultType(f.pop("fault_type"))
+            resource = f.pop("resource")
+            pattern = Pattern(f.pop("pattern"))
+            if "injection_min" in f:
+                injection = start + 60 * int(f.pop("injection_min"))
+            else:
+                injection = parse_timestamp(f.pop("injection_time"))
+            fault = FaultSpec(
+                fault_type=fault_type,
+                resource=resource,
+                pattern=pattern,
+                injection_time=injection,
+                **f,
+            )
+        workload = WorkloadModel.from_dict(data.get("workload", {}))
+        return cls(
+            run_id=data["run_id"],
+            start=start,
+            duration_s=60 * int(data["duration_min"]),
+            seed=int(data["seed"]),
+            workload=workload,
+            fault=fault,
+            workload_deviation=float(data.get("workload_deviation", 0.0)),
+            zero_noise=bool(data.get("zero_noise", False)),
+        )
+
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("kind") != SCENARIO_KIND:
-        raise SchemaVersionError(f"not a scenario file: kind={data.get('kind')!r}")
-    if data.get("schema_version") != SCENARIO_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"unsupported scenario schema_version {data.get('schema_version')!r}"
-        )
-    start = parse_timestamp(data["start"])
-    fault = None
-    if data.get("fault") is not None:
-        f = dict(data["fault"])
-        fault_type = FaultType(f.pop("fault_type"))
-        resource = f.pop("resource")
-        pattern = Pattern(f.pop("pattern"))
-        if "injection_min" in f:
-            injection = start + 60 * int(f.pop("injection_min"))
-        else:
-            injection = parse_timestamp(f.pop("injection_time"))
-        fault = FaultSpec(
-            fault_type=fault_type,
-            resource=resource,
-            pattern=pattern,
-            injection_time=injection,
-            **f,
-        )
-    workload = WorkloadModel.from_dict(data.get("workload", {}))
-    return Scenario(
-        run_id=data["run_id"],
-        start=start,
-        duration_s=60 * int(data["duration_min"]),
-        seed=int(data["seed"]),
-        workload=workload,
-        fault=fault,
-        workload_deviation=float(data.get("workload_deviation", 0.0)),
-        zero_noise=bool(data.get("zero_noise", False)),
-    )
+    return load_json(path, Scenario.from_dict)

@@ -54,9 +54,6 @@ def test_constant_series_gets_floor_band():
     # zero spread collapses to the absolute floor, keeping bands non-empty
     assert np.all(baseline.bucket_stds == baseline.std_floor)
     assert baseline.std_floor == 1e-12
-    lo, hi = baseline.band(1234 * 60)
-    assert lo == pytest.approx(42.0 - 3 * 1e-12)
-    assert hi == pytest.approx(42.0 + 3 * 1e-12)
     assert np.all(baseline.zscores(series.timestamps[:100], series.values[:100]) == 0.0)
 
 
@@ -76,11 +73,6 @@ def test_bucket_stats_match_group_by_oracle():
         assert baseline.bucket_stds[bucket] == pytest.approx(
             group.std(ddof=1), abs=1e-8
         ), f"std off in bucket {bucket}"
-
-    # expected() looks up the right bucket
-    probe = timestamps[rng.integers(0, n, size=50)]
-    for ts in probe:
-        assert baseline.expected(int(ts)) == baseline.bucket_means[hour_of_week(int(ts))]
 
 
 def test_sparse_buckets_inherit_global_stats():

@@ -194,8 +194,9 @@ def _spoil_leaves(node):
     [
         lambda model, vocab: model["root"].update(feature=vocab.dimension),
         lambda model, vocab: _spoil_leaves(model["root"]),
+        lambda model, vocab: model["root"].pop("nominal"),
     ],
-    ids=["feature-outside-vocabulary", "empty-leaves"],
+    ids=["feature-outside-vocabulary", "empty-leaves", "split-without-nominal"],
 )
 def test_predict_rejects_a_malformed_signature_file(short_pipeline, tmp_path, spoil):
     vocab = Vocabulary(BaselineModel.load(short_pipeline["baseline"]).baselines.keys())
@@ -243,6 +244,14 @@ def test_foreign_scenario_file_exits_nonzero(tmp_path):
     proc = run_cli("simulate", "--scenario", str(bogus), "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+
+
+def test_evaluate_rejects_a_config_that_is_not_an_object(tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[]", encoding="utf-8")
+    proc = run_cli("evaluate", "--suite", "rq3", "--config", str(cfg))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
 
 
 def test_short_training_without_override_exits_nonzero(short_pipeline, tmp_path):

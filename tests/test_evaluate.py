@@ -145,7 +145,6 @@ def fake_rq1_row(window_min, f_measure, algorithm="tree"):
         algorithm=algorithm,
         n_windows=100,
         windows_per_run=19,
-        windows_per_run_later=18,
         micro=EffectivenessMetrics(
             precision=f_measure, recall=f_measure, f_measure=f_measure,
             accuracy=f_measure, fpr=0.01,

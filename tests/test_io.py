@@ -1,7 +1,10 @@
-"""CSV ingestion/serialization and run manifests."""
+"""CSV ingestion/serialization, run manifests and the JSON artifact envelope."""
 
 import csv
 import io
+import json
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +12,19 @@ from hypothesis import strategies as st
 
 import oracles
 
+from faultcast.baseline import BaselineModel, UnivariateBaseline
 from faultcast.core import (
+    NORMAL_CLASS,
     CsvParseError,
     DuplicateSampleError,
     FaultType,
     KpiId,
     SchemaVersionError,
     TimeSeries,
+    WindowSample,
     parse_timestamp,
 )
+from faultcast.evaluate import SuiteConfig
 from faultcast.io import (
     CSV_HEADER,
     MAX_CSV_TIMESTAMP,
@@ -28,6 +35,8 @@ from faultcast.io import (
     ingest_csv,
     write_csv,
 )
+from faultcast.signature import SignatureModel, Vocabulary, train_signature
+from faultcast.sim import load_scenario
 
 
 HEADER = "timestamp,resource,metric,value\n"
@@ -137,6 +146,55 @@ def test_manifest_rejects_wrong_kind(tmp_path):
     path.write_text('{"kind": "something-else", "schema_version": 1}')
     with pytest.raises(SchemaVersionError):
         RunManifest.load(path)
+
+
+def tiny_baseline() -> dict:
+    kpi = KpiId("Homer", "CpuIdlePct")
+    flat = UnivariateBaseline(kpi, np.zeros(168), np.ones(168), 3.0, 1e-12, 0.0, 1.0)
+    return BaselineModel({kpi: flat}, ()).to_dict()
+
+
+def tiny_signature() -> dict:
+    vocab = Vocabulary([KpiId("Homer", "CpuIdlePct")])
+    return train_signature([WindowSample(0, 600, frozenset(), NORMAL_CLASS)], vocab).to_dict()
+
+
+def tiny_scenario() -> dict:
+    return {
+        "kind": "faultcast-scenario",
+        "schema_version": 1,
+        "run_id": "tiny",
+        "start": "2026-01-05T00:00:00Z",
+        "duration_min": 10,
+        "seed": 1,
+    }
+
+
+#: format -> (loader, a valid document, one key the loader requires)
+JSON_ARTIFACTS = {
+    "baseline": (BaselineModel.load, tiny_baseline, "config"),
+    "signature": (SignatureModel.load, tiny_signature, "classes"),
+    "suite": (SuiteConfig.load, lambda: SuiteConfig().to_dict(), "training_start"),
+    "manifest": (RunManifest.load, lambda: RunManifest("run-1", 0, 600).to_dict(), "run_id"),
+    "scenario": (load_scenario, tiny_scenario, "duration_min"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(JSON_ARTIFACTS))
+def test_json_artifacts_reject_malformed_files(tmp_path, fmt):
+    load, make, required = JSON_ARTIFACTS[fmt]
+    good = make()
+    path = tmp_path / f"{fmt}.json"
+    path.write_text(json.dumps(good), encoding="utf-8")
+    load(path)
+    for foreign in ({**good, "kind": "something-else"}, {**good, "schema_version": 99}, [good]):
+        path.write_text(json.dumps(foreign), encoding="utf-8")
+        with pytest.raises(SchemaVersionError):
+            load(path)
+    del good[required]
+    path.write_text(json.dumps(good), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{fmt}.json.*{required}"):
+        load(path)
 
 
 def test_manifest_validation():

@@ -552,6 +552,9 @@ def test_signature_rejects_wrong_payload(tmp_path):
     vocab, samples = window_fixture()
     with pytest.raises(ValueError):
         train_signature(samples, vocab, algorithm="forest")
+    # an unknown algorithm is rejected before the windows are encoded
+    with pytest.raises(ValueError, match="unknown algorithm 'forest'"):
+        cross_validate([], vocab, algorithm="forest")
     unlabeled = [WindowSample(0, 600, frozenset())]
     with pytest.raises(ValueError):
         train_signature(unlabeled, vocab)

@@ -22,8 +22,6 @@ from faultcast.sim import (
     default_topology,
     failure_oracle,
     gen_run,
-    gen_workload,
-    gen_workload_perturbed,
     load_scenario,
 )
 
@@ -46,9 +44,15 @@ def host_fault(fault_type, resource="Sprout", pattern=Pattern.CONSTANT, injectio
 # workload
 
 
+def calls_per_sec(model, days, seed, **kw):
+    """The SYSTEM/CallsPerSec series of a fault-free run starting on a Monday."""
+    series, _ = gen_run(default_topology(), model, None, MONDAY, days * 86400, seed, **kw)
+    return series[KpiId("SYSTEM", "CallsPerSec")]
+
+
 def test_noiseless_workload_follows_the_closed_form():
-    model = WorkloadModel(noise_std=0.0)
-    series = gen_workload(model, MONDAY, 7 * 86400, seed=1)
+    model = WorkloadModel()
+    series = calls_per_sec(model, 7, seed=1, zero_noise=True)
     how = hour_of_week(series.timestamps)
     day_factor = np.where(how // 24 >= 5, model.weekend_factor, model.weekday_factor)
     expected = model.base_rate * day_factor * np.asarray(model.hourly_profile)[how % 24]
@@ -56,7 +60,7 @@ def test_noiseless_workload_follows_the_closed_form():
 
 
 def test_workday_peaks_at_nine_and_nineteen():
-    series = gen_workload(WorkloadModel(noise_std=0.0), MONDAY, 86400, seed=1)
+    series = calls_per_sec(WorkloadModel(), 1, seed=1, zero_noise=True)
     hours = (series.timestamps % 86400) // 3600
     hourly = [series.values[hours == h][0] for h in range(24)]
     peak = max(hourly)
@@ -65,7 +69,7 @@ def test_workday_peaks_at_nine_and_nineteen():
 
 def test_weekday_weekend_ratio_over_four_weeks():
     model = WorkloadModel()
-    series = gen_workload(model, MONDAY, 28 * 86400, seed=5)
+    series = calls_per_sec(model, 28, seed=5)
     weekend = hour_of_week(series.timestamps) // 24 >= 5
     ratio = series.values[~weekend].mean() / series.values[weekend].mean()
     expected = model.weekday_factor / model.weekend_factor
@@ -74,18 +78,18 @@ def test_weekday_weekend_ratio_over_four_weeks():
 
 def test_workload_noise_is_bounded():
     model = WorkloadModel(noise_std=0.08)
-    series = gen_workload(model, MONDAY, 7 * 86400, seed=9)
-    clean = gen_workload(WorkloadModel(noise_std=0.0), MONDAY, 7 * 86400, seed=9)
+    series = calls_per_sec(model, 7, seed=9)
+    clean = calls_per_sec(model, 7, seed=9, zero_noise=True)
     rel = series.values / clean.values - 1.0
     assert np.abs(rel).max() <= 0.08 * 2.6 + 1e-9
 
 
 def test_perturbation_identity_at_zero_deviation():
     model = WorkloadModel()
-    base = gen_workload(model, MONDAY, 86400, seed=3)
-    same = gen_workload_perturbed(model, MONDAY, 86400, seed=3, deviation=0.0)
+    base = calls_per_sec(model, 1, seed=3)
+    same = calls_per_sec(model, 1, seed=3, workload_deviation=0.0)
     assert np.array_equal(base.values, same.values)
-    moved = gen_workload_perturbed(model, MONDAY, 86400, seed=3, deviation=0.4)
+    moved = calls_per_sec(model, 1, seed=3, workload_deviation=0.4)
     rel = moved.values / base.values
     assert not np.allclose(rel, 1.0)
     assert rel.min() >= 0.6 - 1e-9 and rel.max() <= 1.4 + 1e-9
