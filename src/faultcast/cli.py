@@ -13,6 +13,7 @@ from .baseline import BaselineModel, fit_baseline_model
 from .core import FaultcastError, parse_timestamp
 from .detect import detect_stream, read_anomaly_log, write_anomaly_log
 from .evaluate import (
+    RQ1_WINDOW_LENGTHS,
     RunRecord,
     SuiteConfig,
     assemble_windows,
@@ -142,9 +143,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = SuiteConfig.load(args.config) if args.config else SuiteConfig()
+    wanted = ("rq1", "rq2", "rq3", "rq4") if args.suite == "all" else (args.suite,)
+    longest = max(RQ1_WINDOW_LENGTHS)
+    if "rq1" in wanted and config.run_duration_min < longest:
+        raise ValueError(
+            f"run_duration_min {config.run_duration_min} is shorter than RQ1's longest window ({longest} min)"
+        )
     data = build_suite(config)
     sections: List[str] = []
-    wanted = ("rq1", "rq2", "rq3", "rq4") if args.suite == "all" else (args.suite,)
     if "rq1" in wanted:
         sections.append(render_rq1(run_rq1(data)))
     if "rq2" in wanted:

@@ -230,18 +230,13 @@ class AnomalyKind(str, Enum):
     MULTIVARIATE = "Multivariate"
 
 
-@dataclass(frozen=True, order=True)
-class AnomalousKpi:
-    """A KPI flagged anomalous inside a window, with the first interval seen."""
-
-    kpi: KpiId
-    kind: AnomalyKind
-    first_seen: int
-
-
 @dataclass(frozen=True)
 class WindowSample:
-    """One sliding-window observation: the anomalous KPIs plus an optional label."""
+    """One sliding-window observation plus an optional label.
+
+    ``anomalies`` is the window's feature set: a frozenset of (KpiId,
+    AnomalyKind) pairs, one per KPI and detector kind flagged inside it.
+    """
 
     window_start: int
     window_end: int
@@ -251,12 +246,6 @@ class WindowSample:
     def __post_init__(self):
         if self.window_end <= self.window_start:
             raise ValueError("window_end must be after window_start")
-        seen = set()
-        for a in self.anomalies:
-            key = (a.kpi, a.kind)
-            if key in seen:
-                raise ValueError(f"duplicate anomaly entry for {a.kpi} ({a.kind})")
-            seen.add(key)
 
 
 def slide_windows(run_start: int, run_end: int, l_min: int, step_min: int):

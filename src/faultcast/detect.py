@@ -195,8 +195,7 @@ def detect_stream(
 
 def write_anomaly_log(events: Sequence[AnomalyEvent], target: Union[str, os.PathLike, TextIO]) -> None:
     """Write events as CSV: interval_start,resource,metric,kind,score."""
-    stream, owned = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(ANOMALY_LOG_HEADER)
         for event in events:
@@ -209,14 +208,10 @@ def write_anomaly_log(events: Sequence[AnomalyEvent], target: Union[str, os.Path
                     repr(event.score),
                 ]
             )
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> List[AnomalyEvent]:
-    stream, owned = _open_text(source, "r")
-    try:
+    with _open_text(source, "r") as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header != ANOMALY_LOG_HEADER:
@@ -242,6 +237,3 @@ def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> List[AnomalyEve
             except ValueError as exc:
                 raise CsvParseError(line_no, str(exc)) from None
         return events
-    finally:
-        if owned:
-            stream.close()

@@ -303,11 +303,8 @@ def assemble_windows(
     samples: List[WindowSample] = []
     for rec in runs:
         windows = slide_windows(rec.manifest.start, rec.manifest.end, l_min, step_min)
-
-        def label_fn(start: int, end: int, manifest=rec.manifest) -> FailureClass:
-            return window_label(manifest, start, end)
-
-        samples.extend(windowize_events(rec.events, windows, label_fn))
+        for (start, end), features in zip(windows, windowize_events(rec.events, windows)):
+            samples.append(WindowSample(start, end, features, window_label(rec.manifest, start, end)))
     return samples
 
 
@@ -364,9 +361,14 @@ def _alarm_rate(per_class: Dict[FailureClass, Contingency]) -> Optional[float]:
     return cont.fn / (cont.tp + cont.fn)
 
 
+#: RQ1's window lengths in minutes; a run must be at least as long as the
+#: longest of them to yield its windows.
+RQ1_WINDOW_LENGTHS = (60, 90, 120)
+
+
 def run_rq1(
     data: SuiteData,
-    lengths: Sequence[int] = (60, 90, 120),
+    lengths: Sequence[int] = RQ1_WINDOW_LENGTHS,
     algorithms: Sequence[str] = ("tree", "nb"),
 ) -> List[Rq1Row]:
     config = data.config
@@ -511,17 +513,17 @@ def run_rq3(
             )
             events = detect_stream(data.baseline, series, start, tau=config.tau)
             windows = slide_windows(start, start + duration_min * 60, config.window_min, config.step_min)
-            samples = windowize_events(events, windows)
+            window_sets = windowize_events(events, windows)
             n_normal = sum(
                 1
-                for s in samples
-                if data.signature.classify_window(s.anomalies).top()[0] == NORMAL_CLASS
+                for features in window_sets
+                if data.signature.classify_window(features).top()[0] == NORMAL_CLASS
             )
             results.append(
                 Rq3Run(
                     run_id=run_id,
                     deviation=deviation,
-                    n_windows=len(samples),
+                    n_windows=len(window_sets),
                     n_normal=n_normal,
                 )
             )

@@ -9,8 +9,9 @@ import json
 import math
 import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -36,10 +37,15 @@ MANIFEST_KIND = "faultcast-run-manifest"
 MANIFEST_SCHEMA_VERSION = 1
 
 
-def _open_text(path_or_stream, mode: str):
+@contextmanager
+def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
+    """A path opened as UTF-8 text and closed on exit, or a caller's own
+    stream passed through and left open."""
     if isinstance(path_or_stream, (str, os.PathLike)):
-        return open(path_or_stream, mode, encoding="utf-8", newline=""), True
-    return path_or_stream, False
+        with open(path_or_stream, mode, encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        yield path_or_stream
 
 
 def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSeries]:
@@ -50,8 +56,7 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
     :class:`CsvParseError` with the offending line number, a repeated
     (timestamp, KPI) pair raises :class:`DuplicateSampleError`.
     """
-    stream, owned = _open_text(source, "r")
-    try:
+    with _open_text(source, "r") as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header != CSV_HEADER:
@@ -113,9 +118,6 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
             kpi: TimeSeries(kpi, stamps[lo:hi], values[lo:hi])
             for kpi, lo, hi in zip(kpis, bounds[:-1], bounds[1:])
         }
-    finally:
-        if owned:
-            stream.close()
 
 
 def _kpi_fields(kpi: KpiId) -> str:
@@ -141,8 +143,7 @@ def write_csv(series_map: Dict[KpiId, TimeSeries], target: Union[str, os.PathLik
                 f"timestamps of {kpi} fall outside {format_timestamp(MIN_CSV_TIMESTAMP)}"
                 f" .. {format_timestamp(MAX_CSV_TIMESTAMP)}"
             )
-    stream, owned = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for kpi in kpis:
@@ -156,9 +157,6 @@ def write_csv(series_map: Dict[KpiId, TimeSeries], target: Union[str, os.PathLik
                     for ts, value in zip(stamps, series.values.tolist())
                 )
             )
-    finally:
-        if owned:
-            stream.close()
 
 
 def csv_to_string(series_map: Dict[KpiId, TimeSeries]) -> str:

@@ -19,7 +19,7 @@ from .core import (
 )
 from .detect import AnomalyEvent, detect_stream
 from .io import RunManifest, _open_text
-from .signature import SignatureModel, anomalous_kpis
+from .signature import SignatureModel, window_features
 
 DEFAULT_CONFIDENCE = 0.9
 DEFAULT_STREAK = 4
@@ -38,7 +38,8 @@ class Alert:
 
     General alerts say "something non-nominal is building up" and carry no
     class; failure-specific alerts name the (fault type, resource) pair and
-    are only raised at or above the confidence threshold.
+    are only raised at or above the confidence threshold.  ``evidence`` is the
+    window's feature set: its distinct (KpiId, AnomalyKind) pairs.
     """
 
     kind: AlertKind
@@ -59,14 +60,16 @@ class Alert:
 class PredictorState:
     """Immutable predictor state threaded through :func:`step`.
 
-    The buffer holds (interval_start, events) pairs still inside the sliding
-    window; the streak counts consecutive intervals whose top class stayed the
-    same at or above the confidence threshold.
+    The buffer holds an (interval_start, features) pair per interval still
+    inside the sliding window, ``features`` being that interval's frozenset of
+    (KpiId, AnomalyKind) pairs; the window's feature set is their union.  The
+    streak counts consecutive intervals whose top class stayed the same at or
+    above the confidence threshold.
     """
 
     window_min: int
     interval_s: int = INTERVAL_S
-    buffer: Tuple[Tuple[int, Tuple[AnomalyEvent, ...]], ...] = ()
+    buffer: Tuple[Tuple[int, frozenset], ...] = ()
     last_interval: Optional[int] = None
     streak_class: Optional[FailureClass] = None
     streak_len: int = 0
@@ -74,7 +77,7 @@ class PredictorState:
     fs_fired: bool = False
 
     def window_anomalies(self) -> frozenset:
-        return anomalous_kpis(event for _, events in self.buffer for event in events)
+        return frozenset().union(*(features for _, features in self.buffer))
 
 
 def new_state(window_min: int = 90, interval_s: int = INTERVAL_S) -> PredictorState:
@@ -109,8 +112,8 @@ def step(
     window_end = interval_start + state.interval_s
     window_start = window_end - window_s
     buffer = tuple(
-        (start, evs) for start, evs in state.buffer if start >= window_start
-    ) + ((interval_start, tuple(events)),)
+        (start, features) for start, features in state.buffer if start >= window_start
+    ) + ((interval_start, window_features(events)),)
 
     interim = replace(state, buffer=buffer, last_interval=interval_start)
     anomalies = interim.window_anomalies()
@@ -311,8 +314,7 @@ def measure_earliness(
 
 def write_alert_log(alerts: Sequence[Alert], target: Union[str, os.PathLike, TextIO]) -> None:
     """Write alerts as CSV: raised_at,kind,fault_type,resource,confidence,evidence_count."""
-    stream, owned = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(ALERT_LOG_HEADER)
         for alert in alerts:
@@ -327,6 +329,3 @@ def write_alert_log(alerts: Sequence[Alert], target: Union[str, os.PathLike, Tex
                     len(alert.evidence),
                 ]
             )
-    finally:
-        if owned:
-            stream.close()

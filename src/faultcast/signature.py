@@ -1,8 +1,8 @@
 """Failure signatures: window encoding, classifiers, and cross-validation.
 
-A window of anomalous KPIs is flattened to a binary feature vector over a
-fixed KPI vocabulary; signature classifiers map those vectors to failure
-classes with a confidence distribution.
+A window's set of (KPI, anomaly kind) features is flattened to a binary
+vector over a fixed KPI vocabulary; signature classifiers map those vectors
+to failure classes with a confidence distribution.
 """
 
 from __future__ import annotations
@@ -10,18 +10,18 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import (
-    AnomalousKpi,
     AnomalyKind,
     FailureClass,
     FaultType,
     KpiId,
-    NORMAL_CLASS,
+    SchemaVersionError,
     WindowSample,
 )
 from .io import check_kind, load_json, save_json
@@ -42,20 +42,25 @@ _GAIN_EPS = 1e-12
 class Vocabulary:
     """The fixed, ordered KPI vocabulary feature vectors are built over.
 
-    One bit per KPI by default; with ``split_kinds`` the univariate and
-    multivariate detections of a KPI get separate bits.  Anomalies for KPIs
-    outside the vocabulary are ignored and counted on :attr:`ignored`.
+    A feature is a (KpiId, AnomalyKind) pair.  One bit per KPI by default,
+    which both kinds of the KPI set; with ``split_kinds`` the univariate and
+    multivariate detections of a KPI get separate bits.  Features of KPIs
+    outside the vocabulary set no bit.
     """
 
-    __slots__ = ("kpis", "split_kinds", "_index", "ignored")
+    __slots__ = ("kpis", "split_kinds", "_bits")
 
     def __init__(self, kpis: Iterable[KpiId], split_kinds: bool = False):
         self.kpis: Tuple[KpiId, ...] = tuple(sorted(set(kpis)))
         if not self.kpis:
             raise ValueError("vocabulary must contain at least one KPI")
         self.split_kinds = bool(split_kinds)
-        self._index = {kpi: i for i, kpi in enumerate(self.kpis)}
-        self.ignored = 0
+        kinds = (AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE)
+        self._bits: Dict[Tuple[KpiId, AnomalyKind], int] = {
+            (kpi, kind): 2 * i + offset if self.split_kinds else i
+            for i, kpi in enumerate(self.kpis)
+            for offset, kind in enumerate(kinds)
+        }
 
     @property
     def dimension(self) -> int:
@@ -68,19 +73,14 @@ class Vocabulary:
             return f"{kpi} [{kind}]"
         return str(self.kpis[bit])
 
-    def encode(self, anomalies: Iterable[AnomalousKpi]) -> np.ndarray:
+    def encode(self, features: Iterable[Tuple[KpiId, AnomalyKind]]) -> np.ndarray:
         bits = np.zeros(self.dimension, dtype=np.uint8)
-        for anomaly in anomalies:
-            idx = self._index.get(anomaly.kpi)
-            if idx is None:
-                self.ignored += 1
-                logger.debug("encode: %s not in vocabulary, ignored", anomaly.kpi)
-                continue
-            if self.split_kinds:
-                offset = 0 if anomaly.kind is AnomalyKind.UNIVARIATE else 1
-                bits[2 * idx + offset] = 1
+        for feature in features:
+            bit = self._bits.get(feature)
+            if bit is None:
+                logger.debug("encode: %s not in vocabulary, ignored", feature[0])
             else:
-                bits[idx] = 1
+                bits[bit] = 1
         return bits
 
     def __eq__(self, other) -> bool:
@@ -91,36 +91,29 @@ class Vocabulary:
         )
 
 
-def anomalous_kpis(events: Iterable) -> frozenset:
-    """The anomalous KPIs of a window's events: one :class:`AnomalousKpi` per
-    (KPI, kind), stamped with the earliest interval it was seen in."""
-    earliest: Dict[tuple, object] = {}
-    for event in events:
-        # keyed by the KPI's strings, which cache their hash (KpiId's is
-        # computed in Python on every lookup)
-        key = (event.kpi.resource, event.kpi.metric, event.kind)
-        seen = earliest.setdefault(key, event)
-        if event.interval_start < seen.interval_start:
-            earliest[key] = event
-    return frozenset(AnomalousKpi(e.kpi, e.kind, e.interval_start) for e in earliest.values())
+def window_features(events: Iterable) -> frozenset:
+    """The feature set of anomaly events: their distinct (KPI, kind) pairs."""
+    return frozenset((event.kpi, event.kind) for event in events)
 
 
-def windowize_events(events, windows, label_fn=None) -> List[WindowSample]:
-    """Group anomaly events into sliding windows.
+def windowize_events(events, windows) -> List[frozenset]:
+    """The feature set of each sliding window.
 
     ``windows`` is a list of (start, end) pairs; an event belongs to every
     window whose range contains its interval start, so anomalies persist
-    across overlapping windows until they slide out.  ``label_fn`` maps
-    (start, end) to an optional FailureClass.
+    across overlapping windows until they slide out.  A window's set is the
+    union of the sets of the intervals inside it.
     """
-    ordered = sorted(events, key=attrgetter("interval_start"))
-    starts = [event.interval_start for event in ordered]
-    out = []
-    for start, end in windows:
-        inside = ordered[bisect_left(starts, start) : bisect_left(starts, end)]
-        label = label_fn(start, end) if label_fn is not None else None
-        out.append(WindowSample(start, end, anomalous_kpis(inside), label))
-    return out
+    by_start = attrgetter("interval_start")
+    starts: List[int] = []
+    per_interval: List[frozenset] = []
+    for start, group in groupby(sorted(events, key=by_start), by_start):
+        starts.append(start)
+        per_interval.append(window_features(group))
+    return [
+        frozenset().union(*per_interval[bisect_left(starts, start) : bisect_left(starts, end)])
+        for start, end in windows
+    ]
 
 
 @dataclass(frozen=True)
@@ -515,8 +508,8 @@ class SignatureModel:
         probs = self.model.predict_proba(bits)
         return ClassDistribution({cls: float(p) for cls, p in zip(self.classes, probs)})
 
-    def classify_window(self, anomalies: Iterable[AnomalousKpi]) -> ClassDistribution:
-        return self.classify_bits(self.vocabulary.encode(anomalies))
+    def classify_window(self, features: Iterable[Tuple[KpiId, AnomalyKind]]) -> ClassDistribution:
+        return self.classify_bits(self.vocabulary.encode(features))
 
     def to_dict(self) -> dict:
         if self.algorithm == "tree":

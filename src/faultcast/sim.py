@@ -655,27 +655,19 @@ def gen_run(
 
 def failure_oracle(
     success: TimeSeries,
-    crash_time: Optional[int] = None,
     threshold: float = FAILURE_THRESHOLD,
     window_s: int = FAILURE_WINDOW_S,
 ) -> Optional[int]:
     """First instant the success rate stays below the threshold for a full
-    window (five consecutive minutes by default), or the crash time if that
-    came first.  None when the run never failed."""
+    window (five consecutive minutes by default).  None when the run never
+    failed."""
     need = window_s // CADENCE_S
-    values = success.values
-    first: Optional[int] = None
-    if len(values) >= need:
-        below = values < threshold
-        run_len = 0
-        for i, flag in enumerate(below):
-            run_len = run_len + 1 if flag else 0
-            if run_len >= need:
-                first = int(success.timestamps[i - need + 1])
-                break
-    if crash_time is not None and (first is None or crash_time < first):
-        return crash_time
-    return first
+    run_len = 0
+    for i, flag in enumerate(success.values < threshold):
+        run_len = run_len + 1 if flag else 0
+        if run_len >= need:
+            return int(success.timestamps[i - need + 1])
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,11 @@ from faultcast.baseline import GrangerEdge, granger_fit
 from faultcast.core import (
     CADENCE_S,
     INTERVAL_S,
-    AnomalousKpi,
     AnomalyKind,
     CsvParseError,
     DuplicateSampleError,
     KpiId,
     TimeSeries,
-    WindowSample,
     format_timestamp,
     parse_timestamp,
 )
@@ -366,26 +364,15 @@ def cross_validate_rows(samples, vocab, k=10, seed=0, algorithm="tree", min_leaf
     return [(classes[t], classes[p]) for t, p in zip(y, preds)]
 
 
-def _first_seen(events):
-    first_seen = {}
-    for event in events:
-        key = (event.kpi, event.kind)
-        seen = first_seen.get(key)
-        if seen is None or event.interval_start < seen:
-            first_seen[key] = event.interval_start
-    return frozenset(AnomalousKpi(kpi, kind, seen) for (kpi, kind), seen in first_seen.items())
+def _features(events):
+    return frozenset((event.kpi, event.kind) for event in events)
 
 
-def windowize_events_scan(events, windows, label_fn=None):
+def windowize_events_scan(events, windows):
     """Every event tested against every window."""
-    out = []
-    for start, end in windows:
-        inside = [event for event in events if start <= event.interval_start < end]
-        label = label_fn(start, end) if label_fn is not None else None
-        out.append(WindowSample(start, end, _first_seen(inside), label))
-    return out
+    return [_features(e for e in events if start <= e.interval_start < end) for start, end in windows]
 
 
 def buffer_anomalies(buffer):
     """A predictor buffer of (interval_start, events) pairs, scanned whole."""
-    return _first_seen(event for _, events in buffer for event in events)
+    return _features(event for _, events in buffer for event in events)

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from faultcast.baseline import BaselineModel
-from faultcast.core import NORMAL_CLASS, AnomalousKpi, AnomalyKind, FailureClass, FaultType, WindowSample
+from faultcast.core import NORMAL_CLASS, AnomalyKind, FailureClass, FaultType, WindowSample
 from faultcast.detect import read_anomaly_log
 from faultcast.evaluate import SuiteConfig
 from faultcast.signature import Vocabulary, train_signature
@@ -192,19 +192,20 @@ def _spoil_leaves(node):
 @pytest.mark.parametrize(
     "spoil",
     [
-        lambda model, vocab: model["root"].update(feature=vocab.dimension),
-        lambda model, vocab: _spoil_leaves(model["root"]),
-        lambda model, vocab: model["root"].pop("nominal"),
+        lambda data, vocab: data["model"]["root"].update(feature=vocab.dimension),
+        lambda data, vocab: _spoil_leaves(data["model"]["root"]),
+        lambda data, vocab: data["model"]["root"].pop("nominal"),
+        lambda data, vocab: data.update(algorithm="forest"),
     ],
-    ids=["feature-outside-vocabulary", "empty-leaves", "split-without-nominal"],
+    ids=["feature-outside-vocabulary", "empty-leaves", "split-without-nominal", "algorithm-forest"],
 )
 def test_predict_rejects_a_malformed_signature_file(short_pipeline, tmp_path, spoil):
     vocab = Vocabulary(BaselineModel.load(short_pipeline["baseline"]).baselines.keys())
     leak = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
-    marked = frozenset([AnomalousKpi(vocab.kpis[0], AnomalyKind.UNIVARIATE, 0)])
+    marked = frozenset([(vocab.kpis[0], AnomalyKind.UNIVARIATE)])
     samples = [WindowSample(0, 5400, marked, leak)] * 2 + [WindowSample(0, 5400, frozenset(), NORMAL_CLASS)] * 2
     data = train_signature(samples, vocab, "tree", 90).to_dict()
-    spoil(data["model"], vocab)
+    spoil(data, vocab)
     signature = tmp_path / "signature.json"
     signature.write_text(json.dumps(data), encoding="utf-8")
     proc = run_cli(
@@ -265,6 +266,17 @@ def test_short_training_without_override_exits_nonzero(short_pipeline, tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "training" in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["rq1", "all"])
+def test_evaluate_rejects_runs_shorter_than_rq1_windows_before_building(tmp_path, suite):
+    cfg = tmp_path / "short-runs.json"
+    SuiteConfig(training_days=4, run_duration_min=100, allow_short_training=True).save(cfg)
+    proc = run_cli("-v", "evaluate", "--suite", suite, "--config", str(cfg))
+    assert proc.returncode == 1
+    # the suite's progress is logged at info level: nothing was built
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "100" in proc.stderr and "120" in proc.stderr, proc.stderr
 
 
 def test_evaluate_with_a_small_config(tmp_path):

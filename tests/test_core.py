@@ -10,7 +10,6 @@ from faultcast.core import (
     CADENCE_S,
     NORMAL_CLASS,
     SYSTEM_RESOURCE,
-    AnomalousKpi,
     AnomalyKind,
     FailureClass,
     FaultType,
@@ -105,15 +104,9 @@ def test_failure_class_validation():
         FailureClass(FaultType.CPU_HOG, "")
 
 
-def test_window_sample_rejects_duplicates():
+def test_window_sample_rejects_an_empty_range():
     kpi = KpiId("Homer", "ErrorsPerSec")
-    a = AnomalousKpi(kpi, AnomalyKind.UNIVARIATE, 0)
-    b = AnomalousKpi(kpi, AnomalyKind.UNIVARIATE, 300)
-    with pytest.raises(ValueError):
-        WindowSample(0, 600, frozenset([a, b]))
-    # same KPI under a different detector kind is a distinct entry
-    c = AnomalousKpi(kpi, AnomalyKind.MULTIVARIATE, 300)
-    WindowSample(0, 600, frozenset([a, c]))
+    WindowSample(0, 600, frozenset([(kpi, AnomalyKind.UNIVARIATE), (kpi, AnomalyKind.MULTIVARIATE)]))
     with pytest.raises(ValueError):
         WindowSample(600, 600, frozenset())
 

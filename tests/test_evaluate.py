@@ -14,6 +14,7 @@ from faultcast.core import (
     FailureClass,
     FaultType,
     SchemaVersionError,
+    WindowSample,
     hour_of_week,
     parse_timestamp,
     slide_windows,
@@ -192,9 +193,10 @@ def test_rq1_windows_and_cross_validation_equal_the_oracles(suite_data):
         scanned = []
         for rec in suite_data.runs:
             windows = slide_windows(rec.manifest.start, rec.manifest.end, l_min, config.step_min)
-            scanned += oracles.windowize_events_scan(
-                rec.events, windows, lambda start, end, m=rec.manifest: window_label(m, start, end)
-            )
+            scanned += [
+                WindowSample(start, end, features, window_label(rec.manifest, start, end))
+                for (start, end), features in zip(windows, oracles.windowize_events_scan(rec.events, windows))
+            ]
         assert samples == scanned
         for algorithm in ("tree", "nb"):
             cv = cross_validate(samples, suite_data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm)

@@ -27,7 +27,7 @@ from faultcast.predict import (
     step,
     write_alert_log,
 )
-from faultcast.signature import ClassDistribution
+from faultcast.signature import ClassDistribution, window_features
 
 LEAK_SPROUT = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
 HOG_HOMER = FailureClass(FaultType.CPU_HOG, "Homer")
@@ -174,9 +174,9 @@ def test_window_buffer_evicts_old_intervals():
     old_event = AnomalyEvent(0, KpiId("Homer", "m"), AnomalyKind.UNIVARIATE, 4.0)
     state, _ = step(state, 0, [old_event], signature)
     state, _ = step(state, 300, [], signature)
-    assert {e.kpi for _, evs in state.buffer for e in evs} == {KpiId("Homer", "m")}
+    assert {kpi for kpi, _ in state.window_anomalies()} == {KpiId("Homer", "m")}
     state, _ = step(state, 600, [], signature)
-    assert state.buffer == ((300, ()), (600, ()))
+    assert state.buffer == ((300, frozenset()), (600, frozenset()))
 
 
 events_at = st.builds(
@@ -192,8 +192,38 @@ events_at = st.builds(
 @given(st.lists(st.tuples(st.integers(0, 20).map(lambda i: 300 * i), st.lists(events_at, max_size=6)), max_size=18))
 def test_window_anomalies_equal_the_buffer_scan(buffer):
     # events may repeat and carry interval starts other than their slot's
-    state = replace(new_state(window_min=90), buffer=tuple((start, tuple(evs)) for start, evs in buffer))
-    assert state.window_anomalies() == oracles.buffer_anomalies(state.buffer)
+    features = tuple((start, window_features(evs)) for start, evs in buffer)
+    state = replace(new_state(window_min=90), buffer=features)
+    assert state.window_anomalies() == oracles.buffer_anomalies(buffer)
+
+
+class RecordingSignature:
+    """Answers Normal and keeps every window it was asked to classify."""
+
+    def __init__(self):
+        self.windows = []
+
+    def classify_window(self, features):
+        self.windows.append(features)
+        return verdict(NORMAL_CLASS, 0.9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.lists(events_at, max_size=6)), max_size=30),
+    st.sampled_from([5, 10, 30, 90]),
+)
+def test_each_step_classifies_the_scan_of_its_window(intervals, window_min):
+    # gaps between intervals, and events stamped with other intervals' starts
+    signature = RecordingSignature()
+    state = new_state(window_min=window_min)
+    fed, start = [], 0
+    for gap, evs in intervals:
+        start += 300 * gap
+        state, _ = step(state, start, evs, signature)
+        fed.append((start, evs))
+        window_start = start + 300 - 60 * window_min
+        assert signature.windows[-1] == oracles.buffer_anomalies([(s, e) for s, e in fed if s >= window_start])
 
 
 def test_alert_validation():

@@ -12,7 +12,6 @@ import oracles
 
 from faultcast.core import (
     NORMAL_CLASS,
-    AnomalousKpi,
     AnomalyKind,
     FailureClass,
     FaultType,
@@ -54,8 +53,8 @@ MANY_CLASSES = (NORMAL_CLASS,) + tuple(
 )
 
 
-def anomaly(kpi, kind=AnomalyKind.UNIVARIATE, first_seen=0):
-    return AnomalousKpi(kpi, kind, first_seen)
+def anomaly(kpi, kind=AnomalyKind.UNIVARIATE):
+    return (kpi, kind)
 
 
 def proba(model, fv):
@@ -133,26 +132,14 @@ def test_windowize_membership_boundaries():
         AnomalyEvent(600, K[1], AnomalyKind.MULTIVARIATE, 4.0),
     ]
     windows = [(0, 600), (300, 900)]
-    samples = windowize_events(events, windows)
-    assert len(samples) == 2
-    first, second = samples
+    first, second = windowize_events(events, windows)
     # an event exactly on the window start belongs to it; one exactly on the
-    # end does not
-    assert {(a.kpi, a.kind) for a in first.anomalies} == {(K[0], AnomalyKind.UNIVARIATE)}
-    assert first.label is None
-    # repeated (kpi, kind) sightings collapse to the earliest one
-    k0 = next(a for a in first.anomalies if a.kpi == K[0])
-    assert k0.first_seen == 0
-    assert {(a.kpi, a.kind) for a in second.anomalies} == {
+    # end does not, and repeated (kpi, kind) sightings collapse to one
+    assert first == {(K[0], AnomalyKind.UNIVARIATE)}
+    assert second == {
         (K[0], AnomalyKind.UNIVARIATE),
         (K[1], AnomalyKind.MULTIVARIATE),
     }
-
-
-def test_windowize_applies_label_fn():
-    samples = windowize_events([], [(0, 600)], label_fn=lambda s, e: LOSS_HOMER)
-    assert samples[0].label == LOSS_HOMER
-    assert samples[0].anomalies == frozenset()
 
 
 events_at = st.builds(
@@ -182,10 +169,7 @@ def test_windowize_equals_the_per_window_scan(data):
         )
     )
 
-    def label_fn(start, end):
-        return MANY_CLASSES[(start // 300) % 3]
-
-    assert windowize_events(events, windows, label_fn) == oracles.windowize_events_scan(events, windows, label_fn)
+    assert windowize_events(events, windows) == oracles.windowize_events_scan(events, windows)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +483,7 @@ def window_fixture():
             WindowSample(
                 i * 300,
                 i * 300 + 5400,
-                frozenset([anomaly(k_homer, first_seen=i * 300)]),
+                frozenset([anomaly(k_homer)]),
                 label=LOSS_HOMER,
             )
         )
@@ -507,7 +491,7 @@ def window_fixture():
             WindowSample(
                 i * 300,
                 i * 300 + 5400,
-                frozenset([anomaly(k_sprout, first_seen=i * 300)]),
+                frozenset([anomaly(k_sprout)]),
                 label=LOSS_SPROUT,
             )
         )

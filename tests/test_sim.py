@@ -296,15 +296,6 @@ def test_failure_oracle_matches_brute_force_scan():
         assert failure_oracle(series) == expected, f"trial {trial}"
 
 
-def test_failure_oracle_crash_precedence():
-    values = [0.99] * 10 + [0.55] * 5 + [0.99] * 5
-    series = success_series(values)
-    # an earlier crash wins; a later one defers to the threshold failure
-    assert failure_oracle(series, crash_time=300) == 300
-    assert failure_oracle(series, crash_time=900) == 600
-    assert failure_oracle(success_series([0.99] * 20), crash_time=900) == 900
-
-
 # ---------------------------------------------------------------------------
 # topology and scenarios
 
