@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .core import (
     HOURS_PER_WEEK,
@@ -178,6 +177,14 @@ def _restricted_fit(y: np.ndarray, p: int) -> Tuple[float, bool]:
     return rss, rank == design.shape[1]
 
 
+def _f_survival(dfn: int, dfd: int, f_stat: float) -> float:
+    """P(F > f_stat). scipy (~0.25 s, ~26 MB) is imported on the first call, not
+    at module level: only fitting the causality graph needs it."""
+    from scipy import special
+
+    return float(special.fdtrc(dfn, dfd, f_stat))
+
+
 def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: Tuple[float, bool]) -> GrangerResult:
     """The unrestricted fit of y on its own and x's lags, F-tested against
     the ``restricted`` fit of y alone (from :func:`_restricted_fit`)."""
@@ -210,7 +217,7 @@ def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: Tuple[float,
         p_value = 0.0
     else:
         f_stat = (diff / p) / (rss_u / df_denom)
-        p_value = float(special.fdtrc(p, df_denom, f_stat))
+        p_value = _f_survival(p, df_denom, f_stat)
     return GrangerResult(
         f_stat=float(f_stat),
         p_value=p_value,

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .baseline import BaselineModel, fit_baseline_model
-from .core import FaultcastError, parse_timestamp
+from .core import FaultcastError, format_timestamp, parse_timestamp
 from .detect import detect_stream, read_anomaly_log, write_anomaly_log
 from .evaluate import (
     RQ1_WINDOW_LENGTHS,
@@ -46,9 +46,13 @@ def _add_verbosity(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_start(args_start: Optional[str], series_map) -> int:
-    if args_start is not None:
-        return parse_timestamp(args_start)
-    return min(int(s.timestamps[0]) for s in series_map.values())
+    if args_start is None:
+        return min(int(s.timestamps[0]) for s in series_map.values())
+    run_start = parse_timestamp(args_start)
+    last = max(int(s.timestamps[-1]) for s in series_map.values())
+    if run_start > last:
+        raise FaultcastError(f"--run-start {args_start} is after the last sample ({format_timestamp(last)})")
+    return run_start
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

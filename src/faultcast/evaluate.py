@@ -87,6 +87,10 @@ class SuiteConfig:
     allow_short_training: bool = False
     workload: WorkloadModel = field(default_factory=WorkloadModel)
 
+    def __post_init__(self) -> None:
+        if self.window_min > self.run_duration_min:
+            raise ValueError(f"window_min {self.window_min} exceeds run_duration_min {self.run_duration_min}")
+
     @property
     def training_end(self) -> int:
         return self.training_start + self.training_days * DAY_S

@@ -9,13 +9,16 @@ training run, its baseline model, and a faulty run) come from the shared
 
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
-from faultcast.baseline import BaselineModel
+from faultcast.baseline import BaselineModel, fit_baseline_model
 from faultcast.core import NORMAL_CLASS, AnomalyKind, FailureClass, FaultType, WindowSample
 from faultcast.detect import read_anomaly_log
 from faultcast.evaluate import SuiteConfig
+from faultcast.io import ingest_csv
 from faultcast.signature import Vocabulary, train_signature
 
 from conftest import run_cli
@@ -181,6 +184,67 @@ def test_train_signature_then_predict(short_pipeline, tmp_path):
             assert fields[2] == "MemoryLeak" and fields[3] == "Sprout", row
 
 
+def _tiny_signature(vocab):
+    """A tree trained on four hand-made windows over ``vocab``."""
+    leak = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
+    marked = frozenset([(vocab.kpis[0], AnomalyKind.UNIVARIATE)])
+    samples = [WindowSample(0, 5400, marked, leak)] * 2
+    samples += [WindowSample(0, 5400, frozenset(), NORMAL_CLASS)] * 2
+    return train_signature(samples, vocab, "tree", 90)
+
+
+def _online_args(command, short_pipeline, tmp_path, run_start):
+    """``detect`` or ``predict`` arguments for the faulty run (predict with a
+    tiny signature written to ``tmp_path``)."""
+    baseline = short_pipeline["baseline"]
+    args = [command, "--baseline", str(baseline), "--data", str(short_pipeline["fault_csv"])]
+    if command == "predict":
+        signature = tmp_path / "signature.json"
+        _tiny_signature(Vocabulary(BaselineModel.load(baseline).baselines.keys())).save(signature)
+        args += ["--signature", str(signature)]
+    return args + ["--out", str(tmp_path / "out.csv"), "--run-start", run_start]
+
+
+@pytest.mark.parametrize("command", ["detect", "predict"])
+def test_run_start_after_the_last_sample_is_rejected(short_pipeline, tmp_path, command):
+    proc = run_cli(*_online_args(command, short_pipeline, tmp_path, "2026-02-06T10:00:00Z"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
+    # the 180-minute run starting 2026-01-06T10:00:00Z ends with this minute
+    assert "2026-01-06T12:59:00Z" in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+# cli.main in a fresh interpreter, then the scipy modules it left loaded
+_MAIN_THEN_SCIPY = (
+    "import json, sys; from faultcast import cli; rc = cli.main(sys.argv[1:]); "
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); sys.exit(rc)"
+)
+
+
+def _scipy_after_main(*args):
+    proc = subprocess.run([sys.executable, "-c", _MAIN_THEN_SCIPY, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["detect", "predict"])
+def test_commands_that_fit_no_graph_leave_scipy_unloaded(short_pipeline, tmp_path, command):
+    args = _online_args(command, short_pipeline, tmp_path, short_pipeline["run_start"])
+    assert _scipy_after_main(*args) == []
+    assert (tmp_path / "out.csv").stat().st_size > 0
+
+
+def test_train_baseline_loads_scipy_and_matches_the_library(short_pipeline, tmp_path):
+    out = tmp_path / "baseline.json"
+    train_csv = str(short_pipeline["train_csv"])
+    loaded = _scipy_after_main("train-baseline", "--data", train_csv, "--out", str(out), "--allow-short")
+    assert "scipy.special" in loaded
+    library = tmp_path / "library.json"
+    fit_baseline_model(ingest_csv(train_csv), allow_short=True).save(library)
+    assert out.read_bytes() == library.read_bytes()
+
+
 def _spoil_leaves(node):
     if "feature" in node:
         _spoil_leaves(node["nominal"])
@@ -201,10 +265,7 @@ def _spoil_leaves(node):
 )
 def test_predict_rejects_a_malformed_signature_file(short_pipeline, tmp_path, spoil):
     vocab = Vocabulary(BaselineModel.load(short_pipeline["baseline"]).baselines.keys())
-    leak = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
-    marked = frozenset([(vocab.kpis[0], AnomalyKind.UNIVARIATE)])
-    samples = [WindowSample(0, 5400, marked, leak)] * 2 + [WindowSample(0, 5400, frozenset(), NORMAL_CLASS)] * 2
-    data = train_signature(samples, vocab, "tree", 90).to_dict()
+    data = _tiny_signature(vocab).to_dict()
     spoil(data, vocab)
     signature = tmp_path / "signature.json"
     signature.write_text(json.dumps(data), encoding="utf-8")
@@ -277,6 +338,20 @@ def test_evaluate_rejects_runs_shorter_than_rq1_windows_before_building(tmp_path
     # the suite's progress is logged at info level: nothing was built
     assert proc.stderr.startswith("error:"), proc.stderr
     assert "100" in proc.stderr and "120" in proc.stderr, proc.stderr
+
+
+def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path):
+    with pytest.raises(ValueError, match="window_min 140"):
+        SuiteConfig(training_days=4, run_duration_min=130, window_min=140, allow_short_training=True)
+    data = SuiteConfig(training_days=4, run_duration_min=130, allow_short_training=True).to_dict()
+    data["window_min"] = 140
+    cfg = tmp_path / "long-window.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli("-v", "evaluate", "--suite", "rq3", "--config", str(cfg))
+    assert proc.returncode == 1
+    # the suite's progress is logged at info level: nothing was built
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "140" in proc.stderr and "130" in proc.stderr, proc.stderr
 
 
 def test_evaluate_with_a_small_config(tmp_path):
