@@ -128,6 +128,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(f"0 alerts (0 general) -> {args.out}")
         return 0
     run_start = _run_start(args.run_start, series_map)
+    first = min(int(s.timestamps[0]) for s in series_map.values())
+    if run_start < first - signature.window_min * 60:
+        # every window further ahead of the data is empty
+        raise FaultcastError(
+            f"--run-start {args.run_start} is more than the signature's {signature.window_min}-minute"
+            f" window before the first sample ({format_timestamp(first)})"
+        )
     run_end = max(int(s.timestamps[-1]) for s in series_map.values()) + 60
     alerts = run_predictor(
         baseline,

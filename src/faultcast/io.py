@@ -11,7 +11,8 @@ import os
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from itertools import chain, repeat
+from typing import Dict, Iterator, List, Optional, TextIO, Union
 
 import numpy as np
 
@@ -48,6 +49,11 @@ def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
         yield path_or_stream
 
 
+#: Characters of CSV body read per block.  Larger blocks save little time
+#: and raise peak memory.
+_BLOCK_CHARS = 1 << 16
+
+
 def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSeries]:
     """Read a KPI sample CSV into a map KpiId -> TimeSeries.
 
@@ -55,20 +61,87 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
     arrive in any order; samples are sorted per KPI.  Malformed rows raise
     :class:`CsvParseError` with the offending line number, a repeated
     (timestamp, KPI) pair raises :class:`DuplicateSampleError`.
+
+    The body is read in blocks of lines.  A block without ``"``, CR or NUL
+    and without a line longer than ``csv.field_size_limit()`` splits on
+    commas exactly as :func:`csv.reader` would, so it is parsed column by
+    column.  Any other block goes through :func:`csv.reader`, and so does
+    everything from the first ``"`` on, since a quoted field may span lines.
+    A block that fails a column check is checked again row by row, which
+    raises the first error in row order.
     """
     with _open_text(source, "r") as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
+        header = next(csv.reader(stream), None)
         if header != CSV_HEADER:
             raise CsvParseError(1, f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
-        # A file repeats few distinct timestamps and KPIs over many rows, so
-        # each distinct text is parsed and validated once.
-        ts_memo: Dict[str, int] = {}
-        kpi_memo: Dict[Tuple[str, str], int] = {}
-        kpis: List[KpiId] = []
+        columns = _Columns()
+        columns.read_body(stream)
+    return columns.series_map()
+
+
+class _Columns:
+    """The rows of one CSV body as typed columns.  A file repeats few distinct
+    timestamps and KPIs over many rows, so each distinct text is parsed and
+    validated once."""
+
+    def __init__(self):
+        self.ts_memo: Dict[str, int] = {}
+        # resource -> metric -> KPI number: no (resource, metric) tuple a row
+        self.kpi_memo: Dict[str, Dict[str, int]] = {}
+        self.kpis: List[KpiId] = []
         # typed columns hold 8 bytes a row, not a Python object each
-        ts_col, kpi_col, line_col, value_col = array("q"), array("q"), array("q"), array("d")
-        for line_no, row in enumerate(reader, start=2):
+        self.stamps, self.kids, self.lines, self.values = array("q"), array("q"), array("q"), array("d")
+
+    def _timestamps(self, texts: List[str]) -> List[int]:
+        """Epoch seconds of each text, parsing only texts not seen before."""
+        try:
+            return list(map(self.ts_memo.__getitem__, texts))
+        except KeyError:
+            for text in dict.fromkeys(texts):
+                if text not in self.ts_memo:
+                    self.ts_memo[text] = parse_timestamp(text)
+            return list(map(self.ts_memo.__getitem__, texts))
+
+    def _kpi(self, resource: str, metric: str) -> int:
+        """The KPI's number, validated and numbered on first sight."""
+        try:
+            return self.kpi_memo[resource][metric]
+        except KeyError:
+            self.kpis.append(KpiId(resource, metric))
+            kid = self.kpi_memo.setdefault(resource, {})[metric] = len(self.kpis) - 1
+            return kid
+
+    def _kpis(self, resources: List[str], metrics: List[str]) -> List[int]:
+        """The number of each (resource, metric) pair, validating new ones."""
+        try:
+            return list(map(dict.__getitem__, map(self.kpi_memo.__getitem__, resources), metrics))
+        except KeyError:
+            # numbered in order of first appearance
+            for names in dict.fromkeys(zip(resources, metrics)):
+                self._kpi(*names)
+            return list(map(dict.__getitem__, map(self.kpi_memo.__getitem__, resources), metrics))
+
+    def read_body(self, stream: TextIO) -> None:
+        """Append the rows after the header, numbered from line 2."""
+        limit = csv.field_size_limit()
+        line_no = 2
+        while lines := stream.readlines(_BLOCK_CHARS):
+            text = "".join(lines)
+            if '"' in text:
+                self.add_rows(csv.reader(chain(lines, stream)), line_no)
+                return
+            if "\r" in text or "\0" in text or max(map(len, lines)) > limit:
+                self.add_rows(csv.reader(lines), line_no)
+            else:
+                self.add_block(lines, text, line_no)
+            # outside quotes every line is one record
+            line_no += len(lines)
+
+    def add_rows(self, rows, line_no: int) -> None:
+        """Check and append parsed rows one at a time, numbering them from
+        ``line_no``."""
+        ts_memo = self.ts_memo
+        for line_no, row in enumerate(rows, start=line_no):
             if not row:
                 continue
             if len(row) != 4:
@@ -80,32 +153,67 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
                     ts = ts_memo[ts_text] = parse_timestamp(ts_text)
                 except ValueError:
                     raise CsvParseError(line_no, f"bad timestamp {ts_text!r}") from None
-            kid = kpi_memo.get((resource, metric))
-            if kid is None:
-                try:
-                    kpis.append(KpiId(resource, metric))
-                except ValueError as exc:
-                    raise CsvParseError(line_no, str(exc)) from None
-                kid = kpi_memo[(resource, metric)] = len(kpis) - 1
+            try:
+                kid = self._kpi(resource, metric)
+            except ValueError as exc:
+                raise CsvParseError(line_no, str(exc)) from None
             try:
                 value = float(value_text)
             except ValueError:
                 raise CsvParseError(line_no, f"bad value {value_text!r}") from None
             if not math.isfinite(value):
                 raise CsvParseError(line_no, f"non-finite value {value_text!r}")
-            ts_col.append(ts)
-            kpi_col.append(kid)
-            value_col.append(value)
-            line_col.append(line_no)
-        if not kpis:
+            self.stamps.append(ts)
+            self.kids.append(kid)
+            self.values.append(value)
+            self.lines.append(line_no)
+
+    def add_block(self, block: List[str], text: str, line_no: int) -> None:
+        """Append a block of lines that hold no quote, CR or NUL, numbered from
+        ``line_no``, column by column."""
+        lines, numbers = block, range(line_no, line_no + len(block))
+        if "\n" in block:  # blank lines hold no row, as in csv.reader
+            numbers = [n for n, line in zip(numbers, block) if line != "\n"]
+            lines = [line for line in block if line != "\n"]
+            text = "".join(lines)
+        n = len(lines)
+        fields = text.replace("\n", ",").split(",")
+        try:
+            if list(map(str.count, lines, repeat(","))).count(3) != n:
+                raise ValueError("a row without 4 fields")
+            stamps = self._timestamps(fields[0 : 4 * n : 4])
+            kids = self._kpis(fields[1 : 4 * n : 4], fields[2 : 4 * n : 4])
+            values = list(map(float, fields[3 : 4 * n : 4]))
+            if not np.isfinite(values).all():
+                raise ValueError("a non-finite value")
+        except ValueError:
+            # the row checks raise the block's first error in row order
+            self.add_rows(csv.reader(block), line_no)
+            return
+        self.stamps.extend(stamps)
+        self.kids.extend(kids)
+        self.values.extend(values)
+        self.lines.extend(numbers)
+
+    def series_map(self) -> Dict[KpiId, TimeSeries]:
+        """The map KpiId -> TimeSeries, or :class:`DuplicateSampleError` at
+        the first repeated (KPI, timestamp) pair.  This consumes the columns."""
+        if not self.kpis:
             return {}
+        kpis = self.kpis
+        columns = [self.lines, self.stamps, self.kids, self.values]
+        self.lines = self.stamps = self.kids = self.values = None
         # KPIs are numbered in order of first appearance; sorting by (KPI,
         # timestamp, line) groups each KPI's samples in time order.
-        lines, stamps, kids, values = (
-            np.frombuffer(col, dtype=col.typecode) for col in (line_col, ts_col, kpi_col, value_col)
-        )
-        order = np.lexsort((lines, stamps, kids))
-        lines, stamps, kids, values = lines[order], stamps[order], kids[order], values[order]
+        order = np.lexsort([np.frombuffer(col, dtype=col.typecode) for col in columns[:3]])
+        # each column is freed once sorted, so one sorted copy at a time sits
+        # beside the unsorted columns
+        sorted_columns = []
+        while columns:
+            col = columns.pop(0)
+            sorted_columns.append(np.frombuffer(col, dtype=col.typecode)[order])
+            del col
+        lines, stamps, kids, values = sorted_columns
         repeated = np.flatnonzero((stamps[1:] == stamps[:-1]) & (kids[1:] == kids[:-1]))
         if len(repeated):
             at = repeated[0] + 1
@@ -134,6 +242,10 @@ def write_csv(series_map: Dict[KpiId, TimeSeries], target: Union[str, os.PathLik
     Timestamps must lie in years 1000-9999, the range the reader accepts;
     otherwise :class:`ValueError` names the first offending KPI and nothing
     is written.
+
+    Each KPI's rows are built by one join: its values rendered by one
+    ``repr`` of the whole list, its timestamps formatted once for each run
+    of consecutive KPIs that share them.
     """
     kpis = sorted(series_map)
     for kpi in kpis:
@@ -146,23 +258,17 @@ def write_csv(series_map: Dict[KpiId, TimeSeries], target: Union[str, os.PathLik
     with _open_text(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
+        timestamps, stamps = None, []
         for kpi in kpis:
             series = series_map[kpi]
+            if timestamps is None or not np.array_equal(series.timestamps, timestamps):
+                timestamps = series.timestamps
+                stamps = timestamps.astype("datetime64[s]").astype(str).tolist()
+            # repr of a list of floats is the repr of each, joined by ", "
+            values = repr(series.values.tolist())[1:-1].split(", ")
             # one KPI at a time: a whole-file string would double peak memory
-            middle = "Z" + _kpi_fields(kpi)
-            stamps = series.timestamps.astype("datetime64[s]").astype(str).tolist()
-            stream.write(
-                "".join(
-                    f"{ts}{middle}{value!r}\n"
-                    for ts, value in zip(stamps, series.values.tolist())
-                )
-            )
-
-
-def csv_to_string(series_map: Dict[KpiId, TimeSeries]) -> str:
-    buf = io.StringIO()
-    write_csv(series_map, buf)
-    return buf.getvalue()
+            stream.write("\n".join(map(("Z" + _kpi_fields(kpi)).join, zip(stamps, values))))
+            stream.write("\n")
 
 
 # ---------------------------------------------------------------------------

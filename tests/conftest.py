@@ -6,6 +6,7 @@ so it happens once per session.  The wall-clock cost is recorded because one
 acceptance check asserts an end-to-end runtime budget.
 """
 
+import io
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from typing import Tuple
 import pytest
 
 from faultcast.evaluate import SuiteConfig, SuiteData, build_suite
+from faultcast.io import write_csv
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +30,13 @@ def suite_build() -> Tuple[SuiteData, float]:
 @pytest.fixture(scope="session")
 def suite_data(suite_build) -> SuiteData:
     return suite_build[0]
+
+
+def csv_text(series_map) -> str:
+    """A KPI map as the text ``write_csv`` writes."""
+    buf = io.StringIO()
+    write_csv(series_map, buf)
+    return buf.getvalue()
 
 
 def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:

@@ -15,11 +15,12 @@ import sys
 import pytest
 
 from faultcast.baseline import BaselineModel, fit_baseline_model
-from faultcast.core import NORMAL_CLASS, AnomalyKind, FailureClass, FaultType, WindowSample
+from faultcast.core import NORMAL_CLASS, AnomalyKind, FailureClass, FaultType, WindowSample, parse_timestamp
 from faultcast.detect import read_anomaly_log
 from faultcast.evaluate import SuiteConfig
 from faultcast.io import ingest_csv
-from faultcast.signature import Vocabulary, train_signature
+from faultcast.predict import run_predictor, write_alert_log
+from faultcast.signature import SignatureModel, Vocabulary, train_signature
 
 from conftest import run_cli
 
@@ -213,6 +214,30 @@ def test_run_start_after_the_last_sample_is_rejected(short_pipeline, tmp_path, c
     # the 180-minute run starting 2026-01-06T10:00:00Z ends with this minute
     assert "2026-01-06T12:59:00Z" in proc.stderr, proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tmp_path):
+    # the run's first sample is at 2026-01-06T10:00:00Z, the signature's window is 90 min
+    for early in ("2025-12-06T10:00:00Z", "2026-01-06T08:29:00Z"):
+        proc = run_cli(*_online_args("predict", short_pipeline, tmp_path, early))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert early in proc.stderr and "2026-01-06T10:00:00Z" in proc.stderr, proc.stderr
+        assert not (tmp_path / "out.csv").exists()
+    # one window ahead is still replayed, with the library's alerts
+    start = "2026-01-06T08:30:00Z"
+    proc = run_cli(*_online_args("predict", short_pipeline, tmp_path, start))
+    assert proc.returncode == 0, proc.stderr
+    series_map = ingest_csv(short_pipeline["fault_csv"])
+    alerts = run_predictor(
+        BaselineModel.load(short_pipeline["baseline"]),
+        SignatureModel.load(tmp_path / "signature.json"),
+        series_map,
+        parse_timestamp(start),
+        max(s.end for s in series_map.values()) + 60,
+    )
+    write_alert_log(alerts, tmp_path / "library.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 # cli.main in a fresh interpreter, then the scipy modules it left loaded

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faultcast.io
 import oracles
 
+from conftest import csv_text
 from faultcast.baseline import BaselineModel, UnivariateBaseline
 from faultcast.core import (
     NORMAL_CLASS,
@@ -31,7 +33,6 @@ from faultcast.io import (
     MIN_CSV_TIMESTAMP,
     InjectedFault,
     RunManifest,
-    csv_to_string,
     ingest_csv,
     write_csv,
 )
@@ -59,13 +60,13 @@ def test_round_trip_is_byte_stable():
         kpi_a: TimeSeries(kpi_a, [0, 60, 120], [99.5, 98.25, 97.125]),
         kpi_b: TimeSeries(kpi_b, [0, 60], [10.1, 10.2]),
     }
-    text = csv_to_string(series_map)
+    text = csv_text(series_map)
     again = ingest_csv(io.StringIO(text))
     assert set(again) == set(series_map)
     for kpi in series_map:
         assert again[kpi].timestamps.tolist() == series_map[kpi].timestamps.tolist()
         assert again[kpi].values.tolist() == series_map[kpi].values.tolist()
-    assert csv_to_string(again) == text
+    assert csv_text(again) == text
 
 
 def test_ingest_sorts_out_of_order_rows():
@@ -207,7 +208,7 @@ def test_manifest_validation():
 def test_write_csv_timestamp_range_edges():
     kpi = KpiId("Homer", "CpuIdlePct")
     inside = {kpi: TimeSeries(kpi, [MIN_CSV_TIMESTAMP, MAX_CSV_TIMESTAMP], [1.0, 2.0])}
-    text = csv_to_string(inside)
+    text = csv_text(inside)
     assert text.splitlines()[1:] == [
         "1000-01-01T00:00:00Z,Homer,CpuIdlePct,1.0",
         "9999-12-31T23:59:59Z,Homer,CpuIdlePct,2.0",
@@ -235,8 +236,8 @@ VALUE = st.one_of(
 
 
 @st.composite
-def series_maps(draw, max_kpis=4, max_len=8):
-    kpis = draw(st.lists(st.builds(KpiId, NAME, NAME), min_size=1, max_size=max_kpis, unique=True))
+def series_maps(draw, max_kpis=4, max_len=8, names=NAME):
+    kpis = draw(st.lists(st.builds(KpiId, names, names), min_size=1, max_size=max_kpis, unique=True))
     out = {}
     for kpi in kpis:
         stamps = draw(
@@ -258,28 +259,53 @@ def reference_text(series_map):
     return buf.getvalue()
 
 
-def outcome(reader, text):
-    """The map a reader returns, or the type, line and message it raises."""
+def outcome(reader, text, newline=""):
+    """The (KPI, series) pairs a reader returns in order, or the type, line
+    and message it raises.  ``newline`` is the stream's, as for ``open``."""
     try:
-        return reader(io.StringIO(text))
+        return list(reader(io.StringIO(text, newline=newline)).items())
     except CsvParseError as exc:
         return type(exc), exc.line_no, str(exc)
+    except csv.Error as exc:
+        return type(exc), str(exc)
+
+
+def in_blocks(block_chars):
+    """``ingest_csv`` reading blocks of about ``block_chars`` characters:
+    small blocks put block boundaries between every few lines."""
+
+    def read(stream):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(faultcast.io, "_BLOCK_CHARS", block_chars)
+            return ingest_csv(stream)
+
+    return read
+
+
+#: one line to a few lines per block
+BLOCK_CHARS = st.integers(1, 200)
+
+
+def same_outcome(text, block_chars, newline=""):
+    expected = outcome(oracles.ingest_csv_rows, text, newline)
+    assert outcome(in_blocks(block_chars), text, newline) == expected
+    return expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_maps())
 def test_writer_bytes_match_row_at_a_time_oracle(series_map):
-    assert csv_to_string(series_map) == reference_text(series_map)
+    assert csv_text(series_map) == reference_text(series_map)
 
 
 @settings(max_examples=60, deadline=None)
-@given(series_maps(), st.randoms(use_true_random=False))
-def test_shuffled_rows_ingest_to_an_equal_map(series_map, rnd):
+@given(series_maps(), st.randoms(use_true_random=False), BLOCK_CHARS)
+def test_shuffled_rows_ingest_to_an_equal_map(series_map, rnd, block_chars):
     header, *body = reference_text(series_map).splitlines(keepends=True)
     rnd.shuffle(body)
     text = header + "".join(body)
     assert ingest_csv(io.StringIO(text)) == series_map
-    assert outcome(ingest_csv, text) == outcome(oracles.ingest_csv_rows, text)
+    assert dict(same_outcome(text, block_chars)) == series_map
 
 
 BAD_FIELDS = st.sampled_from(
@@ -298,6 +324,7 @@ BAD_FIELDS = st.sampled_from(
         ("value", "1_0"),
         ("value", "1\n2"),  # a quoted newline: one row over two physical lines
         ("fields", None),
+        ("shift", None),  # a row's last field moved to the next row: 5 fields, then 3
         ("duplicate", None),
         ("blank", None),
     ]
@@ -309,8 +336,9 @@ BAD_FIELDS = st.sampled_from(
     series_maps(max_kpis=3, max_len=5),
     st.lists(st.tuples(st.integers(0, 10**6), BAD_FIELDS), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
+    BLOCK_CHARS,
 )
-def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd):
+def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd, block_chars):
     header, *body = reference_text(series_map).splitlines(keepends=True)
     rnd.shuffle(body)
     rows = list(csv.reader(body))
@@ -318,6 +346,9 @@ def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd):
         i = where % len(rows)
         if part == "fields":
             rows[i] = rows[i][:3]
+        elif part == "shift":
+            if i + 1 < len(rows) and rows[i + 1]:
+                rows[i], rows[i + 1] = rows[i] + rows[i + 1][:1], rows[i + 1][1:]
         elif part == "duplicate":
             rows.insert(i, rows[(where // 7) % len(rows)][:3] + ["1.5"])
         elif part == "blank":
@@ -328,8 +359,7 @@ def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd):
     buf = io.StringIO(header)
     buf.seek(0, io.SEEK_END)
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    text = buf.getvalue()
-    assert outcome(ingest_csv, text) == outcome(oracles.ingest_csv_rows, text)
+    same_outcome(buf.getvalue(), block_chars)
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,12 +367,147 @@ def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd):
     series_maps(),
     st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
+    BLOCK_CHARS,
 )
-def test_duplicates_fail_like_the_oracle(series_map, copies, rnd):
+def test_duplicates_fail_like_the_oracle(series_map, copies, rnd, block_chars):
     header, *body = reference_text(series_map).splitlines(keepends=True)
     body += [body[i % len(body)] for i in copies]
     rnd.shuffle(body)
+    assert same_outcome(header + "".join(body), block_chars)[0] is DuplicateSampleError
+
+
+# names without a quote, so that the reader's first quote is the one a test puts in
+PLAIN_NAME = st.text(alphabet="ab Zé;\t", min_size=1, max_size=6)
+
+
+def plain_body(series_map, rnd):
+    """The header and the shuffled body lines of a map's CSV."""
+    header, *body = reference_text(series_map).splitlines(keepends=True)
+    rnd.shuffle(body)
+    return header, body
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    series_maps(names=PLAIN_NAME),
+    st.randoms(use_true_random=False),
+    BLOCK_CHARS,
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+    st.sampled_from(["", "\n", None]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=2),
+)
+def test_line_endings_read_like_the_oracle(series_map, rnd, block_chars, endings, newline, strays):
+    """CR and CRLF endings, mixed, and a stray CR at the start of a field
+    (``float`` would take ``"\\r1"``, csv.reader ends the row there)."""
+    header, body = plain_body(series_map, rnd)
+    for where, field in strays:
+        i = where % len(body)
+        cut = ([0] + [k + 1 for k, ch in enumerate(body[i]) if ch == ","])[field]
+        body[i] = body[i][:cut] + "\r" + body[i][cut:]
+    lines = [header] + body
+    text = "".join(line[:-1] + endings[i % len(endings)] for i, line in enumerate(lines))
+    result = same_outcome(text, block_chars, newline)
+    if not strays and (endings == ["\r\n"] or newline is None):
+        assert dict(result) == series_map
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # split on commas, these rows read as two good ones
+        (
+            "1970-01-01T00:00:00Z,Homer,CpuIdlePct,1,1970-01-01T00:01:00Z\nHomer,CpuIdlePct,2\n",
+            (CsvParseError, 2, "line 2: expected 4 fields, got 5"),
+        ),
+        # float takes "\r1", csv.reader ends the row at the CR
+        ("1970-01-01T00:00:00Z,Homer,CpuIdlePct,\r1\n", (csv.Error,)),
+    ],
+    ids=["five-then-three-fields", "cr-before-a-value"],
+)
+def test_rows_that_split_like_good_ones_fail_like_the_oracle(body, expected):
+    result = same_outcome(HEADER + body, 1 << 16, newline="\n")
+    assert result[: len(expected)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series_maps(names=PLAIN_NAME),
+    st.randoms(use_true_random=False),
+    BLOCK_CHARS,
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_blank_lines_are_skipped_but_counted(series_map, rnd, block_chars, blanks, duplicate):
+    """Blank lines hold no row but keep their line numbers, so a later
+    duplicate is reported at its own line."""
+    header, body = plain_body(series_map, rnd)
+    for where in blanks:
+        body.insert(where % (len(body) + 1), "\n")
+    if duplicate:
+        body.append(next(line for line in body if line != "\n"))
+    result = same_outcome(header + "".join(body), block_chars)
+    if duplicate:
+        assert result[:2] == (DuplicateSampleError, len(body) + 1)
+    else:
+        assert dict(result) == series_map
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_maps(names=PLAIN_NAME), st.randoms(use_true_random=False), BLOCK_CHARS, st.integers(0, 10**6))
+def test_a_nul_in_a_name_reads_like_the_oracle(series_map, rnd, block_chars, where):
+    header, body = plain_body(series_map, rnd)
+    i = where % len(body)
+    comma = body[i].index(",")
+    body[i] = body[i][: comma + 1] + "\0" + body[i][comma + 1 :]
+    same_outcome(header + "".join(body), block_chars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_maps(names=PLAIN_NAME), st.randoms(use_true_random=False), BLOCK_CHARS)
+def test_no_final_newline_reads_like_the_oracle(series_map, rnd, block_chars):
+    header, body = plain_body(series_map, rnd)
+    text = (header + "".join(body))[:-1]
+    assert dict(same_outcome(text, block_chars)) == series_map
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    series_maps(max_len=12, names=PLAIN_NAME),
+    st.randoms(use_true_random=False),
+    BLOCK_CHARS,
+    st.integers(0, 10**6),
+    st.sampled_from(['"{}"', '"{}\n"', '"\n{}"', '"{}""x"']),
+)
+def test_a_late_quote_reads_like_the_oracle(series_map, rnd, block_chars, where, quoted):
+    """The first quote comes after the first block; a quoted newline makes
+    one record of two lines, which may straddle a block boundary."""
+    header, body = plain_body(series_map, rnd)
+    i = len(body) // 2 + where % (len(body) - len(body) // 2)
+    ts, rest = body[i].split(",", 1)
+    body[i] = quoted.format(ts) + "," + rest
+    same_outcome(header + "".join(body), block_chars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series_maps(names=PLAIN_NAME),
+    st.randoms(use_true_random=False),
+    BLOCK_CHARS,
+    st.integers(1, 60),
+)
+def test_fields_over_the_size_limit_fail_like_the_oracle(series_map, rnd, block_chars, limit):
+    header, body = plain_body(series_map, rnd)
     text = header + "".join(body)
-    expected = outcome(oracles.ingest_csv_rows, text)
-    assert expected[0] is DuplicateSampleError
-    assert outcome(ingest_csv, text) == expected
+    old = csv.field_size_limit(limit)
+    try:
+        same_outcome(text, block_chars)
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_a_field_over_the_default_size_limit_fails_like_the_oracle():
+    limit = csv.field_size_limit()
+    rows = [HEADER, "1970-01-01T00:00:00Z,Homer,CpuIdlePct,1\n"]
+    rows.append("1970-01-01T00:01:00Z,Homer," + "m" * (limit + 1) + ",2\n")
+    result = same_outcome("".join(rows), 1 << 16)
+    assert result == (csv.Error, f"field larger than field limit ({limit})")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import csv_text
 from faultcast.core import (
     FaultType,
     KpiId,
@@ -11,7 +12,6 @@ from faultcast.core import (
     hour_of_week,
     parse_timestamp,
 )
-from faultcast.io import csv_to_string
 from faultcast.sim import (
     FaultSpec,
     Pattern,
@@ -175,10 +175,10 @@ def test_runs_are_deterministic_to_the_byte():
     fault = host_fault(FaultType.PACKET_LOSS, resource="Homer")
     first = gen_run(default_topology(), WorkloadModel(), fault, BUSY_MONDAY, 3600, seed=12)
     second = gen_run(default_topology(), WorkloadModel(), fault, BUSY_MONDAY, 3600, seed=12)
-    assert csv_to_string(first[0]) == csv_to_string(second[0])
+    assert csv_text(first[0]) == csv_text(second[0])
     assert first[1] == second[1]
     third = gen_run(default_topology(), WorkloadModel(), fault, BUSY_MONDAY, 3600, seed=13)
-    assert csv_to_string(third[0]) != csv_to_string(first[0])
+    assert csv_text(third[0]) != csv_text(first[0])
 
 
 def test_run_emits_exactly_the_catalog():
