@@ -55,6 +55,12 @@ def _run_start(args_start: Optional[str], series_map) -> int:
     return run_start
 
 
+def _require_kpis(model: BaselineModel, series_map) -> None:
+    missing = [kpi for kpi in model.baselines if kpi not in series_map]
+    if missing:
+        raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {missing[0]}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
@@ -95,6 +101,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         write_anomaly_log([], args.out)
         print(f"0 anomalous (KPI, interval) verdicts -> {args.out}")
         return 0
+    _require_kpis(model, series_map)
     run_start = _run_start(args.run_start, series_map)
     events = detect_stream(model, series_map, run_start, tau=args.tau)
     write_anomaly_log(events, args.out)
@@ -127,6 +134,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         write_alert_log([], args.out)
         print(f"0 alerts (0 general) -> {args.out}")
         return 0
+    _require_kpis(baseline, series_map)
     run_start = _run_start(args.run_start, series_map)
     first = min(int(s.timestamps[0]) for s in series_map.values())
     if run_start < first - signature.window_min * 60:

@@ -7,12 +7,19 @@ RQ3  whether fault-free runs with large random workload deviations stay
      classified as Normal;
 RQ4  how early alerts precede the eventual failure, per fault type and
      activation pattern.
+
+Every run takes one path.  A :class:`RunSpec` names it: the training span,
+a row of ``default_run_specs``, ``rq3_run_specs`` or ``rq4_run_specs``.
+``generate`` simulates it, ``detect_run`` turns it into anomaly events and
+``assemble_windows`` into labeled windows; RQ4 replays ``generate``'s series
+through the online predictor instead.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .baseline import BaselineModel, fit_baseline_model
@@ -88,36 +95,29 @@ class SuiteConfig:
     workload: WorkloadModel = field(default_factory=WorkloadModel)
 
     def __post_init__(self) -> None:
-        if self.window_min > self.run_duration_min:
-            raise ValueError(f"window_min {self.window_min} exceeds run_duration_min {self.run_duration_min}")
+        minutes = self.run_duration_min
+        for name, ok, rule in (
+            ("run_hour", 0 <= self.run_hour <= 23, "an hour from 0 to 23"),
+            ("quiet_hour", 0 <= self.quiet_hour <= 23, "an hour from 0 to 23"),
+            ("folds", self.folds >= 2, "at least 2"),
+            ("step_min", self.step_min > 0, "positive"),
+            ("window_min", self.window_min > 0, "positive"),
+            ("training_days", self.training_days > 0, "positive"),
+            ("injection_min", 0 <= self.injection_min < minutes, f"in [0, {minutes}), inside the run"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
+        if self.window_min > minutes:
+            raise ValueError(f"window_min {self.window_min} exceeds run_duration_min {minutes}")
 
     @property
     def training_end(self) -> int:
         return self.training_start + self.training_days * DAY_S
 
     def to_dict(self) -> dict:
-        return {
-            "kind": SUITE_KIND,
-            "schema_version": SUITE_SCHEMA_VERSION,
-            "training_start": format_timestamp(self.training_start),
-            "training_days": self.training_days,
-            "run_duration_min": self.run_duration_min,
-            "injection_min": self.injection_min,
-            "run_hour": self.run_hour,
-            "quiet_hour": self.quiet_hour,
-            "fault_targets": list(self.fault_targets),
-            "window_min": self.window_min,
-            "step_min": self.step_min,
-            "folds": self.folds,
-            "k_sigma": self.k_sigma,
-            "lag_order": self.lag_order,
-            "alpha": self.alpha,
-            "prefilter_r": self.prefilter_r,
-            "tau": self.tau,
-            "seed": self.seed,
-            "allow_short_training": self.allow_short_training,
-            "workload": self.workload.to_dict(),
-        }
+        fields = asdict(self)
+        fields["training_start"] = format_timestamp(self.training_start)
+        return {"kind": SUITE_KIND, "schema_version": SUITE_SCHEMA_VERSION, **fields}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -199,94 +199,52 @@ def window_label(manifest: RunManifest, start: int, end: int) -> FailureClass:
     return failure_class_of(manifest)
 
 
+def _scheduled(
+    config: SuiteConfig,
+    idx: int,
+    run_id: str,
+    hour: int,
+    duration_s: int,
+    seed: int,
+    fault: Optional[Tuple[FaultType, str, Pattern]] = None,
+    deviation: float = 0.0,
+) -> RunSpec:
+    """Run ``idx`` of a schedule: on ``run_day(config, idx)`` at ``hour``, with
+    its (fault type, resource, pattern) injected ``injection_min`` in."""
+    start = run_day(config, idx) + hour * 3600
+    injected = None if fault is None else FaultSpec(*fault, injection_time=start + config.injection_min * 60)
+    return RunSpec(run_id, start, duration_s, seed, injected, deviation)
+
+
 def default_run_specs(config: SuiteConfig) -> List[RunSpec]:
     """The bundled run pool: every host fault on each target VM under all
-    three activation patterns, the workload fault, and six passing runs (two
+    three activation patterns, the workload fault, and six passing runs (three
     of them with deliberate random workload deviation, so that healthy load
     swings are part of the Normal training signature)."""
-    specs: List[RunSpec] = []
+    busy, quiet, flood = config.run_hour, config.quiet_hour, FaultType.EXCESSIVE_WORKLOAD
+    host = product(_HOST_FAULTS, config.fault_targets, Pattern)
+    rows = [(f"{t.value}-{vm}-{p.value}".lower(), busy, (t, vm, p), 0.0) for t, vm, p in host]
+    rows += [(f"{flood.value}-{p.value}".lower(), busy, (flood, SYSTEM_RESOURCE, p), 0.0) for p in Pattern]
+    rows += [
+        ("passing-1", busy, None, 0.0),
+        ("passing-2", busy, None, 0.0),
+        ("passing-3", quiet, None, 0.0),
+        ("passing-dev-1", busy, None, 0.5),
+        ("passing-dev-2", quiet, None, 0.5),
+        ("passing-dev-3", quiet, None, 0.5),
+    ]
     duration_s = config.run_duration_min * 60
-
-    def day(i: int) -> int:
-        return run_day(config, i)
-
-    def make_fault(fault_type: FaultType, resource: str, pattern: Pattern, start: int) -> FaultSpec:
-        return FaultSpec(
-            fault_type=fault_type,
-            resource=resource,
-            pattern=pattern,
-            injection_time=start + config.injection_min * 60,
-        )
-
-    idx = 0
-    for fault_type in _HOST_FAULTS:
-        for resource in config.fault_targets:
-            for pattern in Pattern:
-                start = day(idx) + config.run_hour * 3600
-                run_id = f"{fault_type.value}-{resource}-{pattern.value}".lower()
-                specs.append(
-                    RunSpec(
-                        run_id=run_id,
-                        start=start,
-                        duration_s=duration_s,
-                        seed=config.seed * 1009 + idx,
-                        fault=make_fault(fault_type, resource, pattern, start),
-                    )
-                )
-                idx += 1
-    for pattern in Pattern:
-        start = day(idx) + config.run_hour * 3600
-        run_id = f"{FaultType.EXCESSIVE_WORKLOAD.value}-{pattern.value}".lower()
-        specs.append(
-            RunSpec(
-                run_id=run_id,
-                start=start,
-                duration_s=duration_s,
-                seed=config.seed * 1009 + idx,
-                fault=make_fault(FaultType.EXCESSIVE_WORKLOAD, SYSTEM_RESOURCE, pattern, start),
-            )
-        )
-        idx += 1
-
-    passing = (
-        ("passing-1", config.run_hour, 0.0),
-        ("passing-2", config.run_hour, 0.0),
-        ("passing-3", config.quiet_hour, 0.0),
-        ("passing-dev-1", config.run_hour, 0.5),
-        ("passing-dev-2", config.quiet_hour, 0.5),
-        ("passing-dev-3", config.quiet_hour, 0.5),
-    )
-    for run_id, hour, deviation in passing:
-        specs.append(
-            RunSpec(
-                run_id=run_id,
-                start=day(idx) + hour * 3600,
-                duration_s=duration_s,
-                seed=config.seed * 1009 + idx,
-                deviation=deviation,
-            )
-        )
-        idx += 1
-    return specs
+    return [
+        _scheduled(config, idx, run_id, hour, duration_s, config.seed * 1009 + idx, fault, deviation)
+        for idx, (run_id, hour, fault, deviation) in enumerate(rows)
+    ]
 
 
-def build_training(config: SuiteConfig, topology: Topology) -> Dict[KpiId, TimeSeries]:
-    series, _ = gen_run(
-        topology,
-        config.workload,
-        None,
-        config.training_start,
-        config.training_days * DAY_S,
-        seed=config.seed,
-        run_id="training",
-    )
-    return series
-
-
-def detect_run(
-    config: SuiteConfig, topology: Topology, baseline: BaselineModel, spec: RunSpec
-) -> RunRecord:
-    series, manifest = gen_run(
+def generate(
+    config: SuiteConfig, topology: Topology, spec: RunSpec
+) -> Tuple[Dict[KpiId, TimeSeries], RunManifest]:
+    """The series and manifest of the run ``spec`` names, under the suite's workload."""
+    return gen_run(
         topology,
         config.workload,
         spec.fault,
@@ -296,6 +254,10 @@ def detect_run(
         run_id=spec.run_id,
         workload_deviation=spec.deviation,
     )
+
+
+def detect_run(config: SuiteConfig, topology: Topology, baseline: BaselineModel, spec: RunSpec) -> RunRecord:
+    series, manifest = generate(config, topology, spec)
     events = detect_stream(baseline, series, spec.start, tau=config.tau)
     return RunRecord(manifest=manifest, events=tuple(events))
 
@@ -316,8 +278,12 @@ def build_suite(config: SuiteConfig, topology: Optional[Topology] = None) -> Sui
     """Generate training data, fit the offline models, run detection over the
     bundled run pool, and train the default signature classifier."""
     topology = topology or default_topology()
+    for target in config.fault_targets:
+        if target not in topology.app_vms:
+            raise ValueError(f"fault target {target!r} is not an app VM of the topology {topology.app_vms}")
     logger.info("suite: generating %d days of training data", config.training_days)
-    training = build_training(config, topology)
+    training_spec = RunSpec("training", config.training_start, config.training_days * DAY_S, config.seed)
+    training, _ = generate(config, topology, training_spec)
     baseline = fit_baseline_model(
         training,
         k_sigma=config.k_sigma,
@@ -328,9 +294,7 @@ def build_suite(config: SuiteConfig, topology: Optional[Topology] = None) -> Sui
     )
     logger.info("suite: baseline over %d KPIs, %d causal edges", len(baseline.baselines), len(baseline.edges))
     vocab = Vocabulary(baseline.baselines.keys(), split_kinds=False)
-    runs = []
-    for spec in default_run_specs(config):
-        runs.append(detect_run(config, topology, baseline, spec))
+    runs = [detect_run(config, topology, baseline, spec) for spec in default_run_specs(config)]
     pool = assemble_windows(runs, config.window_min, config.step_min)
     signature = train_signature(pool, vocab, "tree", config.window_min)
     logger.info("suite: %d runs, %d labeled windows", len(runs), len(pool))
@@ -490,6 +454,24 @@ class Rq3Run:
         return self.n_normal / self.n_windows if self.n_windows else 1.0
 
 
+def rq3_run_specs(
+    config: SuiteConfig, deviations: Sequence[float], runs_per_deviation: int, duration_min: int
+) -> List[RunSpec]:
+    """RQ3's fault-free runs: ``runs_per_deviation`` per deviation level, in the quiet slot."""
+    return [
+        _scheduled(
+            config,
+            idx,
+            f"random{int(round(100 * deviation))}-{i + 1}",
+            config.quiet_hour,
+            duration_min * 60,
+            config.seed * 7177 + idx,
+            deviation=deviation,
+        )
+        for idx, (deviation, i) in enumerate(product(deviations, range(runs_per_deviation)))
+    ]
+
+
 def run_rq3(
     data: SuiteData,
     deviations: Sequence[float] = (0.4, 1.0),
@@ -500,38 +482,11 @@ def run_rq3(
     randomly per five-minute block, scheduled in a low-traffic slot."""
     config = data.config
     results: List[Rq3Run] = []
-    idx = 0
-    for deviation in deviations:
-        for i in range(runs_per_deviation):
-            start = run_day(config, idx) + config.quiet_hour * 3600
-            run_id = f"random{int(round(100 * deviation))}-{i + 1}"
-            series, manifest = gen_run(
-                data.topology,
-                config.workload,
-                None,
-                start,
-                duration_min * 60,
-                seed=config.seed * 7177 + idx,
-                run_id=run_id,
-                workload_deviation=deviation,
-            )
-            events = detect_stream(data.baseline, series, start, tau=config.tau)
-            windows = slide_windows(start, start + duration_min * 60, config.window_min, config.step_min)
-            window_sets = windowize_events(events, windows)
-            n_normal = sum(
-                1
-                for features in window_sets
-                if data.signature.classify_window(features).top()[0] == NORMAL_CLASS
-            )
-            results.append(
-                Rq3Run(
-                    run_id=run_id,
-                    deviation=deviation,
-                    n_windows=len(window_sets),
-                    n_normal=n_normal,
-                )
-            )
-            idx += 1
+    for spec in rq3_run_specs(config, deviations, runs_per_deviation, duration_min):
+        record = detect_run(config, data.topology, data.baseline, spec)
+        samples = assemble_windows([record], config.window_min, config.step_min)
+        top = [data.signature.classify_window(s.anomalies).top()[0] for s in samples]
+        results.append(Rq3Run(spec.run_id, spec.deviation, len(samples), top.count(NORMAL_CLASS)))
     return results
 
 
@@ -568,6 +523,20 @@ class Rq4Row:
     report: EarlinessReport
 
 
+def rq4_run_specs(config: SuiteConfig, seeds_per_combo: int, duration_min: int, target: str) -> List[RunSpec]:
+    """RQ4's faulty runs: ``seeds_per_combo`` per fault type and pattern, host
+    faults on ``target``."""
+    specs: List[RunSpec] = []
+    combos = product(_HOST_FAULTS + (FaultType.EXCESSIVE_WORKLOAD,), Pattern, range(seeds_per_combo))
+    for idx, (fault_type, pattern, i) in enumerate(combos):
+        resource = SYSTEM_RESOURCE if fault_type is FaultType.EXCESSIVE_WORKLOAD else target
+        run_id = f"rq4-{fault_type.value}-{pattern.value}-{i + 1}".lower()
+        seed = config.seed * 31013 + idx
+        fault = (fault_type, resource, pattern)
+        specs.append(_scheduled(config, idx, run_id, config.run_hour, duration_min * 60, seed, fault))
+    return specs
+
+
 def run_rq4(
     data: SuiteData,
     seeds_per_combo: int = 2,
@@ -578,48 +547,12 @@ def run_rq4(
     early it warns relative to the eventual failure."""
     config = data.config
     rows: List[Rq4Row] = []
-    idx = 0
-    for fault_type in _HOST_FAULTS + (FaultType.EXCESSIVE_WORKLOAD,):
-        resource = SYSTEM_RESOURCE if fault_type is FaultType.EXCESSIVE_WORKLOAD else target
-        for pattern in Pattern:
-            for i in range(seeds_per_combo):
-                start = run_day(config, idx) + config.run_hour * 3600
-                seed = config.seed * 31013 + idx
-                fault = FaultSpec(
-                    fault_type=fault_type,
-                    resource=resource,
-                    pattern=pattern,
-                    injection_time=start + config.injection_min * 60,
-                )
-                run_id = f"rq4-{fault_type.value}-{pattern.value}-{i + 1}".lower()
-                series, manifest = gen_run(
-                    data.topology,
-                    config.workload,
-                    fault,
-                    start,
-                    duration_min * 60,
-                    seed,
-                    run_id=run_id,
-                )
-                alerts = run_predictor(
-                    data.baseline,
-                    data.signature,
-                    series,
-                    start,
-                    start + duration_min * 60,
-                    tau=config.tau,
-                )
-                report = measure_earliness(alerts, manifest)
-                rows.append(
-                    Rq4Row(
-                        run_id=run_id,
-                        fault_type=fault_type,
-                        pattern=pattern,
-                        seed=seed,
-                        report=report,
-                    )
-                )
-                idx += 1
+    for spec in rq4_run_specs(config, seeds_per_combo, duration_min, target):
+        series, manifest = generate(config, data.topology, spec)
+        end = spec.start + spec.duration_s
+        alerts = run_predictor(data.baseline, data.signature, series, spec.start, end, tau=config.tau)
+        report = measure_earliness(alerts, manifest)
+        rows.append(Rq4Row(spec.run_id, spec.fault.fault_type, spec.fault.pattern, spec.seed, report))
     return rows
 
 

@@ -23,7 +23,6 @@ from .core import (
     KpiId,
     SYSTEM_RESOURCE,
     TimeSeries,
-    format_timestamp,
     hour_of_week,
     parse_timestamp,
 )
@@ -100,15 +99,6 @@ class WorkloadModel:
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "base_rate": self.base_rate,
-            "weekday_factor": self.weekday_factor,
-            "weekend_factor": self.weekend_factor,
-            "hourly_profile": list(self.hourly_profile),
-            "noise_std": self.noise_std,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadModel":
         kwargs = dict(data)
@@ -153,20 +143,6 @@ class FaultSpec:
             raise ValueError("bad exponential activation parameters")
         if not 0 < self.random_q <= 1 or self.random_block_min <= 0:
             raise ValueError("bad random activation parameters")
-
-    def to_dict(self) -> dict:
-        return {
-            "fault_type": self.fault_type.value,
-            "resource": self.resource,
-            "pattern": self.pattern.value,
-            "injection_time": format_timestamp(self.injection_time),
-            "severity": self.severity,
-            "constant_level": self.constant_level,
-            "exp_a0": self.exp_a0,
-            "exp_double_min": self.exp_double_min,
-            "random_q": self.random_q,
-            "random_block_min": self.random_block_min,
-        }
 
 
 @dataclass(frozen=True)

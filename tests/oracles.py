@@ -4,10 +4,12 @@ These are the row-at-a-time CSV writer and reader, the per-pair causality
 graph loop, the per-(edge, interval) detector, and the per-feature tree
 grower, per-row classifiers and per-window event scans that the array-shaped
 versions in ``faultcast.io``, ``faultcast.baseline``, ``faultcast.detect``,
-``faultcast.signature`` and ``faultcast.predict`` replaced.  The optimized
-code must match them exactly: the same bytes, the same maps, the same errors
-at the same lines, the same edges, the same events with equal scores, the
-same trees, equal probabilities and the same windows.
+``faultcast.signature`` and ``faultcast.predict`` replaced, and the nested
+scheduling loops that ``faultcast.evaluate``'s run tables replaced.  The
+optimized code must match them exactly: the same bytes, the same maps, the
+same errors at the same lines, the same edges, the same events with equal
+scores, the same trees, equal probabilities, the same windows and the same
+runs.
 """
 
 import csv
@@ -23,13 +25,17 @@ from faultcast.core import (
     AnomalyKind,
     CsvParseError,
     DuplicateSampleError,
+    FaultType,
     KpiId,
+    SYSTEM_RESOURCE,
     TimeSeries,
     format_timestamp,
     parse_timestamp,
 )
 from faultcast.detect import DEFAULT_TAU, AnomalyEvent
+from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
 from faultcast.io import CSV_HEADER
+from faultcast.sim import FaultSpec, Pattern
 from faultcast.signature import (
     _GAIN_EPS,
     DecisionTreeModel,
@@ -376,3 +382,108 @@ def windowize_events_scan(events, windows):
 def buffer_anomalies(buffer):
     """A predictor buffer of (interval_start, events) pairs, scanned whole."""
     return _features(event for _, events in buffer for event in events)
+
+
+def default_run_specs_loops(config):
+    """The bundled run pool, one nested loop per kind of run."""
+    specs = []
+    duration_s = config.run_duration_min * 60
+
+    def day(i):
+        return run_day(config, i)
+
+    def make_fault(fault_type, resource, pattern, start):
+        return FaultSpec(
+            fault_type=fault_type,
+            resource=resource,
+            pattern=pattern,
+            injection_time=start + config.injection_min * 60,
+        )
+
+    idx = 0
+    for fault_type in _HOST_FAULTS:
+        for resource in config.fault_targets:
+            for pattern in Pattern:
+                start = day(idx) + config.run_hour * 3600
+                run_id = f"{fault_type.value}-{resource}-{pattern.value}".lower()
+                specs.append(
+                    RunSpec(
+                        run_id=run_id,
+                        start=start,
+                        duration_s=duration_s,
+                        seed=config.seed * 1009 + idx,
+                        fault=make_fault(fault_type, resource, pattern, start),
+                    )
+                )
+                idx += 1
+    for pattern in Pattern:
+        start = day(idx) + config.run_hour * 3600
+        run_id = f"{FaultType.EXCESSIVE_WORKLOAD.value}-{pattern.value}".lower()
+        specs.append(
+            RunSpec(
+                run_id=run_id,
+                start=start,
+                duration_s=duration_s,
+                seed=config.seed * 1009 + idx,
+                fault=make_fault(FaultType.EXCESSIVE_WORKLOAD, SYSTEM_RESOURCE, pattern, start),
+            )
+        )
+        idx += 1
+
+    passing = (
+        ("passing-1", config.run_hour, 0.0),
+        ("passing-2", config.run_hour, 0.0),
+        ("passing-3", config.quiet_hour, 0.0),
+        ("passing-dev-1", config.run_hour, 0.5),
+        ("passing-dev-2", config.quiet_hour, 0.5),
+        ("passing-dev-3", config.quiet_hour, 0.5),
+    )
+    for run_id, hour, deviation in passing:
+        specs.append(
+            RunSpec(
+                run_id=run_id,
+                start=day(idx) + hour * 3600,
+                duration_s=duration_s,
+                seed=config.seed * 1009 + idx,
+                deviation=deviation,
+            )
+        )
+        idx += 1
+    return specs
+
+
+def rq3_run_specs_loops(config, deviations, runs_per_deviation, duration_min):
+    """RQ3's fault-free runs, one loop per deviation level and repeat."""
+    specs = []
+    idx = 0
+    for deviation in deviations:
+        for i in range(runs_per_deviation):
+            start = run_day(config, idx) + config.quiet_hour * 3600
+            run_id = f"random{int(round(100 * deviation))}-{i + 1}"
+            specs.append(
+                RunSpec(run_id, start, duration_min * 60, config.seed * 7177 + idx, deviation=deviation)
+            )
+            idx += 1
+    return specs
+
+
+def rq4_run_specs_loops(config, seeds_per_combo, duration_min, target):
+    """RQ4's faulty runs, one loop per fault type, pattern and seed."""
+    specs = []
+    idx = 0
+    for fault_type in _HOST_FAULTS + (FaultType.EXCESSIVE_WORKLOAD,):
+        resource = SYSTEM_RESOURCE if fault_type is FaultType.EXCESSIVE_WORKLOAD else target
+        for pattern in Pattern:
+            for i in range(seeds_per_combo):
+                start = run_day(config, idx) + config.run_hour * 3600
+                seed = config.seed * 31013 + idx
+                fault = FaultSpec(
+                    fault_type=fault_type,
+                    resource=resource,
+                    pattern=pattern,
+                    injection_time=start + config.injection_min * 60,
+                )
+                run_id = f"rq4-{fault_type.value}-{pattern.value}-{i + 1}".lower()
+                specs.append(RunSpec(run_id, start, duration_min * 60, seed, fault))
+                idx += 1
+    return specs

@@ -216,6 +216,20 @@ def test_run_start_after_the_last_sample_is_rejected(short_pipeline, tmp_path, c
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "predict"])
+def test_data_missing_a_baseline_kpi_is_rejected(short_pipeline, tmp_path, command):
+    lines = short_pipeline["fault_csv"].read_text(encoding="utf-8").splitlines(keepends=True)
+    leaky = tmp_path / "no-sprout-memory.csv"
+    leaky.write_text("".join(line for line in lines if ",Sprout,MemUsedPct," not in line), encoding="utf-8")
+    args = _online_args(command, short_pipeline, tmp_path, short_pipeline["run_start"])
+    args[args.index("--data") + 1] = str(leaky)
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "lacks 1 of" in proc.stderr and "Sprout/MemUsedPct" in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tmp_path):
     # the run's first sample is at 2026-01-06T10:00:00Z, the signature's window is 90 min
     for early in ("2025-12-06T10:00:00Z", "2026-01-06T08:29:00Z"):
@@ -377,6 +391,23 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
     # the suite's progress is logged at info level: nothing was built
     assert proc.stderr.startswith("error:"), proc.stderr
     assert "140" in proc.stderr and "130" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [("run_hour", 30, "run_hour 30"), ("fault_targets", ["Nope"], "'Nope'")],
+    ids=["run-hour-30", "unknown-fault-target"],
+)
+def test_evaluate_rejects_a_bad_config_value_before_building(tmp_path, field, value, named):
+    data = SuiteConfig(training_days=2, run_duration_min=130, allow_short_training=True).to_dict()
+    data[field] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli("-v", "evaluate", "--suite", "rq2", "--config", str(cfg))
+    assert proc.returncode == 1
+    # the suite's progress is logged at info level: nothing was built
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert named in proc.stderr, proc.stderr
 
 
 def test_evaluate_with_a_small_config(tmp_path):

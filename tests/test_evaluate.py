@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -32,10 +34,16 @@ from faultcast.evaluate import (
     render_rq3,
     rq1_f_gap,
     rq3_overall_fraction,
+    rq3_run_specs,
+    rq4_run_specs,
     run_day,
     window_label,
 )
 from faultcast.signature import cross_validate
+from faultcast.sim import default_topology
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+APP_VMS = default_topology().app_vms
 
 LEAK_SPROUT = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
 
@@ -45,9 +53,62 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "suite.json"
     config.save(path)
     assert SuiteConfig.load(path) == config
-    # the bundled default configuration file matches the in-code defaults
-    bundled = SuiteConfig.load(Path(__file__).parent.parent / "configs" / "suite-default.json")
-    assert bundled == config
+    # the bundled default configuration file is what the in-code defaults save
+    assert path.read_bytes() == (CONFIGS / "suite-default.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("run_hour", 24),
+        ("run_hour", -1),
+        ("quiet_hour", 30),
+        ("folds", 1),
+        ("step_min", 0),
+        ("window_min", 0),
+        ("training_days", 0),
+        ("injection_min", 180),
+        ("injection_min", -5),
+    ],
+)
+def test_config_rejects_an_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} {value} "):
+        SuiteConfig(**{field: value})
+
+
+@st.composite
+def suite_configs(draw):
+    """Suite configs that differ in everything the run schedules read."""
+    duration = draw(st.integers(1, 400))
+    targets = draw(st.permutations(APP_VMS))[: draw(st.integers(0, len(APP_VMS)))]
+    earliest, latest = parse_timestamp("2000-01-01T00:00:00Z"), parse_timestamp("2100-01-01T00:00:00Z")
+    return SuiteConfig(
+        training_start=draw(st.integers(earliest, latest)),
+        training_days=draw(st.integers(1, 60)),
+        run_duration_min=duration,
+        injection_min=draw(st.integers(0, duration - 1)),
+        run_hour=draw(st.integers(0, 23)),
+        quiet_hour=draw(st.integers(0, 23)),
+        fault_targets=tuple(targets),
+        window_min=min(90, duration),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    suite_configs(),
+    st.lists(st.floats(0, 2, allow_nan=False), max_size=3),
+    st.integers(0, 3),
+    st.integers(1, 300),
+    st.sampled_from(APP_VMS),
+)
+def test_run_schedules_equal_the_loops(config, deviations, repeats, duration_min, target):
+    assert default_run_specs(config) == oracles.default_run_specs_loops(config)
+    rq3 = rq3_run_specs(config, deviations, repeats, duration_min)
+    assert rq3 == oracles.rq3_run_specs_loops(config, deviations, repeats, duration_min)
+    rq4 = rq4_run_specs(config, repeats, duration_min, target)
+    assert rq4 == oracles.rq4_run_specs_loops(config, repeats, duration_min, target)
 
 
 def test_config_training_window():
