@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -164,35 +164,45 @@ def _lag_design(y: np.ndarray, x: Optional[np.ndarray], p: int) -> Tuple[np.ndar
     return np.column_stack(cols), target
 
 
-def _ols_rss(design: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, float, int]:
+def _ols_fit(design: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(coefficients, residual, rank) of the least-squares fit."""
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    resid = target - design @ coef
-    return coef, float(resid @ resid), int(rank)
+    return coef, target - design @ coef, int(rank)
 
 
-def _restricted_fit(y: np.ndarray, p: int) -> Tuple[float, bool]:
-    """(RSS, full rank) of the lag-p autoregression of y on its own history."""
+class _Restricted(NamedTuple):
+    """The lag-p autoregression of y on its own history."""
+
+    rss: float
+    full_rank: bool
+    design: np.ndarray
+    target: np.ndarray
+    resid: np.ndarray
+
+
+def _restricted_fit(y: np.ndarray, p: int) -> _Restricted:
     design, target = _lag_design(y, None, p)
-    _, rss, rank = _ols_rss(design, target)
-    return rss, rank == design.shape[1]
+    _, resid, rank = _ols_fit(design, target)
+    return _Restricted(float(resid @ resid), rank == design.shape[1], design, target, resid)
 
 
-def _f_survival(dfn: int, dfd: int, f_stat: float) -> float:
-    """P(F > f_stat). scipy (~0.25 s, ~26 MB) is imported on the first call, not
-    at module level: only fitting the causality graph needs it."""
+def _f_survival(dfn: int, dfd: int, f_stat):
+    """P(F > f_stat), element-wise. scipy (~0.25 s, ~26 MB) is imported on the
+    first call, not at module level: only fitting the causality graph needs it."""
     from scipy import special
 
-    return float(special.fdtrc(dfn, dfd, f_stat))
+    return special.fdtrc(dfn, dfd, f_stat)
 
 
-def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: Tuple[float, bool]) -> GrangerResult:
+def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: _Restricted) -> GrangerResult:
     """The unrestricted fit of y on its own and x's lags, F-tested against
-    the ``restricted`` fit of y alone (from :func:`_restricted_fit`)."""
-    rss_r, full_rank_r = restricted
+    the ``restricted`` fit of y alone."""
+    rss_r, full_rank_r = restricted.rss, restricted.full_rank
     t_obs = len(y) - p
     df_denom = t_obs - (2 * p + 1)
     design_u, target = _lag_design(y, x, p)
-    coef_u, rss_u, rank_u = _ols_rss(design_u, target)
+    coef_u, resid_u, rank_u = _ols_fit(design_u, target)
+    rss_u = float(resid_u @ resid_u)
     coefficients = tuple(float(c) for c in coef_u)
 
     if not full_rank_r or rank_u < design_u.shape[1]:
@@ -217,7 +227,7 @@ def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: Tuple[float,
         p_value = 0.0
     else:
         f_stat = (diff / p) / (rss_u / df_denom)
-        p_value = _f_survival(p, df_denom, f_stat)
+        p_value = float(_f_survival(p, df_denom, f_stat))
     return GrangerResult(
         f_stat=float(f_stat),
         p_value=p_value,
@@ -272,6 +282,108 @@ class GrangerEdge:
             raise ValueError("residual_std must be positive")
 
 
+#: A pair takes the projection route only when that is clearly well posed;
+#: any other pair is refitted by lstsq (:func:`_granger_from`), whose rank
+#: verdict and numbers then stand.  Clearly well posed means: the unrestricted
+#: design's singular values stay this many times above lstsq's rank cutoff
+#: eps * max(M, N) * (largest singular value) ...
+_RANK_MARGIN = 1e3
+#: ... and, with every column scaled to unit norm, [design | target] has a
+#: condition number below this, so that neither a cause close to the effect's
+#: own history nor a near-exact fit leaves the two routes' numbers apart by
+#: more than rounding.
+_COND_LIMIT = 1e5
+#: Values per block of causes: 1 MB, within a core's cache.
+_BLOCK_VALUES = 1 << 17
+
+
+def _effect_edges(
+    kpis: List[KpiId],
+    rows: List[np.ndarray],
+    lags: List[np.ndarray],
+    e: int,
+    causes: List[int],
+    p: int,
+    alpha: float,
+) -> Iterator[GrangerEdge]:
+    """Test each of ``causes`` against effect row ``e`` of ``rows``, whose
+    lags 1..p are ``lags``; yield every kept edge.
+
+    By the Frisch-Waugh-Lovell theorem the unrestricted fit's gain over the
+    restricted one is the fit of the restricted residual r on the cause's
+    lags with the effect's own history partialled out.  So the restricted
+    design is factored once, Q R; each cause's p lag columns are projected
+    off Q; and one QR of [lag residuals | r] yields Q_x' r and the remaining
+    residual norm, whose square is RSS_u = RSS_r - ||Q_x' r||^2.  Together
+    they form the R factor of the whole [design | target], from which the
+    F statistic, the conditioning and the coefficients all follow.
+    """
+    restricted = _restricted_fit(rows[e], p)
+    if not restricted.full_rank:
+        for c in causes:
+            logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
+        return
+    q, upper = np.linalg.qr(restricted.design)
+    qt = np.ascontiguousarray(q.T)
+    m, k = len(restricted.target), 2 * p + 1
+    # R factors of [1, y lags, x lags | target], one per cause:
+    # [[R, Q' X, Q' target], [0, R_x, Q_x' r], [0, 0, +-sqrt(RSS_u)]]
+    fac = np.zeros((len(causes), k + 1, k + 1))
+    fac[:, : p + 1, : p + 1] = upper
+    fac[:, : p + 1, k] = qt @ restricted.target
+    block = max(1, _BLOCK_VALUES // ((p + 1) * m))
+    for lo in range(0, len(causes), block):
+        part = slice(lo, lo + block)
+        stack = np.empty((len(causes[part]), p + 1, m))
+        for j, c in enumerate(causes[part]):
+            stack[j, :p] = lags[c]
+        stack[:, p] = restricted.resid
+        block_lags = stack[:, :p]
+        coords = block_lags @ q
+        block_lags -= coords @ qt
+        fac[part, : p + 1, p + 1 : k] = coords.transpose(0, 2, 1)
+        fac[part, p + 1 :, p + 1 :] = np.linalg.qr(stack.transpose(0, 2, 1), mode="r")
+    tri = fac[:, :k, :k]
+    sv = np.linalg.svd(tri, compute_uv=False)
+    norms = np.linalg.norm(fac, axis=1)
+    norms[norms == 0.0] = 1.0
+    sv_scaled = np.linalg.svd(fac / norms[:, None, :], compute_uv=False)
+    clear = (sv[:, -1] > _RANK_MARGIN * np.finfo(float).eps * max(m, k) * sv[:, 0]) & (
+        sv_scaled[:, 0] < _COND_LIMIT * sv_scaled[:, -1]
+    )
+    df_denom = m - k
+    rss_u = np.minimum(fac[:, k, k] ** 2, restricted.rss)
+    gain = (fac[:, p + 1 : k, k] ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # unclear pairs are refitted below
+        p_values = _f_survival(p, df_denom, (gain / p) / (rss_u / df_denom))
+    kept = clear & (p_values < alpha)
+    solved = np.zeros((len(causes), k))
+    if kept.any():  # back-substitution, for kept edges only
+        solved[kept] = np.linalg.solve(tri[kept], fac[kept, :k, k, None])[..., 0]
+    for j, c in enumerate(causes):
+        if clear[j]:
+            if not kept[j]:
+                continue
+            p_value, coefficients = float(p_values[j]), solved[j].tolist()
+            residual_std = math.sqrt(rss_u[j] / df_denom)
+        else:
+            result = _granger_from(rows[c], rows[e], p, restricted)
+            if result.degenerate:
+                logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
+                continue
+            if result.p_value >= alpha:
+                continue
+            p_value, coefficients, residual_std = result.p_value, result.coefficients, result.residual_std
+        yield GrangerEdge(
+            cause=kpis[c],
+            effect=kpis[e],
+            weight=1.0 - p_value,
+            lag_order=p,
+            coefficients=tuple(coefficients),
+            residual_std=residual_std,
+        )
+
+
 def _alignment_edges(
     kpis: List[KpiId],
     rows: List[np.ndarray],
@@ -291,28 +403,18 @@ def _alignment_edges(
     if prefilter_r > 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):  # constant rows are skipped below
             r = np.corrcoef(rows)
-    restricted: Dict[int, Tuple[float, bool]] = {}
+    causes: Dict[int, List[int]] = {}
     for c, e in pairs:
         if sds[c] == 0.0 or sds[e] == 0.0:
             logger.info("graph: %s -> %s skipped (constant series)", kpis[c], kpis[e])
             continue
         if prefilter_r > 0.0 and abs(r[c, e]) < prefilter_r:
             continue
-        if e not in restricted:
-            restricted[e] = _restricted_fit(rows[e], p)
-        result = _granger_from(rows[c], rows[e], p, restricted[e])
-        if result.degenerate:
-            logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
-            continue
-        if result.p_value < alpha:
-            yield GrangerEdge(
-                cause=kpis[c],
-                effect=kpis[e],
-                weight=1.0 - result.p_value,
-                lag_order=p,
-                coefficients=result.coefficients,
-                residual_std=result.residual_std,
-            )
+        causes.setdefault(e, []).append(c)
+    # lags 1..p of each row, as strided views
+    lags = [np.lib.stride_tricks.sliding_window_view(row, n - p)[p - 1 :: -1] for row in rows]
+    for e, tested in causes.items():
+        yield from _effect_edges(kpis, rows, lags, e, tested, p, alpha)
 
 
 def build_graph(
@@ -329,6 +431,14 @@ def build_graph(
     little aligned history are skipped with a log entry.  An edge is kept
     when the test's p-value beats ``alpha``; its weight is 1 - p_value.
     Edges come back ordered by (cause, effect).
+
+    The test is :func:`granger_fit`'s, computed another way: each effect's
+    own history is partialled out once and every cause's lags are projected
+    off it (Frisch-Waugh-Lovell), so no pair fits its whole unrestricted
+    design; a pair too close to singular for that is fitted by lstsq as in
+    :func:`granger_fit`, the single-pair reference.  Kept edges and rank
+    verdicts match it; the floats round differently, so coefficients may
+    differ from earlier versions' in the last ~10 significant digits.
     """
     if p <= 0:
         raise ValueError("lag order must be positive")

@@ -127,9 +127,9 @@ class TimeSeries:
             raise ValueError("timestamps and values must have equal length")
         if len(timestamps) == 0:
             raise ValueError(f"empty series for {kpi}")
-        if len(timestamps) > 1 and not np.all(np.diff(timestamps) > 0):
+        if not (timestamps[1:] > timestamps[:-1]).all():
             raise ValueError(f"timestamps for {kpi} must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError(f"series for {kpi} contains non-finite values")
         timestamps.setflags(write=False)
         values.setflags(write=False)

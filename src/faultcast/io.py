@@ -49,6 +49,9 @@ def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
         yield path_or_stream
 
 
+#: The line endings the column path reads; a line of one alone is blank.
+_LINE_ENDINGS = ("\n", "\r\n")
+
 #: Characters of CSV body read per block.  Larger blocks save little time
 #: and raise peak memory.
 _BLOCK_CHARS = 1 << 16
@@ -62,11 +65,12 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
     :class:`CsvParseError` with the offending line number, a repeated
     (timestamp, KPI) pair raises :class:`DuplicateSampleError`.
 
-    The body is read in blocks of lines.  A block without ``"``, CR or NUL
-    and without a line longer than ``csv.field_size_limit()`` splits on
-    commas exactly as :func:`csv.reader` would, so it is parsed column by
-    column.  Any other block goes through :func:`csv.reader`, and so does
-    everything from the first ``"`` on, since a quoted field may span lines.
+    The body is read in blocks of lines.  A block without ``"`` or NUL, whose
+    only CRs end CRLF line endings, and without a line longer than
+    ``csv.field_size_limit()`` splits on commas exactly as :func:`csv.reader`
+    would, so it is parsed column by column.  Any other block goes through
+    :func:`csv.reader`, and so does everything from the first ``"`` on, since
+    a quoted field may span lines.
     A block that fails a column check is checked again row by row, which
     raises the first error in row order.
     """
@@ -77,6 +81,29 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
         columns = _Columns()
         columns.read_body(stream)
     return columns.series_map()
+
+
+def _parse_timestamps(texts: List[str]) -> List[int]:
+    """:func:`parse_timestamp` of each text.
+
+    Canonical texts, ``YYYY-MM-DDTHH:MM:SSZ`` with a year from 1000, are
+    parsed by one numpy call, and a result is kept only if it renders back to
+    its text.  Every other text, and every text of a batch numpy rejects, goes
+    through :func:`parse_timestamp`, which keeps strptime's leniency and errors.
+    """
+    canonical = [
+        i for i, text in enumerate(texts) if len(text) == 20 and text[19] == "Z" and "1" <= text[0] <= "9"
+    ]
+    heads = np.array([texts[i][:19] for i in canonical], dtype="U19")
+    found = {}
+    try:
+        parsed = heads.astype("datetime64[s]")
+    except ValueError:  # a field out of range: parse_timestamp raises its error
+        pass
+    else:
+        exact = np.datetime_as_string(parsed, unit="s") == heads
+        found = {i: ts for i, ts, ok in zip(canonical, parsed.astype(np.int64).tolist(), exact.tolist()) if ok}
+    return [found[i] if i in found else parse_timestamp(text) for i, text in enumerate(texts)]
 
 
 class _Columns:
@@ -97,9 +124,8 @@ class _Columns:
         try:
             return list(map(self.ts_memo.__getitem__, texts))
         except KeyError:
-            for text in dict.fromkeys(texts):
-                if text not in self.ts_memo:
-                    self.ts_memo[text] = parse_timestamp(text)
+            new = [text for text in dict.fromkeys(texts) if text not in self.ts_memo]
+            self.ts_memo.update(zip(new, _parse_timestamps(new)))
             return list(map(self.ts_memo.__getitem__, texts))
 
     def _kpi(self, resource: str, metric: str) -> int:
@@ -130,7 +156,9 @@ class _Columns:
             if '"' in text:
                 self.add_rows(csv.reader(chain(lines, stream)), line_no)
                 return
-            if "\r" in text or "\0" in text or max(map(len, lines)) > limit:
+            # a CR that ends a CRLF line ending reads as a LF in csv.reader
+            stray_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+            if stray_cr or "\0" in text or max(map(len, lines)) > limit:
                 self.add_rows(csv.reader(lines), line_no)
             else:
                 self.add_block(lines, text, line_no)
@@ -169,15 +197,15 @@ class _Columns:
             self.lines.append(line_no)
 
     def add_block(self, block: List[str], text: str, line_no: int) -> None:
-        """Append a block of lines that hold no quote, CR or NUL, numbered from
-        ``line_no``, column by column."""
+        """Append a block of lines that hold no quote or NUL, and no CR but in
+        CRLF line endings, numbered from ``line_no``, column by column."""
         lines, numbers = block, range(line_no, line_no + len(block))
-        if "\n" in block:  # blank lines hold no row, as in csv.reader
-            numbers = [n for n, line in zip(numbers, block) if line != "\n"]
-            lines = [line for line in block if line != "\n"]
+        if "\n" in block or "\r\n" in block:  # blank lines hold no row, as in csv.reader
+            numbers = [n for n, line in zip(numbers, block) if line not in _LINE_ENDINGS]
+            lines = [line for line in block if line not in _LINE_ENDINGS]
             text = "".join(lines)
         n = len(lines)
-        fields = text.replace("\n", ",").split(",")
+        fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
         try:
             if list(map(str.count, lines, repeat(","))).count(3) != n:
                 raise ValueError("a row without 4 fields")

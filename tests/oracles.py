@@ -1,15 +1,17 @@
 """Straightforward reference implementations kept as test oracles.
 
 These are the row-at-a-time CSV writer and reader, the per-pair causality
-graph loop, the per-(edge, interval) detector, and the per-feature tree
-grower, per-row classifiers and per-window event scans that the array-shaped
-versions in ``faultcast.io``, ``faultcast.baseline``, ``faultcast.detect``,
-``faultcast.signature`` and ``faultcast.predict`` replaced, and the nested
-scheduling loops that ``faultcast.evaluate``'s run tables replaced.  The
-optimized code must match them exactly: the same bytes, the same maps, the
-same errors at the same lines, the same edges, the same events with equal
-scores, the same trees, equal probabilities, the same windows and the same
-runs.
+graph loop, the one-``lstsq``-per-pair graph, the per-(edge, interval)
+detector, and the per-feature tree grower, per-row classifiers and
+per-window event scans that the array-shaped versions in ``faultcast.io``,
+``faultcast.baseline``, ``faultcast.detect``, ``faultcast.signature`` and
+``faultcast.predict`` replaced, and the nested scheduling loops that
+``faultcast.evaluate``'s run tables replaced.  The optimized code must match
+them exactly: the same bytes, the same maps, the same errors at the same
+lines, the same edges, the same events with equal scores, the same trees,
+equal probabilities, the same windows and the same runs.  The one exception
+is the graph's floats: its projection route rounds differently from
+``lstsq``, so they agree to stated tolerances.
 """
 
 import csv
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from faultcast.baseline import GrangerEdge, granger_fit
+from faultcast.baseline import GrangerEdge, _granger_from, _restricted_fit, granger_fit
 from faultcast.core import (
     CADENCE_S,
     INTERVAL_S,
@@ -94,6 +96,68 @@ def ingest_csv_rows(stream):
                 raise DuplicateSampleError(b[2], f"duplicate sample for {kpi} at {format_timestamp(b[0])}")
         result[kpi] = TimeSeries(kpi, [t[0] for t in triples], [t[1] for t in triples])
     return result
+
+
+def _alignment_edges_lstsq(kpis, rows, pairs, p, alpha, prefilter_r, degenerate):
+    n = len(rows[0])
+    if n < 4 * p + 8:
+        return []
+    sds = [row.std() for row in rows]
+    if prefilter_r > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.corrcoef(rows)
+    restricted = {}
+    edges = []
+    for c, e in pairs:
+        if sds[c] == 0.0 or sds[e] == 0.0:
+            continue
+        if prefilter_r > 0.0 and abs(r[c, e]) < prefilter_r:
+            continue
+        if e not in restricted:
+            restricted[e] = _restricted_fit(rows[e], p)
+        result = _granger_from(rows[c], rows[e], p, restricted[e])
+        if result.degenerate:
+            degenerate.append((kpis[c], kpis[e]))
+        elif result.p_value < alpha:
+            edges.append(
+                GrangerEdge(
+                    cause=kpis[c],
+                    effect=kpis[e],
+                    weight=1.0 - result.p_value,
+                    lag_order=p,
+                    coefficients=result.coefficients,
+                    residual_std=result.residual_std,
+                )
+            )
+    return edges
+
+
+def build_graph_lstsq(training, p=3, alpha=0.01, prefilter_r=0.2):
+    """The causality graph with one ``lstsq`` fit of the whole unrestricted
+    design per pair, each KPI group aligned once; returns the edges and the
+    (cause, effect) pairs skipped as degenerate."""
+    kpis = sorted(training)
+    by_stamps = {}
+    for kpi in kpis:
+        by_stamps.setdefault(training[kpi].timestamps.tobytes(), []).append(kpi)
+    groups = list(by_stamps.values())
+    edges, degenerate = [], []
+    for i, left in enumerate(groups):
+        stamps = training[left[0]].timestamps
+        m = len(left)
+        rows = [training[kpi].values for kpi in left]
+        pairs = [(c, e) for c in range(m) for e in range(m) if c != e]
+        edges += _alignment_edges_lstsq(left, rows, pairs, p, alpha, prefilter_r, degenerate)
+        for right in groups[i + 1 :]:
+            _, il, ir = np.intersect1d(
+                stamps, training[right[0]].timestamps, assume_unique=True, return_indices=True
+            )
+            members = left + right
+            rows = [training[kpi].values[il] for kpi in left] + [training[kpi].values[ir] for kpi in right]
+            cross = [(c, e) for c in range(m) for e in range(m, len(members))]
+            pairs = cross + [(e, c) for c, e in cross]
+            edges += _alignment_edges_lstsq(members, rows, pairs, p, alpha, prefilter_r, degenerate)
+    return sorted(edges, key=lambda edge: (edge.cause, edge.effect)), degenerate
 
 
 def build_graph_pairwise(training, p=3, alpha=0.01, prefilter_r=0.2):

@@ -89,6 +89,35 @@ def test_time_series_validation():
     assert not series.values.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "timestamps, values, message",
+    [
+        ([[10, 20]], [[1.0, 2.0]], "timestamps and values must be 1-d"),
+        ([10, 20], [[1.0, 2.0]], "timestamps and values must be 1-d"),
+        ([10, 20, 30], [1.0, 2.0], "timestamps and values must have equal length"),
+        ([], [], "empty series for Homer/CpuIdlePct"),
+        ([10, 10], [1.0, 2.0], "timestamps for Homer/CpuIdlePct must be strictly increasing"),
+        ([10, 20, 5], [1.0, 2.0, 3.0], "timestamps for Homer/CpuIdlePct must be strictly increasing"),
+        ([10, 20], [1.0, float("nan")], "series for Homer/CpuIdlePct contains non-finite values"),
+        ([10], [float("inf")], "series for Homer/CpuIdlePct contains non-finite values"),
+        ([10, 20], [-float("inf"), 1.0], "series for Homer/CpuIdlePct contains non-finite values"),
+    ],
+)
+def test_time_series_rejections_keep_their_messages(timestamps, values, message):
+    with pytest.raises(ValueError) as excinfo:
+        TimeSeries(KpiId("Homer", "CpuIdlePct"), timestamps, values)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_time_series_arrays_are_read_only(n):
+    series = TimeSeries(KpiId("Homer", "CpuIdlePct"), 60 * np.arange(n), np.arange(n, dtype=float))
+    for array in (series.timestamps, series.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_failure_class_validation():
     assert NORMAL_CLASS.label() == "Normal"
     assert FailureClass(FaultType.PACKET_LOSS, "Homer").label() == "PacketLoss(Homer)"

@@ -24,6 +24,7 @@ from faultcast.core import (
     SchemaVersionError,
     TimeSeries,
     WindowSample,
+    format_timestamp,
     parse_timestamp,
 )
 from faultcast.evaluate import SuiteConfig
@@ -37,7 +38,7 @@ from faultcast.io import (
     write_csv,
 )
 from faultcast.signature import SignatureModel, Vocabulary, train_signature
-from faultcast.sim import load_scenario
+from faultcast.sim import WorkloadModel, default_topology, gen_run, load_scenario
 
 
 HEADER = "timestamp,resource,metric,value\n"
@@ -434,17 +435,19 @@ def test_rows_that_split_like_good_ones_fail_like_the_oracle(body, expected):
     series_maps(names=PLAIN_NAME),
     st.randoms(use_true_random=False),
     BLOCK_CHARS,
-    st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=6),
     st.booleans(),
+    st.sampled_from(["\n", "\r\n"]),
 )
-def test_blank_lines_are_skipped_but_counted(series_map, rnd, block_chars, blanks, duplicate):
-    """Blank lines hold no row but keep their line numbers, so a later
-    duplicate is reported at its own line."""
+def test_blank_lines_are_skipped_but_counted(series_map, rnd, block_chars, blanks, duplicate, ending):
+    """Blank lines, LF or CRLF, hold no row but keep their line numbers, so a
+    later duplicate is reported at its own line."""
     header, body = plain_body(series_map, rnd)
-    for where in blanks:
-        body.insert(where % (len(body) + 1), "\n")
+    body = [line[:-1] + ending for line in body]
+    for where, blank in blanks:
+        body.insert(where % (len(body) + 1), blank)
     if duplicate:
-        body.append(next(line for line in body if line != "\n"))
+        body.append(next(line for line in body if line not in ("\n", "\r\n")))
     result = same_outcome(header + "".join(body), block_chars)
     if duplicate:
         assert result[:2] == (DuplicateSampleError, len(body) + 1)
@@ -511,3 +514,83 @@ def test_a_field_over_the_default_size_limit_fails_like_the_oracle():
     rows.append("1970-01-01T00:01:00Z,Homer," + "m" * (limit + 1) + ",2\n")
     result = same_outcome("".join(rows), 1 << 16)
     assert result == (csv.Error, f"field larger than field limit ({limit})")
+
+
+# ---------------------------------------------------------------------------
+# timestamp texts and line endings on the column path
+
+
+@st.composite
+def timestamp_texts(draw):
+    """Canonical texts, and near misses: fields out of range or unpadded,
+    other separators, a missing or lower-case Z, years below 1000."""
+    fields = [
+        draw(st.integers(0, 9999)),
+        draw(st.integers(0, 13)),
+        draw(st.integers(0, 32)),
+        draw(st.integers(0, 25)),
+        draw(st.integers(0, 61)),
+        draw(st.integers(0, 62)),
+    ]
+    widths = [4, 2, 2, 2, 2, 2]
+    if draw(st.booleans()):
+        widths[draw(st.integers(0, 5))] = 1
+    y, mo, d, h, mi, s = (f"{v:0{w}d}" for v, w in zip(fields, widths))
+    sep = draw(st.sampled_from(["T", "T", "T", " ", "t"]))
+    suffix = draw(st.sampled_from(["Z", "Z", "Z", "z", "", "Z "]))
+    return f"{y}-{mo}-{d}{sep}{h}:{mi}:{s}{suffix}"
+
+
+TIMESTAMP_TEXT = st.one_of(
+    st.integers(MIN_CSV_TIMESTAMP, MAX_CSV_TIMESTAMP).map(format_timestamp),
+    timestamp_texts(),
+    st.text(alphabet="0123456789-T:Z ٣", max_size=21),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIMESTAMP_TEXT, min_size=1, max_size=8))
+def test_timestamp_batches_parse_like_parse_timestamp(texts):
+    def one(text):
+        try:
+            return parse_timestamp(text)
+        except ValueError:
+            return None
+
+    expected = [one(text) for text in texts]
+    valid = [text for text, ts in zip(texts, expected) if ts is not None]
+    assert faultcast.io._parse_timestamps(valid) == [ts for ts in expected if ts is not None]
+    for text, ts in zip(texts, expected):
+        if ts is None:
+            with pytest.raises(ValueError):
+                faultcast.io._parse_timestamps(valid + [text])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [None, ("value", "five"), ("timestamp", "2026-02-30T00:00:00Z"), ("timestamp", "2026-1-5T1:2:3Z"), "duplicate"],
+)
+def test_a_crlf_copy_of_a_simulated_csv_reads_alike(damage):
+    """CRLF blocks take the column path: the same series, or the same error
+    at the same line, as the LF original and the row-at-a-time oracle."""
+    series_map, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 3600, seed=3)
+    header, *body = csv_text(series_map).splitlines(keepends=True)
+    i = len(body) * 2 // 3
+    if damage == "duplicate":
+        body.append(body[i])
+    elif damage is not None:
+        row = body[i].rstrip("\n").split(",")
+        row[CSV_HEADER.index(damage[0])] = damage[1]
+        body[i] = ",".join(row) + "\n"
+    text = header + "".join(body)
+    crlf = text.replace("\n", "\r\n")
+    expected = outcome(ingest_csv, text)
+    assert outcome(ingest_csv, crlf) == expected
+    assert outcome(oracles.ingest_csv_rows, crlf) == expected
+    if damage is None:
+        assert dict(expected) == series_map
+    elif damage[1] == "2026-1-5T1:2:3Z":  # strptime's leniency stays
+        assert dict(expected)[KpiId(*body[i].split(",")[1:3])].timestamps[-1] == parse_timestamp(damage[1])
+    else:
+        assert expected[1] == (len(body) + 1 if damage == "duplicate" else i + 2)
+
