@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -374,6 +375,9 @@ def _effect_edges(
             if result.p_value >= alpha:
                 continue
             p_value, coefficients, residual_std = result.p_value, result.coefficients, result.residual_std
+        if residual_std <= 0.0:  # the cause's lags reproduce the effect exactly
+            logger.info("graph: %s -> %s exact fit skipped", kpis[c], kpis[e])
+            continue
         yield GrangerEdge(
             cause=kpis[c],
             effect=kpis[e],
@@ -427,10 +431,11 @@ def build_graph(
 
     Each pair is tested on the timestamps both KPIs share.  Pairs whose
     absolute Pearson correlation falls below ``prefilter_r`` are skipped (set
-    it to 0 to disable the prefilter).  Degenerate fits and pairs with too
-    little aligned history are skipped with a log entry.  An edge is kept
-    when the test's p-value beats ``alpha``; its weight is 1 - p_value.
-    Edges come back ordered by (cause, effect).
+    it to 0 to disable the prefilter).  Degenerate fits, exact fits (a
+    cause whose lags leave no residual) and pairs with too little aligned
+    history are skipped with a log entry.  An edge is kept when the test's
+    p-value beats ``alpha``; its weight is 1 - p_value.  Edges come back
+    ordered by (cause, effect).
 
     The test is :func:`granger_fit`'s, computed another way: each effect's
     own history is partialled out once and every cause's lags are projected
@@ -488,6 +493,55 @@ class BaselineConfig:
     prefilter_r: float = DEFAULT_PREFILTER_R
 
 
+class EdgeArrays(NamedTuple):
+    """The edges of one lag order p as arrays over a plan's KPI indices."""
+
+    cause: np.ndarray  # [E]
+    effect: np.ndarray  # [E]
+    coefficients: np.ndarray  # [E, 2p + 1], ordered as GrangerEdge.coefficients
+    residual_std: np.ndarray  # [E]
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionPlan:
+    """A baseline model compiled for detection: KPIs numbered in sorted
+    order, their bands stacked by number and the edges grouped by lag order,
+    each group in the model's edge order."""
+
+    kpis: Tuple[KpiId, ...]
+    index: Dict[KpiId, int]
+    bucket_means: np.ndarray  # [K, 168]
+    bucket_stds: np.ndarray  # [K, 168]
+    k_sigma: np.ndarray  # [K]
+    edges: Dict[int, EdgeArrays]
+
+    @classmethod
+    def compile(cls, model: "BaselineModel") -> "DetectionPlan":
+        kpis = tuple(sorted(model.baselines))
+        index = {kpi: k for k, kpi in enumerate(kpis)}
+        bands = [model.baselines[kpi] for kpi in kpis]
+        by_lag: Dict[int, List[GrangerEdge]] = {}
+        for edge in model.edges:
+            by_lag.setdefault(edge.lag_order, []).append(edge)
+        edges = {
+            p: EdgeArrays(
+                np.array([index[edge.cause] for edge in group], dtype=np.intp),
+                np.array([index[edge.effect] for edge in group], dtype=np.intp),
+                np.array([edge.coefficients for edge in group]),
+                np.array([edge.residual_std for edge in group]),
+            )
+            for p, group in by_lag.items()
+        }
+        arrays = [
+            np.array([b.bucket_means for b in bands]).reshape(len(kpis), HOURS_PER_WEEK),
+            np.array([b.bucket_stds for b in bands]).reshape(len(kpis), HOURS_PER_WEEK),
+            np.array([b.k_sigma for b in bands], dtype=float),
+        ]
+        for array in arrays + [a for group in edges.values() for a in group]:
+            array.setflags(write=False)
+        return cls(kpis, index, *arrays, edges)
+
+
 @dataclass(frozen=True)
 class BaselineModel:
     """Everything the online detector needs: per-KPI baselines plus the graph."""
@@ -505,6 +559,11 @@ class BaselineModel:
     @property
     def kpis(self) -> List[KpiId]:
         return sorted(self.baselines)
+
+    @cached_property
+    def plan(self) -> DetectionPlan:
+        """This model compiled for detection, on first use."""
+        return DetectionPlan.compile(self)
 
     def to_dict(self) -> dict:
         return {

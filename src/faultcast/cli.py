@@ -113,7 +113,7 @@ def cmd_train_signature(args: argparse.Namespace) -> int:
     baseline = BaselineModel.load(args.baseline)
     vocab = Vocabulary(baseline.baselines.keys(), split_kinds=args.split_kinds)
     runs = [
-        RunRecord(events=tuple(read_anomaly_log(anomalies_path)), manifest=RunManifest.load(manifest_path))
+        RunRecord(events=read_anomaly_log(anomalies_path), manifest=RunManifest.load(manifest_path))
         for anomalies_path, manifest_path in args.run
     ]
     samples = assemble_windows(runs, args.window_min, args.step_min)

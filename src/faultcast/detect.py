@@ -5,14 +5,16 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, TextIO, Tuple, Union
 
 import numpy as np
 
-from .baseline import BaselineModel, GrangerEdge
+from .baseline import BaselineModel
 from .core import (
     CADENCE_S,
     INTERVAL_S,
@@ -21,9 +23,10 @@ from .core import (
     KpiId,
     TimeSeries,
     format_timestamp,
+    hour_of_week,
     parse_timestamp,
 )
-from .io import _open_text
+from .io import _kpi_fields, _open_text
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +37,8 @@ ANOMALY_LOG_HEADER = ["interval_start", "resource", "metric", "kind", "score"]
 #: Cells of one [edges, samples] block scored at once by the multivariate
 #: detector (2 MB of float64 per temporary).
 _CHUNK_CELLS = 1 << 18
+
+_SCORE_ERROR = "anomaly score must be finite and non-negative"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -47,7 +52,92 @@ class AnomalyEvent:
 
     def __post_init__(self):
         if self.score < 0 or not math.isfinite(self.score):
-            raise ValueError("anomaly score must be finite and non-negative")
+            raise ValueError(_SCORE_ERROR)
+
+
+#: An event column's kind codes index this tuple; it is in the order
+#: AnomalyEvent sorts kinds, so sorting codes sorts events.
+_KINDS = (AnomalyKind.MULTIVARIATE, AnomalyKind.UNIVARIATE)
+_MULTIVARIATE, _UNIVARIATE = range(len(_KINDS))
+_KIND_CODES = {kind.value: code for code, kind in enumerate(_KINDS)}
+
+
+class AnomalyEvents(Sequence):
+    """An immutable sequence of :class:`AnomalyEvent` held as columns.
+
+    Event i is KPI ``kpis[kpi[i]]`` flagged in the interval starting at
+    ``start[i]`` by the detector ``kind[i]`` (0 Multivariate, 1 Univariate)
+    with ``score[i]``.  Iterating or indexing builds the events on demand;
+    the events of one interval share one int for its start.  Compares equal
+    to any sequence of equal events.
+    """
+
+    __slots__ = ("kpis", "start", "kpi", "kind", "score")
+
+    def __init__(self, kpis, start, kpi, kind, score):
+        columns = [  # copies: the caller's arrays stay writable
+            np.array(start, dtype=np.int64),
+            np.array(kpi, dtype=np.int32),
+            np.array(kind, dtype=np.int8),
+            np.array(score, dtype=np.float64),
+        ]
+        if any(column.shape != (len(columns[0]),) for column in columns):
+            raise ValueError("event columns must be 1-d and of equal length")
+        if not ((0 <= columns[1]) & (columns[1] < len(kpis))).all():
+            raise ValueError("event KPI numbers must index the KPI tuple")
+        if not ((0 <= columns[2]) & (columns[2] < len(_KINDS))).all():
+            raise ValueError("event kind codes must be 0 or 1")
+        if not ((columns[3] >= 0) & (columns[3] < math.inf)).all():
+            raise ValueError(_SCORE_ERROR)
+        object.__setattr__(self, "kpis", tuple(kpis))
+        for name, column in zip(self.__slots__[1:], columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def of(cls, events: Sequence[AnomalyEvent]) -> "AnomalyEvents":
+        """``events`` as columns; an :class:`AnomalyEvents` is returned as is."""
+        if isinstance(events, cls):
+            return events
+        numbers: Dict[KpiId, int] = {}
+        kpi = [numbers.setdefault(event.kpi, len(numbers)) for event in events]
+        return cls(
+            tuple(numbers),
+            [event.interval_start for event in events],
+            kpi,
+            [_KINDS.index(event.kind) for event in events],
+            [event.score for event in events],
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AnomalyEvents is immutable")
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return AnomalyEvents(self.kpis, self.start[i], self.kpi[i], self.kind[i], self.score[i])
+        start, kpi, kind, score = int(self.start[i]), self.kpi[i], self.kind[i], float(self.score[i])
+        return AnomalyEvent(start, self.kpis[kpi], _KINDS[kind], score)
+
+    def __iter__(self):
+        shared: Dict[int, int] = {}
+        return map(
+            AnomalyEvent,
+            [shared.setdefault(start, start) for start in self.start.tolist()],
+            map(self.kpis.__getitem__, self.kpi.tolist()),
+            map(_KINDS.__getitem__, self.kind.tolist()),
+            self.score.tolist(),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AnomalyEvents({list(self)!r})"
 
 
 def _interval_bins(timestamps: np.ndarray, run_start: int, interval_s: int):
@@ -68,34 +158,32 @@ def _interval_bins(timestamps: np.ndarray, run_start: int, interval_s: int):
 
 
 def _edge_scores(
-    edges: Sequence[GrangerEdge], x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    coef: np.ndarray, residual_std: np.ndarray, x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """RMS(one-step residuals) / residual_std of every edge over every
     ``[lo, hi)`` interval, as an [edges, intervals] matrix.
 
-    Row i of ``x`` and ``y`` holds edge i's aligned cause and effect values;
-    every edge has the same lag order p and every ``lo`` is at least p.  The
-    prediction adds the lag terms in a fixed order and each interval's squares
-    are summed as one contiguous row, so a score does not depend on how many
-    edges or intervals are scored together.
+    Row i of ``x`` and ``y`` holds edge i's aligned cause and effect values
+    and row i of ``coef`` its 2p + 1 coefficients; every ``lo`` is at least
+    p.  The prediction adds the lag terms in a fixed order and each
+    interval's squares are summed as one contiguous row, so a score does not
+    depend on how many edges or intervals are scored together.
     """
-    p = edges[0].lag_order
+    p = coef.shape[1] // 2
     n = y.shape[1]
-    coef = np.array([edge.coefficients for edge in edges])
-    pred = np.empty((len(edges), n - p))
+    pred = np.empty((len(coef), n - p))
     pred[:] = coef[:, :1]
     for i in range(1, p + 1):
         pred += coef[:, i : i + 1] * y[:, p - i : n - i]
         pred += coef[:, p + i : p + i + 1] * x[:, p - i : n - i]
     sq = (y[:, p:] - pred) ** 2
     h = hi - lo
-    sums = np.empty((len(edges), len(lo)))
+    sums = np.empty((len(coef), len(lo)))
     for width in np.unique(h):
         at = np.flatnonzero(h == width)
         cols = (lo[at] - p)[:, None] + np.arange(width)
         sums[:, at] = np.add.reduce(np.take(sq, cols, axis=1), axis=-1)
-    std = np.array([edge.residual_std for edge in edges])
-    return np.sqrt(sums / h) / std[:, None]
+    return np.sqrt(sums / h) / residual_std[:, None]
 
 
 def detect_stream(
@@ -106,7 +194,7 @@ def detect_stream(
     interval_s: int = INTERVAL_S,
     tau: float = DEFAULT_TAU,
     cadence_s: int = CADENCE_S,
-) -> List[AnomalyEvent]:
+) -> AnomalyEvents:
     """Run both detectors over a run, one verdict per KPI per interval.
 
     Intervals are aligned to ``run_start``.  A KPI is evaluated in an interval
@@ -119,74 +207,91 @@ def detect_stream(
     ahead from the p preceding aligned samples of both KPIs; the score is
     RMS(residuals over the interval) / residual_std, raised on the effect
     when it exceeds ``tau``.  An interval needs p aligned samples before it.
-    Events come back sorted by (interval start, KPI, kind).
+
+    The work is done on the model's :class:`~faultcast.baseline.DetectionPlan`:
+    the input's KPIs are numbered once, KPIs sampled at identical timestamps
+    are scored as one [KPIs, samples] block, and edges are scored in blocks
+    taken from the plan's arrays.  The events come back as
+    :class:`AnomalyEvents` columns over the plan's KPIs, sorted by (interval
+    start, KPI, kind), with the worst score over an effect's incoming edges.
     """
     if cadence_s <= 0 or interval_s <= 0 or interval_s % cadence_s != 0:
         raise ValueError("interval must be a positive multiple of the cadence")
-    events: List[AnomalyEvent] = []
+    plan = model.plan
     expected = interval_s // cadence_s
-    # KPIs sampled at identical timestamps share one interval binning and,
-    # for the edges between two such groups, one alignment.
-    stamps = {kpi: series.timestamps.tobytes() for kpi, series in series_map.items()}
-    bins: Dict[bytes, tuple] = {}
-    # the events of one interval share one int for its start
-    shared: Dict[int, int] = {}
-
-    def start_of(value) -> int:
-        value = int(value)
-        return shared.setdefault(value, value)
-
-    for kpi in sorted(series_map):
-        baseline = model.baselines.get(kpi)
-        if baseline is None:
-            logger.warning("detect: no baseline for %s; skipping", kpi)
-            continue
-        series = series_map[kpi]
-        if stamps[kpi] not in bins:
-            bins[stamps[kpi]] = _interval_bins(series.timestamps, run_start, interval_s)
-        starts, lo, hi = bins[stamps[kpi]]
-        peaks = np.maximum.reduceat(baseline.zscores(series.timestamps, series.values), lo)
-        for i in np.flatnonzero((2 * (hi - lo) >= expected) & (peaks > baseline.k_sigma)):
-            events.append(AnomalyEvent(start_of(starts[i]), kpi, AnomalyKind.UNIVARIATE, float(peaks[i])))
-
-    blocks: Dict[Tuple[bytes, bytes, int], List[GrangerEdge]] = {}
-    for edge in model.edges:
-        if edge.cause in series_map and edge.effect in series_map:
-            blocks.setdefault((stamps[edge.cause], stamps[edge.effect], edge.lag_order), []).append(edge)
-    # Several causes can point at one effect KPI; keep a single verdict per
-    # (interval, effect) carrying the worst score over its incoming edges.
-    worst: Dict[Tuple[int, KpiId], float] = {}
-    for (cause_key, effect_key, p), edges in blocks.items():
-        cause_ts = series_map[edges[0].cause].timestamps
-        if cause_key == effect_key:
-            common, ic, ie = cause_ts, slice(None), slice(None)
+    # KPIs sampled at identical timestamps form a group: one interval binning
+    # and, for the edges between two groups, one alignment
+    groups: Dict[bytes, List[Tuple[int, TimeSeries]]] = {}
+    unknown = []
+    for kpi, series in series_map.items():
+        k = plan.index.get(kpi)
+        if k is None:
+            unknown.append(kpi)
         else:
-            common, ic, ie = np.intersect1d(
-                cause_ts, series_map[edges[0].effect].timestamps, assume_unique=True, return_indices=True
-            )
-        if len(common) == 0:
-            continue
-        starts, lo, hi = _interval_bins(common, run_start, interval_s)
-        keep = (2 * (hi - lo) >= expected) & (lo >= p)
-        starts, lo, hi = starts[keep], lo[keep], hi[keep]
-        if len(lo) == 0:
-            continue
-        step = max(1, _CHUNK_CELLS // len(common))  # bounds the [edges, samples] temporaries
-        for first in range(0, len(edges), step):
-            chunk = edges[first : first + step]
-            x = np.stack([series_map[edge.cause].values for edge in chunk])[:, ic]
-            y = np.stack([series_map[edge.effect].values for edge in chunk])[:, ie]
-            scores = _edge_scores(chunk, x, y, lo, hi)
-            for e, s in zip(*np.nonzero(scores > tau)):
-                key = (start_of(starts[s]), chunk[e].effect)
-                score = float(scores[e, s])
-                if score > worst.get(key, -math.inf):
-                    worst[key] = score
-    for (start, kpi), score in worst.items():
-        events.append(AnomalyEvent(start, kpi, AnomalyKind.MULTIVARIATE, score))
+            groups.setdefault(series.timestamps.tobytes(), []).append((k, series))
+    for kpi in sorted(unknown):
+        logger.warning("detect: no baseline for %s; skipping", kpi)
 
-    events.sort()
-    return events
+    group_of = np.full(len(plan.kpis), -1)  # -1: not in the input
+    row_of = np.zeros(len(plan.kpis), dtype=np.intp)  # row in its group's block
+    blocks: List[Tuple[np.ndarray, np.ndarray]] = []  # (timestamps, values [KPIs, samples])
+    # exceedance columns: (start, KPI, kind, score)
+    found = [(np.empty(0, np.int64), np.empty(0, np.intp), _UNIVARIATE, np.empty(0))]
+    for g, members in enumerate(groups.values()):
+        ks = np.array([k for k, _ in members])
+        group_of[ks] = g
+        row_of[ks] = np.arange(len(ks))
+        timestamps = members[0][1].timestamps
+        values = np.array([series.values for _, series in members])
+        blocks.append((timestamps, values))
+        starts, lo, hi = _interval_bins(timestamps, run_start, interval_s)
+        bucket = hour_of_week(timestamps)
+        z = np.abs(values - plan.bucket_means[ks[:, None], bucket]) / plan.bucket_stds[ks[:, None], bucket]
+        peaks = np.maximum.reduceat(z, lo, axis=1)
+        r, i = np.nonzero((2 * (hi - lo) >= expected) & (peaks > plan.k_sigma[ks, None]))
+        found.append((starts[i], ks[r], _UNIVARIATE, peaks[r, i]))
+
+    for p, edges in plan.edges.items():
+        cause_group, effect_group = group_of[edges.cause], group_of[edges.effect]
+        # each edge's (cause group, effect group) as one number; -1: an endpoint is missing
+        present = (cause_group >= 0) & (effect_group >= 0)
+        pair = np.where(present, cause_group * len(blocks) + effect_group, -1)
+        for key in np.unique(pair[pair >= 0]):
+            cause_g, effect_g = divmod(int(key), len(blocks))
+            cause_ts, x_all = blocks[cause_g]
+            effect_ts, y_all = blocks[effect_g]
+            if cause_g == effect_g:
+                common, ic, ie = cause_ts, slice(None), slice(None)
+            else:
+                common, ic, ie = np.intersect1d(cause_ts, effect_ts, assume_unique=True, return_indices=True)
+            if len(common) == 0:
+                continue
+            starts, lo, hi = _interval_bins(common, run_start, interval_s)
+            keep = (2 * (hi - lo) >= expected) & (lo >= p)
+            starts, lo, hi = starts[keep], lo[keep], hi[keep]
+            if len(lo) == 0:
+                continue
+            at = np.flatnonzero(pair == key)
+            step = max(1, _CHUNK_CELLS // len(common))  # bounds the [edges, samples] temporaries
+            for chunk in np.split(at, np.arange(step, len(at), step)):
+                cause, effect = edges.cause[chunk], edges.effect[chunk]
+                x = x_all[row_of[cause]][:, ic]
+                y = y_all[row_of[effect]][:, ie]
+                scores = _edge_scores(edges.coefficients[chunk], edges.residual_std[chunk], x, y, lo, hi)
+                e, i = np.nonzero(scores > tau)
+                found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
+
+    start = np.concatenate([part[0] for part in found])
+    kpi = np.concatenate([part[1] for part in found])
+    kind = np.concatenate([np.full(len(part[0]), part[2], np.int8) for part in found])
+    score = np.concatenate([part[3] for part in found])
+    # one verdict per (start, KPI, kind) cell: the first in this order, the
+    # worst score over an effect's incoming edges
+    order = np.lexsort((-score, kind, kpi, start))
+    start, kpi, kind, score = start[order], kpi[order], kind[order], score[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(start) != 0) | (np.diff(kpi) != 0) | (np.diff(kind) != 0)
+    return AnomalyEvents(plan.kpis, start[first], kpi[first], kind[first], score[first])
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +299,39 @@ def detect_stream(
 
 
 def write_anomaly_log(events: Sequence[AnomalyEvent], target: Union[str, os.PathLike, TextIO]) -> None:
-    """Write events as CSV: interval_start,resource,metric,kind,score."""
+    """Write events as CSV: interval_start,resource,metric,kind,score.
+
+    Each distinct interval start is formatted once, each KPI's names once
+    (quoted by the csv writer) and the scores by one ``repr`` of the whole
+    column.
+    """
+    events = AnomalyEvents.of(events)
+    starts, at = np.unique(events.start, return_inverse=True)
+    stamps = [format_timestamp(ts) + "," for ts in starts.tolist()]
+    names = [_kpi_fields(kpi)[1:] for kpi in events.kpis]
+    kinds = [kind.value + "," for kind in _KINDS]
+    # repr of a list of floats is the repr of each, joined by ", "
+    scores = repr(events.score.tolist())[1:-1].split(", ")
     with _open_text(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(ANOMALY_LOG_HEADER)
-        for event in events:
-            writer.writerow(
-                [
-                    format_timestamp(event.interval_start),
-                    event.kpi.resource,
-                    event.kpi.metric,
-                    event.kind.value,
-                    repr(event.score),
-                ]
-            )
+        stream.write(",".join(ANOMALY_LOG_HEADER) + "\n")
+        rows = zip(at.tolist(), events.kpi.tolist(), events.kind.tolist(), scores)
+        stream.writelines(f"{stamps[s]}{names[k]}{kinds[c]}{score}\n" for s, k, c, score in rows)
 
 
-def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> List[AnomalyEvent]:
+def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> AnomalyEvents:
+    """Read a log written by :func:`write_anomaly_log`.  A malformed row
+    raises :class:`CsvParseError` with its line number."""
     with _open_text(source, "r") as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header != ANOMALY_LOG_HEADER:
             raise CsvParseError(1, f"expected header {','.join(ANOMALY_LOG_HEADER)!r}, got {header!r}")
-        events = []
-        # a log repeats few distinct timestamps and KPIs: parse each once and
-        # let the events share the KpiId objects, whose names are interned
+        # a log repeats few distinct timestamps and KPIs: parse each once;
+        # the KPIs' names are interned
         ts_memo: Dict[str, int] = {}
-        kpi_memo: Dict[Tuple[str, str], KpiId] = {}
+        kpi_memo: Dict[Tuple[str, str], int] = {}
+        kpis: List[KpiId] = []
+        starts, numbers, kinds, scores = [], [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -230,10 +341,20 @@ def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> List[AnomalyEve
                 ts = ts_memo.get(row[0])
                 if ts is None:
                     ts = ts_memo[row[0]] = parse_timestamp(row[0])
-                kpi = kpi_memo.get((row[1], row[2]))
-                if kpi is None:
-                    kpi = kpi_memo[(row[1], row[2])] = KpiId(sys.intern(row[1]), sys.intern(row[2]))
-                events.append(AnomalyEvent(ts, kpi, AnomalyKind(row[3]), float(row[4])))
+                k = kpi_memo.get((row[1], row[2]))
+                if k is None:
+                    kpis.append(KpiId(sys.intern(row[1]), sys.intern(row[2])))
+                    k = kpi_memo[(row[1], row[2])] = len(kpis) - 1
+                kind = _KIND_CODES.get(row[3])
+                if kind is None:
+                    AnomalyKind(row[3])  # raises, naming the text
+                score = float(row[4])
+                if not 0.0 <= score < math.inf:
+                    raise ValueError(_SCORE_ERROR)
             except ValueError as exc:
                 raise CsvParseError(line_no, str(exc)) from None
-        return events
+            starts.append(ts)
+            numbers.append(k)
+            kinds.append(kind)
+            scores.append(score)
+        return AnomalyEvents(kpis, starts, numbers, kinds, scores)

@@ -154,7 +154,7 @@ class RunRecord:
     """A generated run reduced to what the classifiers need."""
 
     manifest: RunManifest
-    events: Tuple[AnomalyEvent, ...]
+    events: Sequence[AnomalyEvent]
 
 
 @dataclass
@@ -258,8 +258,7 @@ def generate(
 
 def detect_run(config: SuiteConfig, topology: Topology, baseline: BaselineModel, spec: RunSpec) -> RunRecord:
     series, manifest = generate(config, topology, spec)
-    events = detect_stream(baseline, series, spec.start, tau=config.tau)
-    return RunRecord(manifest=manifest, events=tuple(events))
+    return RunRecord(manifest=manifest, events=detect_stream(baseline, series, spec.start, tau=config.tau))
 
 
 def assemble_windows(

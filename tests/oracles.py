@@ -1,17 +1,18 @@
 """Straightforward reference implementations kept as test oracles.
 
-These are the row-at-a-time CSV writer and reader, the per-pair causality
-graph loop, the one-``lstsq``-per-pair graph, the per-(edge, interval)
-detector, and the per-feature tree grower, per-row classifiers and
-per-window event scans that the array-shaped versions in ``faultcast.io``,
-``faultcast.baseline``, ``faultcast.detect``, ``faultcast.signature`` and
-``faultcast.predict`` replaced, and the nested scheduling loops that
-``faultcast.evaluate``'s run tables replaced.  The optimized code must match
-them exactly: the same bytes, the same maps, the same errors at the same
-lines, the same edges, the same events with equal scores, the same trees,
-equal probabilities, the same windows and the same runs.  The one exception
-is the graph's floats: its projection route rounds differently from
-``lstsq``, so they agree to stated tolerances.
+These are the row-at-a-time CSV and anomaly log writers and the CSV
+reader, the per-pair causality graph loop, the one-``lstsq``-per-pair graph,
+the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
+the detection plan replaced, and the per-feature tree grower, per-row
+classifiers and per-window event scans that the array-shaped versions in
+``faultcast.io``, ``faultcast.baseline``, ``faultcast.detect``,
+``faultcast.signature`` and ``faultcast.predict`` replaced, and the nested
+scheduling loops that ``faultcast.evaluate``'s run tables replaced.  The
+optimized code must match them exactly: the same bytes, the same maps, the
+same errors at the same lines, the same edges, the same events with equal
+scores, the same trees, equal probabilities, the same windows and the same
+runs.  The one exception is the graph's floats: its projection route rounds
+differently from ``lstsq``, so they agree to stated tolerances.
 """
 
 import csv
@@ -34,7 +35,7 @@ from faultcast.core import (
     format_timestamp,
     parse_timestamp,
 )
-from faultcast.detect import DEFAULT_TAU, AnomalyEvent
+from faultcast.detect import ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, _interval_bins
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
 from faultcast.io import CSV_HEADER
 from faultcast.sim import FaultSpec, Pattern
@@ -118,7 +119,7 @@ def _alignment_edges_lstsq(kpis, rows, pairs, p, alpha, prefilter_r, degenerate)
         result = _granger_from(rows[c], rows[e], p, restricted[e])
         if result.degenerate:
             degenerate.append((kpis[c], kpis[e]))
-        elif result.p_value < alpha:
+        elif result.p_value < alpha and result.residual_std > 0.0:  # an exact fit is skipped
             edges.append(
                 GrangerEdge(
                     cause=kpis[c],
@@ -177,7 +178,7 @@ def build_graph_pairwise(training, p=3, alpha=0.01, prefilter_r=0.2):
             if prefilter_r > 0.0 and abs(float(np.corrcoef(x, y)[0, 1])) < prefilter_r:
                 continue
             result = granger_fit(x, y, p)
-            if not result.degenerate and result.p_value < alpha:
+            if not result.degenerate and result.p_value < alpha and result.residual_std > 0.0:
                 edges.append(
                     GrangerEdge(
                         cause=cause,
@@ -297,6 +298,133 @@ def detect_stream_loop(model, series_map, run_start, *, interval_s=INTERVAL_S, t
                     worst[key] = event
     events.extend(worst.values())
     events.sort()
+    return events
+
+
+def _edge_scores_per_edge(edges, x, y, lo, hi):
+    """RMS(one-step residuals) / residual_std of ``edges``, one lag order p,
+    over every ``[lo, hi)`` interval of their aligned rows ``x`` and ``y``."""
+    p = edges[0].lag_order
+    n = y.shape[1]
+    coef = np.array([edge.coefficients for edge in edges])
+    pred = np.empty((len(edges), n - p))
+    pred[:] = coef[:, :1]
+    for i in range(1, p + 1):
+        pred += coef[:, i : i + 1] * y[:, p - i : n - i]
+        pred += coef[:, p + i : p + i + 1] * x[:, p - i : n - i]
+    sq = (y[:, p:] - pred) ** 2
+    h = hi - lo
+    sums = np.empty((len(edges), len(lo)))
+    for width in np.unique(h):
+        at = np.flatnonzero(h == width)
+        cols = (lo[at] - p)[:, None] + np.arange(width)
+        sums[:, at] = np.add.reduce(np.take(sq, cols, axis=1), axis=-1)
+    std = np.array([edge.residual_std for edge in edges])
+    return np.sqrt(sums / h) / std[:, None]
+
+
+def detect_stream_batched(
+    model, series_map, run_start, *, interval_s=INTERVAL_S, tau=DEFAULT_TAU, cadence_s=CADENCE_S, chunk_cells=1 << 18
+):
+    """Array passes keyed by ``KpiId``: one z-score call per KPI, edge blocks
+    stacked per (cause timestamps, effect timestamps, p) from the model's
+    edges, the worst multivariate score per (interval, effect) kept in a
+    dict, and one sort of the ``AnomalyEvent`` list."""
+    if cadence_s <= 0 or interval_s <= 0 or interval_s % cadence_s != 0:
+        raise ValueError("interval must be a positive multiple of the cadence")
+    events = []
+    expected = interval_s // cadence_s
+    stamps = {kpi: series.timestamps.tobytes() for kpi, series in series_map.items()}
+    bins = {}
+    shared = {}
+
+    def start_of(value):
+        value = int(value)
+        return shared.setdefault(value, value)
+
+    for kpi in sorted(series_map):
+        baseline = model.baselines.get(kpi)
+        if baseline is None:
+            logger.warning("detect: no baseline for %s; skipping", kpi)
+            continue
+        series = series_map[kpi]
+        if stamps[kpi] not in bins:
+            bins[stamps[kpi]] = _interval_bins(series.timestamps, run_start, interval_s)
+        starts, lo, hi = bins[stamps[kpi]]
+        peaks = np.maximum.reduceat(baseline.zscores(series.timestamps, series.values), lo)
+        for i in np.flatnonzero((2 * (hi - lo) >= expected) & (peaks > baseline.k_sigma)):
+            events.append(AnomalyEvent(start_of(starts[i]), kpi, AnomalyKind.UNIVARIATE, float(peaks[i])))
+
+    blocks = {}
+    for edge in model.edges:
+        if edge.cause in series_map and edge.effect in series_map:
+            blocks.setdefault((stamps[edge.cause], stamps[edge.effect], edge.lag_order), []).append(edge)
+    worst = {}
+    for (cause_key, effect_key, p), edges in blocks.items():
+        cause_ts = series_map[edges[0].cause].timestamps
+        if cause_key == effect_key:
+            common, ic, ie = cause_ts, slice(None), slice(None)
+        else:
+            common, ic, ie = np.intersect1d(
+                cause_ts, series_map[edges[0].effect].timestamps, assume_unique=True, return_indices=True
+            )
+        if len(common) == 0:
+            continue
+        starts, lo, hi = _interval_bins(common, run_start, interval_s)
+        keep = (2 * (hi - lo) >= expected) & (lo >= p)
+        starts, lo, hi = starts[keep], lo[keep], hi[keep]
+        if len(lo) == 0:
+            continue
+        step = max(1, chunk_cells // len(common))
+        for first in range(0, len(edges), step):
+            chunk = edges[first : first + step]
+            x = np.stack([series_map[edge.cause].values for edge in chunk])[:, ic]
+            y = np.stack([series_map[edge.effect].values for edge in chunk])[:, ie]
+            scores = _edge_scores_per_edge(chunk, x, y, lo, hi)
+            for e, s in zip(*np.nonzero(scores > tau)):
+                key = (start_of(starts[s]), chunk[e].effect)
+                score = float(scores[e, s])
+                if score > worst.get(key, -math.inf):
+                    worst[key] = score
+    for (start, kpi), score in worst.items():
+        events.append(AnomalyEvent(start, kpi, AnomalyKind.MULTIVARIATE, score))
+    events.sort()
+    return events
+
+
+def write_anomaly_log_rows(events, stream):
+    """One ``csv.writer`` row and one ``strftime`` per event."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(ANOMALY_LOG_HEADER)
+    for event in events:
+        writer.writerow(
+            [
+                format_timestamp(event.interval_start),
+                event.kpi.resource,
+                event.kpi.metric,
+                event.kind.value,
+                repr(event.score),
+            ]
+        )
+
+
+def read_anomaly_log_rows(stream):
+    """One ``AnomalyEvent`` per row, each validated on its own."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header != ANOMALY_LOG_HEADER:
+        raise CsvParseError(1, f"expected header {','.join(ANOMALY_LOG_HEADER)!r}, got {header!r}")
+    events = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise CsvParseError(line_no, f"expected 5 fields, got {len(row)}")
+        try:
+            ts, kpi = parse_timestamp(row[0]), KpiId(row[1], row[2])
+            events.append(AnomalyEvent(ts, kpi, AnomalyKind(row[3]), float(row[4])))
+        except ValueError as exc:
+            raise CsvParseError(line_no, str(exc)) from None
     return events
 
 
@@ -440,6 +568,7 @@ def _features(events):
 
 def windowize_events_scan(events, windows):
     """Every event tested against every window."""
+    events = list(events)
     return [_features(e for e in events if start <= e.interval_start < end) for start, end in windows]
 
 

@@ -431,22 +431,33 @@ def test_graph_matches_the_lstsq_oracle_on_collinear_causes(training, p, prefilt
     logger.setLevel(logging.INFO)
     try:
         edges = build_graph(training, p=p, prefilter_r=prefilter_r)
-    except ValueError as exc:
-        edges = exc
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    try:
-        expected, expected_degenerate = oracles.build_graph_lstsq(training, p=p, prefilter_r=prefilter_r)
-    except ValueError as exc:
-        # an exact fit leaves a zero residual std, which GrangerEdge rejects
-        assert isinstance(edges, ValueError) and str(edges) == str(exc)
-        return
+    # an exact fit leaves a zero residual std: both skip the pair
+    expected, expected_degenerate = oracles.build_graph_lstsq(training, p=p, prefilter_r=prefilter_r)
     degenerate = {rec.args[:2] for rec in records if "degenerate" in rec.msg}
     assert degenerate == set(expected_degenerate)
     # near-collinear pairs the projection takes (scaled condition number up
     # to 1e5) leave both routes' rounding larger than on the data above
     assert_same_edges(edges, expected, tol=1e-9)
+
+
+def test_exact_fit_is_skipped_with_a_log_entry(caplog):
+    # the lead's lag 1 is the effect itself: lstsq leaves an RSS of exactly 0,
+    # which once failed the whole fit with "residual_std must be positive"
+    rng = np.random.default_rng(23)
+    n = int(rng.integers(40, 300))
+    y = np.cumsum(rng.standard_normal(n + 1)) * 0.3 + rng.standard_normal(n + 1) + 1e3
+    ts = 60 * np.arange(n, dtype=np.int64)
+    effect, cause = KpiId("A", "y"), KpiId("A", "lead")
+    training = {effect: TimeSeries(effect, ts, y[:n]), cause: TimeSeries(cause, ts, y[1:])}
+    with caplog.at_level(logging.INFO, logger="faultcast.baseline"):
+        edges = build_graph(training, p=1, prefilter_r=0.0)
+    assert [(edge.cause, edge.effect) for edge in edges if edge.cause == cause] == []
+    assert [rec.args[:2] for rec in caplog.records if "exact fit" in rec.msg] == [(cause, effect)]
+    expected, _ = oracles.build_graph_lstsq(training, p=1, prefilter_r=0.0)
+    assert_same_edges(edges, expected)
 
 
 def test_graph_argument_gates():

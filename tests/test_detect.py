@@ -1,5 +1,6 @@
 """Interval detectors: seasonal-band checks, edge-residual checks, streaming."""
 
+import csv
 import io
 import logging
 import time
@@ -24,6 +25,7 @@ from faultcast.core import (
 )
 from faultcast.detect import (
     AnomalyEvent,
+    AnomalyEvents,
     detect_stream,
     read_anomaly_log,
     write_anomaly_log,
@@ -370,6 +372,20 @@ def test_batched_stream_equals_the_per_edge_oracle(case, chunk_cells):
     assert batched == expected  # equal events compare their scores with ==
 
 
+@settings(max_examples=300, deadline=None)
+@given(detection_cases(), st.sampled_from([detect._CHUNK_CELLS, 1, 40]))
+def test_planned_stream_equals_the_kpi_keyed_batched_oracle(case, chunk_cells):
+    model, series, run_start, interval_s, tau = case
+    with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells):
+        planned = detect_stream(model, series, run_start, interval_s=interval_s, tau=tau)
+    expected = oracles.detect_stream_batched(
+        model, series, run_start, interval_s=interval_s, tau=tau, chunk_cells=chunk_cells
+    )
+    assert isinstance(planned, AnomalyEvents)
+    assert planned == expected and list(planned) == expected
+    assert planned.kpis == tuple(sorted(model.baselines))
+
+
 def test_batched_stream_equals_the_oracle_on_faulty_suite_runs(suite_data):
     config = suite_data.config
     faulty = [spec for spec in default_run_specs(config) if spec.fault is not None][::7]
@@ -413,3 +429,166 @@ def test_anomaly_log_reader_shares_kpis_and_keeps_error_lines():
     ]:
         with pytest.raises(CsvParseError, match=message):
             read_anomaly_log(io.StringIO(text + bad + "\n"))
+
+
+# ---------------------------------------------------------------------------
+# the plan and the event columns
+
+
+def test_plan_is_built_once_per_model():
+    kx, ky = KpiId("A", "x"), KpiId("B", "y")
+    baselines = {kx: flat_baseline(kx, 0.0, 1.0), ky: flat_baseline(ky, 5.0, 2.0, k_sigma=4.0)}
+    edges = (GrangerEdge(cause=kx, effect=ky, weight=0.99, lag_order=1,
+                         coefficients=(0.5, 0.25, 2.0), residual_std=0.5),)
+    model = BaselineModel(baselines=baselines, edges=edges)
+    twin = BaselineModel(baselines=baselines, edges=edges)
+    plan = model.plan
+    assert model.plan is plan
+    assert twin.plan is not plan
+    assert model == twin  # the cached plan is not a field
+    assert plan.kpis == (kx, ky) and plan.index == {kx: 0, ky: 1}
+    assert plan.bucket_means[1, 0] == 5.0 and plan.bucket_stds[1, 0] == 2.0
+    assert plan.k_sigma.tolist() == [3.0, 4.0]
+    assert list(plan.edges) == [1]
+    assert plan.edges[1].cause.tolist() == [0] and plan.edges[1].effect.tolist() == [1]
+    assert plan.edges[1].coefficients.tolist() == [[0.5, 0.25, 2.0]]
+    assert plan.edges[1].residual_std.tolist() == [0.5]
+    ts = 60 * np.arange(10, dtype=np.int64)
+    series = {kx: TimeSeries(kx, ts, np.zeros(10)), ky: TimeSeries(ky, ts, np.full(10, 40.0))}
+    detect_stream(model, series, 0)
+    detect_stream(model, series, 0)
+    assert model.plan is plan
+
+
+def test_anomaly_events_behave_like_a_tuple_of_events():
+    ka, kb = KpiId("A", "m"), KpiId("B", "m")
+    events = AnomalyEvents((kb, ka), [0, 0, 300], [1, 0, 1], [1, 0, 1], [3.5, 4.0, 5.25])
+    listed = [
+        AnomalyEvent(0, ka, AnomalyKind.UNIVARIATE, 3.5),
+        AnomalyEvent(0, kb, AnomalyKind.MULTIVARIATE, 4.0),
+        AnomalyEvent(300, ka, AnomalyKind.UNIVARIATE, 5.25),
+    ]
+    assert len(events) == 3
+    assert list(events) == listed  # iteration keeps the column order
+    assert events == listed and listed == events and events == tuple(listed)
+    assert events != listed[:2] and events != listed[::-1] and events != []
+    assert events[1] == listed[1] and events[-1] == listed[-1]
+    with pytest.raises(IndexError):
+        events[3]
+    assert isinstance(events[1:], AnomalyEvents) and events[1:] == listed[1:]
+    assert events[::2] == listed[::2]
+    first, second, _ = events
+    assert first.interval_start is second.interval_start  # one int per interval start
+    # equal columns over differently numbered KPIs are equal events
+    renumbered = AnomalyEvents((ka, kb), [0, 0, 300], [0, 1, 0], [1, 0, 1], [3.5, 4.0, 5.25])
+    assert events == renumbered and renumbered == events
+    assert events != AnomalyEvents((ka, kb), [0, 0, 300], [0, 1, 0], [1, 0, 1], [3.5, 4.0, 5.5])
+    assert events != AnomalyEvents((ka,), [0, 0, 300], [0, 0, 0], [1, 0, 1], [3.5, 4.0, 5.25])
+    assert AnomalyEvents.of(listed) == events and AnomalyEvents.of(events) is events
+    assert events.index(listed[2]) == 2 and listed[0] in events
+    with pytest.raises(AttributeError):
+        events.score = np.zeros(3)
+    with pytest.raises(ValueError):
+        events.score[0] = 1.0  # the columns are read-only
+
+
+def test_empty_anomaly_events():
+    empty = AnomalyEvents((), [], [], [], [])
+    assert len(empty) == 0 and list(empty) == [] and empty == [] and [] == empty
+    assert empty == AnomalyEvents.of([]) and empty == ()
+    assert empty[:5] == [] and not empty
+    assert repr(empty) == "AnomalyEvents([])"
+    model = BaselineModel(baselines={}, edges=())
+    assert detect_stream(model, {}, 0) == empty
+
+
+def test_anomaly_events_validate_their_columns():
+    kpi = KpiId("Homer", "CpuIdlePct")
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^anomaly score must be finite and non-negative$"):
+            AnomalyEvents((kpi,), [0], [0], [1], [bad])
+    AnomalyEvents((kpi,), [0], [0], [1], [-0.0])  # as AnomalyEvent, -0.0 passes
+    with pytest.raises(ValueError):
+        AnomalyEvents((kpi,), [0], [1], [1], [1.0])  # no KPI number 1
+    with pytest.raises(ValueError):
+        AnomalyEvents((kpi,), [0], [0], [2], [1.0])  # no kind code 2
+    with pytest.raises(ValueError):
+        AnomalyEvents((kpi,), [0, 300], [0], [1], [1.0])
+
+
+# KPI names a CSV writer must quote, and scores whose repr is unusual
+log_kpis = st.sampled_from(
+    [KpiId("Homer", "CpuIdlePct"), KpiId("Sprout", "Mem Used"), KpiId('Ralph "db"', "m"), KpiId(" x", "y ")]
+)
+log_events = st.builds(
+    AnomalyEvent,
+    st.integers(-(10**9), 253402300799),  # 1938 .. 9999-12-31T23:59:59Z
+    log_kpis,
+    st.sampled_from(list(AnomalyKind)),
+    st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False, allow_nan=False),
+        st.sampled_from([0.0, 5e-324, 1e16, 1e300, 3.0000000000000004]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(log_events, max_size=40))
+def test_anomaly_log_round_trips_with_the_row_writers_bytes(events):
+    expected = io.StringIO()
+    oracles.write_anomaly_log_rows(events, expected)
+    for given_events in (events, AnomalyEvents.of(events)):
+        buf = io.StringIO()
+        write_anomaly_log(given_events, buf)
+        assert buf.getvalue() == expected.getvalue()
+        back = read_anomaly_log(io.StringIO(buf.getvalue()))
+        assert back == given_events and back == events
+        assert back == oracles.read_anomaly_log_rows(io.StringIO(buf.getvalue()))
+
+
+#: A bad value for one field of a log row; field 5 is one field too many
+bad_fields = st.sampled_from(
+    [
+        (0, "2026-01-01T00:00:00"),
+        (0, "2026-13-01T00:00:00Z"),
+        (0, ""),
+        (1, ""),
+        (2, "a\rb"),
+        (3, "univariate"),
+        (3, "Sideways"),
+        (4, "-1.0"),
+        (4, "nan"),
+        (4, "inf"),
+        (4, "1e999"),
+        (4, "3,5"),
+        (4, "x"),
+        (5, "4.0"),
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(log_events, min_size=1, max_size=12), st.data())
+def test_anomaly_log_reader_errors_match_the_row_reader(events, data):
+    buf = io.StringIO()
+    oracles.write_anomaly_log_rows(events, buf)
+    lines = buf.getvalue().split("\n")
+    line = data.draw(st.integers(1, len(events)))
+    field, value = data.draw(bad_fields)
+    row = next(csv.reader([lines[line]]))
+    row[field : field + 1] = [value]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(row)
+    lines[line] = out.getvalue()
+    if data.draw(st.booleans()):
+        lines.insert(line, "")  # a blank line still counts
+    text = "\n".join(lines)
+
+    def outcome(read):
+        try:
+            return read(io.StringIO(text))
+        except Exception as exc:  # noqa: BLE001 -- the type and message are compared
+            return type(exc), str(exc)
+
+    got, want = outcome(read_anomaly_log), outcome(oracles.read_anomaly_log_rows)
+    assert got == want
