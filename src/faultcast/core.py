@@ -92,6 +92,8 @@ def hour_of_week(ts) -> "int | np.ndarray":
 class KpiId:
     """A monitored KPI, identified by the pair (resource, metric)."""
 
+    __slots__ = ("resource", "metric", "_hash")
+
     resource: str
     metric: str
 
@@ -104,6 +106,15 @@ class KpiId:
                 raise ValueError(
                     f"KpiId.{field_name} {value!r} may not contain commas or newlines"
                 )
+        # the dataclass hash, computed once: feature lookups hash KPIs often
+        object.__setattr__(self, "_hash", hash((self.resource, self.metric)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so the hash is that of the loading process
+        return KpiId, (self.resource, self.metric)
 
     def __str__(self) -> str:
         return f"{self.resource}/{self.metric}"

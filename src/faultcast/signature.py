@@ -24,6 +24,7 @@ from .core import (
     SchemaVersionError,
     WindowSample,
 )
+from .detect import _KINDS, AnomalyEvents
 from .io import check_kind, load_json, save_json
 from .metrics import Contingency
 
@@ -92,7 +93,14 @@ class Vocabulary:
 
 
 def window_features(events: Iterable) -> frozenset:
-    """The feature set of anomaly events: their distinct (KPI, kind) pairs."""
+    """The feature set of anomaly events: their distinct (KPI, kind) pairs.
+
+    :class:`AnomalyEvents` give theirs from the KPI and kind columns, with no
+    event built.
+    """
+    if isinstance(events, AnomalyEvents):
+        pairs = set(zip(events.kpi.tolist(), events.kind.tolist()))
+        return frozenset((events.kpis[kpi], _KINDS[kind]) for kpi, kind in pairs)
     return frozenset((event.kpi, event.kind) for event in events)
 
 
@@ -305,75 +313,107 @@ class DecisionTreeModel:
         return walk(self.root)
 
 
-def _best_feature(gains: np.ndarray) -> Optional[int]:
-    """The feature a scan in bit order picks: one replaces the best so far
-    only when its gain is more than ``_GAIN_EPS`` higher, so near-ties go to
-    the lower bit.  None when no gain exceeds ``_GAIN_EPS``."""
-    best = None
-    threshold = _GAIN_EPS
+def _best_feature(gains: np.ndarray) -> np.ndarray:
+    """The feature a scan in bit order picks on each row of an [S, F] gain
+    matrix: one replaces the best so far only when its gain is more than
+    ``_GAIN_EPS`` higher, so near-ties go to the lower bit.  -1 on a row
+    where no gain exceeds ``_GAIN_EPS``."""
+    best = np.full(len(gains), -1)
+    threshold = np.full(len(gains), _GAIN_EPS)
+    bits = np.arange(gains.shape[1])
     while True:
-        start = 0 if best is None else best + 1
-        later = np.flatnonzero(gains[start:] > threshold)
-        if not len(later):
+        later = (gains > threshold[:, None]) & (bits > best[:, None])
+        found = np.flatnonzero(later.any(axis=1))
+        if not len(found):
             return best
-        best = start + int(later[0])
-        threshold = gains[best] + _GAIN_EPS
+        best[found] = later[found].argmax(axis=1)
+        threshold[found] = gains[found, best[found]] + _GAIN_EPS
 
 
-def _grow_tree(
+def _split_features(
+    on: np.ndarray, y: np.ndarray, rows: np.ndarray, node: np.ndarray, counts: np.ndarray, min_leaf: int
+) -> np.ndarray:
+    """The split bit of each of S nodes, or -1 for none: ``rows`` are the
+    samples in the nodes, ``node`` their node numbers 0..S-1 and ``counts``
+    the nodes' [S, C] class counts."""
+    n_nodes, n_classes = counts.shape
+    # [S, C, F] per-class counts of the samples with each bit set: one
+    # reduceat over the samples sorted by (node, class)
+    group = node * n_classes + y[rows]
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    on_counts = np.zeros((n_nodes * n_classes, on.shape[1]), dtype=np.int64)
+    on_counts[group[starts]] = np.add.reduceat(on[rows[order]], starts, axis=0, dtype=np.int64)
+    on_counts = on_counts.reshape(n_nodes, n_classes, -1)
+    n = counts.sum(axis=1)
+    n_on = on_counts.sum(axis=1)
+    n_off = n[:, None] - n_on
+    valid = (n_on >= min_leaf) & (n_off >= min_leaf)
+    pair_node, pair_bit = np.nonzero(valid)
+    pairs = len(pair_node)
+    on_pairs = on_counts[pair_node, :, pair_bit]
+    # one pass over the parents, the on sides and the off sides; every row is
+    # summed on its own, so a node's gains equal those of a node grown alone
+    h = _entropies(np.concatenate([counts, on_pairs, counts[pair_node] - on_pairs]))
+    child = (n_on[valid] * h[n_nodes : n_nodes + pairs] + n_off[valid] * h[n_nodes + pairs :]) / n[pair_node]
+    gains = np.full(valid.shape, -np.inf)
+    gains[valid] = h[pair_node] - child
+    return _best_feature(gains)
+
+
+def _grow_trees(
     on: np.ndarray,
-    one_hot: np.ndarray,
     y: np.ndarray,
-    indices: np.ndarray,
+    roots: Sequence[np.ndarray],
     n_classes: int,
     min_leaf: int,
     max_depth: Optional[int],
-    depth: int,
-) -> TreeNode:
-    """The subtree over the samples ``indices``: ``on`` is the [N, F] 0/1
-    matrix of set bits and ``one_hot`` the [N, C] labels, both as floats."""
-    counts = np.bincount(y[indices], minlength=n_classes)
-    majority = int(np.argmax(counts))
+) -> List[TreeNode]:
+    """One tree over each sample index array of ``roots``, all grown together
+    a level at a time: ``on`` is the [N, F] bool matrix of set bits.
 
-    def leaf() -> TreeNode:
-        return TreeNode(
-            class_index=majority,
-            total=int(counts.sum()),
-            correct=int(counts[majority]),
-            counts=tuple(int(c) for c in counts),
-        )
-
-    n = len(indices)
-    if counts.max() == n:  # pure node
-        return leaf()
-    if n < 2 * min_leaf:
-        return leaf()
-    if max_depth is not None and depth >= max_depth:
-        return leaf()
-
-    # [F, C] per-class counts of the samples with each bit set; sums of 0/1
-    # products, so the floats are exact integers
-    sub = on[indices]
-    on_counts = (sub.T @ one_hot[indices]).astype(np.int64)
-    n_on = on_counts.sum(axis=1)
-    n_off = n - n_on
-    valid = np.flatnonzero((n_on >= min_leaf) & (n_off >= min_leaf))
-    gains = np.full(len(n_on), -np.inf)
-    if len(valid):
-        n_on, n_off, on_counts = n_on[valid], n_off[valid], on_counts[valid]
-        # one pass over the parent, the on sides and the off sides
-        h = _entropies(np.concatenate([counts[None], on_counts, counts - on_counts]))
-        child = (n_on * h[1 : len(valid) + 1] + n_off * h[len(valid) + 1 :]) / n
-        gains[valid] = h[0] - child
-    best_feature = _best_feature(gains)
-    if best_feature is None:
-        return leaf()
-    mask = sub[:, best_feature] == 1.0
-    return TreeNode(
-        feature=best_feature,
-        nominal=_grow_tree(on, one_hot, y, indices[~mask], n_classes, min_leaf, max_depth, depth + 1),
-        anomalous=_grow_tree(on, one_hot, y, indices[mask], n_classes, min_leaf, max_depth, depth + 1),
-    )
+    A level's frontier nodes are numbered 0..M-1 across the trees; each
+    (sample, tree) membership is a row number in ``rows`` and a node number in
+    ``node``.  A node splits on its best bit unless it is pure, too small for
+    two ``min_leaf`` sides, at the depth cap, or no split gains entropy; its
+    children are numbered in frontier order, nominal first.
+    """
+    rows = np.concatenate(roots)
+    node = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
+    n_nodes = len(roots)
+    levels: List[Tuple[list, list]] = []  # each level's class counts and split bits
+    while n_nodes:
+        counts = np.bincount(node * n_classes + y[rows], minlength=n_nodes * n_classes)
+        counts = counts.reshape(n_nodes, n_classes)
+        n = counts.sum(axis=1)
+        feature = np.full(n_nodes, -1)
+        splittable = np.flatnonzero((counts.max(axis=1) < n) & (n >= 2 * min_leaf))
+        if len(splittable) and (max_depth is None or len(levels) < max_depth):
+            renumber = np.full(n_nodes, -1)
+            renumber[splittable] = np.arange(len(splittable))
+            inside = renumber[node] >= 0
+            feature[splittable] = _split_features(
+                on, y, rows[inside], renumber[node[inside]], counts[splittable], min_leaf
+            )
+        levels.append((counts.tolist(), feature.tolist()))
+        split = feature >= 0
+        child = 2 * (np.cumsum(split) - 1)
+        inside = split[node]
+        rows, node = rows[inside], node[inside]
+        node = child[node] + on[rows, feature[node]]
+        n_nodes = 2 * int(split.sum())
+    below: List[TreeNode] = []
+    for counts, feature in reversed(levels):
+        children = iter(below)
+        below = []
+        for c, f in zip(counts, feature):
+            if f >= 0:
+                below.append(TreeNode(feature=f, nominal=next(children), anomalous=next(children)))
+            else:
+                majority = c.index(max(c))
+                below.append(TreeNode(class_index=majority, total=sum(c), correct=c[majority], counts=tuple(c)))
+    return below
 
 
 def train_tree(
@@ -401,9 +441,7 @@ def train_tree(
     classes = tuple(classes)
     if y.max(initial=-1) >= len(classes):
         raise ValueError("label index out of range for the class list")
-    on = (x == 1).astype(float)
-    one_hot = np.eye(len(classes))[y]
-    root = _grow_tree(on, one_hot, y, np.arange(len(y)), len(classes), min_leaf, max_depth, depth=0)
+    (root,) = _grow_trees(x == 1, y, [np.arange(len(y))], len(classes), min_leaf, max_depth)
     return DecisionTreeModel(
         classes=classes,
         n_features=int(x.shape[1]),
@@ -431,21 +469,34 @@ class NaiveBayesModel:
         """Posteriors of each row of an [n, F] bit matrix, as [n, classes];
         a 1-D vector gives one distribution."""
         rows = _feature_rows(bits, self.n_features) != 0
-        probs = np.tile(self.priors, (len(rows), 1))
-        absent = 1.0 - self.theta
-        for j in range(self.n_features):
-            probs *= np.where(rows[:, j : j + 1], self.theta[:, j], absent[:, j])
-            low = probs.max(axis=1) < 1e-100
-            if low.any():
-                # rescale by an exact power of two: the normalization below
-                # cancels it without introducing rounding error
-                probs[low] = np.ldexp(probs[low], 340)
-        total = probs.sum(axis=1, keepdims=True)
-        empty = total[:, 0] == 0.0
-        total[empty] = 1.0
-        probs /= total
-        probs[empty] = 1.0 / len(self.classes)
+        probs = _nb_posteriors(rows, self.priors, self.theta.T)
         return probs if np.ndim(bits) == 2 else probs[0]
+
+
+def _nb_posteriors(rows: np.ndarray, priors: np.ndarray, theta_t: np.ndarray) -> np.ndarray:
+    """Naive Bayes posteriors [n, C] of the [n, F] bool matrix ``rows``.
+
+    ``priors`` is [C] or one per row [n, C]; ``theta_t`` holds P(bit = 1 |
+    class) by feature, [F, C] or one per row [F, n, C].  Likelihoods multiply
+    in feature order, every row on its own, so a row's posterior does not
+    depend on the rows beside it.
+    """
+    probs = np.empty((len(rows), priors.shape[-1]))
+    probs[:] = priors
+    absent = 1.0 - theta_t
+    for j in range(rows.shape[1]):
+        probs *= np.where(rows[:, j : j + 1], theta_t[j], absent[j])
+        low = probs.max(axis=1) < 1e-100
+        if low.any():
+            # rescale by an exact power of two: the normalization below
+            # cancels it without introducing rounding error
+            probs[low] = np.ldexp(probs[low], 340)
+    total = probs.sum(axis=1, keepdims=True)
+    empty = total[:, 0] == 0.0
+    total[empty] = 1.0
+    probs /= total
+    probs[empty] = 1.0 / probs.shape[1]
+    return probs
 
 
 def train_nb(
@@ -470,11 +521,7 @@ def train_nb(
         raise ValueError("label index out of range for the class list")
     n_c = np.bincount(y, minlength=k).astype(float)
     priors = (n_c + alpha) / (len(y) + alpha * k)
-    ones = np.zeros((k, x.shape[1]))
-    for c in range(k):
-        rows = x[y == c]
-        if len(rows):
-            ones[c] = rows.sum(axis=0)
+    ones = np.eye(k)[y].T @ x  # sums of small integers: exact in float64
     theta = (ones + alpha) / (n_c[:, None] + 2.0 * alpha)
     priors.setflags(write=False)
     theta.setflags(write=False)
@@ -683,6 +730,20 @@ def stratified_folds(
     return [np.asarray(sorted(fold), dtype=np.intp) for fold in folds]
 
 
+def _nb_fold_posteriors(x, y, classes, folds, alpha: float) -> np.ndarray:
+    """The [N, C] posteriors of every sample under naive Bayes trained on the
+    other folds, all scored in one pass."""
+    fold_of = np.empty(len(y), dtype=np.intp)
+    priors, theta_t = [], []
+    for i, fold in enumerate(folds):
+        fold_of[fold] = i
+        model = train_nb(np.delete(x, fold, axis=0), np.delete(y, fold), classes, alpha)
+        priors.append(model.priors)
+        theta_t.append(model.theta.T)
+    # each held-out row carries its own fold's parameters: [N, C] and [F, N, C]
+    return _nb_posteriors(x != 0, np.stack(priors)[fold_of], np.stack(theta_t, axis=1)[:, fold_of])
+
+
 def cross_validate(
     samples: Sequence[WindowSample],
     vocab: Vocabulary,
@@ -699,19 +760,20 @@ def cross_validate(
     Per-class one-vs-rest TP/FP/FN/TN counts are aggregated over all folds;
     each held-out sample is predicted by the top class of the distribution.
     """
-    fit = _fitter(algorithm, min_leaf, max_depth, alpha)
+    _fitter(algorithm, min_leaf, max_depth, alpha)  # an unknown algorithm fails before encoding
     x, y, classes = _encode_dataset(samples, vocab)
-    labels = [s.label for s in samples]
-    folds = stratified_folds(labels, k, seed)
-    preds = np.full(len(y), -1, dtype=np.intp)
-    all_indices = np.arange(len(y))
-    for fold in folds:
-        mask = np.ones(len(y), dtype=bool)
-        mask[fold] = False
-        train_idx = all_indices[mask]
-        # the global class list keeps class indices aligned across folds
-        model = fit(x[train_idx], y[train_idx], classes)
-        preds[fold] = np.argmax(model.predict_proba(x[fold]), axis=1)
+    folds = stratified_folds([s.label for s in samples], k, seed)
+    if algorithm == "tree":
+        # every fold's tree grown at once; the global class list keeps class
+        # indices aligned across folds
+        trains = [np.delete(np.arange(len(y)), fold) for fold in folds]
+        roots = _grow_trees(x == 1, y, trains, len(classes), min_leaf, max_depth)
+        preds = np.empty(len(y), dtype=np.intp)
+        for fold, root in zip(folds, roots):
+            model = DecisionTreeModel(classes, x.shape[1], min_leaf, max_depth, root)
+            preds[fold] = np.argmax(model.predict_proba(x[fold]), axis=1)
+    else:
+        preds = np.argmax(_nb_fold_posteriors(x, y, classes, folds, alpha), axis=1)
     per_class: Dict[FailureClass, Contingency] = {}
     for ci, cls in enumerate(classes):
         tp = int(np.sum((preds == ci) & (y == ci)))

@@ -3,16 +3,17 @@
 These are the row-at-a-time CSV and anomaly log writers and the CSV
 reader, the per-pair causality graph loop, the one-``lstsq``-per-pair graph,
 the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
-the detection plan replaced, and the per-feature tree grower, per-row
-classifiers and per-window event scans that the array-shaped versions in
-``faultcast.io``, ``faultcast.baseline``, ``faultcast.detect``,
-``faultcast.signature`` and ``faultcast.predict`` replaced, and the nested
-scheduling loops that ``faultcast.evaluate``'s run tables replaced.  The
-optimized code must match them exactly: the same bytes, the same maps, the
-same errors at the same lines, the same edges, the same events with equal
-scores, the same trees, equal probabilities, the same windows and the same
-runs.  The one exception is the graph's floats: its projection route rounds
-differently from ``lstsq``, so they agree to stated tolerances.
+the detection plan replaced, the per-feature and the one-node-at-a-time tree
+growers, the per-row and per-fold classifiers and the per-window event scans
+that the array-shaped versions in ``faultcast.io``, ``faultcast.baseline``,
+``faultcast.detect``, ``faultcast.signature`` and ``faultcast.predict``
+replaced, and the nested scheduling loops that ``faultcast.evaluate``'s run
+tables replaced.  The optimized code must match them exactly: the same bytes,
+the same maps, the same errors at the same lines, the same edges, the same
+events with equal scores, the same trees, equal probabilities, the same
+windows and the same runs.  The one exception is the graph's floats: its
+projection route rounds differently from ``lstsq``, so they agree to stated
+tolerances.
 """
 
 import csv
@@ -44,6 +45,7 @@ from faultcast.signature import (
     DecisionTreeModel,
     TreeNode,
     _encode_dataset,
+    _entropies,
     stratified_folds,
     train_nb,
 )
@@ -485,6 +487,57 @@ def grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices=None, depth=0):
         nominal=grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices[~mask], depth + 1),
         anomalous=grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices[mask], depth + 1),
     )
+
+
+def grow_tree_recursive(on, one_hot, y, indices, n_classes, min_leaf, max_depth, depth=0):
+    """One node at a time: ``on`` is the [N, F] 0/1 matrix of set bits and
+    ``one_hot`` the [N, C] labels, both as floats; one matmul gives a node's
+    per-class counts of every bit and one ``_entropies`` call its gains."""
+    counts = np.bincount(y[indices], minlength=n_classes)
+    majority = int(np.argmax(counts))
+
+    def leaf():
+        return TreeNode(
+            class_index=majority,
+            total=int(counts.sum()),
+            correct=int(counts[majority]),
+            counts=tuple(int(c) for c in counts),
+        )
+
+    n = len(indices)
+    if counts.max() == n:  # pure node
+        return leaf()
+    if n < 2 * min_leaf:
+        return leaf()
+    if max_depth is not None and depth >= max_depth:
+        return leaf()
+
+    sub = on[indices]
+    on_counts = (sub.T @ one_hot[indices]).astype(np.int64)
+    n_on = on_counts.sum(axis=1)
+    n_off = n - n_on
+    valid = np.flatnonzero((n_on >= min_leaf) & (n_off >= min_leaf))
+    gains = np.full(len(n_on), -np.inf)
+    if len(valid):
+        n_on, n_off, on_counts = n_on[valid], n_off[valid], on_counts[valid]
+        h = _entropies(np.concatenate([counts[None], on_counts, counts - on_counts]))
+        child = (n_on * h[1 : len(valid) + 1] + n_off * h[len(valid) + 1 :]) / n
+        gains[valid] = h[0] - child
+    best_feature = best_feature_scan(gains)
+    if best_feature is None:
+        return leaf()
+    mask = sub[:, best_feature] == 1.0
+
+    def grow(part):
+        return grow_tree_recursive(on, one_hot, y, part, n_classes, min_leaf, max_depth, depth + 1)
+
+    return TreeNode(feature=best_feature, nominal=grow(indices[~mask]), anomalous=grow(indices[mask]))
+
+
+def train_tree_recursive(x, y, n_classes, min_leaf, max_depth):
+    """The root ``grow_tree_recursive`` grows over every sample."""
+    on = (np.asarray(x) == 1).astype(float)
+    return grow_tree_recursive(on, np.eye(n_classes)[y], y, np.arange(len(y)), n_classes, min_leaf, max_depth)
 
 
 def best_feature_scan(gains):

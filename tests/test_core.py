@@ -1,5 +1,11 @@
 """Core vocabulary: identifiers, time handling, series and window arithmetic."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -70,6 +76,39 @@ def test_kpi_id_basics():
         KpiId("host,a", "metric")
     with pytest.raises(ValueError):
         KpiId("host", "metric\n")
+
+
+def test_kpi_id_hash_is_cached_and_keeps_the_dataclass_behaviour():
+    kpi = KpiId("Homer", "BytesSentPerSec")
+    # the dataclass hash, so set and frozenset iteration orders are unchanged
+    assert hash(kpi) == hash(("Homer", "BytesSentPerSec"))
+    assert [f.name for f in dataclasses.fields(KpiId)] == ["resource", "metric"]
+    assert repr(kpi) == "KpiId(resource='Homer', metric='BytesSentPerSec')"
+    assert kpi == KpiId("Homer", "BytesSentPerSec") and kpi != KpiId("Homer", "CpuIdlePct")
+    assert kpi != ("Homer", "BytesSentPerSec")
+    assert sorted([KpiId("B", "a"), KpiId("A", "c"), KpiId("A", "b")]) == [
+        KpiId("A", "b"),
+        KpiId("A", "c"),
+        KpiId("B", "a"),
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kpi.resource = "Sprout"
+    assert dataclasses.replace(kpi, metric="CpuIdlePct") == KpiId("Homer", "CpuIdlePct")
+    for again in (copy.copy(kpi), copy.deepcopy(kpi), pickle.loads(pickle.dumps(kpi))):
+        assert again == kpi and hash(again) == hash(kpi) and repr(again) == repr(kpi)
+
+
+def test_a_pickled_kpi_id_hashes_as_in_the_loading_process():
+    # string hashes differ between processes: a stored hash would be stale
+    code = (
+        "import pickle, sys; from faultcast.core import KpiId;"
+        "kpi = pickle.loads(sys.stdin.buffer.read());"
+        "print(hash(kpi) == hash(('Homer', 'CpuIdlePct')), {kpi: 1}[KpiId('Homer', 'CpuIdlePct')])"
+    )
+    data = pickle.dumps(KpiId("Homer", "CpuIdlePct"))
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True, env=env, check=True)
+    assert out.stdout.decode().split() == ["True", "1"]
 
 
 def test_time_series_validation():

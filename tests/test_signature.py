@@ -19,7 +19,7 @@ from faultcast.core import (
     SchemaVersionError,
     WindowSample,
 )
-from faultcast.detect import AnomalyEvent
+from faultcast.detect import AnomalyEvent, AnomalyEvents
 from faultcast.signature import (
     ClassDistribution,
     NaiveBayesModel,
@@ -27,11 +27,13 @@ from faultcast.signature import (
     Vocabulary,
     _best_feature,
     _entropies,
+    _nb_fold_posteriors,
     cross_validate,
     stratified_folds,
     train_nb,
     train_signature,
     train_tree,
+    window_features,
     windowize_events,
 )
 
@@ -170,6 +172,18 @@ def test_windowize_equals_the_per_window_scan(data):
     )
 
     assert windowize_events(events, windows) == oracles.windowize_events_scan(events, windows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(events_at, max_size=30), st.data())
+def test_window_features_of_columns_equal_those_of_the_events(events, data):
+    # repeated (KPI, kind) pairs, in any order, with KPIs the columns number
+    # in first-seen order
+    events += data.draw(st.lists(st.sampled_from(events), max_size=10)) if events else []
+    columns = AnomalyEvents.of(events)
+    features = window_features(columns)
+    assert features == window_features(list(columns)) == oracles.buffer_anomalies([(0, events)])
+    assert all(type(kpi) is KpiId and type(kind) is AnomalyKind for kpi, kind in features)
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +439,24 @@ def test_entropies_equal_the_row_oracle(counts):
     assert _entropies(counts).tolist() == [oracles.entropy(row) for row in counts]
 
 
+GAINS = st.one_of(
+    st.integers(-3, 8).map(lambda i: 0.25 + i * 0.4e-12),  # gains closer than _GAIN_EPS
+    st.sampled_from([-np.inf, 0.0, 0.5e-12, 1e-12, 1.5e-12]),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(
-        st.one_of(
-            st.integers(-3, 8).map(lambda i: 0.25 + i * 0.4e-12),  # gains closer than _GAIN_EPS
-            st.sampled_from([-np.inf, 0.0, 0.5e-12, 1e-12, 1.5e-12]),
-        ),
-        max_size=12,
+    st.integers(0, 12).flatmap(
+        lambda width: st.lists(st.lists(GAINS, min_size=width, max_size=width), min_size=1, max_size=6)
     )
 )
 def test_best_feature_equals_the_scan_oracle(gains):
-    assert _best_feature(np.array(gains)) == oracles.best_feature_scan(gains)
+    # every row of a level's [nodes, bits] gain matrix is scanned on its own
+    expected = [oracles.best_feature_scan(row) for row in gains]
+    assert _best_feature(np.array(gains)).tolist() == [
+        -1 if best is None else best for best in expected
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -628,3 +648,122 @@ def test_cross_validation_on_separable_data_is_perfect():
         for cls, table in cv.per_class.items():
             assert table.fp == 0 and table.fn == 0, f"{algorithm} confused {cls.label()}"
         assert all(truth == pred for truth, pred in cv.predictions)
+
+
+# ---------------------------------------------------------------------------
+# fold-batched cross-validation against the per-fold oracles
+
+
+def random_dataset(rng, n, n_features, n_classes):
+    """Bits and labels with the shapes cross-validation meets: skewed class
+    sizes (some below k), repeated rows, all-zero rows and constant bits."""
+    x = (rng.random((n, n_features)) < rng.choice([0.05, 0.3, 0.6])).astype(np.uint8)
+    if rng.random() < 0.5:  # rows drawn from a few distinct patterns
+        x = x[rng.integers(0, max(1, n // 4), n)]
+    x[rng.random(n) < 0.2] = 0
+    shares = rng.dirichlet(np.full(n_classes, rng.choice([0.3, 3.0])))
+    y = rng.choice(n_classes, n, p=shares)
+    if rng.random() < 0.5:  # labels partly set by the bits, so trees grow deep
+        y = np.where(rng.random(n) < 0.7, (x[:, :3].astype(np.intp).sum(axis=1) * 5) % n_classes, y)
+    return x, y
+
+
+def as_samples(x, y, split_kinds):
+    """Window samples over a vocabulary whose bit j is KPI j."""
+    kpis = [KpiId("Homer", f"m{j:03d}") for j in range(x.shape[1])]
+    kinds = (AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE)
+    samples = [
+        WindowSample(0, 300, frozenset((kpis[j], kinds[j % 2]) for j in np.flatnonzero(row)), MANY_CLASSES[c])
+        for row, c in zip(x, y)
+    ]
+    return samples, Vocabulary(kpis, split_kinds=split_kinds)
+
+
+def contingencies(pairs, classes):
+    return {
+        cls: (
+            sum(t == cls and p == cls for t, p in pairs),
+            sum(t != cls and p == cls for t, p in pairs),
+            sum(t == cls and p != cls for t, p in pairs),
+            sum(t != cls and p != cls for t, p in pairs),
+        )
+        for cls in classes
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 10),
+    n_features=st.one_of(st.integers(1, 12), st.integers(60, 240)),
+    n_classes=st.integers(1, 12),
+    min_leaf=st.integers(1, 5),
+    max_depth=st.sampled_from([None, 1, 2, 3, 4]),
+    split_kinds=st.booleans(),
+)
+@example(seed=3, k=10, n_features=65, n_classes=12, min_leaf=2, max_depth=None, split_kinds=False)
+@example(seed=5, k=2, n_features=4, n_classes=1, min_leaf=1, max_depth=None, split_kinds=False)
+def test_cross_validate_equals_the_per_fold_oracle(seed, k, n_features, n_classes, min_leaf, max_depth, split_kinds):
+    rng = np.random.default_rng(seed)
+    x, y = random_dataset(rng, int(rng.integers(k, 150)), n_features, n_classes)
+    samples, vocab = as_samples(x, y, split_kinds)
+    for algorithm in ("tree", "nb"):
+        options = dict(min_leaf=min_leaf, max_depth=max_depth, alpha=float(rng.choice([0.1, 1.0])))
+        cv = cross_validate(samples, vocab, k=k, seed=seed % 7, algorithm=algorithm, **options)
+        expected = oracles.cross_validate_rows(samples, vocab, k=k, seed=seed % 7, algorithm=algorithm, **options)
+        assert cv.predictions == expected, algorithm
+        got = {cls: (t.tp, t.fp, t.fn, t.tn) for cls, t in cv.per_class.items()}
+        assert got == contingencies(expected, sorted(set(MANY_CLASSES[c] for c in y))), algorithm
+
+
+def test_tree_levels_without_a_valid_split_raise_no_float_error():
+    classes = (NORMAL_CLASS, LOSS_HOMER, HOG_HOMER)
+    y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    with np.errstate(all="raise"):
+        # all-zero rows: no bit leaves a sample on its set side
+        assert train_tree(np.zeros((8, 3), dtype=np.uint8), y, classes, min_leaf=1).root.is_leaf
+        # a splittable node whose every bit leaves a side under min_leaf
+        x = np.eye(8, 4, dtype=np.uint8)
+        assert train_tree(x, y, classes, min_leaf=2).root.is_leaf
+        # every fold's tree grown over windows without anomalies
+        samples, vocab = as_samples(np.zeros((8, 2), dtype=np.uint8), y, False)
+        assert cross_validate(samples, vocab, k=4).predictions == oracles.cross_validate_rows(samples, vocab, k=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 200),
+    n_classes=st.integers(1, 14),
+    min_leaf=st.integers(1, 5),
+    max_depth=st.sampled_from([None, 1, 2, 3, 4]),
+)
+@example(seed=11, n=300, n_classes=14, min_leaf=1, max_depth=None)
+def test_tree_equals_the_recursive_grower(seed, n, n_classes, min_leaf, max_depth):
+    rng = np.random.default_rng(seed)
+    x, y = random_dataset(rng, n, int(rng.integers(0, 16)), n_classes)
+    x[rng.random(x.shape) < 0.02] = 2  # trees split on bits equal to 1 only
+    model = train_tree(x, y, MANY_CLASSES[:n_classes], min_leaf=min_leaf, max_depth=max_depth)
+    assert model.root == oracles.train_tree_recursive(x, y, n_classes, min_leaf, max_depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 10),
+    n_features=st.one_of(st.integers(1, 12), st.integers(100, 600)),
+    n_classes=st.integers(1, 14),
+)
+@example(seed=1, k=3, n_features=1500, n_classes=4)  # would underflow without rescaling
+def test_fold_batched_nb_equals_per_fold_predict_proba(seed, k, n_features, n_classes):
+    # hundreds of features rescale rows at different steps in different folds
+    rng = np.random.default_rng(seed)
+    x, y = random_dataset(rng, int(rng.integers(k, 120)), n_features, n_classes)
+    classes = MANY_CLASSES[:n_classes]
+    alpha = float(rng.choice([0.1, 1.0, 3.0]))
+    folds = stratified_folds([classes[c] for c in y], k, seed=seed % 5)
+    probs = _nb_fold_posteriors(x, y, classes, folds, alpha)
+    for fold in folds:
+        model = train_nb(np.delete(x, fold, axis=0), np.delete(y, fold), classes, alpha=alpha)
+        assert np.array_equal(probs[fold], model.predict_proba(x[fold]))
+        assert np.array_equal(probs[fold], np.stack([oracles.nb_proba_row(model, row) for row in x[fold]]))
