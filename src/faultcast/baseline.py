@@ -187,12 +187,151 @@ def _restricted_fit(y: np.ndarray, p: int) -> _Restricted:
     return _Restricted(float(resid @ resid), rank == design.shape[1], design, target, resid)
 
 
-def _f_survival(dfn: int, dfd: int, f_stat):
-    """P(F > f_stat), element-wise. scipy (~0.25 s, ~26 MB) is imported on the
-    first call, not at module level: only fitting the causality graph needs it."""
-    from scipy import special
+#: B_2k / (2k (2k - 1)), k = 1..8: the coefficients of Stirling's series for ln Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
 
-    return special.fdtrc(dfn, dfd, f_stat)
+
+def _log_gamma_ratio(a: float, b: float, nu: float) -> float:
+    """ln(Gamma(a + b) / (Gamma(a) nu^b)) for positive a, b and nu, without
+    the cancellation of two large ln Gamma values: Stirling's series for the
+    ratio, once Gamma(a + 1) = a Gamma(a) has raised a to at least 10."""
+    s = 0.0
+    while a < 10.0:
+        s -= math.log1p(b / a)
+        a += 1.0
+    s += (a - 0.5) * math.log1p(b / a) - b + b * math.log((a + b) / nu)
+    for k, c in enumerate(_STIRLING, 1):
+        s += c * ((a + b) ** (1 - 2 * k) - a ** (1 - 2 * k))
+    return s
+
+
+def _bgrat_coefficients(b: float, n: int) -> Tuple[float, ...]:
+    """The d_n of BGRAT's expansion (DiDonato & Morris 1992, section 9) for
+    one b; they depend on b alone."""
+    c: List[float] = []
+    d: List[float] = []
+    cn = 1.0
+    for m in range(1, n + 1):
+        cn /= 2 * m * (2 * m + 1)
+        c.append(cn)
+        s = sum((b - m + i * b) * c[i] * d[m - 2 - i] for i in range(m - 1))
+        d.append((b - 1.0) * cn + s / m)
+    return tuple(d)
+
+
+_BGRAT_HALF = _bgrat_coefficients(0.5, 30)
+_TINY = 1e-17  # BGRAT stops once its terms fall below this, relative to the sum
+
+
+def _bgrat_half(a: float, t: np.ndarray) -> np.ndarray:
+    """I_x(a, 1/2) at x = 1 / (1 + t), for a >= 15 and x > 0.7: BGRAT, the
+    expansion of DiDonato & Morris (1992), in incomplete gamma functions
+    Q(1/2, z) = erfc(sqrt z) with z = -(a - 1/4) ln x."""
+    nu = a - 0.25
+    lg = np.log1p(t)  # -ln x
+    z = nu * lg
+    root = np.sqrt(z)
+    k = np.array([math.erfc(s) for s in root.tolist()])  # the first term, Q(1/2, z)
+    r = np.exp(-z) * root / math.sqrt(math.pi)  # e^-z z^b / Gamma(b), times (ln x / 2)^2n
+    t2 = 0.25 * lg * lg
+    v = 0.25 / (nu * nu)
+    total = k.copy()
+    for n, d in enumerate(_BGRAT_HALF):
+        b2n = 0.5 + 2 * n
+        k = (b2n * (b2n + 1.0) * k + (z + b2n + 1.0) * r) * v
+        r = r * t2
+        term = d * k
+        total += term
+        if np.all(np.abs(term) <= _TINY * total):
+            break
+    return math.exp(_log_gamma_ratio(a, 0.5, nu)) * total
+
+
+def _bfrac(a, b, x, y, lam) -> np.ndarray:
+    """I_x(a, b) / (x^a y^b / B(a, b)) for lam = (a + b) y - b >= 0: BFRAC,
+    the continued fraction of DiDonato & Morris (1992), whose terms take the
+    distance from the distribution's mean from lam, not from x."""
+    c = 1.0 + lam
+    c0 = b / a
+    c1 = 1.0 + 1.0 / a
+    yp1 = y + 1.0
+    p = np.ones_like(a)
+    s = a + 1.0
+    an, bn, anp1, bnp1 = np.zeros_like(a), np.ones_like(a), np.ones_like(a), c / c1
+    r = c1 / c
+    n = 0
+    while True:
+        n += 1
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        p = 1.0 + n / a
+        beta = n + w / s + p / (c1 + 2.0 * n / a) * (c + n * yp1)
+        s = s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if np.all(np.abs(r - r0) <= 4 * np.finfo(float).eps * r):
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, np.ones_like(a)
+
+
+def _f_survival(dfn: int, dfd: int, f_stat) -> np.ndarray:
+    """P(F > f_stat) for an F(dfn, dfd) variate, element-wise, in numpy.
+
+    This is the regularized incomplete beta I_x(a, b), a = dfd/2, b = dfn/2,
+    x = 1 / (1 + t), t = dfn f_stat / dfd, by the routes of DiDonato &
+    Morris, ACM TOMS Algorithm 708 (1992).  Every quantity is built from t,
+    never from x, so that no digits are lost where x is close to 1.  For
+    a >= 15 and x > 0.7, b is lowered to 1/2 or 1 by adding the terms
+    I_x(a, b + 1) - I_x(a, b) (BUP); I_x(a, 1) is x^a and I_x(a, 1/2) comes
+    from BGRAT's expansion.  Otherwise BFRAC's continued fraction gives
+    I_x(a, b), or 1 - I_x(a, b) = I_y(b, a) below the mean.  A p-value is
+    within 4e-15 (1 + |ln P|) relative of the exact one wherever it is above
+    1e-300 (tests/test_baseline.py measures it); F = 0 gives 1, F = inf gives
+    0, and a negative or NaN F gives NaN.
+    """
+    f = np.asarray(f_stat, dtype=float)
+    a, b = dfd / 2, dfn / 2
+    with np.errstate(over="ignore"):  # t beyond the float range is inf: P = 0
+        t = f.ravel() * (dfn / dfd)
+    out = np.full(t.shape, np.nan)
+    out[t == 0.0] = 1.0
+    out[t == np.inf] = 0.0
+    inner = (t > 0.0) & (t < np.inf)
+    t = t[inner]
+    y = t / (1.0 + t)
+    value = np.empty_like(t)
+    expand = (y < 0.3) & (a >= 15)
+    if expand.any():
+        tn, yn = t[expand], y[expand]
+        steps = math.ceil(b) - 1
+        b0 = b - steps
+        log_x_a = -a * np.log1p(tn)
+        total = np.exp(log_x_a) if b0 == 1.0 else _bgrat_half(a, tn)
+        # I_x(a, b0 + j + 1) - I_x(a, b0 + j) = Gamma(a + b0 + j) / (Gamma(a) Gamma(b0 + j + 1)) x^a y^(b0 + j)
+        log_term = (
+            log_x_a + b0 * np.log((a + b0) * yn) + _log_gamma_ratio(a, b0, a + b0) - math.lgamma(b0 + 1.0)
+        )
+        log_y = np.log(yn)
+        for j in range(steps):
+            total += np.exp(log_term)
+            log_term += log_y + math.log((a + b0 + j) / (b0 + j + 1.0))
+        value[expand] = total
+    fraction = ~expand
+    if fraction.any():
+        tf, yf = t[fraction], y[fraction]
+        xf = 1.0 / (1.0 + tf)
+        lam = (a + b) * yf - b
+        below = lam < 0.0  # I_y(b, a) there, in the roles swapped
+        cf = _bfrac(
+            np.where(below, b, a), np.where(below, a, b), np.where(below, yf, xf), np.where(below, xf, yf), np.abs(lam)
+        )
+        log_prefix = -a * np.log1p(tf) + b * np.log((a + b) * yf) + _log_gamma_ratio(a, b, a + b) - math.lgamma(b)
+        w = np.exp(log_prefix) * cf
+        value[fraction] = np.where(below, 1.0 - w, w)
+    out[inner] = np.minimum(value, 1.0)  # a sum of terms may round above 1
+    return out.reshape(f.shape)
 
 
 def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: _Restricted) -> GrangerResult:
@@ -298,17 +437,22 @@ _COND_LIMIT = 1e5
 _BLOCK_VALUES = 1 << 17
 
 
-def _effect_edges(
-    kpis: List[KpiId],
-    rows: List[np.ndarray],
-    lags: List[np.ndarray],
-    e: int,
-    causes: List[int],
-    p: int,
-    alpha: float,
-) -> Iterator[GrangerEdge]:
+class _EffectTests(NamedTuple):
+    """One effect's causes, tested up to the p-value (:func:`_effect_tests`)."""
+
+    fac: np.ndarray  # [causes, k + 1, k + 1], the R factors of [design | target]
+    clear: np.ndarray  # [causes], False where the pair was refitted by lstsq
+    rss_u: np.ndarray  # [causes]
+    f_stat: np.ndarray  # [causes], NaN where not clear
+    refits: Dict[int, GrangerResult]  # the lstsq fits of the pairs not clear, by position
+
+
+def _effect_tests(
+    rows: List[np.ndarray], lags: List[np.ndarray], e: int, causes: List[int], p: int
+) -> Optional[_EffectTests]:
     """Test each of ``causes`` against effect row ``e`` of ``rows``, whose
-    lags 1..p are ``lags``; yield every kept edge.
+    lags 1..p are ``lags``, up to the F statistic; None when the effect's own
+    autoregression is degenerate.
 
     By the Frisch-Waugh-Lovell theorem the unrestricted fit's gain over the
     restricted one is the fit of the restricted residual r on the cause's
@@ -321,9 +465,7 @@ def _effect_edges(
     """
     restricted = _restricted_fit(rows[e], p)
     if not restricted.full_rank:
-        for c in causes:
-            logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
-        return
+        return None
     q, upper = np.linalg.qr(restricted.design)
     qt = np.ascontiguousarray(q.T)
     m, k = len(restricted.target), 2 * p + 1
@@ -344,8 +486,7 @@ def _effect_edges(
         block_lags -= coords @ qt
         fac[part, : p + 1, p + 1 : k] = coords.transpose(0, 2, 1)
         fac[part, p + 1 :, p + 1 :] = np.linalg.qr(stack.transpose(0, 2, 1), mode="r")
-    tri = fac[:, :k, :k]
-    sv = np.linalg.svd(tri, compute_uv=False)
+    sv = np.linalg.svd(fac[:, :k, :k], compute_uv=False)
     norms = np.linalg.norm(fac, axis=1)
     norms[norms == 0.0] = 1.0
     sv_scaled = np.linalg.svd(fac / norms[:, None, :], compute_uv=False)
@@ -355,12 +496,30 @@ def _effect_edges(
     df_denom = m - k
     rss_u = np.minimum(fac[:, k, k] ** 2, restricted.rss)
     gain = (fac[:, p + 1 : k, k] ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # unclear pairs are refitted below
-        p_values = _f_survival(p, df_denom, (gain / p) / (rss_u / df_denom))
+    with np.errstate(divide="ignore", invalid="ignore"):  # pairs not clear are refitted below
+        f_stat = np.where(clear, (gain / p) / (rss_u / df_denom), np.nan)
+    refits = {j: _granger_from(rows[c], rows[e], p, restricted) for j, c in enumerate(causes) if not clear[j]}
+    return _EffectTests(fac, clear, rss_u, f_stat, refits)
+
+
+def _effect_edges(
+    kpis: List[KpiId],
+    e: int,
+    causes: List[int],
+    tests: _EffectTests,
+    p_values: np.ndarray,
+    p: int,
+    alpha: float,
+    df_denom: int,
+) -> Iterator[GrangerEdge]:
+    """Yield the kept edges of effect ``e``'s ``tests``, whose clear pairs'
+    p-values are ``p_values``."""
+    fac, clear, rss_u, _, refits = tests
+    k = 2 * p + 1
     kept = clear & (p_values < alpha)
     solved = np.zeros((len(causes), k))
     if kept.any():  # back-substitution, for kept edges only
-        solved[kept] = np.linalg.solve(tri[kept], fac[kept, :k, k, None])[..., 0]
+        solved[kept] = np.linalg.solve(fac[kept, :k, :k], fac[kept, :k, k, None])[..., 0]
     for j, c in enumerate(causes):
         if clear[j]:
             if not kept[j]:
@@ -368,7 +527,7 @@ def _effect_edges(
             p_value, coefficients = float(p_values[j]), solved[j].tolist()
             residual_std = math.sqrt(rss_u[j] / df_denom)
         else:
-            result = _granger_from(rows[c], rows[e], p, restricted)
+            result = refits[j]
             if result.degenerate:
                 logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
                 continue
@@ -417,8 +576,19 @@ def _alignment_edges(
         causes.setdefault(e, []).append(c)
     # lags 1..p of each row, as strided views
     lags = [np.lib.stride_tricks.sliding_window_view(row, n - p)[p - 1 :: -1] for row in rows]
+    tests = {e: _effect_tests(rows, lags, e, tested, p) for e, tested in causes.items()}
+    # every pair here has the same degrees of freedom: one p-value call for all
+    df_denom = n - 3 * p - 1
+    f_stats = [t.f_stat for t in tests.values() if t is not None]
+    p_values = _f_survival(p, df_denom, np.concatenate(f_stats or [np.empty(0)]))
+    at = 0
     for e, tested in causes.items():
-        yield from _effect_edges(kpis, rows, lags, e, tested, p, alpha)
+        if tests[e] is None:
+            for c in tested:
+                logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
+            continue
+        yield from _effect_edges(kpis, e, tested, tests[e], p_values[at : at + len(tested)], p, alpha, df_denom)
+        at += len(tested)
 
 
 def build_graph(

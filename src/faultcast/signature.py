@@ -430,7 +430,7 @@ def train_tree(
     Ties between features break toward the lowest bit index.  Single-class
     input yields a single-leaf tree.
     """
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x) != 0  # any non-zero value is a set bit, as in predict_proba
     y = np.asarray(y, dtype=np.intp)
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("x must be (n_samples, n_features) aligned with y")
@@ -441,7 +441,7 @@ def train_tree(
     classes = tuple(classes)
     if y.max(initial=-1) >= len(classes):
         raise ValueError("label index out of range for the class list")
-    (root,) = _grow_trees(x == 1, y, [np.arange(len(y))], len(classes), min_leaf, max_depth)
+    (root,) = _grow_trees(x, y, [np.arange(len(y))], len(classes), min_leaf, max_depth)
     return DecisionTreeModel(
         classes=classes,
         n_features=int(x.shape[1]),
@@ -507,7 +507,7 @@ def train_nb(
 ) -> NaiveBayesModel:
     """Estimate smoothed priors (n_c + a) / (N + aK) and Bernoulli parameters
     (ones_c + a) / (n_c + 2a).  An empty sample set is an error."""
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x) != 0  # any non-zero value is a set bit, as in predict_proba
     y = np.asarray(y, dtype=np.intp)
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("x must be (n_samples, n_features) aligned with y")
@@ -521,7 +521,7 @@ def train_nb(
         raise ValueError("label index out of range for the class list")
     n_c = np.bincount(y, minlength=k).astype(float)
     priors = (n_c + alpha) / (len(y) + alpha * k)
-    ones = np.eye(k)[y].T @ x  # sums of small integers: exact in float64
+    ones = np.eye(k)[y].T @ x  # counts of set bits: exact in float64
     theta = (ones + alpha) / (n_c[:, None] + 2.0 * alpha)
     priors.setflags(write=False)
     theta.setflags(write=False)
@@ -767,7 +767,7 @@ def cross_validate(
         # every fold's tree grown at once; the global class list keeps class
         # indices aligned across folds
         trains = [np.delete(np.arange(len(y)), fold) for fold in folds]
-        roots = _grow_trees(x == 1, y, trains, len(classes), min_leaf, max_depth)
+        roots = _grow_trees(x != 0, y, trains, len(classes), min_leaf, max_depth)
         preds = np.empty(len(y), dtype=np.intp)
         for fold, root in zip(folds, roots):
             model = DecisionTreeModel(classes, x.shape[1], min_leaf, max_depth, root)

@@ -467,7 +467,7 @@ def grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices=None, depth=0):
     best_feature = None
     sub = x[indices]
     for f in range(x.shape[1]):
-        mask = sub[:, f] == 1
+        mask = sub[:, f] != 0
         n_on = int(mask.sum())
         n_off = n - n_on
         if n_on < min_leaf or n_off < min_leaf:
@@ -481,7 +481,7 @@ def grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices=None, depth=0):
             best_feature = f
     if best_feature is None or best_gain <= _GAIN_EPS:
         return leaf()
-    mask = sub[:, best_feature] == 1
+    mask = sub[:, best_feature] != 0
     return TreeNode(
         feature=best_feature,
         nominal=grow_tree_loop(x, y, n_classes, min_leaf, max_depth, indices[~mask], depth + 1),
@@ -536,7 +536,7 @@ def grow_tree_recursive(on, one_hot, y, indices, n_classes, min_leaf, max_depth,
 
 def train_tree_recursive(x, y, n_classes, min_leaf, max_depth):
     """The root ``grow_tree_recursive`` grows over every sample."""
-    on = (np.asarray(x) == 1).astype(float)
+    on = (np.asarray(x) != 0).astype(float)
     return grow_tree_recursive(on, np.eye(n_classes)[y], y, np.arange(len(y)), n_classes, min_leaf, max_depth)
 
 

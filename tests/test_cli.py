@@ -16,9 +16,9 @@ import pytest
 
 from faultcast.baseline import BaselineModel, fit_baseline_model
 from faultcast.core import NORMAL_CLASS, AnomalyKind, FailureClass, FaultType, WindowSample, parse_timestamp
-from faultcast.detect import read_anomaly_log
-from faultcast.evaluate import SuiteConfig
-from faultcast.io import ingest_csv
+from faultcast.detect import detect_stream, read_anomaly_log, write_anomaly_log
+from faultcast.evaluate import RunRecord, SuiteConfig, assemble_windows, build_suite, render_rq2, run_rq2
+from faultcast.io import RunManifest, ingest_csv
 from faultcast.predict import run_predictor, write_alert_log
 from faultcast.signature import SignatureModel, Vocabulary, train_signature
 
@@ -254,34 +254,70 @@ def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tm
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
-# cli.main in a fresh interpreter, then the scipy modules it left loaded
-_MAIN_THEN_SCIPY = (
-    "import json, sys; from faultcast import cli; rc = cli.main(sys.argv[1:]); "
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); sys.exit(rc)"
-)
+# cli.main in a fresh interpreter whose imports of scipy fail: every argument
+# list in the JSON of argv[1] runs in turn, and their exit codes print
+_MAIN_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from faultcast import cli
+print(json.dumps([cli.main(args) for args in json.loads(sys.argv[1])]))
+"""
 
 
-def _scipy_after_main(*args):
-    proc = subprocess.run([sys.executable, "-c", _MAIN_THEN_SCIPY, *args], capture_output=True, text=True)
+def test_no_command_needs_scipy(short_pipeline, tmp_path):
+    # fitting the graph, detecting, training a signature, replaying a run and
+    # evaluating all run with scipy unimportable, and write the library's bytes
+    train_csv, fault_csv = short_pipeline["train_csv"], short_pipeline["fault_csv"]
+    run_start = short_pipeline["run_start"]
+    detected = [  # (data, anomaly log, run start, manifest) of each run
+        (train_csv, "train-anomalies.csv", "2026-01-05T00:00:00Z", train_csv.with_suffix(".manifest.json")),
+        (fault_csv, "fault-anomalies.csv", run_start, short_pipeline["fault_manifest"]),
+    ]
+    config = SuiteConfig(training_days=2, run_duration_min=130, allow_short_training=True)
+    config.save(tmp_path / "suite.json")
+    cli_dir, lib_dir = tmp_path / "cli", tmp_path / "library"
+    cli_dir.mkdir()
+    lib_dir.mkdir()
+    baseline_json = cli_dir / "baseline.json"
+    commands = [["train-baseline", "--data", train_csv, "--out", baseline_json, "--allow-short"]]
+    for data, log, start, _ in detected:
+        commands.append(["detect", "--baseline", baseline_json, "--data", data, "--out", cli_dir / log])
+        commands[-1] += ["--run-start", start]
+    commands.append(["train-signature", "--baseline", baseline_json, "--out", cli_dir / "signature.json"])
+    for _, log, _, manifest in detected:
+        commands[-1] += ["--run", cli_dir / log, manifest]
+    commands.append(
+        ["predict", "--baseline", baseline_json, "--signature", cli_dir / "signature.json", "--data", fault_csv]
+        + ["--out", cli_dir / "alerts.csv", "--run-start", run_start]
+    )
+    commands.append(["evaluate", "--suite", "rq2", "--config", tmp_path / "suite.json"])
+    commands[-1] += ["--out", cli_dir / "report.txt"]
+    argv = json.dumps([[str(arg) for arg in command] for command in commands])
+    proc = subprocess.run([sys.executable, "-c", _MAIN_WITHOUT_SCIPY, argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands)
 
-
-@pytest.mark.parametrize("command", ["detect", "predict"])
-def test_commands_that_fit_no_graph_leave_scipy_unloaded(short_pipeline, tmp_path, command):
-    args = _online_args(command, short_pipeline, tmp_path, short_pipeline["run_start"])
-    assert _scipy_after_main(*args) == []
-    assert (tmp_path / "out.csv").stat().st_size > 0
-
-
-def test_train_baseline_loads_scipy_and_matches_the_library(short_pipeline, tmp_path):
-    out = tmp_path / "baseline.json"
-    train_csv = str(short_pipeline["train_csv"])
-    loaded = _scipy_after_main("train-baseline", "--data", train_csv, "--out", str(out), "--allow-short")
-    assert "scipy.special" in loaded
-    library = tmp_path / "library.json"
-    fit_baseline_model(ingest_csv(train_csv), allow_short=True).save(library)
-    assert out.read_bytes() == library.read_bytes()
+    baseline = fit_baseline_model(ingest_csv(train_csv), allow_short=True)
+    baseline.save(lib_dir / "baseline.json")
+    runs = []
+    for data, log, start, manifest in detected:
+        write_anomaly_log(detect_stream(baseline, ingest_csv(data), parse_timestamp(start)), lib_dir / log)
+        runs.append(RunRecord(events=read_anomaly_log(lib_dir / log), manifest=RunManifest.load(manifest)))
+    signature = train_signature(assemble_windows(runs, 90, 5), Vocabulary(baseline.baselines.keys()), "tree", 90)
+    signature.save(lib_dir / "signature.json")
+    series_map = ingest_csv(fault_csv)
+    run_end = max(s.end for s in series_map.values()) + 60
+    alerts = run_predictor(baseline, signature, series_map, parse_timestamp(run_start), run_end)
+    write_alert_log(alerts, lib_dir / "alerts.csv")
+    (lib_dir / "report.txt").write_text(render_rq2(run_rq2(build_suite(config))) + "\n", encoding="utf-8")
+    for path in sorted(lib_dir.iterdir()):
+        assert (cli_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def _spoil_leaves(node):

@@ -290,6 +290,32 @@ def test_nb_batch_equals_the_per_row_oracle(seed, n_features, n_classes, certain
     assert np.array_equal(model.predict_proba(rows[3]), expected[3])
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), signed=st.booleans())
+def test_trainers_read_any_non_zero_value_as_a_set_bit(seed, signed):
+    # as both predict_probas do: a byte above 1, or an int64 that a uint8 cast
+    # would wrap to 0 or 1, trains the model its `!= 0` matrix trains, and
+    # naive Bayes keeps every theta inside (0, 1)
+    rng = np.random.default_rng(seed)
+    n, n_features, n_classes = int(rng.integers(1, 60)), int(rng.integers(1, 20)), int(rng.integers(1, 6))
+    if signed:
+        pool = np.array([1, -1, 2, 256, -256, 257, 2**40, -(2**63)], dtype=np.int64)
+    else:
+        pool = np.array([1, 2, 3, 128, 255], dtype=np.uint8)
+    shape = (n, n_features)
+    values = np.where(rng.random(shape) < 0.5, 0, rng.choice(pool, size=shape))
+    bits = values != 0
+    y = rng.integers(0, n_classes, n)
+    classes = MANY_CLASSES[:n_classes]
+    nb, nb_bits = train_nb(values, y, classes), train_nb(bits, y, classes)
+    assert np.array_equal(nb.priors, nb_bits.priors) and np.array_equal(nb.theta, nb_bits.theta)
+    assert np.all((nb.theta > 0.0) & (nb.theta < 1.0))
+    assert np.all(np.isfinite(nb.predict_proba(values)))
+    for min_leaf in (1, 2):
+        tree = train_tree(values, y, classes, min_leaf=min_leaf)
+        assert tree == train_tree(bits, y, classes, min_leaf=min_leaf)
+
+
 def test_nb_input_gates():
     x = np.array([[1]], dtype=np.uint8)
     with pytest.raises(ValueError):
@@ -471,7 +497,7 @@ def test_best_feature_equals_the_scan_oracle(gains):
 def test_tree_equals_the_per_feature_oracle(seed, n, n_classes, min_leaf, max_depth):
     rng = np.random.default_rng(seed)
     x = (rng.random((n, int(rng.integers(1, 10)))) < rng.choice([0.1, 0.3, 0.5, 0.8])).astype(np.uint8)
-    x[rng.random(x.shape) < 0.02] = 2  # training splits on bits equal to 1 only
+    x[rng.random(x.shape) < 0.02] = 2  # any non-zero value is a set bit, in training as in prediction
     # duplicate and constant columns tie on gain, in shuffled positions
     extra = [x[:, rng.integers(x.shape[1])] for _ in range(rng.integers(0, 4))]
     extra += [np.full(n, rng.integers(0, 2), dtype=np.uint8) for _ in range(rng.integers(0, 3))]
@@ -742,7 +768,7 @@ def test_tree_levels_without_a_valid_split_raise_no_float_error():
 def test_tree_equals_the_recursive_grower(seed, n, n_classes, min_leaf, max_depth):
     rng = np.random.default_rng(seed)
     x, y = random_dataset(rng, n, int(rng.integers(0, 16)), n_classes)
-    x[rng.random(x.shape) < 0.02] = 2  # trees split on bits equal to 1 only
+    x[rng.random(x.shape) < 0.02] = 2  # any non-zero value is a set bit, in training as in prediction
     model = train_tree(x, y, MANY_CLASSES[:n_classes], min_leaf=min_leaf, max_depth=max_depth)
     assert model.root == oracles.train_tree_recursive(x, y, n_classes, min_leaf, max_depth)
 
