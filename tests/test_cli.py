@@ -254,6 +254,40 @@ def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tm
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
+# cli.main in a fresh interpreter, then the scipy modules it left loaded
+_MAIN_THEN_SCIPY = (
+    "import json, sys; from faultcast import cli; rc = cli.main(sys.argv[1:]); "
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); sys.exit(rc)"
+)
+
+
+def _scipy_after_main(*args):
+    proc = subprocess.run([sys.executable, "-c", _MAIN_THEN_SCIPY, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# with scipy installed, a command must still not import it: a fallback import
+# that test_no_command_needs_scipy's blocked scipy would forgive fails here
+@pytest.mark.parametrize("command", ["detect", "predict"])
+def test_commands_that_fit_no_graph_leave_scipy_unloaded(short_pipeline, tmp_path, command):
+    args = _online_args(command, short_pipeline, tmp_path, short_pipeline["run_start"])
+    assert _scipy_after_main(*args) == []
+    assert (tmp_path / "out.csv").stat().st_size > 0
+
+
+def test_train_baseline_loads_scipy_and_matches_the_library(short_pipeline, tmp_path):
+    # fitting the graph once loaded scipy.special for its p-values; they are
+    # computed in numpy now, so train-baseline must load no scipy module at all
+    out = tmp_path / "baseline.json"
+    train_csv = str(short_pipeline["train_csv"])
+    loaded = _scipy_after_main("train-baseline", "--data", train_csv, "--out", str(out), "--allow-short")
+    assert loaded == []
+    library = tmp_path / "library.json"
+    fit_baseline_model(ingest_csv(train_csv), allow_short=True).save(library)
+    assert out.read_bytes() == library.read_bytes()
+
+
 # cli.main in a fresh interpreter whose imports of scipy fail: every argument
 # list in the JSON of argv[1] runs in turn, and their exit codes print
 _MAIN_WITHOUT_SCIPY = """
