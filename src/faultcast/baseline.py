@@ -14,10 +14,12 @@ from .core import (
     HOURS_PER_WEEK,
     MIN_TRAINING_SPAN_S,
     CADENCE_S,
+    Grids,
     InsufficientTrainingError,
     KpiId,
     TimeSeries,
     hour_of_week,
+    lags,
 )
 from .io import check_kind, load_json, save_json
 
@@ -70,6 +72,12 @@ class UnivariateBaseline:
         )
 
 
+def _std_floor(values: np.ndarray) -> float:
+    """The smallest std a band of ``values`` may have: max(STD_FLOOR_REL *
+    value range, STD_FLOOR_ABS)."""
+    return max(STD_FLOOR_REL * float(values.max() - values.min()), STD_FLOOR_ABS)
+
+
 def fit_univariate(
     series: TimeSeries,
     k_sigma: float = DEFAULT_K_SIGMA,
@@ -93,7 +101,7 @@ def fit_univariate(
         )
     values = series.values
     buckets = hour_of_week(series.timestamps)
-    std_floor = max(STD_FLOOR_REL * float(values.max() - values.min()), STD_FLOOR_ABS)
+    std_floor = _std_floor(values)
 
     counts = np.bincount(buckets, minlength=HOURS_PER_WEEK)
     sums = np.bincount(buckets, weights=values, minlength=HOURS_PER_WEEK)
@@ -154,15 +162,10 @@ class GrangerResult:
 def _lag_design(y: np.ndarray, x: Optional[np.ndarray], p: int) -> Tuple[np.ndarray, np.ndarray]:
     """Build (design, target) for the lag-p autoregression of y, optionally
     augmented with x's lags.  Columns: intercept, y lags 1..p[, x lags 1..p]."""
-    n = len(y)
-    target = y[p:]
-    cols = [np.ones(n - p)]
-    for i in range(1, p + 1):
-        cols.append(y[p - i : n - i])
+    cols = [np.ones(len(y) - p), *lags(y, p)]
     if x is not None:
-        for i in range(1, p + 1):
-            cols.append(x[p - i : n - i])
-    return np.column_stack(cols), target
+        cols.extend(lags(x, p))
+    return np.column_stack(cols), y[p:]
 
 
 def _ols_fit(design: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -448,10 +451,10 @@ class _EffectTests(NamedTuple):
 
 
 def _effect_tests(
-    rows: List[np.ndarray], lags: List[np.ndarray], e: int, causes: List[int], p: int
+    rows: List[np.ndarray], row_lags: List[np.ndarray], e: int, causes: List[int], p: int
 ) -> Optional[_EffectTests]:
     """Test each of ``causes`` against effect row ``e`` of ``rows``, whose
-    lags 1..p are ``lags``, up to the F statistic; None when the effect's own
+    lags 1..p are ``row_lags``, up to the F statistic; None when the effect's own
     autoregression is degenerate.
 
     By the Frisch-Waugh-Lovell theorem the unrestricted fit's gain over the
@@ -479,7 +482,7 @@ def _effect_tests(
         part = slice(lo, lo + block)
         stack = np.empty((len(causes[part]), p + 1, m))
         for j, c in enumerate(causes[part]):
-            stack[j, :p] = lags[c]
+            stack[j, :p] = row_lags[c]
         stack[:, p] = restricted.resid
         block_lags = stack[:, :p]
         coords = block_lags @ q
@@ -511,9 +514,11 @@ def _effect_edges(
     p: int,
     alpha: float,
     df_denom: int,
+    floor: float,
 ) -> Iterator[GrangerEdge]:
     """Yield the kept edges of effect ``e``'s ``tests``, whose clear pairs'
-    p-values are ``p_values``."""
+    p-values are ``p_values``.  A pair whose residual std is at most
+    ``floor``, the effect's band floor, is an exact fit and is skipped."""
     fac, clear, rss_u, _, refits = tests
     k = 2 * p + 1
     kept = clear & (p_values < alpha)
@@ -534,7 +539,7 @@ def _effect_edges(
             if result.p_value >= alpha:
                 continue
             p_value, coefficients, residual_std = result.p_value, result.coefficients, result.residual_std
-        if residual_std <= 0.0:  # the cause's lags reproduce the effect exactly
+        if residual_std <= floor:  # the cause's lags reproduce the effect to rounding
             logger.info("graph: %s -> %s exact fit skipped", kpis[c], kpis[e])
             continue
         yield GrangerEdge(
@@ -574,9 +579,8 @@ def _alignment_edges(
         if prefilter_r > 0.0 and abs(r[c, e]) < prefilter_r:
             continue
         causes.setdefault(e, []).append(c)
-    # lags 1..p of each row, as strided views
-    lags = [np.lib.stride_tricks.sliding_window_view(row, n - p)[p - 1 :: -1] for row in rows]
-    tests = {e: _effect_tests(rows, lags, e, tested, p) for e, tested in causes.items()}
+    row_lags = [lags(row, p) for row in rows]
+    tests = {e: _effect_tests(rows, row_lags, e, tested, p) for e, tested in causes.items()}
     # every pair here has the same degrees of freedom: one p-value call for all
     df_denom = n - 3 * p - 1
     f_stats = [t.f_stat for t in tests.values() if t is not None]
@@ -587,7 +591,8 @@ def _alignment_edges(
             for c in tested:
                 logger.info("graph: %s -> %s degenerate fit skipped", kpis[c], kpis[e])
             continue
-        yield from _effect_edges(kpis, e, tested, tests[e], p_values[at : at + len(tested)], p, alpha, df_denom)
+        part = p_values[at : at + len(tested)]
+        yield from _effect_edges(kpis, e, tested, tests[e], part, p, alpha, df_denom, _std_floor(rows[e]))
         at += len(tested)
 
 
@@ -602,8 +607,9 @@ def build_graph(
     Each pair is tested on the timestamps both KPIs share.  Pairs whose
     absolute Pearson correlation falls below ``prefilter_r`` are skipped (set
     it to 0 to disable the prefilter).  Degenerate fits, exact fits (a
-    cause whose lags leave no residual) and pairs with too little aligned
-    history are skipped with a log entry.  An edge is kept when the test's
+    cause whose lags leave a residual std at or below the effect's band
+    floor on the aligned values) and pairs with too little aligned history
+    are skipped with a log entry.  An edge is kept when the test's
     p-value beats ``alpha``; its weight is 1 - p_value.  Edges come back
     ordered by (cause, effect).
 
@@ -622,30 +628,20 @@ def build_graph(
     if prefilter_r < 0 or prefilter_r >= 1:
         raise ValueError("prefilter_r must lie in [0, 1)")
     kpis = sorted(training)
-    # KPIs sampled at identical timestamps form a group; a pair inside one
-    # group needs no alignment, a pair across two is aligned once per group pair.
-    by_stamps: Dict[bytes, List[KpiId]] = {}
-    for kpi in kpis:
-        by_stamps.setdefault(training[kpi].timestamps.tobytes(), []).append(kpi)
-    groups = list(by_stamps.values())
+    grids = Grids(training, kpis)
     edges: List[GrangerEdge] = []
-    for i, left in enumerate(groups):
-        stamps = training[left[0]].timestamps
-        m = len(left)
-        rows = [training[kpi].values for kpi in left]
-        pairs = [(c, e) for c in range(m) for e in range(m) if c != e]
-        edges.extend(_alignment_edges(left, rows, pairs, p, alpha, prefilter_r))
-        for right in groups[i + 1 :]:
-            _, il, ir = np.intersect1d(
-                stamps, training[right[0]].timestamps, assume_unique=True, return_indices=True
-            )
-            members = left + right
-            rows = [training[kpi].values[il] for kpi in left] + [
-                training[kpi].values[ir] for kpi in right
-            ]
-            cross = [(c, e) for c in range(m) for e in range(m, len(members))]
-            pairs = cross + [(e, c) for c, e in cross]
-            edges.extend(_alignment_edges(members, rows, pairs, p, alpha, prefilter_r))
+    for g in range(len(grids.members)):
+        for h in range(g, len(grids.members)):
+            _, ig, ih = grids.common(g, h)
+            left = [kpis[k] for k in grids.members[g]]
+            right = [] if g == h else [kpis[k] for k in grids.members[h]]
+            rows = [training[kpi].values[ig] for kpi in left] + [training[kpi].values[ih] for kpi in right]
+            m = len(left)
+            # causes in grid g; effects in g too, or in h and then also the other way round
+            pairs = [(c, e) for c in range(m) for e in range(0 if g == h else m, len(rows)) if c != e]
+            if g != h:
+                pairs += [(e, c) for c, e in pairs]
+            edges.extend(_alignment_edges(left + right, rows, pairs, p, alpha, prefilter_r))
     return sorted(edges, key=lambda edge: (edge.cause, edge.effect))
 
 
@@ -679,7 +675,6 @@ class DetectionPlan:
     each group in the model's edge order."""
 
     kpis: Tuple[KpiId, ...]
-    index: Dict[KpiId, int]
     bucket_means: np.ndarray  # [K, 168]
     bucket_stds: np.ndarray  # [K, 168]
     k_sigma: np.ndarray  # [K]
@@ -709,7 +704,7 @@ class DetectionPlan:
         ]
         for array in arrays + [a for group in edges.values() for a in group]:
             array.setflags(write=False)
-        return cls(kpis, index, *arrays, edges)
+        return cls(kpis, *arrays, edges)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .baseline import BaselineModel, fit_baseline_model
-from .core import FaultcastError, format_timestamp, parse_timestamp
+from .core import CADENCE_S, FaultcastError, format_timestamp, parse_timestamp
 from .detect import detect_stream, read_anomaly_log, write_anomaly_log
 from .evaluate import (
     RQ1_WINDOW_LENGTHS,
@@ -61,6 +61,20 @@ def _require_kpis(model: BaselineModel, series_map) -> None:
         raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {missing[0]}")
 
 
+def _require_cadence(series_map) -> None:
+    """Every sample must lie a whole number of cadences from the data's first
+    one; gaps are allowed."""
+    first = min((int(s.timestamps[0]) for s in series_map.values()), default=0)
+    for kpi in sorted(series_map):
+        timestamps = series_map[kpi].timestamps
+        off = ((timestamps - first) % CADENCE_S).nonzero()[0]
+        if len(off):
+            raise FaultcastError(
+                f"{kpi} has a sample at {format_timestamp(timestamps[off[0]])}, off the data's"
+                f" {CADENCE_S}-second cadence from its first sample ({format_timestamp(first)})"
+            )
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
@@ -81,6 +95,7 @@ def cmd_train_baseline(args: argparse.Namespace) -> int:
             if kpi in training:
                 raise FaultcastError(f"KPI {kpi} appears in more than one training file")
             training[kpi] = series
+    _require_cadence(training)
     model = fit_baseline_model(
         training,
         k_sigma=args.k_sigma,
@@ -101,6 +116,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         write_anomaly_log([], args.out)
         print(f"0 anomalous (KPI, interval) verdicts -> {args.out}")
         return 0
+    _require_cadence(series_map)
     _require_kpis(model, series_map)
     run_start = _run_start(args.run_start, series_map)
     events = detect_stream(model, series_map, run_start, tau=args.tau)
@@ -134,6 +150,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         write_alert_log([], args.out)
         print(f"0 alerts (0 general) -> {args.out}")
         return 0
+    _require_cadence(series_map)
     _require_kpis(baseline, series_map)
     run_start = _run_start(args.run_start, series_map)
     first = min(int(s.timestamps[0]) for s in series_map.values())

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -174,6 +174,36 @@ class TimeSeries:
     def span_s(self) -> int:
         """Elapsed seconds between first and last sample."""
         return self.end - self.start
+
+
+class Grids:
+    """The KPIs ``kpis`` whose series in ``series_map`` have identical
+    timestamps share a grid.  ``series[k]`` is KPI k's series and
+    ``grid_of[k]`` its grid, None and -1 when the map lacks it; ``members[g]``
+    holds grid g's KPI numbers (positions in ``kpis``) in increasing order and
+    ``timestamps[g]`` its instants.  Grids are numbered by their first KPI."""
+
+    def __init__(self, series_map: Dict[KpiId, TimeSeries], kpis: Sequence[KpiId]):
+        self.series = [series_map.get(kpi) for kpi in kpis]
+        numbers: Dict[bytes, int] = {}
+        grid_of = [-1 if s is None else numbers.setdefault(s.timestamps.tobytes(), len(numbers)) for s in self.series]
+        self.grid_of = np.array(grid_of, dtype=np.intp)
+        self.members = [np.flatnonzero(self.grid_of == g) for g in range(len(numbers))]
+        self.timestamps = [self.series[ks[0]].timestamps for ks in self.members]
+
+    def common(self, g: int, h: int):
+        """(instants, index into grid g, index into grid h) of the instants
+        grids g and h share; the indices are whole slices when ``g == h``."""
+        if g == h:
+            return self.timestamps[g], slice(None), slice(None)
+        return np.intersect1d(self.timestamps[g], self.timestamps[h], assume_unique=True, return_indices=True)
+
+
+def lags(values: np.ndarray, p: int) -> np.ndarray:
+    """Lags 1..p of the last axis of ``values`` (length n) as a read-only
+    ``[..., p, n - p]`` view whose row i - 1 is ``values[..., p - i : n - i]``."""
+    n = values.shape[-1]
+    return np.lib.stride_tricks.sliding_window_view(values, n - p, axis=-1)[..., p - 1 :: -1, :]
 
 
 # ---------------------------------------------------------------------------

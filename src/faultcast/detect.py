@@ -20,10 +20,12 @@ from .core import (
     INTERVAL_S,
     AnomalyKind,
     CsvParseError,
+    Grids,
     KpiId,
     TimeSeries,
     format_timestamp,
     hour_of_week,
+    lags,
     parse_timestamp,
 )
 from .io import _kpi_fields, _open_text
@@ -170,12 +172,12 @@ def _edge_scores(
     depend on how many edges or intervals are scored together.
     """
     p = coef.shape[1] // 2
-    n = y.shape[1]
-    pred = np.empty((len(coef), n - p))
+    y_lags, x_lags = lags(y, p), lags(x, p)
+    pred = np.empty((len(coef), y.shape[1] - p))
     pred[:] = coef[:, :1]
-    for i in range(1, p + 1):
-        pred += coef[:, i : i + 1] * y[:, p - i : n - i]
-        pred += coef[:, p + i : p + i + 1] * x[:, p - i : n - i]
+    for i in range(p):
+        pred += coef[:, 1 + i, None] * y_lags[:, i]
+        pred += coef[:, p + 1 + i, None] * x_lags[:, i]
     sq = (y[:, p:] - pred) ** 2
     h = hi - lo
     sums = np.empty((len(coef), len(lo)))
@@ -219,31 +221,17 @@ def detect_stream(
         raise ValueError("interval must be a positive multiple of the cadence")
     plan = model.plan
     expected = interval_s // cadence_s
-    # KPIs sampled at identical timestamps form a group: one interval binning
-    # and, for the edges between two groups, one alignment
-    groups: Dict[bytes, List[Tuple[int, TimeSeries]]] = {}
-    unknown = []
-    for kpi, series in series_map.items():
-        k = plan.index.get(kpi)
-        if k is None:
-            unknown.append(kpi)
-        else:
-            groups.setdefault(series.timestamps.tobytes(), []).append((k, series))
-    for kpi in sorted(unknown):
-        logger.warning("detect: no baseline for %s; skipping", kpi)
-
-    group_of = np.full(len(plan.kpis), -1)  # -1: not in the input
-    row_of = np.zeros(len(plan.kpis), dtype=np.intp)  # row in its group's block
-    blocks: List[Tuple[np.ndarray, np.ndarray]] = []  # (timestamps, values [KPIs, samples])
+    grids = Grids(series_map, plan.kpis)
+    if np.count_nonzero(grids.grid_of >= 0) < len(series_map):
+        for kpi in sorted(series_map.keys() - model.baselines.keys()):
+            logger.warning("detect: no baseline for %s; skipping", kpi)
+    # one [KPIs, samples] block per grid; a KPI's row in its block
+    blocks = [np.array([grids.series[k].values for k in ks]) for ks in grids.members]
+    row_of = np.zeros(len(plan.kpis), dtype=np.intp)
     # exceedance columns: (start, KPI, kind, score)
     found = [(np.empty(0, np.int64), np.empty(0, np.intp), _UNIVARIATE, np.empty(0))]
-    for g, members in enumerate(groups.values()):
-        ks = np.array([k for k, _ in members])
-        group_of[ks] = g
+    for ks, timestamps, values in zip(grids.members, grids.timestamps, blocks):
         row_of[ks] = np.arange(len(ks))
-        timestamps = members[0][1].timestamps
-        values = np.array([series.values for _, series in members])
-        blocks.append((timestamps, values))
         starts, lo, hi = _interval_bins(timestamps, run_start, interval_s)
         bucket = hour_of_week(timestamps)
         z = np.abs(values - plan.bucket_means[ks[:, None], bucket]) / plan.bucket_stds[ks[:, None], bucket]
@@ -252,18 +240,13 @@ def detect_stream(
         found.append((starts[i], ks[r], _UNIVARIATE, peaks[r, i]))
 
     for p, edges in plan.edges.items():
-        cause_group, effect_group = group_of[edges.cause], group_of[edges.effect]
-        # each edge's (cause group, effect group) as one number; -1: an endpoint is missing
-        present = (cause_group >= 0) & (effect_group >= 0)
-        pair = np.where(present, cause_group * len(blocks) + effect_group, -1)
+        cause_grid, effect_grid = grids.grid_of[edges.cause], grids.grid_of[edges.effect]
+        # each edge's (cause grid, effect grid) as one number; -1: an endpoint is missing
+        present = (cause_grid >= 0) & (effect_grid >= 0)
+        pair = np.where(present, cause_grid * len(blocks) + effect_grid, -1)
         for key in np.unique(pair[pair >= 0]):
             cause_g, effect_g = divmod(int(key), len(blocks))
-            cause_ts, x_all = blocks[cause_g]
-            effect_ts, y_all = blocks[effect_g]
-            if cause_g == effect_g:
-                common, ic, ie = cause_ts, slice(None), slice(None)
-            else:
-                common, ic, ie = np.intersect1d(cause_ts, effect_ts, assume_unique=True, return_indices=True)
+            common, ic, ie = grids.common(cause_g, effect_g)
             if len(common) == 0:
                 continue
             starts, lo, hi = _interval_bins(common, run_start, interval_s)
@@ -275,8 +258,8 @@ def detect_stream(
             step = max(1, _CHUNK_CELLS // len(common))  # bounds the [edges, samples] temporaries
             for chunk in np.split(at, np.arange(step, len(at), step)):
                 cause, effect = edges.cause[chunk], edges.effect[chunk]
-                x = x_all[row_of[cause]][:, ic]
-                y = y_all[row_of[effect]][:, ie]
+                x = blocks[cause_g][row_of[cause]][:, ic]
+                y = blocks[effect_g][row_of[effect]][:, ie]
                 scores = _edge_scores(edges.coefficients[chunk], edges.residual_std[chunk], x, y, lo, hi)
                 e, i = np.nonzero(scores > tau)
                 found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))

@@ -22,7 +22,14 @@ import math
 
 import numpy as np
 
-from faultcast.baseline import GrangerEdge, _granger_from, _restricted_fit, granger_fit
+from faultcast.baseline import (
+    STD_FLOOR_ABS,
+    STD_FLOOR_REL,
+    GrangerEdge,
+    _granger_from,
+    _restricted_fit,
+    granger_fit,
+)
 from faultcast.core import (
     CADENCE_S,
     INTERVAL_S,
@@ -101,6 +108,12 @@ def ingest_csv_rows(stream):
     return result
 
 
+def band_floor(y):
+    """The least band std of values ``y``; a fit whose residual std is at
+    most this is exact."""
+    return max(STD_FLOOR_REL * float(np.ptp(y)), STD_FLOOR_ABS)
+
+
 def _alignment_edges_lstsq(kpis, rows, pairs, p, alpha, prefilter_r, degenerate):
     n = len(rows[0])
     if n < 4 * p + 8:
@@ -121,7 +134,7 @@ def _alignment_edges_lstsq(kpis, rows, pairs, p, alpha, prefilter_r, degenerate)
         result = _granger_from(rows[c], rows[e], p, restricted[e])
         if result.degenerate:
             degenerate.append((kpis[c], kpis[e]))
-        elif result.p_value < alpha and result.residual_std > 0.0:  # an exact fit is skipped
+        elif result.p_value < alpha and result.residual_std > band_floor(rows[e]):  # an exact fit is skipped
             edges.append(
                 GrangerEdge(
                     cause=kpis[c],
@@ -180,7 +193,7 @@ def build_graph_pairwise(training, p=3, alpha=0.01, prefilter_r=0.2):
             if prefilter_r > 0.0 and abs(float(np.corrcoef(x, y)[0, 1])) < prefilter_r:
                 continue
             result = granger_fit(x, y, p)
-            if not result.degenerate and result.p_value < alpha and result.residual_std > 0.0:
+            if not result.degenerate and result.p_value < alpha and result.residual_std > band_floor(y):
                 edges.append(
                     GrangerEdge(
                         cause=cause,

@@ -15,7 +15,15 @@ import sys
 import pytest
 
 from faultcast.baseline import BaselineModel, fit_baseline_model
-from faultcast.core import NORMAL_CLASS, AnomalyKind, FailureClass, FaultType, WindowSample, parse_timestamp
+from faultcast.core import (
+    NORMAL_CLASS,
+    AnomalyKind,
+    FailureClass,
+    FaultType,
+    WindowSample,
+    format_timestamp,
+    parse_timestamp,
+)
 from faultcast.detect import detect_stream, read_anomaly_log, write_anomaly_log
 from faultcast.evaluate import RunRecord, SuiteConfig, assemble_windows, build_suite, render_rq2, run_rq2
 from faultcast.io import RunManifest, ingest_csv
@@ -228,6 +236,50 @@ def test_data_missing_a_baseline_kpi_is_rejected(short_pipeline, tmp_path, comma
     assert proc.stderr.startswith("error:"), proc.stderr
     assert "lacks 1 of" in proc.stderr and "Sprout/MemUsedPct" in proc.stderr, proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+def _data_args(command, short_pipeline, tmp_path, edit):
+    """``command`` on the faulty run, or train-baseline on the training run,
+    with the data file's lines passed through ``edit``."""
+    source = short_pipeline["train_csv" if command == "train-baseline" else "fault_csv"]
+    data = tmp_path / "data.csv"
+    text = source.read_text(encoding="utf-8")
+    data.write_text("".join(edit(text.splitlines(keepends=True))), encoding="utf-8")
+    if command == "train-baseline":
+        return ["train-baseline", "--data", str(data), "--out", str(tmp_path / "out.csv"), "--allow-short"]
+    args = _online_args(command, short_pipeline, tmp_path, short_pipeline["run_start"])
+    args[args.index("--data") + 1] = str(data)
+    return args
+
+
+@pytest.mark.parametrize("command", ["detect", "predict", "train-baseline"])
+def test_samples_off_the_cadence_grid_are_rejected(short_pipeline, tmp_path, command):
+    def ragged(lines):  # a copy of each Sprout/CpuIdlePct sample 30 s later
+        extra = []
+        for line in lines:
+            ts, resource, metric, value = line.split(",")
+            if (resource, metric) == ("Sprout", "CpuIdlePct"):
+                extra.append(f"{format_timestamp(parse_timestamp(ts) + 30)},{resource},{metric},{value}")
+        return lines + extra
+
+    proc = run_cli(*_data_args(command, short_pipeline, tmp_path, ragged))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    first = "2026-01-05T00:00:30Z" if command == "train-baseline" else "2026-01-06T10:00:30Z"
+    assert "Sprout/CpuIdlePct" in proc.stderr and first in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "predict", "train-baseline"])
+def test_a_gap_on_the_cadence_grid_is_accepted(short_pipeline, tmp_path, command):
+    def gappy(lines):  # ten minutes of Sprout/CpuIdlePct missing
+        rows = [i for i, line in enumerate(lines) if ",Sprout,CpuIdlePct," in line]
+        dropped = set(rows[60:70])
+        return [line for i, line in enumerate(lines) if i not in dropped]
+
+    proc = run_cli(*_data_args(command, short_pipeline, tmp_path, gappy))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").exists()
 
 
 def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tmp_path):

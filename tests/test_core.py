@@ -10,6 +10,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faultcast
 from faultcast.core import (
@@ -19,11 +21,13 @@ from faultcast.core import (
     AnomalyKind,
     FailureClass,
     FaultType,
+    Grids,
     KpiId,
     TimeSeries,
     WindowSample,
     format_timestamp,
     hour_of_week,
+    lags,
     parse_timestamp,
     slide_windows,
 )
@@ -155,6 +159,62 @@ def test_time_series_arrays_are_read_only(n):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+@st.composite
+def grid_maps(draw):
+    """(series map, KPI list): KPIs on a shared grid, an equal copy of it, a
+    gappy subset, a shifted grid, or absent from the map; plus a mapped KPI
+    outside the list."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = 60 * np.arange(n)
+    gappy = np.sort(rng.choice(base, size=draw(st.integers(1, n)), replace=False))
+    layouts = [base, base.copy(), gappy, base + 60 * draw(st.integers(1, n))]
+    kpis = [KpiId("R", f"m{i}") for i in range(draw(st.integers(0, 8)))]
+    series_map = {}
+    for kpi in kpis + [KpiId("R", "unlisted")]:
+        layout = draw(st.integers(-1, len(layouts) - 1))  # -1: absent
+        if layout >= 0:
+            series_map[kpi] = TimeSeries(kpi, layouts[layout], rng.standard_normal(len(layouts[layout])))
+    return series_map, draw(st.permutations(kpis))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_maps())
+def test_grids_group_kpis_by_timestamps(case):
+    series_map, kpis = case
+    grids = Grids(series_map, kpis)
+    present = [k for k, kpi in enumerate(kpis) if kpi in series_map]
+    assert sorted(np.concatenate([np.empty(0, np.intp), *grids.members]).tolist()) == present
+    assert np.flatnonzero(grids.grid_of == -1).tolist() == [k for k in range(len(kpis)) if k not in present]
+    assert grids.series == [series_map.get(kpi) for kpi in kpis]
+    for g, (members, timestamps) in enumerate(zip(grids.members, grids.timestamps)):
+        assert members.tolist() == sorted(members.tolist())
+        assert all(grids.grid_of[k] == g for k in members)
+        assert all(np.array_equal(series_map[kpis[k]].timestamps, timestamps) for k in members)
+    distinct = {timestamps.tobytes() for timestamps in grids.timestamps}
+    assert len(distinct) == len(grids.timestamps)
+    for g, h in [(g, h) for g in range(len(distinct)) for h in range(len(distinct))]:
+        common, ig, ih = grids.common(g, h)
+        expected = np.intersect1d(grids.timestamps[g], grids.timestamps[h], return_indices=True)
+        if g == h:
+            assert common is grids.timestamps[g] and ig == ih == slice(None)
+            ig = ih = np.arange(len(common))
+        for got, want in zip((common, ig, ih), expected):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(12,), (3, 12)])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_lags_are_views_of_the_lag_slices(shape, p):
+    values = np.random.default_rng(p).standard_normal(shape)
+    n = shape[-1]
+    view = lags(values, p)
+    assert view.shape == shape[:-1] + (p, n - p)
+    assert np.shares_memory(view, values) and not view.flags.writeable
+    for i in range(1, p + 1):
+        assert np.array_equal(view[..., i - 1, :], values[..., p - i : n - i])
 
 
 def test_failure_class_validation():

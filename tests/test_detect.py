@@ -446,7 +446,7 @@ def test_plan_is_built_once_per_model():
     assert model.plan is plan
     assert twin.plan is not plan
     assert model == twin  # the cached plan is not a field
-    assert plan.kpis == (kx, ky) and plan.index == {kx: 0, ky: 1}
+    assert plan.kpis == (kx, ky)
     assert plan.bucket_means[1, 0] == 5.0 and plan.bucket_stds[1, 0] == 2.0
     assert plan.k_sigma.tolist() == [3.0, 4.0]
     assert list(plan.edges) == [1]
