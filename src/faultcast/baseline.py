@@ -59,8 +59,8 @@ class UnivariateBaseline:
             raise ValueError("bucket_means must have 168 entries")
         if self.bucket_stds.shape != (HOURS_PER_WEEK,):
             raise ValueError("bucket_stds must have 168 entries")
-        if self.k_sigma <= 0:
-            raise ValueError("k_sigma must be positive")
+        if not 0.0 < self.k_sigma < math.inf:
+            raise ValueError(f"k_sigma {self.k_sigma!r} must be finite and positive")
         if np.any(self.bucket_stds < self.std_floor):
             raise ValueError("bucket stds must respect the std floor")
 
@@ -91,8 +91,8 @@ def fit_univariate(
     Buckets with fewer than two samples inherit the global mean/std; every
     stored std is clamped up to the floor max(1e-9 * value range, 1e-12).
     """
-    if k_sigma <= 0:
-        raise ValueError("k_sigma must be positive")
+    if not 0.0 < k_sigma < math.inf:
+        raise ValueError(f"k_sigma {k_sigma!r} must be finite and positive")
     span = series.span_s + CADENCE_S
     if span < MIN_TRAINING_SPAN_S and not allow_short:
         raise InsufficientTrainingError(
@@ -625,8 +625,8 @@ def build_graph(
         raise ValueError("lag order must be positive")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if prefilter_r < 0 or prefilter_r >= 1:
-        raise ValueError("prefilter_r must lie in [0, 1)")
+    if not 0.0 <= prefilter_r < 1.0:
+        raise ValueError(f"prefilter_r {prefilter_r!r} must lie in [0, 1)")
     kpis = sorted(training)
     grids = Grids(training, kpis)
     edges: List[GrangerEdge] = []
@@ -660,7 +660,8 @@ class BaselineConfig:
 
 
 class EdgeArrays(NamedTuple):
-    """The edges of one lag order p as arrays over a plan's KPI indices."""
+    """A model's edges as arrays over a plan's KPI indices, in the model's
+    edge order."""
 
     cause: np.ndarray  # [E]
     effect: np.ndarray  # [E]
@@ -671,40 +672,35 @@ class EdgeArrays(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class DetectionPlan:
     """A baseline model compiled for detection: KPIs numbered in sorted
-    order, their bands stacked by number and the edges grouped by lag order,
-    each group in the model's edge order."""
+    order, their bands stacked by number, and the edges, all of the model's
+    lag order."""
 
     kpis: Tuple[KpiId, ...]
     bucket_means: np.ndarray  # [K, 168]
     bucket_stds: np.ndarray  # [K, 168]
     k_sigma: np.ndarray  # [K]
-    edges: Dict[int, EdgeArrays]
+    edges: EdgeArrays
+    lag_order: int
 
     @classmethod
     def compile(cls, model: "BaselineModel") -> "DetectionPlan":
         kpis = tuple(sorted(model.baselines))
         index = {kpi: k for k, kpi in enumerate(kpis)}
         bands = [model.baselines[kpi] for kpi in kpis]
-        by_lag: Dict[int, List[GrangerEdge]] = {}
-        for edge in model.edges:
-            by_lag.setdefault(edge.lag_order, []).append(edge)
-        edges = {
-            p: EdgeArrays(
-                np.array([index[edge.cause] for edge in group], dtype=np.intp),
-                np.array([index[edge.effect] for edge in group], dtype=np.intp),
-                np.array([edge.coefficients for edge in group]),
-                np.array([edge.residual_std for edge in group]),
-            )
-            for p, group in by_lag.items()
-        }
+        edges = EdgeArrays(
+            np.array([index[edge.cause] for edge in model.edges], dtype=np.intp),
+            np.array([index[edge.effect] for edge in model.edges], dtype=np.intp),
+            np.array([edge.coefficients for edge in model.edges]),
+            np.array([edge.residual_std for edge in model.edges]),
+        )
         arrays = [
             np.array([b.bucket_means for b in bands]).reshape(len(kpis), HOURS_PER_WEEK),
             np.array([b.bucket_stds for b in bands]).reshape(len(kpis), HOURS_PER_WEEK),
             np.array([b.k_sigma for b in bands], dtype=float),
         ]
-        for array in arrays + [a for group in edges.values() for a in group]:
+        for array in arrays + list(edges):
             array.setflags(write=False)
-        return cls(kpis, *arrays, edges)
+        return cls(kpis, *arrays, edges, model.config.lag_order)
 
 
 @dataclass(frozen=True)
@@ -720,6 +716,11 @@ class BaselineModel:
             for endpoint in (edge.cause, edge.effect):
                 if endpoint not in self.baselines:
                     raise ValueError(f"edge endpoint {endpoint} has no baseline entry")
+            if edge.lag_order != self.config.lag_order:
+                raise ValueError(
+                    f"edge {edge.cause} -> {edge.effect} has lag order {edge.lag_order},"
+                    f" the model's is {self.config.lag_order}"
+                )
 
     @property
     def kpis(self) -> List[KpiId]:

@@ -11,7 +11,7 @@ from typing import List, Optional
 
 from .baseline import BaselineModel, fit_baseline_model
 from .core import CADENCE_S, FaultcastError, format_timestamp, parse_timestamp
-from .detect import detect_stream, read_anomaly_log, write_anomaly_log
+from .detect import check_tau, detect_stream, read_anomaly_log, write_anomaly_log
 from .evaluate import (
     RQ1_WINDOW_LENGTHS,
     RunRecord,
@@ -27,8 +27,8 @@ from .evaluate import (
     run_rq3,
     run_rq4,
 )
-from .io import RunManifest, ingest_csv, write_csv
-from .predict import run_predictor, write_alert_log
+from .io import RunManifest, _open_text, ingest_csv, write_csv
+from .predict import check_alert_rule, run_predictor, write_alert_log
 from .sim import default_topology, load_scenario
 from .signature import SignatureModel, Vocabulary, train_signature
 
@@ -45,14 +45,23 @@ def _add_verbosity(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_start(args_start: Optional[str], series_map) -> int:
-    if args_start is None:
-        return min(int(s.timestamps[0]) for s in series_map.values())
-    run_start = parse_timestamp(args_start)
+def _read_run(path: str, model: BaselineModel, args_start: Optional[str]):
+    """Ingest a run's KPI CSV and check it against ``model``.  Returns the
+    series, the run start (``args_start``, by default the first sample) and
+    the first and last sample times, or None when the file holds no sample."""
+    series_map = ingest_csv(path)
+    if not series_map:
+        return None
+    first = min(int(s.timestamps[0]) for s in series_map.values())
     last = max(int(s.timestamps[-1]) for s in series_map.values())
+    _require_cadence(series_map, first)
+    _require_kpis(model, series_map)
+    if args_start is None:
+        return series_map, first, first, last
+    run_start = parse_timestamp(args_start)
     if run_start > last:
         raise FaultcastError(f"--run-start {args_start} is after the last sample ({format_timestamp(last)})")
-    return run_start
+    return series_map, run_start, first, last
 
 
 def _require_kpis(model: BaselineModel, series_map) -> None:
@@ -61,10 +70,9 @@ def _require_kpis(model: BaselineModel, series_map) -> None:
         raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {missing[0]}")
 
 
-def _require_cadence(series_map) -> None:
+def _require_cadence(series_map, first: int) -> None:
     """Every sample must lie a whole number of cadences from the data's first
-    one; gaps are allowed."""
-    first = min((int(s.timestamps[0]) for s in series_map.values()), default=0)
+    one, at ``first``; gaps are allowed."""
     for kpi in sorted(series_map):
         timestamps = series_map[kpi].timestamps
         off = ((timestamps - first) % CADENCE_S).nonzero()[0]
@@ -95,7 +103,7 @@ def cmd_train_baseline(args: argparse.Namespace) -> int:
             if kpi in training:
                 raise FaultcastError(f"KPI {kpi} appears in more than one training file")
             training[kpi] = series
-    _require_cadence(training)
+    _require_cadence(training, min((int(s.timestamps[0]) for s in training.values()), default=0))
     model = fit_baseline_model(
         training,
         k_sigma=args.k_sigma,
@@ -110,16 +118,10 @@ def cmd_train_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    check_tau(args.tau)
     model = BaselineModel.load(args.baseline)
-    series_map = ingest_csv(args.data)
-    if not series_map:
-        write_anomaly_log([], args.out)
-        print(f"0 anomalous (KPI, interval) verdicts -> {args.out}")
-        return 0
-    _require_cadence(series_map)
-    _require_kpis(model, series_map)
-    run_start = _run_start(args.run_start, series_map)
-    events = detect_stream(model, series_map, run_start, tau=args.tau)
+    run = _read_run(args.data, model, args.run_start)
+    events = [] if run is None else detect_stream(model, run[0], run[1], tau=args.tau)
     write_anomaly_log(events, args.out)
     print(f"{len(events)} anomalous (KPI, interval) verdicts -> {args.out}")
     return 0
@@ -143,34 +145,30 @@ def cmd_train_signature(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    check_tau(args.tau)
+    check_alert_rule(args.confidence, args.streak)
     baseline = BaselineModel.load(args.baseline)
     signature = SignatureModel.load(args.signature)
-    series_map = ingest_csv(args.data)
-    if not series_map:
-        write_alert_log([], args.out)
-        print(f"0 alerts (0 general) -> {args.out}")
-        return 0
-    _require_cadence(series_map)
-    _require_kpis(baseline, series_map)
-    run_start = _run_start(args.run_start, series_map)
-    first = min(int(s.timestamps[0]) for s in series_map.values())
-    if run_start < first - signature.window_min * 60:
-        # every window further ahead of the data is empty
-        raise FaultcastError(
-            f"--run-start {args.run_start} is more than the signature's {signature.window_min}-minute"
-            f" window before the first sample ({format_timestamp(first)})"
+    run = _read_run(args.data, baseline, args.run_start)
+    alerts = []
+    if run is not None:
+        series_map, run_start, first, last = run
+        if run_start < first - signature.window_min * 60:
+            # every window further ahead of the data is empty
+            raise FaultcastError(
+                f"--run-start {args.run_start} is more than the signature's {signature.window_min}-minute"
+                f" window before the first sample ({format_timestamp(first)})"
+            )
+        alerts = run_predictor(
+            baseline,
+            signature,
+            series_map,
+            run_start,
+            last + CADENCE_S,
+            tau=args.tau,
+            confidence_threshold=args.confidence,
+            streak_needed=args.streak,
         )
-    run_end = max(int(s.timestamps[-1]) for s in series_map.values()) + 60
-    alerts = run_predictor(
-        baseline,
-        signature,
-        series_map,
-        run_start,
-        run_end,
-        tau=args.tau,
-        confidence_threshold=args.confidence,
-        streak_needed=args.streak,
-    )
     write_alert_log(alerts, args.out)
     general = sum(1 for a in alerts if a.failure_class is None)
     print(f"{len(alerts)} alerts ({general} general) -> {args.out}")
@@ -197,7 +195,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         sections.append(render_rq4(run_rq4(data)))
     report = "\n\n".join(sections) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_text(args.out, "w") as fh:
             fh.write(report)
         print(f"wrote report to {args.out}")
     else:

@@ -142,21 +142,21 @@ class AnomalyEvents(Sequence):
         return f"AnomalyEvents({list(self)!r})"
 
 
-def _interval_bins(timestamps: np.ndarray, run_start: int, interval_s: int):
+def _interval_bins(timestamps: np.ndarray, run_start: int):
     """(start, lo, hi) arrays: the start time and the ``[lo, hi)`` index range
     of every ``run_start``-aligned interval that holds a sample.
 
     Samples before ``run_start`` fall in no interval; they still count as
     positions, so they serve as lag history.
     """
-    first = run_start + max(0, (int(timestamps[0]) - run_start) // interval_s) * interval_s
+    first = run_start + max(0, (int(timestamps[0]) - run_start) // INTERVAL_S) * INTERVAL_S
     m0 = int(np.searchsorted(timestamps, first))
-    k = (timestamps[m0:] - first) // interval_s
+    k = (timestamps[m0:] - first) // INTERVAL_S
     lo = m0 + np.flatnonzero(np.diff(k, prepend=-1))
     hi = np.empty_like(lo)
     hi[:-1] = lo[1:]
     hi[-1:] = len(timestamps)
-    return first + k[lo - m0] * interval_s, lo, hi
+    return first + k[lo - m0] * INTERVAL_S, lo, hi
 
 
 def _edge_scores(
@@ -188,14 +188,19 @@ def _edge_scores(
     return np.sqrt(sums / h) / residual_std[:, None]
 
 
+def check_tau(tau: float) -> None:
+    """Reject a multivariate threshold that is negative, which flags every
+    edge, or not finite, which switches the detector off."""
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau {tau!r} must be finite and non-negative")
+
+
 def detect_stream(
     model: BaselineModel,
     series_map: Dict[KpiId, TimeSeries],
     run_start: int,
     *,
-    interval_s: int = INTERVAL_S,
     tau: float = DEFAULT_TAU,
-    cadence_s: int = CADENCE_S,
 ) -> AnomalyEvents:
     """Run both detectors over a run, one verdict per KPI per interval.
 
@@ -208,7 +213,8 @@ def detect_stream(
     the score is that z.  Multivariate: each edge predicts its effect one step
     ahead from the p preceding aligned samples of both KPIs; the score is
     RMS(residuals over the interval) / residual_std, raised on the effect
-    when it exceeds ``tau``.  An interval needs p aligned samples before it.
+    when it exceeds ``tau``, which must be finite and non-negative.  p is the
+    model's lag order; an interval needs p aligned samples before it.
 
     The work is done on the model's :class:`~faultcast.baseline.DetectionPlan`:
     the input's KPIs are numbered once, KPIs sampled at identical timestamps
@@ -217,10 +223,9 @@ def detect_stream(
     :class:`AnomalyEvents` columns over the plan's KPIs, sorted by (interval
     start, KPI, kind), with the worst score over an effect's incoming edges.
     """
-    if cadence_s <= 0 or interval_s <= 0 or interval_s % cadence_s != 0:
-        raise ValueError("interval must be a positive multiple of the cadence")
+    check_tau(tau)
     plan = model.plan
-    expected = interval_s // cadence_s
+    expected = INTERVAL_S // CADENCE_S
     grids = Grids(series_map, plan.kpis)
     if np.count_nonzero(grids.grid_of >= 0) < len(series_map):
         for kpi in sorted(series_map.keys() - model.baselines.keys()):
@@ -232,37 +237,37 @@ def detect_stream(
     found = [(np.empty(0, np.int64), np.empty(0, np.intp), _UNIVARIATE, np.empty(0))]
     for ks, timestamps, values in zip(grids.members, grids.timestamps, blocks):
         row_of[ks] = np.arange(len(ks))
-        starts, lo, hi = _interval_bins(timestamps, run_start, interval_s)
+        starts, lo, hi = _interval_bins(timestamps, run_start)
         bucket = hour_of_week(timestamps)
         z = np.abs(values - plan.bucket_means[ks[:, None], bucket]) / plan.bucket_stds[ks[:, None], bucket]
         peaks = np.maximum.reduceat(z, lo, axis=1)
         r, i = np.nonzero((2 * (hi - lo) >= expected) & (peaks > plan.k_sigma[ks, None]))
         found.append((starts[i], ks[r], _UNIVARIATE, peaks[r, i]))
 
-    for p, edges in plan.edges.items():
-        cause_grid, effect_grid = grids.grid_of[edges.cause], grids.grid_of[edges.effect]
-        # each edge's (cause grid, effect grid) as one number; -1: an endpoint is missing
-        present = (cause_grid >= 0) & (effect_grid >= 0)
-        pair = np.where(present, cause_grid * len(blocks) + effect_grid, -1)
-        for key in np.unique(pair[pair >= 0]):
-            cause_g, effect_g = divmod(int(key), len(blocks))
-            common, ic, ie = grids.common(cause_g, effect_g)
-            if len(common) == 0:
-                continue
-            starts, lo, hi = _interval_bins(common, run_start, interval_s)
-            keep = (2 * (hi - lo) >= expected) & (lo >= p)
-            starts, lo, hi = starts[keep], lo[keep], hi[keep]
-            if len(lo) == 0:
-                continue
-            at = np.flatnonzero(pair == key)
-            step = max(1, _CHUNK_CELLS // len(common))  # bounds the [edges, samples] temporaries
-            for chunk in np.split(at, np.arange(step, len(at), step)):
-                cause, effect = edges.cause[chunk], edges.effect[chunk]
-                x = blocks[cause_g][row_of[cause]][:, ic]
-                y = blocks[effect_g][row_of[effect]][:, ie]
-                scores = _edge_scores(edges.coefficients[chunk], edges.residual_std[chunk], x, y, lo, hi)
-                e, i = np.nonzero(scores > tau)
-                found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
+    edges, p = plan.edges, plan.lag_order
+    cause_grid, effect_grid = grids.grid_of[edges.cause], grids.grid_of[edges.effect]
+    # each edge's (cause grid, effect grid) as one number; -1: an endpoint is missing
+    present = (cause_grid >= 0) & (effect_grid >= 0)
+    pair = np.where(present, cause_grid * len(blocks) + effect_grid, -1)
+    for key in np.unique(pair[pair >= 0]):
+        cause_g, effect_g = divmod(int(key), len(blocks))
+        common, ic, ie = grids.common(cause_g, effect_g)
+        if len(common) == 0:
+            continue
+        starts, lo, hi = _interval_bins(common, run_start)
+        keep = (2 * (hi - lo) >= expected) & (lo >= p)
+        starts, lo, hi = starts[keep], lo[keep], hi[keep]
+        if len(lo) == 0:
+            continue
+        at = np.flatnonzero(pair == key)
+        step = max(1, _CHUNK_CELLS // len(common))  # bounds the [edges, samples] temporaries
+        for chunk in np.split(at, np.arange(step, len(at), step)):
+            cause, effect = edges.cause[chunk], edges.effect[chunk]
+            x = blocks[cause_g][row_of[cause]][:, ic]
+            y = blocks[effect_g][row_of[effect]][:, ie]
+            scores = _edge_scores(edges.coefficients[chunk], edges.residual_std[chunk], x, y, lo, hi)
+            e, i = np.nonzero(scores > tau)
+            found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
 
     start = np.concatenate([part[0] for part in found])
     kpi = np.concatenate([part[1] for part in found])

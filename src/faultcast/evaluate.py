@@ -18,6 +18,7 @@ through the online predictor instead.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,7 +45,6 @@ from .predict import EarlinessReport, measure_earliness, run_predictor
 from .sim import (
     FaultSpec,
     Pattern,
-    Topology,
     WorkloadModel,
     default_topology,
     gen_run,
@@ -104,6 +104,11 @@ class SuiteConfig:
             ("window_min", self.window_min > 0, "positive"),
             ("training_days", self.training_days > 0, "positive"),
             ("injection_min", 0 <= self.injection_min < minutes, f"in [0, {minutes}), inside the run"),
+            ("k_sigma", 0 < self.k_sigma < math.inf, "finite and positive"),
+            ("lag_order", self.lag_order >= 1, "at least 1"),
+            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
+            ("prefilter_r", 0 <= self.prefilter_r < 1, "in [0, 1)"),
+            ("tau", 0 <= self.tau < math.inf, "finite and non-negative"),
         ):
             if not ok:
                 raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
@@ -162,7 +167,6 @@ class SuiteData:
     """A built suite: the offline models plus the detected run pool."""
 
     config: SuiteConfig
-    topology: Topology
     baseline: BaselineModel
     vocab: Vocabulary
     runs: List[RunRecord]
@@ -240,12 +244,11 @@ def default_run_specs(config: SuiteConfig) -> List[RunSpec]:
     ]
 
 
-def generate(
-    config: SuiteConfig, topology: Topology, spec: RunSpec
-) -> Tuple[Dict[KpiId, TimeSeries], RunManifest]:
-    """The series and manifest of the run ``spec`` names, under the suite's workload."""
+def generate(config: SuiteConfig, spec: RunSpec) -> Tuple[Dict[KpiId, TimeSeries], RunManifest]:
+    """The series and manifest of the run ``spec`` names, on the bundled
+    topology under the suite's workload."""
     return gen_run(
-        topology,
+        default_topology(),
         config.workload,
         spec.fault,
         spec.start,
@@ -256,8 +259,8 @@ def generate(
     )
 
 
-def detect_run(config: SuiteConfig, topology: Topology, baseline: BaselineModel, spec: RunSpec) -> RunRecord:
-    series, manifest = generate(config, topology, spec)
+def detect_run(config: SuiteConfig, baseline: BaselineModel, spec: RunSpec) -> RunRecord:
+    series, manifest = generate(config, spec)
     return RunRecord(manifest=manifest, events=detect_stream(baseline, series, spec.start, tau=config.tau))
 
 
@@ -273,16 +276,16 @@ def assemble_windows(
     return samples
 
 
-def build_suite(config: SuiteConfig, topology: Optional[Topology] = None) -> SuiteData:
+def build_suite(config: SuiteConfig) -> SuiteData:
     """Generate training data, fit the offline models, run detection over the
     bundled run pool, and train the default signature classifier."""
-    topology = topology or default_topology()
+    app_vms = default_topology().app_vms
     for target in config.fault_targets:
-        if target not in topology.app_vms:
-            raise ValueError(f"fault target {target!r} is not an app VM of the topology {topology.app_vms}")
+        if target not in app_vms:
+            raise ValueError(f"fault target {target!r} is not an app VM of the topology {app_vms}")
     logger.info("suite: generating %d days of training data", config.training_days)
     training_spec = RunSpec("training", config.training_start, config.training_days * DAY_S, config.seed)
-    training, _ = generate(config, topology, training_spec)
+    training, _ = generate(config, training_spec)
     baseline = fit_baseline_model(
         training,
         k_sigma=config.k_sigma,
@@ -293,13 +296,12 @@ def build_suite(config: SuiteConfig, topology: Optional[Topology] = None) -> Sui
     )
     logger.info("suite: baseline over %d KPIs, %d causal edges", len(baseline.baselines), len(baseline.edges))
     vocab = Vocabulary(baseline.baselines.keys(), split_kinds=False)
-    runs = [detect_run(config, topology, baseline, spec) for spec in default_run_specs(config)]
+    runs = [detect_run(config, baseline, spec) for spec in default_run_specs(config)]
     pool = assemble_windows(runs, config.window_min, config.step_min)
     signature = train_signature(pool, vocab, "tree", config.window_min)
     logger.info("suite: %d runs, %d labeled windows", len(runs), len(pool))
     return SuiteData(
         config=config,
-        topology=topology,
         baseline=baseline,
         vocab=vocab,
         runs=runs,
@@ -333,18 +335,14 @@ def _alarm_rate(per_class: Dict[FailureClass, Contingency]) -> Optional[float]:
 RQ1_WINDOW_LENGTHS = (60, 90, 120)
 
 
-def run_rq1(
-    data: SuiteData,
-    lengths: Sequence[int] = RQ1_WINDOW_LENGTHS,
-    algorithms: Sequence[str] = ("tree", "nb"),
-) -> List[Rq1Row]:
+def run_rq1(data: SuiteData) -> List[Rq1Row]:
     config = data.config
     rows: List[Rq1Row] = []
     duration = config.run_duration_min
-    for l_min in lengths:
+    for l_min in RQ1_WINDOW_LENGTHS:
         samples = assemble_windows(data.runs, l_min, config.step_min)
         per_run = (duration - l_min) // config.step_min + 1
-        for algorithm in algorithms:
+        for algorithm in ("tree", "nb"):
             cv = cross_validate(
                 samples, data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm
             )
@@ -407,12 +405,10 @@ class Rq2Report:
     n_correct: int
 
 
-def run_rq2(data: SuiteData, algorithm: str = "tree") -> Rq2Report:
+def run_rq2(data: SuiteData) -> Rq2Report:
     config = data.config
     samples = assemble_windows(data.runs, config.window_min, config.step_min)
-    cv = cross_validate(
-        samples, data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm
-    )
+    cv = cross_validate(samples, data.vocab, k=config.folds, seed=config.seed, algorithm="tree")
     return Rq2Report(
         per_class=cv.per_class,
         micro=metrics(micro_contingency(cv.per_class)),
@@ -471,18 +467,19 @@ def rq3_run_specs(
     ]
 
 
-def run_rq3(
-    data: SuiteData,
-    deviations: Sequence[float] = (0.4, 1.0),
-    runs_per_deviation: int = 2,
-    duration_min: int = 120,
-) -> List[Rq3Run]:
+#: RQ3's workload deviation levels, runs per level and run length in minutes.
+RQ3_DEVIATIONS = (0.4, 1.0)
+RQ3_RUNS_PER_DEVIATION = 2
+RQ3_RUN_MIN = 120
+
+
+def run_rq3(data: SuiteData) -> List[Rq3Run]:
     """Classify windows of fresh fault-free runs whose call rate deviates
     randomly per five-minute block, scheduled in a low-traffic slot."""
     config = data.config
     results: List[Rq3Run] = []
-    for spec in rq3_run_specs(config, deviations, runs_per_deviation, duration_min):
-        record = detect_run(config, data.topology, data.baseline, spec)
+    for spec in rq3_run_specs(config, RQ3_DEVIATIONS, RQ3_RUNS_PER_DEVIATION, RQ3_RUN_MIN):
+        record = detect_run(config, data.baseline, spec)
         samples = assemble_windows([record], config.window_min, config.step_min)
         top = [data.signature.classify_window(s.anomalies).top()[0] for s in samples]
         results.append(Rq3Run(spec.run_id, spec.deviation, len(samples), top.count(NORMAL_CLASS)))
@@ -536,18 +533,19 @@ def rq4_run_specs(config: SuiteConfig, seeds_per_combo: int, duration_min: int, 
     return specs
 
 
-def run_rq4(
-    data: SuiteData,
-    seeds_per_combo: int = 2,
-    duration_min: int = 180,
-    target: str = "Sprout",
-) -> List[Rq4Row]:
+#: RQ4's seeds per (fault type, pattern), run length in minutes and host fault target.
+RQ4_SEEDS_PER_COMBO = 2
+RQ4_RUN_MIN = 180
+RQ4_TARGET = "Sprout"
+
+
+def run_rq4(data: SuiteData) -> List[Rq4Row]:
     """Replay the online predictor over fresh faulty runs and measure how
     early it warns relative to the eventual failure."""
     config = data.config
     rows: List[Rq4Row] = []
-    for spec in rq4_run_specs(config, seeds_per_combo, duration_min, target):
-        series, manifest = generate(config, data.topology, spec)
+    for spec in rq4_run_specs(config, RQ4_SEEDS_PER_COMBO, RQ4_RUN_MIN, RQ4_TARGET):
+        series, manifest = generate(config, spec)
         end = spec.start + spec.duration_s
         alerts = run_predictor(data.baseline, data.signature, series, spec.start, end, tau=config.tau)
         report = measure_earliness(alerts, manifest)

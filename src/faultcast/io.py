@@ -306,7 +306,7 @@ def write_csv(series_map: Dict[KpiId, TimeSeries], target: Union[str, os.PathLik
 
 def save_json(data: dict, path) -> None:
     """Write an artifact as JSON indented by two spaces, with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_text(path, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
 
@@ -326,7 +326,7 @@ def load_json(path, from_dict):
     """Read an artifact file and decode it with ``from_dict``.  A missing key or
     a value of the wrong type or shape becomes a :class:`ValueError` naming the
     file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path, "r") as fh:
         data = json.load(fh)
     try:
         return from_dict(data)

@@ -68,7 +68,6 @@ class PredictorState:
     """
 
     window_min: int
-    interval_s: int = INTERVAL_S
     buffer: Tuple[Tuple[int, frozenset], ...] = ()
     last_interval: Optional[int] = None
     streak_class: Optional[FailureClass] = None
@@ -80,10 +79,20 @@ class PredictorState:
         return frozenset().union(*(features for _, features in self.buffer))
 
 
-def new_state(window_min: int = 90, interval_s: int = INTERVAL_S) -> PredictorState:
-    if window_min <= 0 or interval_s <= 0:
-        raise ValueError("window length and interval must be positive")
-    return PredictorState(window_min=window_min, interval_s=interval_s)
+def new_state(window_min: int) -> PredictorState:
+    if window_min <= 0:
+        raise ValueError("window length must be positive")
+    return PredictorState(window_min=window_min)
+
+
+def check_alert_rule(confidence_threshold: float, streak_needed: int) -> None:
+    """Reject a rule under which a FailureSpecific alert could fire on every
+    interval or below any confidence: the threshold must lie in [0, 1] and
+    the streak be at least 1."""
+    if not 0.0 <= confidence_threshold <= 1.0:
+        raise ValueError(f"confidence {confidence_threshold!r} must lie in [0, 1]")
+    if streak_needed < 1:
+        raise ValueError(f"streak {streak_needed!r} must be at least 1")
 
 
 def step(
@@ -102,14 +111,16 @@ def step(
     class, which restarts the lifecycle); a FailureSpecific alert fires once
     per streak after ``streak_needed`` consecutive intervals of the same class
     at or above ``confidence_threshold``.  All-Normal input never alerts.
+    The rule is checked by :func:`check_alert_rule`.
     """
+    check_alert_rule(confidence_threshold, streak_needed)
     if state.last_interval is not None and interval_start <= state.last_interval:
         raise OrderingError(
             f"interval {format_timestamp(interval_start)} is not after "
             f"{format_timestamp(state.last_interval)}"
         )
     window_s = state.window_min * 60
-    window_end = interval_start + state.interval_s
+    window_end = interval_start + INTERVAL_S
     window_start = window_end - window_s
     buffer = tuple(
         (start, features) for start, features in state.buffer if start >= window_start
@@ -185,17 +196,16 @@ def run_predictor(
     run_start: int,
     run_end: int,
     *,
-    interval_s: int = INTERVAL_S,
     tau: float = 3.0,
     confidence_threshold: float = DEFAULT_CONFIDENCE,
     streak_needed: int = DEFAULT_STREAK,
 ) -> List[Alert]:
     """Detect anomalies over a run and replay them through the predictor."""
-    events = detect_stream(baseline, series_map, run_start, interval_s=interval_s, tau=tau)
+    events = detect_stream(baseline, series_map, run_start, tau=tau)
     by_interval: Dict[int, List[AnomalyEvent]] = {}
     for event in events:
         by_interval.setdefault(event.interval_start, []).append(event)
-    state = new_state(signature.window_min, interval_s)
+    state = new_state(signature.window_min)
     alerts: List[Alert] = []
     start = run_start
     while start < run_end:
@@ -209,7 +219,7 @@ def run_predictor(
         )
         if alert is not None:
             alerts.append(alert)
-        start += interval_s
+        start += INTERVAL_S
     return alerts
 
 
@@ -260,20 +270,17 @@ class EarlinessReport:
         return self._render_ttf(self.ttf_fsp_s, self.ttfsp_s is not None)
 
 
-def measure_earliness(
-    alerts: Sequence[Alert], manifest: RunManifest, *, horizon_s: Optional[int] = None
-) -> EarlinessReport:
+def measure_earliness(alerts: Sequence[Alert], manifest: RunManifest) -> EarlinessReport:
     """Compare the alert stream against a faulty run's ground truth.
 
     TTGP/TTFSP measure injection-to-alert delay for the first General and
     FailureSpecific alert at or after the fault became active; TTF measures
-    alert-to-failure lead time when the run failed inside the horizon.
+    alert-to-failure lead time when the run failed inside the horizon, the
+    run's length.
     """
     if manifest.fault is None:
         raise ValueError(f"run {manifest.run_id} seeded no fault; earliness is undefined")
     injection = manifest.fault.injection_time
-    if horizon_s is None:
-        horizon_s = manifest.end - manifest.start
 
     false_alarms = sum(1 for a in alerts if a.raised_at < injection)
     first_gp = next(
@@ -303,7 +310,7 @@ def measure_earliness(
         ttf_gp_s=ttf_gp,
         ttf_fsp_s=ttf_fsp,
         failure_observed=failure is not None,
-        horizon_s=horizon_s,
+        horizon_s=manifest.end - manifest.start,
         false_alarms=false_alarms,
     )
 

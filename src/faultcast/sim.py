@@ -43,6 +43,10 @@ DEFAULT_HOURLY_PROFILE = (
 FAILURE_THRESHOLD = 0.6
 FAILURE_WINDOW_S = 300
 
+#: A deviated workload keeps one random call-rate multiplier per block of
+#: this many seconds.
+DEVIATION_BLOCK_S = 300
+
 #: measurement noise is bounded (clipped at +/- this many sigmas), mirroring
 #: instrumented counters whose jitter has finite support; healthy KPIs then sit
 #: inside a 3-sigma tolerance band except for rare compound fluctuations
@@ -277,12 +281,9 @@ def _seasonal_factors(model: WorkloadModel, timestamps: np.ndarray) -> np.ndarra
     return model.base_rate * day_factor * profile[hour]
 
 
-def perturbation_factors(
-    n: int, deviation: float, seed: int, block: int
-) -> np.ndarray:
+def perturbation_factors(n: int, deviation: float, seed: int) -> np.ndarray:
     """Per-block multipliers 1 + U(-deviation, +deviation), expanded to n steps."""
-    if deviation == 0.0:
-        return np.ones(n)
+    block = DEVIATION_BLOCK_S // CADENCE_S
     n_blocks = (n + block - 1) // block
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD37]))
     factors = 1.0 + deviation * rng.uniform(-1.0, 1.0, n_blocks)
@@ -458,7 +459,6 @@ def gen_run(
     run_id: Optional[str] = None,
     zero_noise: bool = False,
     workload_deviation: float = 0.0,
-    deviation_block_s: int = 300,
 ) -> Tuple[Dict[KpiId, TimeSeries], RunManifest]:
     """Generate one run of every catalog KPI plus its ground-truth manifest.
 
@@ -487,9 +487,7 @@ def gen_run(
     w = _seasonal_factors(workload, timestamps) * (1.0 + w_noise)
     w = np.clip(w, 0.0, None)
     if workload_deviation > 0.0:
-        factors = perturbation_factors(
-            n, workload_deviation, seed, deviation_block_s // CADENCE_S
-        )
+        factors = perturbation_factors(n, workload_deviation, seed)
         w = np.clip(w * factors, 0.0, None)
 
     # 2. fault activation
@@ -629,17 +627,13 @@ def gen_run(
     return series, manifest
 
 
-def failure_oracle(
-    success: TimeSeries,
-    threshold: float = FAILURE_THRESHOLD,
-    window_s: int = FAILURE_WINDOW_S,
-) -> Optional[int]:
-    """First instant the success rate stays below the threshold for a full
-    window (five consecutive minutes by default).  None when the run never
+def failure_oracle(success: TimeSeries) -> Optional[int]:
+    """First instant the success rate stays below ``FAILURE_THRESHOLD`` for
+    ``FAILURE_WINDOW_S`` (five consecutive minutes).  None when the run never
     failed."""
-    need = window_s // CADENCE_S
+    need = FAILURE_WINDOW_S // CADENCE_S
     run_len = 0
-    for i, flag in enumerate(success.values < threshold):
+    for i, flag in enumerate(success.values < FAILURE_THRESHOLD):
         run_len = run_len + 1 if flag else 0
         if run_len >= need:
             return int(success.timestamps[i - need + 1])

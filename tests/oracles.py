@@ -254,34 +254,32 @@ def detect_multivariate(edge, x_recent, y_recent, h, tau=DEFAULT_TAU, interval_s
     return None
 
 
-def _interval_slices(timestamps, run_start, interval_s):
+def _interval_slices(timestamps, run_start):
     """(interval_start, lo, hi) per interval, from the first ``run_start``-aligned
     interval that holds a sample."""
     if len(timestamps) == 0:
         return
     end = int(timestamps[-1]) + 1
-    start = run_start + max(0, (int(timestamps[0]) - run_start) // interval_s) * interval_s
+    start = run_start + max(0, (int(timestamps[0]) - run_start) // INTERVAL_S) * INTERVAL_S
     while start < end:
         lo = np.searchsorted(timestamps, start, side="left")
-        hi = np.searchsorted(timestamps, start + interval_s, side="left")
+        hi = np.searchsorted(timestamps, start + INTERVAL_S, side="left")
         yield start, int(lo), int(hi)
-        start += interval_s
+        start += INTERVAL_S
 
 
-def detect_stream_loop(model, series_map, run_start, *, interval_s=INTERVAL_S, tau=DEFAULT_TAU, cadence_s=CADENCE_S):
+def detect_stream_loop(model, series_map, run_start, *, tau=DEFAULT_TAU):
     """One detector call per (KPI, interval) and per (edge, interval), each
     edge aligned on its own and re-predicting the whole prefix."""
-    if interval_s <= 0 or interval_s % cadence_s != 0:
-        raise ValueError("interval must be a positive multiple of the cadence")
     events = []
-    expected = interval_s // cadence_s
+    expected = INTERVAL_S // CADENCE_S
     for kpi in sorted(series_map):
         if kpi not in model.baselines:
             logger.warning("detect: no baseline for %s; skipping", kpi)
             continue
         baseline = model.baselines[kpi]
         series = series_map[kpi]
-        for interval_start, lo, hi in _interval_slices(series.timestamps, run_start, interval_s):
+        for interval_start, lo, hi in _interval_slices(series.timestamps, run_start):
             if 2 * (hi - lo) < expected:
                 continue
             event = detect_univariate(
@@ -301,7 +299,7 @@ def detect_stream_loop(model, series_map, run_start, *, interval_s=INTERVAL_S, t
         x = cause.values[ic]
         y = effect.values[ie]
         p = edge.lag_order
-        for interval_start, lo, hi in _interval_slices(common, run_start, interval_s):
+        for interval_start, lo, hi in _interval_slices(common, run_start):
             h = hi - lo
             if 2 * h < expected or lo < p:
                 continue
@@ -338,17 +336,13 @@ def _edge_scores_per_edge(edges, x, y, lo, hi):
     return np.sqrt(sums / h) / std[:, None]
 
 
-def detect_stream_batched(
-    model, series_map, run_start, *, interval_s=INTERVAL_S, tau=DEFAULT_TAU, cadence_s=CADENCE_S, chunk_cells=1 << 18
-):
+def detect_stream_batched(model, series_map, run_start, *, tau=DEFAULT_TAU, chunk_cells=1 << 18):
     """Array passes keyed by ``KpiId``: one z-score call per KPI, edge blocks
     stacked per (cause timestamps, effect timestamps, p) from the model's
     edges, the worst multivariate score per (interval, effect) kept in a
     dict, and one sort of the ``AnomalyEvent`` list."""
-    if cadence_s <= 0 or interval_s <= 0 or interval_s % cadence_s != 0:
-        raise ValueError("interval must be a positive multiple of the cadence")
     events = []
-    expected = interval_s // cadence_s
+    expected = INTERVAL_S // CADENCE_S
     stamps = {kpi: series.timestamps.tobytes() for kpi, series in series_map.items()}
     bins = {}
     shared = {}
@@ -364,7 +358,7 @@ def detect_stream_batched(
             continue
         series = series_map[kpi]
         if stamps[kpi] not in bins:
-            bins[stamps[kpi]] = _interval_bins(series.timestamps, run_start, interval_s)
+            bins[stamps[kpi]] = _interval_bins(series.timestamps, run_start)
         starts, lo, hi = bins[stamps[kpi]]
         peaks = np.maximum.reduceat(baseline.zscores(series.timestamps, series.values), lo)
         for i in np.flatnonzero((2 * (hi - lo) >= expected) & (peaks > baseline.k_sigma)):
@@ -385,7 +379,7 @@ def detect_stream_batched(
             )
         if len(common) == 0:
             continue
-        starts, lo, hi = _interval_bins(common, run_start, interval_s)
+        starts, lo, hi = _interval_bins(common, run_start)
         keep = (2 * (hi - lo) >= expected) & (lo >= p)
         starts, lo, hi = starts[keep], lo[keep], hi[keep]
         if len(lo) == 0:

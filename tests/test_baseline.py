@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -132,6 +133,17 @@ def test_zscores_use_bucket_band():
     )
     z = baseline.zscores(np.array([0, 60, 120]), np.array([101.0, 107.0, 99.0]))
     assert z.tolist() == [0.5, 3.5, 0.5]
+
+
+@pytest.mark.parametrize("k_sigma", [0.0, -1.0, math.nan, math.inf])
+def test_k_sigma_must_be_finite_and_positive(k_sigma):
+    # a NaN or infinite band is never exceeded: fitted or loaded, it is refused
+    kpi = KpiId("Homer", "CpuIdlePct")
+    series = minute_series(kpi, 0, 10, np.arange(10.0))
+    with pytest.raises(ValueError, match="k_sigma"):
+        fit_univariate(series, k_sigma, allow_short=True)
+    with pytest.raises(ValueError, match="k_sigma"):
+        replace(fit_univariate(series, allow_short=True), k_sigma=k_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +561,8 @@ def test_graph_argument_gates():
         build_graph(training, prefilter_r=1.0)
     with pytest.raises(ValueError):
         build_graph(training, prefilter_r=-0.1)
+    with pytest.raises(ValueError):
+        build_graph(training, prefilter_r=float("nan"))
     with pytest.raises(ValueError):
         build_graph(training, p=0)
 

@@ -7,6 +7,7 @@ training run, its baseline model, and a faulty run) come from the shared
 ``short_pipeline`` session fixture.
 """
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -282,6 +283,53 @@ def test_a_gap_on_the_cadence_grid_is_accepted(short_pipeline, tmp_path, command
     assert (tmp_path / "out.csv").exists()
 
 
+# each setting once silently gave a wrong result: --tau -1 flagged every edge,
+# --tau nan, --k-sigma nan or inf and --prefilter-r nan switched a detector or
+# the prefilter off, and --streak -3 --confidence 7 alerted every interval
+@pytest.mark.parametrize(
+    "command, setting, value",
+    [
+        ("detect", "--tau", "-1"),
+        ("detect", "--tau", "nan"),
+        ("predict", "--tau", "inf"),
+        ("predict", "--streak", "-3"),
+        ("predict", "--confidence", "7"),
+        ("train-baseline", "--k-sigma", "nan"),
+        ("train-baseline", "--k-sigma", "inf"),
+        ("train-baseline", "--prefilter-r", "nan"),
+    ],
+)
+def test_a_setting_out_of_range_or_not_finite_is_rejected(short_pipeline, tmp_path, command, setting, value):
+    args = _data_args(command, short_pipeline, tmp_path, lambda lines: lines)
+    if command != "train-baseline":
+        # detect and predict check their settings before they read the data
+        args[args.index("--data") + 1] = str(tmp_path / "missing.csv")
+    proc = run_cli(*args, setting, value)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert f"{setting[2:].replace('-', '_')} {value}" in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_baseline_whose_edges_differ_in_lag_order_is_rejected(short_pipeline, tmp_path):
+    model = BaselineModel.load(short_pipeline["baseline"])
+    edge = model.edges[0]
+    with pytest.raises(ValueError, match=f"edge {re.escape(str(edge.cause))} -> .* lag order 3, the model's is 2"):
+        BaselineModel(model.baselines, model.edges, dataclasses.replace(model.config, lag_order=2))
+    # a hand-edited file: one edge refitted at p = 2, the rest and the config at 3
+    data = model.to_dict()
+    data["edges"][0].update(lag_order=2, coefficients=data["edges"][0]["coefficients"][:5])
+    edited = tmp_path / "baseline.json"
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    args = _online_args("detect", short_pipeline, tmp_path, short_pipeline["run_start"])
+    args[args.index("--baseline") + 1] = str(edited)
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert f"edge {edge.cause} -> {edge.effect} has lag order 2, the model's is 3" in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tmp_path):
     # the run's first sample is at 2026-01-06T10:00:00Z, the signature's window is 90 min
     for early in ("2025-12-06T10:00:00Z", "2026-01-06T08:29:00Z"):
@@ -517,8 +565,8 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
 
 @pytest.mark.parametrize(
     "field, value, named",
-    [("run_hour", 30, "run_hour 30"), ("fault_targets", ["Nope"], "'Nope'")],
-    ids=["run-hour-30", "unknown-fault-target"],
+    [("run_hour", 30, "run_hour 30"), ("fault_targets", ["Nope"], "'Nope'"), ("tau", -1.0, "tau -1.0")],
+    ids=["run-hour-30", "unknown-fault-target", "negative-tau"],
 )
 def test_evaluate_rejects_a_bad_config_value_before_building(tmp_path, field, value, named):
     data = SuiteConfig(training_days=2, run_duration_min=130, allow_short_training=True).to_dict()

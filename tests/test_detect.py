@@ -15,7 +15,7 @@ import oracles
 from oracles import detect_multivariate, detect_univariate, predict_from_edge
 
 from faultcast import detect
-from faultcast.baseline import BaselineModel, GrangerEdge, UnivariateBaseline
+from faultcast.baseline import BaselineConfig, BaselineModel, GrangerEdge, UnivariateBaseline
 from faultcast.core import (
     HOURS_PER_WEEK,
     AnomalyKind,
@@ -31,7 +31,7 @@ from faultcast.detect import (
     write_anomaly_log,
 )
 from faultcast.evaluate import default_run_specs
-from faultcast.sim import gen_run
+from faultcast.sim import default_topology, gen_run
 
 
 def flat_baseline(kpi, mean, std, k_sigma=3.0):
@@ -137,16 +137,6 @@ def test_stream_empty_input():
     assert detect_stream(model, {}, 0) == []
 
 
-def test_stream_rejects_bad_interval():
-    model = BaselineModel(baselines={}, edges=())
-    with pytest.raises(ValueError):
-        detect_stream(model, {}, 0, interval_s=90)
-    with pytest.raises(ValueError):
-        detect_stream(model, {}, 0, interval_s=0)
-    with pytest.raises(ValueError):
-        detect_stream(model, {}, 0, cadence_s=-60)
-
-
 def test_stream_skips_unknown_kpi(caplog):
     known = KpiId("Homer", "CpuIdlePct")
     unknown = KpiId("Homer", "Mystery")
@@ -186,7 +176,7 @@ def test_stream_keeps_worst_verdict_per_effect():
         GrangerEdge(cause=kx1, effect=ky, residual_std=1.0, **shared),
         GrangerEdge(cause=kx2, effect=ky, residual_std=0.5, **shared),
     )
-    model = BaselineModel(baselines=baselines, edges=edges)
+    model = BaselineModel(baselines=baselines, edges=edges, config=BaselineConfig(lag_order=1))
     ts = 60 * np.arange(15, dtype=np.int64)
     series = {
         kx1: TimeSeries(kx1, ts, np.zeros(15)),
@@ -278,6 +268,7 @@ def test_stream_early_run_start_skips_empty_intervals():
         baselines={kx: flat_baseline(kx, 0.0, 1.0), ky: flat_baseline(ky, 0.0, 1.0)},
         edges=(GrangerEdge(cause=kx, effect=ky, weight=0.99, lag_order=1,
                            coefficients=(0.0, 0.0, 1.0), residual_std=0.5),),
+        config=BaselineConfig(lag_order=1),
     )
     rng = np.random.default_rng(3)
     ts = 120 + 60 * np.concatenate([np.arange(20), np.arange(31, 60)]).astype(np.int64)
@@ -299,11 +290,11 @@ def test_stream_early_run_start_skips_empty_intervals():
 
 @st.composite
 def detection_cases(draw):
-    """A model, a run and its detection settings, drawn to reach the corners
-    of interval binning and alignment: gaps, KPIs on different or disjoint
+    """A model, a run, its start and tau, drawn to reach the corners of
+    interval binning and alignment: gaps, KPIs on different or disjoint
     grids, dropped KPIs and KPIs without a baseline, samples before
     ``run_start`` or a far-early ``run_start``, sub-cadence sampling with 8 to
-    300 samples an interval, mixed lag orders and runs shorter than p."""
+    300 samples an interval, lag orders 1 to 3 and runs shorter than p."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kpis = [KpiId(f"R{i}", "m") for i in range(draw(st.integers(2, 5)))]
     cadence = draw(st.sampled_from([60, 60, 30, 20, 10, 1]))
@@ -332,10 +323,10 @@ def detection_cases(draw):
         )
         for kpi in kpis
     }
+    p = draw(st.integers(1, 3))
     edges = []
     for _ in range(draw(st.integers(1, 8))):
         cause, effect = rng.choice(len(kpis), size=2, replace=False)
-        p = draw(st.integers(1, 3))
         edges.append(
             GrangerEdge(
                 cause=kpis[cause],
@@ -356,31 +347,29 @@ def detection_cases(draw):
             ]
         )
     )
-    interval_s = draw(st.sampled_from([300, 300, 120, 600]))
     tau = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
-    return BaselineModel(baselines=baselines, edges=tuple(edges)), series, run_start, interval_s, tau
+    model = BaselineModel(baselines=baselines, edges=tuple(edges), config=BaselineConfig(lag_order=p))
+    return model, series, run_start, tau
 
 
 @settings(max_examples=300, deadline=None)
 @given(detection_cases(), st.sampled_from([detect._CHUNK_CELLS, 1, 40]))
 def test_batched_stream_equals_the_per_edge_oracle(case, chunk_cells):
-    model, series, run_start, interval_s, tau = case
+    model, series, run_start, tau = case
     # small blocks split one alignment's edges over several scoring passes
     with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells):
-        batched = detect_stream(model, series, run_start, interval_s=interval_s, tau=tau)
-    expected = oracles.detect_stream_loop(model, series, run_start, interval_s=interval_s, tau=tau)
+        batched = detect_stream(model, series, run_start, tau=tau)
+    expected = oracles.detect_stream_loop(model, series, run_start, tau=tau)
     assert batched == expected  # equal events compare their scores with ==
 
 
 @settings(max_examples=300, deadline=None)
 @given(detection_cases(), st.sampled_from([detect._CHUNK_CELLS, 1, 40]))
 def test_planned_stream_equals_the_kpi_keyed_batched_oracle(case, chunk_cells):
-    model, series, run_start, interval_s, tau = case
+    model, series, run_start, tau = case
     with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells):
-        planned = detect_stream(model, series, run_start, interval_s=interval_s, tau=tau)
-    expected = oracles.detect_stream_batched(
-        model, series, run_start, interval_s=interval_s, tau=tau, chunk_cells=chunk_cells
-    )
+        planned = detect_stream(model, series, run_start, tau=tau)
+    expected = oracles.detect_stream_batched(model, series, run_start, tau=tau, chunk_cells=chunk_cells)
     assert isinstance(planned, AnomalyEvents)
     assert planned == expected and list(planned) == expected
     assert planned.kpis == tuple(sorted(model.baselines))
@@ -391,7 +380,7 @@ def test_batched_stream_equals_the_oracle_on_faulty_suite_runs(suite_data):
     faulty = [spec for spec in default_run_specs(config) if spec.fault is not None][::7]
     for spec in faulty[:3]:
         series, _ = gen_run(
-            suite_data.topology, config.workload, spec.fault, spec.start, spec.duration_s, spec.seed
+            default_topology(), config.workload, spec.fault, spec.start, spec.duration_s, spec.seed
         )
         batched = detect_stream(suite_data.baseline, series, spec.start, tau=config.tau)
         assert batched == oracles.detect_stream_loop(suite_data.baseline, series, spec.start, tau=config.tau)
@@ -403,7 +392,7 @@ def test_long_run_detection_is_not_quadratic(suite_data):
     # for two days; one pass over the run takes well under a second.
     config = suite_data.config
     spec = next(spec for spec in default_run_specs(config) if spec.fault is not None)
-    series, _ = gen_run(suite_data.topology, config.workload, spec.fault, spec.start, 2880 * 60, spec.seed)
+    series, _ = gen_run(default_topology(), config.workload, spec.fault, spec.start, 2880 * 60, spec.seed)
     t0 = time.perf_counter()
     events = detect_stream(suite_data.baseline, series, spec.start, tau=config.tau)
     assert time.perf_counter() - t0 < 3.0
@@ -440,8 +429,8 @@ def test_plan_is_built_once_per_model():
     baselines = {kx: flat_baseline(kx, 0.0, 1.0), ky: flat_baseline(ky, 5.0, 2.0, k_sigma=4.0)}
     edges = (GrangerEdge(cause=kx, effect=ky, weight=0.99, lag_order=1,
                          coefficients=(0.5, 0.25, 2.0), residual_std=0.5),)
-    model = BaselineModel(baselines=baselines, edges=edges)
-    twin = BaselineModel(baselines=baselines, edges=edges)
+    model = BaselineModel(baselines=baselines, edges=edges, config=BaselineConfig(lag_order=1))
+    twin = BaselineModel(baselines=baselines, edges=edges, config=BaselineConfig(lag_order=1))
     plan = model.plan
     assert model.plan is plan
     assert twin.plan is not plan
@@ -449,10 +438,10 @@ def test_plan_is_built_once_per_model():
     assert plan.kpis == (kx, ky)
     assert plan.bucket_means[1, 0] == 5.0 and plan.bucket_stds[1, 0] == 2.0
     assert plan.k_sigma.tolist() == [3.0, 4.0]
-    assert list(plan.edges) == [1]
-    assert plan.edges[1].cause.tolist() == [0] and plan.edges[1].effect.tolist() == [1]
-    assert plan.edges[1].coefficients.tolist() == [[0.5, 0.25, 2.0]]
-    assert plan.edges[1].residual_std.tolist() == [0.5]
+    assert plan.lag_order == 1
+    assert plan.edges.cause.tolist() == [0] and plan.edges.effect.tolist() == [1]
+    assert plan.edges.coefficients.tolist() == [[0.5, 0.25, 2.0]]
+    assert plan.edges.residual_std.tolist() == [0.5]
     ts = 60 * np.arange(10, dtype=np.int64)
     series = {kx: TimeSeries(kx, ts, np.zeros(10)), ky: TimeSeries(ky, ts, np.full(10, 40.0))}
     detect_stream(model, series, 0)

@@ -1,6 +1,7 @@
 """Suite configuration, run scheduling, labeling and report rendering."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,13 @@ def test_config_round_trip(tmp_path):
         ("training_days", 0),
         ("injection_min", 180),
         ("injection_min", -5),
+        ("k_sigma", 0.0),
+        ("k_sigma", math.nan),
+        ("lag_order", 0),
+        ("alpha", 1.0),
+        ("prefilter_r", math.nan),
+        ("tau", -1.0),
+        ("tau", math.inf),
     ],
 )
 def test_config_rejects_an_out_of_range_field(field, value):

@@ -240,11 +240,11 @@ def test_alert_validation():
 # earliness
 
 
-def leaky_manifest(failure_time=6000):
+def leaky_manifest(failure_time=6000, end=10800):
     return RunManifest(
         run_id="run-x",
         start=0,
-        end=10800,
+        end=end,
         fault=InjectedFault(FaultType.MEMORY_LEAK, "Sprout", "Constant", 900),
         failure_time=failure_time,
     )
@@ -304,7 +304,8 @@ def test_earliness_alert_without_failure_renders_the_horizon():
 
 
 def test_earliness_respects_horizon_override():
-    report = measure_earliness([general(1200)], leaky_manifest(failure_time=None), horizon_s=3600)
+    # the horizon is the run's length: a 60-minute run gives 60 minutes
+    report = measure_earliness([general(1200)], leaky_manifest(failure_time=None, end=3600))
     assert report.render_ttf_gp() == "> 60 mins"
 
 
