@@ -134,11 +134,11 @@ def cmd_train_signature(args: argparse.Namespace) -> int:
         RunRecord(events=read_anomaly_log(anomalies_path), manifest=RunManifest.load(manifest_path))
         for anomalies_path, manifest_path in args.run
     ]
-    samples = assemble_windows(runs, args.window_min, args.step_min)
-    model = train_signature(samples, vocab, args.algo, args.window_min)
+    pool = assemble_windows(runs, args.window_min, args.step_min)
+    model = train_signature(pool, vocab, args.algo, args.window_min)
     model.save(args.out)
     print(
-        f"trained {args.algo} signature classifier on {len(samples)} windows "
+        f"trained {args.algo} signature classifier on {len(pool)} windows "
         f"({len(model.classes)} classes) -> {args.out}"
     )
     return 0

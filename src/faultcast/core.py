@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -269,24 +269,6 @@ class AnomalyKind(str, Enum):
 
     UNIVARIATE = "Univariate"
     MULTIVARIATE = "Multivariate"
-
-
-@dataclass(frozen=True)
-class WindowSample:
-    """One sliding-window observation plus an optional label.
-
-    ``anomalies`` is the window's feature set: a frozenset of (KpiId,
-    AnomalyKind) pairs, one per KPI and detector kind flagged inside it.
-    """
-
-    window_start: int
-    window_end: int
-    anomalies: frozenset
-    label: Optional[FailureClass] = None
-
-    def __post_init__(self):
-        if self.window_end <= self.window_start:
-            raise ValueError("window_end must be after window_start")
 
 
 def slide_windows(run_start: int, run_end: int, l_min: int, step_min: int):

@@ -11,17 +11,19 @@ RQ4  how early alerts precede the eventual failure, per fault type and
 Every run takes one path.  A :class:`RunSpec` names it: the training span,
 a row of ``default_run_specs``, ``rq3_run_specs`` or ``rq4_run_specs``.
 ``generate`` simulates it, ``detect_run`` turns it into anomaly events and
-``assemble_windows`` into labeled windows; RQ4 replays ``generate``'s series
-through the online predictor instead.
+``assemble_windows`` into a pool of labeled windows; RQ4 replays
+``generate``'s series through the online predictor instead.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .baseline import BaselineModel, fit_baseline_model
 from .core import (
@@ -32,13 +34,12 @@ from .core import (
     NORMAL_CLASS,
     SYSTEM_RESOURCE,
     TimeSeries,
-    WindowSample,
     format_timestamp,
     hour_of_week,
     parse_timestamp,
     slide_windows,
 )
-from .detect import AnomalyEvent, detect_stream
+from .detect import AnomalyEvent, AnomalyEvents, detect_stream
 from .io import RunManifest, check_kind, load_json, save_json
 from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
 from .predict import EarlinessReport, measure_earliness, run_predictor
@@ -52,9 +53,9 @@ from .sim import (
 from .signature import (
     SignatureModel,
     Vocabulary,
+    Windows,
     cross_validate,
     train_signature,
-    windowize_events,
 )
 
 logger = logging.getLogger(__name__)
@@ -95,6 +96,11 @@ class SuiteConfig:
     workload: WorkloadModel = field(default_factory=WorkloadModel)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                # 2.5 folds would fail in numpy after the build; true days run one
+                raise ValueError(f"{f.name} {value!r} must be an integer")
         minutes = self.run_duration_min
         for name, ok, rule in (
             ("run_hour", 0 <= self.run_hour <= 23, "an hour from 0 to 23"),
@@ -264,16 +270,31 @@ def detect_run(config: SuiteConfig, baseline: BaselineModel, spec: RunSpec) -> R
     return RunRecord(manifest=manifest, events=detect_stream(baseline, series, spec.start, tau=config.tau))
 
 
-def assemble_windows(
-    runs: Sequence[RunRecord], l_min: int, step_min: int
-) -> List[WindowSample]:
-    """Labeled sliding windows over every run in the pool."""
-    samples: List[WindowSample] = []
-    for rec in runs:
+def assemble_windows(runs: Sequence[RunRecord], l_min: int, step_min: int) -> Windows:
+    """The pool of labeled sliding windows over every run.
+
+    An event belongs to every window whose range holds its interval start,
+    so anomalies persist across overlapping windows until they slide out.
+    Per run, each distinct start gets one row of a [starts, K, 2] hit matrix
+    over the pool's KPIs; a window's cells are those hit between the rows of
+    its bounds, a difference of two cumulative sums.
+    """
+    events = [AnomalyEvents.of(rec.events) for rec in runs]
+    kpis = tuple(sorted(set().union(*(ev.kpis for ev in events))))
+    index = {kpi: i for i, kpi in enumerate(kpis)}
+    cells, bounds, labels = [np.zeros((0, len(kpis), 2), dtype=bool)], [], []
+    for rec, ev in zip(runs, events):
         windows = slide_windows(rec.manifest.start, rec.manifest.end, l_min, step_min)
-        for (start, end), features in zip(windows, windowize_events(rec.events, windows)):
-            samples.append(WindowSample(start, end, features, window_label(rec.manifest, start, end)))
-    return samples
+        starts, row = np.unique(ev.start, return_inverse=True)
+        hits = np.zeros((len(starts) + 1, len(kpis), 2), dtype=np.int32)  # row 0 stays empty
+        hits[row + 1, np.array([index[kpi] for kpi in ev.kpis], dtype=np.intp)[ev.kpi], ev.kind] = 1
+        csum = np.cumsum(hits, axis=0)
+        lo, hi = np.searchsorted(starts, np.array(windows, dtype=np.int64).reshape(-1, 2).T)
+        cells.append(csum[hi] > csum[lo])
+        bounds += windows
+        labels += [window_label(rec.manifest, start, end) for start, end in windows]
+    start, end = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    return Windows(kpis, np.concatenate(cells), start, end, tuple(labels))
 
 
 def build_suite(config: SuiteConfig) -> SuiteData:
@@ -340,17 +361,15 @@ def run_rq1(data: SuiteData) -> List[Rq1Row]:
     rows: List[Rq1Row] = []
     duration = config.run_duration_min
     for l_min in RQ1_WINDOW_LENGTHS:
-        samples = assemble_windows(data.runs, l_min, config.step_min)
+        pool = assemble_windows(data.runs, l_min, config.step_min)
         per_run = (duration - l_min) // config.step_min + 1
         for algorithm in ("tree", "nb"):
-            cv = cross_validate(
-                samples, data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm
-            )
+            cv = cross_validate(pool, data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm)
             rows.append(
                 Rq1Row(
                     window_min=l_min,
                     algorithm=algorithm,
-                    n_windows=len(samples),
+                    n_windows=len(pool),
                     windows_per_run=per_run,
                     micro=metrics(micro_contingency(cv.per_class)),
                     alarm_rate=_alarm_rate(cv.per_class),
@@ -407,13 +426,13 @@ class Rq2Report:
 
 def run_rq2(data: SuiteData) -> Rq2Report:
     config = data.config
-    samples = assemble_windows(data.runs, config.window_min, config.step_min)
-    cv = cross_validate(samples, data.vocab, k=config.folds, seed=config.seed, algorithm="tree")
+    pool = assemble_windows(data.runs, config.window_min, config.step_min)
+    cv = cross_validate(pool, data.vocab, k=config.folds, seed=config.seed, algorithm="tree")
     return Rq2Report(
         per_class=cv.per_class,
         micro=metrics(micro_contingency(cv.per_class)),
         alarm_rate=_alarm_rate(cv.per_class),
-        n_windows=len(samples),
+        n_windows=len(pool),
         n_correct=cv.n_correct,
     )
 
@@ -477,12 +496,15 @@ def run_rq3(data: SuiteData) -> List[Rq3Run]:
     """Classify windows of fresh fault-free runs whose call rate deviates
     randomly per five-minute block, scheduled in a low-traffic slot."""
     config = data.config
+    specs = rq3_run_specs(config, RQ3_DEVIATIONS, RQ3_RUNS_PER_DEVIATION, RQ3_RUN_MIN)
+    runs = [detect_run(config, data.baseline, spec) for spec in specs]
+    top = data.signature.top_classes(assemble_windows(runs, config.window_min, config.step_min))
     results: List[Rq3Run] = []
-    for spec in rq3_run_specs(config, RQ3_DEVIATIONS, RQ3_RUNS_PER_DEVIATION, RQ3_RUN_MIN):
-        record = detect_run(config, data.baseline, spec)
-        samples = assemble_windows([record], config.window_min, config.step_min)
-        top = [data.signature.classify_window(s.anomalies).top()[0] for s in samples]
-        results.append(Rq3Run(spec.run_id, spec.deviation, len(samples), top.count(NORMAL_CLASS)))
+    at = 0
+    for spec in specs:  # the pool holds each run's windows in turn
+        n = len(slide_windows(spec.start, spec.start + spec.duration_s, config.window_min, config.step_min))
+        results.append(Rq3Run(spec.run_id, spec.deviation, n, top[at : at + n].count(NORMAL_CLASS)))
+        at += n
     return results
 
 

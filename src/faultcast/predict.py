@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+
+import numpy as np
 
 from .baseline import BaselineModel
 from .core import (
@@ -17,9 +19,9 @@ from .core import (
     TimeSeries,
     format_timestamp,
 )
-from .detect import AnomalyEvent, detect_stream
+from .detect import _KINDS, AnomalyEvent, AnomalyEvents, detect_stream
 from .io import RunManifest, _open_text
-from .signature import SignatureModel, window_features
+from .signature import SignatureModel
 
 DEFAULT_CONFIDENCE = 0.9
 DEFAULT_STREAK = 4
@@ -56,27 +58,47 @@ class Alert:
                 raise ValueError("failure-specific alerts must carry a non-Normal class")
 
 
-@dataclass(frozen=True)
+#: ``last_seen`` of a cell that never fired.
+_NEVER = np.iinfo(np.int64).min
+
+
+@dataclass(frozen=True, eq=False)
 class PredictorState:
     """Immutable predictor state threaded through :func:`step`.
 
-    The buffer holds an (interval_start, features) pair per interval still
-    inside the sliding window, ``features`` being that interval's frozenset of
-    (KpiId, AnomalyKind) pairs; the window's feature set is their union.  The
-    streak counts consecutive intervals whose top class stayed the same at or
-    above the confidence threshold.
+    ``last_seen[k, c]`` is the last interval start at which KPI ``kpis[k]``
+    was flagged by the detector of kind code ``c`` (``_NEVER`` if it was
+    not); ``kpis`` holds every KPI the events carried, in or outside the
+    vocabulary.  The window's cells are those seen at or after its start.
+    The streak counts consecutive intervals whose top class stayed the same
+    at or above the confidence threshold.
     """
 
     window_min: int
-    buffer: Tuple[Tuple[int, frozenset], ...] = ()
+    kpis: Tuple[KpiId, ...] = ()
+    last_seen: np.ndarray = field(default_factory=lambda: np.full((0, 2), _NEVER))
     last_interval: Optional[int] = None
     streak_class: Optional[FailureClass] = None
     streak_len: int = 0
     active_class: Optional[FailureClass] = None
     fs_fired: bool = False
 
-    def window_anomalies(self) -> frozenset:
-        return frozenset().union(*(features for _, features in self.buffer))
+    @property
+    def cells(self) -> np.ndarray:
+        """The bool [K, 2] cells of the window ending with the last interval;
+        that interval's own cells are in it even when the window is shorter."""
+        window_start = self.last_interval + INTERVAL_S - self.window_min * 60
+        return self.last_seen >= min(window_start, self.last_interval)
+
+    def evidence(self) -> frozenset:
+        """The window's distinct (KpiId, AnomalyKind) pairs."""
+        return frozenset((self.kpis[k], _KINDS[c]) for k, c in zip(*np.nonzero(self.cells)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PredictorState):
+            return NotImplemented
+        rest = {**vars(self), "last_seen": None} == {**vars(other), "last_seen": None}
+        return rest and np.array_equal(self.last_seen, other.last_seen)
 
 
 def new_state(window_min: int) -> PredictorState:
@@ -119,74 +141,46 @@ def step(
             f"interval {format_timestamp(interval_start)} is not after "
             f"{format_timestamp(state.last_interval)}"
         )
-    window_s = state.window_min * 60
-    window_end = interval_start + INTERVAL_S
-    window_start = window_end - window_s
-    buffer = tuple(
-        (start, features) for start, features in state.buffer if start >= window_start
-    ) + ((interval_start, window_features(events)),)
-
-    interim = replace(state, buffer=buffer, last_interval=interval_start)
-    anomalies = interim.window_anomalies()
-    dist = signature.classify_window(anomalies)
-    top_class, top_p = dist.top()
-
-    raised_at = window_end
-    alert: Optional[Alert] = None
+    kpis, last_seen = state.kpis, state.last_seen
+    if len(events):
+        events = AnomalyEvents.of(events)
+        numbers = events.kpi
+        if events.kpis != kpis:  # number the KPIs this state has not seen after its own
+            index = {kpi: k for k, kpi in enumerate(kpis)}
+            numbers = np.array([index.setdefault(kpi, len(index)) for kpi in events.kpis], dtype=np.intp)[numbers]
+            kpis = tuple(index)
+        if len(kpis) > len(last_seen):
+            last_seen = np.concatenate([last_seen, np.full((len(kpis) - len(last_seen), 2), _NEVER)])
+        else:
+            last_seen = last_seen.copy()  # the state before keeps its own
+        last_seen[numbers, events.kind] = interval_start
+    interim = replace(state, kpis=kpis, last_seen=last_seen, last_interval=interval_start)
+    top_class, top_p = signature.classify_bits(signature.vocabulary.encode(interim)).top()
 
     if top_class.is_normal:
-        return (
-            replace(
-                interim,
-                streak_class=None,
-                streak_len=0,
-                active_class=None,
-                fs_fired=False,
-            ),
-            None,
-        )
+        return replace(interim, streak_class=None, streak_len=0, active_class=None, fs_fired=False), None
 
     # streak bookkeeping: reset on class change or low confidence
     if top_p >= confidence_threshold:
         if state.streak_class == top_class:
-            streak_class, streak_len = top_class, state.streak_len + 1
-            fs_fired = state.fs_fired
+            streak_class, streak_len, fs_fired = top_class, state.streak_len + 1, state.fs_fired
         else:
             streak_class, streak_len, fs_fired = top_class, 1, False
     else:
         streak_class, streak_len, fs_fired = None, 0, False
 
-    active_class = state.active_class
+    active_class, alert = state.active_class, None
     if active_class != top_class:
         # lifecycle (re)starts with a General alert for the new class context
-        alert = Alert(
-            kind=AlertKind.GENERAL,
-            raised_at=raised_at,
-            failure_class=None,
-            confidence=top_p,
-            evidence=anomalies,
-        )
+        alert = Alert(AlertKind.GENERAL, interval_start + INTERVAL_S, None, top_p, interim.evidence())
         active_class = top_class
     elif streak_len >= streak_needed and not fs_fired:
-        alert = Alert(
-            kind=AlertKind.FAILURE_SPECIFIC,
-            raised_at=raised_at,
-            failure_class=top_class,
-            confidence=top_p,
-            evidence=anomalies,
-        )
+        alert = Alert(AlertKind.FAILURE_SPECIFIC, interval_start + INTERVAL_S, top_class, top_p, interim.evidence())
         fs_fired = True
-
-    return (
-        replace(
-            interim,
-            streak_class=streak_class,
-            streak_len=streak_len,
-            active_class=active_class,
-            fs_fired=fs_fired,
-        ),
-        alert,
+    successor = replace(
+        interim, streak_class=streak_class, streak_len=streak_len, active_class=active_class, fs_fired=fs_fired
     )
+    return successor, alert
 
 
 def run_predictor(
@@ -201,25 +195,21 @@ def run_predictor(
     streak_needed: int = DEFAULT_STREAK,
 ) -> List[Alert]:
     """Detect anomalies over a run and replay them through the predictor."""
-    events = detect_stream(baseline, series_map, run_start, tau=tau)
-    by_interval: Dict[int, List[AnomalyEvent]] = {}
-    for event in events:
-        by_interval.setdefault(event.interval_start, []).append(event)
+    events = detect_stream(baseline, series_map, run_start, tau=tau)  # sorted by interval start
     state = new_state(signature.window_min)
     alerts: List[Alert] = []
-    start = run_start
-    while start < run_end:
+    for start in range(run_start, run_end, INTERVAL_S):
+        lo, hi = np.searchsorted(events.start, [start, start + 1])
         state, alert = step(
             state,
             start,
-            by_interval.get(start, ()),
+            events[lo:hi],
             signature,
             confidence_threshold=confidence_threshold,
             streak_needed=streak_needed,
         )
         if alert is not None:
             alerts.append(alert)
-        start += INTERVAL_S
     return alerts
 
 

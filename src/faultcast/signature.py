@@ -1,30 +1,21 @@
-"""Failure signatures: window encoding, classifiers, and cross-validation.
+"""Failure signatures: window pools, encoding, classifiers, and cross-validation.
 
-A window's set of (KPI, anomaly kind) features is flattened to a binary
-vector over a fixed KPI vocabulary; signature classifiers map those vectors
-to failure classes with a confidence distribution.
+A pool holds each window's (KPI, anomaly kind) cells as one bool matrix; a
+fixed KPI vocabulary projects the cells onto a binary vector, and signature
+classifiers map those vectors to failure classes with a confidence
+distribution.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (
-    AnomalyKind,
-    FailureClass,
-    FaultType,
-    KpiId,
-    SchemaVersionError,
-    WindowSample,
-)
-from .detect import _KINDS, AnomalyEvents
+from .core import FailureClass, FaultType, KpiId, SchemaVersionError
+from .detect import _MULTIVARIATE, _UNIVARIATE
 from .io import check_kind, load_json, save_json
 from .metrics import Contingency
 
@@ -40,28 +31,45 @@ DEFAULT_ALPHA = 1.0
 _GAIN_EPS = 1e-12
 
 
-class Vocabulary:
-    """The fixed, ordered KPI vocabulary feature vectors are built over.
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """A pool of labeled sliding windows, as columns.
 
-    A feature is a (KpiId, AnomalyKind) pair.  One bit per KPI by default,
-    which both kinds of the KPI set; with ``split_kinds`` the univariate and
-    multivariate detections of a KPI get separate bits.  Features of KPIs
-    outside the vocabulary set no bit.
+    Window i covers ``[start[i], end[i])`` and carries ``labels[i]``;
+    ``cells[i, k, c]`` is set when KPI ``kpis[k]`` was flagged inside it by
+    the detector of kind code ``c`` (0 Multivariate, 1 Univariate, the codes
+    of :class:`AnomalyEvents`).  ``kpis`` is sorted.
     """
 
-    __slots__ = ("kpis", "split_kinds", "_bits")
+    kpis: Tuple[KpiId, ...]
+    cells: np.ndarray  # bool [N, K, 2]
+    start: np.ndarray  # int64 [N]
+    end: np.ndarray  # int64 [N]
+    labels: Tuple[FailureClass, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+class Vocabulary:
+    """The fixed, ordered KPI vocabulary feature vectors are built over: a
+    projection of (KPI, detector kind) cells onto bits.
+
+    One bit per KPI by default, which both kinds of the KPI set; with
+    ``split_kinds`` KPI i's univariate detections set bit 2i and its
+    multivariate ones bit 2i + 1.  Cells of KPIs outside the vocabulary set
+    no bit.
+    """
+
+    __slots__ = ("kpis", "split_kinds", "_index", "_last")
 
     def __init__(self, kpis: Iterable[KpiId], split_kinds: bool = False):
         self.kpis: Tuple[KpiId, ...] = tuple(sorted(set(kpis)))
         if not self.kpis:
             raise ValueError("vocabulary must contain at least one KPI")
         self.split_kinds = bool(split_kinds)
-        kinds = (AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE)
-        self._bits: Dict[Tuple[KpiId, AnomalyKind], int] = {
-            (kpi, kind): 2 * i + offset if self.split_kinds else i
-            for i, kpi in enumerate(self.kpis)
-            for offset, kind in enumerate(kinds)
-        }
+        self._index: Dict[KpiId, int] = {kpi: i for i, kpi in enumerate(self.kpis)}
+        self._last: Tuple[tuple, np.ndarray] = ((), np.zeros((0, 2), dtype=np.intp))  # bits() of the last tuple
 
     @property
     def dimension(self) -> int:
@@ -74,15 +82,28 @@ class Vocabulary:
             return f"{kpi} [{kind}]"
         return str(self.kpis[bit])
 
-    def encode(self, features: Iterable[Tuple[KpiId, AnomalyKind]]) -> np.ndarray:
-        bits = np.zeros(self.dimension, dtype=np.uint8)
-        for feature in features:
-            bit = self._bits.get(feature)
-            if bit is None:
-                logger.debug("encode: %s not in vocabulary, ignored", feature[0])
-            else:
-                bits[bit] = 1
+    def bits(self, kpis: Tuple[KpiId, ...]) -> np.ndarray:
+        """The bit of each (KPI, kind code) cell over ``kpis``, as a read-only
+        int [K, 2]; -1 for the cells of a KPI outside the vocabulary."""
+        if kpis is self._last[0]:  # the predictor asks for its state's KPIs every step
+            return self._last[1]
+        i = np.array([self._index.get(kpi, -1) for kpi in kpis], dtype=np.intp)[:, None]
+        # columns in kind-code order: Multivariate, Univariate
+        bits = np.where(i >= 0, np.hstack([2 * i + 1, 2 * i] if self.split_kinds else [i, i]), -1)
+        bits.setflags(write=False)
+        self._last = (kpis, bits)
         return bits
+
+    def encode(self, pool) -> np.ndarray:
+        """The bool bit matrix [..., F] of ``pool``'s cells [..., K, 2] over
+        its ``kpis``: a bit is set when a cell projected onto it is."""
+        bits, cells = self.bits(pool.kpis), pool.cells
+        # bit -1 is a spare last column that collects the cells outside the
+        # vocabulary; within one kind every other bit is distinct
+        x = np.zeros(cells.shape[:-2] + (self.dimension + 1,), dtype=bool)
+        x[..., bits[:, _MULTIVARIATE]] = cells[..., _MULTIVARIATE]
+        x[..., bits[:, _UNIVARIATE]] |= cells[..., _UNIVARIATE]
+        return x[..., :-1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -90,38 +111,6 @@ class Vocabulary:
             and self.kpis == other.kpis
             and self.split_kinds == other.split_kinds
         )
-
-
-def window_features(events: Iterable) -> frozenset:
-    """The feature set of anomaly events: their distinct (KPI, kind) pairs.
-
-    :class:`AnomalyEvents` give theirs from the KPI and kind columns, with no
-    event built.
-    """
-    if isinstance(events, AnomalyEvents):
-        pairs = set(zip(events.kpi.tolist(), events.kind.tolist()))
-        return frozenset((events.kpis[kpi], _KINDS[kind]) for kpi, kind in pairs)
-    return frozenset((event.kpi, event.kind) for event in events)
-
-
-def windowize_events(events, windows) -> List[frozenset]:
-    """The feature set of each sliding window.
-
-    ``windows`` is a list of (start, end) pairs; an event belongs to every
-    window whose range contains its interval start, so anomalies persist
-    across overlapping windows until they slide out.  A window's set is the
-    union of the sets of the intervals inside it.
-    """
-    by_start = attrgetter("interval_start")
-    starts: List[int] = []
-    per_interval: List[frozenset] = []
-    for start, group in groupby(sorted(events, key=by_start), by_start):
-        starts.append(start)
-        per_interval.append(window_features(group))
-    return [
-        frozenset().union(*per_interval[bisect_left(starts, start) : bisect_left(starts, end)])
-        for start, end in windows
-    ]
 
 
 @dataclass(frozen=True)
@@ -555,8 +544,12 @@ class SignatureModel:
         probs = self.model.predict_proba(bits)
         return ClassDistribution({cls: float(p) for cls, p in zip(self.classes, probs)})
 
-    def classify_window(self, features: Iterable[Tuple[KpiId, AnomalyKind]]) -> ClassDistribution:
-        return self.classify_bits(self.vocabulary.encode(features))
+    def top_classes(self, pool: Windows) -> List[FailureClass]:
+        """Each window's most likely class, from one ``predict_proba`` call;
+        ties break toward the lowest class index, which over a trained
+        model's sorted classes is :meth:`ClassDistribution.top`'s rule."""
+        probs = self.model.predict_proba(self.vocabulary.encode(pool))
+        return [self.classes[i] for i in np.argmax(probs, axis=1).tolist()]
 
     def to_dict(self) -> dict:
         if self.algorithm == "tree":
@@ -589,10 +582,17 @@ class SignatureModel:
     @classmethod
     def from_dict(cls, data: dict) -> "SignatureModel":
         check_kind(data, SIGNATURE_KIND, SIGNATURE_SCHEMA_VERSION)
-        vocab = Vocabulary(
-            (KpiId(r, m) for r, m in data["vocabulary"]),
-            split_kinds=bool(data["split_kinds"]),
-        )
+        # a wrong type would load as another model: "false" as split kinds,
+        # 90.7 or true as a window length
+        split_kinds, window_min, entries = data["split_kinds"], data["window_min"], data["vocabulary"]
+        if not isinstance(split_kinds, bool):
+            raise TypeError(f"split_kinds {split_kinds!r} must be true or false")
+        if isinstance(window_min, bool) or not isinstance(window_min, int) or window_min <= 0:
+            raise TypeError(f"window_min {window_min!r} must be a positive integer")
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(name, str) for name in entry)):
+                raise TypeError(f"vocabulary entry {entry!r} must be two strings, a resource and a metric")
+        vocab = Vocabulary((KpiId(r, m) for r, m in entries), split_kinds=split_kinds)
         classes = tuple(FailureClass(FaultType(ft), res) for ft, res in data["classes"])
         algorithm = data["algorithm"]
         payload = data["model"]
@@ -625,7 +625,7 @@ class SignatureModel:
             )
         else:
             raise SchemaVersionError(f"unknown signature algorithm {algorithm!r}")
-        return cls(vocabulary=vocab, algorithm=algorithm, window_min=int(data["window_min"]), model=model)
+        return cls(vocabulary=vocab, algorithm=algorithm, window_min=window_min, model=model)
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)
@@ -635,19 +635,14 @@ class SignatureModel:
         return load_json(path, cls.from_dict)
 
 
-def _encode_dataset(
-    samples: Sequence[WindowSample], vocab: Vocabulary
-) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureClass, ...]]:
-    if not samples:
+def _dataset(pool: Windows, vocab: Vocabulary) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureClass, ...]]:
+    """The pool's bit matrix, its label indices and the sorted classes."""
+    if not len(pool):
         raise ValueError("no window samples to train on")
-    for s in samples:
-        if s.label is None:
-            raise ValueError("every training window must carry a label")
-    classes = tuple(sorted({s.label for s in samples}))
+    classes = tuple(sorted(set(pool.labels)))
     index = {cls: i for i, cls in enumerate(classes)}
-    x = np.stack([vocab.encode(s.anomalies) for s in samples])
-    y = np.asarray([index[s.label] for s in samples], dtype=np.intp)
-    return x, y, classes
+    y = np.asarray([index[label] for label in pool.labels], dtype=np.intp)
+    return vocab.encode(pool), y, classes
 
 
 def _fitter(algorithm: str, min_leaf: int, max_depth: Optional[int], alpha: float):
@@ -660,7 +655,7 @@ def _fitter(algorithm: str, min_leaf: int, max_depth: Optional[int], alpha: floa
 
 
 def train_signature(
-    samples: Sequence[WindowSample],
+    pool: Windows,
     vocab: Vocabulary,
     algorithm: str = "tree",
     window_min: int = 90,
@@ -669,9 +664,9 @@ def train_signature(
     max_depth: Optional[int] = None,
     alpha: float = DEFAULT_ALPHA,
 ) -> SignatureModel:
-    """Train a signature classifier from labeled window samples."""
+    """Train a signature classifier from a pool of labeled windows."""
     fit = _fitter(algorithm, min_leaf, max_depth, alpha)
-    model = fit(*_encode_dataset(samples, vocab))
+    model = fit(*_dataset(pool, vocab))
     return SignatureModel(vocabulary=vocab, algorithm=algorithm, window_min=window_min, model=model)
 
 
@@ -745,7 +740,7 @@ def _nb_fold_posteriors(x, y, classes, folds, alpha: float) -> np.ndarray:
 
 
 def cross_validate(
-    samples: Sequence[WindowSample],
+    pool: Windows,
     vocab: Vocabulary,
     k: int = 10,
     seed: int = 0,
@@ -761,8 +756,8 @@ def cross_validate(
     each held-out sample is predicted by the top class of the distribution.
     """
     _fitter(algorithm, min_leaf, max_depth, alpha)  # an unknown algorithm fails before encoding
-    x, y, classes = _encode_dataset(samples, vocab)
-    folds = stratified_folds([s.label for s in samples], k, seed)
+    x, y, classes = _dataset(pool, vocab)
+    folds = stratified_folds(pool.labels, k, seed)
     if algorithm == "tree":
         # every fold's tree grown at once; the global class list keeps class
         # indices aligned across folds

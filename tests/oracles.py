@@ -4,10 +4,11 @@ These are the row-at-a-time CSV and anomaly log writers and the CSV
 reader, the per-pair causality graph loop, the one-``lstsq``-per-pair graph,
 the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
 the detection plan replaced, the per-feature and the one-node-at-a-time tree
-growers, the per-row and per-fold classifiers and the per-window event scans
+growers, the per-row and per-fold classifiers, the frozenset windowing, the
+dict encoding, the buffered predictor step and the per-window event scans
 that the array-shaped versions in ``faultcast.io``, ``faultcast.baseline``,
-``faultcast.detect``, ``faultcast.signature`` and ``faultcast.predict``
-replaced, and the nested scheduling loops that ``faultcast.evaluate``'s run
+``faultcast.detect``, ``faultcast.signature``, ``faultcast.evaluate`` and
+``faultcast.predict`` replaced, and the nested scheduling loops that ``faultcast.evaluate``'s run
 tables replaced.  The optimized code must match them exactly: the same bytes,
 the same maps, the same errors at the same lines, the same edges, the same
 events with equal scores, the same trees, equal probabilities, the same
@@ -19,6 +20,11 @@ tolerances.
 import csv
 import logging
 import math
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,22 +42,25 @@ from faultcast.core import (
     AnomalyKind,
     CsvParseError,
     DuplicateSampleError,
+    FailureClass,
     FaultType,
     KpiId,
+    OrderingError,
     SYSTEM_RESOURCE,
     TimeSeries,
     format_timestamp,
     parse_timestamp,
 )
-from faultcast.detect import ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, _interval_bins
+from faultcast.detect import _KINDS, ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents, _interval_bins
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
 from faultcast.io import CSV_HEADER
+from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
 from faultcast.sim import FaultSpec, Pattern
 from faultcast.signature import (
     _GAIN_EPS,
     DecisionTreeModel,
     TreeNode,
-    _encode_dataset,
+    Windows,
     _entropies,
     stratified_folds,
     train_nb,
@@ -602,11 +611,15 @@ def nb_proba_row(model, bits):
     return probs / total
 
 
-def cross_validate_rows(samples, vocab, k=10, seed=0, algorithm="tree", min_leaf=2, max_depth=None, alpha=1.0):
-    """(truth, predicted) per sample: loop-grown trees, one prediction per
-    held-out window."""
-    x, y, classes = _encode_dataset(samples, vocab)
-    folds = stratified_folds([s.label for s in samples], k, seed)
+def cross_validate_rows(pool, vocab, k=10, seed=0, algorithm="tree", min_leaf=2, max_depth=None, alpha=1.0):
+    """(truth, predicted) per window: the windows' feature sets encoded one
+    by one, loop-grown trees, one prediction per held-out window."""
+    if not len(pool):
+        raise ValueError("no window samples to train on")
+    classes = tuple(sorted(set(pool.labels)))
+    x = np.stack([encode_features(vocab, features) for features in pool_features(pool)])
+    y = np.array([classes.index(label) for label in pool.labels], dtype=np.intp)
+    folds = stratified_folds(pool.labels, k, seed)
     preds = np.full(len(y), -1, dtype=np.intp)
     for fold in folds:
         train = np.setdiff1d(np.arange(len(y)), fold)
@@ -622,8 +635,47 @@ def cross_validate_rows(samples, vocab, k=10, seed=0, algorithm="tree", min_leaf
     return [(classes[t], classes[p]) for t, p in zip(y, preds)]
 
 
+def encode_features(vocab, features):
+    """A feature set as a uint8 bit vector, one dict lookup per (KPI, kind)
+    pair; pairs outside the vocabulary set no bit."""
+    kinds = (AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE)
+    index = {
+        (kpi, kind): 2 * i + offset if vocab.split_kinds else i
+        for i, kpi in enumerate(vocab.kpis)
+        for offset, kind in enumerate(kinds)
+    }
+    bits = np.zeros(vocab.dimension, dtype=np.uint8)
+    for feature in features:
+        if feature in index:
+            bits[index[feature]] = 1
+    return bits
+
+
 def _features(events):
     return frozenset((event.kpi, event.kind) for event in events)
+
+
+def window_features(events):
+    """The feature set of anomaly events: their distinct (KPI, kind) pairs,
+    read from the columns of :class:`AnomalyEvents`."""
+    if isinstance(events, AnomalyEvents):
+        pairs = set(zip(events.kpi.tolist(), events.kind.tolist()))
+        return frozenset((events.kpis[kpi], _KINDS[kind]) for kpi, kind in pairs)
+    return _features(events)
+
+
+def windowize_events(events, windows):
+    """Each (start, end) window's feature set: events grouped by interval
+    start, each window the union of the groups bisected into its range."""
+    by_start = attrgetter("interval_start")
+    starts, per_interval = [], []
+    for start, group in groupby(sorted(events, key=by_start), by_start):
+        starts.append(start)
+        per_interval.append(window_features(group))
+    return [
+        frozenset().union(*per_interval[bisect_left(starts, start) : bisect_left(starts, end)])
+        for start, end in windows
+    ]
 
 
 def windowize_events_scan(events, windows):
@@ -635,6 +687,81 @@ def windowize_events_scan(events, windows):
 def buffer_anomalies(buffer):
     """A predictor buffer of (interval_start, events) pairs, scanned whole."""
     return _features(event for _, events in buffer for event in events)
+
+
+def pool_features(pool):
+    """Each window of a pool as its frozenset of (KpiId, AnomalyKind) pairs."""
+    return [
+        frozenset((pool.kpis[k], _KINDS[c]) for k, c in zip(*np.nonzero(cells)))
+        for cells in pool.cells
+    ]
+
+
+def pool_of(windows):
+    """A pool from (start, end, feature set, label) windows."""
+    windows = list(windows)
+    kpis = tuple(sorted({kpi for _, _, features, _ in windows for kpi, _ in features}))
+    cells = np.zeros((len(windows), len(kpis), 2), dtype=bool)
+    for i, (_, _, features, _) in enumerate(windows):
+        for kpi, kind in features:
+            cells[i, kpis.index(kpi), _KINDS.index(kind)] = True
+    start = np.array([w[0] for w in windows], dtype=np.int64)
+    end = np.array([w[1] for w in windows], dtype=np.int64)
+    return Windows(kpis, cells, start, end, tuple(w[3] for w in windows))
+
+
+@dataclass(frozen=True)
+class BufferedState:
+    """The predictor state as an (interval_start, feature set) pair per
+    interval still inside the window."""
+
+    window_min: int
+    buffer: Tuple[Tuple[int, frozenset], ...] = ()
+    last_interval: Optional[int] = None
+    streak_class: Optional[FailureClass] = None
+    streak_len: int = 0
+    active_class: Optional[FailureClass] = None
+    fs_fired: bool = False
+
+    def window_anomalies(self):
+        return frozenset().union(*(features for _, features in self.buffer))
+
+
+def step_buffered(
+    state, interval_start, events, signature, *, confidence_threshold=DEFAULT_CONFIDENCE, streak_needed=DEFAULT_STREAK
+):
+    """The predictor step over a buffer of per-interval feature sets, each
+    window's set encoded by dict lookups."""
+    check_alert_rule(confidence_threshold, streak_needed)
+    if state.last_interval is not None and interval_start <= state.last_interval:
+        raise OrderingError(f"interval {interval_start} is not after {state.last_interval}")
+    window_end = interval_start + INTERVAL_S
+    window_start = window_end - state.window_min * 60
+    buffer = tuple((start, features) for start, features in state.buffer if start >= window_start)
+    interim = replace(state, buffer=buffer + ((interval_start, window_features(events)),), last_interval=interval_start)
+    anomalies = interim.window_anomalies()
+    top_class, top_p = signature.classify_bits(encode_features(signature.vocabulary, anomalies)).top()
+    if top_class.is_normal:
+        return replace(interim, streak_class=None, streak_len=0, active_class=None, fs_fired=False), None
+    if top_p >= confidence_threshold:
+        if state.streak_class == top_class:
+            streak_class, streak_len, fs_fired = top_class, state.streak_len + 1, state.fs_fired
+        else:
+            streak_class, streak_len, fs_fired = top_class, 1, False
+    else:
+        streak_class, streak_len, fs_fired = None, 0, False
+    alert = None
+    active_class = state.active_class
+    if active_class != top_class:
+        alert = Alert(AlertKind.GENERAL, window_end, None, top_p, anomalies)
+        active_class = top_class
+    elif streak_len >= streak_needed and not fs_fired:
+        alert = Alert(AlertKind.FAILURE_SPECIFIC, window_end, top_class, top_p, anomalies)
+        fs_fired = True
+    return (
+        replace(interim, streak_class=streak_class, streak_len=streak_len, active_class=active_class, fs_fired=fs_fired),
+        alert,
+    )
 
 
 def default_run_specs_loops(config):

@@ -21,7 +21,6 @@ from faultcast.core import (
     AnomalyKind,
     FailureClass,
     FaultType,
-    WindowSample,
     format_timestamp,
     parse_timestamp,
 )
@@ -31,6 +30,7 @@ from faultcast.io import RunManifest, ingest_csv
 from faultcast.predict import run_predictor, write_alert_log
 from faultcast.signature import SignatureModel, Vocabulary, train_signature
 
+import oracles
 from conftest import run_cli
 
 
@@ -198,9 +198,8 @@ def _tiny_signature(vocab):
     """A tree trained on four hand-made windows over ``vocab``."""
     leak = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
     marked = frozenset([(vocab.kpis[0], AnomalyKind.UNIVARIATE)])
-    samples = [WindowSample(0, 5400, marked, leak)] * 2
-    samples += [WindowSample(0, 5400, frozenset(), NORMAL_CLASS)] * 2
-    return train_signature(samples, vocab, "tree", 90)
+    windows = [(0, 5400, marked, leak)] * 2 + [(0, 5400, frozenset(), NORMAL_CLASS)] * 2
+    return train_signature(oracles.pool_of(windows), vocab, "tree", 90)
 
 
 def _online_args(command, short_pipeline, tmp_path, run_start):
@@ -495,6 +494,38 @@ def test_predict_rejects_a_malformed_signature_file(short_pipeline, tmp_path, sp
     assert proc.stderr.startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("split_kinds", "false"),  # loaded as a split vocabulary under an unsplit tree
+        ("window_min", 90.7),
+        ("window_min", True),
+        ("window_min", "90"),
+    ],
+    ids=["split-kinds-string", "window-min-fraction", "window-min-bool", "window-min-string"],
+)
+def test_predict_rejects_a_signature_field_of_the_wrong_type(short_pipeline, tmp_path, field, value):
+    vocab = Vocabulary(BaselineModel.load(short_pipeline["baseline"]).baselines.keys())
+    data = _tiny_signature(vocab).to_dict()
+    data[field] = value
+    signature = tmp_path / "signature.json"
+    signature.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli(
+        "predict",
+        "--baseline",
+        str(short_pipeline["baseline"]),
+        "--signature",
+        str(signature),
+        "--data",
+        str(short_pipeline["fault_csv"]),
+        "--out",
+        str(tmp_path / "alerts.csv"),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert str(signature) in proc.stderr and f"{field} {value!r}" in proc.stderr, proc.stderr
+
+
 def test_missing_input_file_exits_nonzero(tmp_path):
     proc = run_cli(
         "detect",
@@ -565,8 +596,14 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
 
 @pytest.mark.parametrize(
     "field, value, named",
-    [("run_hour", 30, "run_hour 30"), ("fault_targets", ["Nope"], "'Nope'"), ("tau", -1.0, "tau -1.0")],
-    ids=["run-hour-30", "unknown-fault-target", "negative-tau"],
+    [
+        ("run_hour", 30, "run_hour 30"),
+        ("fault_targets", ["Nope"], "'Nope'"),
+        ("tau", -1.0, "tau -1.0"),
+        ("folds", 2.5, "folds 2.5 must be an integer"),
+        ("training_days", True, "training_days True must be an integer"),
+    ],
+    ids=["run-hour-30", "unknown-fault-target", "negative-tau", "fractional-folds", "boolean-training-days"],
 )
 def test_evaluate_rejects_a_bad_config_value_before_building(tmp_path, field, value, named):
     data = SuiteConfig(training_days=2, run_duration_min=130, allow_short_training=True).to_dict()

@@ -24,7 +24,6 @@ from faultcast.core import (
     Grids,
     KpiId,
     TimeSeries,
-    WindowSample,
     format_timestamp,
     hour_of_week,
     lags,
@@ -230,13 +229,6 @@ def test_failure_class_validation():
         FailureClass(FaultType.EXCESSIVE_WORKLOAD, "Homer")
     with pytest.raises(ValueError):
         FailureClass(FaultType.CPU_HOG, "")
-
-
-def test_window_sample_rejects_an_empty_range():
-    kpi = KpiId("Homer", "ErrorsPerSec")
-    WindowSample(0, 600, frozenset([(kpi, AnomalyKind.UNIVARIATE), (kpi, AnomalyKind.MULTIVARIATE)]))
-    with pytest.raises(ValueError):
-        WindowSample(600, 600, frozenset())
 
 
 def test_slide_windows_matches_enumeration_oracle():

@@ -17,7 +17,6 @@ from faultcast.core import (
     FailureClass,
     FaultType,
     SchemaVersionError,
-    WindowSample,
     hour_of_week,
     parse_timestamp,
     slide_windows,
@@ -81,6 +80,24 @@ def test_config_round_trip(tmp_path):
 )
 def test_config_rejects_an_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=rf"^{field} {value} "):
+        SuiteConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("folds", 2.5),
+        ("training_days", True),
+        ("window_min", 90.0),
+        ("lag_order", "3"),
+        ("seed", None),
+        ("training_start", 1.5e9),
+        ("run_duration_min", False),
+    ],
+)
+def test_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # 2.5 folds failed in numpy after the build; true training days ran one
+    with pytest.raises(ValueError, match=rf"^{field} {value!r} must be an integer$"):
         SuiteConfig(**{field: value})
 
 
@@ -258,18 +275,19 @@ def test_metrics_render_width_for_reports():
 def test_rq1_windows_and_cross_validation_equal_the_oracles(suite_data):
     config = suite_data.config
     for l_min in (60, 90, 120):
-        samples = assemble_windows(suite_data.runs, l_min, config.step_min)
-        scanned = []
+        pool = assemble_windows(suite_data.runs, l_min, config.step_min)
+        scanned, bounds, labels = [], [], []
         for rec in suite_data.runs:
             windows = slide_windows(rec.manifest.start, rec.manifest.end, l_min, config.step_min)
-            scanned += [
-                WindowSample(start, end, features, window_label(rec.manifest, start, end))
-                for (start, end), features in zip(windows, oracles.windowize_events_scan(rec.events, windows))
-            ]
-        assert samples == scanned
+            scanned += oracles.windowize_events_scan(rec.events, windows)
+            bounds += windows
+            labels += [window_label(rec.manifest, start, end) for start, end in windows]
+        assert oracles.pool_features(pool) == scanned
+        assert list(zip(pool.start.tolist(), pool.end.tolist())) == bounds
+        assert pool.labels == tuple(labels)
         for algorithm in ("tree", "nb"):
-            cv = cross_validate(samples, suite_data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm)
+            cv = cross_validate(pool, suite_data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm)
             expected = oracles.cross_validate_rows(
-                samples, suite_data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm
+                pool, suite_data.vocab, k=config.folds, seed=config.seed, algorithm=algorithm
             )
             assert cv.predictions == expected, f"{l_min}-min {algorithm}"

@@ -23,7 +23,6 @@ from faultcast.core import (
     KpiId,
     SchemaVersionError,
     TimeSeries,
-    WindowSample,
     format_timestamp,
     parse_timestamp,
 )
@@ -158,7 +157,7 @@ def tiny_baseline() -> dict:
 
 def tiny_signature() -> dict:
     vocab = Vocabulary([KpiId("Homer", "CpuIdlePct")])
-    return train_signature([WindowSample(0, 600, frozenset(), NORMAL_CLASS)], vocab).to_dict()
+    return train_signature(oracles.pool_of([(0, 600, frozenset(), NORMAL_CLASS)]), vocab).to_dict()
 
 
 def tiny_scenario() -> dict:

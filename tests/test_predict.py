@@ -1,7 +1,6 @@
 """Online alerting: sliding-window state machine and earliness measures."""
 
-from dataclasses import replace
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +15,10 @@ from faultcast.core import (
     NORMAL_CLASS,
     OrderingError,
 )
-from faultcast.detect import AnomalyEvent
+from faultcast.detect import AnomalyEvent, AnomalyEvents
 from faultcast.io import InjectedFault, RunManifest
 from faultcast.predict import (
+    _NEVER,
     Alert,
     AlertKind,
     EarlinessReport,
@@ -27,19 +27,22 @@ from faultcast.predict import (
     step,
     write_alert_log,
 )
-from faultcast.signature import ClassDistribution, window_features
+from faultcast.signature import ClassDistribution, Vocabulary, train_signature
 
 LEAK_SPROUT = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
 HOG_HOMER = FailureClass(FaultType.CPU_HOG, "Homer")
+KPIS = (KpiId("Homer", "m"), KpiId("Homer", "n"), KpiId("Sprout", "m"))
 
 
 class ScriptedSignature:
     """Stands in for a trained model: returns pre-scripted distributions."""
 
+    vocabulary = Vocabulary(KPIS)
+
     def __init__(self, outputs):
         self.outputs = list(outputs)
 
-    def classify_window(self, anomalies):
+    def classify_bits(self, bits):
         return self.outputs.pop(0)
 
 
@@ -174,15 +177,17 @@ def test_window_buffer_evicts_old_intervals():
     old_event = AnomalyEvent(0, KpiId("Homer", "m"), AnomalyKind.UNIVARIATE, 4.0)
     state, _ = step(state, 0, [old_event], signature)
     state, _ = step(state, 300, [], signature)
-    assert {kpi for kpi, _ in state.window_anomalies()} == {KpiId("Homer", "m")}
+    assert {kpi for kpi, _ in state.evidence()} == {KpiId("Homer", "m")}
     state, _ = step(state, 600, [], signature)
-    assert state.buffer == ((300, frozenset()), (600, frozenset()))
+    assert state.evidence() == frozenset()
+    # the cell keeps its last sighting: (Homer/m, Univariate) at 0
+    assert state.kpis == (KpiId("Homer", "m"),) and state.last_seen.tolist() == [[_NEVER, 0]]
 
 
 events_at = st.builds(
     AnomalyEvent,
     st.integers(0, 20).map(lambda i: 300 * i),
-    st.sampled_from([KpiId("Homer", "m"), KpiId("Homer", "n"), KpiId("Sprout", "m")]),
+    st.sampled_from(KPIS + (KpiId("Bono", "x"),)),  # Bono/x is in no vocabulary
     st.sampled_from(list(AnomalyKind)),
     st.floats(0.0, 10.0),
 )
@@ -191,27 +196,35 @@ events_at = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 20).map(lambda i: 300 * i), st.lists(events_at, max_size=6)), max_size=18))
 def test_window_anomalies_equal_the_buffer_scan(buffer):
-    # events may repeat and carry interval starts other than their slot's
-    features = tuple((start, window_features(evs)) for start, evs in buffer)
-    state = replace(new_state(window_min=90), buffer=features)
-    assert state.window_anomalies() == oracles.buffer_anomalies(buffer)
+    # events may repeat and carry interval starts other than their slot's;
+    # slots fed in time order, one step per start, in a window holding all
+    signature = ScriptedSignature([verdict(NORMAL_CLASS, 0.9)] * len(buffer))
+    state = new_state(window_min=200)
+    for start in sorted({start for start, _ in buffer}):
+        state, _ = step(state, start, [e for s, evs in buffer if s == start for e in evs], signature)
+    if buffer:
+        assert state.evidence() == oracles.buffer_anomalies(buffer)
 
 
 class RecordingSignature:
-    """Answers Normal and keeps every window it was asked to classify."""
+    """Answers Normal and keeps every window it was asked to classify, as
+    the feature set its split-kinds bits stand for."""
+
+    vocabulary = Vocabulary(KPIS + (KpiId("Bono", "x"),), split_kinds=True)
 
     def __init__(self):
         self.windows = []
 
-    def classify_window(self, features):
-        self.windows.append(features)
+    def classify_bits(self, bits):
+        kinds = (AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE)
+        self.windows.append(frozenset((self.vocabulary.kpis[b // 2], kinds[b % 2]) for b in np.flatnonzero(bits)))
         return verdict(NORMAL_CLASS, 0.9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 4), st.lists(events_at, max_size=6)), max_size=30),
-    st.sampled_from([5, 10, 30, 90]),
+    st.sampled_from([1, 5, 10, 30, 90]),
 )
 def test_each_step_classifies_the_scan_of_its_window(intervals, window_min):
     # gaps between intervals, and events stamped with other intervals' starts
@@ -222,8 +235,64 @@ def test_each_step_classifies_the_scan_of_its_window(intervals, window_min):
         start += 300 * gap
         state, _ = step(state, start, evs, signature)
         fed.append((start, evs))
-        window_start = start + 300 - 60 * window_min
+        window_start = min(start + 300 - 60 * window_min, start)
         assert signature.windows[-1] == oracles.buffer_anomalies([(s, e) for s, e in fed if s >= window_start])
+
+
+def trained_signature(algorithm, split_kinds):
+    """A signature that tells leak, hog and Normal windows apart by their
+    (KPI, kind) features, with some windows left to chance."""
+    windows, uni, multi = [], AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE
+    for i in range(4):
+        windows.append((0, 300, frozenset([(KPIS[0], uni)] + [(KPIS[2], multi)] * (i % 2)), LEAK_SPROUT))
+        windows.append((0, 300, frozenset([(KPIS[1], multi)] + [(KPIS[2], uni)] * (i % 3 == 0)), HOG_HOMER))
+        windows.append((0, 300, frozenset([(KPIS[2], uni)] * (i == 1)), NORMAL_CLASS))
+    return train_signature(oracles.pool_of(windows), Vocabulary(KPIS, split_kinds), algorithm, 15, min_leaf=1)
+
+
+def as_input(events, form, order):
+    """One interval's events as a list, as columns numbered in first-seen
+    order, or as columns over a KPI tuple of their own."""
+    if form == 0:
+        return events
+    if form == 1:
+        return AnomalyEvents.of(events)
+    kpis = list(order)
+    for event in events:
+        if event.kpi not in kpis:
+            kpis.append(event.kpi)
+    numbers = [kpis.index(e.kpi) for e in events]
+    codes = [0 if e.kind is AnomalyKind.MULTIVARIATE else 1 for e in events]
+    return AnomalyEvents(kpis, [e.interval_start for e in events], numbers, codes, [e.score for e in events])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 3), st.lists(events_at, max_size=5), st.integers(0, 2), st.permutations(KPIS)),
+        max_size=30,
+    ),
+    st.sampled_from(["tree", "nb"]),
+    st.booleans(),
+    st.sampled_from([1, 5, 15, 20]),
+    st.sampled_from([0.0, 0.6, 0.9, 1.0]),
+    st.integers(1, 4),
+)
+def test_step_equals_the_buffered_oracle(intervals, algorithm, split_kinds, window_min, confidence, streak):
+    # lists of events and columns whose KPI tuple changes between steps, over
+    # KPIs in and outside the vocabulary, with gaps between intervals
+    signature = trained_signature(algorithm, split_kinds)
+    rule = dict(confidence_threshold=confidence, streak_needed=streak)
+    state, expected = new_state(window_min), oracles.BufferedState(window_min)
+    start = 0
+    for gap, events, form, order in intervals:
+        start += 300 * gap
+        state, alert = step(state, start, as_input(events, form, order), signature, **rule)
+        expected, want = oracles.step_buffered(expected, start, events, signature, **rule)
+        assert alert == want
+        assert state.evidence() == expected.window_anomalies()
+        for name in ("last_interval", "streak_class", "streak_len", "active_class", "fs_fired"):
+            assert getattr(state, name) == getattr(expected, name), name
 
 
 def test_alert_validation():

@@ -1,7 +1,9 @@
 """Window encoding, the two classifiers, and cross-validation plumbing."""
 
+import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from faultcast.core import (
     FaultType,
     KpiId,
     SchemaVersionError,
-    WindowSample,
 )
 from faultcast.detect import AnomalyEvent, AnomalyEvents
+from faultcast.evaluate import RunRecord, assemble_windows, window_label
+from faultcast.io import InjectedFault, RunManifest
 from faultcast.signature import (
     ClassDistribution,
     NaiveBayesModel,
@@ -33,8 +36,6 @@ from faultcast.signature import (
     train_nb,
     train_signature,
     train_tree,
-    window_features,
-    windowize_events,
 )
 
 K = [KpiId("Homer", f"m{i}") for i in range(8)]
@@ -57,6 +58,11 @@ MANY_CLASSES = (NORMAL_CLASS,) + tuple(
 
 def anomaly(kpi, kind=AnomalyKind.UNIVARIATE):
     return (kpi, kind)
+
+
+def encode(vocab, features):
+    """The bit vector of one window's feature set."""
+    return vocab.encode(oracles.pool_of([(0, 300, features, NORMAL_CLASS)]))[0]
 
 
 def proba(model, fv):
@@ -86,20 +92,21 @@ def test_encode_matches_membership_oracle():
             anomaly(kpi, AnomalyKind.UNIVARIATE if rng.random() < 0.5 else AnomalyKind.MULTIVARIATE)
             for kpi in chosen
         )
-        bits = vocab.encode(anomalies)
-        assert bits.dtype == np.uint8 and bits.shape == (len(K),)
+        bits = encode(vocab, anomalies)
+        assert bits.dtype == bool and bits.shape == (len(K),)
         for i, kpi in enumerate(vocab.kpis):
             assert bits[i] == (1 if kpi in chosen else 0), f"bit {i} wrong"
 
 
 def test_encode_merges_detector_kinds_by_default():
     vocab = Vocabulary([K[0], K[1]])
-    uni = vocab.encode(frozenset([anomaly(K[0], AnomalyKind.UNIVARIATE)]))
-    multi = vocab.encode(frozenset([anomaly(K[0], AnomalyKind.MULTIVARIATE)]))
-    both = vocab.encode(
+    uni = encode(vocab, frozenset([anomaly(K[0], AnomalyKind.UNIVARIATE)]))
+    multi = encode(vocab, frozenset([anomaly(K[0], AnomalyKind.MULTIVARIATE)]))
+    both = encode(
+        vocab,
         frozenset(
             [anomaly(K[0], AnomalyKind.UNIVARIATE), anomaly(K[0], AnomalyKind.MULTIVARIATE)]
-        )
+        ),
     )
     assert uni.tolist() == multi.tolist() == both.tolist() == [1, 0]
 
@@ -107,10 +114,13 @@ def test_encode_merges_detector_kinds_by_default():
 def test_encode_split_kinds_doubles_the_dimension():
     vocab = Vocabulary([K[0], K[1]], split_kinds=True)
     assert vocab.dimension == 4
-    uni = vocab.encode(frozenset([anomaly(K[0], AnomalyKind.UNIVARIATE)]))
-    multi = vocab.encode(frozenset([anomaly(K[0], AnomalyKind.MULTIVARIATE)]))
+    uni = encode(vocab, frozenset([anomaly(K[0], AnomalyKind.UNIVARIATE)]))
+    multi = encode(vocab, frozenset([anomaly(K[0], AnomalyKind.MULTIVARIATE)]))
     assert uni.tolist() == [1, 0, 0, 0]
     assert multi.tolist() == [0, 1, 0, 0]
+    # cells in kind-code order (Multivariate, Univariate): the reverse of the bits
+    assert vocab.bits((K[1], K[5], K[0])).tolist() == [[3, 2], [-1, -1], [1, 0]]
+    assert Vocabulary([K[0], K[1]]).bits((K[1], K[5])).tolist() == [[1, 1], [-1, -1]]
     names = [vocab.feature_name(i) for i in range(4)]
     assert len(set(names)) == 4
     assert all("m0" in n for n in names[:2])
@@ -119,7 +129,7 @@ def test_encode_split_kinds_doubles_the_dimension():
 def test_encode_ignores_unknown_kpis():
     vocab = Vocabulary([K[0]])
     stranger = KpiId("Sprout", "other")
-    bits = vocab.encode(frozenset([anomaly(stranger)]))
+    bits = encode(vocab, frozenset([anomaly(stranger)]))
     assert bits.tolist() == [0]
 
 
@@ -133,8 +143,10 @@ def test_windowize_membership_boundaries():
         AnomalyEvent(300, K[0], AnomalyKind.UNIVARIATE, 5.0),
         AnomalyEvent(600, K[1], AnomalyKind.MULTIVARIATE, 4.0),
     ]
-    windows = [(0, 600), (300, 900)]
-    first, second = windowize_events(events, windows)
+    # 10-minute windows sliding by 5 over a 15-minute run: (0, 600), (300, 900)
+    pool = assemble_windows([RunRecord(RunManifest("run", 0, 900), events)], 10, 5)
+    assert pool.start.tolist() == [0, 300] and pool.end.tolist() == [600, 900]
+    first, second = oracles.pool_features(pool)
     # an event exactly on the window start belongs to it; one exactly on the
     # end does not, and repeated (kpi, kind) sightings collapse to one
     assert first == {(K[0], AnomalyKind.UNIVARIATE)}
@@ -144,34 +156,68 @@ def test_windowize_membership_boundaries():
     }
 
 
+#: KPIs 0-3 in every vocabulary below, 4 and 5 in none
 events_at = st.builds(
     AnomalyEvent,
-    st.integers(-4, 30).map(lambda i: 300 * i),
-    st.sampled_from(K[:4]),
+    st.one_of(st.integers(-4, 30).map(lambda i: 300 * i), st.integers(-1200, 9000)),
+    st.sampled_from(K[:6]),
     st.sampled_from(list(AnomalyKind)),
     st.floats(0.0, 10.0),
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_windowize_equals_the_per_window_scan(data):
-    # unsorted events with repeats, windows without events, and events
-    # before, between and after every window
-    events = data.draw(st.lists(events_at, max_size=40))
+@st.composite
+def runs(draw):
+    """Runs of random length and start, with a fault or none, whose events
+    repeat, come in any order, fall on or off the 5-minute grid and before,
+    inside or after the run, and are numbered by KPI tuples of their own."""
+    start = 300 * draw(st.integers(-2, 4))
+    end = start + 300 * draw(st.integers(1, 24))
+    fault = None
+    if draw(st.booleans()):
+        fault = InjectedFault(FaultType.CPU_HOG, "Homer", "Constant", draw(st.integers(start, end)))
+    events = draw(st.lists(events_at, max_size=30))
     if events:
-        events += data.draw(st.lists(st.sampled_from(events), max_size=10))
-    events = data.draw(st.permutations(events))
-    windows = data.draw(
-        st.lists(
-            st.tuples(st.integers(-3, 28), st.integers(1, 18)).map(
-                lambda w: (300 * w[0], 300 * (w[0] + w[1]))
-            ),
-            max_size=12,
+        events += draw(st.lists(st.sampled_from(events), max_size=8))
+    events = draw(st.permutations(events))
+    if draw(st.booleans()):  # columns numbering the KPIs in first-seen order
+        events = AnomalyEvents.of(events)
+    elif draw(st.booleans()):  # columns over a tuple with KPIs no event carries
+        extra = draw(st.permutations(K))
+        events = AnomalyEvents(
+            extra,
+            [e.interval_start for e in events],
+            [extra.index(e.kpi) for e in events],
+            [0 if e.kind is AnomalyKind.MULTIVARIATE else 1 for e in events],
+            [e.score for e in events],
         )
-    )
+    return RunRecord(RunManifest(f"run-{start}-{end}", start, end, fault), events)
 
-    assert windowize_events(events, windows) == oracles.windowize_events_scan(events, windows)
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(runs(), max_size=4), st.integers(1, 60), st.integers(1, 20), st.booleans())
+def test_windowize_equals_the_per_window_scan(records, l_min, step_min, split_kinds):
+    # the pool, and its encoding, against the frozenset windowing, the
+    # every-event scan and the dict encoding
+    pool = assemble_windows(records, l_min, step_min)
+    features, bounds, labels = [], [], []
+    for rec in records:
+        start, end = rec.manifest.start, rec.manifest.end
+        windows = [(s, s + 60 * l_min) for s in range(start, end - 60 * l_min + 1, 60 * step_min)]
+        scanned = oracles.windowize_events_scan(rec.events, windows)
+        assert oracles.windowize_events(rec.events, windows) == scanned
+        features += scanned
+        bounds += windows
+        labels += [window_label(rec.manifest, s, e) for s, e in windows]
+    assert oracles.pool_features(pool) == features
+    assert list(zip(pool.start.tolist(), pool.end.tolist())) == bounds
+    assert pool.labels == tuple(labels)
+    assert list(pool.kpis) == sorted(pool.kpis)
+    vocab = Vocabulary(K[:4], split_kinds=split_kinds)
+    x = vocab.encode(pool)
+    assert x.shape == (len(features), vocab.dimension)
+    expected = [oracles.encode_features(vocab, f).tolist() for f in features]
+    assert x.astype(np.uint8).tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,9 +227,12 @@ def test_window_features_of_columns_equal_those_of_the_events(events, data):
     # in first-seen order
     events += data.draw(st.lists(st.sampled_from(events), max_size=10)) if events else []
     columns = AnomalyEvents.of(events)
-    features = window_features(columns)
-    assert features == window_features(list(columns)) == oracles.buffer_anomalies([(0, events)])
-    assert all(type(kpi) is KpiId and type(kind) is AnomalyKind for kpi, kind in features)
+    manifest = RunManifest("run", -1200, 9300)
+    pools = [assemble_windows([RunRecord(manifest, e)], 175, 5) for e in (columns, list(columns), events)]
+    features = [oracles.pool_features(pool) for pool in pools]
+    assert features[0] == features[1] == features[2]
+    assert features[0][0] == oracles.window_features(columns) == oracles.buffer_anomalies([(0, events)])
+    assert all(type(kpi) is KpiId and type(kind) is AnomalyKind for kpi, kind in features[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +247,30 @@ def test_distribution_top_breaks_ties_toward_the_smaller_class():
     dist = ClassDistribution({LOSS_HOMER: 0.5, LOSS_SPROUT: 0.5})
     assert dist.top()[0] == LOSS_HOMER
     assert dist[HOG_HOMER] == 0.0
+
+
+class FixedModel:
+    """A classifier whose every row of probabilities is given."""
+
+    def __init__(self, classes, probs):
+        self.classes, self.probs = classes, np.asarray(probs, dtype=float).reshape(-1, len(classes))
+
+    def predict_proba(self, bits):
+        assert len(bits) == len(self.probs)
+        return self.probs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_top_classes_break_ties_as_the_distribution_top(n_classes, data):
+    # RQ3's one predict_proba call over a pool, against ClassDistribution.top
+    # per window, on rows where several classes share the top probability
+    classes = tuple(sorted(MANY_CLASSES[:n_classes]))
+    shares = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    probs = data.draw(st.lists(st.lists(shares, min_size=n_classes, max_size=n_classes), max_size=12))
+    pool = oracles.pool_of([(0, 300, frozenset(), NORMAL_CLASS)] * len(probs))
+    model = SignatureModel(Vocabulary(K[:1]), "tree", 90, FixedModel(classes, probs))
+    assert model.top_classes(pool) == [ClassDistribution(dict(zip(classes, row))).top()[0] for row in probs]
 
 
 # ---------------------------------------------------------------------------
@@ -523,42 +596,27 @@ def window_fixture():
     k_homer, k_sprout = KpiId("Homer", "TcpRetransPerSec"), KpiId("Sprout", "TcpRetransPerSec")
     other = KpiId("Bono", "CpuIdlePct")
     vocab = Vocabulary([k_homer, k_sprout, other])
-    samples = []
+    windows = []
     for i in range(6):
-        samples.append(
-            WindowSample(
-                i * 300,
-                i * 300 + 5400,
-                frozenset([anomaly(k_homer)]),
-                label=LOSS_HOMER,
-            )
-        )
-        samples.append(
-            WindowSample(
-                i * 300,
-                i * 300 + 5400,
-                frozenset([anomaly(k_sprout)]),
-                label=LOSS_SPROUT,
-            )
-        )
-        samples.append(WindowSample(i * 300, i * 300 + 5400, frozenset(), label=NORMAL_CLASS))
-    return vocab, samples
+        windows.append((i * 300, i * 300 + 5400, frozenset([anomaly(k_homer)]), LOSS_HOMER))
+        windows.append((i * 300, i * 300 + 5400, frozenset([anomaly(k_sprout)]), LOSS_SPROUT))
+        windows.append((i * 300, i * 300 + 5400, frozenset(), NORMAL_CLASS))
+    return vocab, oracles.pool_of(windows)
 
 
 def test_signature_model_separates_fault_locations():
-    vocab, samples = window_fixture()
-    model = train_signature(samples, vocab, algorithm="tree", window_min=90)
+    vocab, pool = window_fixture()
+    model = train_signature(pool, vocab, algorithm="tree", window_min=90)
     # one level per location marker
     assert model.model.depth() == 2
-    assert model.classify_window(samples[0].anomalies).top()[0] == LOSS_HOMER
-    assert model.classify_window(samples[1].anomalies).top()[0] == LOSS_SPROUT
-    assert model.classify_window(frozenset()).top()[0] == NORMAL_CLASS
+    assert model.top_classes(pool)[:3] == [LOSS_HOMER, LOSS_SPROUT, NORMAL_CLASS]
+    assert model.classify_bits(np.zeros(vocab.dimension, dtype=bool)).top()[0] == NORMAL_CLASS
 
 
 def test_signature_round_trip_is_byte_stable(tmp_path):
-    vocab, samples = window_fixture()
+    vocab, pool = window_fixture()
     for algorithm in ("tree", "nb"):
-        model = train_signature(samples, vocab, algorithm=algorithm, window_min=90)
+        model = train_signature(pool, vocab, algorithm=algorithm, window_min=90)
         path = tmp_path / f"{algorithm}.json"
         model.save(path)
         again = SignatureModel.load(path)
@@ -567,11 +625,9 @@ def test_signature_round_trip_is_byte_stable(tmp_path):
         again.save(second)
         assert second.read_bytes() == path.read_bytes()
         # behaviour survives the round trip
-        for sample in samples[:3]:
-            assert (
-                again.classify_window(sample.anomalies).top()
-                == model.classify_window(sample.anomalies).top()
-            )
+        x = vocab.encode(pool)
+        assert np.array_equal(again.model.predict_proba(x), model.model.predict_proba(x))
+        assert again.top_classes(pool) == model.top_classes(pool)
 
 
 def test_signature_rejects_wrong_payload(tmp_path):
@@ -579,15 +635,26 @@ def test_signature_rejects_wrong_payload(tmp_path):
     path.write_text('{"kind": "something-else", "schema_version": 1}')
     with pytest.raises(SchemaVersionError):
         SignatureModel.load(path)
-    vocab, samples = window_fixture()
+    vocab, pool = window_fixture()
     with pytest.raises(ValueError):
-        train_signature(samples, vocab, algorithm="forest")
+        train_signature(pool, vocab, algorithm="forest")
+    empty = oracles.pool_of([])
     # an unknown algorithm is rejected before the windows are encoded
     with pytest.raises(ValueError, match="unknown algorithm 'forest'"):
-        cross_validate([], vocab, algorithm="forest")
-    unlabeled = [WindowSample(0, 600, frozenset())]
-    with pytest.raises(ValueError):
-        train_signature(unlabeled, vocab)
+        cross_validate(empty, vocab, algorithm="forest")
+    with pytest.raises(ValueError, match="no window samples"):
+        train_signature(empty, vocab)
+
+
+@pytest.mark.parametrize("entry", [["Homer", 3], ["Homer", "m", "x"], "Homer/m", ["Homer", None]])
+def test_signature_rejects_a_vocabulary_entry_that_is_not_two_strings(tmp_path, entry):
+    vocab, pool = window_fixture()
+    data = train_signature(pool, vocab).to_dict()
+    data["vocabulary"][1] = entry
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^malformed {re.escape(str(path))}: TypeError vocabulary entry "):
+        SignatureModel.load(path)
 
 
 def first_leaf(node):
@@ -613,8 +680,8 @@ def first_leaf(node):
     ],
 )
 def test_signature_rejects_a_model_it_cannot_evaluate(algorithm, corrupt):
-    vocab, samples = window_fixture()
-    data = train_signature(samples, vocab, algorithm=algorithm).to_dict()
+    vocab, pool = window_fixture()
+    data = train_signature(pool, vocab, algorithm=algorithm).to_dict()
     corrupt(data["model"])
     with pytest.raises(ValueError):
         SignatureModel.from_dict(data)
@@ -666,11 +733,11 @@ def test_stratified_folds_input_gates():
 
 
 def test_cross_validation_on_separable_data_is_perfect():
-    vocab, samples = window_fixture()
+    vocab, pool = window_fixture()
     for algorithm in ("tree", "nb"):
-        cv = cross_validate(samples, vocab, k=3, seed=9, algorithm=algorithm)
-        assert cv.n_correct == len(samples)
-        assert sum(cv.fold_sizes) == len(samples)
+        cv = cross_validate(pool, vocab, k=3, seed=9, algorithm=algorithm)
+        assert cv.n_correct == len(pool)
+        assert sum(cv.fold_sizes) == len(pool)
         for cls, table in cv.per_class.items():
             assert table.fp == 0 and table.fn == 0, f"{algorithm} confused {cls.label()}"
         assert all(truth == pred for truth, pred in cv.predictions)
@@ -694,15 +761,15 @@ def random_dataset(rng, n, n_features, n_classes):
     return x, y
 
 
-def as_samples(x, y, split_kinds):
-    """Window samples over a vocabulary whose bit j is KPI j."""
+def as_pool(x, y, split_kinds):
+    """A pool over a vocabulary whose bit j is KPI j."""
     kpis = [KpiId("Homer", f"m{j:03d}") for j in range(x.shape[1])]
     kinds = (AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE)
-    samples = [
-        WindowSample(0, 300, frozenset((kpis[j], kinds[j % 2]) for j in np.flatnonzero(row)), MANY_CLASSES[c])
+    pool = oracles.pool_of(
+        (0, 300, frozenset((kpis[j], kinds[j % 2]) for j in np.flatnonzero(row)), MANY_CLASSES[c])
         for row, c in zip(x, y)
-    ]
-    return samples, Vocabulary(kpis, split_kinds=split_kinds)
+    )
+    return pool, Vocabulary(kpis, split_kinds=split_kinds)
 
 
 def contingencies(pairs, classes):
@@ -732,11 +799,11 @@ def contingencies(pairs, classes):
 def test_cross_validate_equals_the_per_fold_oracle(seed, k, n_features, n_classes, min_leaf, max_depth, split_kinds):
     rng = np.random.default_rng(seed)
     x, y = random_dataset(rng, int(rng.integers(k, 150)), n_features, n_classes)
-    samples, vocab = as_samples(x, y, split_kinds)
+    pool, vocab = as_pool(x, y, split_kinds)
     for algorithm in ("tree", "nb"):
         options = dict(min_leaf=min_leaf, max_depth=max_depth, alpha=float(rng.choice([0.1, 1.0])))
-        cv = cross_validate(samples, vocab, k=k, seed=seed % 7, algorithm=algorithm, **options)
-        expected = oracles.cross_validate_rows(samples, vocab, k=k, seed=seed % 7, algorithm=algorithm, **options)
+        cv = cross_validate(pool, vocab, k=k, seed=seed % 7, algorithm=algorithm, **options)
+        expected = oracles.cross_validate_rows(pool, vocab, k=k, seed=seed % 7, algorithm=algorithm, **options)
         assert cv.predictions == expected, algorithm
         got = {cls: (t.tp, t.fp, t.fn, t.tn) for cls, t in cv.per_class.items()}
         assert got == contingencies(expected, sorted(set(MANY_CLASSES[c] for c in y))), algorithm
@@ -752,8 +819,8 @@ def test_tree_levels_without_a_valid_split_raise_no_float_error():
         x = np.eye(8, 4, dtype=np.uint8)
         assert train_tree(x, y, classes, min_leaf=2).root.is_leaf
         # every fold's tree grown over windows without anomalies
-        samples, vocab = as_samples(np.zeros((8, 2), dtype=np.uint8), y, False)
-        assert cross_validate(samples, vocab, k=4).predictions == oracles.cross_validate_rows(samples, vocab, k=4)
+        pool, vocab = as_pool(np.zeros((8, 2), dtype=np.uint8), y, False)
+        assert cross_validate(pool, vocab, k=4).predictions == oracles.cross_validate_rows(pool, vocab, k=4)
 
 
 @settings(max_examples=150, deadline=None)
