@@ -85,8 +85,9 @@ class PredictorState:
 
     @property
     def cells(self) -> np.ndarray:
-        """The bool [K, 2] cells of the window ending with the last interval;
-        that interval's own cells are in it even when the window is shorter."""
+        """The bool [K, 2] cells of the window ending with the last interval
+        stepped; that interval's own cells are in it even when the window is
+        shorter."""
         window_start = self.last_interval + INTERVAL_S - self.window_min * 60
         return self.last_seen >= min(window_start, self.last_interval)
 
@@ -152,8 +153,9 @@ def step(
         if len(kpis) > len(last_seen):
             last_seen = np.concatenate([last_seen, np.full((len(kpis) - len(last_seen), 2), _NEVER)])
         else:
-            last_seen = last_seen.copy()  # the state before keeps its own
+            last_seen = last_seen.copy()  # the state before keeps its read-only array
         last_seen[numbers, events.kind] = interval_start
+        last_seen.setflags(write=False)
     interim = replace(state, kpis=kpis, last_seen=last_seen, last_interval=interval_start)
     top_class, top_p = signature.classify_bits(signature.vocabulary.encode(interim)).top()
 

@@ -85,8 +85,9 @@ class Vocabulary:
     def bits(self, kpis: Tuple[KpiId, ...]) -> np.ndarray:
         """The bit of each (KPI, kind code) cell over ``kpis``, as a read-only
         int [K, 2]; -1 for the cells of a KPI outside the vocabulary."""
-        if kpis is self._last[0]:  # the predictor asks for its state's KPIs every step
-            return self._last[1]
+        last, bits = self._last
+        if kpis is last:  # the predictor asks for its state's KPIs every step
+            return bits
         i = np.array([self._index.get(kpi, -1) for kpi in kpis], dtype=np.intp)[:, None]
         # columns in kind-code order: Multivariate, Univariate
         bits = np.where(i >= 0, np.hstack([2 * i + 1, 2 * i] if self.split_kinds else [i, i]), -1)

@@ -18,7 +18,6 @@ from faultcast.core import (
     CADENCE_S,
     NORMAL_CLASS,
     SYSTEM_RESOURCE,
-    AnomalyKind,
     FailureClass,
     FaultType,
     Grids,
