@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -14,14 +15,14 @@ from .core import (
     HOURS_PER_WEEK,
     MIN_TRAINING_SPAN_S,
     CADENCE_S,
-    Grids,
+    Frame,
     InsufficientTrainingError,
     KpiId,
     TimeSeries,
     hour_of_week,
     lags,
 )
-from .io import check_kind, load_json, save_json
+from .io import check_kind, load_json, save_json, typed
 
 logger = logging.getLogger(__name__)
 
@@ -63,13 +64,6 @@ class UnivariateBaseline:
             raise ValueError(f"k_sigma {self.k_sigma!r} must be finite and positive")
         if np.any(self.bucket_stds < self.std_floor):
             raise ValueError("bucket stds must respect the std floor")
-
-    def zscores(self, timestamps, values) -> np.ndarray:
-        """|value - expected| / bucket std, element-wise."""
-        bucket = hour_of_week(np.asarray(timestamps))
-        return np.abs(np.asarray(values, dtype=float) - self.bucket_means[bucket]) / (
-            self.bucket_stds[bucket]
-        )
 
 
 def _std_floor(values: np.ndarray) -> float:
@@ -159,15 +153,6 @@ class GrangerResult:
     degenerate: bool = False
 
 
-def _lag_design(y: np.ndarray, x: Optional[np.ndarray], p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Build (design, target) for the lag-p autoregression of y, optionally
-    augmented with x's lags.  Columns: intercept, y lags 1..p[, x lags 1..p]."""
-    cols = [np.ones(len(y) - p), *lags(y, p)]
-    if x is not None:
-        cols.extend(lags(x, p))
-    return np.column_stack(cols), y[p:]
-
-
 def _ols_fit(design: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
     """(coefficients, residual, rank) of the least-squares fit."""
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
@@ -175,7 +160,8 @@ def _ols_fit(design: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 
 class _Restricted(NamedTuple):
-    """The lag-p autoregression of y on its own history."""
+    """The lag-p autoregression of a target on its own lags; the design's
+    columns are the intercept and lags 1..p."""
 
     rss: float
     full_rank: bool
@@ -184,8 +170,9 @@ class _Restricted(NamedTuple):
     resid: np.ndarray
 
 
-def _restricted_fit(y: np.ndarray, p: int) -> _Restricted:
-    design, target = _lag_design(y, None, p)
+def _restricted_fit(target: np.ndarray, own: np.ndarray) -> _Restricted:
+    """The fit of ``target`` [m] on its own lags ``own`` [p, m]."""
+    design = np.column_stack([np.ones(len(target)), *own])
     _, resid, rank = _ols_fit(design, target)
     return _Restricted(float(resid @ resid), rank == design.shape[1], design, target, resid)
 
@@ -337,14 +324,16 @@ def _f_survival(dfn: int, dfd: int, f_stat) -> np.ndarray:
     return out.reshape(f.shape)
 
 
-def _granger_from(x: np.ndarray, y: np.ndarray, p: int, restricted: _Restricted) -> GrangerResult:
-    """The unrestricted fit of y on its own and x's lags, F-tested against
-    the ``restricted`` fit of y alone."""
+def _granger_from(cause: np.ndarray, restricted: _Restricted) -> GrangerResult:
+    """The unrestricted fit of the ``restricted`` fit's target on its own
+    lags and a cause's lags ``cause`` [p, m], F-tested against the
+    ``restricted`` fit."""
+    p = len(cause)
     rss_r, full_rank_r = restricted.rss, restricted.full_rank
-    t_obs = len(y) - p
+    t_obs = len(restricted.target)
     df_denom = t_obs - (2 * p + 1)
-    design_u, target = _lag_design(y, x, p)
-    coef_u, resid_u, rank_u = _ols_fit(design_u, target)
+    design_u = np.column_stack([restricted.design, *cause])
+    coef_u, resid_u, rank_u = _ols_fit(design_u, restricted.target)
     rss_u = float(resid_u @ resid_u)
     coefficients = tuple(float(c) for c in coef_u)
 
@@ -400,7 +389,7 @@ def granger_fit(x_values, y_values, p: int = DEFAULT_LAG_ORDER) -> GrangerResult
     n = len(y)
     if n < 4 * p + 8:
         raise ValueError(f"need at least {4 * p + 8} aligned samples, got {n}")
-    return _granger_from(x, y, p, _restricted_fit(y, p))
+    return _granger_from(lags(x, p), _restricted_fit(y[p:], lags(y, p)))
 
 
 @dataclass(frozen=True)
@@ -451,11 +440,11 @@ class _EffectTests(NamedTuple):
 
 
 def _effect_tests(
-    rows: List[np.ndarray], row_lags: List[np.ndarray], e: int, causes: List[int], p: int
+    targets: List[np.ndarray], row_lags: List[np.ndarray], e: int, causes: List[int], p: int
 ) -> Optional[_EffectTests]:
-    """Test each of ``causes`` against effect row ``e`` of ``rows``, whose
-    lags 1..p are ``row_lags``, up to the F statistic; None when the effect's own
-    autoregression is degenerate.
+    """Test each of ``causes`` against effect ``e``, whose regression targets
+    are ``targets[e]`` and their lags 1..p ``row_lags[e]``, up to the F
+    statistic; None when the effect's own autoregression is degenerate.
 
     By the Frisch-Waugh-Lovell theorem the unrestricted fit's gain over the
     restricted one is the fit of the restricted residual r on the cause's
@@ -466,7 +455,7 @@ def _effect_tests(
     they form the R factor of the whole [design | target], from which the
     F statistic, the conditioning and the coefficients all follow.
     """
-    restricted = _restricted_fit(rows[e], p)
+    restricted = _restricted_fit(targets[e], row_lags[e])
     if not restricted.full_rank:
         return None
     q, upper = np.linalg.qr(restricted.design)
@@ -501,7 +490,7 @@ def _effect_tests(
     gain = (fac[:, p + 1 : k, k] ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # pairs not clear are refitted below
         f_stat = np.where(clear, (gain / p) / (rss_u / df_denom), np.nan)
-    refits = {j: _granger_from(rows[c], rows[e], p, restricted) for j, c in enumerate(causes) if not clear[j]}
+    refits = {j: _granger_from(row_lags[c], restricted) for j, c in enumerate(causes) if not clear[j]}
     return _EffectTests(fac, clear, rss_u, f_stat, refits)
 
 
@@ -553,19 +542,16 @@ def _effect_edges(
 
 
 def _alignment_edges(
-    kpis: List[KpiId],
-    rows: List[np.ndarray],
-    pairs: List[Tuple[int, int]],
-    p: int,
-    alpha: float,
-    prefilter_r: float,
+    kpis: List[KpiId], rows: List[np.ndarray], keep, pairs: List[List[int]], p: int, alpha: float, prefilter_r: float
 ) -> Iterator[GrangerEdge]:
     """Test (cause row, effect row) ``pairs`` of ``rows``, the values of
-    ``kpis`` on their shared timestamps; yield every kept edge."""
-    n = len(rows[0])
-    if n < 4 * p + 8:
+    ``kpis`` that the pairs' regression reads, and yield every kept edge: its
+    rows are positions ``keep`` of ``rows[:, p:]``, each lagged by position."""
+    targets = [row[p:][keep] for row in rows]
+    m = len(targets[0])
+    if m < 3 * p + 8:
         for c, e in pairs:
-            logger.info("graph: %s -> %s skipped (only %d aligned samples)", kpis[c], kpis[e], n)
+            logger.info("graph: %s -> %s skipped (only %d regression rows)", kpis[c], kpis[e], m)
         return
     sds = [row.std() for row in rows]
     if prefilter_r > 0.0:
@@ -579,10 +565,10 @@ def _alignment_edges(
         if prefilter_r > 0.0 and abs(r[c, e]) < prefilter_r:
             continue
         causes.setdefault(e, []).append(c)
-    row_lags = [lags(row, p) for row in rows]
-    tests = {e: _effect_tests(rows, row_lags, e, tested, p) for e, tested in causes.items()}
+    row_lags = [lags(row, p)[:, keep] for row in rows]
+    tests = {e: _effect_tests(targets, row_lags, e, tested, p) for e, tested in causes.items()}
     # every pair here has the same degrees of freedom: one p-value call for all
-    df_denom = n - 3 * p - 1
+    df_denom = m - 2 * p - 1
     f_stats = [t.f_stat for t in tests.values() if t is not None]
     p_values = _f_survival(p, df_denom, np.concatenate(f_stats or [np.empty(0)]))
     at = 0
@@ -596,6 +582,14 @@ def _alignment_edges(
         at += len(tested)
 
 
+def _run(index: np.ndarray):
+    """A sorted index array as a slice when it is one run of consecutive
+    positions, so that indexing with it gives a view."""
+    if len(index) and index[-1] - index[0] == len(index) - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 def build_graph(
     training: Dict[KpiId, TimeSeries],
     p: int = DEFAULT_LAG_ORDER,
@@ -604,22 +598,24 @@ def build_graph(
 ) -> List[GrangerEdge]:
     """Assemble the causality graph over every ordered KPI pair.
 
-    Each pair is tested on the timestamps both KPIs share.  Pairs whose
-    absolute Pearson correlation falls below ``prefilter_r`` are skipped (set
-    it to 0 to disable the prefilter).  Degenerate fits, exact fits (a
-    cause whose lags leave a residual std at or below the effect's band
-    floor on the aligned values) and pairs with too little aligned history
-    are skipped with a log entry.  An edge is kept when the test's
+    The data must lie on one cadence grid (:meth:`~faultcast.core.Frame.of`).
+    A pair is regressed at the timestamps where both KPIs have a sample and
+    their samples 1..p cadences earlier; its prefilter, constant check and
+    band floor read those samples and their lags.  Pairs whose absolute
+    Pearson correlation falls below ``prefilter_r`` are skipped (0 disables
+    the prefilter).  Degenerate fits, exact fits (a residual std at or below
+    the effect's band floor) and pairs with fewer than 3p + 8 regression
+    rows are skipped with a log entry.  An edge is kept when the test's
     p-value beats ``alpha``; its weight is 1 - p_value.  Edges come back
     ordered by (cause, effect).
 
-    The test is :func:`granger_fit`'s, computed another way: each effect's
-    own history is partialled out once and every cause's lags are projected
-    off it (Frisch-Waugh-Lovell), so no pair fits its whole unrestricted
-    design; a pair too close to singular for that is fitted by lstsq as in
-    :func:`granger_fit`, the single-pair reference.  Kept edges and rank
-    verdicts match it; the floats round differently, so coefficients may
-    differ from earlier versions' in the last ~10 significant digits.
+    The test is :func:`granger_fit`'s, computed another way: the pairs with
+    the same regression rows (all, on gap-free data) are tested together;
+    each effect's own history is partialled out once and every cause's lags
+    are projected off it (Frisch-Waugh-Lovell); a pair too close to singular
+    for that is fitted by lstsq as in :func:`granger_fit`, the single-pair
+    reference.  Kept edges and rank verdicts match it; the floats round
+    differently, in the last ~10 significant digits.
     """
     if p <= 0:
         raise ValueError("lag order must be positive")
@@ -628,20 +624,27 @@ def build_graph(
     if not 0.0 <= prefilter_r < 1.0:
         raise ValueError(f"prefilter_r {prefilter_r!r} must lie in [0, 1)")
     kpis = sorted(training)
-    grids = Grids(training, kpis)
+    frame = Frame.of(training, kpis)
+    full = frame.history(p)
+    # KPIs with their lags at the same timestamps are one kind, and the pairs
+    # of two kinds, one group: they share their regression rows
+    kinds: Dict[bytes, int] = {}
+    kind_of = [kinds.setdefault(row.tobytes(), len(kinds)) for row in full]
+    groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+    for c, e in itertools.permutations(range(len(kpis)), 2):
+        groups.setdefault(tuple(sorted((kind_of[c], kind_of[e]))), []).append((c, e))
     edges: List[GrangerEdge] = []
-    for g in range(len(grids.members)):
-        for h in range(g, len(grids.members)):
-            _, ig, ih = grids.common(g, h)
-            left = [kpis[k] for k in grids.members[g]]
-            right = [] if g == h else [kpis[k] for k in grids.members[h]]
-            rows = [training[kpi].values[ig] for kpi in left] + [training[kpi].values[ih] for kpi in right]
-            m = len(left)
-            # causes in grid g; effects in g too, or in h and then also the other way round
-            pairs = [(c, e) for c in range(m) for e in range(0 if g == h else m, len(rows)) if c != e]
-            if g != h:
-                pairs += [(e, c) for c, e in pairs]
-            edges.extend(_alignment_edges(left + right, rows, pairs, p, alpha, prefilter_r))
+    for pairs in groups.values():
+        at = full[pairs[0][0]] & full[pairs[0][1]]  # the regression rows
+        read = at.copy()  # and their lags
+        for i in range(1, p + 1):
+            read[:-i] |= at[i:]
+        members, local = np.unique(pairs, return_inverse=True)  # the group's KPIs, and its pairs in their numbers
+        columns = _run(np.flatnonzero(read))
+        rows = [frame.values[k, columns] for k in members]
+        keep = _run(np.flatnonzero(at[read]) - p)
+        local = local.reshape(-1, 2).tolist()
+        edges.extend(_alignment_edges([kpis[k] for k in members], rows, keep, local, p, alpha, prefilter_r))
     return sorted(edges, key=lambda edge: (edge.cause, edge.effect))
 
 
@@ -701,6 +704,10 @@ class DetectionPlan:
         for array in arrays + list(edges):
             array.setflags(write=False)
         return cls(kpis, *arrays, edges, model.config.lag_order)
+
+
+#: A band's arrays and floats in a baseline file, in the order of its fields.
+_BUCKETS, _BAND_FLOATS = ("bucket_means", "bucket_stds"), ("k_sigma", "std_floor", "global_mean", "global_std")
 
 
 @dataclass(frozen=True)
@@ -772,39 +779,26 @@ class BaselineModel:
         check_kind(data, BASELINE_KIND, BASELINE_SCHEMA_VERSION)
         cfg = data["config"]
         config = BaselineConfig(
-            lag_order=int(cfg["lag_order"]),
-            alpha=float(cfg["alpha"]),
-            k_sigma=float(cfg["k_sigma"]),
-            prefilter_r=float(cfg["prefilter_r"]),
+            typed("config lag_order", cfg["lag_order"], int),
+            *(typed(f"config {name}", cfg[name], float) for name in ("alpha", "k_sigma", "prefilter_r")),
         )
         baselines: Dict[KpiId, UnivariateBaseline] = {}
         for item in data["baselines"]:
             kpi = KpiId(item["resource"], item["metric"])
-            means = np.asarray(item["bucket_means"], dtype=float)
-            stds = np.asarray(item["bucket_stds"], dtype=float)
-            means.setflags(write=False)
-            stds.setflags(write=False)
-            baselines[kpi] = UnivariateBaseline(
-                kpi=kpi,
-                bucket_means=means,
-                bucket_stds=stds,
-                k_sigma=float(item["k_sigma"]),
-                std_floor=float(item["std_floor"]),
-                global_mean=float(item["global_mean"]),
-                global_std=float(item["global_std"]),
-            )
-        edges = tuple(
-            GrangerEdge(
-                cause=KpiId(*item["cause"]),
-                effect=KpiId(*item["effect"]),
-                weight=float(item["weight"]),
-                lag_order=int(item["lag_order"]),
-                coefficients=tuple(float(c) for c in item["coefficients"]),
-                residual_std=float(item["residual_std"]),
-            )
-            for item in data["edges"]
-        )
-        return cls(baselines=baselines, edges=edges, config=config)
+            buckets = [np.array([typed(f"{kpi} {key}", v, float) for v in item[key]]) for key in _BUCKETS]
+            for array in buckets:
+                array.setflags(write=False)
+            floats = (typed(f"{kpi} {key}", item[key], float) for key in _BAND_FLOATS)
+            baselines[kpi] = UnivariateBaseline(kpi, *buckets, *floats)
+        edges = []
+        for item in data["edges"]:
+            cause, effect = KpiId(*item["cause"]), KpiId(*item["effect"])
+            name = f"edge {cause} -> {effect}"
+            weight, residual_std = (typed(f"{name} {key}", item[key], float) for key in ("weight", "residual_std"))
+            lag_order = typed(f"{name} lag_order", item["lag_order"], int)
+            coefficients = tuple(typed(f"{name} coefficients", c, float) for c in item["coefficients"])
+            edges.append(GrangerEdge(cause, effect, weight, lag_order, coefficients, residual_std))
+        return cls(baselines=baselines, edges=tuple(edges), config=config)
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)

@@ -45,42 +45,19 @@ def _add_verbosity(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_run(path: str, model: BaselineModel, args_start: Optional[str]):
-    """Ingest a run's KPI CSV and check it against ``model``.  Returns the
-    series, the run start (``args_start``, by default the first sample) and
-    the first and last sample times, or None when the file holds no sample."""
+def _read_run(path: str, args_start: Optional[str]):
+    """Ingest a run's KPI CSV.  Returns the series, the run start
+    (``args_start``, by default the first sample) and the first and last
+    sample times, or None when the file holds no sample."""
     series_map = ingest_csv(path)
     if not series_map:
         return None
     first = min(int(s.timestamps[0]) for s in series_map.values())
     last = max(int(s.timestamps[-1]) for s in series_map.values())
-    _require_cadence(series_map, first)
-    _require_kpis(model, series_map)
-    if args_start is None:
-        return series_map, first, first, last
-    run_start = parse_timestamp(args_start)
+    run_start = first if args_start is None else parse_timestamp(args_start)
     if run_start > last:
         raise FaultcastError(f"--run-start {args_start} is after the last sample ({format_timestamp(last)})")
     return series_map, run_start, first, last
-
-
-def _require_kpis(model: BaselineModel, series_map) -> None:
-    missing = [kpi for kpi in model.baselines if kpi not in series_map]
-    if missing:
-        raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {missing[0]}")
-
-
-def _require_cadence(series_map, first: int) -> None:
-    """Every sample must lie a whole number of cadences from the data's first
-    one, at ``first``; gaps are allowed."""
-    for kpi in sorted(series_map):
-        timestamps = series_map[kpi].timestamps
-        off = ((timestamps - first) % CADENCE_S).nonzero()[0]
-        if len(off):
-            raise FaultcastError(
-                f"{kpi} has a sample at {format_timestamp(timestamps[off[0]])}, off the data's"
-                f" {CADENCE_S}-second cadence from its first sample ({format_timestamp(first)})"
-            )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -103,7 +80,6 @@ def cmd_train_baseline(args: argparse.Namespace) -> int:
             if kpi in training:
                 raise FaultcastError(f"KPI {kpi} appears in more than one training file")
             training[kpi] = series
-    _require_cadence(training, min((int(s.timestamps[0]) for s in training.values()), default=0))
     model = fit_baseline_model(
         training,
         k_sigma=args.k_sigma,
@@ -120,7 +96,7 @@ def cmd_train_baseline(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     check_tau(args.tau)
     model = BaselineModel.load(args.baseline)
-    run = _read_run(args.data, model, args.run_start)
+    run = _read_run(args.data, args.run_start)
     events = [] if run is None else detect_stream(model, run[0], run[1], tau=args.tau)
     write_anomaly_log(events, args.out)
     print(f"{len(events)} anomalous (KPI, interval) verdicts -> {args.out}")
@@ -149,7 +125,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     check_alert_rule(args.confidence, args.streak)
     baseline = BaselineModel.load(args.baseline)
     signature = SignatureModel.load(args.signature)
-    run = _read_run(args.data, baseline, args.run_start)
+    run = _read_run(args.data, args.run_start)
     alerts = []
     if run is not None:
         series_map, run_start, first, last = run

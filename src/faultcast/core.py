@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class TimeSeries:
     """Samples of one KPI with strictly increasing timestamps.
 
     Values are stored as parallel numpy arrays; the nominal cadence is one
-    sample per minute but gaps are allowed.
+    sample per minute but gaps are allowed (see :class:`Frame`).
     """
 
     __slots__ = ("kpi", "timestamps", "values")
@@ -176,27 +176,56 @@ class TimeSeries:
         return self.end - self.start
 
 
-class Grids:
-    """The KPIs ``kpis`` whose series in ``series_map`` have identical
-    timestamps share a grid.  ``series[k]`` is KPI k's series and
-    ``grid_of[k]`` its grid, None and -1 when the map lacks it; ``members[g]``
-    holds grid g's KPI numbers (positions in ``kpis``) in increasing order and
-    ``timestamps[g]`` its instants.  Grids are numbered by their first KPI."""
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """One run as a time-aligned matrix, built by :meth:`of`: the KPIs
+    ``kpis`` [K], the sorted union ``timestamps`` [T] of their samples and
+    read-only ``values`` [K, T] with NaN where a KPI has no sample."""
 
-    def __init__(self, series_map: Dict[KpiId, TimeSeries], kpis: Sequence[KpiId]):
-        self.series = [series_map.get(kpi) for kpi in kpis]
-        numbers: Dict[bytes, int] = {}
-        grid_of = [-1 if s is None else numbers.setdefault(s.timestamps.tobytes(), len(numbers)) for s in self.series]
-        self.grid_of = np.array(grid_of, dtype=np.intp)
-        self.members = [np.flatnonzero(self.grid_of == g) for g in range(len(numbers))]
-        self.timestamps = [self.series[ks[0]].timestamps for ks in self.members]
+    kpis: Tuple[KpiId, ...]
+    timestamps: np.ndarray  # [T]
+    values: np.ndarray  # [K, T]
 
-    def common(self, g: int, h: int):
-        """(instants, index into grid g, index into grid h) of the instants
-        grids g and h share; the indices are whole slices when ``g == h``."""
-        if g == h:
-            return self.timestamps[g], slice(None), slice(None)
-        return np.intersect1d(self.timestamps[g], self.timestamps[h], assume_unique=True, return_indices=True)
+    @classmethod
+    def of(cls, series_map: Dict[KpiId, TimeSeries], kpis: Sequence[KpiId]) -> "Frame":
+        """The frame of ``kpis`` in ``series_map``.  A sample anywhere in the
+        map that is not a whole number of cadences after the data's first
+        one raises :class:`FaultcastError`; gaps are allowed."""
+        grids: Dict[bytes, List[Tuple[KpiId, TimeSeries]]] = {}  # the map's KPIs sampled alike
+        for kpi, s in series_map.items():
+            grids.setdefault(s.timestamps.tobytes(), []).append((kpi, s))
+        stamps = [alike[0][1].timestamps for alike in grids.values()]
+        first = min((int(t[0]) for t in stamps), default=0)
+        off = sorted(
+            kpi for t, alike in zip(stamps, grids.values()) if ((t - first) % CADENCE_S).any() for kpi, _ in alike
+        )
+        if off:
+            late = series_map[off[0]].timestamps
+            raise FaultcastError(
+                f"{off[0]} has a sample at {format_timestamp(late[(late - first) % CADENCE_S != 0][0])}, off the"
+                f" data's {CADENCE_S}-second cadence from its first sample ({format_timestamp(first)})"
+            )
+        number = {kpi: k for k, kpi in enumerate(kpis)}
+        rows = [[(k, s.values) for kpi, s in alike if (k := number.get(kpi)) is not None] for alike in grids.values()]
+        timestamps = np.unique(np.concatenate([np.empty(0, np.int64), *(t for t, r in zip(stamps, rows) if r)]))
+        values = np.full((len(kpis), len(timestamps)), np.nan)
+        for t, r in zip(stamps, rows):
+            if r:  # every listed KPI sampled at t, placed at once
+                ks, samples = zip(*r)
+                values[np.ix_(ks, np.searchsorted(timestamps, t))] = samples
+        timestamps.setflags(write=False)
+        values.setflags(write=False)
+        return cls(tuple(kpis), timestamps, values)
+
+    def history(self, p: int) -> np.ndarray:
+        """[K, T] bool: KPI k has a sample at column t and at each of the p
+        cadences before it, so that ``lags(values, p)`` there are by timestamp."""
+        full = np.zeros(self.values.shape, dtype=bool)
+        if len(self.timestamps) > p:
+            present = np.isfinite(self.values)
+            steady = self.timestamps[p:] - self.timestamps[:-p] == p * CADENCE_S
+            full[:, p:] = steady & present[:, p:] & lags(present, p).all(axis=-2)
+        return full
 
 
 def lags(values: np.ndarray, p: int) -> np.ndarray:

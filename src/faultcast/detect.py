@@ -20,7 +20,8 @@ from .core import (
     INTERVAL_S,
     AnomalyKind,
     CsvParseError,
-    Grids,
+    FaultcastError,
+    Frame,
     KpiId,
     TimeSeries,
     format_timestamp,
@@ -143,33 +144,28 @@ class AnomalyEvents(Sequence):
 
 
 def _interval_bins(timestamps: np.ndarray, run_start: int):
-    """(start, lo, hi) arrays: the start time and the ``[lo, hi)`` index range
-    of every ``run_start``-aligned interval that holds a sample.
+    """(start, lo) arrays: the start time and the first index of every
+    ``run_start``-aligned interval that holds a sample; it ends where the
+    next begins.
 
-    Samples before ``run_start`` fall in no interval; they still count as
-    positions, so they serve as lag history.
+    Samples before ``run_start`` fall in no interval; they still serve as
+    lag history.
     """
     first = run_start + max(0, (int(timestamps[0]) - run_start) // INTERVAL_S) * INTERVAL_S
     m0 = int(np.searchsorted(timestamps, first))
     k = (timestamps[m0:] - first) // INTERVAL_S
     lo = m0 + np.flatnonzero(np.diff(k, prepend=-1))
-    hi = np.empty_like(lo)
-    hi[:-1] = lo[1:]
-    hi[-1:] = len(timestamps)
-    return first + k[lo - m0] * INTERVAL_S, lo, hi
+    return first + k[lo - m0] * INTERVAL_S, lo
 
 
-def _edge_scores(
-    coef: np.ndarray, residual_std: np.ndarray, x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """RMS(one-step residuals) / residual_std of every edge over every
-    ``[lo, hi)`` interval, as an [edges, intervals] matrix.
-
-    Row i of ``x`` and ``y`` holds edge i's aligned cause and effect values
-    and row i of ``coef`` its 2p + 1 coefficients; every ``lo`` is at least
-    p.  The prediction adds the lag terms in a fixed order and each
-    interval's squares are summed as one contiguous row, so a score does not
-    depend on how many edges or intervals are scored together.
+def _edge_scores(coef: np.ndarray, x: np.ndarray, y: np.ndarray, full: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Sums of squared one-step residuals of every edge over every interval
+    starting at ``lo``, as an [edges, intervals] matrix: row i of ``x``, ``y``
+    and ``coef`` holds edge i's cause and effect frame rows and its 2p + 1
+    coefficients, and only the columns where row i of ``full`` holds count.
+    The prediction adds the lag terms in a fixed order and each interval's
+    squares, 0 where not counted, are summed as one contiguous row, so a sum
+    does not depend on how many edges or intervals are scored together.
     """
     p = coef.shape[1] // 2
     y_lags, x_lags = lags(y, p), lags(x, p)
@@ -178,14 +174,15 @@ def _edge_scores(
     for i in range(p):
         pred += coef[:, 1 + i, None] * y_lags[:, i]
         pred += coef[:, p + 1 + i, None] * x_lags[:, i]
-    sq = (y[:, p:] - pred) ** 2
-    h = hi - lo
+    sq = np.zeros(y.shape)
+    np.copyto(sq[:, p:], (y[:, p:] - pred) ** 2, where=full[:, p:])
+    h = np.diff(lo, append=y.shape[1])
     sums = np.empty((len(coef), len(lo)))
     for width in np.unique(h):
         at = np.flatnonzero(h == width)
-        cols = (lo[at] - p)[:, None] + np.arange(width)
+        cols = lo[at][:, None] + np.arange(width)
         sums[:, at] = np.add.reduce(np.take(sq, cols, axis=1), axis=-1)
-    return np.sqrt(sums / h) / residual_std[:, None]
+    return sums
 
 
 def check_tau(tau: float) -> None:
@@ -204,70 +201,65 @@ def detect_stream(
 ) -> AnomalyEvents:
     """Run both detectors over a run, one verdict per KPI per interval.
 
-    Intervals are aligned to ``run_start``.  A KPI is evaluated in an interval
-    only when at least half of the expected samples are present; KPIs without
-    a baseline entry are skipped with a warning.
+    The run must hold every KPI of the model and lie on one cadence grid
+    (:meth:`~faultcast.core.Frame.of`), or :class:`FaultcastError` says
+    which does not; KPIs without a baseline entry are skipped with a
+    warning.  Intervals are aligned to ``run_start``.
 
-    Univariate: an interval is anomalous when the largest z-score
-    |y - expected| / bucket std of its samples exceeds the baseline's k_sigma;
-    the score is that z.  Multivariate: each edge predicts its effect one step
-    ahead from the p preceding aligned samples of both KPIs; the score is
-    RMS(residuals over the interval) / residual_std, raised on the effect
-    when it exceeds ``tau``, which must be finite and non-negative.  p is the
-    model's lag order; an interval needs p aligned samples before it.
+    Univariate: a KPI is evaluated in an interval holding at least half of
+    the expected samples; the score is the largest z-score |y - expected| /
+    bucket std, raised when it exceeds the baseline's k_sigma.
+    Multivariate: each edge predicts its effect one step ahead from both
+    KPIs' samples 1..p cadences earlier, p being the model's lag order.  An
+    (edge, interval) is scored when at least half of the expected samples
+    hold both KPIs and each of them has its p lags; the score, RMS(residuals)
+    / residual_std, is raised on the effect when it exceeds ``tau``, which
+    must be finite and non-negative.
 
-    The work is done on the model's :class:`~faultcast.baseline.DetectionPlan`:
-    the input's KPIs are numbered once, KPIs sampled at identical timestamps
-    are scored as one [KPIs, samples] block, and edges are scored in blocks
-    taken from the plan's arrays.  The events come back as
-    :class:`AnomalyEvents` columns over the plan's KPIs, sorted by (interval
-    start, KPI, kind), with the worst score over an effect's incoming edges.
+    The work is done on the model's :class:`~faultcast.baseline.DetectionPlan`
+    and the run's :class:`~faultcast.core.Frame`, edges in blocks.  The
+    events come back as :class:`AnomalyEvents` columns over the plan's KPIs,
+    sorted by (interval start, KPI, kind), with the worst score over an
+    effect's incoming edges.
     """
     check_tau(tau)
     plan = model.plan
-    expected = INTERVAL_S // CADENCE_S
-    grids = Grids(series_map, plan.kpis)
-    if np.count_nonzero(grids.grid_of >= 0) < len(series_map):
+    frame = Frame.of(series_map, plan.kpis)
+    present = np.isfinite(frame.values)
+    missing = np.flatnonzero(~present.any(axis=1))  # a series holds a sample
+    if len(missing):
+        raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {plan.kpis[missing[0]]}")
+    if len(series_map) > len(plan.kpis):
         for kpi in sorted(series_map.keys() - model.baselines.keys()):
             logger.warning("detect: no baseline for %s; skipping", kpi)
-    # one [KPIs, samples] block per grid; a KPI's row in its block
-    blocks = [np.array([grids.series[k].values for k in ks]) for ks in grids.members]
-    row_of = np.zeros(len(plan.kpis), dtype=np.intp)
+    if not len(frame.timestamps):
+        return AnomalyEvents(plan.kpis, [], [], [], [])
+    expected = INTERVAL_S // CADENCE_S
+    starts, lo = _interval_bins(frame.timestamps, run_start)
+    bucket = hour_of_week(frame.timestamps)
+    z = np.abs(frame.values - plan.bucket_means[:, bucket]) / plan.bucket_stds[:, bucket]
+    peaks = np.fmax.reduceat(z, lo, axis=1)
+    coverage = np.add.reduceat(present, lo, axis=1, dtype=np.intp)
+    r, i = np.nonzero((2 * coverage >= expected) & (peaks > plan.k_sigma[:, None]))
     # exceedance columns: (start, KPI, kind, score)
-    found = [(np.empty(0, np.int64), np.empty(0, np.intp), _UNIVARIATE, np.empty(0))]
-    for ks, timestamps, values in zip(grids.members, grids.timestamps, blocks):
-        row_of[ks] = np.arange(len(ks))
-        starts, lo, hi = _interval_bins(timestamps, run_start)
-        bucket = hour_of_week(timestamps)
-        z = np.abs(values - plan.bucket_means[ks[:, None], bucket]) / plan.bucket_stds[ks[:, None], bucket]
-        peaks = np.maximum.reduceat(z, lo, axis=1)
-        r, i = np.nonzero((2 * (hi - lo) >= expected) & (peaks > plan.k_sigma[ks, None]))
-        found.append((starts[i], ks[r], _UNIVARIATE, peaks[r, i]))
+    found = [(starts[i], r, _UNIVARIATE, peaks[r, i])]
 
     edges, p = plan.edges, plan.lag_order
-    cause_grid, effect_grid = grids.grid_of[edges.cause], grids.grid_of[edges.effect]
-    # each edge's (cause grid, effect grid) as one number; -1: an endpoint is missing
-    present = (cause_grid >= 0) & (effect_grid >= 0)
-    pair = np.where(present, cause_grid * len(blocks) + effect_grid, -1)
-    for key in np.unique(pair[pair >= 0]):
-        cause_g, effect_g = divmod(int(key), len(blocks))
-        common, ic, ie = grids.common(cause_g, effect_g)
-        if len(common) == 0:
+    history = frame.history(p)
+    step = max(1, _CHUNK_CELLS // len(frame.timestamps))  # bounds the [edges, timestamps] temporaries
+    for chunk in np.split(np.arange(len(edges.cause)), np.arange(step, len(edges.cause), step)):
+        cause, effect = edges.cause[chunk], edges.effect[chunk]
+        full = history[cause] & history[effect]
+        aligned = np.add.reduceat(present[cause] & present[effect], lo, axis=1, dtype=np.intp)
+        scored = np.add.reduceat(full, lo, axis=1, dtype=np.intp)
+        # at least half the expected samples aligned, and none of them short of lags
+        ok = (2 * scored >= expected) & (scored == aligned)
+        if not ok.any():
             continue
-        starts, lo, hi = _interval_bins(common, run_start)
-        keep = (2 * (hi - lo) >= expected) & (lo >= p)
-        starts, lo, hi = starts[keep], lo[keep], hi[keep]
-        if len(lo) == 0:
-            continue
-        at = np.flatnonzero(pair == key)
-        step = max(1, _CHUNK_CELLS // len(common))  # bounds the [edges, samples] temporaries
-        for chunk in np.split(at, np.arange(step, len(at), step)):
-            cause, effect = edges.cause[chunk], edges.effect[chunk]
-            x = blocks[cause_g][row_of[cause]][:, ic]
-            y = blocks[effect_g][row_of[effect]][:, ie]
-            scores = _edge_scores(edges.coefficients[chunk], edges.residual_std[chunk], x, y, lo, hi)
-            e, i = np.nonzero(scores > tau)
-            found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
+        sums = _edge_scores(edges.coefficients[chunk], frame.values[cause], frame.values[effect], full, lo)
+        scores = np.sqrt(sums / np.maximum(scored, 1)) / edges.residual_std[chunk, None]
+        e, i = np.nonzero(ok & (scores > tau))
+        found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
 
     start = np.concatenate([part[0] for part in found])
     kpi = np.concatenate([part[1] for part in found])

@@ -40,7 +40,7 @@ from .core import (
     slide_windows,
 )
 from .detect import AnomalyEvent, AnomalyEvents, detect_stream
-from .io import RunManifest, check_kind, load_json, save_json
+from .io import RunManifest, check_kind, load_json, save_json, typed
 from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
 from .predict import EarlinessReport, measure_earliness, run_predictor
 from .sim import (
@@ -97,10 +97,10 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                # 2.5 folds would fail in numpy after the build; true days run one
-                raise ValueError(f"{f.name} {value!r} must be an integer")
+            if f.type in ("int", "float"):
+                # 2.5 folds would fail in numpy after the build; true days
+                # run one and a true tau is 1
+                typed(f.name, getattr(self, f.name), int if f.type == "int" else float)
         minutes = self.run_duration_min
         for name, ok, rule in (
             ("run_hour", 0 <= self.run_hour <= 23, "an hour from 0 to 23"),

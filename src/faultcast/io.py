@@ -322,6 +322,14 @@ def check_kind(data, kind: str, version: int) -> None:
         raise SchemaVersionError(f"unsupported {kind} schema_version {data.get('schema_version')!r}")
 
 
+def typed(name: str, value, kind: type):
+    """``value`` as a ``kind``, int or float (an int is a float too, a bool
+    neither); any other value raises :class:`ValueError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"{name} {value!r} must be {'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
 def load_json(path, from_dict):
     """Read an artifact file and decode it with ``from_dict``.  A missing key or
     a value of the wrong type or shape becomes a :class:`ValueError` naming the

@@ -9,7 +9,11 @@ dict encoding, the buffered predictor step and the per-window event scans
 that the array-shaped versions in ``faultcast.io``, ``faultcast.baseline``,
 ``faultcast.detect``, ``faultcast.signature``, ``faultcast.evaluate`` and
 ``faultcast.predict`` replaced, and the nested scheduling loops that ``faultcast.evaluate``'s run
-tables replaced.  The optimized code must match them exactly: the same bytes,
+tables replaced.  The per-pair graph and the per-(edge, interval) detector
+take lags by position, so they are references on gap-free input only; the
+by-timestamp graph and detector, which look each lag up at
+``t - i * CADENCE_S``, are the references on any on-cadence input.  The
+optimized code must match them exactly: the same bytes,
 the same maps, the same errors at the same lines, the same edges, the same
 events with equal scores, the same trees, equal probabilities, the same
 windows and the same runs.  The one exception is the graph's floats: its
@@ -18,6 +22,7 @@ tolerances.
 """
 
 import csv
+import itertools
 import logging
 import math
 from bisect import bisect_left
@@ -32,6 +37,7 @@ from faultcast.baseline import (
     STD_FLOOR_ABS,
     STD_FLOOR_REL,
     GrangerEdge,
+    _f_survival,
     _granger_from,
     _restricted_fit,
     granger_fit,
@@ -49,9 +55,11 @@ from faultcast.core import (
     SYSTEM_RESOURCE,
     TimeSeries,
     format_timestamp,
+    hour_of_week,
+    lags,
     parse_timestamp,
 )
-from faultcast.detect import _KINDS, ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents, _interval_bins
+from faultcast.detect import _KINDS, ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
 from faultcast.io import CSV_HEADER
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
@@ -139,8 +147,8 @@ def _alignment_edges_lstsq(kpis, rows, pairs, p, alpha, prefilter_r, degenerate)
         if prefilter_r > 0.0 and abs(r[c, e]) < prefilter_r:
             continue
         if e not in restricted:
-            restricted[e] = _restricted_fit(rows[e], p)
-        result = _granger_from(rows[c], rows[e], p, restricted[e])
+            restricted[e] = _restricted_fit(rows[e][p:], lags(rows[e], p))
+        result = _granger_from(lags(rows[c], p), restricted[e])
         if result.degenerate:
             degenerate.append((kpis[c], kpis[e]))
         elif result.p_value < alpha and result.residual_std > band_floor(rows[e]):  # an exact fit is skipped
@@ -186,7 +194,9 @@ def build_graph_lstsq(training, p=3, alpha=0.01, prefilter_r=0.2):
 
 
 def build_graph_pairwise(training, p=3, alpha=0.01, prefilter_r=0.2):
-    """Every ordered pair aligned with ``intersect1d`` and tested on its own."""
+    """Every ordered pair aligned with ``intersect1d`` and tested on its own,
+    its lags taken by position: the reference on input where every KPI's
+    samples are one unbroken run of the cadence grid."""
     kpis = sorted(training)
     edges = []
     for cause in kpis:
@@ -216,13 +226,75 @@ def build_graph_pairwise(training, p=3, alpha=0.01, prefilter_r=0.2):
     return edges
 
 
+def build_graph_by_timestamp(training, p=3, alpha=0.01, prefilter_r=0.2):
+    """Every ordered pair tested on its own, each lag looked up at
+    ``t - i * CADENCE_S``: the regression rows are the timestamps where both
+    KPIs have a sample and a sample 1..p cadences earlier; the prefilter,
+    the constant check and the band floor read those rows and their lags."""
+    edges = []
+    for cause, effect in itertools.permutations(sorted(training), 2):
+        xs = dict(zip(training[cause].timestamps.tolist(), training[cause].values.tolist()))
+        ys = dict(zip(training[effect].timestamps.tolist(), training[effect].values.tolist()))
+        rows = [
+            t
+            for t in sorted(xs.keys() & ys.keys())
+            if all(t - i * CADENCE_S in xs and t - i * CADENCE_S in ys for i in range(1, p + 1))
+        ]
+        if len(rows) < 3 * p + 8:
+            continue
+        read = sorted({t - i * CADENCE_S for t in rows for i in range(p + 1)})
+        x, y = np.array([xs[t] for t in read]), np.array([ys[t] for t in read])
+        if x.std() == 0.0 or y.std() == 0.0:
+            continue
+        if prefilter_r > 0.0 and abs(float(np.corrcoef(x, y)[0, 1])) < prefilter_r:
+            continue
+
+        def lagged(values):
+            return np.array([[values[t - i * CADENCE_S] for t in rows] for i in range(1, p + 1)])
+
+        degenerate, p_value, coefficients, residual_std = lag_test(np.array([ys[t] for t in rows]), lagged(ys), lagged(xs))
+        if not degenerate and p_value < alpha and residual_std > band_floor(y):
+            edges.append(
+                GrangerEdge(
+                    cause=cause,
+                    effect=effect,
+                    weight=1.0 - p_value,
+                    lag_order=p,
+                    coefficients=coefficients,
+                    residual_std=residual_std,
+                )
+            )
+    return edges
+
+
+def lag_test(target, own, cause):
+    """The F test of a cause's lags ``cause`` [p, m] on ``target`` [m] beyond
+    its own lags ``own`` [p, m], by two ``lstsq`` fits: (degenerate,
+    p-value, unrestricted coefficients, residual std)."""
+    m, p = len(target), len(own)
+    designs = [np.column_stack([np.ones(m), *own]), np.column_stack([np.ones(m), *own, *cause])]
+    fits = [np.linalg.lstsq(design, target, rcond=None) for design in designs]
+    if fits[0][2] < p + 1 or fits[1][2] < 2 * p + 1:
+        return True, 1.0, (), 0.0
+    rss_r, rss_u = (float(np.sum((target - design @ fit[0]) ** 2)) for design, fit in zip(designs, fits))
+    rss_u, df = min(rss_u, rss_r), m - 2 * p - 1
+    p_value = 0.0 if rss_u <= 0.0 else float(_f_survival(p, df, (rss_r - rss_u) / p / (rss_u / df)))
+    return False, p_value, tuple(fits[1][0].tolist()), math.sqrt(rss_u / df)
+
+
+def zscores(baseline, timestamps, values):
+    """|value - expected| / bucket std of a band, element-wise."""
+    bucket = hour_of_week(np.asarray(timestamps))
+    return np.abs(np.asarray(values, dtype=float) - baseline.bucket_means[bucket]) / baseline.bucket_stds[bucket]
+
+
 def detect_univariate(baseline, timestamps, values, interval_start=None):
     """One interval against the seasonal band: an event iff the largest
     z-score exceeds k_sigma."""
     timestamps = np.asarray(timestamps, dtype=np.int64)
     if len(timestamps) == 0:
         return None
-    z = baseline.zscores(timestamps, values)
+    z = zscores(baseline, timestamps, values)
     peak = float(z.max())
     if peak > baseline.k_sigma:
         start = int(timestamps[0]) if interval_start is None else int(interval_start)
@@ -277,9 +349,8 @@ def _interval_slices(timestamps, run_start):
         start += INTERVAL_S
 
 
-def detect_stream_loop(model, series_map, run_start, *, tau=DEFAULT_TAU):
-    """One detector call per (KPI, interval) and per (edge, interval), each
-    edge aligned on its own and re-predicting the whole prefix."""
+def detect_univariate_loop(model, series_map, run_start):
+    """One univariate detector call per (KPI, interval)."""
     events = []
     expected = INTERVAL_S // CADENCE_S
     for kpi in sorted(series_map):
@@ -296,6 +367,23 @@ def detect_stream_loop(model, series_map, run_start, *, tau=DEFAULT_TAU):
             )
             if event is not None:
                 events.append(event)
+    return events
+
+
+def _interval_bins(timestamps, run_start):
+    """(start, lo, hi) arrays of the intervals of ``_interval_slices`` that
+    hold a sample."""
+    bins = np.array([b for b in _interval_slices(timestamps, run_start) if b[2] > b[1]], dtype=np.int64)
+    return bins.reshape(-1, 3).T
+
+
+def detect_stream_loop(model, series_map, run_start, *, tau=DEFAULT_TAU):
+    """One detector call per (KPI, interval) and per (edge, interval), each
+    edge aligned on its own by position and re-predicting the whole prefix:
+    the reference on input where every KPI's samples are one unbroken run of
+    the cadence grid."""
+    events = detect_univariate_loop(model, series_map, run_start)
+    expected = INTERVAL_S // CADENCE_S
     worst = {}
     for edge in model.edges:
         if edge.cause not in series_map or edge.effect not in series_map:
@@ -321,6 +409,40 @@ def detect_stream_loop(model, series_map, run_start, *, tau=DEFAULT_TAU):
     events.extend(worst.values())
     events.sort()
     return events
+
+
+def detect_stream_by_timestamp(model, series_map, run_start, *, tau=DEFAULT_TAU):
+    """Per (KPI, interval) and per (edge, interval), each lag looked up at
+    ``t - i * CADENCE_S``.  An (edge, interval) is scored when at least half
+    the expected samples have both KPIs (aligned) and every aligned sample
+    has both KPIs' samples 1..p cadences earlier; its score is RMS(residuals
+    of the aligned samples) / residual_std."""
+    events = detect_univariate_loop(model, series_map, run_start)
+    expected = INTERVAL_S // CADENCE_S
+    worst = {}
+    for edge in model.edges:
+        xs = dict(zip(series_map[edge.cause].timestamps.tolist(), series_map[edge.cause].values.tolist()))
+        ys = dict(zip(series_map[edge.effect].timestamps.tolist(), series_map[edge.effect].values.tolist()))
+        aligned = np.array(sorted(xs.keys() & ys.keys()), dtype=np.int64)
+        p, coef = edge.lag_order, edge.coefficients
+        for interval_start, lo, hi in _interval_slices(aligned, run_start):
+            rows = aligned[lo:hi].tolist()
+            earlier = [t - i * CADENCE_S for t in rows for i in range(1, p + 1)]
+            if 2 * len(rows) < expected or any(t not in xs or t not in ys for t in earlier):
+                continue
+            resid = []
+            for t in rows:
+                pred = coef[0]
+                for i in range(1, p + 1):
+                    pred += coef[i] * ys[t - i * CADENCE_S]
+                    pred += coef[p + i] * xs[t - i * CADENCE_S]
+                resid.append(ys[t] - pred)
+            score = float(np.sqrt(np.mean(np.square(resid))) / edge.residual_std)
+            key = (interval_start, edge.effect)
+            if score > tau and score > worst.get(key, -math.inf):
+                worst[key] = score
+    events.extend(AnomalyEvent(start, kpi, AnomalyKind.MULTIVARIATE, score) for (start, kpi), score in worst.items())
+    return sorted(events)
 
 
 def _edge_scores_per_edge(edges, x, y, lo, hi):
@@ -369,7 +491,7 @@ def detect_stream_batched(model, series_map, run_start, *, tau=DEFAULT_TAU, chun
         if stamps[kpi] not in bins:
             bins[stamps[kpi]] = _interval_bins(series.timestamps, run_start)
         starts, lo, hi = bins[stamps[kpi]]
-        peaks = np.maximum.reduceat(baseline.zscores(series.timestamps, series.values), lo)
+        peaks = np.maximum.reduceat(zscores(baseline, series.timestamps, series.values), lo)
         for i in np.flatnonzero((2 * (hi - lo) >= expected) & (peaks > baseline.k_sigma)):
             events.append(AnomalyEvent(start_of(starts[i]), kpi, AnomalyKind.UNIVARIATE, float(peaks[i])))
 

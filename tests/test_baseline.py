@@ -35,9 +35,11 @@ from faultcast.core import (
     CADENCE_S,
     DAY_S,
     HOURS_PER_WEEK,
+    FaultcastError,
     InsufficientTrainingError,
     KpiId,
     TimeSeries,
+    format_timestamp,
     hour_of_week,
 )
 from faultcast.sim import WorkloadModel, default_topology, gen_run
@@ -60,7 +62,7 @@ def test_constant_series_gets_floor_band():
     # zero spread collapses to the absolute floor, keeping bands non-empty
     assert np.all(baseline.bucket_stds == baseline.std_floor)
     assert baseline.std_floor == 1e-12
-    assert np.all(baseline.zscores(series.timestamps[:100], series.values[:100]) == 0.0)
+    assert np.all(oracles.zscores(baseline, series.timestamps[:100], series.values[:100]) == 0.0)
 
 
 def test_bucket_stats_match_group_by_oracle():
@@ -131,7 +133,7 @@ def test_zscores_use_bucket_band():
         global_mean=100.0,
         global_std=2.0,
     )
-    z = baseline.zscores(np.array([0, 60, 120]), np.array([101.0, 107.0, 99.0]))
+    z = oracles.zscores(baseline, np.array([0, 60, 120]), np.array([101.0, 107.0, 99.0]))
     assert z.tolist() == [0.5, 3.5, 0.5]
 
 
@@ -410,9 +412,12 @@ def test_edge_weight_is_recomputable():
 
 
 @st.composite
-def ragged_training(draw):
-    """KPIs on two timestamp grids, one gappy, one constant, one barely
-    overlapping the rest, all sampled from shared coupled processes."""
+def ragged_training(draw, gaps=False):
+    """KPIs on two shifted runs of the cadence grid, one on part of the
+    first, one constant, one barely overlapping the rest, all sampled from
+    shared coupled processes.  Without ``gaps`` each KPI's samples are one
+    unbroken run of the grid; with ``gaps`` the partial KPI misses random
+    minutes and up to two KPIs miss a span."""
     n = draw(st.integers(40, 300))
     shift = draw(st.integers(0, n // 2))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -425,7 +430,10 @@ def ragged_training(draw):
     plateau = np.where(np.arange(n + shift) < n, 4.0, z)  # constant where it meets grid A
     grid_a = np.arange(n)
     grid_b = np.arange(shift, n + shift)
-    gappy = np.sort(rng.choice(n, size=max(n - draw(st.integers(0, n // 3)), 1), replace=False))
+    if gaps:
+        gappy = np.sort(rng.choice(n, size=max(n - draw(st.integers(0, n // 3)), 1), replace=False))
+    else:
+        gappy = np.arange(draw(st.integers(0, n // 3)), n)
     late = np.arange(n + shift - draw(st.integers(1, 30)), n + shift)
     layout = {
         KpiId("A", "x"): (grid_a, x),
@@ -437,6 +445,12 @@ def ragged_training(draw):
         KpiId("C", "gappy"): (gappy, y + 0.5 * rng.standard_normal(n + shift)),
         KpiId("D", "late"): (late, x),
     }
+    if gaps:
+        for kpi in draw(st.lists(st.sampled_from(sorted(layout)), max_size=2, unique=True)):
+            idx, values = layout[kpi]
+            cut = draw(st.integers(0, len(idx) - 1))
+            kept = np.r_[idx[:cut], idx[cut + draw(st.integers(1, 20)) :]]
+            layout[kpi] = (kept if len(kept) else idx[:1], values)
     return {kpi: TimeSeries(kpi, 60 * idx, values[idx]) for kpi, (idx, values) in layout.items()}
 
 
@@ -460,6 +474,24 @@ def assert_same_edges(edges, expected, tol=1e-12):
 def test_graph_matches_the_pairwise_oracle_on_ragged_input(training, p, prefilter_r):
     edges = build_graph(training, p=p, prefilter_r=prefilter_r)
     assert_same_edges(edges, oracles.build_graph_pairwise(training, p=p, prefilter_r=prefilter_r))
+    assert_same_edges(edges, oracles.build_graph_by_timestamp(training, p=p, prefilter_r=prefilter_r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_training(gaps=True), st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.2]))
+def test_graph_with_gaps_matches_the_by_timestamp_oracle(training, p, prefilter_r):
+    edges = build_graph(training, p=p, prefilter_r=prefilter_r)
+    assert_same_edges(edges, oracles.build_graph_by_timestamp(training, p=p, prefilter_r=prefilter_r))
+
+
+def test_graph_rejects_samples_off_the_cadence_grid():
+    training = three_kpi_training(n=100)
+    kpi = sorted(training)[1]
+    s = training[kpi]
+    training[kpi] = TimeSeries(kpi, np.r_[s.timestamps, s.timestamps[-1] + 90], np.r_[s.values, 0.0])
+    late = format_timestamp(int(s.timestamps[-1]) + 90)
+    with pytest.raises(FaultcastError, match=f"{kpi} has a sample at {late}, off the data's 60-second cadence"):
+        build_graph(training)
 
 
 def test_graph_matches_the_pairwise_oracle_on_simulated_days():

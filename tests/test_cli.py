@@ -329,6 +329,32 @@ def test_a_baseline_whose_edges_differ_in_lag_order_is_rejected(short_pipeline, 
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda data: data["baselines"][0].update(k_sigma=True), "k_sigma True must be a number"),
+        (lambda data: data["config"].update(lag_order="3"), "config lag_order '3' must be an integer"),
+    ],
+    ids=["boolean-band-k-sigma", "string-lag-order"],
+)
+def test_a_baseline_value_of_the_wrong_type_is_rejected(short_pipeline, tmp_path, edit, named):
+    # a true k_sigma loaded as 1.0: detect on the quick start's leak run gave
+    # 481 verdicts where the true file gives 452; "3" loaded as 3
+    data = BaselineModel.load(short_pipeline["baseline"]).to_dict()
+    edit(data)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        BaselineModel.from_dict(data)
+    edited = tmp_path / "baseline.json"
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    args = _online_args("detect", short_pipeline, tmp_path, short_pipeline["run_start"])
+    args[args.index("--baseline") + 1] = str(edited)
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert named in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tmp_path):
     # the run's first sample is at 2026-01-06T10:00:00Z, the signature's window is 90 min
     for early in ("2025-12-06T10:00:00Z", "2026-01-06T08:29:00Z"):
@@ -602,8 +628,18 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
         ("tau", -1.0, "tau -1.0"),
         ("folds", 2.5, "folds 2.5 must be an integer"),
         ("training_days", True, "training_days True must be an integer"),
+        ("tau", True, "tau True must be a number"),
+        ("tau", "3", "tau '3' must be a number"),
     ],
-    ids=["run-hour-30", "unknown-fault-target", "negative-tau", "fractional-folds", "boolean-training-days"],
+    ids=[
+        "run-hour-30",
+        "unknown-fault-target",
+        "negative-tau",
+        "fractional-folds",
+        "boolean-training-days",
+        "boolean-tau",
+        "string-tau",
+    ],
 )
 def test_evaluate_rejects_a_bad_config_value_before_building(tmp_path, field, value, named):
     data = SuiteConfig(training_days=2, run_duration_min=130, allow_short_training=True).to_dict()

@@ -20,7 +20,8 @@ from faultcast.core import (
     SYSTEM_RESOURCE,
     FailureClass,
     FaultType,
-    Grids,
+    FaultcastError,
+    Frame,
     KpiId,
     TimeSeries,
     format_timestamp,
@@ -161,9 +162,9 @@ def test_time_series_arrays_are_read_only(n):
 
 @st.composite
 def grid_maps(draw):
-    """(series map, KPI list): KPIs on a shared grid, an equal copy of it, a
-    gappy subset, a shifted grid, or absent from the map; plus a mapped KPI
-    outside the list."""
+    """(series map, KPI list): KPIs on a shared run of the cadence grid, an
+    equal copy of it, a gappy subset, a shifted run, or absent from the map;
+    plus a mapped KPI outside the list.  Every sample is on the grid."""
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = 60 * np.arange(n)
@@ -179,28 +180,38 @@ def grid_maps(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(grid_maps())
-def test_grids_group_kpis_by_timestamps(case):
+@given(grid_maps(), st.integers(1, 3))
+def test_frame_holds_every_sample_at_its_timestamp(case, p):
     series_map, kpis = case
-    grids = Grids(series_map, kpis)
-    present = [k for k, kpi in enumerate(kpis) if kpi in series_map]
-    assert sorted(np.concatenate([np.empty(0, np.intp), *grids.members]).tolist()) == present
-    assert np.flatnonzero(grids.grid_of == -1).tolist() == [k for k in range(len(kpis)) if k not in present]
-    assert grids.series == [series_map.get(kpi) for kpi in kpis]
-    for g, (members, timestamps) in enumerate(zip(grids.members, grids.timestamps)):
-        assert members.tolist() == sorted(members.tolist())
-        assert all(grids.grid_of[k] == g for k in members)
-        assert all(np.array_equal(series_map[kpis[k]].timestamps, timestamps) for k in members)
-    distinct = {timestamps.tobytes() for timestamps in grids.timestamps}
-    assert len(distinct) == len(grids.timestamps)
-    for g, h in [(g, h) for g in range(len(distinct)) for h in range(len(distinct))]:
-        common, ig, ih = grids.common(g, h)
-        expected = np.intersect1d(grids.timestamps[g], grids.timestamps[h], return_indices=True)
-        if g == h:
-            assert common is grids.timestamps[g] and ig == ih == slice(None)
-            ig = ih = np.arange(len(common))
-        for got, want in zip((common, ig, ih), expected):
-            assert np.array_equal(got, want)
+    frame = Frame.of(series_map, kpis)
+    listed = [series_map[kpi] for kpi in kpis if kpi in series_map]
+    assert frame.kpis == tuple(kpis)
+    assert frame.timestamps.tolist() == sorted({t for s in listed for t in s.timestamps.tolist()})
+    assert frame.values.shape == (len(kpis), len(frame.timestamps))
+    assert not frame.timestamps.flags.writeable and not frame.values.flags.writeable
+    history = frame.history(p)
+    for k, kpi in enumerate(kpis):
+        s = series_map.get(kpi)
+        samples = {} if s is None else dict(zip(s.timestamps.tolist(), s.values.tolist()))
+        row = [samples.get(t, np.nan) for t in frame.timestamps.tolist()]
+        assert np.array_equal(frame.values[k], row, equal_nan=True)
+        # a sample at t and at each of the p cadences before it
+        full = [all(t - i * CADENCE_S in samples for i in range(p + 1)) for t in frame.timestamps.tolist()]
+        assert history[k].tolist() == full
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_maps(), st.sampled_from([7, 30, 20, 10, 1]))
+def test_frame_rejects_samples_off_the_cadence_grid(case, step):
+    # off by 7 s, or a sub-cadence of 30, 20, 10 or 1 s; checked on every
+    # KPI of the map, listed or not
+    series_map, kpis = case
+    first = min((int(s.timestamps[0]) for s in series_map.values()), default=0)
+    off = KpiId("R", "off")
+    series_map[off] = TimeSeries(off, [first, first + step], [0.0, 1.0])
+    message = f"R/off has a sample at {format_timestamp(first + step)}, off the data's 60-second cadence"
+    with pytest.raises(FaultcastError, match=message):
+        Frame.of(series_map, kpis)
 
 
 @pytest.mark.parametrize("shape", [(12,), (3, 12)])

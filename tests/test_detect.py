@@ -4,6 +4,7 @@ import csv
 import io
 import logging
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,11 +18,14 @@ from oracles import detect_multivariate, detect_univariate, predict_from_edge
 from faultcast import detect
 from faultcast.baseline import BaselineConfig, BaselineModel, GrangerEdge, UnivariateBaseline
 from faultcast.core import (
+    CADENCE_S,
     HOURS_PER_WEEK,
     AnomalyKind,
     CsvParseError,
+    FaultcastError,
     KpiId,
     TimeSeries,
+    format_timestamp,
 )
 from faultcast.detect import (
     AnomalyEvent,
@@ -31,7 +35,9 @@ from faultcast.detect import (
     write_anomaly_log,
 )
 from faultcast.evaluate import default_run_specs
-from faultcast.sim import default_topology, gen_run
+from faultcast.sim import default_topology, gen_run, load_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def flat_baseline(kpi, mean, std, k_sigma=3.0):
@@ -142,11 +148,19 @@ def test_stream_skips_unknown_kpi(caplog):
     unknown = KpiId("Homer", "Mystery")
     model = BaselineModel(baselines={known: flat_baseline(known, 0.0, 1.0)}, edges=())
     ts = 60 * np.arange(5, dtype=np.int64)
-    series = {unknown: TimeSeries(unknown, ts, np.full(5, 99.0))}
+    series = {known: TimeSeries(known, ts, np.zeros(5)), unknown: TimeSeries(unknown, ts, np.full(5, 99.0))}
     with caplog.at_level(logging.WARNING):
         events = detect_stream(model, series, 0)
     assert events == []
     assert "no baseline" in caplog.text
+
+
+def test_stream_rejects_a_run_that_lacks_a_baseline_kpi():
+    kpis = [KpiId("Homer", "CpuIdlePct"), KpiId("Sprout", "CpuIdlePct"), KpiId("Sprout", "MemUsedPct")]
+    model = BaselineModel(baselines={kpi: flat_baseline(kpi, 0.0, 1.0) for kpi in kpis}, edges=())
+    ts = 60 * np.arange(5, dtype=np.int64)
+    with pytest.raises(FaultcastError, match="lacks 2 of the baseline's KPIs, first Sprout/CpuIdlePct"):
+        detect_stream(model, {kpis[0]: TimeSeries(kpis[0], ts, np.zeros(5))}, 0)
 
 
 def test_stream_coverage_rule():
@@ -289,28 +303,33 @@ def test_stream_early_run_start_skips_empty_intervals():
 
 
 @st.composite
-def detection_cases(draw):
+def detection_cases(draw, gaps=False):
     """A model, a run, its start and tau, drawn to reach the corners of
-    interval binning and alignment: gaps, KPIs on different or disjoint
-    grids, dropped KPIs and KPIs without a baseline, samples before
-    ``run_start`` or a far-early ``run_start``, sub-cadence sampling with 8 to
-    300 samples an interval, lag orders 1 to 3 and runs shorter than p."""
+    interval binning and alignment: KPIs present in only part of the run,
+    KPIs without a baseline, samples before ``run_start`` or a far-early
+    ``run_start``, lag orders 1 to 3 and runs shorter than p.  Every sample
+    is on the cadence grid.  Without ``gaps`` each KPI's samples are one
+    unbroken run of it, where lags by position are lags by timestamp; with
+    ``gaps`` missing minutes and missing spans cut them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kpis = [KpiId(f"R{i}", "m") for i in range(draw(st.integers(2, 5)))]
-    cadence = draw(st.sampled_from([60, 60, 30, 20, 10, 1]))
     t0 = 1_700_000_000 + draw(st.integers(0, 299))
-    n = draw(st.one_of(st.integers(0, 6), st.integers(7, 60 if cadence >= 10 else 1200)))
-    base = t0 + cadence * np.arange(n, dtype=np.int64)
-    keep = draw(st.sampled_from([1.0, 0.9, 0.5]))
-    grids = [base] + [base[rng.random(n) < keep] for _ in range(draw(st.integers(0, 2)))]
-    if draw(st.booleans()):
-        grids.append(base + 7)  # shares no timestamp with the others
+    n = draw(st.one_of(st.integers(1, 6), st.integers(7, 60)))
+    base = t0 + CADENCE_S * np.arange(n, dtype=np.int64)
+    keep = draw(st.sampled_from([1.0, 0.9, 0.5])) if gaps else 1.0
     scale = draw(st.sampled_from([0.5, 2.0, 10.0]))
     series = {}
     for kpi in kpis + [KpiId("Stray", "m")]:  # the stray KPI has no baseline
-        stamps = grids[int(rng.integers(len(grids)))]
-        if len(stamps) and rng.random() < 0.85:  # the rest are dropped from the run
-            series[kpi] = TimeSeries(kpi, stamps, rng.normal(0.0, scale, len(stamps)))
+        lo, hi = (0, n) if rng.random() < 0.5 else sorted(rng.choice(n + 1, size=2, replace=False))
+        present = np.zeros(n, dtype=bool)
+        present[lo:hi] = rng.random(hi - lo) < keep
+        if gaps and rng.random() < 0.3:  # a missing span
+            cut = int(rng.integers(n))
+            present[cut : cut + int(rng.integers(1, 12))] = False
+        if not present.any():
+            present[int(rng.integers(lo, hi))] = True
+        stamps = base[present]
+        series[kpi] = TimeSeries(kpi, stamps, rng.normal(0.0, scale, len(stamps)))
     baselines = {
         kpi: UnivariateBaseline(
             kpi=kpi,
@@ -343,7 +362,7 @@ def detection_cases(draw):
                 t0 - 600,  # aligned before the data
                 t0 + 150,  # some samples before run_start
                 t0 - (10**5) * 300 + 17,  # far early, off the data's grid
-                t0 + cadence * n + 300,  # after every sample
+                t0 + CADENCE_S * n + 300,  # after every sample
             ]
         )
     )
@@ -356,11 +375,12 @@ def detection_cases(draw):
 @given(detection_cases(), st.sampled_from([detect._CHUNK_CELLS, 1, 40]))
 def test_batched_stream_equals_the_per_edge_oracle(case, chunk_cells):
     model, series, run_start, tau = case
-    # small blocks split one alignment's edges over several scoring passes
+    # small blocks split the edges over several scoring passes
     with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells):
         batched = detect_stream(model, series, run_start, tau=tau)
     expected = oracles.detect_stream_loop(model, series, run_start, tau=tau)
     assert batched == expected  # equal events compare their scores with ==
+    assert batched == oracles.detect_stream_by_timestamp(model, series, run_start, tau=tau)
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,6 +393,59 @@ def test_planned_stream_equals_the_kpi_keyed_batched_oracle(case, chunk_cells):
     assert isinstance(planned, AnomalyEvents)
     assert planned == expected and list(planned) == expected
     assert planned.kpis == tuple(sorted(model.baselines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_cases(gaps=True), st.sampled_from([detect._CHUNK_CELLS, 1, 40]))
+def test_stream_with_gaps_equals_the_by_timestamp_oracle(case, chunk_cells):
+    model, series, run_start, tau = case
+    with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells):
+        events = detect_stream(model, series, run_start, tau=tau)
+    assert events == oracles.detect_stream_by_timestamp(model, series, run_start, tau=tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(detection_cases(), st.sampled_from(["shifted", "sub-cadence", "dropped"]), st.data())
+def test_stream_rejects_off_cadence_samples_and_missing_kpis(case, fault, data):
+    model, series, run_start, tau = case
+    kpi = data.draw(st.sampled_from(sorted(series)))
+    s = series[kpi]
+    if fault == "dropped":
+        if kpi not in model.baselines:
+            return
+        del series[kpi]
+        message = f"lacks 1 of the baseline's KPIs, first {kpi}"
+    else:
+        # 7 s off every other sample, or a 30-, 20-, 10- or 1-second cadence
+        step = 7 if fault == "shifted" else data.draw(st.sampled_from([30, 20, 10, 1]))
+        series[kpi] = TimeSeries(kpi, np.union1d(s.timestamps, s.timestamps + step), np.arange(2 * len(s), dtype=float))
+        first = min(int(other.timestamps[0]) for other in series.values())
+        late = next(int(t) for t in series[kpi].timestamps if (t - first) % CADENCE_S)
+        message = f"{kpi} has a sample at {format_timestamp(late)}, off the data's 60-second cadence"
+    with pytest.raises(FaultcastError, match=message):
+        detect_stream(model, series, run_start, tau=tau)
+
+
+def test_a_gap_removes_the_intervals_whose_lags_it_holds(suite_data):
+    # with minutes 60-69 of Sprout/CpuIdlePct cut from the leak run, "lag 1"
+    # of minute 70 was once minute 59: every edge touching the KPI was
+    # scored in the interval at minute 70.  At tau 0 every scored edge
+    # raises its effect, so the model's edges that touch the KPI must raise
+    # nothing in the intervals at minutes 60, 65 and 70, and do so again at 75.
+    scenario = load_scenario(CONFIGS / "leak-sprout-constant.json")
+    series, _ = scenario.generate(default_topology())
+    gappy = KpiId("Sprout", "CpuIdlePct")
+    rows = np.r_[0:60, 70 : len(series[gappy])]
+    series[gappy] = TimeSeries(gappy, series[gappy].timestamps[rows], series[gappy].values[rows])
+    baseline = suite_data.baseline
+    touching = tuple(edge for edge in baseline.edges if gappy in (edge.cause, edge.effect))
+    assert len(touching) > 5
+    model = BaselineModel(baselines=baseline.baselines, edges=touching, config=baseline.config)
+    events = detect_stream(model, series, scenario.start, tau=0.0)
+    minutes = {(e.interval_start - scenario.start) // 60 for e in events if e.kind is AnomalyKind.MULTIVARIATE}
+    assert minutes.isdisjoint({60, 65, 70})
+    assert {55, 75} <= minutes
+    assert events == oracles.detect_stream_by_timestamp(model, series, scenario.start, tau=0.0)
 
 
 def test_batched_stream_equals_the_oracle_on_faulty_suite_runs(suite_data):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,18 @@ def test_config_rejects_a_count_that_is_not_an_integer(field, value):
     # 2.5 folds failed in numpy after the build; true training days ran one
     with pytest.raises(ValueError, match=rf"^{field} {value!r} must be an integer$"):
         SuiteConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tau", True), ("tau", "3"), ("k_sigma", True), ("alpha", "0.01"), ("prefilter_r", None)],
+)
+def test_config_rejects_a_float_field_that_is_not_a_number(field, value):
+    # a true tau evaluated with tau = 1; "3" failed in the range check with a
+    # TypeError about '<='
+    with pytest.raises(ValueError, match=rf"^{field} {re.escape(repr(value))} must be a number$"):
+        SuiteConfig(**{field: value})
+    assert SuiteConfig(tau=0, k_sigma=2).tau == 0  # an int is a number
 
 
 @st.composite
