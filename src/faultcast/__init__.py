@@ -5,151 +5,8 @@ causality graph from weeks of healthy monitoring data.  The online half flags
 anomalous KPIs per five-minute interval, classifies the sliding window of
 anomalies against known failure signatures, and raises general then
 failure-specific alerts ahead of the actual failure.
+
+The package root exports nothing: import each name from its module
+(``faultcast.sim``, ``faultcast.baseline``, ``faultcast.detect``, ...), so an
+import loads only that module and what it imports.
 """
-
-from .baseline import (
-    BaselineModel,
-    GrangerEdge,
-    GrangerResult,
-    UnivariateBaseline,
-    build_graph,
-    fit_baseline_model,
-    fit_univariate,
-    granger_fit,
-)
-from .core import (
-    CADENCE_S,
-    DAY_S,
-    HOURS_PER_WEEK,
-    INTERVAL_S,
-    MIN_TRAINING_SPAN_S,
-    AnomalyKind,
-    CsvParseError,
-    DuplicateSampleError,
-    FailureClass,
-    FaultcastError,
-    FaultType,
-    InsufficientTrainingError,
-    KpiId,
-    NORMAL_CLASS,
-    OrderingError,
-    SchemaVersionError,
-    SYSTEM_RESOURCE,
-    TimeSeries,
-    format_timestamp,
-    hour_of_week,
-    parse_timestamp,
-    slide_windows,
-)
-from .detect import AnomalyEvent, AnomalyEvents, detect_stream, read_anomaly_log, write_anomaly_log
-from .evaluate import SuiteConfig, build_suite, run_rq1, run_rq2, run_rq3, run_rq4
-from .io import InjectedFault, RunManifest, ingest_csv, write_csv
-from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
-from .predict import (
-    Alert,
-    AlertKind,
-    EarlinessReport,
-    PredictorState,
-    measure_earliness,
-    new_state,
-    run_predictor,
-    step,
-    write_alert_log,
-)
-from .sim import (
-    FaultSpec,
-    Pattern,
-    Scenario,
-    Topology,
-    WorkloadModel,
-    default_topology,
-    failure_oracle,
-    gen_run,
-    load_scenario,
-)
-from .signature import (
-    ClassDistribution,
-    SignatureModel,
-    Vocabulary,
-    Windows,
-    cross_validate,
-    train_signature,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Alert",
-    "AlertKind",
-    "AnomalyEvent",
-    "AnomalyEvents",
-    "AnomalyKind",
-    "BaselineModel",
-    "CADENCE_S",
-    "ClassDistribution",
-    "Contingency",
-    "CsvParseError",
-    "DAY_S",
-    "DuplicateSampleError",
-    "EarlinessReport",
-    "EffectivenessMetrics",
-    "FailureClass",
-    "FaultSpec",
-    "FaultType",
-    "FaultcastError",
-    "GrangerEdge",
-    "GrangerResult",
-    "HOURS_PER_WEEK",
-    "INTERVAL_S",
-    "InjectedFault",
-    "InsufficientTrainingError",
-    "KpiId",
-    "MIN_TRAINING_SPAN_S",
-    "NORMAL_CLASS",
-    "OrderingError",
-    "Pattern",
-    "PredictorState",
-    "RunManifest",
-    "SYSTEM_RESOURCE",
-    "Scenario",
-    "SchemaVersionError",
-    "SignatureModel",
-    "SuiteConfig",
-    "TimeSeries",
-    "Topology",
-    "UnivariateBaseline",
-    "Vocabulary",
-    "Windows",
-    "WorkloadModel",
-    "build_graph",
-    "build_suite",
-    "cross_validate",
-    "default_topology",
-    "detect_stream",
-    "failure_oracle",
-    "fit_baseline_model",
-    "fit_univariate",
-    "format_timestamp",
-    "gen_run",
-    "granger_fit",
-    "hour_of_week",
-    "ingest_csv",
-    "load_scenario",
-    "measure_earliness",
-    "metrics",
-    "micro_contingency",
-    "new_state",
-    "parse_timestamp",
-    "read_anomaly_log",
-    "run_predictor",
-    "run_rq1",
-    "run_rq2",
-    "run_rq3",
-    "run_rq4",
-    "slide_windows",
-    "step",
-    "train_signature",
-    "write_alert_log",
-    "write_anomaly_log",
-    "write_csv",
-]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +40,7 @@ from .core import (
     slide_windows,
 )
 from .detect import AnomalyEvent, AnomalyEvents, detect_stream
-from .io import RunManifest, check_kind, load_json, save_json, typed
+from .io import RunManifest, check_kind, check_types, load_json, save_json
 from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
 from .predict import EarlinessReport, measure_earliness, run_predictor
 from .sim import (
@@ -96,11 +96,9 @@ class SuiteConfig:
     workload: WorkloadModel = field(default_factory=WorkloadModel)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type in ("int", "float"):
-                # 2.5 folds would fail in numpy after the build; true days
-                # run one and a true tau is 1
-                typed(f.name, getattr(self, f.name), int if f.type == "int" else float)
+        # 2.5 folds would fail in numpy after the build; true days run one
+        # and a true tau is 1
+        check_types(self)
         minutes = self.run_duration_min
         for name, ok, rule in (
             ("run_hour", 0 <= self.run_hour <= 23, "an hour from 0 to 23"),

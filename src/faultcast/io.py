@@ -10,7 +10,7 @@ import math
 import os
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from typing import Dict, Iterator, List, Optional, TextIO, Union
 
@@ -323,22 +323,42 @@ def check_kind(data, kind: str, version: int) -> None:
 
 
 def typed(name: str, value, kind: type):
-    """``value`` as a ``kind``, int or float (an int is a float too, a bool
-    neither); any other value raises :class:`ValueError` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+    """``value`` as a ``kind``, int, float or bool (an int is a float too, a
+    bool neither); any other value raises :class:`ValueError` naming ``name``."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} {value!r} must be true or false")
+    elif isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ValueError(f"{name} {value!r} must be {'an integer' if kind is int else 'a number'}")
     return kind(value)
 
 
+#: The field annotations :func:`check_types` checks; the dataclasses it is
+#: given use ``from __future__ import annotations``, so annotations are text.
+_TYPED_FIELDS = {"int": int, "float": float, "bool": bool}
+
+
+def check_types(obj) -> None:
+    """Raise :func:`typed`'s :class:`ValueError` for the first int, float or
+    bool field of the dataclass ``obj`` that holds another type: a JSON
+    ``2.7`` minutes, ``true`` sigmas or ``"false"`` flag is not cast."""
+    for f in fields(obj):
+        if f.type in _TYPED_FIELDS:
+            typed(f.name, getattr(obj, f.name), _TYPED_FIELDS[f.type])
+
+
 def load_json(path, from_dict):
-    """Read an artifact file and decode it with ``from_dict``.  A missing key or
-    a value of the wrong type or shape becomes a :class:`ValueError` naming the
-    file."""
-    with _open_text(path, "r") as fh:
-        data = json.load(fh)
+    """Read an artifact file and decode it with ``from_dict``.  Bytes that are
+    not UTF-8, text that is not JSON, a missing key and a value of the wrong
+    type, shape or range become a :class:`ValueError` naming the file; a
+    foreign kind or schema version stays a :class:`SchemaVersionError`, and
+    names the file too."""
     try:
-        return from_dict(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+        with _open_text(path, "r") as fh:
+            return from_dict(json.load(fh))
+    except SchemaVersionError as exc:
+        raise SchemaVersionError(f"{os.fspath(path)}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {os.fspath(path)}: {type(exc).__name__} {exc}") from exc
 
 

@@ -26,7 +26,7 @@ from .core import (
     hour_of_week,
     parse_timestamp,
 )
-from .io import InjectedFault, RunManifest, check_kind, load_json
+from .io import InjectedFault, RunManifest, check_kind, check_types, load_json, typed
 
 SCENARIO_KIND = "faultcast-scenario"
 SCENARIO_SCHEMA_VERSION = 1
@@ -94,6 +94,9 @@ class WorkloadModel:
     noise_std: float = 0.08
 
     def __post_init__(self):
+        check_types(self)
+        for value in self.hourly_profile:
+            typed("hourly_profile", value, float)
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
         if len(self.hourly_profile) != 24:
@@ -131,6 +134,7 @@ class FaultSpec:
     random_block_min: int = 5
 
     def __post_init__(self):
+        check_types(self)
         if self.fault_type is FaultType.NORMAL:
             raise ValueError("a FaultSpec cannot seed the Normal class")
         if (self.fault_type is FaultType.EXCESSIVE_WORKLOAD) != (
@@ -657,6 +661,9 @@ class Scenario:
     workload_deviation: float = 0.0
     zero_noise: bool = False
 
+    def __post_init__(self):
+        check_types(self)
+
     def generate(self, topology: Optional[Topology] = None):
         return gen_run(
             topology or default_topology(),
@@ -681,7 +688,7 @@ class Scenario:
             resource = f.pop("resource")
             pattern = Pattern(f.pop("pattern"))
             if "injection_min" in f:
-                injection = start + 60 * int(f.pop("injection_min"))
+                injection = start + 60 * typed("injection_min", f.pop("injection_min"), int)
             else:
                 injection = parse_timestamp(f.pop("injection_time"))
             fault = FaultSpec(
@@ -695,12 +702,12 @@ class Scenario:
         return cls(
             run_id=data["run_id"],
             start=start,
-            duration_s=60 * int(data["duration_min"]),
-            seed=int(data["seed"]),
+            duration_s=60 * typed("duration_min", data["duration_min"], int),
+            seed=data["seed"],
             workload=workload,
             fault=fault,
-            workload_deviation=float(data.get("workload_deviation", 0.0)),
-            zero_noise=bool(data.get("zero_noise", False)),
+            workload_deviation=data.get("workload_deviation", 0.0),
+            zero_noise=data.get("zero_noise", False),
         )
 
 

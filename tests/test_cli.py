@@ -12,6 +12,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,8 @@ from faultcast.signature import SignatureModel, Vocabulary, train_signature
 
 import oracles
 from conftest import run_cli
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_help_lists_subcommands():
@@ -355,6 +358,45 @@ def test_a_baseline_value_of_the_wrong_type_is_rejected(short_pipeline, tmp_path
     assert not (tmp_path / "out.csv").exists()
 
 
+def _spoil_json(text: str, spoil: str) -> bytes:
+    """An artifact's bytes, spoiled in their encoding, their JSON syntax or
+    one typed value."""
+    if spoil == "syntax":
+        return b"notjson"
+    if spoil == "bytes":
+        return b"\xff" + text.encode("utf-8")
+    data = json.loads(text)
+    if data["kind"] == "faultcast-baseline":
+        data["baselines"][0]["k_sigma"] = True
+    else:
+        data["window_min"] = True
+    return json.dumps(data).encode("utf-8")
+
+
+@pytest.mark.parametrize("artifact", ["--baseline", "--signature"])
+@pytest.mark.parametrize(
+    "spoil, said",
+    [
+        ("syntax", "JSONDecodeError Expecting value: line 1 column 1 (char 0)"),
+        ("bytes", "UnicodeDecodeError 'utf-8' codec can't decode byte 0xff"),
+        ("typed", "True must be"),
+    ],
+    ids=["syntax", "bytes", "typed"],
+)
+def test_predict_names_the_file_an_intake_error_is_in(short_pipeline, tmp_path, artifact, spoil, said):
+    # predict reads two artifacts: the error must say which one is bad
+    args = _online_args("predict", short_pipeline, tmp_path, short_pipeline["run_start"])
+    good = Path(args[args.index(artifact) + 1])
+    bad = tmp_path / f"bad-{good.name}"
+    bad.write_bytes(_spoil_json(good.read_text(encoding="utf-8"), spoil))
+    args[args.index(artifact) + 1] = str(bad)
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: malformed {bad}: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert said in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_predict_rejects_a_run_start_a_window_before_the_data(short_pipeline, tmp_path):
     # the run's first sample is at 2026-01-06T10:00:00Z, the signature's window is 90 min
     for early in ("2025-12-06T10:00:00Z", "2026-01-06T08:29:00Z"):
@@ -571,7 +613,30 @@ def test_foreign_scenario_file_exits_nonzero(tmp_path):
     bogus.write_text('{"kind": "something-else", "schema_version": 1}', encoding="utf-8")
     proc = run_cli("simulate", "--scenario", str(bogus), "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr == f"error: {bogus}: not a faultcast-scenario file: kind='something-else'\n"
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.update(zero_noise="false"), "zero_noise 'false' must be true or false"),
+        (lambda d: d.update(duration_min=2.7), "duration_min 2.7 must be an integer"),
+        (lambda d: d["fault"].update(injection_min=True), "injection_min True must be an integer"),
+        (lambda d: d.update(workload={"noise_std": True}), "noise_std True must be a number"),
+    ],
+    ids=["string-zero-noise", "fractional-duration", "boolean-injection", "boolean-noise-std"],
+)
+def test_simulate_rejects_a_scenario_field_of_the_wrong_type(tmp_path, edit, named):
+    # each of these once simulated: noise-free data, a 2-minute run, a fault
+    # at minute 1, a workload noise scale of 1.0
+    data = json.loads((CONFIGS / "leak-sprout-constant.json").read_text(encoding="utf-8"))
+    edit(data)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli("simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: malformed {scenario}: ValueError {named}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_evaluate_rejects_a_config_that_is_not_an_object(tmp_path):
@@ -630,6 +695,7 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
         ("training_days", True, "training_days True must be an integer"),
         ("tau", True, "tau True must be a number"),
         ("tau", "3", "tau '3' must be a number"),
+        ("allow_short_training", "false", "allow_short_training 'false' must be true or false"),
     ],
     ids=[
         "run-hour-30",
@@ -639,6 +705,7 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
         "boolean-training-days",
         "boolean-tau",
         "string-tau",
+        "string-allow-short-training",
     ],
 )
 def test_evaluate_rejects_a_bad_config_value_before_building(tmp_path, field, value, named):

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import faultcast
 from faultcast.core import (
     CADENCE_S,
     NORMAL_CLASS,
@@ -279,6 +278,16 @@ def test_cadence_constant():
     assert CADENCE_S == 60
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in faultcast.__all__ if not hasattr(faultcast, name)]
-    assert not missing, f"__all__ names missing from the package: {missing}"
+def test_the_offline_layers_import_no_online_module():
+    # the package root re-exports nothing, so simulating, CSV I/O and
+    # fitting a baseline do not pay to import detection or prediction
+    code = (
+        "import sys, faultcast.sim, faultcast.io, faultcast.baseline;"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('faultcast'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    loaded = set(out.stdout.decode().split())
+    online = {f"faultcast.{name}" for name in ("detect", "evaluate", "predict", "signature", "metrics", "cli")}
+    assert {"faultcast.sim", "faultcast.io", "faultcast.baseline"} <= loaded
+    assert not loaded & online, f"loaded {sorted(loaded & online)}"

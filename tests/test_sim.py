@@ -1,5 +1,10 @@
 """The deterministic testbed simulator and its ground-truth oracle."""
 
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,8 @@ from faultcast.core import (
     hour_of_week,
     parse_timestamp,
 )
+from faultcast.evaluate import SuiteConfig
+from faultcast.io import write_csv
 from faultcast.sim import (
     FaultSpec,
     Pattern,
@@ -385,4 +392,64 @@ def test_scenario_rejects_foreign_files(tmp_path):
         load_scenario(path)
     path.write_text('{"kind": "faultcast-scenario", "schema_version": 99}')
     with pytest.raises(SchemaVersionError):
+        load_scenario(path)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+LOADERS = {"faultcast-scenario": load_scenario, "faultcast-suite": SuiteConfig.load}
+
+#: sha256 of each bundled scenario's simulated CSV, as ``write_csv`` renders it
+SCENARIO_CSV_SHA256 = {
+    "deviated-healthy": "b3d3aa2269768323ef5b095f519f566854f21d226ceab35fdea2163b5fbf71dd",
+    "hog-homer-exponential": "976d67c48c1858d6be7ca721592e25a5e3a9a18d92e6b4a3d4a32778d39b9e7c",
+    "leak-sprout-constant": "fa5bb4e78445e1d4ad67288de8b316ed3a4f51cefc9a0bcdc680b652a3d3c187",
+    "training-fortnight": "645aef300e9b1bf2eab99ab77ad82f024d965630552e4641c5a95592695e3bcb",
+}
+
+
+class _Sha256Stream:
+    """A text sink that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.digest.update(text.encode("utf-8"))
+        return len(text)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_every_bundled_config_loads_and_each_scenario_simulates_its_recorded_csv(path):
+    loaded = LOADERS[json.loads(path.read_text(encoding="utf-8"))["kind"]](path)
+    if isinstance(loaded, Scenario):
+        series, manifest = loaded.generate()
+        sink = _Sha256Stream()
+        write_csv(series, sink)
+        assert manifest.run_id == path.stem
+        assert sink.digest.hexdigest() == SCENARIO_CSV_SHA256[path.stem]
+
+
+#: Values a scenario file once loaded by casting or without a check; the CLI
+#: tests cover ``zero_noise``, ``duration_min``, ``injection_min`` and
+#: ``noise_std``
+SCENARIO_PROBES = {
+    "string-seed": (lambda d: d.update(seed="42"), "seed '42' must be an integer"),
+    "string-severity": (lambda d: d["fault"].update(severity="2"), "severity '2' must be a number"),
+    "boolean-block": (lambda d: d["fault"].update(random_block_min=True), "random_block_min True must be an integer"),
+    "string-deviation": (lambda d: d.update(workload_deviation="1"), "workload_deviation '1' must be a number"),
+    "boolean-profile": (
+        lambda d: d.update(workload={"hourly_profile": [True] * 24}),
+        "hourly_profile True must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(SCENARIO_PROBES))
+def test_scenario_fields_of_the_wrong_type_are_rejected(tmp_path, probe):
+    edit, named = SCENARIO_PROBES[probe]
+    data = json.loads((CONFIGS / "leak-sprout-constant.json").read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^malformed {re.escape(str(path))}: ValueError {re.escape(named)}$"):
         load_scenario(path)
