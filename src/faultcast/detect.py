@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import operator
 import os
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, TextIO, Tuple, Union
+from typing import Dict, List, TextIO, Union
 
 import numpy as np
 
@@ -19,7 +17,6 @@ from .core import (
     CADENCE_S,
     INTERVAL_S,
     AnomalyKind,
-    CsvParseError,
     FaultcastError,
     Frame,
     KpiId,
@@ -27,9 +24,8 @@ from .core import (
     format_timestamp,
     hour_of_week,
     lags,
-    parse_timestamp,
 )
-from .io import _kpi_fields, _open_text
+from .io import _kpi_fields, _open_text, read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -298,43 +294,24 @@ def write_anomaly_log(events: Sequence[AnomalyEvent], target: Union[str, os.Path
         stream.writelines(f"{stamps[s]}{names[k]}{kinds[c]}{score}\n" for s, k, c, score in rows)
 
 
+def _kinds_and_scores(kinds: List[str], scores: List[str]):
+    """The kind codes and scores of anomaly log rows.  An unknown kind, then
+    a score that is not a finite and non-negative number, raises
+    :class:`ValueError`, naming the first text where it can."""
+    try:
+        codes = list(map(_KIND_CODES.__getitem__, kinds))
+    except KeyError as exc:
+        AnomalyKind(exc.args[0])  # the text is no kind: this raises, naming it
+    values = list(map(float, scores))
+    if not (all(map(math.isfinite, values)) and min(values, default=0.0) >= 0.0):
+        raise ValueError(_SCORE_ERROR)
+    return codes, values
+
+
 def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> AnomalyEvents:
-    """Read a log written by :func:`write_anomaly_log`.  A malformed row
+    """Read a log written by :func:`write_anomaly_log`, in file order, by the
+    KPI CSV's row reader :func:`~faultcast.io.read_rows`.  A malformed row
     raises :class:`CsvParseError` with its line number."""
-    with _open_text(source, "r") as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != ANOMALY_LOG_HEADER:
-            raise CsvParseError(1, f"expected header {','.join(ANOMALY_LOG_HEADER)!r}, got {header!r}")
-        # a log repeats few distinct timestamps and KPIs: parse each once;
-        # the KPIs' names are interned
-        ts_memo: Dict[str, int] = {}
-        kpi_memo: Dict[Tuple[str, str], int] = {}
-        kpis: List[KpiId] = []
-        starts, numbers, kinds, scores = [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise CsvParseError(line_no, f"expected 5 fields, got {len(row)}")
-            try:
-                ts = ts_memo.get(row[0])
-                if ts is None:
-                    ts = ts_memo[row[0]] = parse_timestamp(row[0])
-                k = kpi_memo.get((row[1], row[2]))
-                if k is None:
-                    kpis.append(KpiId(sys.intern(row[1]), sys.intern(row[2])))
-                    k = kpi_memo[(row[1], row[2])] = len(kpis) - 1
-                kind = _KIND_CODES.get(row[3])
-                if kind is None:
-                    AnomalyKind(row[3])  # raises, naming the text
-                score = float(row[4])
-                if not 0.0 <= score < math.inf:
-                    raise ValueError(_SCORE_ERROR)
-            except ValueError as exc:
-                raise CsvParseError(line_no, str(exc)) from None
-            starts.append(ts)
-            numbers.append(k)
-            kinds.append(kind)
-            scores.append(score)
-        return AnomalyEvents(kpis, starts, numbers, kinds, scores)
+    rows = read_rows(source, ANOMALY_LOG_HEADER, _kinds_and_scores, "bd")
+    _, start, kpi, kind, score = rows.columns
+    return AnomalyEvents(rows.kpis, start, kpi, kind, score)

@@ -49,12 +49,12 @@ def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
         yield path_or_stream
 
 
-#: The line endings the column path reads; a line of one alone is blank.
-_LINE_ENDINGS = ("\n", "\r\n")
-
 #: Characters of CSV body read per block.  Larger blocks save little time
 #: and raise peak memory.
 _BLOCK_CHARS = 1 << 16
+
+#: Rows from :func:`csv.reader` checked at once, about a block's worth.
+_BATCH_ROWS = 1 << 10
 
 
 def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSeries]:
@@ -62,25 +62,70 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
 
     The header must be exactly ``timestamp,resource,metric,value``.  Rows may
     arrive in any order; samples are sorted per KPI.  Malformed rows raise
-    :class:`CsvParseError` with the offending line number, a repeated
-    (timestamp, KPI) pair raises :class:`DuplicateSampleError`.
+    :class:`CsvParseError` (:func:`read_rows`), a non-finite value too; a
+    repeated (timestamp, KPI) pair raises :class:`DuplicateSampleError`.
+    """
+    return read_rows(source, CSV_HEADER, _finite_values, "d").series_map()
 
-    The body is read in blocks of lines.  A block without ``"`` or NUL, whose
-    only CRs end CRLF line endings, and without a line longer than
-    ``csv.field_size_limit()`` splits on commas exactly as :func:`csv.reader`
-    would, so it is parsed column by column.  Any other block goes through
+
+def read_rows(source: Union[str, os.PathLike, TextIO], header: List[str], parse, types: str) -> "_Columns":
+    """Read a CSV whose header is exactly ``header`` and whose rows are
+    ``timestamp,resource,metric`` then one field per typecode of ``types``,
+    typed by ``parse``, into :class:`_Columns`.  A malformed row raises
+    :class:`CsvParseError` with its line number: a row of another width, a
+    bad timestamp or KPI, a field ``parse`` rejects, or a record
+    :func:`csv.reader` cannot split, such as a field over
+    ``csv.field_size_limit()``.  Blank lines hold no row but are counted.
+
+    The body is read in blocks of lines.  A block without ``"``, NUL, a CR
+    but in CRLF line endings or a line longer than the field size limit,
+    whose every line holds a row's commas, splits on commas exactly as
+    :func:`csv.reader` would.  Any other block goes through
     :func:`csv.reader`, and so does everything from the first ``"`` on, since
-    a quoted field may span lines.
-    A block that fails a column check is checked again row by row, which
-    raises the first error in row order.
+    a quoted field may span lines.  Either way rows are checked column by
+    column, and a batch that fails a check is checked again row by row,
+    which raises the first error in row order.
     """
     with _open_text(source, "r") as stream:
-        header = next(csv.reader(stream), None)
-        if header != CSV_HEADER:
-            raise CsvParseError(1, f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
-        columns = _Columns()
-        columns.read_body(stream)
-    return columns.series_map()
+        try:
+            found = next(csv.reader(stream), None)
+        except csv.Error as exc:
+            raise CsvParseError(1, str(exc)) from None
+        if found != header:
+            raise CsvParseError(1, f"expected header {','.join(header)!r}, got {found!r}")
+        columns = _Columns(parse, types)
+        limit = csv.field_size_limit()
+        line_no = 2
+        while block := stream.readlines(_BLOCK_CHARS):
+            text = "".join(block)
+            if '"' in text:
+                columns.add_rows(csv.reader(chain(block, stream)), line_no)
+                break
+            # a CR that ends a CRLF line ending reads as a LF in csv.reader
+            stray_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+            # a blank line holds no comma
+            widths = list(map(str.count, block, repeat(","))).count(columns.width - 1)
+            if stray_cr or "\0" in text or max(map(len, block)) > limit or widths != len(block):
+                columns.add_rows(csv.reader(block), line_no)
+            else:
+                fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
+                columns.add(fields, range(line_no, line_no + len(block)))
+            # outside quotes every line is one record
+            line_no += len(block)
+    return columns
+
+
+def _finite_values(texts: List[str]):
+    """The value column of KPI CSV rows, as floats.  A text that is not a
+    finite number raises :class:`ValueError`; its message names the first
+    text, the row's own when the column holds one row."""
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        raise ValueError(f"bad value {texts[0]!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite value {texts[0]!r}")
+    return (values,)
 
 
 def _parse_timestamps(texts: List[str]) -> List[int]:
@@ -107,17 +152,22 @@ def _parse_timestamps(texts: List[str]) -> List[int]:
 
 
 class _Columns:
-    """The rows of one CSV body as typed columns.  A file repeats few distinct
-    timestamps and KPIs over many rows, so each distinct text is parsed and
-    validated once."""
+    """The rows of one CSV body as typed ``columns``: line numbers,
+    timestamps, numbers into ``kpis``, then the fields after
+    ``timestamp,resource,metric`` as ``parse`` types them, in arrays of the
+    typecodes in ``types``.  Like ``parse``, each column check raises
+    :class:`ValueError` naming its first bad text, the row's own when it
+    checks one row.  A file repeats few distinct timestamps and KPIs over
+    many rows, so each distinct text is parsed and validated once."""
 
-    def __init__(self):
+    def __init__(self, parse, types: str):
+        self.parse, self.width = parse, 3 + len(types)
         self.ts_memo: Dict[str, int] = {}
         # resource -> metric -> KPI number: no (resource, metric) tuple a row
         self.kpi_memo: Dict[str, Dict[str, int]] = {}
         self.kpis: List[KpiId] = []
         # typed columns hold 8 bytes a row, not a Python object each
-        self.stamps, self.kids, self.lines, self.values = array("q"), array("q"), array("q"), array("d")
+        self.columns = [array("q"), array("q"), array("q")] + [array(code) for code in types]
 
     def _timestamps(self, texts: List[str]) -> List[int]:
         """Epoch seconds of each text, parsing only texts not seen before."""
@@ -125,103 +175,65 @@ class _Columns:
             return list(map(self.ts_memo.__getitem__, texts))
         except KeyError:
             new = [text for text in dict.fromkeys(texts) if text not in self.ts_memo]
-            self.ts_memo.update(zip(new, _parse_timestamps(new)))
+            try:
+                self.ts_memo.update(zip(new, _parse_timestamps(new)))
+            except ValueError:
+                raise ValueError(f"bad timestamp {texts[0]!r}") from None
             return list(map(self.ts_memo.__getitem__, texts))
-
-    def _kpi(self, resource: str, metric: str) -> int:
-        """The KPI's number, validated and numbered on first sight."""
-        try:
-            return self.kpi_memo[resource][metric]
-        except KeyError:
-            self.kpis.append(KpiId(resource, metric))
-            kid = self.kpi_memo.setdefault(resource, {})[metric] = len(self.kpis) - 1
-            return kid
 
     def _kpis(self, resources: List[str], metrics: List[str]) -> List[int]:
         """The number of each (resource, metric) pair, validating new ones."""
         try:
             return list(map(dict.__getitem__, map(self.kpi_memo.__getitem__, resources), metrics))
         except KeyError:
-            # numbered in order of first appearance
-            for names in dict.fromkeys(zip(resources, metrics)):
-                self._kpi(*names)
+            # validated and numbered in order of first appearance
+            for resource, metric in dict.fromkeys(zip(resources, metrics)):
+                if metric not in self.kpi_memo.get(resource, ()):
+                    self.kpis.append(KpiId(resource, metric))
+                    self.kpi_memo.setdefault(resource, {})[metric] = len(self.kpis) - 1
             return list(map(dict.__getitem__, map(self.kpi_memo.__getitem__, resources), metrics))
 
-    def read_body(self, stream: TextIO) -> None:
-        """Append the rows after the header, numbered from line 2."""
-        limit = csv.field_size_limit()
-        line_no = 2
-        while lines := stream.readlines(_BLOCK_CHARS):
-            text = "".join(lines)
-            if '"' in text:
-                self.add_rows(csv.reader(chain(lines, stream)), line_no)
-                return
-            # a CR that ends a CRLF line ending reads as a LF in csv.reader
-            stray_cr = "\r" in text and text.count("\r") != text.count("\r\n")
-            if stray_cr or "\0" in text or max(map(len, lines)) > limit:
-                self.add_rows(csv.reader(lines), line_no)
-            else:
-                self.add_block(lines, text, line_no)
-            # outside quotes every line is one record
-            line_no += len(lines)
-
     def add_rows(self, rows, line_no: int) -> None:
-        """Check and append parsed rows one at a time, numbering them from
-        ``line_no``."""
-        ts_memo = self.ts_memo
-        for line_no, row in enumerate(rows, start=line_no):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CsvParseError(line_no, f"expected 4 fields, got {len(row)}")
-            ts_text, resource, metric, value_text = row
-            ts = ts_memo.get(ts_text)
-            if ts is None:
-                try:
-                    ts = ts_memo[ts_text] = parse_timestamp(ts_text)
-                except ValueError:
-                    raise CsvParseError(line_no, f"bad timestamp {ts_text!r}") from None
-            try:
-                kid = self._kpi(resource, metric)
-            except ValueError as exc:
-                raise CsvParseError(line_no, str(exc)) from None
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise CsvParseError(line_no, f"bad value {value_text!r}") from None
-            if not math.isfinite(value):
-                raise CsvParseError(line_no, f"non-finite value {value_text!r}")
-            self.stamps.append(ts)
-            self.kids.append(kid)
-            self.values.append(value)
-            self.lines.append(line_no)
-
-    def add_block(self, block: List[str], text: str, line_no: int) -> None:
-        """Append a block of lines that hold no quote or NUL, and no CR but in
-        CRLF line endings, numbered from ``line_no``, column by column."""
-        lines, numbers = block, range(line_no, line_no + len(block))
-        if "\n" in block or "\r\n" in block:  # blank lines hold no row, as in csv.reader
-            numbers = [n for n, line in zip(numbers, block) if line not in _LINE_ENDINGS]
-            lines = [line for line in block if line not in _LINE_ENDINGS]
-            text = "".join(lines)
-        n = len(lines)
-        fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
+        """Check and append rows from :func:`csv.reader`, numbered from
+        ``line_no``, column by column in batches of ``_BATCH_ROWS``.  A row of
+        another width, or a record the reader cannot split, raises
+        :class:`CsvParseError` at its number once the rows before it pass."""
+        fields, numbers = [], []
         try:
-            if list(map(str.count, lines, repeat(","))).count(3) != n:
-                raise ValueError("a row without 4 fields")
-            stamps = self._timestamps(fields[0 : 4 * n : 4])
-            kids = self._kpis(fields[1 : 4 * n : 4], fields[2 : 4 * n : 4])
-            values = list(map(float, fields[3 : 4 * n : 4]))
-            if not np.isfinite(values).all():
-                raise ValueError("a non-finite value")
-        except ValueError:
-            # the row checks raise the block's first error in row order
-            self.add_rows(csv.reader(block), line_no)
+            for row in rows:
+                if len(row) == self.width:
+                    fields += row
+                    numbers.append(line_no)
+                elif row:
+                    self.add(fields, numbers)
+                    raise CsvParseError(line_no, f"expected {self.width} fields, got {len(row)}")
+                line_no += 1
+                if len(numbers) == _BATCH_ROWS:
+                    self.add(fields, numbers)
+                    fields, numbers = [], []
+        except csv.Error as exc:
+            self.add(fields, numbers)
+            raise CsvParseError(line_no, str(exc)) from None
+        self.add(fields, numbers)
+
+    def add(self, fields: List[str], numbers) -> None:
+        """Check and append the rows of ``fields``, ``width`` fields to a row
+        and numbered by ``numbers``, column by column.  Rows that fail a check
+        are checked again one at a time, which raises the first error in row
+        order as a :class:`CsvParseError`."""
+        w, n = self.width, len(numbers)
+        try:
+            stamps = self._timestamps(fields[0 : w * n : w])
+            kids = self._kpis(fields[1 : w * n : w], fields[2 : w * n : w])
+            tail = self.parse(*(fields[i : w * n : w] for i in range(3, w)))
+        except ValueError as exc:
+            if n == 1:
+                raise CsvParseError(numbers[0], str(exc)) from None
+            for i, number in enumerate(numbers):
+                self.add(fields[w * i : w * (i + 1)], [number])
             return
-        self.stamps.extend(stamps)
-        self.kids.extend(kids)
-        self.values.extend(values)
-        self.lines.extend(numbers)
+        for column, values in zip(self.columns, (numbers, stamps, kids, *tail)):
+            column.extend(values)
 
     def series_map(self) -> Dict[KpiId, TimeSeries]:
         """The map KpiId -> TimeSeries, or :class:`DuplicateSampleError` at
@@ -229,8 +241,7 @@ class _Columns:
         if not self.kpis:
             return {}
         kpis = self.kpis
-        columns = [self.lines, self.stamps, self.kids, self.values]
-        self.lines = self.stamps = self.kids = self.values = None
+        columns, self.columns = self.columns, None
         # KPIs are numbered in order of first appearance; sorting by (KPI,
         # timestamp, line) groups each KPI's samples in time order.
         order = np.lexsort([np.frombuffer(col, dtype=col.typecode) for col in columns[:3]])

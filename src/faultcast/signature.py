@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import FailureClass, FaultType, KpiId, SchemaVersionError
 from .detect import _MULTIVARIATE, _UNIVARIATE
-from .io import check_kind, load_json, save_json
+from .io import check_kind, load_json, save_json, typed
 from .metrics import Contingency
 
 logger = logging.getLogger(__name__)
@@ -176,15 +176,15 @@ class TreeNode:
     def from_dict(cls, data: dict) -> "TreeNode":
         if "feature" in data:
             return cls(
-                feature=int(data["feature"]),
+                feature=typed("tree feature", data["feature"], int),
                 nominal=cls.from_dict(data["nominal"]),
                 anomalous=cls.from_dict(data["anomalous"]),
             )
         return cls(
-            class_index=int(data["class_index"]),
-            total=int(data["total"]),
-            correct=int(data["correct"]),
-            counts=tuple(int(c) for c in data["counts"]),
+            class_index=typed("tree class_index", data["class_index"], int),
+            total=typed("tree total", data["total"], int),
+            correct=typed("tree correct", data["correct"], int),
+            counts=tuple(typed("tree counts", c, int) for c in data["counts"]),
         )
 
 
@@ -203,6 +203,7 @@ def _check_tree(root: TreeNode, n_classes: int, n_features: int) -> None:
             and 0 <= node.correct <= node.total
             and node.total >= 1
             and len(node.counts) == n_classes
+            and min(node.counts, default=0) >= 0
         ):
             raise ValueError(
                 f"tree leaf (class_index={node.class_index}, total={node.total}, "
@@ -584,43 +585,51 @@ class SignatureModel:
     def from_dict(cls, data: dict) -> "SignatureModel":
         check_kind(data, SIGNATURE_KIND, SIGNATURE_SCHEMA_VERSION)
         # a wrong type would load as another model: "false" as split kinds,
-        # 90.7 or true as a window length
-        split_kinds, window_min, entries = data["split_kinds"], data["window_min"], data["vocabulary"]
-        if not isinstance(split_kinds, bool):
-            raise TypeError(f"split_kinds {split_kinds!r} must be true or false")
-        if isinstance(window_min, bool) or not isinstance(window_min, int) or window_min <= 0:
-            raise TypeError(f"window_min {window_min!r} must be a positive integer")
-        for entry in entries:
+        # 90.7 or true as a window length, 2.7 as a leaf size
+        split_kinds = typed("split_kinds", data["split_kinds"], bool)
+        window_min = typed("window_min", data["window_min"], int)
+        if window_min <= 0:
+            raise ValueError(f"window_min {window_min} must be positive")
+        for entry in data["vocabulary"]:
             if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(name, str) for name in entry)):
                 raise TypeError(f"vocabulary entry {entry!r} must be two strings, a resource and a metric")
-        vocab = Vocabulary((KpiId(r, m) for r, m in entries), split_kinds=split_kinds)
+        vocab = Vocabulary((KpiId(r, m) for r, m in data["vocabulary"]), split_kinds=split_kinds)
         classes = tuple(FailureClass(FaultType(ft), res) for ft, res in data["classes"])
         algorithm = data["algorithm"]
         payload = data["model"]
         model: Union[DecisionTreeModel, NaiveBayesModel]
         if algorithm == "tree":
+            min_leaf, max_depth = typed("min_leaf", payload["min_leaf"], int), payload["max_depth"]
+            if min_leaf < 1:
+                raise ValueError(f"min_leaf {min_leaf} must be at least 1")
             model = DecisionTreeModel(
                 classes=classes,
                 n_features=vocab.dimension,
-                min_leaf=int(payload["min_leaf"]),
-                max_depth=payload["max_depth"],
+                min_leaf=min_leaf,
+                max_depth=None if max_depth is None else typed("max_depth", max_depth, int),
                 root=TreeNode.from_dict(payload["root"]),
             )
             _check_tree(model.root, len(classes), vocab.dimension)
         elif algorithm == "nb":
-            priors = np.asarray(payload["priors"], dtype=float)
-            theta = np.asarray(payload["theta"], dtype=float)
+            alpha = typed("alpha", payload["alpha"], float)
+            if not alpha > 0:
+                raise ValueError(f"alpha {alpha} must be positive")
+            priors = np.array([typed("priors", p, float) for p in payload["priors"]])
+            theta = np.array([[typed("theta", t, float) for t in row] for row in payload["theta"]])
             if priors.shape != (len(classes),) or theta.shape != (len(classes), vocab.dimension):
                 raise ValueError(
                     f"naive Bayes priors {priors.shape} and theta {theta.shape} do not fit "
                     f"{len(classes)} classes over {vocab.dimension} features"
                 )
+            # NaN fails both comparisons
+            if not all(((0.0 <= p) & (p <= 1.0)).all() for p in (priors, theta)):
+                raise ValueError("naive Bayes priors and theta must lie in [0, 1]")
             priors.setflags(write=False)
             theta.setflags(write=False)
             model = NaiveBayesModel(
                 classes=classes,
                 n_features=vocab.dimension,
-                alpha=float(payload["alpha"]),
+                alpha=alpha,
                 priors=priors,
                 theta=theta,
             )

@@ -77,6 +77,21 @@ from faultcast.signature import (
 logger = logging.getLogger(__name__)
 
 
+def csv_records(stream):
+    """``csv.reader``'s records; one it cannot split, such as a field over
+    ``csv.field_size_limit()``, raises :class:`CsvParseError` at its number,
+    the header's being 1."""
+    reader = csv.reader(stream)
+    for line_no in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise CsvParseError(line_no, str(exc)) from None
+        yield row
+
+
 def write_csv_rows(series_map, stream):
     """One ``csv.writer`` row and one ``strftime`` per sample."""
     writer = csv.writer(stream, lineterminator="\n")
@@ -89,7 +104,7 @@ def write_csv_rows(series_map, stream):
 
 def ingest_csv_rows(stream):
     """One ``strptime`` and one ``KpiId`` per row, a tuple sort per KPI."""
-    reader = csv.reader(stream)
+    reader = csv_records(stream)
     header = next(reader, None)
     if header != CSV_HEADER:
         raise CsvParseError(1, f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
@@ -550,7 +565,7 @@ def write_anomaly_log_rows(events, stream):
 
 def read_anomaly_log_rows(stream):
     """One ``AnomalyEvent`` per row, each validated on its own."""
-    reader = csv.reader(stream)
+    reader = csv_records(stream)
     header = next(reader, None)
     if header != ANOMALY_LOG_HEADER:
         raise CsvParseError(1, f"expected header {','.join(ANOMALY_LOG_HEADER)!r}, got {header!r}")
@@ -561,7 +576,11 @@ def read_anomaly_log_rows(stream):
         if len(row) != 5:
             raise CsvParseError(line_no, f"expected 5 fields, got {len(row)}")
         try:
-            ts, kpi = parse_timestamp(row[0]), KpiId(row[1], row[2])
+            ts = parse_timestamp(row[0])
+        except ValueError:
+            raise CsvParseError(line_no, f"bad timestamp {row[0]!r}") from None
+        try:
+            kpi = KpiId(row[1], row[2])
             events.append(AnomalyEvent(ts, kpi, AnomalyKind(row[3]), float(row[4])))
         except ValueError as exc:
             raise CsvParseError(line_no, str(exc)) from None

@@ -197,12 +197,12 @@ def test_train_signature_then_predict(short_pipeline, tmp_path):
             assert fields[2] == "MemoryLeak" and fields[3] == "Sprout", row
 
 
-def _tiny_signature(vocab):
-    """A tree trained on four hand-made windows over ``vocab``."""
+def _tiny_signature(vocab, algorithm="tree"):
+    """A tree, or naive Bayes, trained on four hand-made windows over ``vocab``."""
     leak = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
     marked = frozenset([(vocab.kpis[0], AnomalyKind.UNIVARIATE)])
     windows = [(0, 5400, marked, leak)] * 2 + [(0, 5400, frozenset(), NORMAL_CLASS)] * 2
-    return train_signature(oracles.pool_of(windows), vocab, "tree", 90)
+    return train_signature(oracles.pool_of(windows), vocab, algorithm, 90)
 
 
 def _online_args(command, short_pipeline, tmp_path, run_start):
@@ -239,6 +239,29 @@ def test_data_missing_a_baseline_kpi_is_rejected(short_pipeline, tmp_path, comma
     assert proc.stderr.startswith("error:"), proc.stderr
     assert "lacks 1 of" in proc.stderr and "Sprout/MemUsedPct" in proc.stderr, proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "train-signature"])
+def test_a_field_over_the_csv_size_limit_is_an_error_line(short_pipeline, tmp_path, command):
+    """A 200 000-character metric name in the KPI CSV that detect reads, or
+    in the anomaly log that train-signature reads."""
+    name, out = "m" * 200_000, tmp_path / "out"
+    baseline = str(short_pipeline["baseline"])
+    if command == "detect":
+        lines = short_pipeline["fault_csv"].read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(2, f"2026-01-06T10:00:00Z,Homer,{name},1.0\n")
+        data = tmp_path / "data.csv"
+        data.write_text("".join(lines), encoding="utf-8")
+        args = ["detect", "--baseline", baseline, "--data", str(data)]
+    else:
+        log = tmp_path / "anomalies.csv"
+        rows = ["2026-01-06T10:00:00Z,Homer,CpuIdlePct,Univariate,4.0", f"2026-01-06T10:05:00Z,Homer,{name},Univariate,4.0"]
+        log.write_text("interval_start,resource,metric,kind,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        args = ["train-signature", "--baseline", baseline, "--run", str(log), str(short_pipeline["fault_manifest"])]
+    proc = run_cli(*args, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 3: field larger than field limit (131072)\n", proc.stderr[-300:]
+    assert not out.exists()
 
 
 def _data_args(command, short_pipeline, tmp_path, edit):
@@ -563,19 +586,44 @@ def test_predict_rejects_a_malformed_signature_file(short_pipeline, tmp_path, sp
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "algorithm, path, value, named",
     [
-        ("split_kinds", "false"),  # loaded as a split vocabulary under an unsplit tree
-        ("window_min", 90.7),
-        ("window_min", True),
-        ("window_min", "90"),
+        ("tree", ["split_kinds"], "false", "split_kinds 'false' must be true or false"),
+        ("tree", ["window_min"], 90.7, "window_min 90.7 must be an integer"),
+        ("tree", ["window_min"], True, "window_min True must be an integer"),
+        ("tree", ["window_min"], "90", "window_min '90' must be an integer"),
+        ("nb", ["model", "theta", 0, 0], "0.5", "theta '0.5' must be a number"),
+        ("nb", ["model", "theta", 0, 0], True, "theta True must be a number"),
+        ("nb", ["model", "theta", 0, 0], 7.0, "priors and theta must lie in [0, 1]"),
+        ("nb", ["model", "alpha"], True, "alpha True must be a number"),
+        ("nb", ["model", "priors", 0], float("nan"), "priors and theta must lie in [0, 1]"),
+        ("tree", ["model", "min_leaf"], 2.7, "min_leaf 2.7 must be an integer"),
+        ("tree", ["model", "min_leaf"], True, "min_leaf True must be an integer"),
+        ("tree", ["model", "max_depth"], "3", "max_depth '3' must be an integer"),
     ],
-    ids=["split-kinds-string", "window-min-fraction", "window-min-bool", "window-min-string"],
+    ids=[
+        "split-kinds-string",
+        "window-min-fraction",
+        "window-min-bool",
+        "window-min-string",
+        "theta-string",
+        "theta-bool",
+        "theta-above-one",
+        "alpha-bool",
+        "prior-nan",
+        "min-leaf-fraction",
+        "min-leaf-bool",
+        "max-depth-string",
+    ],
 )
-def test_predict_rejects_a_signature_field_of_the_wrong_type(short_pipeline, tmp_path, field, value):
+def test_predict_rejects_a_signature_field_of_the_wrong_type(short_pipeline, tmp_path, algorithm, path, value, named):
     vocab = Vocabulary(BaselineModel.load(short_pipeline["baseline"]).baselines.keys())
-    data = _tiny_signature(vocab).to_dict()
-    data[field] = value
+    data = _tiny_signature(vocab, algorithm).to_dict()
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
     signature = tmp_path / "signature.json"
     signature.write_text(json.dumps(data), encoding="utf-8")
     proc = run_cli(
@@ -590,8 +638,8 @@ def test_predict_rejects_a_signature_field_of_the_wrong_type(short_pipeline, tmp
         str(tmp_path / "alerts.csv"),
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert str(signature) in proc.stderr and f"{field} {value!r}" in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"error: malformed {signature}: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert named in proc.stderr, proc.stderr
 
 
 def test_missing_input_file_exits_nonzero(tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import detect_multivariate, detect_univariate, predict_from_edge
 
+import faultcast.io
 from faultcast import detect
 from faultcast.baseline import BaselineConfig, BaselineModel, GrangerEdge, UnivariateBaseline
 from faultcast.core import (
@@ -594,9 +595,40 @@ log_events = st.builds(
 )
 
 
+def in_blocks(block_chars):
+    """``read_anomaly_log`` reading blocks of about ``block_chars``
+    characters: small blocks put block boundaries between every few lines,
+    and batch boundaries between every few rows from ``csv.reader``."""
+
+    def read(stream):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(faultcast.io, "_BLOCK_CHARS", block_chars)
+            patch.setattr(faultcast.io, "_BATCH_ROWS", 1 + block_chars // 50)
+            return read_anomaly_log(stream)
+
+    return read
+
+
+#: one line to a few lines per block
+BLOCK_CHARS = st.integers(1, 200)
+
+
+def unquoted(events, plain):
+    """``events``, or when ``plain`` those whose KPI the csv writer does not
+    quote, so that the reader takes the column path."""
+    return [event for event in events if not plain or '"' not in event.kpi.resource]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(log_events, max_size=40))
-def test_anomaly_log_round_trips_with_the_row_writers_bytes(events):
+@given(
+    st.lists(log_events, max_size=40),
+    st.booleans(),
+    st.sampled_from(["\n", "\r\n"]),
+    st.lists(st.integers(0, 10**6), max_size=3),
+    BLOCK_CHARS,
+)
+def test_anomaly_log_round_trips_with_the_row_writers_bytes(events, plain, ending, blanks, block_chars):
+    events = unquoted(events, plain)
     expected = io.StringIO()
     oracles.write_anomaly_log_rows(events, expected)
     for given_events in (events, AnomalyEvents.of(events)):
@@ -606,6 +638,13 @@ def test_anomaly_log_round_trips_with_the_row_writers_bytes(events):
         back = read_anomaly_log(io.StringIO(buf.getvalue()))
         assert back == given_events and back == events
         assert back == oracles.read_anomaly_log_rows(io.StringIO(buf.getvalue()))
+    # CRLF endings and blank lines, read a few lines at a time
+    header, *body = buf.getvalue().split("\n")[:-1]
+    for where in blanks:
+        body.insert(where % (len(body) + 1), "")
+    text = ending.join([header, *body, ""])
+    back = in_blocks(block_chars)(io.StringIO(text))
+    assert back == events and back == oracles.read_anomaly_log_rows(io.StringIO(text))
 
 
 #: A bad value for one field of a log row; field 5 is one field too many
@@ -615,7 +654,9 @@ bad_fields = st.sampled_from(
         (0, "2026-13-01T00:00:00Z"),
         (0, ""),
         (1, ""),
+        (1, 'Ralph "db"'),  # quoted: the rest of the log goes through csv.reader
         (2, "a\rb"),
+        (2, "a\0b"),
         (3, "univariate"),
         (3, "Sideways"),
         (4, "-1.0"),
@@ -629,9 +670,18 @@ bad_fields = st.sampled_from(
 )
 
 
+def log_outcome(read, text):
+    """The events a reader returns, or the type and message it raises."""
+    try:
+        return list(read(io.StringIO(text)))
+    except CsvParseError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(log_events, min_size=1, max_size=12), st.data())
-def test_anomaly_log_reader_errors_match_the_row_reader(events, data):
+@given(st.lists(log_events, min_size=1, max_size=12), st.booleans(), st.data())
+def test_anomaly_log_reader_errors_match_the_row_reader(events, plain, data):
+    events = unquoted(events, plain) or events[:1]
     buf = io.StringIO()
     oracles.write_anomaly_log_rows(events, buf)
     lines = buf.getvalue().split("\n")
@@ -642,15 +692,40 @@ def test_anomaly_log_reader_errors_match_the_row_reader(events, data):
     out = io.StringIO()
     csv.writer(out, lineterminator="").writerow(row)
     lines[line] = out.getvalue()
+    # a stray CR or a NUL after the first comma, unquoted
+    stray = data.draw(st.sampled_from(["", "\r", "\0"]))
+    lines[line] = lines[line].replace(",", "," + stray, 1)
     if data.draw(st.booleans()):
         lines.insert(line, "")  # a blank line still counts
-    text = "\n".join(lines)
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    got = log_outcome(in_blocks(data.draw(BLOCK_CHARS)), text)
+    assert got == log_outcome(read_anomaly_log, text)
+    assert got == log_outcome(oracles.read_anomaly_log_rows, text)
 
-    def outcome(read):
-        try:
-            return read(io.StringIO(text))
-        except Exception as exc:  # noqa: BLE001 -- the type and message are compared
-            return type(exc), str(exc)
 
-    got, want = outcome(read_anomaly_log), outcome(oracles.read_anomaly_log_rows)
-    assert got == want
+@pytest.mark.parametrize(
+    "damage",
+    [None, (0, "2026-13-01T00:00:00Z"), (2, ""), (3, "Sideways"), (4, "nan"), (4, "1,5"), (4, "1\0"), (3, 'Uni"variate')],
+)
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_a_log_of_several_blocks_reads_like_the_row_reader(damage, ending):
+    """A log longer than four ``_BLOCK_CHARS`` blocks, damaged five eighths
+    of the way in."""
+    kpis = [KpiId("Homer", "CpuIdlePct"), KpiId("Sprout", "MemUsedPct"), KpiId("Ralph", "Mem Used")]
+    events = [AnomalyEvent(300 * (i // 3), kpis[i % 3], list(AnomalyKind)[i // 3 % 2], i / 7) for i in range(4500)]
+    buf = io.StringIO()
+    write_anomaly_log(events, buf)
+    lines = buf.getvalue().split("\n")
+    assert len(buf.getvalue()) > 4 * faultcast.io._BLOCK_CHARS
+    at = len(lines) * 5 // 8
+    if damage is not None:
+        row = lines[at].split(",")
+        row[damage[0]] = damage[1]
+        lines[at] = ",".join(row)
+    text = ending.join(lines)
+    got = log_outcome(read_anomaly_log, text)
+    assert got == log_outcome(oracles.read_anomaly_log_rows, text)
+    if damage is None:
+        assert got == events
+    else:
+        assert got[0] is CsvParseError and got[1].startswith(f"line {at + 1}: ")

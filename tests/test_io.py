@@ -266,17 +266,17 @@ def outcome(reader, text, newline=""):
         return list(reader(io.StringIO(text, newline=newline)).items())
     except CsvParseError as exc:
         return type(exc), exc.line_no, str(exc)
-    except csv.Error as exc:
-        return type(exc), str(exc)
 
 
 def in_blocks(block_chars):
     """``ingest_csv`` reading blocks of about ``block_chars`` characters:
-    small blocks put block boundaries between every few lines."""
+    small blocks put block boundaries between every few lines, and batch
+    boundaries between every few rows from ``csv.reader``."""
 
     def read(stream):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(faultcast.io, "_BLOCK_CHARS", block_chars)
+            patch.setattr(faultcast.io, "_BATCH_ROWS", 1 + block_chars // 50)
             return ingest_csv(stream)
 
     return read
@@ -419,14 +419,14 @@ def test_line_endings_read_like_the_oracle(series_map, rnd, block_chars, endings
             "1970-01-01T00:00:00Z,Homer,CpuIdlePct,1,1970-01-01T00:01:00Z\nHomer,CpuIdlePct,2\n",
             (CsvParseError, 2, "line 2: expected 4 fields, got 5"),
         ),
-        # float takes "\r1", csv.reader ends the row at the CR
-        ("1970-01-01T00:00:00Z,Homer,CpuIdlePct,\r1\n", (csv.Error,)),
+        # float takes "\r1", csv.reader ends the row at the CR and fails
+        ("1970-01-01T00:00:00Z,Homer,CpuIdlePct,\r1\n", (CsvParseError, 2, "line 2: new-line character seen")),
     ],
     ids=["five-then-three-fields", "cr-before-a-value"],
 )
 def test_rows_that_split_like_good_ones_fail_like_the_oracle(body, expected):
     result = same_outcome(HEADER + body, 1 << 16, newline="\n")
-    assert result[: len(expected)] == expected
+    assert result[: len(expected) - 1] == expected[:-1] and result[-1].startswith(expected[-1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -512,7 +512,18 @@ def test_a_field_over_the_default_size_limit_fails_like_the_oracle():
     rows = [HEADER, "1970-01-01T00:00:00Z,Homer,CpuIdlePct,1\n"]
     rows.append("1970-01-01T00:01:00Z,Homer," + "m" * (limit + 1) + ",2\n")
     result = same_outcome("".join(rows), 1 << 16)
-    assert result == (csv.Error, f"field larger than field limit ({limit})")
+    assert result == (CsvParseError, 3, f"line 3: field larger than field limit ({limit})")
+
+
+@pytest.mark.parametrize("first", ["bad-value", "over-the-limit"])
+def test_a_batch_raises_its_first_error_first(first):
+    """A bad row and a record csv.reader cannot split, in one batch of rows:
+    the error of the earlier line is raised."""
+    bad = "1970-01-01T00:01:00Z,Homer,CpuIdlePct,five\n"
+    over = "1970-01-01T00:02:00Z,Homer," + "m" * (csv.field_size_limit() + 1) + ",2\n"
+    body = [bad, over] if first == "bad-value" else [over, bad]
+    result = same_outcome(HEADER + "1970-01-01T00:00:00Z,Homer,CpuIdlePct,1\n" + "".join(body), 1 << 16)
+    assert result[:2] == (CsvParseError, 3)
 
 
 # ---------------------------------------------------------------------------

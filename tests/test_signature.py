@@ -677,6 +677,7 @@ def first_leaf(node):
         ("nb", lambda m: m["priors"].pop()),
         ("nb", lambda m: m["theta"].pop()),
         ("nb", lambda m: [row.pop() for row in m["theta"]]),
+        ("tree", lambda m: first_leaf(m["root"])["counts"].__setitem__(0, -1)),  # a negative probability
     ],
 )
 def test_signature_rejects_a_model_it_cannot_evaluate(algorithm, corrupt):
