@@ -62,6 +62,10 @@ class UnivariateBaseline:
             raise ValueError("bucket_stds must have 168 entries")
         if not 0.0 < self.k_sigma < math.inf:
             raise ValueError(f"k_sigma {self.k_sigma!r} must be finite and positive")
+        if not 0.0 < self.std_floor < math.inf:
+            raise ValueError(f"std_floor {self.std_floor!r} must be finite and positive")
+        if not np.isfinite(np.r_[self.bucket_means, self.bucket_stds, self.global_mean, self.global_std]).all():
+            raise ValueError(f"the bucket and global means and stds of {self.kpi} must be finite")
         if np.any(self.bucket_stds < self.std_floor):
             raise ValueError("bucket stds must respect the std floor")
 
@@ -410,8 +414,10 @@ class GrangerEdge:
             raise ValueError("edge weight must lie in [0, 1]")
         if len(self.coefficients) != 2 * self.lag_order + 1:
             raise ValueError("expected 2p + 1 regression coefficients")
-        if self.residual_std <= 0:
-            raise ValueError("residual_std must be positive")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError("regression coefficients must be finite")
+        if not 0.0 < self.residual_std < math.inf:
+            raise ValueError(f"residual_std {self.residual_std!r} must be finite and positive")
 
 
 #: A pair takes the projection route only when that is clearly well posed;
@@ -617,12 +623,7 @@ def build_graph(
     reference.  Kept edges and rank verdicts match it; the floats round
     differently, in the last ~10 significant digits.
     """
-    if p <= 0:
-        raise ValueError("lag order must be positive")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 <= prefilter_r < 1.0:
-        raise ValueError(f"prefilter_r {prefilter_r!r} must lie in [0, 1)")
+    BaselineConfig(lag_order=p, alpha=alpha, prefilter_r=prefilter_r)  # checks the settings
     kpis = sorted(training)
     frame = Frame.of(training, kpis)
     full = frame.history(p)
@@ -660,6 +661,16 @@ class BaselineConfig:
     alpha: float = DEFAULT_ALPHA
     k_sigma: float = DEFAULT_K_SIGMA
     prefilter_r: float = DEFAULT_PREFILTER_R
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("lag_order", self.lag_order >= 1, "at least 1"),
+            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
+            ("k_sigma", 0 < self.k_sigma < math.inf, "finite and positive"),
+            ("prefilter_r", 0 <= self.prefilter_r < 1, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
 
 
 class EdgeArrays(NamedTuple):
@@ -785,6 +796,8 @@ class BaselineModel:
         baselines: Dict[KpiId, UnivariateBaseline] = {}
         for item in data["baselines"]:
             kpi = KpiId(item["resource"], item["metric"])
+            if kpi in baselines:
+                raise ValueError(f"{kpi} has two baselines")
             buckets = [np.array([typed(f"{kpi} {key}", v, float) for v in item[key]]) for key in _BUCKETS]
             for array in buckets:
                 array.setflags(write=False)

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .baseline import DEFAULT_ALPHA, DEFAULT_K_SIGMA, DEFAULT_LAG_ORDER, DEFAULT_PREFILTER_R
 from .baseline import BaselineModel, fit_baseline_model
-from .core import CADENCE_S, FaultcastError, format_timestamp, parse_timestamp
-from .detect import check_tau, detect_stream, read_anomaly_log, write_anomaly_log
+from .core import CADENCE_S, DEFAULT_STEP_MIN, DEFAULT_WINDOW_MIN, FaultcastError, format_timestamp, parse_timestamp
+from .detect import DEFAULT_TAU, check_tau, detect_stream, read_anomaly_log, write_anomaly_log
 from .evaluate import (
     RQ1_WINDOW_LENGTHS,
     RunRecord,
@@ -28,7 +29,7 @@ from .evaluate import (
     run_rq4,
 )
 from .io import RunManifest, _open_text, ingest_csv, write_csv
-from .predict import check_alert_rule, run_predictor, write_alert_log
+from .predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, check_alert_rule, run_predictor, write_alert_log
 from .sim import default_topology, load_scenario
 from .signature import SignatureModel, Vocabulary, train_signature
 
@@ -198,11 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-baseline", help="fit per-KPI baselines and the causality graph")
     p.add_argument("--data", required=True, nargs="+", help="training KPI CSV file(s)")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--k-sigma", type=float, default=3.0, help="tolerance band width (default 3.0)")
-    p.add_argument("--lag-order", type=int, default=3, help="causality test lag order (default 3)")
-    p.add_argument("--alpha", type=float, default=0.01, help="causality significance level (default 0.01)")
+    p.add_argument("--k-sigma", type=float, default=DEFAULT_K_SIGMA, help="tolerance band width (default %(default)s)")
     p.add_argument(
-        "--prefilter-r", type=float, default=0.2, help="minimum |Pearson r| to test a pair (default 0.2)"
+        "--lag-order", type=int, default=DEFAULT_LAG_ORDER, help="causality test lag order (default %(default)s)"
+    )
+    p.add_argument(
+        "--alpha", type=float, default=DEFAULT_ALPHA, help="causality significance level (default %(default)s)"
+    )
+    p.add_argument(
+        "--prefilter-r",
+        type=float,
+        default=DEFAULT_PREFILTER_R,
+        help="minimum |Pearson r| to test a pair (default %(default)s)",
     )
     p.add_argument(
         "--allow-short",
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="run KPI CSV")
     p.add_argument("--out", required=True, help="output anomaly CSV path")
     p.add_argument("--run-start", default=None, help="run start (ISO UTC); default: first sample")
-    p.add_argument("--tau", type=float, default=3.0, help="causality residual threshold (default 3.0)")
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="causality residual threshold (default %(default)s)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("train-signature", help="train the window classifier from detected runs")
@@ -230,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="anomaly CSV plus run manifest; repeat per run",
     )
     p.add_argument("--algo", choices=("tree", "nb"), default="tree", help="classifier family")
-    p.add_argument("--window-min", type=int, default=90, help="sliding window length in minutes")
-    p.add_argument("--step-min", type=int, default=5, help="window step in minutes")
+    p.add_argument("--window-min", type=int, default=DEFAULT_WINDOW_MIN, help="sliding window length in minutes")
+    p.add_argument("--step-min", type=int, default=DEFAULT_STEP_MIN, help="window step in minutes")
     p.add_argument(
         "--split-kinds",
         action="store_true",
@@ -246,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="run KPI CSV")
     p.add_argument("--out", required=True, help="output alert CSV path")
     p.add_argument("--run-start", default=None, help="run start (ISO UTC); default: first sample")
-    p.add_argument("--tau", type=float, default=3.0, help="causality residual threshold (default 3.0)")
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="causality residual threshold (default %(default)s)")
     p.add_argument(
-        "--confidence", type=float, default=0.9, help="confidence needed to build an alert streak"
+        "--confidence", type=float, default=DEFAULT_CONFIDENCE, help="confidence needed to build an alert streak"
     )
     p.add_argument(
-        "--streak", type=int, default=4, help="consecutive confident windows before a specific alert"
+        "--streak", type=int, default=DEFAULT_STREAK, help="consecutive confident windows before a specific alert"
     )
     p.set_defaults(func=cmd_predict)
 

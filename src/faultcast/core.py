@@ -32,11 +32,12 @@ class FaultcastError(Exception):
 
 
 class CsvParseError(FaultcastError):
-    """A malformed CSV row.  Carries the 1-based line number."""
+    """A malformed CSV row.  Carries the 1-based line number and the message;
+    an error from reading a file names the file first."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no: int, message: str, path=None):
+        super().__init__(f"line {line_no}: {message}" if path is None else f"{path}: line {line_no}: {message}")
+        self.line_no, self.message = line_no, message
 
 
 class DuplicateSampleError(CsvParseError):
@@ -298,6 +299,19 @@ class AnomalyKind(str, Enum):
 
     UNIVARIATE = "Univariate"
     MULTIVARIATE = "Multivariate"
+
+
+#: A kind's code is its index here, the order AnomalyEvent sorts kinds in, so
+#: sorting codes sorts events.  ``AnomalyEvents.kind``, ``Windows.cells``,
+#: ``Vocabulary.bits`` and the predictor's ``last_seen`` all use the codes.
+_KINDS = (AnomalyKind.MULTIVARIATE, AnomalyKind.UNIVARIATE)
+_MULTIVARIATE, _UNIVARIATE = range(len(_KINDS))
+_KIND_CODES = {kind.value: code for code, kind in enumerate(_KINDS)}
+
+
+#: The signature window's length and the step between windows, in minutes.
+DEFAULT_WINDOW_MIN = 90
+DEFAULT_STEP_MIN = 5
 
 
 def slide_windows(run_start: int, run_end: int, l_min: int, step_min: int):

@@ -14,6 +14,10 @@ import numpy as np
 
 from .baseline import BaselineModel
 from .core import (
+    _KIND_CODES,
+    _KINDS,
+    _MULTIVARIATE,
+    _UNIVARIATE,
     CADENCE_S,
     INTERVAL_S,
     AnomalyKind,
@@ -52,13 +56,6 @@ class AnomalyEvent:
     def __post_init__(self):
         if self.score < 0 or not math.isfinite(self.score):
             raise ValueError(_SCORE_ERROR)
-
-
-#: An event column's kind codes index this tuple; it is in the order
-#: AnomalyEvent sorts kinds, so sorting codes sorts events.
-_KINDS = (AnomalyKind.MULTIVARIATE, AnomalyKind.UNIVARIATE)
-_MULTIVARIATE, _UNIVARIATE = range(len(_KINDS))
-_KIND_CODES = {kind.value: code for code, kind in enumerate(_KINDS)}
 
 
 class AnomalyEvents(Sequence):
@@ -311,7 +308,9 @@ def _kinds_and_scores(kinds: List[str], scores: List[str]):
 def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> AnomalyEvents:
     """Read a log written by :func:`write_anomaly_log`, in file order, by the
     KPI CSV's row reader :func:`~faultcast.io.read_rows`.  A malformed row
-    raises :class:`CsvParseError` with its line number."""
-    rows = read_rows(source, ANOMALY_LOG_HEADER, _kinds_and_scores, "bd")
+    raises :class:`CsvParseError` with its line number, and the file's name
+    when ``source`` is a path."""
+    with _open_text(source, "r") as stream:
+        rows = read_rows(stream, ANOMALY_LOG_HEADER, _kinds_and_scores, "bd")
     _, start, kpi, kind, score = rows.columns
     return AnomalyEvents(rows.kpis, start, kpi, kind, score)

@@ -18,16 +18,18 @@ a row of ``default_run_specs``, ``rq3_run_specs`` or ``rq4_run_specs``.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baseline import BaselineModel, fit_baseline_model
+from .baseline import DEFAULT_ALPHA, DEFAULT_K_SIGMA, DEFAULT_LAG_ORDER, DEFAULT_PREFILTER_R
+from .baseline import BaselineConfig, BaselineModel, fit_baseline_model
 from .core import (
     DAY_S,
+    DEFAULT_STEP_MIN,
+    DEFAULT_WINDOW_MIN,
     FailureClass,
     FaultType,
     KpiId,
@@ -39,7 +41,7 @@ from .core import (
     parse_timestamp,
     slide_windows,
 )
-from .detect import AnomalyEvent, AnomalyEvents, detect_stream
+from .detect import DEFAULT_TAU, AnomalyEvent, AnomalyEvents, check_tau, detect_stream
 from .io import RunManifest, check_kind, check_types, load_json, save_json
 from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
 from .predict import EarlinessReport, measure_earliness, run_predictor
@@ -83,14 +85,14 @@ class SuiteConfig:
     run_hour: int = 10  # start hour of the faulty and clean runs
     quiet_hour: int = 22  # start hour of the random-deviation runs
     fault_targets: Tuple[str, ...] = ("Sprout", "Homer")
-    window_min: int = 90
-    step_min: int = 5
+    window_min: int = DEFAULT_WINDOW_MIN
+    step_min: int = DEFAULT_STEP_MIN
     folds: int = 10
-    k_sigma: float = 3.0
-    lag_order: int = 3
-    alpha: float = 0.01
-    prefilter_r: float = 0.2
-    tau: float = 3.0
+    k_sigma: float = DEFAULT_K_SIGMA
+    lag_order: int = DEFAULT_LAG_ORDER
+    alpha: float = DEFAULT_ALPHA
+    prefilter_r: float = DEFAULT_PREFILTER_R
+    tau: float = DEFAULT_TAU
     seed: int = 2026
     allow_short_training: bool = False
     workload: WorkloadModel = field(default_factory=WorkloadModel)
@@ -108,14 +110,11 @@ class SuiteConfig:
             ("window_min", self.window_min > 0, "positive"),
             ("training_days", self.training_days > 0, "positive"),
             ("injection_min", 0 <= self.injection_min < minutes, f"in [0, {minutes}), inside the run"),
-            ("k_sigma", 0 < self.k_sigma < math.inf, "finite and positive"),
-            ("lag_order", self.lag_order >= 1, "at least 1"),
-            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
-            ("prefilter_r", 0 <= self.prefilter_r < 1, "in [0, 1)"),
-            ("tau", 0 <= self.tau < math.inf, "finite and non-negative"),
         ):
             if not ok:
                 raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
+        BaselineConfig(self.lag_order, self.alpha, self.k_sigma, self.prefilter_r)  # the baseline's own rules
+        check_tau(self.tau)
         if self.window_min > minutes:
             raise ValueError(f"window_min {self.window_min} exceeds run_duration_min {minutes}")
 
@@ -496,7 +495,7 @@ def run_rq3(data: SuiteData) -> List[Rq3Run]:
     config = data.config
     specs = rq3_run_specs(config, RQ3_DEVIATIONS, RQ3_RUNS_PER_DEVIATION, RQ3_RUN_MIN)
     runs = [detect_run(config, data.baseline, spec) for spec in specs]
-    top = data.signature.top_classes(assemble_windows(runs, config.window_min, config.step_min))
+    top = [cls for cls, _ in data.signature.top(assemble_windows(runs, config.window_min, config.step_min))]
     results: List[Rq3Run] = []
     at = 0
     for spec in specs:  # the pool holds each run's windows in turn

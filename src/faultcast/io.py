@@ -41,10 +41,14 @@ MANIFEST_SCHEMA_VERSION = 1
 @contextmanager
 def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
     """A path opened as UTF-8 text and closed on exit, or a caller's own
-    stream passed through and left open."""
+    stream passed through and left open.  A :class:`CsvParseError` raised
+    while a path is open gains the file's name, keeping its type and line."""
     if isinstance(path_or_stream, (str, os.PathLike)):
         with open(path_or_stream, mode, encoding="utf-8", newline="") as stream:
-            yield stream
+            try:
+                yield stream
+            except CsvParseError as exc:
+                raise type(exc)(exc.line_no, exc.message, path_or_stream) from None
     else:
         yield path_or_stream
 
@@ -64,12 +68,14 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
     arrive in any order; samples are sorted per KPI.  Malformed rows raise
     :class:`CsvParseError` (:func:`read_rows`), a non-finite value too; a
     repeated (timestamp, KPI) pair raises :class:`DuplicateSampleError`.
+    Either names the file when ``source`` is a path.
     """
-    return read_rows(source, CSV_HEADER, _finite_values, "d").series_map()
+    with _open_text(source, "r") as stream:
+        return read_rows(stream, CSV_HEADER, _finite_values, "d").series_map()
 
 
-def read_rows(source: Union[str, os.PathLike, TextIO], header: List[str], parse, types: str) -> "_Columns":
-    """Read a CSV whose header is exactly ``header`` and whose rows are
+def read_rows(stream: TextIO, header: List[str], parse, types: str) -> "_Columns":
+    """Read a CSV stream whose header is exactly ``header`` and whose rows are
     ``timestamp,resource,metric`` then one field per typecode of ``types``,
     typed by ``parse``, into :class:`_Columns`.  A malformed row raises
     :class:`CsvParseError` with its line number: a row of another width, a
@@ -86,32 +92,31 @@ def read_rows(source: Union[str, os.PathLike, TextIO], header: List[str], parse,
     column, and a batch that fails a check is checked again row by row,
     which raises the first error in row order.
     """
-    with _open_text(source, "r") as stream:
-        try:
-            found = next(csv.reader(stream), None)
-        except csv.Error as exc:
-            raise CsvParseError(1, str(exc)) from None
-        if found != header:
-            raise CsvParseError(1, f"expected header {','.join(header)!r}, got {found!r}")
-        columns = _Columns(parse, types)
-        limit = csv.field_size_limit()
-        line_no = 2
-        while block := stream.readlines(_BLOCK_CHARS):
-            text = "".join(block)
-            if '"' in text:
-                columns.add_rows(csv.reader(chain(block, stream)), line_no)
-                break
-            # a CR that ends a CRLF line ending reads as a LF in csv.reader
-            stray_cr = "\r" in text and text.count("\r") != text.count("\r\n")
-            # a blank line holds no comma
-            widths = list(map(str.count, block, repeat(","))).count(columns.width - 1)
-            if stray_cr or "\0" in text or max(map(len, block)) > limit or widths != len(block):
-                columns.add_rows(csv.reader(block), line_no)
-            else:
-                fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
-                columns.add(fields, range(line_no, line_no + len(block)))
-            # outside quotes every line is one record
-            line_no += len(block)
+    try:
+        found = next(csv.reader(stream), None)
+    except csv.Error as exc:
+        raise CsvParseError(1, str(exc)) from None
+    if found != header:
+        raise CsvParseError(1, f"expected header {','.join(header)!r}, got {found!r}")
+    columns = _Columns(parse, types)
+    limit = csv.field_size_limit()
+    line_no = 2
+    while block := stream.readlines(_BLOCK_CHARS):
+        text = "".join(block)
+        if '"' in text:
+            columns.add_rows(csv.reader(chain(block, stream)), line_no)
+            break
+        # a CR that ends a CRLF line ending reads as a LF in csv.reader
+        stray_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+        # a blank line holds no comma
+        widths = list(map(str.count, block, repeat(","))).count(columns.width - 1)
+        if stray_cr or "\0" in text or max(map(len, block)) > limit or widths != len(block):
+            columns.add_rows(csv.reader(block), line_no)
+        else:
+            fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
+            columns.add(fields, range(line_no, line_no + len(block)))
+        # outside quotes every line is one record
+        line_no += len(block)
     return columns
 
 
@@ -369,7 +374,7 @@ def load_json(path, from_dict):
             return from_dict(json.load(fh))
     except SchemaVersionError as exc:
         raise SchemaVersionError(f"{os.fspath(path)}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed {os.fspath(path)}: {type(exc).__name__} {exc}") from exc
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .baseline import BaselineModel
 from .core import (
+    _KINDS,
     INTERVAL_S,
     FailureClass,
     KpiId,
@@ -19,7 +20,7 @@ from .core import (
     TimeSeries,
     format_timestamp,
 )
-from .detect import _KINDS, AnomalyEvent, AnomalyEvents, detect_stream
+from .detect import DEFAULT_TAU, AnomalyEvent, AnomalyEvents, detect_stream
 from .io import RunManifest, _open_text
 from .signature import SignatureModel
 
@@ -157,7 +158,7 @@ def step(
         last_seen[numbers, events.kind] = interval_start
         last_seen.setflags(write=False)
     interim = replace(state, kpis=kpis, last_seen=last_seen, last_interval=interval_start)
-    top_class, top_p = signature.classify_bits(signature.vocabulary.encode(interim)).top()
+    ((top_class, top_p),) = signature.top(interim)
 
     if top_class.is_normal:
         return replace(interim, streak_class=None, streak_len=0, active_class=None, fs_fired=False), None
@@ -192,7 +193,7 @@ def run_predictor(
     run_start: int,
     run_end: int,
     *,
-    tau: float = 3.0,
+    tau: float = DEFAULT_TAU,
     confidence_threshold: float = DEFAULT_CONFIDENCE,
     streak_needed: int = DEFAULT_STREAK,
 ) -> List[Alert]:

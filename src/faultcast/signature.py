@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import FailureClass, FaultType, KpiId, SchemaVersionError
-from .detect import _MULTIVARIATE, _UNIVARIATE
+from .core import _MULTIVARIATE, _UNIVARIATE, DEFAULT_WINDOW_MIN, FailureClass, FaultType, KpiId, SchemaVersionError
 from .io import check_kind, load_json, save_json, typed
 from .metrics import Contingency
 
@@ -29,6 +29,9 @@ DEFAULT_ALPHA = 1.0
 
 #: Gains below this are treated as zero when growing trees.
 _GAIN_EPS = 1e-12
+
+#: Cells of the [rows, nodes] next-node map a tree's descent builds at once.
+_DESCENT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,101 +117,8 @@ class Vocabulary:
         )
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Probabilities over the model's failure classes; sums to one."""
-
-    probabilities: Dict[FailureClass, float]
-
-    def top(self) -> Tuple[FailureClass, float]:
-        """The most likely class; ties break toward the smallest class."""
-        best = None
-        best_p = -1.0
-        for cls in sorted(self.probabilities):
-            p = self.probabilities[cls]
-            if p > best_p:
-                best, best_p = cls, p
-        return best, best_p
-
-    def __getitem__(self, cls: FailureClass) -> float:
-        return self.probabilities.get(cls, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # decision tree
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Either a decision on one feature bit or a leaf with its class counts.
-
-    Leaves carry the (total, correct) pair of training samples that reached
-    them, plus the full per-class counts used to spread residual mass.
-    """
-
-    feature: Optional[int] = None
-    nominal: Optional["TreeNode"] = None
-    anomalous: Optional["TreeNode"] = None
-    class_index: Optional[int] = None
-    total: int = 0
-    correct: int = 0
-    counts: Tuple[int, ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {
-                "class_index": self.class_index,
-                "total": self.total,
-                "correct": self.correct,
-                "counts": list(self.counts),
-            }
-        return {
-            "feature": self.feature,
-            "nominal": self.nominal.to_dict(),
-            "anomalous": self.anomalous.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TreeNode":
-        if "feature" in data:
-            return cls(
-                feature=typed("tree feature", data["feature"], int),
-                nominal=cls.from_dict(data["nominal"]),
-                anomalous=cls.from_dict(data["anomalous"]),
-            )
-        return cls(
-            class_index=typed("tree class_index", data["class_index"], int),
-            total=typed("tree total", data["total"], int),
-            correct=typed("tree correct", data["correct"], int),
-            counts=tuple(typed("tree counts", c, int) for c in data["counts"]),
-        )
-
-
-def _check_tree(root: TreeNode, n_classes: int, n_features: int) -> None:
-    """Reject a loaded tree that could not be evaluated: a split on a bit
-    outside the vocabulary, or a leaf whose class or counts do not fit."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            if not 0 <= node.feature < n_features:
-                raise ValueError(f"tree splits on bit {node.feature}; the vocabulary has {n_features}")
-            stack += [node.nominal, node.anomalous]
-        elif not (
-            0 <= node.class_index < n_classes
-            and 0 <= node.correct <= node.total
-            and node.total >= 1
-            and len(node.counts) == n_classes
-            and min(node.counts, default=0) >= 0
-        ):
-            raise ValueError(
-                f"tree leaf (class_index={node.class_index}, total={node.total}, "
-                f"correct={node.correct}, {len(node.counts)} counts) does not fit {n_classes} classes"
-            )
 
 
 def _entropies(counts: np.ndarray) -> np.ndarray:
@@ -247,61 +157,116 @@ def _feature_rows(bits, n_features: int) -> np.ndarray:
     return bits.reshape(-1, n_features)
 
 
-def _leaf_proba(node: TreeNode, k: int) -> np.ndarray:
-    """The leaf's confidence on its class, the rest spread by its counts."""
-    probs = np.zeros(k)
-    confidence = node.correct / node.total
-    probs[node.class_index] = confidence
-    remainder = 1.0 - confidence
-    if remainder > 0.0:
-        others = np.asarray(node.counts, dtype=float)
-        others[node.class_index] = 0.0
-        mass = others.sum()
-        if mass > 0.0:
-            probs += remainder * others / mass
-        elif k > 1:
-            spread = remainder / (k - 1)
-            for i in range(k):
-                if i != node.class_index:
-                    probs[i] += spread
-        else:
-            probs[node.class_index] = 1.0
-    return probs
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTreeModel:
-    """A plain binary decision tree over anomaly bits."""
+    """A plain binary decision tree over anomaly bits, as level-order arrays.
+
+    Node 0 is the root (a forest grown together has roots 0..k-1).
+    ``feature[i]`` is the bit node i splits on, -1 at a leaf; ``child[i]`` is
+    its nominal child, the anomalous child right after it; ``counts[i]`` holds
+    a leaf's class counts of training windows, zeros at a split.
+    """
 
     classes: Tuple[FailureClass, ...]
     n_features: int
     min_leaf: int
     max_depth: Optional[int]
-    root: TreeNode
+    feature: np.ndarray  # int [nodes]
+    child: np.ndarray  # int [nodes]
+    counts: np.ndarray  # int [nodes, classes]
+
+    @cached_property
+    def leaf_proba(self) -> np.ndarray:
+        """[nodes, classes]: each leaf's confidence on its class, its counts'
+        first largest entry, the rest spread by its other counts."""
+        leaf = np.flatnonzero(self.feature < 0)
+        counts = self.counts[leaf].astype(float)
+        top, rows = counts.argmax(axis=1), np.arange(len(leaf))
+        confidence = counts[rows, top] / counts.sum(axis=1)
+        counts[rows, top] = 0.0
+        # a pure leaf has no other counts, and its share of them is zero
+        mass = np.maximum(counts.sum(axis=1), 1.0)
+        proba = np.zeros(self.counts.shape)
+        proba[leaf] = (1.0 - confidence)[:, None] * counts / mass[:, None]
+        proba[leaf, top] = confidence
+        return proba
+
+    @cached_property
+    def _steps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The step down from each node: the bit it reads (bit 0 at a leaf),
+        its next node when that bit is clear and when it is set (a leaf's is
+        itself), and the depth of the deepest leaf."""
+        split = self.feature >= 0
+        nominal = np.where(split, self.child, np.arange(len(split)))
+        depth = np.zeros(len(split), dtype=np.intp)
+        for i in np.flatnonzero(split).tolist():  # a parent precedes its children
+            depth[self.child[i] : self.child[i] + 2] = depth[i] + 1
+        return np.where(split, self.feature, 0), nominal, nominal + split, int(depth.max())
+
+    def leaves(self, on: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """The leaf each row of the [n, F] bool matrix ``on`` reaches from its
+        start node in ``node``.  A block of rows reads every node's bit at
+        once into one flat map of each row's next nodes, then steps all its
+        rows down through the map a level at a time."""
+        bit, nominal, anomalous, depth = self._steps
+        node = node.copy()
+        size = max(1, _DESCENT_CELLS // len(bit))
+        for lo in range(0, len(on), size):
+            block = on[lo : lo + size]
+            offset = np.arange(len(block)) * len(bit)  # row r's map starts at r * nodes
+            step = (np.where(block[:, bit], anomalous, nominal) + offset[:, None]).ravel()
+            at = node[lo : lo + size] + offset
+            for _ in range(depth):
+                at = step[at]
+            node[lo : lo + size] = at - offset
+        return node
 
     def predict_proba(self, bits: np.ndarray) -> np.ndarray:
         """Class probabilities of each row of an [n, F] bit matrix, as
         [n, classes]; a 1-D vector gives one distribution."""
-        rows = _feature_rows(bits, self.n_features)
-        out = np.empty((len(rows), len(self.classes)))
-        leaves: Dict[int, np.ndarray] = {}
-        for r, row in enumerate(rows.tolist()):
-            node = self.root
-            while not node.is_leaf:
-                node = node.anomalous if row[node.feature] else node.nominal
-            probs = leaves.get(id(node))
-            if probs is None:
-                probs = leaves[id(node)] = _leaf_proba(node, len(self.classes))
-            out[r] = probs
-        return out if np.ndim(bits) == 2 else out[0]
+        rows = _feature_rows(bits, self.n_features) != 0
+        probs = self.leaf_proba[self.leaves(rows, np.zeros(len(rows), dtype=np.intp))]
+        return probs if np.ndim(bits) == 2 else probs[0]
 
-    def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.nominal), walk(node.anomalous))
+    def to_dict(self) -> dict:
+        def node(i: int) -> dict:
+            if self.feature[i] >= 0:
+                nominal = int(self.child[i])
+                return {"feature": int(self.feature[i]), "nominal": node(nominal), "anomalous": node(nominal + 1)}
+            counts = self.counts[i].tolist()
+            top = counts.index(max(counts))
+            return {"class_index": top, "total": sum(counts), "correct": counts[top], "counts": counts}
 
-        return walk(self.root)
+        return {"min_leaf": self.min_leaf, "max_depth": self.max_depth, "root": node(0)}
+
+    @classmethod
+    def from_dict(cls, payload: dict, classes: Tuple[FailureClass, ...], n_features: int) -> "DecisionTreeModel":
+        """Read the nodes breadth first, nominal child first: the level order
+        trees grow in.  A split must be on a bit of the vocabulary, and a leaf
+        must agree with its counts as training writes it."""
+        min_leaf, max_depth = typed("min_leaf", payload["min_leaf"], int), payload["max_depth"]
+        if min_leaf < 1:
+            raise ValueError(f"min_leaf {min_leaf} must be at least 1")
+        nodes, rows = [payload["root"]], []  # rows: each node's (feature, child, counts)
+        for node in nodes:  # the children appended here are read in turn
+            if "feature" in node:
+                bit = typed("tree feature", node["feature"], int)
+                if not 0 <= bit < n_features:
+                    raise ValueError(f"tree splits on bit {bit}; the vocabulary has {n_features}")
+                rows.append((bit, len(nodes), [0] * len(classes)))
+                nodes += [node["nominal"], node["anomalous"]]
+                continue
+            c = [typed("tree counts", n, int) for n in node["counts"]]
+            leaf = [typed(f"tree {key}", node[key], int) for key in ("class_index", "total", "correct")]
+            if not (len(c) == len(classes) and min(c) >= 0 < sum(c) and leaf == [c.index(max(c)), sum(c), max(c)]):
+                raise ValueError(
+                    f"tree leaf (class_index={leaf[0]}, total={leaf[1]}, correct={leaf[2]}, counts={c}) "
+                    f"does not agree with its counts over {len(classes)} classes"
+                )
+            rows.append((-1, -1, c))
+        max_depth = None if max_depth is None else typed("max_depth", max_depth, int)
+        arrays = (np.array(column, dtype=np.intp) for column in zip(*rows))
+        return cls(classes, n_features, min_leaf, max_depth, *arrays)
 
 
 def _best_feature(gains: np.ndarray) -> np.ndarray:
@@ -360,9 +325,11 @@ def _grow_trees(
     n_classes: int,
     min_leaf: int,
     max_depth: Optional[int],
-) -> List[TreeNode]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One tree over each sample index array of ``roots``, all grown together
-    a level at a time: ``on`` is the [N, F] bool matrix of set bits.
+    a level at a time: ``on`` is the [N, F] bool matrix of set bits.  Returns
+    the forest's ``feature``, ``child`` and ``counts`` arrays in level order
+    (:class:`DecisionTreeModel`), tree i rooted at node i.
 
     A level's frontier nodes are numbered 0..M-1 across the trees; each
     (sample, tree) membership is a row number in ``rows`` and a node number in
@@ -373,12 +340,12 @@ def _grow_trees(
     rows = np.concatenate(roots)
     node = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     n_nodes = len(roots)
-    levels: List[Tuple[list, list]] = []  # each level's class counts and split bits
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # each level's split bits, children and counts
     while n_nodes:
         counts = np.bincount(node * n_classes + y[rows], minlength=n_nodes * n_classes)
         counts = counts.reshape(n_nodes, n_classes)
         n = counts.sum(axis=1)
-        feature = np.full(n_nodes, -1)
+        feature = np.full(n_nodes, -1, dtype=np.intp)
         splittable = np.flatnonzero((counts.max(axis=1) < n) & (n >= 2 * min_leaf))
         if len(splittable) and (max_depth is None or len(levels) < max_depth):
             renumber = np.full(n_nodes, -1)
@@ -387,24 +354,15 @@ def _grow_trees(
             feature[splittable] = _split_features(
                 on, y, rows[inside], renumber[node[inside]], counts[splittable], min_leaf
             )
-        levels.append((counts.tolist(), feature.tolist()))
         split = feature >= 0
         child = 2 * (np.cumsum(split) - 1)
+        below = sum(len(level[0]) for level in levels) + n_nodes  # the next level's first node
+        levels.append((feature, np.where(split, below + child, -1), np.where(split[:, None], 0, counts)))
         inside = split[node]
         rows, node = rows[inside], node[inside]
         node = child[node] + on[rows, feature[node]]
         n_nodes = 2 * int(split.sum())
-    below: List[TreeNode] = []
-    for counts, feature in reversed(levels):
-        children = iter(below)
-        below = []
-        for c, f in zip(counts, feature):
-            if f >= 0:
-                below.append(TreeNode(feature=f, nominal=next(children), anomalous=next(children)))
-            else:
-                majority = c.index(max(c))
-                below.append(TreeNode(class_index=majority, total=sum(c), correct=c[majority], counts=tuple(c)))
-    return below
+    return tuple(np.concatenate(arrays) for arrays in zip(*levels))
 
 
 def train_tree(
@@ -432,14 +390,8 @@ def train_tree(
     classes = tuple(classes)
     if y.max(initial=-1) >= len(classes):
         raise ValueError("label index out of range for the class list")
-    (root,) = _grow_trees(x, y, [np.arange(len(y))], len(classes), min_leaf, max_depth)
-    return DecisionTreeModel(
-        classes=classes,
-        n_features=int(x.shape[1]),
-        min_leaf=min_leaf,
-        max_depth=max_depth,
-        root=root,
-    )
+    arrays = _grow_trees(x, y, [np.arange(len(y))], len(classes), min_leaf, max_depth)
+    return DecisionTreeModel(classes, int(x.shape[1]), min_leaf, max_depth, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +494,18 @@ class SignatureModel:
     def classes(self) -> Tuple[FailureClass, ...]:
         return self.model.classes
 
-    def classify_bits(self, bits: np.ndarray) -> ClassDistribution:
-        probs = self.model.predict_proba(bits)
-        return ClassDistribution({cls: float(p) for cls, p in zip(self.classes, probs)})
-
-    def top_classes(self, pool: Windows) -> List[FailureClass]:
-        """Each window's most likely class, from one ``predict_proba`` call;
-        ties break toward the lowest class index, which over a trained
-        model's sorted classes is :meth:`ClassDistribution.top`'s rule."""
-        probs = self.model.predict_proba(self.vocabulary.encode(pool))
-        return [self.classes[i] for i in np.argmax(probs, axis=1).tolist()]
+    def top(self, pool) -> List[Tuple[FailureClass, float]]:
+        """Each window's most likely class and its probability, from one
+        ``predict_proba`` call over ``pool``'s cells ([..., K, 2]; one window
+        is a list of one).  Ties go to the lowest class index, the smallest
+        class, since a model's classes are sorted."""
+        x = self.vocabulary.encode(pool)
+        probs = self.model.predict_proba(x.reshape(-1, x.shape[-1]))
+        return list(zip([self.classes[i] for i in probs.argmax(axis=1).tolist()], probs.max(axis=1).tolist()))
 
     def to_dict(self) -> dict:
         if self.algorithm == "tree":
-            tree: DecisionTreeModel = self.model
-            payload = {
-                "min_leaf": tree.min_leaf,
-                "max_depth": tree.max_depth,
-                "root": tree.root.to_dict(),
-            }
+            payload = self.model.to_dict()
         elif self.algorithm == "nb":
             nb: NaiveBayesModel = self.model
             payload = {
@@ -595,21 +540,12 @@ class SignatureModel:
                 raise TypeError(f"vocabulary entry {entry!r} must be two strings, a resource and a metric")
         vocab = Vocabulary((KpiId(r, m) for r, m in data["vocabulary"]), split_kinds=split_kinds)
         classes = tuple(FailureClass(FaultType(ft), res) for ft, res in data["classes"])
-        algorithm = data["algorithm"]
-        payload = data["model"]
+        if not classes or list(classes) != sorted(set(classes)):
+            raise ValueError("classes must be listed sorted and distinct, as training writes them")
+        algorithm, payload = data["algorithm"], data["model"]
         model: Union[DecisionTreeModel, NaiveBayesModel]
         if algorithm == "tree":
-            min_leaf, max_depth = typed("min_leaf", payload["min_leaf"], int), payload["max_depth"]
-            if min_leaf < 1:
-                raise ValueError(f"min_leaf {min_leaf} must be at least 1")
-            model = DecisionTreeModel(
-                classes=classes,
-                n_features=vocab.dimension,
-                min_leaf=min_leaf,
-                max_depth=None if max_depth is None else typed("max_depth", max_depth, int),
-                root=TreeNode.from_dict(payload["root"]),
-            )
-            _check_tree(model.root, len(classes), vocab.dimension)
+            model = DecisionTreeModel.from_dict(payload, classes, vocab.dimension)
         elif algorithm == "nb":
             alpha = typed("alpha", payload["alpha"], float)
             if not alpha > 0:
@@ -626,13 +562,7 @@ class SignatureModel:
                 raise ValueError("naive Bayes priors and theta must lie in [0, 1]")
             priors.setflags(write=False)
             theta.setflags(write=False)
-            model = NaiveBayesModel(
-                classes=classes,
-                n_features=vocab.dimension,
-                alpha=alpha,
-                priors=priors,
-                theta=theta,
-            )
+            model = NaiveBayesModel(classes, vocab.dimension, alpha, priors, theta)
         else:
             raise SchemaVersionError(f"unknown signature algorithm {algorithm!r}")
         return cls(vocabulary=vocab, algorithm=algorithm, window_min=window_min, model=model)
@@ -668,7 +598,7 @@ def train_signature(
     pool: Windows,
     vocab: Vocabulary,
     algorithm: str = "tree",
-    window_min: int = 90,
+    window_min: int = DEFAULT_WINDOW_MIN,
     *,
     min_leaf: int = DEFAULT_MIN_LEAF,
     max_depth: Optional[int] = None,
@@ -735,14 +665,12 @@ def stratified_folds(
     return [np.asarray(sorted(fold), dtype=np.intp) for fold in folds]
 
 
-def _nb_fold_posteriors(x, y, classes, folds, alpha: float) -> np.ndarray:
+def _nb_fold_posteriors(x, y, classes, fold_of: np.ndarray, alpha: float) -> np.ndarray:
     """The [N, C] posteriors of every sample under naive Bayes trained on the
-    other folds, all scored in one pass."""
-    fold_of = np.empty(len(y), dtype=np.intp)
+    other folds, all scored in one pass; sample i is in fold ``fold_of[i]``."""
     priors, theta_t = [], []
-    for i, fold in enumerate(folds):
-        fold_of[fold] = i
-        model = train_nb(np.delete(x, fold, axis=0), np.delete(y, fold), classes, alpha)
+    for i in range(fold_of.max() + 1):
+        model = train_nb(x[fold_of != i], y[fold_of != i], classes, alpha)
         priors.append(model.priors)
         theta_t.append(model.theta.T)
     # each held-out row carries its own fold's parameters: [N, C] and [F, N, C]
@@ -768,17 +696,19 @@ def cross_validate(
     _fitter(algorithm, min_leaf, max_depth, alpha)  # an unknown algorithm fails before encoding
     x, y, classes = _dataset(pool, vocab)
     folds = stratified_folds(pool.labels, k, seed)
+    fold_of = np.empty(len(y), dtype=np.intp)
+    for i, fold in enumerate(folds):
+        fold_of[fold] = i
     if algorithm == "tree":
-        # every fold's tree grown at once; the global class list keeps class
-        # indices aligned across folds
-        trains = [np.delete(np.arange(len(y)), fold) for fold in folds]
-        roots = _grow_trees(x != 0, y, trains, len(classes), min_leaf, max_depth)
-        preds = np.empty(len(y), dtype=np.intp)
-        for fold, root in zip(folds, roots):
-            model = DecisionTreeModel(classes, x.shape[1], min_leaf, max_depth, root)
-            preds[fold] = np.argmax(model.predict_proba(x[fold]), axis=1)
+        # every fold's tree grown at once as one forest, tree i rooted at node
+        # i; the global class list keeps class indices aligned across folds
+        trains = [np.flatnonzero(fold_of != i) for i in range(k)]
+        arrays = _grow_trees(x != 0, y, trains, len(classes), min_leaf, max_depth)
+        forest = DecisionTreeModel(classes, x.shape[1], min_leaf, max_depth, *arrays)
+        probs = forest.leaf_proba[forest.leaves(x != 0, fold_of)]
     else:
-        preds = np.argmax(_nb_fold_posteriors(x, y, classes, folds, alpha), axis=1)
+        probs = _nb_fold_posteriors(x, y, classes, fold_of, alpha)
+    preds = np.argmax(probs, axis=1)
     per_class: Dict[FailureClass, Contingency] = {}
     for ci, cls in enumerate(classes):
         tp = int(np.sum((preds == ci) & (y == ci)))

@@ -5,7 +5,8 @@
 
 The goldens are the default ``evaluate --suite all`` report, the default
 suite's causal edges and a digest of each of its runs' anomaly events, and
-the README quick start's leak run: its anomaly log and its ``alerts.csv``.
+the README quick start: its tree ``signature.json`` and, of its leak run, the
+anomaly log and ``alerts.csv``.
 The quick start is computed in process with the calls and defaults the CLI
 commands make; the CSV, anomaly log and model files they write round-trip
 every value exactly, so the outputs are the CLI's.  Run it only on a commit whose outputs are known good, and say in
@@ -72,9 +73,10 @@ def study_outputs(data) -> Dict[str, str]:
 
 
 def quick_start() -> Dict[str, str]:
-    """The leak run's anomaly log and ``alerts.csv`` from the README's quick
-    start: baseline on the fortnight, signature on the training and leak
-    runs, then ``predict`` over the leak run."""
+    """The tree ``signature.json`` and the leak run's anomaly log and
+    ``alerts.csv`` from the README's quick start: baseline on the fortnight,
+    signature on the training and leak runs, then ``predict`` over the leak
+    run."""
     from faultcast.baseline import fit_baseline_model
     from faultcast.core import CADENCE_S, parse_timestamp
     from faultcast.detect import detect_stream, write_anomaly_log
@@ -94,10 +96,15 @@ def quick_start() -> Dict[str, str]:
     signature = train_signature(assemble_windows(runs, 90, 5), Vocabulary(baseline.baselines.keys()), "tree", 90)
     last = max(int(series.timestamps[-1]) for series in leak.values())
     alerts = run_predictor(baseline, signature, leak, parse_timestamp(LEAK_START), last + CADENCE_S)
-    log, alert_log = io.StringIO(), io.StringIO()
+    log, alert_log, model = io.StringIO(), io.StringIO(), io.StringIO()
     write_anomaly_log(leak_events, log)
     write_alert_log(alerts, alert_log)
-    return {"leak-anomalies.csv": log.getvalue(), "leak-alerts.csv": alert_log.getvalue()}
+    signature.save(model)
+    return {
+        "leak-anomalies.csv": log.getvalue(),
+        "leak-alerts.csv": alert_log.getvalue(),
+        "signature.json": model.getvalue(),
+    }
 
 
 def main(argv=None) -> int:

@@ -4,9 +4,10 @@ These are the row-at-a-time CSV and anomaly log writers and the CSV
 reader, the per-pair causality graph loop, the one-``lstsq``-per-pair graph,
 the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
 the detection plan replaced, the per-feature and the one-node-at-a-time tree
-growers, the per-row and per-fold classifiers, the frozenset windowing, the
-dict encoding, the buffered predictor step and the per-window event scans
-that the array-shaped versions in ``faultcast.io``, ``faultcast.baseline``,
+growers, the tree as a graph of node objects walked one row at a time, the
+per-row and per-fold classifiers, the class distribution's top rule, the
+frozenset windowing, the dict encoding, the buffered predictor step and the
+per-window event scans that the array-shaped versions in ``faultcast.io``, ``faultcast.baseline``,
 ``faultcast.detect``, ``faultcast.signature``, ``faultcast.evaluate`` and
 ``faultcast.predict`` replaced, and the nested scheduling loops that ``faultcast.evaluate``'s run
 tables replaced.  The per-pair graph and the per-(edge, interval) detector
@@ -43,6 +44,7 @@ from faultcast.baseline import (
     granger_fit,
 )
 from faultcast.core import (
+    _KINDS,
     CADENCE_S,
     INTERVAL_S,
     AnomalyKind,
@@ -59,15 +61,13 @@ from faultcast.core import (
     lags,
     parse_timestamp,
 )
-from faultcast.detect import _KINDS, ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
+from faultcast.detect import ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
 from faultcast.io import CSV_HEADER
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
 from faultcast.sim import FaultSpec, Pattern
 from faultcast.signature import (
     _GAIN_EPS,
-    DecisionTreeModel,
-    TreeNode,
     Windows,
     _entropies,
     stratified_folds,
@@ -587,6 +587,61 @@ def read_anomaly_log_rows(stream):
     return events
 
 
+@dataclass(frozen=True)
+class TreeNode:
+    """Either a decision on one feature bit or a leaf with its class counts.
+
+    Leaves carry the (total, correct) pair of training samples that reached
+    them, plus the full per-class counts used to spread residual mass.
+    """
+
+    feature: Optional[int] = None
+    nominal: Optional["TreeNode"] = None
+    anomalous: Optional["TreeNode"] = None
+    class_index: Optional[int] = None
+    total: int = 0
+    correct: int = 0
+    counts: Tuple[int, ...] = ()
+
+    @property
+    def is_leaf(self):
+        return self.feature is None
+
+    def to_dict(self):
+        if self.is_leaf:
+            return {
+                "class_index": self.class_index,
+                "total": self.total,
+                "correct": self.correct,
+                "counts": list(self.counts),
+            }
+        return {"feature": self.feature, "nominal": self.nominal.to_dict(), "anomalous": self.anomalous.to_dict()}
+
+
+@dataclass(frozen=True)
+class NodeTree:
+    """A decision tree as a graph of :class:`TreeNode` objects."""
+
+    classes: Tuple[FailureClass, ...]
+    n_features: int
+    min_leaf: int
+    max_depth: Optional[int]
+    root: TreeNode
+
+    def to_dict(self):
+        return {"min_leaf": self.min_leaf, "max_depth": self.max_depth, "root": self.root.to_dict()}
+
+
+def distribution_top(classes, probs):
+    """The most likely class and its probability: the classes scanned in
+    sorted order, a later one taken only when strictly more likely."""
+    best, best_p = None, -1.0
+    for cls, p in sorted(zip(classes, probs)):
+        if p > best_p:
+            best, best_p = cls, float(p)
+    return best, best_p
+
+
 def entropy(counts):
     """Entropy in bits of one class-count vector."""
     total = counts.sum()
@@ -707,7 +762,8 @@ def best_feature_scan(gains):
 
 
 def tree_proba_row(model, bits):
-    """Walk one bit vector down the tree; spread the leaf's residual mass."""
+    """Walk one bit vector down a :class:`NodeTree`; spread the leaf's
+    residual mass."""
     bits = np.asarray(bits)
     if bits.shape != (model.n_features,):
         raise ValueError(f"feature vector has dimension {bits.shape}, model expects {model.n_features}")
@@ -766,7 +822,7 @@ def cross_validate_rows(pool, vocab, k=10, seed=0, algorithm="tree", min_leaf=2,
         train = np.setdiff1d(np.arange(len(y)), fold)
         if algorithm == "tree":
             root = grow_tree_loop(x[train], y[train], len(classes), min_leaf, max_depth)
-            model = DecisionTreeModel(classes, x.shape[1], min_leaf, max_depth, root)
+            model = NodeTree(classes, x.shape[1], min_leaf, max_depth, root)
             proba = tree_proba_row
         else:
             model = train_nb(x[train], y[train], classes, alpha=alpha)
@@ -881,7 +937,8 @@ def step_buffered(
     buffer = tuple((start, features) for start, features in state.buffer if start >= window_start)
     interim = replace(state, buffer=buffer + ((interval_start, window_features(events)),), last_interval=interval_start)
     anomalies = interim.window_anomalies()
-    top_class, top_p = signature.classify_bits(encode_features(signature.vocabulary, anomalies)).top()
+    probs = signature.model.predict_proba(encode_features(signature.vocabulary, anomalies))
+    top_class, top_p = distribution_top(signature.classes, probs)
     if top_class.is_normal:
         return replace(interim, streak_class=None, streak_len=0, active_class=None, fs_fired=False), None
     if top_p >= confidence_threshold:

@@ -95,10 +95,10 @@ def test_c2_classifier_posteriors_match_hand_computation():
     x = np.array([[0, 0, 1], [0, 0, 1], [0, 1, 1], [0, 1, 1]])
     y = np.array([0, 0, 1, 1])
     tree = train_tree(x, y, classes, min_leaf=1)
-    assert tree.depth() == 1
-    assert tree.root.feature == 1
-    for leaf in (tree.root.nominal, tree.root.anomalous):
-        assert leaf.is_leaf and leaf.total == 2 and leaf.correct == 2, leaf
+    root = tree.to_dict()["root"]
+    assert root["feature"] == 1
+    for leaf in (root["nominal"], root["anomalous"]):
+        assert "feature" not in leaf and leaf["total"] == 2 and leaf["correct"] == 2, leaf
     assert tree.predict_proba(np.array([0, 0, 1]))[0] == 1.0
     assert tree.predict_proba(np.array([0, 1, 1]))[1] == 1.0
     print("C2: naive Bayes posterior exact (0.25, 0.75); tree is the unique depth-1 split")

@@ -8,7 +8,9 @@ training run, its baseline model, and a faulty run) come from the shared
 """
 
 import dataclasses
+import inspect
 import json
+import math
 import re
 import subprocess
 import sys
@@ -16,8 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from faultcast.baseline import BaselineModel, fit_baseline_model
+from faultcast.baseline import DEFAULT_ALPHA as GRAPH_ALPHA
+from faultcast.baseline import DEFAULT_K_SIGMA, DEFAULT_LAG_ORDER, DEFAULT_PREFILTER_R, BaselineModel, fit_baseline_model
+from faultcast.cli import build_parser
 from faultcast.core import (
+    DEFAULT_STEP_MIN,
+    DEFAULT_WINDOW_MIN,
     NORMAL_CLASS,
     AnomalyKind,
     FailureClass,
@@ -25,10 +31,10 @@ from faultcast.core import (
     format_timestamp,
     parse_timestamp,
 )
-from faultcast.detect import detect_stream, read_anomaly_log, write_anomaly_log
+from faultcast.detect import DEFAULT_TAU, detect_stream, read_anomaly_log, write_anomaly_log
 from faultcast.evaluate import RunRecord, SuiteConfig, assemble_windows, build_suite, render_rq2, run_rq2
 from faultcast.io import RunManifest, ingest_csv
-from faultcast.predict import run_predictor, write_alert_log
+from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, run_predictor, write_alert_log
 from faultcast.signature import SignatureModel, Vocabulary, train_signature
 
 import oracles
@@ -42,6 +48,23 @@ def test_help_lists_subcommands():
     assert proc.returncode == 0
     for name in ("simulate", "train-baseline", "detect", "train-signature", "predict", "evaluate"):
         assert name in proc.stdout, f"--help does not mention {name}"
+
+
+def test_the_parser_defaults_are_the_library_constants():
+    parse = build_parser().parse_args
+    train = parse(["train-baseline", "--data", "d.csv", "--out", "o"])
+    settings = (DEFAULT_K_SIGMA, DEFAULT_LAG_ORDER, GRAPH_ALPHA, DEFAULT_PREFILTER_R)
+    assert (train.k_sigma, train.lag_order, train.alpha, train.prefilter_r) == settings
+    assert parse(["detect", "--baseline", "b", "--data", "d", "--out", "o"]).tau == DEFAULT_TAU
+    windows = parse(["train-signature", "--baseline", "b", "--run", "a", "m", "--out", "o"])
+    assert (windows.window_min, windows.step_min) == (DEFAULT_WINDOW_MIN, DEFAULT_STEP_MIN)
+    rule = parse(["predict", "--baseline", "b", "--signature", "s", "--data", "d", "--out", "o"])
+    assert (rule.tau, rule.confidence, rule.streak) == (DEFAULT_TAU, DEFAULT_CONFIDENCE, DEFAULT_STREAK)
+    config = SuiteConfig()
+    assert (config.k_sigma, config.lag_order, config.alpha, config.prefilter_r) == settings
+    assert (config.tau, config.window_min, config.step_min) == (DEFAULT_TAU, DEFAULT_WINDOW_MIN, DEFAULT_STEP_MIN)
+    assert inspect.signature(run_predictor).parameters["tau"].default == DEFAULT_TAU
+    assert inspect.signature(train_signature).parameters["window_min"].default == DEFAULT_WINDOW_MIN
 
 
 def test_missing_subcommand_is_a_usage_error():
@@ -241,26 +264,31 @@ def test_data_missing_a_baseline_kpi_is_rejected(short_pipeline, tmp_path, comma
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["detect", "train-signature"])
+@pytest.mark.parametrize("command", ["detect", "train-signature", "train-signature-second-log"])
 def test_a_field_over_the_csv_size_limit_is_an_error_line(short_pipeline, tmp_path, command):
     """A 200 000-character metric name in the KPI CSV that detect reads, or
-    in the anomaly log that train-signature reads."""
+    in the anomaly log that train-signature reads, alone or after a good
+    log: the error names the bad file."""
     name, out = "m" * 200_000, tmp_path / "out"
     baseline = str(short_pipeline["baseline"])
     if command == "detect":
         lines = short_pipeline["fault_csv"].read_text(encoding="utf-8").splitlines(keepends=True)
         lines.insert(2, f"2026-01-06T10:00:00Z,Homer,{name},1.0\n")
-        data = tmp_path / "data.csv"
-        data.write_text("".join(lines), encoding="utf-8")
-        args = ["detect", "--baseline", baseline, "--data", str(data)]
+        bad = tmp_path / "data.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        args = ["detect", "--baseline", baseline, "--data", str(bad)]
     else:
-        log = tmp_path / "anomalies.csv"
+        header = "interval_start,resource,metric,kind,score\n"
+        good, bad = tmp_path / "good.csv", tmp_path / "anomalies.csv"
+        good.write_text(header + "2026-01-06T10:00:00Z,Homer,CpuIdlePct,Univariate,4.0\n", encoding="utf-8")
         rows = ["2026-01-06T10:00:00Z,Homer,CpuIdlePct,Univariate,4.0", f"2026-01-06T10:05:00Z,Homer,{name},Univariate,4.0"]
-        log.write_text("interval_start,resource,metric,kind,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        args = ["train-signature", "--baseline", baseline, "--run", str(log), str(short_pipeline["fault_manifest"])]
+        bad.write_text(header + "\n".join(rows) + "\n", encoding="utf-8")
+        manifest = str(short_pipeline["fault_manifest"])
+        logs = [good, bad] if command == "train-signature-second-log" else [bad]
+        args = ["train-signature", "--baseline", baseline, *(a for log in logs for a in ("--run", str(log), manifest))]
     proc = run_cli(*args, "--out", str(out))
     assert proc.returncode == 1
-    assert proc.stderr == "error: line 3: field larger than field limit (131072)\n", proc.stderr[-300:]
+    assert proc.stderr == f"error: {bad}: line 3: field larger than field limit (131072)\n", proc.stderr[-300:]
     assert not out.exists()
 
 
@@ -377,6 +405,50 @@ def test_a_baseline_value_of_the_wrong_type_is_rejected(short_pipeline, tmp_path
     proc = run_cli(*args)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert named in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _set_every_bucket_std(data, std, floor):
+    band = data["baselines"][0]
+    band.update(bucket_stds=[std] * len(band["bucket_stds"]), std_floor=floor)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda data: data.update(edges=[]) or data["config"].update(lag_order=0), "lag_order 0 must be at least 1"),
+        (lambda data: data.update(edges=[]) or data["config"].update(lag_order=-1), "lag_order -1 must be at least 1"),
+        (lambda data: data["config"].update(alpha=1.0), "alpha 1.0 must be in (0, 1)"),
+        (lambda data: data["edges"][0]["coefficients"].__setitem__(0, math.nan), "regression coefficients must be finite"),
+        (lambda data: data["edges"][0].update(residual_std=math.inf), "residual_std inf must be finite and positive"),
+        (lambda data: data["baselines"][0]["bucket_means"].__setitem__(5, math.nan), "means and stds of"),
+        (lambda data: _set_every_bucket_std(data, -1.0, -2.0), "std_floor -2.0 must be finite and positive"),
+        (lambda data: data["baselines"].append(data["baselines"][0]), "has two baselines"),
+    ],
+    ids=[
+        "lag-order-zero",
+        "lag-order-negative",
+        "alpha-one",
+        "nan-coefficient",
+        "infinite-residual-std",
+        "nan-bucket-mean",
+        "negative-stds-and-floor",
+        "repeated-kpi",
+    ],
+)
+def test_a_baseline_value_the_fitter_never_writes_is_rejected(short_pipeline, tmp_path, edit, named):
+    # JSON reads NaN and Infinity; each of these once loaded silently or ended
+    # in a numpy error text
+    data = BaselineModel.load(short_pipeline["baseline"]).to_dict()
+    edit(data)
+    edited = tmp_path / "baseline.json"
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    args = _online_args("detect", short_pipeline, tmp_path, short_pipeline["run_start"])
+    args[args.index("--baseline") + 1] = str(edited)
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: malformed {edited}: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
     assert named in proc.stderr, proc.stderr
     assert not (tmp_path / "out.csv").exists()
 
@@ -552,6 +624,26 @@ def _spoil_leaves(node):
         node.update(total=0, correct=0)
 
 
+def _first_leaf(node):
+    while "feature" in node:
+        node = node["nominal"]
+    return node
+
+
+def _contradict_a_leaf(node):
+    """Point the first leaf at its other class, with that class's count."""
+    leaf = _first_leaf(node)
+    other = 1 - leaf["class_index"]
+    leaf.update(class_index=other, correct=leaf["counts"][other])
+
+
+def _overflow_a_leaf(node):
+    """Give the first leaf's class a count beyond 64-bit integers."""
+    leaf = _first_leaf(node)
+    leaf["counts"][leaf["class_index"]] = 10**30
+    leaf.update(total=sum(leaf["counts"]), correct=10**30)
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -559,8 +651,21 @@ def _spoil_leaves(node):
         lambda data, vocab: _spoil_leaves(data["model"]["root"]),
         lambda data, vocab: data["model"]["root"].pop("nominal"),
         lambda data, vocab: data.update(algorithm="forest"),
+        lambda data, vocab: data["classes"].__setitem__(1, data["classes"][0]),
+        lambda data, vocab: data["classes"].reverse(),
+        lambda data, vocab: _contradict_a_leaf(data["model"]["root"]),
+        lambda data, vocab: _overflow_a_leaf(data["model"]["root"]),
     ],
-    ids=["feature-outside-vocabulary", "empty-leaves", "split-without-nominal", "algorithm-forest"],
+    ids=[
+        "feature-outside-vocabulary",
+        "empty-leaves",
+        "split-without-nominal",
+        "algorithm-forest",
+        "duplicated-class",
+        "unsorted-classes",
+        "leaf-against-its-counts",
+        "count-beyond-int64",
+    ],
 )
 def test_predict_rejects_a_malformed_signature_file(short_pipeline, tmp_path, spoil):
     vocab = Vocabulary(BaselineModel.load(short_pipeline["baseline"]).baselines.keys())

@@ -62,3 +62,7 @@ def test_the_quick_start_anomalies_are_the_golden(quick):
 
 def test_the_quick_start_alerts_are_the_golden(quick):
     assert quick["leak-alerts.csv"] == golden("leak-alerts.csv")
+
+
+def test_the_quick_start_signature_is_the_golden(quick):
+    assert quick["signature.json"] == golden("signature.json")

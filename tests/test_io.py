@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 
@@ -110,6 +111,19 @@ def test_ingest_rejects_duplicate_samples():
     )
     with pytest.raises(DuplicateSampleError):
         ingest_csv(io.StringIO(text))
+
+
+def test_an_error_read_from_a_path_names_the_file(tmp_path):
+    # the type and line stay, so callers can still tell the errors apart
+    path = tmp_path / "dup.csv"
+    path.write_text(HEADER + "1970-01-01T00:00:00Z,Homer,CpuIdlePct,5\n" * 2, encoding="utf-8")
+    with pytest.raises(DuplicateSampleError) as exc:
+        ingest_csv(path)
+    message = f"{path}: line 3: duplicate sample for Homer/CpuIdlePct at 1970-01-01T00:00:00Z"
+    assert (exc.value.line_no, str(exc.value)) == (3, message)
+    path.write_text(HEADER + "1970-01-01T00:00:00Z,Homer,CpuIdlePct,five\n", encoding="utf-8")
+    with pytest.raises(CsvParseError, match=rf"^{re.escape(str(path))}: line 2: bad value 'five'$"):
+        ingest_csv(str(path))
 
 
 def test_ingest_empty_body_gives_empty_map():

@@ -27,7 +27,7 @@ from faultcast.predict import (
     step,
     write_alert_log,
 )
-from faultcast.signature import ClassDistribution, Vocabulary, train_signature
+from faultcast.signature import Vocabulary, train_signature
 
 LEAK_SPROUT = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
 HOG_HOMER = FailureClass(FaultType.CPU_HOG, "Homer")
@@ -35,21 +35,20 @@ KPIS = (KpiId("Homer", "m"), KpiId("Homer", "n"), KpiId("Sprout", "m"))
 
 
 class ScriptedSignature:
-    """Stands in for a trained model: returns pre-scripted distributions."""
+    """Stands in for a trained model: answers pre-scripted top classes."""
 
     vocabulary = Vocabulary(KPIS)
 
     def __init__(self, outputs):
         self.outputs = list(outputs)
 
-    def classify_bits(self, bits):
-        return self.outputs.pop(0)
+    def top(self, window):
+        return [self.outputs.pop(0)]
 
 
 def verdict(cls, confidence):
-    if cls == NORMAL_CLASS:
-        return ClassDistribution({NORMAL_CLASS: confidence, LEAK_SPROUT: 1 - confidence})
-    return ClassDistribution({cls: confidence, NORMAL_CLASS: 1 - confidence})
+    """The top class and its probability of one window."""
+    return cls, confidence
 
 
 def drive(confidences, classes=None, **kwargs):
@@ -215,10 +214,11 @@ class RecordingSignature:
     def __init__(self):
         self.windows = []
 
-    def classify_bits(self, bits):
+    def top(self, window):
         kinds = (AnomalyKind.UNIVARIATE, AnomalyKind.MULTIVARIATE)
+        bits = self.vocabulary.encode(window)
         self.windows.append(frozenset((self.vocabulary.kpis[b // 2], kinds[b % 2]) for b in np.flatnonzero(bits)))
-        return verdict(NORMAL_CLASS, 0.9)
+        return [verdict(NORMAL_CLASS, 0.9)]
 
 
 @settings(max_examples=200, deadline=None)

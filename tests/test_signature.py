@@ -4,6 +4,9 @@ import json
 import logging
 import math
 import re
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from faultcast.detect import AnomalyEvent, AnomalyEvents
 from faultcast.evaluate import RunRecord, assemble_windows, window_label
 from faultcast.io import InjectedFault, RunManifest
 from faultcast.signature import (
-    ClassDistribution,
+    DecisionTreeModel,
     NaiveBayesModel,
     SignatureModel,
     Vocabulary,
@@ -54,6 +57,14 @@ MANY_CLASSES = (NORMAL_CLASS,) + tuple(
     )
     for resource in ("Bono", "Homer", "Sprout")
 )
+
+
+def test_importing_signatures_loads_neither_detection_nor_the_graph():
+    # the anomaly kind codes live in core, beside AnomalyKind
+    code = "import sys, faultcast.signature; print(sorted({'faultcast.detect', 'faultcast.baseline'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def anomaly(kpi, kind=AnomalyKind.UNIVARIATE):
@@ -236,17 +247,7 @@ def test_window_features_of_columns_equal_those_of_the_events(events, data):
 
 
 # ---------------------------------------------------------------------------
-# class distributions
-
-
-def test_distribution_top_breaks_ties_toward_the_smaller_class():
-    dist = ClassDistribution({LOSS_HOMER: 0.5, NORMAL_CLASS: 0.5})
-    # "Normal" sorts before "PacketLoss", so the tie resolves to Normal
-    cls, conf = dist.top()
-    assert cls == NORMAL_CLASS and conf == 0.5
-    dist = ClassDistribution({LOSS_HOMER: 0.5, LOSS_SPROUT: 0.5})
-    assert dist.top()[0] == LOSS_HOMER
-    assert dist[HOG_HOMER] == 0.0
+# the top class
 
 
 class FixedModel:
@@ -260,17 +261,26 @@ class FixedModel:
         return self.probs
 
 
+def test_top_breaks_ties_toward_the_smaller_class():
+    # "Normal" sorts before "PacketLoss", so the tie resolves to Normal
+    classes = (NORMAL_CLASS, LOSS_HOMER, LOSS_SPROUT)
+    pool = oracles.pool_of([(0, 300, frozenset(), NORMAL_CLASS)] * 2)
+    model = SignatureModel(Vocabulary(K[:1]), "tree", 90, FixedModel(classes, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
+    assert model.top(pool) == [(NORMAL_CLASS, 0.5), (LOSS_HOMER, 0.5)]
+    assert all(type(p) is float for _, p in model.top(pool))  # alerts.csv writes its repr
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 16), st.data())
-def test_top_classes_break_ties_as_the_distribution_top(n_classes, data):
-    # RQ3's one predict_proba call over a pool, against ClassDistribution.top
-    # per window, on rows where several classes share the top probability
+def test_top_breaks_ties_as_the_distribution_top(n_classes, data):
+    # one predict_proba call over a pool, against the sorted scan per window,
+    # on rows where several classes share the top probability
     classes = tuple(sorted(MANY_CLASSES[:n_classes]))
     shares = st.sampled_from([0.0, 0.25, 0.5, 1.0])
     probs = data.draw(st.lists(st.lists(shares, min_size=n_classes, max_size=n_classes), max_size=12))
     pool = oracles.pool_of([(0, 300, frozenset(), NORMAL_CLASS)] * len(probs))
     model = SignatureModel(Vocabulary(K[:1]), "tree", 90, FixedModel(classes, probs))
-    assert model.top_classes(pool) == [ClassDistribution(dict(zip(classes, row))).top()[0] for row in probs]
+    assert model.top(pool) == [oracles.distribution_top(classes, row) for row in probs]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +396,7 @@ def test_trainers_read_any_non_zero_value_as_a_set_bit(seed, signed):
     assert np.all(np.isfinite(nb.predict_proba(values)))
     for min_leaf in (1, 2):
         tree = train_tree(values, y, classes, min_leaf=min_leaf)
-        assert tree == train_tree(bits, y, classes, min_leaf=min_leaf)
+        assert tree.to_dict() == train_tree(bits, y, classes, min_leaf=min_leaf).to_dict()
 
 
 def test_nb_input_gates():
@@ -407,8 +417,7 @@ def test_tree_single_leaf_distribution():
     x = np.ones((4, 3), dtype=np.uint8)
     y = np.array([1, 1, 1, 0])
     model = train_tree(x, y, (NORMAL_CLASS, LOSS_HOMER))
-    assert model.root.is_leaf
-    assert model.root.total == 4 and model.root.correct == 3
+    assert model.to_dict()["root"] == {"class_index": 1, "total": 4, "correct": 3, "counts": [1, 3]}
     dist = proba(model, [1, 1, 1])
     assert dist[LOSS_HOMER] == pytest.approx(0.75)
     assert dist[NORMAL_CLASS] == pytest.approx(0.25)
@@ -419,11 +428,9 @@ def test_tree_separable_fixture_yields_one_split():
     x = np.array([[1, 1, 0], [1, 1, 0], [1, 0, 0], [1, 0, 0]], dtype=np.uint8)
     y = np.array([1, 1, 0, 0])
     model = train_tree(x, y, (NORMAL_CLASS, LOSS_HOMER), min_leaf=1)
-    assert model.depth() == 1
-    assert model.root.feature == 1
-    for leaf in (model.root.nominal, model.root.anomalous):
-        assert leaf.is_leaf
-        assert (leaf.total, leaf.correct) == (2, 2)
+    # level order: the root splits on bit 1, its two children are leaves
+    assert model.feature.tolist() == [1, -1, -1] and model.child.tolist() == [1, -1, -1]
+    assert model.counts.tolist() == [[0, 0], [2, 0], [0, 2]]
     assert proba(model, x[0])[LOSS_HOMER] == 1.0
     assert proba(model, x[3])[NORMAL_CLASS] == 1.0
 
@@ -461,9 +468,9 @@ def test_tree_root_matches_gain_oracle():
         expected, gain = best_split_oracle(x, y.tolist())
         model = train_tree(x, y, classes, min_leaf=1)
         if expected is None or gain <= 1e-12:
-            assert model.root.is_leaf, f"trial {trial}: split without gain"
+            assert model.feature.tolist() == [-1], f"trial {trial}: split without gain"
         else:
-            assert model.root.feature == expected, f"trial {trial}"
+            assert model.feature[0] == expected, f"trial {trial}"
 
 
 def test_tree_tie_break_prefers_the_lower_feature():
@@ -473,21 +480,12 @@ def test_tree_tie_break_prefers_the_lower_feature():
     )
     y = np.array([1, 1, 0, 0])
     model = train_tree(x, y, (NORMAL_CLASS, LOSS_HOMER), min_leaf=1)
-    assert model.root.feature == 1
+    assert model.feature[0] == 1
 
 
-def collect_leaves(model):
-    leaves = []
-
-    def walk(node):
-        if node.is_leaf:
-            leaves.append(node)
-        else:
-            walk(node.nominal)
-            walk(node.anomalous)
-
-    walk(model.root)
-    return leaves
+def depth(node):
+    """The depth of a tree written as :meth:`DecisionTreeModel.to_dict`'s nodes."""
+    return 1 + max(depth(node["nominal"]), depth(node["anomalous"])) if "feature" in node else 0
 
 
 def test_tree_respects_min_leaf():
@@ -495,7 +493,8 @@ def test_tree_respects_min_leaf():
     x = (rng.random((50, 6)) < 0.5).astype(np.uint8)
     y = rng.integers(0, 2, size=50)
     model = train_tree(x, y, (NORMAL_CLASS, LOSS_HOMER), min_leaf=5)
-    assert all(leaf.total >= 5 for leaf in collect_leaves(model))
+    leaves = model.counts[model.feature < 0]
+    assert len(leaves) > 1 and leaves.sum(axis=1).min() >= 5
 
 
 def test_tree_max_depth_caps_growth():
@@ -503,7 +502,7 @@ def test_tree_max_depth_caps_growth():
     x = (rng.random((80, 8)) < 0.5).astype(np.uint8)
     y = rng.integers(0, 2, size=80)
     model = train_tree(x, y, (NORMAL_CLASS, LOSS_HOMER), min_leaf=1, max_depth=2)
-    assert model.depth() <= 2
+    assert depth(model.to_dict()["root"]) <= 2
 
 
 def test_tree_distributions_sum_to_one():
@@ -578,12 +577,19 @@ def test_tree_equals_the_per_feature_oracle(seed, n, n_classes, min_leaf, max_de
     y = rng.integers(0, n_classes, n)
     if rng.random() < 0.5:  # labels partly set by the bits, so the tree grows deep
         y = (x[:, :3].astype(np.intp) @ rng.integers(0, n_classes, min(3, x.shape[1])) + y * (rng.random(n) < 0.2)) % n_classes
-    model = train_tree(x, y, MANY_CLASSES[:n_classes], min_leaf=min_leaf, max_depth=max_depth)
-    assert model.root == oracles.grow_tree_loop(x, y, n_classes, min_leaf, max_depth)
+    classes = MANY_CLASSES[:n_classes]
+    model = train_tree(x, y, classes, min_leaf=min_leaf, max_depth=max_depth)
+    root = oracles.grow_tree_loop(x, y, n_classes, min_leaf, max_depth)
+    oracle = oracles.NodeTree(classes, x.shape[1], min_leaf, max_depth, root)
+    assert model.to_dict() == oracle.to_dict()
+    again = DecisionTreeModel.from_dict(model.to_dict(), classes, x.shape[1])
+    assert all(np.array_equal(getattr(again, a), getattr(model, a)) for a in ("feature", "child", "counts"))
     rows = rng.integers(0, 3, (30, x.shape[1])).astype(np.uint8)
     batch = model.predict_proba(rows)
-    expected = np.stack([oracles.tree_proba_row(model, row) for row in rows])
+    expected = np.stack([oracles.tree_proba_row(oracle, row) for row in rows])
     assert np.array_equal(batch, expected)
+    with mock.patch("faultcast.signature._DESCENT_CELLS", 2 * len(model.feature)):  # rows descend in blocks of 2
+        assert np.array_equal(model.predict_proba(rows), expected)
     assert np.array_equal(model.predict_proba(rows[0]), expected[0])
 
 
@@ -608,9 +614,9 @@ def test_signature_model_separates_fault_locations():
     vocab, pool = window_fixture()
     model = train_signature(pool, vocab, algorithm="tree", window_min=90)
     # one level per location marker
-    assert model.model.depth() == 2
-    assert model.top_classes(pool)[:3] == [LOSS_HOMER, LOSS_SPROUT, NORMAL_CLASS]
-    assert model.classify_bits(np.zeros(vocab.dimension, dtype=bool)).top()[0] == NORMAL_CLASS
+    assert depth(model.to_dict()["model"]["root"]) == 2
+    assert [cls for cls, _ in model.top(pool)[:3]] == [LOSS_HOMER, LOSS_SPROUT, NORMAL_CLASS]
+    assert model.top(oracles.pool_of([(0, 300, frozenset(), NORMAL_CLASS)])) == [(NORMAL_CLASS, 1.0)]
 
 
 def test_signature_round_trip_is_byte_stable(tmp_path):
@@ -627,7 +633,7 @@ def test_signature_round_trip_is_byte_stable(tmp_path):
         # behaviour survives the round trip
         x = vocab.encode(pool)
         assert np.array_equal(again.model.predict_proba(x), model.model.predict_proba(x))
-        assert again.top_classes(pool) == model.top_classes(pool)
+        assert again.top(pool) == model.top(pool)
 
 
 def test_signature_rejects_wrong_payload(tmp_path):
@@ -815,10 +821,10 @@ def test_tree_levels_without_a_valid_split_raise_no_float_error():
     y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     with np.errstate(all="raise"):
         # all-zero rows: no bit leaves a sample on its set side
-        assert train_tree(np.zeros((8, 3), dtype=np.uint8), y, classes, min_leaf=1).root.is_leaf
+        assert train_tree(np.zeros((8, 3), dtype=np.uint8), y, classes, min_leaf=1).feature.tolist() == [-1]
         # a splittable node whose every bit leaves a side under min_leaf
         x = np.eye(8, 4, dtype=np.uint8)
-        assert train_tree(x, y, classes, min_leaf=2).root.is_leaf
+        assert train_tree(x, y, classes, min_leaf=2).feature.tolist() == [-1]
         # every fold's tree grown over windows without anomalies
         pool, vocab = as_pool(np.zeros((8, 2), dtype=np.uint8), y, False)
         assert cross_validate(pool, vocab, k=4).predictions == oracles.cross_validate_rows(pool, vocab, k=4)
@@ -838,7 +844,7 @@ def test_tree_equals_the_recursive_grower(seed, n, n_classes, min_leaf, max_dept
     x, y = random_dataset(rng, n, int(rng.integers(0, 16)), n_classes)
     x[rng.random(x.shape) < 0.02] = 2  # any non-zero value is a set bit, in training as in prediction
     model = train_tree(x, y, MANY_CLASSES[:n_classes], min_leaf=min_leaf, max_depth=max_depth)
-    assert model.root == oracles.train_tree_recursive(x, y, n_classes, min_leaf, max_depth)
+    assert model.to_dict()["root"] == oracles.train_tree_recursive(x, y, n_classes, min_leaf, max_depth).to_dict()
 
 
 @settings(max_examples=100, deadline=None)
@@ -856,7 +862,10 @@ def test_fold_batched_nb_equals_per_fold_predict_proba(seed, k, n_features, n_cl
     classes = MANY_CLASSES[:n_classes]
     alpha = float(rng.choice([0.1, 1.0, 3.0]))
     folds = stratified_folds([classes[c] for c in y], k, seed=seed % 5)
-    probs = _nb_fold_posteriors(x, y, classes, folds, alpha)
+    fold_of = np.empty(len(y), dtype=np.intp)
+    for i, fold in enumerate(folds):
+        fold_of[fold] = i
+    probs = _nb_fold_posteriors(x, y, classes, fold_of, alpha)
     for fold in folds:
         model = train_nb(np.delete(x, fold, axis=0), np.delete(y, fold), classes, alpha=alpha)
         assert np.array_equal(probs[fold], model.predict_proba(x[fold]))
