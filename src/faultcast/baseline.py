@@ -376,26 +376,6 @@ def _granger_from(cause: np.ndarray, restricted: _Restricted) -> GrangerResult:
     )
 
 
-def granger_fit(x_values, y_values, p: int = DEFAULT_LAG_ORDER) -> GrangerResult:
-    """Test whether x's history improves one-step prediction of y.
-
-    Fits the restricted autoregression of y on its own p lags and the
-    unrestricted one adding x's p lags, then compares residual sums of squares
-    with an F test on (p, T - 2p - 1) degrees of freedom, T being the number
-    of regression rows.
-    """
-    x = np.asarray(x_values, dtype=float)
-    y = np.asarray(y_values, dtype=float)
-    if p <= 0:
-        raise ValueError("lag order must be positive")
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    n = len(y)
-    if n < 4 * p + 8:
-        raise ValueError(f"need at least {4 * p + 8} aligned samples, got {n}")
-    return _granger_from(lags(x, p), _restricted_fit(y[p:], lags(y, p)))
-
-
 @dataclass(frozen=True)
 class GrangerEdge:
     """A causal edge cause -> effect kept for multivariate detection."""
@@ -615,13 +595,14 @@ def build_graph(
     p-value beats ``alpha``; its weight is 1 - p_value.  Edges come back
     ordered by (cause, effect).
 
-    The test is :func:`granger_fit`'s, computed another way: the pairs with
-    the same regression rows (all, on gap-free data) are tested together;
-    each effect's own history is partialled out once and every cause's lags
-    are projected off it (Frisch-Waugh-Lovell); a pair too close to singular
-    for that is fitted by lstsq as in :func:`granger_fit`, the single-pair
-    reference.  Kept edges and rank verdicts match it; the floats round
-    differently, in the last ~10 significant digits.
+    The test is that of ``granger_fit``, the single-pair lstsq reference in
+    ``tests/oracles.py``, computed another way: the pairs with the same
+    regression rows (all, on gap-free data) are tested together; each
+    effect's own history is partialled out once and every cause's lags are
+    projected off it (Frisch-Waugh-Lovell); a pair too close to singular for
+    that is fitted by lstsq as in the reference (:func:`_granger_from`).
+    Kept edges and rank verdicts match it; the floats round differently, in
+    the last ~10 significant digits.
     """
     BaselineConfig(lag_order=p, alpha=alpha, prefilter_r=prefilter_r)  # checks the settings
     kpis = sorted(training)

@@ -302,8 +302,8 @@ class AnomalyKind(str, Enum):
 
 
 #: A kind's code is its index here, the order AnomalyEvent sorts kinds in, so
-#: sorting codes sorts events.  ``AnomalyEvents.kind``, ``Windows.cells``,
-#: ``Vocabulary.bits`` and the predictor's ``last_seen`` all use the codes.
+#: sorting codes sorts events.  ``AnomalyEvents.kind``, ``Windows.cells``
+#: and ``Vocabulary.bits`` all use the codes.
 _KINDS = (AnomalyKind.MULTIVARIATE, AnomalyKind.UNIVARIATE)
 _MULTIVARIATE, _UNIVARIATE = range(len(_KINDS))
 _KIND_CODES = {kind.value: code for code, kind in enumerate(_KINDS)}

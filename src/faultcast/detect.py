@@ -178,6 +178,16 @@ def _edge_scores(coef: np.ndarray, x: np.ndarray, y: np.ndarray, full: np.ndarra
     return sums
 
 
+def _check_scores(counted: np.ndarray, scores: np.ndarray, starts: np.ndarray, name) -> None:
+    """Raise :class:`FaultcastError` at the first counted [rows, intervals]
+    score that is not finite: the data holds a value too large to score."""
+    bad = np.argwhere(counted & ~np.isfinite(scores))
+    if len(bad):
+        row, i = bad[0]
+        at = format_timestamp(int(starts[i]))
+        raise FaultcastError(f"{name(row)}: a value in the interval at {at} is too large to score")
+
+
 def check_tau(tau: float) -> None:
     """Reject a multivariate threshold that is negative, which flags every
     edge, or not finite, which switches the detector off."""
@@ -230,10 +240,13 @@ def detect_stream(
     expected = INTERVAL_S // CADENCE_S
     starts, lo = _interval_bins(frame.timestamps, run_start)
     bucket = hour_of_week(frame.timestamps)
-    z = np.abs(frame.values - plan.bucket_means[:, bucket]) / plan.bucket_stds[:, bucket]
+    with np.errstate(over="ignore", invalid="ignore"):  # a score beyond a float is reported below
+        z = np.abs(frame.values - plan.bucket_means[:, bucket]) / plan.bucket_stds[:, bucket]
     peaks = np.fmax.reduceat(z, lo, axis=1)
     coverage = np.add.reduceat(present, lo, axis=1, dtype=np.intp)
-    r, i = np.nonzero((2 * coverage >= expected) & (peaks > plan.k_sigma[:, None]))
+    evaluated = 2 * coverage >= expected
+    _check_scores(evaluated, peaks, starts, lambda r: str(plan.kpis[r]))
+    r, i = np.nonzero(evaluated & (peaks > plan.k_sigma[:, None]))
     # exceedance columns: (start, KPI, kind, score)
     found = [(starts[i], r, _UNIVARIATE, peaks[r, i])]
 
@@ -249,8 +262,10 @@ def detect_stream(
         ok = (2 * scored >= expected) & (scored == aligned)
         if not ok.any():
             continue
-        sums = _edge_scores(edges.coefficients[chunk], frame.values[cause], frame.values[effect], full, lo)
-        scores = np.sqrt(sums / np.maximum(scored, 1)) / edges.residual_std[chunk, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _edge_scores(edges.coefficients[chunk], frame.values[cause], frame.values[effect], full, lo)
+            scores = np.sqrt(sums / np.maximum(scored, 1)) / edges.residual_std[chunk, None]
+        _check_scores(ok, scores, starts, lambda e: f"edge {plan.kpis[cause[e]]} -> {plan.kpis[effect[e]]}")
         e, i = np.nonzero(ok & (scores > tau))
         found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
 

@@ -58,6 +58,7 @@ from .signature import (
     Windows,
     cross_validate,
     train_signature,
+    window_cells,
 )
 
 logger = logging.getLogger(__name__)
@@ -272,9 +273,8 @@ def assemble_windows(runs: Sequence[RunRecord], l_min: int, step_min: int) -> Wi
 
     An event belongs to every window whose range holds its interval start,
     so anomalies persist across overlapping windows until they slide out.
-    Per run, each distinct start gets one row of a [starts, K, 2] hit matrix
-    over the pool's KPIs; a window's cells are those hit between the rows of
-    its bounds, a difference of two cumulative sums.
+    Each run's windows come from :func:`window_cells` over the pool's
+    sorted KPIs.
     """
     events = [AnomalyEvents.of(rec.events) for rec in runs]
     kpis = tuple(sorted(set().union(*(ev.kpis for ev in events))))
@@ -282,12 +282,8 @@ def assemble_windows(runs: Sequence[RunRecord], l_min: int, step_min: int) -> Wi
     cells, bounds, labels = [np.zeros((0, len(kpis), 2), dtype=bool)], [], []
     for rec, ev in zip(runs, events):
         windows = slide_windows(rec.manifest.start, rec.manifest.end, l_min, step_min)
-        starts, row = np.unique(ev.start, return_inverse=True)
-        hits = np.zeros((len(starts) + 1, len(kpis), 2), dtype=np.int32)  # row 0 stays empty
-        hits[row + 1, np.array([index[kpi] for kpi in ev.kpis], dtype=np.intp)[ev.kpi], ev.kind] = 1
-        csum = np.cumsum(hits, axis=0)
-        lo, hi = np.searchsorted(starts, np.array(windows, dtype=np.int64).reshape(-1, 2).T)
-        cells.append(csum[hi] > csum[lo])
+        numbers = np.array([index[kpi] for kpi in ev.kpis], dtype=np.intp)[ev.kpi]
+        cells.append(window_cells(ev, numbers, len(kpis), windows))
         bounds += windows
         labels += [window_label(rec.manifest, start, end) for start, end in windows]
     start, end = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
@@ -373,17 +369,6 @@ def run_rq1(data: SuiteData) -> List[Rq1Row]:
                 )
             )
     return rows
-
-
-def rq1_f_gap(rows: Sequence[Rq1Row], window_min: int, algorithm: str = "tree") -> float:
-    """How far the given window length's micro-F sits below the best one."""
-    scores = {
-        (r.window_min, r.algorithm): r.micro.f_measure
-        for r in rows
-        if r.micro.f_measure is not None
-    }
-    best = max(v for (_, algo), v in scores.items() if algo == algorithm)
-    return best - scores[(window_min, algorithm)]
 
 
 def render_rq1(rows: Sequence[Rq1Row]) -> str:

@@ -22,7 +22,7 @@ from .core import (
 )
 from .detect import DEFAULT_TAU, AnomalyEvent, AnomalyEvents, detect_stream
 from .io import RunManifest, _open_text
-from .signature import SignatureModel
+from .signature import SignatureModel, Windows, window_cells
 
 DEFAULT_CONFIDENCE = 0.9
 DEFAULT_STREAK = 4
@@ -59,48 +59,24 @@ class Alert:
                 raise ValueError("failure-specific alerts must carry a non-Normal class")
 
 
-#: ``last_seen`` of a cell that never fired.
-_NEVER = np.iinfo(np.int64).min
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PredictorState:
     """Immutable predictor state threaded through :func:`step`.
 
-    ``last_seen[k, c]`` is the last interval start at which KPI ``kpis[k]``
-    was flagged by the detector of kind code ``c`` (``_NEVER`` if it was
-    not); ``kpis`` holds every KPI the events carried, in or outside the
-    vocabulary.  The window's cells are those seen at or after its start.
-    The streak counts consecutive intervals whose top class stayed the same
-    at or above the confidence threshold.
+    ``events`` holds the anomaly events of the window ending with the last
+    interval stepped, each stamped with the start of the interval it came
+    in, over KPIs in or outside the vocabulary.  The streak counts
+    consecutive intervals whose top class stayed the same at or above the
+    confidence threshold.
     """
 
     window_min: int
-    kpis: Tuple[KpiId, ...] = ()
-    last_seen: np.ndarray = field(default_factory=lambda: np.full((0, 2), _NEVER))
+    events: AnomalyEvents = field(default_factory=lambda: AnomalyEvents((), [], [], [], []))
     last_interval: Optional[int] = None
     streak_class: Optional[FailureClass] = None
     streak_len: int = 0
     active_class: Optional[FailureClass] = None
     fs_fired: bool = False
-
-    @property
-    def cells(self) -> np.ndarray:
-        """The bool [K, 2] cells of the window ending with the last interval
-        stepped; that interval's own cells are in it even when the window is
-        shorter."""
-        window_start = self.last_interval + INTERVAL_S - self.window_min * 60
-        return self.last_seen >= min(window_start, self.last_interval)
-
-    def evidence(self) -> frozenset:
-        """The window's distinct (KpiId, AnomalyKind) pairs."""
-        return frozenset((self.kpis[k], _KINDS[c]) for k, c in zip(*np.nonzero(self.cells)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PredictorState):
-            return NotImplemented
-        rest = {**vars(self), "last_seen": None} == {**vars(other), "last_seen": None}
-        return rest and np.array_equal(self.last_seen, other.last_seen)
 
 
 def new_state(window_min: int) -> PredictorState:
@@ -119,6 +95,79 @@ def check_alert_rule(confidence_threshold: float, streak_needed: int) -> None:
         raise ValueError(f"streak {streak_needed!r} must be at least 1")
 
 
+def _advance(state: PredictorState, interval_start: int, top, rule) -> Tuple[PredictorState, Optional[AlertKind]]:
+    """One interval of the alert lifecycle, whose window's top class and
+    its probability are ``top``: the successor and the kind of alert the
+    interval raises, if any."""
+    (top_class, top_p), (confidence_threshold, streak_needed) = top, rule
+    if top_class.is_normal:
+        reset = dict(streak_class=None, streak_len=0, active_class=None, fs_fired=False)
+        return replace(state, last_interval=interval_start, **reset), None
+
+    # streak bookkeeping: reset on class change or low confidence
+    if top_p >= confidence_threshold:
+        if state.streak_class == top_class:
+            streak_class, streak_len, fs_fired = top_class, state.streak_len + 1, state.fs_fired
+        else:
+            streak_class, streak_len, fs_fired = top_class, 1, False
+    else:
+        streak_class, streak_len, fs_fired = None, 0, False
+
+    active_class, kind = state.active_class, None
+    if active_class != top_class:
+        # lifecycle (re)starts with a General alert for the new class context
+        kind, active_class = AlertKind.GENERAL, top_class
+    elif streak_len >= streak_needed and not fs_fired:
+        kind, fs_fired = AlertKind.FAILURE_SPECIFIC, True
+    fields = dict(streak_class=streak_class, streak_len=streak_len, active_class=active_class, fs_fired=fs_fired)
+    return replace(state, last_interval=interval_start, **fields), kind
+
+
+def _replay(state: PredictorState, events: AnomalyEvents, start: int, end: int, signature: SignatureModel, rule):
+    """Run the alert lifecycle from ``state`` over the intervals ``start``,
+    ``start + 5 min``, ... before ``end``; returns the successor, whose
+    events are the last interval's window, and the alerts raised.
+
+    ``events`` are sorted by start, on the intervals' grid; those before
+    ``start`` are history.  The window of the interval at ``s`` holds the
+    events in ``[min(s + 5 min - W, s), s + 5 min)``: it changes only at the
+    first interval, where an event starts and where it leaves, ``max(1, W //
+    5 min)`` intervals later.  One :meth:`SignatureModel.top` call
+    classifies each window between two changes.  Over a stretch of equal
+    windows the lifecycle settles within ``streak_needed + 1`` intervals,
+    and only the streak grows over the rest.  The work is bounded by the
+    events, not the span.
+    """
+    check_alert_rule(*rule)
+    n = -(-(end - start) // INTERVAL_S)
+    if n <= 0:
+        return state, []
+    w = state.window_min * 60
+    stay = max(1, w // INTERVAL_S)
+    entered = (events.start - start) // INTERVAL_S
+    changes = np.unique(np.concatenate([[0], entered, entered + stay]))
+    changes = changes[(changes >= 0) & (changes < n)]
+    lengths = np.diff(changes, append=n).tolist()
+    at = start + changes * INTERVAL_S
+    bounds = np.stack([np.minimum(at + INTERVAL_S - w, at), at + INTERVAL_S], axis=1)
+    cells = window_cells(events, events.kpi, len(events.kpis), bounds)
+    tops = signature.top(Windows(events.kpis, cells, bounds[:, 0], bounds[:, 1], ()))
+    alerts: List[Alert] = []
+    for i, (top, steps) in enumerate(zip(tops, lengths)):
+        ran = min(steps, rule[1] + 1)
+        for j in range(ran):
+            state, kind = _advance(state, int(at[i]) + j * INTERVAL_S, top, rule)
+            if kind is not None:
+                evidence = frozenset((events.kpis[k], _KINDS[c]) for k, c in zip(*np.nonzero(cells[i])))
+                fs_class = top[0] if kind is AlertKind.FAILURE_SPECIFIC else None
+                alerts.append(Alert(kind, state.last_interval + INTERVAL_S, fs_class, top[1], evidence))
+        if steps > ran:  # settled: only a running streak grows
+            grown = state.streak_len + (steps - ran) * (state.streak_class is not None)
+            state = replace(state, last_interval=int(at[i]) + (steps - 1) * INTERVAL_S, streak_len=grown)
+    lo, hi = np.searchsorted(events.start, bounds[-1])
+    return replace(state, events=events[lo:hi]), alerts
+
+
 def step(
     state: PredictorState,
     interval_start: int,
@@ -135,55 +184,32 @@ def step(
     class, which restarts the lifecycle); a FailureSpecific alert fires once
     per streak after ``streak_needed`` consecutive intervals of the same class
     at or above ``confidence_threshold``.  All-Normal input never alerts.
-    The rule is checked by :func:`check_alert_rule`.
+    The rule is checked by :func:`check_alert_rule`.  The events join the
+    window stamped with ``interval_start``, and :func:`_replay` judges it.
     """
-    check_alert_rule(confidence_threshold, streak_needed)
     if state.last_interval is not None and interval_start <= state.last_interval:
         raise OrderingError(
             f"interval {format_timestamp(interval_start)} is not after "
             f"{format_timestamp(state.last_interval)}"
         )
-    kpis, last_seen = state.kpis, state.last_seen
+    window = state.events
     if len(events):
         events = AnomalyEvents.of(events)
-        numbers = events.kpi
-        if events.kpis != kpis:  # number the KPIs this state has not seen after its own
+        kpis, numbers = window.kpis, events.kpi
+        if events.kpis != kpis:  # number the KPIs the window has not seen after its own
             index = {kpi: k for k, kpi in enumerate(kpis)}
             numbers = np.array([index.setdefault(kpi, len(index)) for kpi in events.kpis], dtype=np.intp)[numbers]
             kpis = tuple(index)
-        if len(kpis) > len(last_seen):
-            last_seen = np.concatenate([last_seen, np.full((len(kpis) - len(last_seen), 2), _NEVER)])
-        else:
-            last_seen = last_seen.copy()  # the state before keeps its read-only array
-        last_seen[numbers, events.kind] = interval_start
-        last_seen.setflags(write=False)
-    interim = replace(state, kpis=kpis, last_seen=last_seen, last_interval=interval_start)
-    ((top_class, top_p),) = signature.top(interim)
-
-    if top_class.is_normal:
-        return replace(interim, streak_class=None, streak_len=0, active_class=None, fs_fired=False), None
-
-    # streak bookkeeping: reset on class change or low confidence
-    if top_p >= confidence_threshold:
-        if state.streak_class == top_class:
-            streak_class, streak_len, fs_fired = top_class, state.streak_len + 1, state.fs_fired
-        else:
-            streak_class, streak_len, fs_fired = top_class, 1, False
-    else:
-        streak_class, streak_len, fs_fired = None, 0, False
-
-    active_class, alert = state.active_class, None
-    if active_class != top_class:
-        # lifecycle (re)starts with a General alert for the new class context
-        alert = Alert(AlertKind.GENERAL, interval_start + INTERVAL_S, None, top_p, interim.evidence())
-        active_class = top_class
-    elif streak_len >= streak_needed and not fs_fired:
-        alert = Alert(AlertKind.FAILURE_SPECIFIC, interval_start + INTERVAL_S, top_class, top_p, interim.evidence())
-        fs_fired = True
-    successor = replace(
-        interim, streak_class=streak_class, streak_len=streak_len, active_class=active_class, fs_fired=fs_fired
-    )
-    return successor, alert
+        window = AnomalyEvents(
+            kpis,
+            np.concatenate([window.start, np.full(len(events), interval_start)]),
+            np.concatenate([window.kpi, numbers]),
+            np.concatenate([window.kind, events.kind]),
+            np.concatenate([window.score, events.score]),
+        )
+    rule = (confidence_threshold, streak_needed)
+    state, alerts = _replay(state, window, interval_start, interval_start + INTERVAL_S, signature, rule)
+    return state, (alerts[0] if alerts else None)
 
 
 def run_predictor(
@@ -199,21 +225,8 @@ def run_predictor(
 ) -> List[Alert]:
     """Detect anomalies over a run and replay them through the predictor."""
     events = detect_stream(baseline, series_map, run_start, tau=tau)  # sorted by interval start
-    state = new_state(signature.window_min)
-    alerts: List[Alert] = []
-    for start in range(run_start, run_end, INTERVAL_S):
-        lo, hi = np.searchsorted(events.start, [start, start + 1])
-        state, alert = step(
-            state,
-            start,
-            events[lo:hi],
-            signature,
-            confidence_threshold=confidence_threshold,
-            streak_needed=streak_needed,
-        )
-        if alert is not None:
-            alerts.append(alert)
-    return alerts
+    rule = (confidence_threshold, streak_needed)
+    return _replay(new_state(signature.window_min), events, run_start, run_end, signature, rule)[1]
 
 
 # ---------------------------------------------------------------------------

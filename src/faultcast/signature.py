@@ -36,12 +36,13 @@ _DESCENT_CELLS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class Windows:
-    """A pool of labeled sliding windows, as columns.
+    """A pool of sliding windows, as columns.
 
-    Window i covers ``[start[i], end[i])`` and carries ``labels[i]``;
-    ``cells[i, k, c]`` is set when KPI ``kpis[k]`` was flagged inside it by
-    the detector of kind code ``c`` (0 Multivariate, 1 Univariate, the codes
-    of :class:`AnomalyEvents`).  ``kpis`` is sorted.
+    Window i covers ``[start[i], end[i])``; ``cells[i, k, c]`` is set when
+    KPI ``kpis[k]`` was flagged inside it by the detector of kind code ``c``
+    (0 Multivariate, 1 Univariate, the codes of :class:`AnomalyEvents`).  A
+    training pool's ``kpis`` are sorted and window i carries ``labels[i]``;
+    the windows the predictor classifies carry no labels.
     """
 
     kpis: Tuple[KpiId, ...]
@@ -51,7 +52,21 @@ class Windows:
     labels: Tuple[FailureClass, ...]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.start)
+
+
+def window_cells(events, kpi: np.ndarray, n_kpis: int, bounds) -> np.ndarray:
+    """The bool [N, K, 2] cells of the N windows ``[lo, hi)`` in ``bounds``
+    over columnar ``events``, ``kpi`` numbering them over the caller's K
+    KPIs.  Each distinct start gets one row of a [starts, K, 2] hit matrix;
+    a window's cells are those hit between the rows of its bounds, a
+    difference of two cumulative sums."""
+    starts, row = np.unique(events.start, return_inverse=True)
+    hits = np.zeros((len(starts) + 1, n_kpis, 2), dtype=np.int32)  # row 0 stays empty
+    hits[row + 1, kpi, events.kind] = 1
+    csum = np.cumsum(hits, axis=0)
+    lo, hi = np.searchsorted(starts, np.asarray(bounds, dtype=np.int64).reshape(-1, 2).T)
+    return csum[hi] > csum[lo]
 
 
 class Vocabulary:
@@ -64,7 +79,7 @@ class Vocabulary:
     no bit.
     """
 
-    __slots__ = ("kpis", "split_kinds", "_index", "_last")
+    __slots__ = ("kpis", "split_kinds", "_index")
 
     def __init__(self, kpis: Iterable[KpiId], split_kinds: bool = False):
         self.kpis: Tuple[KpiId, ...] = tuple(sorted(set(kpis)))
@@ -72,7 +87,6 @@ class Vocabulary:
             raise ValueError("vocabulary must contain at least one KPI")
         self.split_kinds = bool(split_kinds)
         self._index: Dict[KpiId, int] = {kpi: i for i, kpi in enumerate(self.kpis)}
-        self._last: Tuple[tuple, np.ndarray] = ((), np.zeros((0, 2), dtype=np.intp))  # bits() of the last tuple
 
     @property
     def dimension(self) -> int:
@@ -86,17 +100,11 @@ class Vocabulary:
         return str(self.kpis[bit])
 
     def bits(self, kpis: Tuple[KpiId, ...]) -> np.ndarray:
-        """The bit of each (KPI, kind code) cell over ``kpis``, as a read-only
-        int [K, 2]; -1 for the cells of a KPI outside the vocabulary."""
-        last, bits = self._last
-        if kpis is last:  # the predictor asks for its state's KPIs every step
-            return bits
+        """The bit of each (KPI, kind code) cell over ``kpis``, as an int
+        [K, 2]; -1 for the cells of a KPI outside the vocabulary."""
         i = np.array([self._index.get(kpi, -1) for kpi in kpis], dtype=np.intp)[:, None]
         # columns in kind-code order: Multivariate, Univariate
-        bits = np.where(i >= 0, np.hstack([2 * i + 1, 2 * i] if self.split_kinds else [i, i]), -1)
-        bits.setflags(write=False)
-        self._last = (kpis, bits)
-        return bits
+        return np.where(i >= 0, np.hstack([2 * i + 1, 2 * i] if self.split_kinds else [i, i]), -1)
 
     def encode(self, pool) -> np.ndarray:
         """The bool bit matrix [..., F] of ``pool``'s cells [..., K, 2] over

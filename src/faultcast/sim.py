@@ -196,26 +196,6 @@ class Topology:
     def resources(self) -> Tuple[str, ...]:
         return self.app_vms + self.compute_nodes + (SYSTEM_RESOURCE,)
 
-    def catalog(self) -> Tuple[KpiId, ...]:
-        kpis = []
-        for vm in self.app_vms:
-            for metric in (CPU_IDLE, MEM_USED, BYTES_RECV, BYTES_SENT, ERRORS, RETRANS, RUN_QUEUE):
-                kpis.append(KpiId(vm, metric))
-        for caller, targets in self.callees.items():
-            for callee in targets:
-                kpis.append(KpiId(caller, timeouts_metric(callee)))
-        for vm in self.call_path:
-            for metric in (LATENCY, INCOMING, REJECTED):
-                kpis.append(KpiId(vm, metric))
-        for vm in self.queue_vms:
-            kpis.append(KpiId(vm, QUEUE))
-        for node in self.compute_nodes:
-            for metric in (CPU_IDLE, MEM_USED, SWAP):
-                kpis.append(KpiId(node, metric))
-        kpis.append(KpiId(SYSTEM_RESOURCE, CALLS))
-        kpis.append(KpiId(SYSTEM_RESOURCE, SUCCESS_RATE))
-        return tuple(sorted(kpis))
-
 
 def default_topology() -> Topology:
     """The bundled six-VM deployment on two compute nodes."""

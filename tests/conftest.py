@@ -50,6 +50,21 @@ def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
 
 
 @pytest.fixture(scope="session")
+def quick_start_files(tmp_path_factory) -> dict:
+    """The README quick start's ``baseline.json``, tree ``signature.json``
+    and ``leak.csv``, written in process, and the leak run's anomaly events."""
+    from make_goldens import quick_start_models
+
+    root = tmp_path_factory.mktemp("quick-start")
+    baseline, signature, leak, events = quick_start_models()
+    files = {name: root / name for name in ("baseline.json", "signature.json", "leak.csv")}
+    baseline.save(files["baseline.json"])
+    signature.save(files["signature.json"])
+    write_csv(leak, files["leak.csv"])
+    return {**files, "events": events}
+
+
+@pytest.fixture(scope="session")
 def short_pipeline(tmp_path_factory) -> dict:
     """Artifacts from a small end-to-end CLI pass: a one-day fault-free
     training run, a baseline fitted from it (short-history override), and a

@@ -4,8 +4,9 @@
     PYTHONPATH=src python3 tests/make_goldens.py --out DIR
 
 The goldens are the default ``evaluate --suite all`` report, the default
-suite's causal edges and a digest of each of its runs' anomaly events, and
-the README quick start: its tree ``signature.json`` and, of its leak run, the
+suite's causal edges and a digest of each of its runs' anomaly events, a
+digest of each RQ4 run's alerts under a naive-Bayes and a split-kinds
+naive-Bayes signature trained on the suite pool, and the README quick start: its tree ``signature.json`` and, of its leak run, the
 anomaly log and ``alerts.csv``.
 The quick start is computed in process with the calls and defaults the CLI
 commands make; the CSV, anomaly log and model files they write round-trip
@@ -52,6 +53,39 @@ def run_digest(events) -> str:
     return f"{len(keys)},{digest},{math.fsum(scores)!r}"
 
 
+def alert_digest(alerts) -> str:
+    """One run's alerts as ``alerts,sha256`` over each alert's kind,
+    ``raised_at``, class, ``repr(confidence)`` and sorted evidence."""
+    rows = []
+    for a in alerts:
+        evidence = " ".join(sorted(f"{kpi}:{kind.value}" for kpi, kind in a.evidence))
+        rows.append(f"{a.kind.value},{a.raised_at},{a.failure_class},{a.confidence!r},{evidence}\n")
+    return f"{len(rows)},{hashlib.sha256(''.join(rows).encode('utf-8')).hexdigest()}"
+
+
+def rq4_nb_alerts(data) -> str:
+    """Each RQ4 run's alert digest under naive-Bayes signatures, one-bit and
+    split-kinds, trained on the suite's pool: the online path of a model
+    whose confidences vary from window to window."""
+    from faultcast.evaluate import RQ4_RUN_MIN, RQ4_SEEDS_PER_COMBO, RQ4_TARGET
+    from faultcast.evaluate import assemble_windows, generate, rq4_run_specs
+    from faultcast.predict import run_predictor
+    from faultcast.signature import Vocabulary, train_signature
+
+    config = data.config
+    pool = assemble_windows(data.runs, config.window_min, config.step_min)
+    lines = ["signature,run_id,alerts,sha256\n"]
+    for name, split_kinds in (("nb", False), ("nb-split", True)):
+        vocab = Vocabulary(data.baseline.baselines.keys(), split_kinds=split_kinds)
+        signature = train_signature(pool, vocab, "nb", config.window_min)
+        for spec in rq4_run_specs(config, RQ4_SEEDS_PER_COMBO, RQ4_RUN_MIN, RQ4_TARGET):
+            series, _ = generate(config, spec)
+            end = spec.start + spec.duration_s
+            alerts = run_predictor(data.baseline, signature, series, spec.start, end, tau=config.tau)
+            lines.append(f"{name},{spec.run_id},{alert_digest(alerts)}\n")
+    return "".join(lines)
+
+
 def study_outputs(data) -> Dict[str, str]:
     """The report ``evaluate --suite all`` writes, the suite's edges and its
     runs' anomaly digests, of a suite built under the default config."""
@@ -69,19 +103,18 @@ def study_outputs(data) -> Dict[str, str]:
         "report.txt": "\n\n".join(sections) + "\n",
         "edges.csv": "cause,effect\n" + edges,
         "suite-anomalies.csv": "run_id,events,keys_sha256,score_fsum\n" + digests,
+        "rq4-nb-alerts.csv": rq4_nb_alerts(data),
     }
 
 
-def quick_start() -> Dict[str, str]:
-    """The tree ``signature.json`` and the leak run's anomaly log and
-    ``alerts.csv`` from the README's quick start: baseline on the fortnight,
-    signature on the training and leak runs, then ``predict`` over the leak
-    run."""
+def quick_start_models():
+    """The README quick start's models and leak run: the baseline fitted on
+    the fortnight, the tree signature trained on the training and leak runs,
+    the leak run's series and its anomaly events."""
     from faultcast.baseline import fit_baseline_model
-    from faultcast.core import CADENCE_S, parse_timestamp
-    from faultcast.detect import detect_stream, write_anomaly_log
+    from faultcast.core import parse_timestamp
+    from faultcast.detect import detect_stream
     from faultcast.evaluate import RunRecord, assemble_windows
-    from faultcast.predict import run_predictor, write_alert_log
     from faultcast.signature import Vocabulary, train_signature
     from faultcast.sim import load_scenario
 
@@ -94,6 +127,19 @@ def quick_start() -> Dict[str, str]:
         RunRecord(manifest=leak_manifest, events=leak_events),
     ]
     signature = train_signature(assemble_windows(runs, 90, 5), Vocabulary(baseline.baselines.keys()), "tree", 90)
+    return baseline, signature, leak, leak_events
+
+
+def quick_start() -> Dict[str, str]:
+    """The tree ``signature.json`` and the leak run's anomaly log and
+    ``alerts.csv`` from the README's quick start: baseline on the fortnight,
+    signature on the training and leak runs, then ``predict`` over the leak
+    run."""
+    from faultcast.core import CADENCE_S, parse_timestamp
+    from faultcast.detect import write_anomaly_log
+    from faultcast.predict import run_predictor, write_alert_log
+
+    baseline, signature, leak, leak_events = quick_start_models()
     last = max(int(series.timestamps[-1]) for series in leak.values())
     alerts = run_predictor(baseline, signature, leak, parse_timestamp(LEAK_START), last + CADENCE_S)
     log, alert_log, model = io.StringIO(), io.StringIO(), io.StringIO()

@@ -35,13 +35,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from faultcast.baseline import (
+    DEFAULT_LAG_ORDER,
     STD_FLOOR_ABS,
     STD_FLOOR_REL,
     GrangerEdge,
     _f_survival,
     _granger_from,
     _restricted_fit,
-    granger_fit,
 )
 from faultcast.core import (
     _KINDS,
@@ -138,6 +138,34 @@ def ingest_csv_rows(stream):
                 raise DuplicateSampleError(b[2], f"duplicate sample for {kpi} at {format_timestamp(b[0])}")
         result[kpi] = TimeSeries(kpi, [t[0] for t in triples], [t[1] for t in triples])
     return result
+
+
+def granger_fit(x_values, y_values, p=DEFAULT_LAG_ORDER):
+    """Test whether x's history improves one-step prediction of y: the
+    single-pair lstsq reference of ``baseline.build_graph``.
+
+    Fits the restricted autoregression of y on its own p lags and the
+    unrestricted one adding x's p lags, then compares residual sums of squares
+    with an F test on (p, T - 2p - 1) degrees of freedom, T being the number
+    of regression rows.
+    """
+    x = np.asarray(x_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    if p <= 0:
+        raise ValueError("lag order must be positive")
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    n = len(y)
+    if n < 4 * p + 8:
+        raise ValueError(f"need at least {4 * p + 8} aligned samples, got {n}")
+    return _granger_from(lags(x, p), _restricted_fit(y[p:], lags(y, p)))
+
+
+def rq1_f_gap(rows, window_min, algorithm="tree"):
+    """How far the given window length's micro-F sits below the best one."""
+    scores = {(r.window_min, r.algorithm): r.micro.f_measure for r in rows if r.micro.f_measure is not None}
+    best = max(v for (_, algo), v in scores.items() if algo == algorithm)
+    return best - scores[(window_min, algorithm)]
 
 
 def band_floor(y):

@@ -22,12 +22,10 @@ from time import perf_counter
 
 import numpy as np
 
-from faultcast.baseline import granger_fit
 from faultcast.core import NORMAL_CLASS, FailureClass, FaultType, slide_windows
 from faultcast.metrics import Contingency, metrics
 from faultcast.sim import Pattern
 from faultcast.evaluate import (
-    rq1_f_gap,
     rq3_overall_fraction,
     run_rq1,
     run_rq2,
@@ -36,6 +34,7 @@ from faultcast.evaluate import (
 )
 
 from conftest import run_cli
+from oracles import granger_fit, rq1_f_gap
 
 
 def test_c1_causality_direction_and_calibration():

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import granger_fit
 
 from faultcast.baseline import (
     BaselineModel,
@@ -29,7 +30,6 @@ from faultcast.baseline import (
     build_graph,
     fit_baseline_model,
     fit_univariate,
-    granger_fit,
 )
 from faultcast.core import (
     CADENCE_S,
@@ -372,6 +372,31 @@ def three_kpi_training(seed=21, n=2000):
         ky: TimeSeries(ky, ts, y),
         kz: TimeSeries(kz, ts, z),
     }
+
+
+def c1_pairs():
+    """The (x, y) series of the acceptance check C1: 20 seeds of y driven by
+    x one lag back, then 200 seeds of independent noise."""
+    n = 500
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x, noise = rng.standard_normal(n), rng.standard_normal(n)
+        yield x, np.r_[noise[0], 0.8 * x[:-1] + noise[1:]]
+    for seed in range(200):
+        rng = np.random.default_rng(10_000 + seed)
+        yield rng.standard_normal(n), rng.standard_normal(n)
+
+
+def test_graph_verdicts_on_c1_seeds_equal_the_single_pair_reference():
+    # C1 measures the causality claim on granger_fit; the shipped route is
+    # the batched graph, which must keep or drop each direction alike
+    kx, ky = KpiId("C1", "x"), KpiId("C1", "y")
+    ts = 60 * np.arange(500, dtype=np.int64)
+    for i, (x, y) in enumerate(c1_pairs()):
+        edges = build_graph({kx: TimeSeries(kx, ts, x), ky: TimeSeries(ky, ts, y)}, p=3, alpha=0.01, prefilter_r=0.0)
+        want = {(kx, ky)} if granger_fit(x, y, 3).p_value < 0.01 else set()
+        want |= {(ky, kx)} if granger_fit(y, x, 3).p_value < 0.01 else set()
+        assert {(e.cause, e.effect) for e in edges} == want, f"seed {i}"
 
 
 def test_single_kpi_graph_is_empty():

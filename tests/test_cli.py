@@ -20,6 +20,7 @@ import pytest
 
 from faultcast.baseline import DEFAULT_ALPHA as GRAPH_ALPHA
 from faultcast.baseline import DEFAULT_K_SIGMA, DEFAULT_LAG_ORDER, DEFAULT_PREFILTER_R, BaselineModel, fit_baseline_model
+from faultcast import cli
 from faultcast.cli import build_parser
 from faultcast.core import (
     DEFAULT_STEP_MIN,
@@ -39,6 +40,7 @@ from faultcast.signature import SignatureModel, Vocabulary, train_signature
 
 import oracles
 from conftest import run_cli
+from make_goldens import LEAK_START
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -238,6 +240,50 @@ def _online_args(command, short_pipeline, tmp_path, run_start):
         _tiny_signature(Vocabulary(BaselineModel.load(baseline).baselines.keys())).save(signature)
         args += ["--signature", str(signature)]
     return args + ["--out", str(tmp_path / "out.csv"), "--run-start", run_start]
+
+
+def test_predict_work_is_bounded_by_the_events_not_the_span(quick_start_files, tmp_path, monkeypatch, capsys):
+    # one on-cadence sample near the end of the timestamp range stretches the
+    # run by millennia: the alerts stay the same, and the windows classified
+    # stay within two per distinct event start, plus the first interval
+    late = tmp_path / "late.csv"
+    text = quick_start_files["leak.csv"].read_text(encoding="utf-8")
+    late.write_text(text + "9999-12-31T23:59:00Z,Sprout,TimeoutsToRalfPerSec,0.1\n", encoding="utf-8")
+    rows = []
+    top = SignatureModel.top
+    monkeypatch.setattr(SignatureModel, "top", lambda self, pool: rows.append(len(pool.cells)) or top(self, pool))
+    starts = len(set(quick_start_files["events"].start.tolist()))
+    written = []
+    for data in (quick_start_files["leak.csv"], late):
+        rows.clear()
+        out = tmp_path / f"{data.stem}-alerts.csv"
+        args = ["predict", "--baseline", str(quick_start_files["baseline.json"]), "--data", str(data)]
+        args += ["--signature", str(quick_start_files["signature.json"]), "--run-start", LEAK_START, "--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        assert 0 < sum(rows) <= 2 * starts + 1, (data.name, rows, starts)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") > 1
+
+
+@pytest.mark.parametrize("command", ["detect", "predict"])
+def test_a_value_too_large_to_score_is_one_error_line(quick_start_files, tmp_path, command):
+    # 1e200 is finite, but its squared residual is not: once a RuntimeWarning
+    # and an error about a score the data never held
+    lines = quick_start_files["leak.csv"].read_text(encoding="utf-8").splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if ",Sprout,CpuIdlePct," in line][::7]
+    for i in at:
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",1e200\n"
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(lines), encoding="utf-8")
+    args = [command, "--baseline", str(quick_start_files["baseline.json"]), "--data", str(huge)]
+    if command == "predict":
+        args += ["--signature", str(quick_start_files["signature.json"])]
+    proc = run_cli(*args, "--run-start", LEAK_START, "--out", str(tmp_path / "out.csv"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Sprout/CpuIdlePct" in proc.stderr and "2026-01-19T" in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["detect", "predict"])

@@ -33,7 +33,6 @@ from faultcast.evaluate import (
     failure_class_of,
     render_rq1,
     render_rq3,
-    rq1_f_gap,
     rq3_overall_fraction,
     rq3_run_specs,
     rq4_run_specs,
@@ -255,10 +254,10 @@ def fake_rq1_row(window_min, f_measure, algorithm="tree"):
 
 def test_rq1_f_gap_measures_distance_to_the_best_length():
     rows = [fake_rq1_row(60, 0.97), fake_rq1_row(90, 0.95), fake_rq1_row(120, 0.96)]
-    assert rq1_f_gap(rows, 90) == pytest.approx(0.02)
-    assert rq1_f_gap(rows, 60) == pytest.approx(0.0)
+    assert oracles.rq1_f_gap(rows, 90) == pytest.approx(0.02)
+    assert oracles.rq1_f_gap(rows, 60) == pytest.approx(0.0)
     with pytest.raises(KeyError):
-        rq1_f_gap(rows, 75)
+        oracles.rq1_f_gap(rows, 75)
 
 
 def test_render_rq1_reports_both_window_count_conventions():

@@ -1,6 +1,6 @@
 """The study's outputs, pinned: the evaluation report, the default suite's
-edges and anomaly digests, and the README quick start's anomaly log and
-alerts.
+edges and anomaly digests, its RQ4 runs' alert digests under naive-Bayes
+signatures, and the README quick start's anomaly log and alerts.
 
 Text, keys, counts and digests must match exactly; anomaly scores and score
 sums to ``REL_TOL`` relative, the benchmark's rule, since QR rounding can
@@ -66,3 +66,7 @@ def test_the_quick_start_alerts_are_the_golden(quick):
 
 def test_the_quick_start_signature_is_the_golden(quick):
     assert quick["signature.json"] == golden("signature.json")
+
+
+def test_the_rq4_naive_bayes_alerts_are_the_golden(study):
+    assert study["rq4-nb-alerts.csv"] == golden("rq4-nb-alerts.csv")

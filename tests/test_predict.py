@@ -18,7 +18,7 @@ from faultcast.core import (
 from faultcast.detect import AnomalyEvent, AnomalyEvents
 from faultcast.io import InjectedFault, RunManifest
 from faultcast.predict import (
-    _NEVER,
+    _replay,
     Alert,
     AlertKind,
     EarlinessReport,
@@ -27,7 +27,7 @@ from faultcast.predict import (
     step,
     write_alert_log,
 )
-from faultcast.signature import Vocabulary, train_signature
+from faultcast.signature import SignatureModel, Vocabulary, train_signature
 
 LEAK_SPROUT = FailureClass(FaultType.MEMORY_LEAK, "Sprout")
 HOG_HOMER = FailureClass(FaultType.CPU_HOG, "Homer")
@@ -176,11 +176,11 @@ def test_window_buffer_evicts_old_intervals():
     old_event = AnomalyEvent(0, KpiId("Homer", "m"), AnomalyKind.UNIVARIATE, 4.0)
     state, _ = step(state, 0, [old_event], signature)
     state, _ = step(state, 300, [], signature)
-    assert {kpi for kpi, _ in state.evidence()} == {KpiId("Homer", "m")}
+    assert {kpi for kpi, _ in oracles.window_features(state.events)} == {KpiId("Homer", "m")}
+    assert list(state.events) == [old_event]
     state, _ = step(state, 600, [], signature)
-    assert state.evidence() == frozenset()
-    # the cell keeps its last sighting: (Homer/m, Univariate) at 0
-    assert state.kpis == (KpiId("Homer", "m"),) and state.last_seen.tolist() == [[_NEVER, 0]]
+    assert oracles.window_features(state.events) == frozenset()
+    assert len(state.events) == 0
 
 
 events_at = st.builds(
@@ -202,7 +202,7 @@ def test_window_anomalies_equal_the_buffer_scan(buffer):
     for start in sorted({start for start, _ in buffer}):
         state, _ = step(state, start, [e for s, evs in buffer if s == start for e in evs], signature)
     if buffer:
-        assert state.evidence() == oracles.buffer_anomalies(buffer)
+        assert oracles.window_features(state.events) == oracles.buffer_anomalies(buffer)
 
 
 class RecordingSignature:
@@ -290,9 +290,77 @@ def test_step_equals_the_buffered_oracle(intervals, algorithm, split_kinds, wind
         state, alert = step(state, start, as_input(events, form, order), signature, **rule)
         expected, want = oracles.step_buffered(expected, start, events, signature, **rule)
         assert alert == want
-        assert state.evidence() == expected.window_anomalies()
+        assert oracles.window_features(state.events) == expected.window_anomalies()
         for name in ("last_interval", "streak_class", "streak_len", "active_class", "fs_fired"):
             assert getattr(state, name) == getattr(expected, name), name
+
+
+class CountModel:
+    """Stands in for a classifier whose top class is a function of the
+    window's bits: none set is Normal, an odd count the leak and an even
+    one the hog, at a confidence picked by the count.  Windows that stay put
+    keep their class, so streaks build and FailureSpecific alerts fire."""
+
+    classes = tuple(sorted((NORMAL_CLASS, LEAK_SPROUT, HOG_HOMER)))
+
+    def predict_proba(self, bits):
+        """[C] for one bit vector, [n, C] for a matrix of them."""
+        bits = np.asarray(bits)
+        n = bits.reshape(-1, self.n_features).sum(axis=1)
+        top = [self.classes.index(NORMAL_CLASS if k == 0 else (HOG_HOMER, LEAK_SPROUT)[k % 2]) for k in n]
+        confidence = np.array([1.0, 0.95, 0.7])[n % 3]
+        proba = np.repeat(((1.0 - confidence) / 2)[:, None], len(self.classes), axis=1)
+        proba[np.arange(len(n)), top] = confidence
+        return proba if bits.ndim == 2 else proba[0]
+
+
+def cell_signature(split_kinds):
+    vocabulary = Vocabulary(KPIS, split_kinds)
+    model = CountModel()
+    model.n_features = vocabulary.dimension
+    return SignatureModel(vocabulary, "nb", 15, model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.lists(events_at, max_size=4)), min_size=1, max_size=12),
+    st.integers(0, 60),
+    st.sampled_from([0, 100]),
+    st.sampled_from(["tree", "nb", "cells"]),
+    st.booleans(),
+    st.sampled_from([1, 5, 7, 15, 90]),
+    st.sampled_from([0.0, 0.6, 0.9, 1.0]),
+    st.integers(1, 4),
+)
+def test_replay_equals_the_buffered_oracle_over_every_interval(
+    intervals, tail, short, algorithm, split_kinds, window_min, confidence, streak
+):
+    # a stream of events on the run's grid, with long empty stretches between
+    # and after them, replayed at once against the oracle stepped over every
+    # interval; the run may end inside its last interval
+    if algorithm == "cells":
+        signature = cell_signature(split_kinds)
+    else:
+        signature = trained_signature(algorithm, split_kinds)
+    rule = dict(confidence_threshold=confidence, streak_needed=streak)
+    run_start, at, stream = 3000, 3000, []
+    for gap, events in intervals:
+        at += 300 * gap
+        stream += [AnomalyEvent(at, e.kpi, e.kind, e.score) for e in events]
+    run_end = at + 300 * (tail + 1) - short
+    state, alerts = _replay(
+        new_state(window_min), AnomalyEvents.of(sorted(stream)), run_start, run_end, signature, (confidence, streak)
+    )
+    expected, want = oracles.BufferedState(window_min), []
+    for start in range(run_start, run_end, 300):
+        expected, alert = oracles.step_buffered(
+            expected, start, [e for e in stream if e.interval_start == start], signature, **rule
+        )
+        want += [alert] if alert is not None else []
+    assert alerts == want
+    for name in ("last_interval", "streak_class", "streak_len", "active_class", "fs_fired"):
+        assert getattr(state, name) == getattr(expected, name), name
+    assert oracles.window_features(state.events) == expected.window_anomalies()
 
 
 def test_alert_validation():
