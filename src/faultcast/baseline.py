@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .core import (
     hour_of_week,
     lags,
 )
-from .io import check_kind, load_json, save_json, typed
+from .io import check_kind, load_json, save_json, typed, typed_array
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ DEFAULT_PREFILTER_R = 0.2
 
 @dataclass(frozen=True)
 class UnivariateBaseline:
-    """Hour-of-week mean/std buckets plus a k-sigma tolerance band."""
+    """Hour-of-week mean/std buckets plus a k-sigma band, checked by the model that holds it."""
 
     kpi: KpiId
     bucket_means: np.ndarray
@@ -54,20 +54,6 @@ class UnivariateBaseline:
     std_floor: float
     global_mean: float
     global_std: float
-
-    def __post_init__(self):
-        if self.bucket_means.shape != (HOURS_PER_WEEK,):
-            raise ValueError("bucket_means must have 168 entries")
-        if self.bucket_stds.shape != (HOURS_PER_WEEK,):
-            raise ValueError("bucket_stds must have 168 entries")
-        if not 0.0 < self.k_sigma < math.inf:
-            raise ValueError(f"k_sigma {self.k_sigma!r} must be finite and positive")
-        if not 0.0 < self.std_floor < math.inf:
-            raise ValueError(f"std_floor {self.std_floor!r} must be finite and positive")
-        if not np.isfinite(np.r_[self.bucket_means, self.bucket_stds, self.global_mean, self.global_std]).all():
-            raise ValueError(f"the bucket and global means and stds of {self.kpi} must be finite")
-        if np.any(self.bucket_stds < self.std_floor):
-            raise ValueError("bucket stds must respect the std floor")
 
 
 def _std_floor(values: np.ndarray) -> float:
@@ -378,7 +364,7 @@ def _granger_from(cause: np.ndarray, restricted: _Restricted) -> GrangerResult:
 
 @dataclass(frozen=True)
 class GrangerEdge:
-    """A causal edge cause -> effect kept for multivariate detection."""
+    """A causal edge cause -> effect for multivariate detection, checked by the model that holds it."""
 
     cause: KpiId
     effect: KpiId
@@ -386,18 +372,6 @@ class GrangerEdge:
     lag_order: int
     coefficients: Tuple[float, ...]
     residual_std: float
-
-    def __post_init__(self):
-        if self.cause == self.effect:
-            raise ValueError("an edge may not loop onto its own KPI")
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError("edge weight must lie in [0, 1]")
-        if len(self.coefficients) != 2 * self.lag_order + 1:
-            raise ValueError("expected 2p + 1 regression coefficients")
-        if not all(map(math.isfinite, self.coefficients)):
-            raise ValueError("regression coefficients must be finite")
-        if not 0.0 < self.residual_std < math.inf:
-            raise ValueError(f"residual_std {self.residual_std!r} must be finite and positive")
 
 
 #: A pair takes the projection route only when that is clearly well posed;
@@ -654,104 +628,108 @@ class BaselineConfig:
                 raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
 
 
-class EdgeArrays(NamedTuple):
-    """A model's edges as arrays over a plan's KPI indices, in the model's
-    edge order."""
-
-    cause: np.ndarray  # [E]
-    effect: np.ndarray  # [E]
-    coefficients: np.ndarray  # [E, 2p + 1], ordered as GrangerEdge.coefficients
-    residual_std: np.ndarray  # [E]
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionPlan:
-    """A baseline model compiled for detection: KPIs numbered in sorted
-    order, their bands stacked by number, and the edges, all of the model's
-    lag order."""
-
-    kpis: Tuple[KpiId, ...]
-    bucket_means: np.ndarray  # [K, 168]
-    bucket_stds: np.ndarray  # [K, 168]
-    k_sigma: np.ndarray  # [K]
-    edges: EdgeArrays
-    lag_order: int
-
-    @classmethod
-    def compile(cls, model: "BaselineModel") -> "DetectionPlan":
-        kpis = tuple(sorted(model.baselines))
-        index = {kpi: k for k, kpi in enumerate(kpis)}
-        bands = [model.baselines[kpi] for kpi in kpis]
-        edges = EdgeArrays(
-            np.array([index[edge.cause] for edge in model.edges], dtype=np.intp),
-            np.array([index[edge.effect] for edge in model.edges], dtype=np.intp),
-            np.array([edge.coefficients for edge in model.edges]),
-            np.array([edge.residual_std for edge in model.edges]),
-        )
-        arrays = [
-            np.array([b.bucket_means for b in bands]).reshape(len(kpis), HOURS_PER_WEEK),
-            np.array([b.bucket_stds for b in bands]).reshape(len(kpis), HOURS_PER_WEEK),
-            np.array([b.k_sigma for b in bands], dtype=float),
-        ]
-        for array in arrays + list(edges):
-            array.setflags(write=False)
-        return cls(kpis, *arrays, edges, model.config.lag_order)
-
-
 #: A band's arrays and floats in a baseline file, in the order of its fields.
 _BUCKETS, _BAND_FLOATS = ("bucket_means", "bucket_stds"), ("k_sigma", "std_floor", "global_mean", "global_std")
 
 
+def _first_bad(ok: np.ndarray, message) -> None:
+    """Raise :class:`ValueError` with ``message(i)`` for the first i where
+    ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        raise ValueError(message(int(bad[0])))
+
+
+def _positive(values: np.ndarray, name) -> None:
+    """Reject the first of ``values`` that is not finite and positive,
+    naming ``name(i)`` and the value as a plain float."""
+    ok = (0.0 < values) & (values < math.inf)
+    _first_bad(ok, lambda i: f"{name(i)} {values[i].item()!r} must be finite and positive")
+
+
+def _stack(rows: list, key: str, width: int = 0, name=None) -> np.ndarray:
+    """The ``key`` values of ``rows`` as one float array: [len(rows)], or
+    [len(rows), width] for flat sequences of ``width``, where the first of
+    another shape raises :class:`ValueError` naming ``name(i)``."""
+    values = [getattr(row, key) for row in rows]
+    if not width:
+        return np.array(values, dtype=float)
+    ok = np.array([getattr(v, "ndim", 1) == 1 and len(v) == width for v in values], dtype=bool)
+    _first_bad(ok, lambda i: f"{name(i)} {key} must have {width} entries")
+    return np.array(values, dtype=float).reshape(len(values), width)
+
+
 @dataclass(frozen=True)
 class BaselineModel:
-    """Everything the online detector needs: per-KPI baselines plus the graph."""
+    """Everything the online detector needs: per-KPI baselines plus the graph.
+
+    Construction stacks the rows once into the read-only arrays detection
+    reads: ``kpis``, sorted; by KPI number the [K, 168] ``bucket_means`` and
+    ``bucket_stds`` and the [K] ``k_sigma``; by edge, in the model's order,
+    the [E] ``cause`` and ``effect`` KPI numbers, the [E, 2p + 1]
+    ``coefficients`` and the [E] ``residual_std``.  It checks every value
+    there, rule by rule as whole arrays, and a :class:`ValueError` names the
+    first bad KPI or edge.  Every edge has the model's one lag order p.
+    """
 
     baselines: Dict[KpiId, UnivariateBaseline]
     edges: Tuple[GrangerEdge, ...]
     config: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
-        for edge in self.edges:
-            for endpoint in (edge.cause, edge.effect):
-                if endpoint not in self.baselines:
-                    raise ValueError(f"edge endpoint {endpoint} has no baseline entry")
-            if edge.lag_order != self.config.lag_order:
-                raise ValueError(
-                    f"edge {edge.cause} -> {edge.effect} has lag order {edge.lag_order},"
-                    f" the model's is {self.config.lag_order}"
-                )
+        kpis = tuple(sorted(self.baselines))
+        bands = [self.baselines[kpi] for kpi in kpis]
+        means, stds = (_stack(bands, key, HOURS_PER_WEEK, kpis.__getitem__) for key in _BUCKETS)
+        k_sigma, std_floor, global_mean, global_std = (_stack(bands, key) for key in _BAND_FLOATS)
+        _positive(k_sigma, lambda k: f"{kpis[k]} k_sigma")
+        _positive(std_floor, lambda k: f"{kpis[k]} std_floor")
+        finite = np.isfinite(np.column_stack([means, stds, global_mean, global_std])).all(1)
+        _first_bad(finite, lambda k: f"the bucket and global means and stds of {kpis[k]} must be finite")
+        _first_bad((stds >= std_floor[:, None]).all(1), lambda k: f"{kpis[k]} bucket stds must respect the std floor")
 
-    @property
-    def kpis(self) -> List[KpiId]:
-        return sorted(self.baselines)
+        edges, p = self.edges, self.config.lag_order
 
-    @cached_property
-    def plan(self) -> DetectionPlan:
-        """This model compiled for detection, on first use."""
-        return DetectionPlan.compile(self)
+        def edge(e: int) -> str:
+            return f"edge {edges[e].cause} -> {edges[e].effect}"
+
+        lag_order = _stack(edges, "lag_order")
+        _first_bad(lag_order == p, lambda e: f"{edge(e)} has lag order {edges[e].lag_order}, the model's is {p}")
+        index = {kpi: k for k, kpi in enumerate(kpis)}
+        cause = np.array([index.get(e.cause, -1) for e in edges], dtype=np.intp)
+        effect = np.array([index.get(e.effect, -1) for e in edges], dtype=np.intp)
+        _first_bad(
+            (cause >= 0) & (effect >= 0),
+            lambda e: f"edge endpoint {edges[e].cause if cause[e] < 0 else edges[e].effect} has no baseline entry",
+        )
+        _first_bad(cause != effect, lambda e: f"{edge(e)} may not loop onto its own KPI")
+        weight = _stack(edges, "weight")
+        ok = (0.0 <= weight) & (weight <= 1.0)
+        _first_bad(ok, lambda e: f"{edge(e)} weight {weight[e].item()!r} must lie in [0, 1]")
+        coefficients = _stack(edges, "coefficients", 2 * p + 1, edge)
+        _first_bad(np.isfinite(coefficients).all(1), lambda e: f"{edge(e)} regression coefficients must be finite")
+        residual_std = _stack(edges, "residual_std")
+        _positive(residual_std, lambda e: f"{edge(e)} residual_std")
+
+        arrays = dict(bucket_means=means, bucket_stds=stds, k_sigma=k_sigma, cause=cause, effect=effect)
+        arrays.update(coefficients=coefficients, residual_std=residual_std)
+        for array in arrays.values():
+            array.setflags(write=False)
+        vars(self).update(arrays, kpis=kpis)  # attributes, not fields: == and repr ignore them
 
     def to_dict(self) -> dict:
         return {
             "kind": BASELINE_KIND,
             "schema_version": BASELINE_SCHEMA_VERSION,
-            "config": {
-                "lag_order": self.config.lag_order,
-                "alpha": self.config.alpha,
-                "k_sigma": self.config.k_sigma,
-                "prefilter_r": self.config.prefilter_r,
-            },
+            "config": asdict(self.config),
             "baselines": [
                 {
-                    "resource": b.kpi.resource,
-                    "metric": b.kpi.metric,
-                    "k_sigma": b.k_sigma,
-                    "std_floor": b.std_floor,
-                    "global_mean": b.global_mean,
-                    "global_std": b.global_std,
-                    "bucket_means": [float(v) for v in b.bucket_means],
-                    "bucket_stds": [float(v) for v in b.bucket_stds],
+                    "resource": kpi.resource,
+                    "metric": kpi.metric,
+                    **{key: getattr(self.baselines[kpi], key) for key in _BAND_FLOATS},
+                    "bucket_means": means,
+                    "bucket_stds": stds,
                 }
-                for _, b in sorted(self.baselines.items())
+                for kpi, means, stds in zip(self.kpis, self.bucket_means.tolist(), self.bucket_stds.tolist())
             ],
             "edges": [
                 {
@@ -768,31 +746,50 @@ class BaselineModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineModel":
+        """The model a baseline file holds.  Each key is read as one array
+        (:func:`~faultcast.io.typed_array`), and each edge endpoint resolves
+        to the file's own KPI; the model checks the values."""
         check_kind(data, BASELINE_KIND, BASELINE_SCHEMA_VERSION)
         cfg = data["config"]
         config = BaselineConfig(
             typed("config lag_order", cfg["lag_order"], int),
             *(typed(f"config {name}", cfg[name], float) for name in ("alpha", "k_sigma", "prefilter_r")),
         )
-        baselines: Dict[KpiId, UnivariateBaseline] = {}
-        for item in data["baselines"]:
-            kpi = KpiId(item["resource"], item["metric"])
-            if kpi in baselines:
-                raise ValueError(f"{kpi} has two baselines")
-            buckets = [np.array([typed(f"{kpi} {key}", v, float) for v in item[key]]) for key in _BUCKETS]
-            for array in buckets:
-                array.setflags(write=False)
-            floats = (typed(f"{kpi} {key}", item[key], float) for key in _BAND_FLOATS)
-            baselines[kpi] = UnivariateBaseline(kpi, *buckets, *floats)
-        edges = []
-        for item in data["edges"]:
-            cause, effect = KpiId(*item["cause"]), KpiId(*item["effect"])
-            name = f"edge {cause} -> {effect}"
-            weight, residual_std = (typed(f"{name} {key}", item[key], float) for key in ("weight", "residual_std"))
-            lag_order = typed(f"{name} lag_order", item["lag_order"], int)
-            coefficients = tuple(typed(f"{name} coefficients", c, float) for c in item["coefficients"])
-            edges.append(GrangerEdge(cause, effect, weight, lag_order, coefficients, residual_std))
-        return cls(baselines=baselines, edges=tuple(edges), config=config)
+        bands, links = data["baselines"], data["edges"]
+        kpis = [KpiId(item["resource"], item["metric"]) for item in bands]
+        own = {(kpi.resource, kpi.metric): kpi for kpi in kpis}
+        if len(own) < len(kpis):
+            raise ValueError(f"{next(kpi for k, kpi in enumerate(kpis) if kpi in kpis[:k])} has two baselines")
+        cause, effect = (
+            [own.get(tuple(item[key])) or KpiId(*item[key]) for item in links] for key in ("cause", "effect")
+        )
+
+        def column(items, key, name, kind=float) -> list:
+            return typed_array(lambda i: f"{name(i)} {key}", [item[key] for item in items], kind).tolist()
+
+        def rows(items, key, name) -> List[np.ndarray]:  # read-only rows of one array
+            lists = [item[key] for item in items]
+            bounds = [0, *itertools.accumulate(map(len, lists))]
+            values = list(itertools.chain.from_iterable(lists))
+            flat = typed_array(lambda i: f"{name(bisect_right(bounds, i) - 1)} {key}", values)
+            flat.setflags(write=False)
+            return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+        def edge(e: int) -> str:
+            return f"edge {cause[e]} -> {effect[e]}"
+
+        band = kpis.__getitem__
+        columns = [rows(bands, key, band) for key in _BUCKETS] + [column(bands, key, band) for key in _BAND_FLOATS]
+        edges = map(
+            GrangerEdge,
+            cause,
+            effect,
+            column(links, "weight", edge),
+            column(links, "lag_order", edge, int),
+            [tuple(row.tolist()) for row in rows(links, "coefficients", edge)],
+            column(links, "residual_std", edge),
+        )
+        return cls(dict(zip(kpis, map(UnivariateBaseline, kpis, *columns))), tuple(edges), config)
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)

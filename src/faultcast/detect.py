@@ -219,42 +219,40 @@ def detect_stream(
     / residual_std, is raised on the effect when it exceeds ``tau``, which
     must be finite and non-negative.
 
-    The work is done on the model's :class:`~faultcast.baseline.DetectionPlan`
-    and the run's :class:`~faultcast.core.Frame`, edges in blocks.  The
-    events come back as :class:`AnomalyEvents` columns over the plan's KPIs,
-    sorted by (interval start, KPI, kind), with the worst score over an
-    effect's incoming edges.
+    The work is done on the model's arrays
+    (:class:`~faultcast.baseline.BaselineModel`) and the run's
+    :class:`~faultcast.core.Frame`, edges in blocks.  The events come back as
+    :class:`AnomalyEvents` columns over the model's KPIs, sorted by (interval
+    start, KPI, kind), with the worst score over an effect's incoming edges.
     """
     check_tau(tau)
-    plan = model.plan
-    frame = Frame.of(series_map, plan.kpis)
+    frame = Frame.of(series_map, model.kpis)
     present = np.isfinite(frame.values)
     missing = np.flatnonzero(~present.any(axis=1))  # a series holds a sample
     if len(missing):
-        raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {plan.kpis[missing[0]]}")
-    if len(series_map) > len(plan.kpis):
+        raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {model.kpis[missing[0]]}")
+    if len(series_map) > len(model.kpis):
         for kpi in sorted(series_map.keys() - model.baselines.keys()):
             logger.warning("detect: no baseline for %s; skipping", kpi)
     if not len(frame.timestamps):
-        return AnomalyEvents(plan.kpis, [], [], [], [])
+        return AnomalyEvents(model.kpis, [], [], [], [])
     expected = INTERVAL_S // CADENCE_S
     starts, lo = _interval_bins(frame.timestamps, run_start)
     bucket = hour_of_week(frame.timestamps)
     with np.errstate(over="ignore", invalid="ignore"):  # a score beyond a float is reported below
-        z = np.abs(frame.values - plan.bucket_means[:, bucket]) / plan.bucket_stds[:, bucket]
+        z = np.abs(frame.values - model.bucket_means[:, bucket]) / model.bucket_stds[:, bucket]
     peaks = np.fmax.reduceat(z, lo, axis=1)
     coverage = np.add.reduceat(present, lo, axis=1, dtype=np.intp)
     evaluated = 2 * coverage >= expected
-    _check_scores(evaluated, peaks, starts, lambda r: str(plan.kpis[r]))
-    r, i = np.nonzero(evaluated & (peaks > plan.k_sigma[:, None]))
+    _check_scores(evaluated, peaks, starts, lambda r: str(model.kpis[r]))
+    r, i = np.nonzero(evaluated & (peaks > model.k_sigma[:, None]))
     # exceedance columns: (start, KPI, kind, score)
     found = [(starts[i], r, _UNIVARIATE, peaks[r, i])]
 
-    edges, p = plan.edges, plan.lag_order
-    history = frame.history(p)
+    history = frame.history(model.config.lag_order)
     step = max(1, _CHUNK_CELLS // len(frame.timestamps))  # bounds the [edges, timestamps] temporaries
-    for chunk in np.split(np.arange(len(edges.cause)), np.arange(step, len(edges.cause), step)):
-        cause, effect = edges.cause[chunk], edges.effect[chunk]
+    for chunk in np.split(np.arange(len(model.edges)), np.arange(step, len(model.edges), step)):
+        cause, effect = model.cause[chunk], model.effect[chunk]
         full = history[cause] & history[effect]
         aligned = np.add.reduceat(present[cause] & present[effect], lo, axis=1, dtype=np.intp)
         scored = np.add.reduceat(full, lo, axis=1, dtype=np.intp)
@@ -263,9 +261,9 @@ def detect_stream(
         if not ok.any():
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _edge_scores(edges.coefficients[chunk], frame.values[cause], frame.values[effect], full, lo)
-            scores = np.sqrt(sums / np.maximum(scored, 1)) / edges.residual_std[chunk, None]
-        _check_scores(ok, scores, starts, lambda e: f"edge {plan.kpis[cause[e]]} -> {plan.kpis[effect[e]]}")
+            sums = _edge_scores(model.coefficients[chunk], frame.values[cause], frame.values[effect], full, lo)
+            scores = np.sqrt(sums / np.maximum(scored, 1)) / model.residual_std[chunk, None]
+        _check_scores(ok, scores, starts, lambda e: f"edge {model.kpis[cause[e]]} -> {model.kpis[effect[e]]}")
         e, i = np.nonzero(ok & (scores > tau))
         found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
 
@@ -279,7 +277,7 @@ def detect_stream(
     start, kpi, kind, score = start[order], kpi[order], kind[order], score[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (np.diff(start) != 0) | (np.diff(kpi) != 0) | (np.diff(kind) != 0)
-    return AnomalyEvents(plan.kpis, start[first], kpi[first], kind[first], score[first])
+    return AnomalyEvents(model.kpis, start[first], kpi[first], kind[first], score[first])
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,10 @@ class SuiteConfig:
         # 2.5 folds would fail in numpy after the build; true days run one
         # and a true tau is 1
         check_types(self)
-        minutes = self.run_duration_min
+        minutes, targets = self.run_duration_min, self.fault_targets
+        all_text = isinstance(targets, tuple) and all(isinstance(target, str) for target in targets)
         for name, ok, rule in (
+            ("fault_targets", all_text and len(set(targets)) == len(targets), "a tuple of distinct resource names"),
             ("run_hour", 0 <= self.run_hour <= 23, "an hour from 0 to 23"),
             ("quiet_hour", 0 <= self.quiet_hour <= 23, "an hour from 0 to 23"),
             ("folds", self.folds >= 2, "at least 2"),
@@ -133,7 +135,8 @@ class SuiteConfig:
         check_kind(data, SUITE_KIND, SUITE_SCHEMA_VERSION)
         kwargs = {k: v for k, v in data.items() if k not in ("kind", "schema_version")}
         kwargs["training_start"] = parse_timestamp(kwargs["training_start"])
-        kwargs["fault_targets"] = tuple(kwargs.get("fault_targets", ("Sprout", "Homer")))
+        if isinstance(kwargs.get("fault_targets"), list):  # JSON has no tuples
+            kwargs["fault_targets"] = tuple(kwargs["fault_targets"])
         if "workload" in kwargs:
             kwargs["workload"] = WorkloadModel.from_dict(kwargs["workload"])
         return cls(**kwargs)
@@ -450,21 +453,19 @@ class Rq3Run:
         return self.n_normal / self.n_windows if self.n_windows else 1.0
 
 
-def rq3_run_specs(
-    config: SuiteConfig, deviations: Sequence[float], runs_per_deviation: int, duration_min: int
-) -> List[RunSpec]:
-    """RQ3's fault-free runs: ``runs_per_deviation`` per deviation level, in the quiet slot."""
+def rq3_run_specs(config: SuiteConfig) -> List[RunSpec]:
+    """RQ3's fault-free runs: ``RQ3_RUNS_PER_DEVIATION`` per deviation level, in the quiet slot."""
     return [
         _scheduled(
             config,
             idx,
             f"random{int(round(100 * deviation))}-{i + 1}",
             config.quiet_hour,
-            duration_min * 60,
+            RQ3_RUN_MIN * 60,
             config.seed * 7177 + idx,
             deviation=deviation,
         )
-        for idx, (deviation, i) in enumerate(product(deviations, range(runs_per_deviation)))
+        for idx, (deviation, i) in enumerate(product(RQ3_DEVIATIONS, range(RQ3_RUNS_PER_DEVIATION)))
     ]
 
 
@@ -478,7 +479,7 @@ def run_rq3(data: SuiteData) -> List[Rq3Run]:
     """Classify windows of fresh fault-free runs whose call rate deviates
     randomly per five-minute block, scheduled in a low-traffic slot."""
     config = data.config
-    specs = rq3_run_specs(config, RQ3_DEVIATIONS, RQ3_RUNS_PER_DEVIATION, RQ3_RUN_MIN)
+    specs = rq3_run_specs(config)
     runs = [detect_run(config, data.baseline, spec) for spec in specs]
     top = [cls for cls, _ in data.signature.top(assemble_windows(runs, config.window_min, config.step_min))]
     results: List[Rq3Run] = []

@@ -349,6 +349,17 @@ def typed(name: str, value, kind: type):
     return kind(value)
 
 
+def typed_array(name, values: list, kind: type = float) -> np.ndarray:
+    """``values`` as one array of ``kind``, int or float, checked as
+    :func:`typed` checks one value but by one pass over their types: the
+    first that is not a ``kind`` (a bool, text or null) raises typed's
+    :class:`ValueError`, naming ``name(i)``, i its position."""
+    if not set(map(type, values)) <= ({int} if kind is int else {int, float}):
+        for i, value in enumerate(values):
+            typed(name(i), value, kind)
+    return np.array(values, dtype=kind)
+
+
 #: The field annotations :func:`check_types` checks; the dataclasses it is
 #: given use ``from __future__ import annotations``, so annotations are text.
 _TYPED_FIELDS = {"int": int, "float": float, "bool": bool}

@@ -609,11 +609,10 @@ def train_signature(
     window_min: int = DEFAULT_WINDOW_MIN,
     *,
     min_leaf: int = DEFAULT_MIN_LEAF,
-    max_depth: Optional[int] = None,
-    alpha: float = DEFAULT_ALPHA,
 ) -> SignatureModel:
-    """Train a signature classifier from a pool of labeled windows."""
-    fit = _fitter(algorithm, min_leaf, max_depth, alpha)
+    """Train a signature classifier from a pool of labeled windows: a tree
+    of unbounded depth, or naive Bayes with the default smoothing."""
+    fit = _fitter(algorithm, min_leaf, None, DEFAULT_ALPHA)
     model = fit(*_dataset(pool, vocab))
     return SignatureModel(vocabulary=vocab, algorithm=algorithm, window_min=window_min, model=model)
 

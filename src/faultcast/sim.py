@@ -26,7 +26,7 @@ from .core import (
     hour_of_week,
     parse_timestamp,
 )
-from .io import InjectedFault, RunManifest, check_kind, check_types, load_json, typed
+from .io import InjectedFault, RunManifest, check_kind, check_types, load_json, typed, typed_array
 
 SCENARIO_KIND = "faultcast-scenario"
 SCENARIO_SCHEMA_VERSION = 1
@@ -95,8 +95,7 @@ class WorkloadModel:
 
     def __post_init__(self):
         check_types(self)
-        for value in self.hourly_profile:
-            typed("hourly_profile", value, float)
+        typed_array(lambda i: "hourly_profile", self.hourly_profile)
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
         if len(self.hourly_profile) != 24:

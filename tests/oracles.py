@@ -2,8 +2,9 @@
 
 These are the row-at-a-time CSV and anomaly log writers and the CSV
 reader, the per-pair causality graph loop, the one-``lstsq``-per-pair graph,
+the baseline file reader that typed one value and checked one row at a time,
 the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
-the detection plan replaced, the per-feature and the one-node-at-a-time tree
+the model's arrays replaced, the per-feature and the one-node-at-a-time tree
 growers, the tree as a graph of node objects walked one row at a time, the
 per-row and per-fold classifiers, the class distribution's top rule, the
 frozenset windowing, the dict encoding, the buffered predictor step and the
@@ -35,10 +36,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from faultcast.baseline import (
+    BASELINE_KIND,
+    BASELINE_SCHEMA_VERSION,
     DEFAULT_LAG_ORDER,
     STD_FLOOR_ABS,
     STD_FLOOR_REL,
+    BaselineConfig,
     GrangerEdge,
+    UnivariateBaseline,
     _f_survival,
     _granger_from,
     _restricted_fit,
@@ -46,6 +51,7 @@ from faultcast.baseline import (
 from faultcast.core import (
     _KINDS,
     CADENCE_S,
+    HOURS_PER_WEEK,
     INTERVAL_S,
     AnomalyKind,
     CsvParseError,
@@ -63,7 +69,7 @@ from faultcast.core import (
 )
 from faultcast.detect import ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
-from faultcast.io import CSV_HEADER
+from faultcast.io import CSV_HEADER, check_kind, typed
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
 from faultcast.sim import FaultSpec, Pattern
 from faultcast.signature import (
@@ -323,6 +329,100 @@ def lag_test(target, own, cause):
     rss_u, df = min(rss_u, rss_r), m - 2 * p - 1
     p_value = 0.0 if rss_u <= 0.0 else float(_f_survival(p, df, (rss_r - rss_u) / p / (rss_u / df)))
     return False, p_value, tuple(fits[1][0].tolist()), math.sqrt(rss_u / df)
+
+
+def baseline_from_dict(data):
+    """``BaselineModel.from_dict`` as it was before a model checked its
+    values as whole arrays: each value typed on its own, each band and edge
+    checked by its row's rules as it is read, then every edge against the
+    model.  Returns what it reads as ``to_dict()`` rendered a model then,
+    band by band and edge by edge."""
+    check_kind(data, BASELINE_KIND, BASELINE_SCHEMA_VERSION)
+    cfg = data["config"]
+    config = BaselineConfig(
+        typed("config lag_order", cfg["lag_order"], int),
+        *(typed(f"config {name}", cfg[name], float) for name in ("alpha", "k_sigma", "prefilter_r")),
+    )
+    baselines = {}
+    for item in data["baselines"]:
+        kpi = KpiId(item["resource"], item["metric"])
+        if kpi in baselines:
+            raise ValueError(f"{kpi} has two baselines")
+        means, stds = (
+            np.array([typed(f"{kpi} {key}", v, float) for v in item[key]]) for key in ("bucket_means", "bucket_stds")
+        )
+        k_sigma, std_floor, global_mean, global_std = (
+            typed(f"{kpi} {key}", item[key], float) for key in ("k_sigma", "std_floor", "global_mean", "global_std")
+        )
+        if means.shape != (HOURS_PER_WEEK,) or stds.shape != (HOURS_PER_WEEK,):
+            raise ValueError("bucket_means and bucket_stds must have 168 entries")
+        if not 0.0 < k_sigma < math.inf:
+            raise ValueError(f"k_sigma {k_sigma!r} must be finite and positive")
+        if not 0.0 < std_floor < math.inf:
+            raise ValueError(f"std_floor {std_floor!r} must be finite and positive")
+        if not np.isfinite(np.r_[means, stds, global_mean, global_std]).all():
+            raise ValueError(f"the bucket and global means and stds of {kpi} must be finite")
+        if np.any(stds < std_floor):
+            raise ValueError("bucket stds must respect the std floor")
+        baselines[kpi] = UnivariateBaseline(kpi, means, stds, k_sigma, std_floor, global_mean, global_std)
+    edges = []
+    for item in data["edges"]:
+        cause, effect = KpiId(*item["cause"]), KpiId(*item["effect"])
+        name = f"edge {cause} -> {effect}"
+        weight, residual_std = (typed(f"{name} {key}", item[key], float) for key in ("weight", "residual_std"))
+        lag_order = typed(f"{name} lag_order", item["lag_order"], int)
+        coefficients = tuple(typed(f"{name} coefficients", c, float) for c in item["coefficients"])
+        if cause == effect:
+            raise ValueError("an edge may not loop onto its own KPI")
+        if not (0.0 <= weight <= 1.0):
+            raise ValueError("edge weight must lie in [0, 1]")
+        if len(coefficients) != 2 * lag_order + 1:
+            raise ValueError("expected 2p + 1 regression coefficients")
+        if not all(map(math.isfinite, coefficients)):
+            raise ValueError("regression coefficients must be finite")
+        if not 0.0 < residual_std < math.inf:
+            raise ValueError(f"residual_std {residual_std!r} must be finite and positive")
+        edges.append(GrangerEdge(cause, effect, weight, lag_order, coefficients, residual_std))
+    for edge in edges:
+        for endpoint in (edge.cause, edge.effect):
+            if endpoint not in baselines:
+                raise ValueError(f"edge endpoint {endpoint} has no baseline entry")
+        if edge.lag_order != config.lag_order:
+            raise ValueError(f"edge {edge.cause} -> {edge.effect} has lag order {edge.lag_order}")
+    return {
+        "kind": BASELINE_KIND,
+        "schema_version": BASELINE_SCHEMA_VERSION,
+        "config": {
+            "lag_order": config.lag_order,
+            "alpha": config.alpha,
+            "k_sigma": config.k_sigma,
+            "prefilter_r": config.prefilter_r,
+        },
+        "baselines": [
+            {
+                "resource": b.kpi.resource,
+                "metric": b.kpi.metric,
+                "k_sigma": b.k_sigma,
+                "std_floor": b.std_floor,
+                "global_mean": b.global_mean,
+                "global_std": b.global_std,
+                "bucket_means": [float(v) for v in b.bucket_means],
+                "bucket_stds": [float(v) for v in b.bucket_stds],
+            }
+            for _, b in sorted(baselines.items())
+        ],
+        "edges": [
+            {
+                "cause": [e.cause.resource, e.cause.metric],
+                "effect": [e.effect.resource, e.effect.metric],
+                "weight": e.weight,
+                "lag_order": e.lag_order,
+                "coefficients": list(e.coefficients),
+                "residual_std": e.residual_std,
+            }
+            for e in edges
+        ],
+    }
 
 
 def zscores(baseline, timestamps, values):

@@ -6,6 +6,7 @@ mpmath's regularized incomplete beta instead of the package's numpy routine,
 which is itself checked against mpmath and scipy.
 """
 
+import copy
 import logging
 import math
 import subprocess
@@ -16,13 +17,14 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import granger_fit
 
 from faultcast.baseline import (
+    BaselineConfig,
     BaselineModel,
     GrangerEdge,
     UnivariateBaseline,
@@ -145,7 +147,7 @@ def test_k_sigma_must_be_finite_and_positive(k_sigma):
     with pytest.raises(ValueError, match="k_sigma"):
         fit_univariate(series, k_sigma, allow_short=True)
     with pytest.raises(ValueError, match="k_sigma"):
-        replace(fit_univariate(series, allow_short=True), k_sigma=k_sigma)
+        BaselineModel({kpi: replace(fit_univariate(series, allow_short=True), k_sigma=k_sigma)}, ())
 
 
 # ---------------------------------------------------------------------------
@@ -626,17 +628,22 @@ def test_graph_argument_gates():
 
 def test_granger_edge_validation():
     kx, ky = KpiId("A", "x"), KpiId("B", "y")
+    bands = {kpi: fit_univariate(minute_series(kpi, 0, 10, np.arange(10.0)), allow_short=True) for kpi in (kx, ky)}
     good = dict(cause=kx, effect=ky, weight=0.99, lag_order=1,
                 coefficients=(0.0, 0.5, 0.5), residual_std=1.0)
-    GrangerEdge(**good)
-    with pytest.raises(ValueError):
-        GrangerEdge(**{**good, "effect": kx})
-    with pytest.raises(ValueError):
-        GrangerEdge(**{**good, "weight": 1.5})
-    with pytest.raises(ValueError):
-        GrangerEdge(**{**good, "coefficients": (0.0, 0.5)})
-    with pytest.raises(ValueError):
-        GrangerEdge(**{**good, "residual_std": 0.0})
+
+    def model(**edge):
+        return BaselineModel(bands, (GrangerEdge(**{**good, **edge}),), BaselineConfig(lag_order=1))
+
+    model()
+    with pytest.raises(ValueError, match="loop onto its own KPI"):
+        model(effect=kx)
+    with pytest.raises(ValueError, match=r"weight 1.5 must lie in \[0, 1\]"):
+        model(weight=1.5)
+    with pytest.raises(ValueError, match="coefficients must have 3 entries"):
+        model(coefficients=(0.0, 0.5))
+    with pytest.raises(ValueError, match="residual_std 0.0 must be finite and positive"):
+        model(residual_std=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +653,7 @@ def test_granger_edge_validation():
 def test_baseline_model_round_trip(tmp_path):
     training = three_kpi_training()
     model = fit_baseline_model(training, allow_short=True)
-    assert model.kpis == sorted(training)
+    assert model.kpis == tuple(sorted(training))
     path = tmp_path / "baseline.json"
     model.save(path)
     again = BaselineModel.load(path)
@@ -654,6 +661,99 @@ def test_baseline_model_round_trip(tmp_path):
     again_path = tmp_path / "baseline2.json"
     again.save(again_path)
     assert again_path.read_bytes() == path.read_bytes()
+
+
+def _small_baseline_dict():
+    """A valid baseline file's data: three bands and two lag-1 edges."""
+    rng = np.random.default_rng(7)
+    kpis = [KpiId("A", "x"), KpiId("B", "y"), KpiId("C", "z")]
+    bands = {
+        kpi: UnivariateBaseline(kpi, rng.normal(size=168), 0.5 + rng.random(168), 3.0, 0.5, 1.0, 2.0)
+        for kpi in kpis
+    }
+    edges = (
+        GrangerEdge(kpis[0], kpis[1], 0.99, 1, (0.1, 0.2, 0.3), 0.5),
+        GrangerEdge(kpis[2], kpis[1], 0.95, 1, (0.0, -0.5, 1.5), 1.25),
+    )
+    return BaselineModel(bands, edges, BaselineConfig(lag_order=1)).to_dict()
+
+
+SMALL_BASELINE = _small_baseline_dict()
+
+#: The values a spoiled file may hold in place of one of its own.
+SPOILS = [True, "3", None, math.nan, math.inf, -math.inf, 0, -1.5]
+
+#: What ``load_json`` reports as a malformed file.
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
+
+
+def _nodes(node, path=()):
+    """(key path, value) of every value below the top of a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+@st.composite
+def spoiled_baselines(draw):
+    """The small baseline's data with one spoil: a value replaced, a list one
+    short, a repeated KPI, an edge endpoint moved (dangling, or onto another
+    KPI) or another lag order."""
+    data = copy.deepcopy(SMALL_BASELINE)
+    bands, edges = data["baselines"], data["edges"]
+    how = draw(st.sampled_from(["value", "value", "value", "short", "repeated", "endpoint", "lag"]))
+    if how == "value":
+        # a field first, then one of its numbers: each field is as likely as a bucket list
+        fields = {}
+        for path, value in _nodes(data):
+            if path[0] in ("config", "baselines", "edges") and not isinstance(value, (dict, list)):
+                fields.setdefault(path[:-1] if isinstance(path[-1], int) else path, []).append(path)
+        path = draw(st.sampled_from(fields[draw(st.sampled_from(sorted(fields, key=repr)))]))
+        _at(data, path[:-1])[path[-1]] = draw(st.sampled_from(SPOILS))
+    elif how == "short":
+        lists = [path for path, value in _nodes(data) if isinstance(value, list) and value]
+        _at(data, draw(st.sampled_from(lists))).pop()
+    elif how == "repeated":
+        i, j = draw(st.integers(0, len(bands) - 1)), draw(st.integers(0, len(bands) - 1))
+        if draw(st.booleans()):
+            bands.append(copy.deepcopy(bands[i]))
+        else:
+            bands[i].update(resource=bands[j]["resource"], metric=bands[j]["metric"])
+    elif how == "endpoint":
+        names = [["Nowhere", "m"]] + [[band["resource"], band["metric"]] for band in bands]
+        edges[draw(st.integers(0, len(edges) - 1))][draw(st.sampled_from(["cause", "effect"]))] = draw(
+            st.sampled_from(names)
+        )
+    else:
+        p = draw(st.sampled_from([0, 2, 3]))
+        if draw(st.booleans()):
+            data["config"]["lag_order"] = p
+        else:
+            edge = edges[draw(st.integers(0, len(edges) - 1))]
+            edge["lag_order"] = p
+            if draw(st.booleans()):
+                edge["coefficients"] = [0.25] * (2 * p + 1)
+    return data
+
+
+@settings(max_examples=1000, deadline=None)
+@given(spoiled_baselines())
+@example(copy.deepcopy(SMALL_BASELINE))  # unspoiled: both read it, to the same model
+def test_from_dict_rejects_exactly_what_the_row_checks_rejected(data):
+    try:
+        expected = oracles.baseline_from_dict(copy.deepcopy(data))
+    except MALFORMED:
+        with pytest.raises(MALFORMED):
+            BaselineModel.from_dict(data)
+    else:
+        assert BaselineModel.from_dict(data).to_dict() == expected
 
 
 def test_baseline_model_rejects_dangling_edges():

@@ -889,6 +889,8 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
     [
         ("run_hour", 30, "run_hour 30"),
         ("fault_targets", ["Nope"], "'Nope'"),
+        ("fault_targets", "Sprout", "fault_targets 'Sprout' must be a tuple of distinct resource names"),
+        ("fault_targets", ["Sprout", "Sprout"], "fault_targets ('Sprout', 'Sprout') must be a tuple of distinct"),
         ("tau", -1.0, "tau -1.0"),
         ("folds", 2.5, "folds 2.5 must be an integer"),
         ("training_days", True, "training_days True must be an integer"),
@@ -899,6 +901,8 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
     ids=[
         "run-hour-30",
         "unknown-fault-target",
+        "text-fault-targets",
+        "repeated-fault-target",
         "negative-tau",
         "fractional-folds",
         "boolean-training-days",

@@ -495,32 +495,33 @@ def test_anomaly_log_reader_shares_kpis_and_keeps_error_lines():
 
 
 # ---------------------------------------------------------------------------
-# the plan and the event columns
+# the model's arrays and the event columns
 
 
-def test_plan_is_built_once_per_model():
+def test_the_model_is_stacked_once_into_read_only_arrays():
     kx, ky = KpiId("A", "x"), KpiId("B", "y")
     baselines = {kx: flat_baseline(kx, 0.0, 1.0), ky: flat_baseline(ky, 5.0, 2.0, k_sigma=4.0)}
     edges = (GrangerEdge(cause=kx, effect=ky, weight=0.99, lag_order=1,
                          coefficients=(0.5, 0.25, 2.0), residual_std=0.5),)
     model = BaselineModel(baselines=baselines, edges=edges, config=BaselineConfig(lag_order=1))
     twin = BaselineModel(baselines=baselines, edges=edges, config=BaselineConfig(lag_order=1))
-    plan = model.plan
-    assert model.plan is plan
-    assert twin.plan is not plan
-    assert model == twin  # the cached plan is not a field
-    assert plan.kpis == (kx, ky)
-    assert plan.bucket_means[1, 0] == 5.0 and plan.bucket_stds[1, 0] == 2.0
-    assert plan.k_sigma.tolist() == [3.0, 4.0]
-    assert plan.lag_order == 1
-    assert plan.edges.cause.tolist() == [0] and plan.edges.effect.tolist() == [1]
-    assert plan.edges.coefficients.tolist() == [[0.5, 0.25, 2.0]]
-    assert plan.edges.residual_std.tolist() == [0.5]
+    names = ("bucket_means", "bucket_stds", "k_sigma", "cause", "effect", "coefficients", "residual_std")
+    arrays = [getattr(model, name) for name in names]
+    assert not any(array.flags.writeable for array in arrays)
+    assert all(getattr(twin, name) is not array for name, array in zip(names, arrays))
+    assert model == twin  # the arrays are not fields
+    assert model.kpis == (kx, ky)
+    assert model.bucket_means[1, 0] == 5.0 and model.bucket_stds[1, 0] == 2.0
+    assert model.k_sigma.tolist() == [3.0, 4.0]
+    assert model.config.lag_order == 1
+    assert model.cause.tolist() == [0] and model.effect.tolist() == [1]
+    assert model.coefficients.tolist() == [[0.5, 0.25, 2.0]]
+    assert model.residual_std.tolist() == [0.5]
     ts = 60 * np.arange(10, dtype=np.int64)
     series = {kx: TimeSeries(kx, ts, np.zeros(10)), ky: TimeSeries(ky, ts, np.full(10, 40.0))}
     detect_stream(model, series, 0)
     detect_stream(model, series, 0)
-    assert model.plan is plan
+    assert all(getattr(model, name) is array for name, array in zip(names, arrays))
 
 
 def test_anomaly_events_behave_like_a_tuple_of_events():

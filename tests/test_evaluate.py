@@ -25,6 +25,9 @@ from faultcast.core import (
 from faultcast.io import InjectedFault, RunManifest
 from faultcast.metrics import Contingency, EffectivenessMetrics, metrics
 from faultcast.evaluate import (
+    RQ3_DEVIATIONS,
+    RQ3_RUN_MIN,
+    RQ3_RUNS_PER_DEVIATION,
     Rq1Row,
     Rq3Run,
     SuiteConfig,
@@ -133,19 +136,37 @@ def suite_configs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    suite_configs(),
-    st.lists(st.floats(0, 2, allow_nan=False), max_size=3),
-    st.integers(0, 3),
-    st.integers(1, 300),
-    st.sampled_from(APP_VMS),
-)
-def test_run_schedules_equal_the_loops(config, deviations, repeats, duration_min, target):
+@given(suite_configs(), st.integers(0, 3), st.integers(1, 300), st.sampled_from(APP_VMS))
+def test_run_schedules_equal_the_loops(config, repeats, duration_min, target):
     assert default_run_specs(config) == oracles.default_run_specs_loops(config)
-    rq3 = rq3_run_specs(config, deviations, repeats, duration_min)
-    assert rq3 == oracles.rq3_run_specs_loops(config, deviations, repeats, duration_min)
+    rq3 = oracles.rq3_run_specs_loops(config, RQ3_DEVIATIONS, RQ3_RUNS_PER_DEVIATION, RQ3_RUN_MIN)
+    assert rq3_run_specs(config) == rq3
     rq4 = rq4_run_specs(config, repeats, duration_min, target)
     assert rq4 == oracles.rq4_run_specs_loops(config, repeats, duration_min, target)
+
+
+@pytest.mark.parametrize(
+    "targets",
+    ["Sprout", ("Sprout", "Sprout"), ("Sprout", 3), ["Sprout"], None],
+    ids=["text", "repeated", "not-text", "list", "null"],
+)
+def test_config_rejects_fault_targets_that_are_not_distinct_names(targets):
+    # "Sprout" once ran as the targets 'S', 'p', 'r', 'o', 'u' and 't', and a
+    # repeated target built its runs twice under the same run ids
+    with pytest.raises(ValueError, match=rf"^fault_targets {re.escape(repr(targets))} must be a tuple of distinct"):
+        SuiteConfig(fault_targets=targets)
+
+
+@pytest.mark.parametrize(
+    "targets", ["Sprout", ["Sprout", "Sprout"], ["Sprout", 3], None], ids=["text", "repeated", "not-text", "null"]
+)
+def test_a_config_file_gives_fault_targets_as_a_list_of_distinct_names(targets):
+    data = SuiteConfig().to_dict()
+    data["fault_targets"] = targets
+    with pytest.raises(ValueError, match="^fault_targets "):
+        SuiteConfig.from_dict(data)
+    del data["fault_targets"]  # an absent key is the default
+    assert SuiteConfig.from_dict(data).fault_targets == SuiteConfig().fault_targets
 
 
 def test_config_training_window():

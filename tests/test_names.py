@@ -7,7 +7,8 @@ come from an enclosing function, or be a module-level name, a module
 attribute or a builtin.  An unbound name would only fail, with a
 ``NameError``, when the line that reads it runs.  A second check, with
 ``ast``, finds imports that nothing reads, such as those a deletion leaves
-behind.
+behind.  A third, also with ``ast``, finds public functions, classes and
+methods that nothing in the package or the benchmark harness reads.
 """
 
 import ast
@@ -140,3 +141,66 @@ def test_the_check_finds_an_unread_import():
         "    return a\n"
     )
     assert unused_imports(source, "<test>") == ["Unread", "json", "np", "os"]
+
+
+#: Where a public name of the package must be read: the package itself and
+#: the benchmark harness.  Tests do not count, so API only tests use shows.
+READERS = SOURCES + sorted((Path(__file__).parent.parent / "perfbench").rglob("*.py"))
+
+#: Public names nothing reads yet: ``feature_name`` is kept for the
+#: predictor's per-interval trace (ROADMAP item 4b).
+UNREAD_ALLOWED = ["Vocabulary.feature_name"]
+
+
+def _public_definitions(tree):
+    """'name' of each public module-level function and class, and
+    'Class.method' of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
+def unread_public_names(sources, readers):
+    """The public definitions of ``sources`` whose name no source of
+    ``readers`` reads, as a loaded name or a loaded attribute."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defined = (name for source in sources for name in _public_definitions(ast.parse(source)))
+    return sorted(name for name in defined if name.rsplit(".", 1)[-1] not in read)
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    assert unread_public_names(sources, readers) == UNREAD_ALLOWED
+
+
+def test_the_check_finds_an_unread_public_name():
+    source = (
+        "class C:\n"
+        "    def used(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def planted(self):\n"
+        "        return 2\n"
+        "    def _private(self):\n"
+        "        return 3\n"
+        "def entry():\n"
+        "    c = C()\n"
+        "    c.planted = None\n"
+        "    return c.used()\n"
+        "def unread_function():\n"
+        "    return entry()\n"
+    )
+    reader = "from module import entry\nentry()\n"
+    assert unread_public_names([source], [source, reader]) == ["C.planted", "unread_function"]
