@@ -325,5 +325,5 @@ def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> AnomalyEvents:
     when ``source`` is a path."""
     with _open_text(source, "r") as stream:
         rows = read_rows(stream, ANOMALY_LOG_HEADER, _kinds_and_scores, "bd")
-    _, start, kpi, kind, score = rows.columns
+    start, kpi, kind, score = rows.columns
     return AnomalyEvents(rows.kpis, start, kpi, kind, score)

@@ -116,6 +116,8 @@ class SuiteConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
+        if RQ4_TARGET not in targets:  # else RQ4's host faults hit a class never trained
+            raise ValueError(f"fault_targets {targets!r} must include {RQ4_TARGET!r}, RQ4's host fault target")
         BaselineConfig(self.lag_order, self.alpha, self.k_sigma, self.prefilter_r)  # the baseline's own rules
         check_tau(self.tau)
         if self.window_min > minutes:

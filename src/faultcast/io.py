@@ -9,6 +9,7 @@ import json
 import math
 import os
 from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
@@ -65,7 +66,8 @@ def ingest_csv(source: Union[str, os.PathLike, TextIO]) -> Dict[KpiId, TimeSerie
     """Read a KPI sample CSV into a map KpiId -> TimeSeries.
 
     The header must be exactly ``timestamp,resource,metric,value``.  Rows may
-    arrive in any order; samples are sorted per KPI.  Malformed rows raise
+    arrive in any order, at the cost of one sort; rows grouped by KPI in time
+    order, as :func:`write_csv` writes them, need none.  Malformed rows raise
     :class:`CsvParseError` (:func:`read_rows`), a non-finite value too; a
     repeated (timestamp, KPI) pair raises :class:`DuplicateSampleError`.
     Either names the file when ``source`` is a path.
@@ -157,13 +159,15 @@ def _parse_timestamps(texts: List[str]) -> List[int]:
 
 
 class _Columns:
-    """The rows of one CSV body as typed ``columns``: line numbers,
-    timestamps, numbers into ``kpis``, then the fields after
-    ``timestamp,resource,metric`` as ``parse`` types them, in arrays of the
-    typecodes in ``types``.  Like ``parse``, each column check raises
-    :class:`ValueError` naming its first bad text, the row's own when it
-    checks one row.  A file repeats few distinct timestamps and KPIs over
-    many rows, so each distinct text is parsed and validated once."""
+    """The rows of one CSV body as typed ``columns``: timestamps, numbers
+    into ``kpis``, then the fields after ``timestamp,resource,metric`` as
+    ``parse`` types them, in arrays of the typecodes in ``types``.  Like
+    ``parse``, each column check raises :class:`ValueError` naming its first
+    bad text, the row's own when it checks one row.  A file repeats few
+    distinct timestamps and KPIs over many rows, so each distinct text is
+    parsed and validated once.  Line numbers are kept as runs of rows on
+    consecutive lines: ``run_rows`` holds the first row of each, ``run_lines``
+    its line."""
 
     def __init__(self, parse, types: str):
         self.parse, self.width = parse, 3 + len(types)
@@ -171,8 +175,9 @@ class _Columns:
         # resource -> metric -> KPI number: no (resource, metric) tuple a row
         self.kpi_memo: Dict[str, Dict[str, int]] = {}
         self.kpis: List[KpiId] = []
-        # typed columns hold 8 bytes a row, not a Python object each
-        self.columns = [array("q"), array("q"), array("q")] + [array(code) for code in types]
+        # typed columns hold 20 bytes a KPI CSV row, not a Python object each
+        self.columns = [array("q"), array("i")] + [array(code) for code in types]
+        self.run_rows, self.run_lines = array("q"), array("q")
 
     def _timestamps(self, texts: List[str]) -> List[int]:
         """Epoch seconds of each text, parsing only texts not seen before."""
@@ -237,39 +242,58 @@ class _Columns:
             for i, number in enumerate(numbers):
                 self.add(fields[w * i : w * (i + 1)], [number])
             return
-        for column, values in zip(self.columns, (numbers, stamps, kids, *tail)):
+        row = len(self.columns[0])
+        # a block's lines are all rows, one run; a blank line between
+        # csv.reader's rows starts another
+        for i, line in [(0, numbers[0])] if isinstance(numbers, range) else enumerate(numbers):
+            if not self.run_rows or line - self.run_lines[-1] != row + i - self.run_rows[-1]:
+                self.run_rows.append(row + i)
+                self.run_lines.append(line)
+        for column, values in zip(self.columns, (stamps, kids, *tail)):
             column.extend(values)
 
     def series_map(self) -> Dict[KpiId, TimeSeries]:
         """The map KpiId -> TimeSeries, or :class:`DuplicateSampleError` at
-        the first repeated (KPI, timestamp) pair.  This consumes the columns."""
+        the first repeated (KPI, timestamp) pair.  This consumes the columns.
+
+        A body grouped by KPI in time order, as :func:`write_csv` writes it,
+        is read in place: each series' values are a view of the value column.
+        Any other order is sorted first.  KPIs with equal timestamps share
+        one read-only copy of them, and the timestamp column is freed."""
         if not self.kpis:
             return {}
         kpis = self.kpis
-        columns, self.columns = self.columns, None
-        # KPIs are numbered in order of first appearance; sorting by (KPI,
-        # timestamp, line) groups each KPI's samples in time order.
-        order = np.lexsort([np.frombuffer(col, dtype=col.typecode) for col in columns[:3]])
-        # each column is freed once sorted, so one sorted copy at a time sits
-        # beside the unsorted columns
-        sorted_columns = []
-        while columns:
-            col = columns.pop(0)
-            sorted_columns.append(np.frombuffer(col, dtype=col.typecode)[order])
-            del col
-        lines, stamps, kids, values = sorted_columns
-        repeated = np.flatnonzero((stamps[1:] == stamps[:-1]) & (kids[1:] == kids[:-1]))
-        if len(repeated):
-            at = repeated[0] + 1
-            raise DuplicateSampleError(
-                int(lines[at]),
-                f"duplicate sample for {kpis[kids[at]]} at {format_timestamp(stamps[at])}",
-            )
-        bounds = np.searchsorted(kids, np.arange(len(kpis) + 1))
-        return {
-            kpi: TimeSeries(kpi, stamps[lo:hi], values[lo:hi])
-            for kpi, lo, hi in zip(kpis, bounds[:-1], bounds[1:])
-        }
+        stamps, kids, values = (np.frombuffer(col, dtype=col.typecode) for col in self.columns)
+        self.columns = None
+        # KPIs are numbered in order of first appearance, so a grouped body
+        # has (KPI, timestamp) strictly increasing
+        if not ((kids[1:] > kids[:-1]) | ((kids[1:] == kids[:-1]) & (stamps[1:] > stamps[:-1]))).all():
+            # lexsort is stable: equal (KPI, timestamp) rows keep line order
+            order = np.lexsort((stamps, kids))
+            # a column is freed once sorted: one sorted copy at a time sits
+            # beside the unsorted columns
+            kids = kids[order]
+            stamps = stamps[order]
+            values = values[order]
+            repeated = np.flatnonzero((stamps[1:] == stamps[:-1]) & (kids[1:] == kids[:-1]))
+            if len(repeated):
+                at = repeated[0] + 1
+                row = int(order[at])
+                run = bisect_right(self.run_rows, row) - 1  # the run of lines it lies in
+                raise DuplicateSampleError(
+                    self.run_lines[run] + row - self.run_rows[run],
+                    f"duplicate sample for {kpis[kids[at]]} at {format_timestamp(stamps[at])}",
+                )
+        bounds = np.searchsorted(kids, np.arange(len(kpis) + 1, dtype=kids.dtype))  # int64 would copy kids
+        grids: Dict[int, np.ndarray] = {}  # hash of a grid's bytes -> the grid
+        out = {}
+        for kpi, lo, hi in zip(kpis, bounds[:-1].tolist(), bounds[1:].tolist()):
+            grid = stamps[lo:hi]
+            key = hash(grid.tobytes())
+            if key not in grids or not np.array_equal(grids[key], grid):
+                grids[key] = grid.astype(np.int64)  # a copy, of the dtype TimeSeries keeps as is
+            out[kpi] = TimeSeries(kpi, grids[key], values[lo:hi])
+        return out
 
 
 def _kpi_fields(kpi: KpiId) -> str:

@@ -888,9 +888,11 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
     "field, value, named",
     [
         ("run_hour", 30, "run_hour 30"),
-        ("fault_targets", ["Nope"], "'Nope'"),
+        ("fault_targets", ["Sprout", "Nope"], "'Nope'"),  # with Sprout, which the config requires
         ("fault_targets", "Sprout", "fault_targets 'Sprout' must be a tuple of distinct resource names"),
         ("fault_targets", ["Sprout", "Sprout"], "fault_targets ('Sprout', 'Sprout') must be a tuple of distinct"),
+        ("fault_targets", [], "fault_targets () must include 'Sprout'"),
+        ("fault_targets", ["Homer"], "fault_targets ('Homer',) must include 'Sprout'"),
         ("tau", -1.0, "tau -1.0"),
         ("folds", 2.5, "folds 2.5 must be an integer"),
         ("training_days", True, "training_days True must be an integer"),
@@ -903,6 +905,8 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
         "unknown-fault-target",
         "text-fault-targets",
         "repeated-fault-target",
+        "no-fault-targets",
+        "fault-targets-without-sprout",
         "negative-tau",
         "fractional-folds",
         "boolean-training-days",

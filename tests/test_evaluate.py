@@ -28,6 +28,7 @@ from faultcast.evaluate import (
     RQ3_DEVIATIONS,
     RQ3_RUN_MIN,
     RQ3_RUNS_PER_DEVIATION,
+    RQ4_TARGET,
     Rq1Row,
     Rq3Run,
     SuiteConfig,
@@ -120,7 +121,10 @@ def test_config_rejects_a_float_field_that_is_not_a_number(field, value):
 def suite_configs(draw):
     """Suite configs that differ in everything the run schedules read."""
     duration = draw(st.integers(1, 400))
-    targets = draw(st.permutations(APP_VMS))[: draw(st.integers(0, len(APP_VMS)))]
+    # any other targets, in any order, beside RQ4's
+    others = [vm for vm in APP_VMS if vm != RQ4_TARGET]
+    targets = draw(st.permutations(others))[: draw(st.integers(0, len(others)))]
+    targets.insert(draw(st.integers(0, len(targets))), RQ4_TARGET)
     earliest, latest = parse_timestamp("2000-01-01T00:00:00Z"), parse_timestamp("2100-01-01T00:00:00Z")
     return SuiteConfig(
         training_start=draw(st.integers(earliest, latest)),
@@ -167,6 +171,19 @@ def test_a_config_file_gives_fault_targets_as_a_list_of_distinct_names(targets):
         SuiteConfig.from_dict(data)
     del data["fault_targets"]  # an absent key is the default
     assert SuiteConfig.from_dict(data).fault_targets == SuiteConfig().fault_targets
+
+
+@pytest.mark.parametrize("targets", [(), ("Homer",), ("Homer", "Bono")], ids=["none", "homer", "two-others"])
+def test_config_rejects_fault_targets_without_the_rq4_target(targets):
+    # RQ4 injects its host faults on Sprout: without a Sprout class in
+    # training, every one of its 30 host-fault rows read "none"
+    with pytest.raises(ValueError, match=rf"^fault_targets {re.escape(repr(targets))} must include 'Sprout'"):
+        SuiteConfig(fault_targets=targets)
+    data = SuiteConfig().to_dict()
+    data["fault_targets"] = list(targets)
+    with pytest.raises(ValueError, match="must include 'Sprout'"):
+        SuiteConfig.from_dict(data)
+    assert SuiteConfig(fault_targets=targets + (RQ4_TARGET,)).fault_targets[-1] == RQ4_TARGET
 
 
 def test_config_training_window():
