@@ -22,7 +22,7 @@ from .core import (
     hour_of_week,
     lags,
 )
-from .io import check_kind, load_json, save_json, typed, typed_array
+from .io import check_kind, check_ranges, load_json, save_json, typed, typed_array
 
 logger = logging.getLogger(__name__)
 
@@ -618,14 +618,13 @@ class BaselineConfig:
     prefilter_r: float = DEFAULT_PREFILTER_R
 
     def __post_init__(self):
-        for name, ok, rule in (
+        check_ranges(
+            self,
             ("lag_order", self.lag_order >= 1, "at least 1"),
             ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
             ("k_sigma", 0 < self.k_sigma < math.inf, "finite and positive"),
             ("prefilter_r", 0 <= self.prefilter_r < 1, "in [0, 1)"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
+        )
 
 
 #: A band's arrays and floats in a baseline file, in the order of its fields.

@@ -42,7 +42,7 @@ from .core import (
     slide_windows,
 )
 from .detect import DEFAULT_TAU, AnomalyEvent, AnomalyEvents, check_tau, detect_stream
-from .io import RunManifest, check_kind, check_types, load_json, save_json
+from .io import RunManifest, check_kind, check_ranges, check_types, load_json, save_json
 from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
 from .predict import EarlinessReport, measure_earliness, run_predictor
 from .sim import (
@@ -104,7 +104,8 @@ class SuiteConfig:
         check_types(self)
         minutes, targets = self.run_duration_min, self.fault_targets
         all_text = isinstance(targets, tuple) and all(isinstance(target, str) for target in targets)
-        for name, ok, rule in (
+        check_ranges(
+            self,
             ("fault_targets", all_text and len(set(targets)) == len(targets), "a tuple of distinct resource names"),
             ("run_hour", 0 <= self.run_hour <= 23, "an hour from 0 to 23"),
             ("quiet_hour", 0 <= self.quiet_hour <= 23, "an hour from 0 to 23"),
@@ -113,9 +114,8 @@ class SuiteConfig:
             ("window_min", self.window_min > 0, "positive"),
             ("training_days", self.training_days > 0, "positive"),
             ("injection_min", 0 <= self.injection_min < minutes, f"in [0, {minutes}), inside the run"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} {getattr(self, name)!r} must be {rule}")
+            ("seed", self.seed >= 0, "non-negative"),
+        )
         if RQ4_TARGET not in targets:  # else RQ4's host faults hit a class never trained
             raise ValueError(f"fault_targets {targets!r} must include {RQ4_TARGET!r}, RQ4's host fault target")
         BaselineConfig(self.lag_order, self.alpha, self.k_sigma, self.prefilter_r)  # the baseline's own rules

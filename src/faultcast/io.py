@@ -398,6 +398,14 @@ def check_types(obj) -> None:
             typed(f.name, getattr(obj, f.name), _TYPED_FIELDS[f.type])
 
 
+def check_ranges(obj, *rules) -> None:
+    """Raise ``<field> <value> must be <rule>`` for the first (field, ok,
+    rule) of ``rules`` whose ``ok`` is false, the value read from ``obj``."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{name} {getattr(obj, name)!r} must be {rule}")
+
+
 def load_json(path, from_dict):
     """Read an artifact file and decode it with ``from_dict``.  Bytes that are
     not UTF-8, text that is not JSON, a missing key and a value of the wrong

@@ -30,9 +30,6 @@ DEFAULT_ALPHA = 1.0
 #: Gains below this are treated as zero when growing trees.
 _GAIN_EPS = 1e-12
 
-#: Cells of the [rows, nodes] next-node map a tree's descent builds at once.
-_DESCENT_CELLS = 1 << 16
-
 
 @dataclass(frozen=True, eq=False)
 class Windows:
@@ -199,34 +196,18 @@ class DecisionTreeModel:
         proba[leaf, top] = confidence
         return proba
 
-    @cached_property
-    def _steps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """The step down from each node: the bit it reads (bit 0 at a leaf),
-        its next node when that bit is clear and when it is set (a leaf's is
-        itself), and the depth of the deepest leaf."""
-        split = self.feature >= 0
-        nominal = np.where(split, self.child, np.arange(len(split)))
-        depth = np.zeros(len(split), dtype=np.intp)
-        for i in np.flatnonzero(split).tolist():  # a parent precedes its children
-            depth[self.child[i] : self.child[i] + 2] = depth[i] + 1
-        return np.where(split, self.feature, 0), nominal, nominal + split, int(depth.max())
-
     def leaves(self, on: np.ndarray, node: np.ndarray) -> np.ndarray:
         """The leaf each row of the [n, F] bool matrix ``on`` reaches from its
-        start node in ``node``.  A block of rows reads every node's bit at
-        once into one flat map of each row's next nodes, then steps all its
-        rows down through the map a level at a time."""
-        bit, nominal, anomalous, depth = self._steps
+        start node in ``node``: the rows still at a split step down a level
+        at a time, to the nominal child or, when the split's bit is set, the
+        anomalous one after it."""
         node = node.copy()
-        size = max(1, _DESCENT_CELLS // len(bit))
-        for lo in range(0, len(on), size):
-            block = on[lo : lo + size]
-            offset = np.arange(len(block)) * len(bit)  # row r's map starts at r * nodes
-            step = (np.where(block[:, bit], anomalous, nominal) + offset[:, None]).ravel()
-            at = node[lo : lo + size] + offset
-            for _ in range(depth):
-                at = step[at]
-            node[lo : lo + size] = at - offset
+        rows = np.flatnonzero(self.feature[node] >= 0)
+        while len(rows):
+            at = node[rows]
+            at = self.child[at] + on[rows, self.feature[at]]
+            node[rows] = at
+            rows = rows[self.feature[at] >= 0]
         return node
 
     def predict_proba(self, bits: np.ndarray) -> np.ndarray:
@@ -373,6 +354,20 @@ def _grow_trees(
     return tuple(np.concatenate(arrays) for arrays in zip(*levels))
 
 
+def _training_set(x, y, classes) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureClass, ...]]:
+    """A trainer's input, checked: ``x`` as a bool bit matrix (any non-zero
+    value is a set bit, as in ``predict_proba``), ``y`` as class indices
+    and ``classes`` as a tuple."""
+    x, y, classes = np.asarray(x) != 0, np.asarray(y, dtype=np.intp), tuple(classes)
+    if x.ndim != 2 or len(x) != len(y):
+        raise ValueError("x must be (n_samples, n_features) aligned with y")
+    if len(x) == 0:
+        raise ValueError("cannot train on an empty sample set")
+    if y.min() < 0 or y.max() >= len(classes):
+        raise ValueError("label index out of range for the class list")
+    return x, y, classes
+
+
 def train_tree(
     x: np.ndarray,
     y: np.ndarray,
@@ -387,17 +382,9 @@ def train_tree(
     Ties between features break toward the lowest bit index.  Single-class
     input yields a single-leaf tree.
     """
-    x = np.asarray(x) != 0  # any non-zero value is a set bit, as in predict_proba
-    y = np.asarray(y, dtype=np.intp)
-    if x.ndim != 2 or len(x) != len(y):
-        raise ValueError("x must be (n_samples, n_features) aligned with y")
-    if len(x) == 0:
-        raise ValueError("cannot train a tree on an empty sample set")
+    x, y, classes = _training_set(x, y, classes)
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")
-    classes = tuple(classes)
-    if y.max(initial=-1) >= len(classes):
-        raise ValueError("label index out of range for the class list")
     arrays = _grow_trees(x, y, [np.arange(len(y))], len(classes), min_leaf, max_depth)
     return DecisionTreeModel(classes, int(x.shape[1]), min_leaf, max_depth, *arrays)
 
@@ -406,9 +393,10 @@ def train_tree(
 # Bernoulli naive Bayes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NaiveBayesModel:
-    """Bernoulli naive Bayes with Laplace-smoothed priors and likelihoods."""
+    """Bernoulli naive Bayes with Laplace-smoothed priors and likelihoods;
+    its arrays are made read-only."""
 
     classes: Tuple[FailureClass, ...]
     n_features: int
@@ -416,12 +404,38 @@ class NaiveBayesModel:
     priors: np.ndarray
     theta: np.ndarray  # (n_classes, n_features) P(bit = 1 | class)
 
+    def __post_init__(self):
+        self.priors.setflags(write=False)
+        self.theta.setflags(write=False)
+
     def predict_proba(self, bits: np.ndarray) -> np.ndarray:
         """Posteriors of each row of an [n, F] bit matrix, as [n, classes];
         a 1-D vector gives one distribution."""
         rows = _feature_rows(bits, self.n_features) != 0
         probs = _nb_posteriors(rows, self.priors, self.theta.T)
         return probs if np.ndim(bits) == 2 else probs[0]
+
+    def to_dict(self) -> dict:
+        return {"alpha": self.alpha, "priors": self.priors.tolist(), "theta": self.theta.tolist()}
+
+    @classmethod
+    def from_dict(cls, payload: dict, classes: Tuple[FailureClass, ...], n_features: int) -> "NaiveBayesModel":
+        """A model whose shapes fit the classes and the vocabulary, with a
+        positive ``alpha`` and every probability in [0, 1]."""
+        alpha = typed("alpha", payload["alpha"], float)
+        if not alpha > 0:
+            raise ValueError(f"alpha {alpha} must be positive")
+        priors = np.array([typed("priors", p, float) for p in payload["priors"]])
+        theta = np.array([[typed("theta", t, float) for t in row] for row in payload["theta"]])
+        if priors.shape != (len(classes),) or theta.shape != (len(classes), n_features):
+            raise ValueError(
+                f"naive Bayes priors {priors.shape} and theta {theta.shape} do not fit "
+                f"{len(classes)} classes over {n_features} features"
+            )
+        # NaN fails both comparisons
+        if not all(((0.0 <= p) & (p <= 1.0)).all() for p in (priors, theta)):
+            raise ValueError("naive Bayes priors and theta must lie in [0, 1]")
+        return cls(classes, n_features, alpha, priors, theta)
 
 
 def _nb_posteriors(rows: np.ndarray, priors: np.ndarray, theta_t: np.ndarray) -> np.ndarray:
@@ -458,43 +472,31 @@ def train_nb(
 ) -> NaiveBayesModel:
     """Estimate smoothed priors (n_c + a) / (N + aK) and Bernoulli parameters
     (ones_c + a) / (n_c + 2a).  An empty sample set is an error."""
-    x = np.asarray(x) != 0  # any non-zero value is a set bit, as in predict_proba
-    y = np.asarray(y, dtype=np.intp)
-    if x.ndim != 2 or len(x) != len(y):
-        raise ValueError("x must be (n_samples, n_features) aligned with y")
-    if len(x) == 0:
-        raise ValueError("cannot train naive Bayes on an empty sample set")
-    if alpha <= 0:
+    x, y, classes = _training_set(x, y, classes)
+    if not alpha > 0:  # NaN too
         raise ValueError("alpha must be positive")
-    classes = tuple(classes)
     k = len(classes)
-    if y.max(initial=-1) >= k:
-        raise ValueError("label index out of range for the class list")
     n_c = np.bincount(y, minlength=k).astype(float)
     priors = (n_c + alpha) / (len(y) + alpha * k)
     ones = np.eye(k)[y].T @ x  # counts of set bits: exact in float64
     theta = (ones + alpha) / (n_c[:, None] + 2.0 * alpha)
-    priors.setflags(write=False)
-    theta.setflags(write=False)
-    return NaiveBayesModel(
-        classes=classes,
-        n_features=int(x.shape[1]),
-        alpha=float(alpha),
-        priors=priors,
-        theta=theta,
-    )
+    return NaiveBayesModel(classes, int(x.shape[1]), float(alpha), priors, theta)
 
 
 # ---------------------------------------------------------------------------
 # the packaged signature model
 
 
+#: Each classifier by the algorithm name a signature file gives it.
+_MODELS = {"tree": DecisionTreeModel, "nb": NaiveBayesModel}
+
+
 @dataclass
 class SignatureModel:
-    """A trained classifier plus the vocabulary and window length it expects."""
+    """A trained classifier plus the vocabulary and window length it expects;
+    its algorithm's name is the one ``_MODELS`` gives the model's class."""
 
     vocabulary: Vocabulary
-    algorithm: str  # "tree" | "nb"
     window_min: int
     model: Union[DecisionTreeModel, NaiveBayesModel]
 
@@ -512,26 +514,15 @@ class SignatureModel:
         return list(zip([self.classes[i] for i in probs.argmax(axis=1).tolist()], probs.max(axis=1).tolist()))
 
     def to_dict(self) -> dict:
-        if self.algorithm == "tree":
-            payload = self.model.to_dict()
-        elif self.algorithm == "nb":
-            nb: NaiveBayesModel = self.model
-            payload = {
-                "alpha": nb.alpha,
-                "priors": [float(p) for p in nb.priors],
-                "theta": [[float(t) for t in row] for row in nb.theta],
-            }
-        else:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         return {
             "kind": SIGNATURE_KIND,
             "schema_version": SIGNATURE_SCHEMA_VERSION,
-            "algorithm": self.algorithm,
+            "algorithm": next(name for name, kind in _MODELS.items() if isinstance(self.model, kind)),
             "window_min": self.window_min,
             "split_kinds": self.vocabulary.split_kinds,
             "vocabulary": [[kpi.resource, kpi.metric] for kpi in self.vocabulary.kpis],
             "classes": [[cls.fault_type.value, cls.resource] for cls in self.classes],
-            "model": payload,
+            "model": self.model.to_dict(),
         }
 
     @classmethod
@@ -550,30 +541,11 @@ class SignatureModel:
         classes = tuple(FailureClass(FaultType(ft), res) for ft, res in data["classes"])
         if not classes or list(classes) != sorted(set(classes)):
             raise ValueError("classes must be listed sorted and distinct, as training writes them")
-        algorithm, payload = data["algorithm"], data["model"]
-        model: Union[DecisionTreeModel, NaiveBayesModel]
-        if algorithm == "tree":
-            model = DecisionTreeModel.from_dict(payload, classes, vocab.dimension)
-        elif algorithm == "nb":
-            alpha = typed("alpha", payload["alpha"], float)
-            if not alpha > 0:
-                raise ValueError(f"alpha {alpha} must be positive")
-            priors = np.array([typed("priors", p, float) for p in payload["priors"]])
-            theta = np.array([[typed("theta", t, float) for t in row] for row in payload["theta"]])
-            if priors.shape != (len(classes),) or theta.shape != (len(classes), vocab.dimension):
-                raise ValueError(
-                    f"naive Bayes priors {priors.shape} and theta {theta.shape} do not fit "
-                    f"{len(classes)} classes over {vocab.dimension} features"
-                )
-            # NaN fails both comparisons
-            if not all(((0.0 <= p) & (p <= 1.0)).all() for p in (priors, theta)):
-                raise ValueError("naive Bayes priors and theta must lie in [0, 1]")
-            priors.setflags(write=False)
-            theta.setflags(write=False)
-            model = NaiveBayesModel(classes, vocab.dimension, alpha, priors, theta)
-        else:
+        algorithm = data["algorithm"]
+        if algorithm not in _MODELS:
             raise SchemaVersionError(f"unknown signature algorithm {algorithm!r}")
-        return cls(vocabulary=vocab, algorithm=algorithm, window_min=window_min, model=model)
+        model = _MODELS[algorithm].from_dict(data["model"], classes, vocab.dimension)
+        return cls(vocabulary=vocab, window_min=window_min, model=model)
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)
@@ -583,23 +555,23 @@ class SignatureModel:
         return load_json(path, cls.from_dict)
 
 
-def _dataset(pool: Windows, vocab: Vocabulary) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureClass, ...]]:
-    """The pool's bit matrix, its label indices and the sorted classes."""
+def _label_indices(labels: Sequence[FailureClass]) -> Tuple[np.ndarray, Tuple[FailureClass, ...]]:
+    """Each label's index among the sorted distinct ``labels``, and those."""
+    classes = tuple(sorted(set(labels)))
+    index = {cls: i for i, cls in enumerate(classes)}
+    return np.asarray([index[label] for label in labels], dtype=np.intp), classes
+
+
+def _dataset(
+    pool: Windows, vocab: Vocabulary, algorithm: str
+) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureClass, ...]]:
+    """The pool's bit matrix, its label indices and the sorted classes, to
+    train ``algorithm`` on; an unknown algorithm fails before the encoding."""
+    if algorithm not in _MODELS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'tree' or 'nb'")
     if not len(pool):
         raise ValueError("no window samples to train on")
-    classes = tuple(sorted(set(pool.labels)))
-    index = {cls: i for i, cls in enumerate(classes)}
-    y = np.asarray([index[label] for label in pool.labels], dtype=np.intp)
-    return vocab.encode(pool), y, classes
-
-
-def _fitter(algorithm: str, min_leaf: int, max_depth: Optional[int], alpha: float):
-    """The training function ``(x, y, classes) -> model`` of one algorithm."""
-    if algorithm == "tree":
-        return lambda x, y, classes: train_tree(x, y, classes, min_leaf=min_leaf, max_depth=max_depth)
-    if algorithm == "nb":
-        return lambda x, y, classes: train_nb(x, y, classes, alpha=alpha)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected 'tree' or 'nb'")
+    return (vocab.encode(pool), *_label_indices(pool.labels))
 
 
 def train_signature(
@@ -612,9 +584,9 @@ def train_signature(
 ) -> SignatureModel:
     """Train a signature classifier from a pool of labeled windows: a tree
     of unbounded depth, or naive Bayes with the default smoothing."""
-    fit = _fitter(algorithm, min_leaf, None, DEFAULT_ALPHA)
-    model = fit(*_dataset(pool, vocab))
-    return SignatureModel(vocabulary=vocab, algorithm=algorithm, window_min=window_min, model=model)
+    x, y, classes = _dataset(pool, vocab, algorithm)
+    model = train_tree(x, y, classes, min_leaf) if algorithm == "tree" else train_nb(x, y, classes)
+    return SignatureModel(vocabulary=vocab, window_min=window_min, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -627,20 +599,18 @@ class CrossValidationResult:
 
     per_class: Dict[FailureClass, Contingency]
     predictions: List[Tuple[FailureClass, FailureClass]]  # (truth, predicted)
-    fold_sizes: List[int]
 
     @property
     def n_correct(self) -> int:
         return sum(1 for truth, pred in self.predictions if truth == pred)
 
 
-def stratified_folds(
-    labels: Sequence[FailureClass], k: int, seed: int
-) -> List[np.ndarray]:
-    """Deterministic stratified k-fold assignment.
+def stratified_folds(labels: Sequence[FailureClass], k: int, seed: int) -> np.ndarray:
+    """Deterministic stratified k-fold assignment: each sample's fold.
 
-    Samples are shuffled by the seed, grouped by class, and dealt to folds
-    round-robin with a cursor that carries across classes, so fold sizes
+    Samples are shuffled by the seed, grouped by class in sorted class order
+    (a stable sort, so each class keeps its shuffled order), and dealt to
+    folds round-robin, the deal carrying across classes, so fold sizes
     differ by at most one overall and per class.  Classes with fewer than k
     samples cannot be represented in every fold; they degrade to plain
     round-robin placement and are reported with a warning.
@@ -650,12 +620,8 @@ def stratified_folds(
         raise ValueError("k must be at least 2")
     if n < k:
         raise ValueError(f"need at least {k} samples for {k}-fold validation")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    by_class: Dict[FailureClass, List[int]] = {}
-    for idx in order:
-        by_class.setdefault(labels[idx], []).append(int(idx))
-    small = sorted(str(cls) for cls, idxs in by_class.items() if len(idxs) < k)
+    y, classes = _label_indices(labels)
+    small = sorted(str(classes[c]) for c in np.flatnonzero(np.bincount(y) < k))
     if small:
         logger.warning(
             "cross-validation: classes with fewer than %d samples fall back to "
@@ -663,13 +629,11 @@ def stratified_folds(
             k,
             ", ".join(small),
         )
-    folds: List[List[int]] = [[] for _ in range(k)]
-    cursor = 0
-    for cls in sorted(by_class):
-        for idx in by_class[cls]:
-            folds[cursor].append(idx)
-            cursor = (cursor + 1) % k
-    return [np.asarray(sorted(fold), dtype=np.intp) for fold in folds]
+    order = np.random.default_rng(seed).permutation(n)
+    order = order[np.argsort(y[order], kind="stable")]
+    fold = np.empty(n, dtype=np.intp)
+    fold[order] = np.arange(n) % k
+    return fold
 
 
 def _nb_fold_posteriors(x, y, classes, fold_of: np.ndarray, alpha: float) -> np.ndarray:
@@ -700,36 +664,27 @@ def cross_validate(
     Per-class one-vs-rest TP/FP/FN/TN counts are aggregated over all folds;
     each held-out sample is predicted by the top class of the distribution.
     """
-    _fitter(algorithm, min_leaf, max_depth, alpha)  # an unknown algorithm fails before encoding
-    x, y, classes = _dataset(pool, vocab)
-    folds = stratified_folds(pool.labels, k, seed)
-    fold_of = np.empty(len(y), dtype=np.intp)
-    for i, fold in enumerate(folds):
-        fold_of[fold] = i
+    x, y, classes = _dataset(pool, vocab, algorithm)
+    fold = stratified_folds(pool.labels, k, seed)
     if algorithm == "tree":
         # every fold's tree grown at once as one forest, tree i rooted at node
         # i; the global class list keeps class indices aligned across folds
-        trains = [np.flatnonzero(fold_of != i) for i in range(k)]
-        arrays = _grow_trees(x != 0, y, trains, len(classes), min_leaf, max_depth)
+        trains = [np.flatnonzero(fold != i) for i in range(k)]
+        arrays = _grow_trees(x, y, trains, len(classes), min_leaf, max_depth)
         forest = DecisionTreeModel(classes, x.shape[1], min_leaf, max_depth, *arrays)
-        probs = forest.leaf_proba[forest.leaves(x != 0, fold_of)]
+        probs = forest.leaf_proba[forest.leaves(x, fold)]
     else:
-        probs = _nb_fold_posteriors(x, y, classes, fold_of, alpha)
+        probs = _nb_fold_posteriors(x, y, classes, fold, alpha)
     preds = np.argmax(probs, axis=1)
-    per_class: Dict[FailureClass, Contingency] = {}
-    for ci, cls in enumerate(classes):
-        tp = int(np.sum((preds == ci) & (y == ci)))
-        fp = int(np.sum((preds == ci) & (y != ci)))
-        fn = int(np.sum((preds != ci) & (y == ci)))
-        tn = int(np.sum((preds != ci) & (y != ci)))
-        per_class[cls] = Contingency(tp=tp, fp=fp, fn=fn, tn=tn)
+    c = len(classes)
+    confusion = np.bincount(y * c + preds, minlength=c * c).reshape(c, c)  # [truth, predicted]
+    tp = np.diag(confusion)
+    fp, fn = confusion.sum(axis=0) - tp, confusion.sum(axis=1) - tp
+    tables = np.stack([tp, fp, fn, len(y) - tp - fp - fn], axis=1).tolist()
+    per_class = {cls: Contingency(*table) for cls, table in zip(classes, tables)}
     # samples with the same (truth, predicted) pair share one tuple
     pairs: Dict[Tuple[int, int], Tuple[FailureClass, FailureClass]] = {}
     predictions = [
         pairs.setdefault((t, p), (classes[t], classes[p])) for t, p in zip(y.tolist(), preds.tolist())
     ]
-    return CrossValidationResult(
-        per_class=per_class,
-        predictions=predictions,
-        fold_sizes=[len(f) for f in folds],
-    )
+    return CrossValidationResult(per_class=per_class, predictions=predictions)

@@ -26,7 +26,7 @@ from .core import (
     hour_of_week,
     parse_timestamp,
 )
-from .io import InjectedFault, RunManifest, check_kind, check_types, load_json, typed, typed_array
+from .io import InjectedFault, RunManifest, check_kind, check_ranges, check_types, load_json, typed, typed_array
 
 SCENARIO_KIND = "faultcast-scenario"
 SCENARIO_SCHEMA_VERSION = 1
@@ -95,15 +95,16 @@ class WorkloadModel:
 
     def __post_init__(self):
         check_types(self)
-        typed_array(lambda i: "hourly_profile", self.hourly_profile)
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if len(self.hourly_profile) != 24:
-            raise ValueError("hourly_profile needs exactly 24 multipliers")
-        if min(self.hourly_profile) <= 0:
-            raise ValueError("hourly multipliers must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        profile = typed_array(lambda i: "hourly_profile", self.hourly_profile)
+        profile_ok = len(profile) == 24 and ((0 < profile) & (profile < math.inf)).all()
+        check_ranges(
+            self,
+            ("base_rate", 0 < self.base_rate < math.inf, "finite and positive"),
+            ("weekday_factor", 0 < self.weekday_factor < math.inf, "finite and positive"),
+            ("weekend_factor", 0 < self.weekend_factor < math.inf, "finite and positive"),
+            ("hourly_profile", profile_ok, "24 finite and positive multipliers"),
+            ("noise_std", 0 <= self.noise_std < math.inf, "finite and non-negative"),
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadModel":
@@ -142,14 +143,15 @@ class FaultSpec:
             raise ValueError(
                 "ExcessiveWorkload targets the SYSTEM resource; other faults target a host"
             )
-        if self.severity <= 0:
-            raise ValueError("severity must be positive")
-        if not 0 < self.constant_level <= 1:
-            raise ValueError("constant_level must lie in (0, 1]")
-        if not 0 < self.exp_a0 <= 1 or self.exp_double_min <= 0:
-            raise ValueError("bad exponential activation parameters")
-        if not 0 < self.random_q <= 1 or self.random_block_min <= 0:
-            raise ValueError("bad random activation parameters")
+        check_ranges(
+            self,
+            ("severity", 0 < self.severity < math.inf, "finite and positive"),
+            ("constant_level", 0 < self.constant_level <= 1, "in (0, 1]"),
+            ("exp_a0", 0 < self.exp_a0 <= 1, "in (0, 1]"),
+            ("exp_double_min", 0 < self.exp_double_min < math.inf, "finite and positive"),
+            ("random_q", 0 < self.random_q <= 1, "in (0, 1]"),
+            ("random_block_min", self.random_block_min > 0, "positive"),
+        )
 
 
 @dataclass(frozen=True)
@@ -642,6 +644,11 @@ class Scenario:
 
     def __post_init__(self):
         check_types(self)
+        check_ranges(
+            self,
+            ("seed", self.seed >= 0, "non-negative"),
+            ("workload_deviation", 0 <= self.workload_deviation < math.inf, "finite and non-negative"),
+        )
 
     def generate(self, topology: Optional[Topology] = None):
         return gen_run(

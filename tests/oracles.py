@@ -6,6 +6,7 @@ the baseline file reader that typed one value and checked one row at a time,
 the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
 the model's arrays replaced, the per-feature and the one-node-at-a-time tree
 growers, the tree as a graph of node objects walked one row at a time, the
+tree descent through a block's next-node map, the per-sample fold deal, the
 per-row and per-fold classifiers, the class distribution's top rule, the
 frozenset windowing, the dict encoding, the buffered predictor step and the
 per-window event scans that the array-shaped versions in ``faultcast.io``, ``faultcast.baseline``,
@@ -76,7 +77,6 @@ from faultcast.signature import (
     _GAIN_EPS,
     Windows,
     _entropies,
-    stratified_folds,
     train_nb,
 )
 
@@ -936,6 +936,62 @@ def nb_proba_row(model, bits):
     return probs / total
 
 
+def leaves_block_map(model, on, node, cells=1 << 16):
+    """The leaf each row of the [n, F] bool matrix ``on`` reaches from its
+    start node in ``node``, in blocks of rows: a block reads every node's bit
+    at once into one flat map of each row's next nodes (a leaf's is itself),
+    about ``cells`` of them, then steps all its rows down through the map
+    as many times as the deepest leaf is deep."""
+    split = model.feature >= 0
+    nominal = np.where(split, model.child, np.arange(len(split)))
+    anomalous, bit = nominal + split, np.where(split, model.feature, 0)
+    depth = np.zeros(len(split), dtype=np.intp)
+    for i in np.flatnonzero(split).tolist():  # a parent precedes its children
+        depth[model.child[i] : model.child[i] + 2] = depth[i] + 1
+    node = node.copy()
+    size = max(1, cells // len(bit))
+    for lo in range(0, len(on), size):
+        block = on[lo : lo + size]
+        offset = np.arange(len(block)) * len(bit)  # row r's map starts at r * nodes
+        step = (np.where(block[:, bit], anomalous, nominal) + offset[:, None]).ravel()
+        at = node[lo : lo + size] + offset
+        for _ in range(int(depth.max())):
+            at = step[at]
+        node[lo : lo + size] = at - offset
+    return node
+
+
+def stratified_folds_loop(labels, k, seed):
+    """Each fold's sorted sample indices: samples shuffled by the seed,
+    grouped by class one at a time, and dealt to folds round-robin with a
+    cursor that carries across the classes in sorted order.  Classes with
+    fewer than k samples are reported with a warning."""
+    n = len(labels)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if n < k:
+        raise ValueError(f"need at least {k} samples for {k}-fold validation")
+    order = np.random.default_rng(seed).permutation(n)
+    by_class = {}
+    for idx in order:
+        by_class.setdefault(labels[idx], []).append(int(idx))
+    small = sorted(str(cls) for cls, idxs in by_class.items() if len(idxs) < k)
+    if small:
+        logger.warning(
+            "cross-validation: classes with fewer than %d samples fall back to "
+            "unstratified assignment: %s",
+            k,
+            ", ".join(small),
+        )
+    folds = [[] for _ in range(k)]
+    cursor = 0
+    for cls in sorted(by_class):
+        for idx in by_class[cls]:
+            folds[cursor].append(idx)
+            cursor = (cursor + 1) % k
+    return [np.asarray(sorted(fold), dtype=np.intp) for fold in folds]
+
+
 def cross_validate_rows(pool, vocab, k=10, seed=0, algorithm="tree", min_leaf=2, max_depth=None, alpha=1.0):
     """(truth, predicted) per window: the windows' feature sets encoded one
     by one, loop-grown trees, one prediction per held-out window."""
@@ -944,7 +1000,7 @@ def cross_validate_rows(pool, vocab, k=10, seed=0, algorithm="tree", min_leaf=2,
     classes = tuple(sorted(set(pool.labels)))
     x = np.stack([encode_features(vocab, features) for features in pool_features(pool)])
     y = np.array([classes.index(label) for label in pool.labels], dtype=np.intp)
-    folds = stratified_folds(pool.labels, k, seed)
+    folds = stratified_folds_loop(pool.labels, k, seed)
     preds = np.full(len(y), -1, dtype=np.intp)
     for fold in folds:
         train = np.setdiff1d(np.arange(len(y)), fold)

@@ -838,6 +838,21 @@ def test_simulate_rejects_a_scenario_field_of_the_wrong_type(tmp_path, edit, nam
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_rejects_a_non_finite_scenario_value(tmp_path):
+    # a NaN doubling time once simulated a fault-free run under a manifest
+    # that names the fault
+    data = json.loads((CONFIGS / "leak-sprout-constant.json").read_text(encoding="utf-8"))
+    data["fault"]["exp_double_min"] = float("nan")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    assert '"exp_double_min": NaN' in scenario.read_text(encoding="utf-8")
+    out, manifest = tmp_path / "x.csv", tmp_path / "x.manifest.json"
+    proc = run_cli("simulate", "--scenario", str(scenario), "--out", str(out), "--manifest", str(manifest))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: malformed {scenario}: ValueError exp_double_min nan must be finite and positive\n"
+    assert not out.exists() and not manifest.exists()
+
+
 def test_evaluate_rejects_a_config_that_is_not_an_object(tmp_path):
     cfg = tmp_path / "list.json"
     cfg.write_text("[]", encoding="utf-8")
@@ -899,6 +914,9 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
         ("tau", True, "tau True must be a number"),
         ("tau", "3", "tau '3' must be a number"),
         ("allow_short_training", "false", "allow_short_training 'false' must be true or false"),
+        ("seed", -1, "seed -1 must be non-negative"),
+        ("workload", {"base_rate": float("inf")}, "base_rate inf must be finite and positive"),
+        ("workload", {"hourly_profile": [1.0] * 23 + [float("nan")]}, "must be 24 finite and positive multipliers"),
     ],
     ids=[
         "run-hour-30",
@@ -913,6 +931,9 @@ def test_evaluate_rejects_a_window_longer_than_the_runs_before_building(tmp_path
         "boolean-tau",
         "string-tau",
         "string-allow-short-training",
+        "negative-seed",
+        "infinite-base-rate",
+        "nan-hour",
     ],
 )
 def test_evaluate_rejects_a_bad_config_value_before_building(tmp_path, field, value, named):

@@ -80,6 +80,7 @@ def test_config_round_trip(tmp_path):
         ("prefilter_r", math.nan),
         ("tau", -1.0),
         ("tau", math.inf),
+        ("seed", -1),
     ],
 )
 def test_config_rejects_an_out_of_range_field(field, value):

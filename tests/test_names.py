@@ -8,7 +8,9 @@ attribute or a builtin.  An unbound name would only fail, with a
 ``NameError``, when the line that reads it runs.  A second check, with
 ``ast``, finds imports that nothing reads, such as those a deletion leaves
 behind.  A third, also with ``ast``, finds public functions, classes and
-methods that nothing in the package or the benchmark harness reads.
+methods that nothing in the package or the benchmark harness reads, and
+private module-level names and methods that nothing there reads, such as
+helpers a deletion leaves behind.
 """
 
 import ast
@@ -152,21 +154,32 @@ READERS = SOURCES + sorted((Path(__file__).parent.parent / "perfbench").rglob("*
 UNREAD_ALLOWED = ["Vocabulary.feature_name"]
 
 
-def _public_definitions(tree):
-    """'name' of each public module-level function and class, and
-    'Class.method' of each public method of a module-level class."""
+def _definitions(tree, private):
+    """'name' of each module-level function and class, and 'Class.method'
+    of each method of a module-level class, that is private (``_name``) when
+    ``private`` is true and public when it is false; with ``private``, each
+    name a module-level assignment binds too.  Dunder names are Python's."""
+
+    def wanted(name):
+        return name.startswith("_") == private and not (name.startswith("__") and name.endswith("__"))
+
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and wanted(node.name):
             yield node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and wanted(item.name):
                     yield f"{node.name}.{item.name}"
+        if private and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+            yield from filter(wanted, names)
 
 
-def unread_public_names(sources, readers):
-    """The public definitions of ``sources`` whose name no source of
-    ``readers`` reads, as a loaded name or a loaded attribute."""
+def unread_names(sources, readers, private=False):
+    """The public definitions of ``sources`` (the private ones with
+    ``private``) whose name no source of ``readers`` reads, as a loaded name
+    or a loaded attribute."""
     read = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -174,33 +187,65 @@ def unread_public_names(sources, readers):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    defined = (name for source in sources for name in _public_definitions(ast.parse(source)))
+    defined = (name for source in sources for name in _definitions(ast.parse(source), private))
     return sorted(name for name in defined if name.rsplit(".", 1)[-1] not in read)
 
 
 def test_every_public_name_is_read_by_the_package_or_the_benchmark():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     readers = [path.read_text(encoding="utf-8") for path in READERS]
-    assert unread_public_names(sources, readers) == UNREAD_ALLOWED
+    assert unread_names(sources, readers) == UNREAD_ALLOWED
+
+
+def test_every_private_name_is_read_by_the_package_or_the_benchmark():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    assert unread_names(sources, readers, private=True) == []
+
+
+PLANTED = (
+    "_READ, (_LEFT, _OTHER) = 1, (2, 3)\n"
+    "_ANNOTATED: int = 4\n"
+    "__all__ = ['entry']\n"
+    "class C:\n"
+    "    def __init__(self):\n"
+    "        self._cache = _READ\n"
+    "    def used(self):\n"
+    "        return self.helper() + self._used()\n"
+    "    def helper(self):\n"
+    "        return 1\n"
+    "    def planted(self):\n"
+    "        return 2\n"
+    "    def _used(self):\n"
+    "        return _OTHER\n"
+    "    def _private(self):\n"
+    "        return 3\n"
+    "class _Helper:\n"
+    "    pass\n"
+    "def entry():\n"
+    "    c = C()\n"
+    "    c.planted = None\n"
+    "    return c.used()\n"
+    "def unread_function():\n"
+    "    return entry()\n"
+    "def _left_behind():\n"
+    "    return _Helper\n"
+)
 
 
 def test_the_check_finds_an_unread_public_name():
-    source = (
-        "class C:\n"
-        "    def used(self):\n"
-        "        return self.helper()\n"
-        "    def helper(self):\n"
-        "        return 1\n"
-        "    def planted(self):\n"
-        "        return 2\n"
-        "    def _private(self):\n"
-        "        return 3\n"
-        "def entry():\n"
-        "    c = C()\n"
-        "    c.planted = None\n"
-        "    return c.used()\n"
-        "def unread_function():\n"
-        "    return entry()\n"
-    )
     reader = "from module import entry\nentry()\n"
-    assert unread_public_names([source], [source, reader]) == ["C.planted", "unread_function"]
+    assert unread_names([PLANTED], [PLANTED, reader]) == ["C.planted", "unread_function"]
+
+
+def test_the_check_finds_an_unread_private_name():
+    # a private name read only by tests is unread; one read by another
+    # module of the package is not
+    reader = "from module import _ANNOTATED\nprint(_ANNOTATED)\n"
+    assert unread_names([PLANTED], [PLANTED], private=True) == [
+        "C._private",
+        "_ANNOTATED",
+        "_LEFT",
+        "_left_behind",
+    ]
+    assert "_ANNOTATED" not in unread_names([PLANTED], [PLANTED, reader], private=True)

@@ -318,7 +318,7 @@ def cell_signature(split_kinds):
     vocabulary = Vocabulary(KPIS, split_kinds)
     model = CountModel()
     model.n_features = vocabulary.dimension
-    return SignatureModel(vocabulary, "nb", 15, model)
+    return SignatureModel(vocabulary, 15, model)
 
 
 @settings(max_examples=300, deadline=None)

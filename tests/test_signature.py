@@ -6,7 +6,6 @@ import math
 import re
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from faultcast.signature import (
     Vocabulary,
     _best_feature,
     _entropies,
+    _grow_trees,
     _nb_fold_posteriors,
     cross_validate,
     stratified_folds,
@@ -265,7 +265,7 @@ def test_top_breaks_ties_toward_the_smaller_class():
     # "Normal" sorts before "PacketLoss", so the tie resolves to Normal
     classes = (NORMAL_CLASS, LOSS_HOMER, LOSS_SPROUT)
     pool = oracles.pool_of([(0, 300, frozenset(), NORMAL_CLASS)] * 2)
-    model = SignatureModel(Vocabulary(K[:1]), "tree", 90, FixedModel(classes, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
+    model = SignatureModel(Vocabulary(K[:1]), 90, FixedModel(classes, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
     assert model.top(pool) == [(NORMAL_CLASS, 0.5), (LOSS_HOMER, 0.5)]
     assert all(type(p) is float for _, p in model.top(pool))  # alerts.csv writes its repr
 
@@ -279,7 +279,7 @@ def test_top_breaks_ties_as_the_distribution_top(n_classes, data):
     shares = st.sampled_from([0.0, 0.25, 0.5, 1.0])
     probs = data.draw(st.lists(st.lists(shares, min_size=n_classes, max_size=n_classes), max_size=12))
     pool = oracles.pool_of([(0, 300, frozenset(), NORMAL_CLASS)] * len(probs))
-    model = SignatureModel(Vocabulary(K[:1]), "tree", 90, FixedModel(classes, probs))
+    model = SignatureModel(Vocabulary(K[:1]), 90, FixedModel(classes, probs))
     assert model.top(pool) == [oracles.distribution_top(classes, row) for row in probs]
 
 
@@ -399,12 +399,21 @@ def test_trainers_read_any_non_zero_value_as_a_set_bit(seed, signed):
         assert tree.to_dict() == train_tree(bits, y, classes, min_leaf=min_leaf).to_dict()
 
 
+def test_classifiers_compare_by_identity():
+    # a model's arrays have no single truth value, so == is identity
+    x, y, classes = np.eye(4, 3, dtype=np.uint8), np.array([0, 1, 1, 0]), (NORMAL_CLASS, LOSS_HOMER)
+    for train in (train_nb, train_tree):
+        model = train(x, y, classes)
+        assert model == model and model != train(x, y, classes)
+
+
 def test_nb_input_gates():
     x = np.array([[1]], dtype=np.uint8)
     with pytest.raises(ValueError):
         train_nb(np.empty((0, 2), dtype=np.uint8), np.array([], dtype=int), (NORMAL_CLASS,))
-    with pytest.raises(ValueError):
-        train_nb(x, np.array([0]), (NORMAL_CLASS,), alpha=0.0)
+    for alpha in (0.0, math.nan):  # a NaN alpha once trained an all-NaN model
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            train_nb(x, np.array([0]), (NORMAL_CLASS,), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +533,14 @@ def test_tree_input_gates():
         train_tree(np.array([[1]], dtype=np.uint8), np.array([0]), (NORMAL_CLASS,), min_leaf=0)
 
 
+@pytest.mark.parametrize("labels", [[0, 2], [0, -1]])
+def test_trainers_reject_a_label_outside_the_class_list(labels):
+    # a negative label once reached numpy's bincount error in train_tree
+    for train in (train_tree, train_nb):
+        with pytest.raises(ValueError, match="^label index out of range for the class list$"):
+            train(np.eye(2, dtype=np.uint8), np.array(labels), (NORMAL_CLASS, LOSS_HOMER))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     counts=st.integers(1, 16).flatmap(
@@ -588,9 +605,34 @@ def test_tree_equals_the_per_feature_oracle(seed, n, n_classes, min_leaf, max_de
     batch = model.predict_proba(rows)
     expected = np.stack([oracles.tree_proba_row(oracle, row) for row in rows])
     assert np.array_equal(batch, expected)
-    with mock.patch("faultcast.signature._DESCENT_CELLS", 2 * len(model.feature)):  # rows descend in blocks of 2
-        assert np.array_equal(model.predict_proba(rows), expected)
     assert np.array_equal(model.predict_proba(rows[0]), expected[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 10),
+    n_classes=st.integers(1, 14),
+    min_leaf=st.integers(1, 5),
+    max_depth=st.sampled_from([None, 1, 2, 3]),
+)
+@example(seed=2, k=10, n_classes=14, min_leaf=1, max_depth=None)
+def test_per_level_descent_equals_the_block_map_oracle(seed, k, n_classes, min_leaf, max_depth):
+    # a forest grown as cross-validation grows one, one tree per fold, each
+    # row descended from its fold's root; then from every node, leaves too
+    rng = np.random.default_rng(seed)
+    x, y = random_dataset(rng, int(rng.integers(k, 200)), int(rng.integers(1, 16)), n_classes)
+    on = x != 0
+    fold = stratified_folds([MANY_CLASSES[c] for c in y], k, seed % 7)
+    arrays = _grow_trees(on, y, [np.flatnonzero(fold != i) for i in range(k)], n_classes, min_leaf, max_depth)
+    forest = DecisionTreeModel(MANY_CLASSES[:n_classes], x.shape[1], min_leaf, max_depth, *arrays)
+    start = rng.integers(0, len(forest.feature), len(y))
+    for node in (fold, start):
+        leaves = forest.leaves(on, node)
+        assert np.all(forest.feature[leaves] < 0)
+        for cells in (1 << 16, len(forest.feature), 3 * len(forest.feature)):  # whole, one row, 3 rows a block
+            assert np.array_equal(leaves, oracles.leaves_block_map(forest, on, node, cells))
+    assert np.array_equal(forest.leaves(on[:0], fold[:0]), fold[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -702,33 +744,51 @@ def test_stratified_folds_partition_the_dataset():
     rng = np.random.default_rng(77)
     labels = [LOSS_HOMER] * 23 + [NORMAL_CLASS] * 41 + [LOSS_SPROUT] * 16
     rng.shuffle(labels)
-    folds = stratified_folds(labels, 10, seed=4)
-    assert len(folds) == 10
-    flat = sorted(i for fold in folds for i in fold)
-    assert flat == list(range(80)), "folds must partition the index set"
-    sizes = sorted(len(fold) for fold in folds)
-    assert sizes[-1] - sizes[0] <= 1
+    fold = stratified_folds(labels, 10, seed=4)
+    assert fold.shape == (80,) and fold.min() == 0 and fold.max() == 9, "one fold of 10 per sample"
+    sizes = np.bincount(fold)
+    assert sizes.max() - sizes.min() <= 1
     # same seed, same folds
-    again = stratified_folds(labels, 10, seed=4)
-    assert all(np.array_equal(a, b) for a, b in zip(folds, again))
-    other = stratified_folds(labels, 10, seed=5)
-    assert not all(np.array_equal(a, b) for a, b in zip(folds, other))
+    assert np.array_equal(stratified_folds(labels, 10, seed=4), fold)
+    assert not np.array_equal(stratified_folds(labels, 10, seed=5), fold)
 
 
 def test_stratified_folds_spread_every_class():
     labels = [LOSS_HOMER] * 50 + [NORMAL_CLASS] * 50
-    folds = stratified_folds(labels, 10, seed=0)
-    for fold in folds:
-        fold_labels = {labels[i] for i in fold}
-        assert fold_labels == {LOSS_HOMER, NORMAL_CLASS}
+    fold = stratified_folds(labels, 10, seed=0)
+    for i in range(10):
+        assert {labels[j] for j in np.flatnonzero(fold == i)} == {LOSS_HOMER, NORMAL_CLASS}
 
 
 def test_stratified_folds_warn_on_rare_classes(caplog):
-    labels = [LOSS_HOMER] * 30 + [NORMAL_CLASS] * 3
+    labels = [LOSS_HOMER] * 30 + [NORMAL_CLASS] * 3 + [LOSS_SPROUT] * 2
     with caplog.at_level(logging.WARNING):
-        folds = stratified_folds(labels, 10, seed=1)
-    assert sorted(i for fold in folds for i in fold) == list(range(33))
-    assert "unstratified" in caplog.text
+        fold = stratified_folds(labels, 10, seed=1)
+    assert np.bincount(fold).tolist() == [4] * 5 + [3] * 5
+    assert caplog.messages == [
+        "cross-validation: classes with fewer than 10 samples fall back to unstratified assignment: "
+        "Normal, PacketLoss(Sprout)"
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 10),
+    sizes=st.lists(st.integers(0, 30), min_size=1, max_size=len(MANY_CLASSES)),
+)
+@example(seed=0, k=10, sizes=[3, 0, 25, 1, 9])  # classes smaller than k beside larger ones
+def test_stratified_folds_equal_the_per_sample_loop(seed, k, sizes):
+    labels = [cls for cls, size in zip(MANY_CLASSES, sizes) for _ in range(size)]
+    np.random.default_rng(seed).shuffle(labels)
+    if len(labels) < k:
+        with pytest.raises(ValueError, match=f"need at least {k} samples"):
+            stratified_folds(labels, k, seed)
+        return
+    fold = stratified_folds(labels, k, seed)
+    assert [np.flatnonzero(fold == i).tolist() for i in range(k)] == [
+        f.tolist() for f in oracles.stratified_folds_loop(labels, k, seed)
+    ]
 
 
 def test_stratified_folds_input_gates():
@@ -743,8 +803,7 @@ def test_cross_validation_on_separable_data_is_perfect():
     vocab, pool = window_fixture()
     for algorithm in ("tree", "nb"):
         cv = cross_validate(pool, vocab, k=3, seed=9, algorithm=algorithm)
-        assert cv.n_correct == len(pool)
-        assert sum(cv.fold_sizes) == len(pool)
+        assert cv.n_correct == len(pool) == len(cv.predictions)
         for cls, table in cv.per_class.items():
             assert table.fp == 0 and table.fn == 0, f"{algorithm} confused {cls.label()}"
         assert all(truth == pred for truth, pred in cv.predictions)
@@ -861,12 +920,9 @@ def test_fold_batched_nb_equals_per_fold_predict_proba(seed, k, n_features, n_cl
     x, y = random_dataset(rng, int(rng.integers(k, 120)), n_features, n_classes)
     classes = MANY_CLASSES[:n_classes]
     alpha = float(rng.choice([0.1, 1.0, 3.0]))
-    folds = stratified_folds([classes[c] for c in y], k, seed=seed % 5)
-    fold_of = np.empty(len(y), dtype=np.intp)
-    for i, fold in enumerate(folds):
-        fold_of[fold] = i
+    fold_of = stratified_folds([classes[c] for c in y], k, seed=seed % 5)
     probs = _nb_fold_posteriors(x, y, classes, fold_of, alpha)
-    for fold in folds:
+    for fold in (np.flatnonzero(fold_of == i) for i in range(k)):
         model = train_nb(np.delete(x, fold, axis=0), np.delete(y, fold), classes, alpha=alpha)
         assert np.array_equal(probs[fold], model.predict_proba(x[fold]))
         assert np.array_equal(probs[fold], np.stack([oracles.nb_proba_row(model, row) for row in x[fold]]))

@@ -482,12 +482,44 @@ SCENARIO_PROBES = {
 }
 
 
-@pytest.mark.parametrize("probe", sorted(SCENARIO_PROBES))
-def test_scenario_fields_of_the_wrong_type_are_rejected(tmp_path, probe):
-    edit, named = SCENARIO_PROBES[probe]
+#: Values a scenario file once loaded without a range check, as JSON
+#: ``NaN``, ``Infinity`` or a negative number: each was ignored, dropped the
+#: fault, zeroed the weekend's calls or failed later in numpy
+NAN, INF = float("nan"), float("inf")
+PROFILE = (1.0,) * 23 + (NAN,)
+POSITIVE, NON_NEGATIVE = "must be finite and positive", "must be finite and non-negative"
+SCENARIO_RANGE_PROBES = {
+    "nan-deviation": (lambda d: d.update(workload_deviation=NAN), f"workload_deviation nan {NON_NEGATIVE}"),
+    "negative-deviation": (lambda d: d.update(workload_deviation=-0.5), f"workload_deviation -0.5 {NON_NEGATIVE}"),
+    "nan-doubling": (lambda d: d["fault"].update(exp_double_min=NAN), f"exp_double_min nan {POSITIVE}"),
+    "negative-weekend": (lambda d: d.update(workload={"weekend_factor": -1.0}), f"weekend_factor -1.0 {POSITIVE}"),
+    "nan-weekday": (lambda d: d.update(workload={"weekday_factor": NAN}), f"weekday_factor nan {POSITIVE}"),
+    "nan-hour": (
+        lambda d: d.update(workload={"hourly_profile": list(PROFILE)}),
+        f"hourly_profile {PROFILE!r} must be 24 finite and positive multipliers",
+    ),
+    "infinite-base-rate": (lambda d: d.update(workload={"base_rate": INF}), f"base_rate inf {POSITIVE}"),
+    "nan-noise": (lambda d: d.update(workload={"noise_std": NAN}), f"noise_std nan {NON_NEGATIVE}"),
+    "infinite-severity": (lambda d: d["fault"].update(severity=INF), f"severity inf {POSITIVE}"),
+    "nan-severity": (lambda d: d["fault"].update(severity=NAN), f"severity nan {POSITIVE}"),
+    "negative-seed": (lambda d: d.update(seed=-1), "seed -1 must be non-negative"),
+}
+
+
+def assert_scenario_rejected(tmp_path, edit, named):
     data = json.loads((CONFIGS / "leak-sprout-constant.json").read_text(encoding="utf-8"))
     edit(data)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match=f"^malformed {re.escape(str(path))}: ValueError {re.escape(named)}$"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("probe", sorted(SCENARIO_PROBES))
+def test_scenario_fields_of_the_wrong_type_are_rejected(tmp_path, probe):
+    assert_scenario_rejected(tmp_path, *SCENARIO_PROBES[probe])
+
+
+@pytest.mark.parametrize("probe", sorted(SCENARIO_RANGE_PROBES))
+def test_scenario_values_out_of_range_are_rejected(tmp_path, probe):
+    assert_scenario_rejected(tmp_path, *SCENARIO_RANGE_PROBES[probe])
