@@ -8,7 +8,7 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, TextIO, Union
+from typing import Dict, TextIO, Union
 
 import numpy as np
 
@@ -304,18 +304,21 @@ def write_anomaly_log(events: Sequence[AnomalyEvent], target: Union[str, os.Path
         stream.writelines(f"{stamps[s]}{names[k]}{kinds[c]}{score}\n" for s, k, c, score in rows)
 
 
-def _kinds_and_scores(kinds: List[str], scores: List[str]):
-    """The kind codes and scores of anomaly log rows.  An unknown kind, then
-    a score that is not a finite and non-negative number, raises
-    :class:`ValueError`, naming the first text where it can."""
-    try:
-        codes = list(map(_KIND_CODES.__getitem__, kinds))
-    except KeyError as exc:
-        AnomalyKind(exc.args[0])  # the text is no kind: this raises, naming it
-    values = list(map(float, scores))
-    if not (all(map(math.isfinite, values)) and min(values, default=0.0) >= 0.0):
+def _kinds_and_scores(kinds: np.ndarray, scores: np.ndarray):
+    """The kind codes and scores of anomaly log rows, from arrays of texts.
+    An unknown kind, then a score that is not a finite and non-negative
+    number, raises :class:`ValueError`, naming a bad text where it can."""
+    names, at = np.unique(kinds, return_inverse=True)
+    codes = []
+    for name in names.tolist():
+        name = name.decode() if isinstance(name, bytes) else name
+        if name not in _KIND_CODES:
+            AnomalyKind(name)  # the text is no kind: this raises, naming it
+        codes.append(_KIND_CODES[name])
+    values = scores.astype(np.float64)
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
         raise ValueError(_SCORE_ERROR)
-    return codes, values
+    return np.array(codes, np.int8)[at], values
 
 
 def read_anomaly_log(source: Union[str, os.PathLike, TextIO]) -> AnomalyEvents:

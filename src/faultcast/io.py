@@ -6,14 +6,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
-from typing import Dict, Iterator, List, Optional, TextIO, Union
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -54,9 +53,15 @@ def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
         yield path_or_stream
 
 
-#: Characters of CSV body read per block.  Larger blocks save little time
-#: and raise peak memory.
-_BLOCK_CHARS = 1 << 16
+#: Characters of CSV body read per block.  Reading the 2-day simulated CSV
+#: (187,200 rows) with blocks of 64 KB, 128 KB, 256 KB, 512 KB and 1 MB
+#: took 127, 127, 117, 114 and 110 ms and peaked at 25, 25, 28, 36 and 52
+#: traced bytes a row.  Below 128 KiB a block's text and byte buffers stay
+#: under glibc's default mmap threshold: in six runs of the benchmark's
+#: offline pass, 256 KB blocks held 0.4 to 1.9 MB more resident memory than
+#: the comma-split reader this replaced, 120 KB blocks -0.7 to 1.2 MB, at
+#: the same speed.
+_BLOCK_CHARS = 120 << 10
 
 #: Rows from :func:`csv.reader` checked at once, about a block's worth.
 _BATCH_ROWS = 1 << 10
@@ -85,14 +90,17 @@ def read_rows(stream: TextIO, header: List[str], parse, types: str) -> "_Columns
     :func:`csv.reader` cannot split, such as a field over
     ``csv.field_size_limit()``.  Blank lines hold no row but are counted.
 
-    The body is read in blocks of lines.  A block without ``"``, NUL, a CR
-    but in CRLF line endings or a line longer than the field size limit,
-    whose every line holds a row's commas, splits on commas exactly as
-    :func:`csv.reader` would.  Any other block goes through
-    :func:`csv.reader`, and so does everything from the first ``"`` on, since
-    a quoted field may span lines.  Either way rows are checked column by
-    column, and a batch that fails a check is checked again row by row,
-    which raises the first error in row order.
+    The body is read in blocks of whole lines.  A block without ``"``, NUL,
+    a CR but in CRLF line endings or a line longer than the field size
+    limit, whose every line holds a row's commas, splits on commas exactly
+    as :func:`csv.reader` would, and is checked as arrays over its UTF-8
+    bytes (:meth:`_Columns.add_block`).  Any other block goes through
+    :func:`csv.reader`, and so does everything from the first ``"`` on,
+    since a quoted field may span lines.  So does a block that fails a
+    check, such as one holding a value that ``float`` reads only as text,
+    like a non-ASCII digit.  Rows from :func:`csv.reader` are checked column
+    by column in batches, and a batch that fails a check is checked again
+    row by row, which raises the first error in row order.
     """
     try:
         found = next(csv.reader(stream), None)
@@ -101,73 +109,138 @@ def read_rows(stream: TextIO, header: List[str], parse, types: str) -> "_Columns
     if found != header:
         raise CsvParseError(1, f"expected header {','.join(header)!r}, got {found!r}")
     columns = _Columns(parse, types)
-    limit = csv.field_size_limit()
     line_no = 2
-    while block := stream.readlines(_BLOCK_CHARS):
-        text = "".join(block)
+    for text, lines in _blocks(stream):
+        if '"' not in text and lines is None:
+            count = columns.add_block(text, line_no)
+            if count:
+                line_no += count
+                continue
+        if lines is None:
+            lines = io.StringIO(text, newline="").readlines()
         if '"' in text:
-            columns.add_rows(csv.reader(chain(block, stream)), line_no)
+            columns.add_rows(csv.reader(chain(lines, stream)), line_no)
             break
-        # a CR that ends a CRLF line ending reads as a LF in csv.reader
-        stray_cr = "\r" in text and text.count("\r") != text.count("\r\n")
-        # a blank line holds no comma
-        widths = list(map(str.count, block, repeat(","))).count(columns.width - 1)
-        if stray_cr or "\0" in text or max(map(len, block)) > limit or widths != len(block):
-            columns.add_rows(csv.reader(block), line_no)
-        else:
-            fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
-            columns.add(fields, range(line_no, line_no + len(block)))
+        columns.add_rows(csv.reader(lines), line_no)
         # outside quotes every line is one record
-        line_no += len(block)
+        line_no += len(lines)
     return columns
 
 
-def _finite_values(texts: List[str]):
-    """The value column of KPI CSV rows, as floats.  A text that is not a
-    finite number raises :class:`ValueError`; its message names the first
-    text, the row's own when the column holds one row."""
+def _blocks(stream: TextIO) -> Iterator[Tuple[str, Optional[List[str]]]]:
+    """The rest of ``stream`` in blocks of whole lines: the text of each,
+    and the lines that iterating the stream gives, or None where they are
+    the text split with universal newlines (at LF, CRLF and a lone CR).
+
+    A stream that records the newlines it reads (opened with ``newline``
+    None or ``""``) splits lines so, and is read in large pieces.  Any
+    other stream is read by lines, which are given unless LF ends each of
+    them and no CR is among them."""
+    if getattr(stream, "newlines", None) is not None:
+        while text := stream.read(_BLOCK_CHARS):
+            if not text.endswith("\n"):  # the stream's own readline ends the last line
+                text += stream.readline()
+            yield text, None
+    else:
+        while lines := stream.readlines(_BLOCK_CHARS):
+            text = "".join(lines)
+            plain = "\r" not in text and text.count("\n") == len(lines) - (not text.endswith("\n"))
+            yield text, None if plain else lines
+
+
+def _finite_values(texts: np.ndarray):
+    """The value column of KPI CSV rows, an array of texts, as floats.  A
+    text that is not a finite number raises :class:`ValueError`; its message
+    names the first text, the row's own when the column holds one row."""
     try:
-        values = list(map(float, texts))
+        values = texts.astype(np.float64)
     except ValueError:
         raise ValueError(f"bad value {texts[0]!r}") from None
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"non-finite value {texts[0]!r}")
     return (values,)
 
 
 def _parse_timestamps(texts: List[str]) -> List[int]:
-    """:func:`parse_timestamp` of each text.
-
-    Canonical texts, ``YYYY-MM-DDTHH:MM:SSZ`` with a year from 1000, are
-    parsed by one numpy call, and a result is kept only if it renders back to
-    its text.  Every other text, and every text of a batch numpy rejects, goes
-    through :func:`parse_timestamp`, which keeps strptime's leniency and errors.
-    """
-    canonical = [
-        i for i, text in enumerate(texts) if len(text) == 20 and text[19] == "Z" and "1" <= text[0] <= "9"
-    ]
-    heads = np.array([texts[i][:19] for i in canonical], dtype="U19")
-    found = {}
-    try:
-        parsed = heads.astype("datetime64[s]")
-    except ValueError:  # a field out of range: parse_timestamp raises its error
-        pass
-    else:
-        exact = np.datetime_as_string(parsed, unit="s") == heads
-        found = {i: ts for i, ts, ok in zip(canonical, parsed.astype(np.int64).tolist(), exact.tolist()) if ok}
+    """:func:`parse_timestamp` of each text: canonical texts at once
+    (:func:`_canonical_timestamps`), every other text through
+    :func:`parse_timestamp`, which keeps strptime's leniency and errors."""
+    heads = [i for i, text in enumerate(texts) if len(text) == 20 and text.isascii()]
+    block = "".join(texts[i] for i in heads).encode()
+    stamps, canonical = _canonical_timestamps(np.frombuffer(block, np.uint8).reshape(-1, 20))
+    found = {i: ts for i, ts, ok in zip(heads, stamps.tolist(), canonical.tolist()) if ok}
     return [found[i] if i in found else parse_timestamp(text) for i, text in enumerate(texts)]
+
+
+#: A canonical timestamp's bytes, less b"0000-00-00T00:00:00Z", are at
+#: most 9 at a digit and 0 elsewhere; ``_TS_FIELDS`` turns them into the
+#: year, month, day, hour, minute and second (a float32 product, exact for
+#: these integers, so that BLAS computes it)
+_TS_ZERO = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+_TS_BOUND = np.where(_TS_ZERO == ord("0"), 9, 0).astype(np.uint8)
+_TS_LAYOUT = "YYYY-MM-DDThh:mm:ssZ"
+_TS_FIELDS = np.array(
+    [[10.0 ** _TS_LAYOUT.count(f, i + 1) if ch == f else 0.0 for i, ch in enumerate(_TS_LAYOUT)] for f in "YMDhms"],
+    np.float32,
+)
+
+#: Days from 1970-01-01 to 1 January of each year from 0 to 10000, by
+#: numpy's proleptic Gregorian calendar
+_YEAR_DAYS = (np.arange(10001) - 1970).astype("datetime64[Y]").astype("datetime64[D]").astype(np.int64)
+
+#: Days in each month of a common year, and before it; no month 0 or 13
+#: has a day
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+_MONTH_START = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
+
+
+def _canonical_timestamps(heads: np.ndarray):
+    """Epoch seconds of each row of ``heads``, 20 bytes a row, and whether
+    the row is canonical: ``YYYY-MM-DDTHH:MM:SSZ`` with a year from 1000 and
+    a date and time that exist: exactly the texts whose first 19 characters
+    numpy parses as a ``datetime64`` that renders back to them, and at the
+    same second.  The seconds of any other row are meaningless."""
+    offsets = heads - _TS_ZERO  # a byte below the template's wraps past 9
+    ok = (offsets <= _TS_BOUND).all(axis=1)
+    year, month, day, hour, minute, second = (_TS_FIELDS @ offsets.T).astype(np.int32)
+    # a row whose year or month is out of range is not canonical: a day
+    # within a month 0 or 13 is none
+    year, month = np.minimum(year, 9999), np.minimum(month, 13)
+    leap = _YEAR_DAYS[year + 1] - _YEAR_DAYS[year] == 366
+    ok &= (year >= 1000) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    days = _YEAR_DAYS[year] + _MONTH_START[month] + (leap & (month > 2)) + day - 1
+    return days * 86400 + hour * 3600 + minute * 60 + second, ok
+
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width`` consecutive bytes of ``buf``, one a row: a view, as
+    ``sliding_window_view`` makes it but without its checks' fixed cost."""
+    return np.ndarray((len(buf) - width + 1, width), np.uint8, buf, strides=(1, 1))
+
+
+def _texts(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The bytes ``buf[lo:hi]`` of each row as one array of dtype ``S``,
+    padded with NULs; ``buf`` runs on for at least the longest text."""
+    sizes = (hi - lo).astype(np.int32)  # a narrow compare is faster
+    width = max(int(sizes.max()), 1)
+    out = _windows(buf, width)[lo]
+    out *= np.arange(width, dtype=np.int32) < sizes[:, None]
+    return out.view(f"S{width}")[:, 0]
 
 
 class _Columns:
     """The rows of one CSV body as typed ``columns``: timestamps, numbers
     into ``kpis``, then the fields after ``timestamp,resource,metric`` as
-    ``parse`` types them, in arrays of the typecodes in ``types``.  Like
-    ``parse``, each column check raises :class:`ValueError` naming its first
-    bad text, the row's own when it checks one row.  A file repeats few
-    distinct timestamps and KPIs over many rows, so each distinct text is
-    parsed and validated once.  Line numbers are kept as runs of rows on
-    consecutive lines: ``run_rows`` holds the first row of each, ``run_lines``
-    its line."""
+    ``parse`` types them, in arrays of the typecodes in ``types``.  ``parse``
+    takes each of those fields as an array of texts, ``bytes`` from a block
+    of bytes and ``str`` objects from :func:`csv.reader`, and like it each
+    column check raises :class:`ValueError` naming its first bad text, the
+    row's own when it checks one row.  A file repeats few distinct
+    timestamps and KPIs over many rows, so each distinct text is parsed and
+    validated once.  Line numbers are kept as runs of rows on consecutive
+    lines: ``run_rows`` holds the first row of each, ``run_lines`` its
+    line."""
 
     def __init__(self, parse, types: str):
         self.parse, self.width = parse, 3 + len(types)
@@ -232,16 +305,97 @@ class _Columns:
         are checked again one at a time, which raises the first error in row
         order as a :class:`CsvParseError`."""
         w, n = self.width, len(numbers)
+        if not n:
+            return
         try:
             stamps = self._timestamps(fields[0 : w * n : w])
             kids = self._kpis(fields[1 : w * n : w], fields[2 : w * n : w])
-            tail = self.parse(*(fields[i : w * n : w] for i in range(3, w)))
+            # object arrays: float and str compare see each text as it is
+            tail = self.parse(*(np.array(fields[i : w * n : w], dtype=object) for i in range(3, w)))
         except ValueError as exc:
             if n == 1:
                 raise CsvParseError(numbers[0], str(exc)) from None
             for i, number in enumerate(numbers):
                 self.add(fields[w * i : w * (i + 1)], [number])
             return
+        self._append(numbers, stamps, kids, *tail)
+
+    def add_block(self, text: str, line_no: int) -> int:
+        """Check and append the whole lines of ``text``, numbered from
+        ``line_no``, by array operations on its UTF-8 bytes: line ends and
+        commas found at once, timestamps from their fixed 20-byte heads, KPIs
+        as runs of equal ``resource,metric`` bytes, and the fields after them
+        handed to ``parse`` as arrays of bytes.  Return the number of lines,
+        or 0 for a block that needs :func:`csv.reader` (see
+        :func:`read_rows`) or fails any check, and is not appended."""
+        # a CR that ends a CRLF line ending reads as a LF in csv.reader
+        if "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+            return 0
+        try:
+            raw = text.encode()
+        except UnicodeEncodeError:  # a lone surrogate, from a caller's str
+            return 0
+        buf = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        if not text.endswith("\n"):  # the last line has no newline
+            ends = np.append(ends, len(buf))
+        lines = len(ends)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        commas = np.flatnonzero(buf == ord(","))
+        # every line holds a row's commas, so a blank line holds none
+        if len(commas) != lines * (self.width - 1):
+            return 0
+        commas = commas.reshape(lines, self.width - 1)
+        longest = int((ends - starts).max())
+        within = (commas[:, 0] >= starts).all() and (commas[:, -1] < ends).all()
+        if not within or longest > csv.field_size_limit():
+            return 0
+        ends -= buf[ends - 1] == ord("\r")
+        # each field's first byte and the byte after it, a row a field;
+        # NULs past the last line let every text be read as one window
+        lo = np.vstack((starts, commas.T + 1))
+        hi = np.vstack((commas.T, ends))
+        buf = np.concatenate((buf, np.zeros(max(longest, 20), np.uint8)))
+        del raw  # the bytes live on in buf
+        try:
+            stamps = self._block_timestamps(buf, lo[0], hi[0])
+            kids = self._block_kpis(_texts(buf, lo[1], hi[2]))
+            # float takes a non-ASCII text only as str, so such a value
+            # fails here and its block goes through csv.reader
+            values = self.parse(*(_texts(buf, lo[i], hi[i]) for i in range(3, self.width)))
+        except ValueError:
+            return 0
+        self._append(range(line_no, line_no + lines), stamps, kids, *values)
+        return lines
+
+    def _block_timestamps(self, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Epoch seconds of the timestamp texts ``buf[lo:hi]``: canonical
+        ones at once from their first 20 bytes, the others one distinct
+        text at a time through :meth:`_timestamps`."""
+        stamps, canonical = _canonical_timestamps(_windows(buf, 20)[lo])
+        canonical &= hi - lo == 20
+        if not canonical.all():
+            rows = np.flatnonzero(~canonical)
+            texts = [buf[a:b].tobytes().decode() for a, b in zip(lo[rows].tolist(), hi[rows].tolist())]
+            stamps[rows] = self._timestamps(texts)
+        return stamps
+
+    def _block_kpis(self, names: np.ndarray) -> np.ndarray:
+        """The KPI number of each ``resource,metric`` text of ``names``,
+        found once for each distinct text among the runs of equal ones."""
+        runs = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1])))
+        distinct, first, at = np.unique(names[runs], return_index=True, return_inverse=True)
+        # validated and numbered in order of first appearance, like rows
+        # from csv.reader
+        order = np.argsort(first)
+        resources, metrics = zip(*(name.decode().split(",") for name in distinct[order].tolist()))
+        numbers = np.empty(len(distinct), np.int32)
+        numbers[order] = self._kpis(resources, metrics)
+        return np.repeat(numbers[at], np.diff(np.append(runs, len(names))))
+
+    def _append(self, numbers, *columns) -> None:
+        """Append checked rows, numbered by ``numbers``: each column's values
+        to its typed array, and the rows' line runs."""
         row = len(self.columns[0])
         # a block's lines are all rows, one run; a blank line between
         # csv.reader's rows starts another
@@ -249,8 +403,8 @@ class _Columns:
             if not self.run_rows or line - self.run_lines[-1] != row + i - self.run_rows[-1]:
                 self.run_rows.append(row + i)
                 self.run_lines.append(line)
-        for column, values in zip(self.columns, (stamps, kids, *tail)):
-            column.extend(values)
+        for column, values in zip(self.columns, columns):
+            column.frombytes(np.ascontiguousarray(values, dtype=column.typecode).view(np.uint8))
 
     def series_map(self) -> Dict[KpiId, TimeSeries]:
         """The map KpiId -> TimeSeries, or :class:`DuplicateSampleError` at

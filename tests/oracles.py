@@ -1,8 +1,9 @@
 """Straightforward reference implementations kept as test oracles.
 
 These are the row-at-a-time CSV and anomaly log writers and the CSV
-reader, the per-pair causality graph loop, the one-``lstsq``-per-pair graph,
-the baseline file reader that typed one value and checked one row at a time,
+reader, the reader that split blocks of lines on commas in Python, the
+per-pair causality graph loop, the one-``lstsq``-per-pair graph, the
+baseline file reader that typed one value and checked one row at a time,
 the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
 the model's arrays replaced, the per-feature and the one-node-at-a-time tree
 growers, the tree as a graph of node objects walked one row at a time, the
@@ -68,9 +69,9 @@ from faultcast.core import (
     lags,
     parse_timestamp,
 )
-from faultcast.detect import ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
+from faultcast.detect import ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents, _kinds_and_scores
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
-from faultcast.io import CSV_HEADER, check_kind, typed
+from faultcast.io import CSV_HEADER, _Columns, _finite_values, check_kind, typed
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
 from faultcast.sim import FaultSpec, Pattern
 from faultcast.signature import (
@@ -144,6 +145,51 @@ def ingest_csv_rows(stream):
                 raise DuplicateSampleError(b[2], f"duplicate sample for {kpi} at {format_timestamp(b[0])}")
         result[kpi] = TimeSeries(kpi, [t[0] for t in triples], [t[1] for t in triples])
     return result
+
+
+def read_rows_split(stream, header, parse, types, block_chars=1 << 16):
+    """``io.read_rows`` before its byte scan: a block of lines (``readlines``)
+    without ``"``, NUL, a stray CR or a line over the field size limit,
+    whose every line holds a row's commas, is split on commas in Python and
+    checked as lists of texts; any other block goes through ``csv.reader``,
+    as does everything from the first ``"`` on."""
+    try:
+        found = next(csv.reader(stream), None)
+    except csv.Error as exc:
+        raise CsvParseError(1, str(exc)) from None
+    if found != header:
+        raise CsvParseError(1, f"expected header {','.join(header)!r}, got {found!r}")
+    columns = _Columns(parse, types)
+    limit = csv.field_size_limit()
+    line_no = 2
+    while block := stream.readlines(block_chars):
+        text = "".join(block)
+        if '"' in text:
+            columns.add_rows(csv.reader(itertools.chain(block, stream)), line_no)
+            break
+        # a CR that ends a CRLF line ending reads as a LF in csv.reader
+        stray_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+        # a blank line holds no comma
+        widths = list(map(str.count, block, itertools.repeat(","))).count(columns.width - 1)
+        if stray_cr or "\0" in text or max(map(len, block)) > limit or widths != len(block):
+            columns.add_rows(csv.reader(block), line_no)
+        else:
+            fields = text.replace("\r\n", ",").replace("\n", ",").split(",")
+            columns.add(fields, range(line_no, line_no + len(block)))
+        line_no += len(block)
+    return columns
+
+
+def ingest_csv_split(stream, block_chars=1 << 16):
+    """The KPI map as :func:`read_rows_split` reads it."""
+    return read_rows_split(stream, CSV_HEADER, _finite_values, "d", block_chars).series_map()
+
+
+def read_anomaly_log_split(stream, block_chars=1 << 16):
+    """The anomaly log as :func:`read_rows_split` reads it."""
+    rows = read_rows_split(stream, ANOMALY_LOG_HEADER, _kinds_and_scores, "bd", block_chars)
+    start, kpi, kind, score = rows.columns
+    return AnomalyEvents(rows.kpis, start, kpi, kind, score)
 
 
 def granger_fit(x_values, y_values, p=DEFAULT_LAG_ORDER):

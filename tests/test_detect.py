@@ -646,6 +646,7 @@ def test_anomaly_log_round_trips_with_the_row_writers_bytes(events, plain, endin
     text = ending.join([header, *body, ""])
     back = in_blocks(block_chars)(io.StringIO(text))
     assert back == events and back == oracles.read_anomaly_log_rows(io.StringIO(text))
+    assert back == oracles.read_anomaly_log_split(io.StringIO(text), block_chars)
 
 
 #: A bad value for one field of a log row; field 5 is one field too many
@@ -699,9 +700,11 @@ def test_anomaly_log_reader_errors_match_the_row_reader(events, plain, data):
     if data.draw(st.booleans()):
         lines.insert(line, "")  # a blank line still counts
     text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
-    got = log_outcome(in_blocks(data.draw(BLOCK_CHARS)), text)
+    block_chars = data.draw(BLOCK_CHARS)
+    got = log_outcome(in_blocks(block_chars), text)
     assert got == log_outcome(read_anomaly_log, text)
     assert got == log_outcome(oracles.read_anomaly_log_rows, text)
+    assert got == log_outcome(lambda stream: oracles.read_anomaly_log_split(stream, block_chars), text)
 
 
 @pytest.mark.parametrize(
@@ -709,9 +712,10 @@ def test_anomaly_log_reader_errors_match_the_row_reader(events, plain, data):
     [None, (0, "2026-13-01T00:00:00Z"), (2, ""), (3, "Sideways"), (4, "nan"), (4, "1,5"), (4, "1\0"), (3, 'Uni"variate')],
 )
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-def test_a_log_of_several_blocks_reads_like_the_row_reader(damage, ending):
-    """A log longer than four ``_BLOCK_CHARS`` blocks, damaged five eighths
-    of the way in."""
+def test_a_log_of_several_blocks_reads_like_the_row_reader(damage, ending, monkeypatch):
+    """A log longer than four blocks of 64 KB, damaged five eighths of the
+    way in."""
+    monkeypatch.setattr(faultcast.io, "_BLOCK_CHARS", 1 << 16)
     kpis = [KpiId("Homer", "CpuIdlePct"), KpiId("Sprout", "MemUsedPct"), KpiId("Ralph", "Mem Used")]
     events = [AnomalyEvent(300 * (i // 3), kpis[i % 3], list(AnomalyKind)[i // 3 % 2], i / 7) for i in range(4500)]
     buf = io.StringIO()

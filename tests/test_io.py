@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from conftest import csv_text
 from faultcast.baseline import BaselineModel, UnivariateBaseline
 from faultcast.core import (
     NORMAL_CLASS,
+    AnomalyKind,
     CsvParseError,
     DuplicateSampleError,
     FaultType,
@@ -28,6 +30,7 @@ from faultcast.core import (
     format_timestamp,
     parse_timestamp,
 )
+from faultcast.detect import AnomalyEvent, read_anomaly_log, write_anomaly_log
 from faultcast.evaluate import SuiteConfig
 from faultcast.io import (
     CSV_HEADER,
@@ -242,6 +245,8 @@ def test_write_csv_timestamp_range_edges():
 # the array-shaped reader and writer against the row-at-a-time oracles
 
 NAME = st.text(alphabet='ab Z"\'é;\t', min_size=1, max_size=6)
+# names without a quote, so that the reader's first quote is the one a test puts in
+PLAIN_NAME = st.text(alphabet="ab Zé;\t", min_size=1, max_size=6)
 VALUE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(
@@ -307,6 +312,10 @@ def same_outcome(text, block_chars, newline=""):
     return expected
 
 
+def split_oracle(block_chars):
+    return lambda stream: oracles.ingest_csv_split(stream, block_chars)
+
+
 @settings(max_examples=60, deadline=None)
 @given(series_maps())
 def test_writer_bytes_match_row_at_a_time_oracle(series_map):
@@ -323,40 +332,65 @@ def test_shuffled_rows_ingest_to_an_equal_map(series_map, rnd, block_chars):
     assert dict(same_outcome(text, block_chars)) == series_map
 
 
-BAD_FIELDS = st.sampled_from(
-    [
-        ("timestamp", "2016-13-01T00:00:00Z"),
-        ("timestamp", "2-02-05T00:00:00Z"),
-        ("timestamp", "2016-1-5T1:2:3Z"),  # strptime takes one-digit fields
-        ("timestamp", "2016-01-05 00:00:00Z"),
-        ("timestamp", ""),
-        ("resource", ""),
-        ("metric", ""),
-        ("value", "five"),
-        ("value", "nan"),
-        ("value", "-inf"),
-        ("value", " 7 "),
-        ("value", "1_0"),
-        ("value", "1\n2"),  # a quoted newline: one row over two physical lines
-        ("fields", None),
-        ("shift", None),  # a row's last field moved to the next row: 5 fields, then 3
-        ("duplicate", None),
-        ("blank", None),
-    ]
-)
+BAD_FIELD_CASES = [
+    ("timestamp", "2016-13-01T00:00:00Z"),
+    ("timestamp", "2-02-05T00:00:00Z"),
+    ("timestamp", "2016-1-5T1:2:3Z"),  # strptime takes one-digit fields
+    ("timestamp", "2016-01-05 00:00:00Z"),
+    ("timestamp", ""),
+    ("resource", ""),
+    ("metric", ""),
+    ("value", "five"),
+    ("value", "nan"),
+    ("value", "-inf"),
+    ("value", " 7 "),
+    ("value", "1_0"),
+    ("value", "1\n2"),  # a quoted newline: one row over two physical lines
+    ("fields", None),
+    ("shift", None),  # a row's last field moved to the next row: 5 fields, then 3
+    ("duplicate", None),
+    ("blank", None),
+]
+
+#: what ``strptime`` and ``float`` take and refuse beyond the canonical texts
+EDGE_FIELD_CASES = [
+    ("timestamp", "2016-01-05T00:00:00z"),
+    ("timestamp", "0999-01-05T00:00:00Z"),
+    ("timestamp", "2015-06-30T23:59:60Z"),
+    ("timestamp", "2015-02-29T00:00:00Z"),
+    ("timestamp", "2016-02-29T23:59:59Z"),
+    ("timestamp", "2016-01-05T00:00:00ZZ"),
+    ("value", "\t7"),
+    ("value", "１"),  # a fullwidth digit
+    ("value", "٣"),  # an Arabic-Indic digit
+    ("value", "٣٫٥"),  # with the Arabic decimal separator, which float refuses
+    ("value", "1e999"),
+]
+BAD_FIELDS = st.sampled_from(BAD_FIELD_CASES + EDGE_FIELD_CASES)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    series_maps(max_kpis=3, max_len=5),
+    st.one_of(series_maps(max_kpis=3, max_len=5), series_maps(max_kpis=3, max_len=6, names=PLAIN_NAME)),
     st.lists(st.tuples(st.integers(0, 10**6), BAD_FIELDS), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
     BLOCK_CHARS,
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
 )
-def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd, block_chars):
+def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd, block_chars, ending, lenient):
+    """Shuffled rows, LF or CRLF, with every other timestamp in a form only
+    strptime reads (a lower-case z) or not, damaged.  Names with quotes
+    send the file through csv.reader; names without them (non-ASCII
+    letters, spaces, ``;``, tabs, ``Z``) reach the byte scan unless the
+    damage is quoted.  Either way: the row-at-a-time reader's map or error
+    at its line, and the comma-split reader's."""
     header, *body = reference_text(series_map).splitlines(keepends=True)
     rnd.shuffle(body)
     rows = list(csv.reader(body))
+    if lenient:
+        for row in rows[::2]:
+            row[0] = row[0].replace("Z", "z")
     for where, (part, text) in damage:
         i = where % len(rows)
         if part == "fields":
@@ -373,8 +407,9 @@ def test_malformed_input_fails_like_the_oracle(series_map, damage, rnd, block_ch
             rows[i][CSV_HEADER.index(part)] = text
     buf = io.StringIO(header)
     buf.seek(0, io.SEEK_END)
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    same_outcome(buf.getvalue(), block_chars)
+    csv.writer(buf, lineterminator=ending).writerows(rows)
+    text = buf.getvalue()
+    assert outcome(split_oracle(block_chars), text) == same_outcome(text, block_chars)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,8 +426,6 @@ def test_duplicates_fail_like_the_oracle(series_map, copies, rnd, block_chars):
     assert same_outcome(header + "".join(body), block_chars)[0] is DuplicateSampleError
 
 
-# names without a quote, so that the reader's first quote is the one a test puts in
-PLAIN_NAME = st.text(alphabet="ab Zé;\t", min_size=1, max_size=6)
 
 
 def plain_body(series_map, rnd):
@@ -705,8 +738,9 @@ def test_a_grouped_file_is_read_without_a_sort(monkeypatch):
 
 def test_ingest_peak_memory_per_row():
     """The traced peak of ingesting a simulated 2-day CSV (65 KPIs, 187,200
-    rows): about 27 bytes a row, against 50 when every row kept its line
-    number and an int64 KPI number and the columns were sorted and copied."""
+    rows): about 26 bytes a row, 20 of them the columns and most of the
+    rest one block's arrays, against 50 when every row kept its line number
+    and an int64 KPI number and the columns were sorted and copied."""
     series_map, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 2 * 86400, seed=3)
     stream = io.StringIO(csv_text(series_map))
     rows = sum(map(len, series_map.values()))
@@ -723,3 +757,123 @@ def test_ingest_peak_memory_per_row():
             tracemalloc.stop()
     assert sum(map(len, result.values())) == rows == 187200
     assert peak / rows < 35, f"ingest peaked at {peak / rows:.1f} bytes a row"
+
+
+# ---------------------------------------------------------------------------
+# the byte scan: files without quotes, whose blocks it reads, against the
+# row-at-a-time reader and the reader that split lines on commas in Python
+
+@pytest.mark.parametrize(
+    "field, text",
+    EDGE_FIELD_CASES + [("timestamp", "2016-1-5T1:2:3Z"), ("value", " 7 "), ("value", "1_0"), ("resource", "a\ud800")],
+)
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_edge_texts_read_as_strptime_and_float_read_them(field, text, ending):
+    """One row of a simulated hour, grouped by KPI, changed: the reader
+    takes a timestamp when ``parse_timestamp`` does and a value when
+    ``float`` does, with the same number, and fails at the row's line
+    otherwise, as both oracles do; a lone surrogate in a caller's text
+    is read as they read it."""
+    series_map, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 3600, seed=3)
+    header, *body = csv_text(series_map).splitlines()
+    i = len(body) // 2
+    row = body[i].split(",")
+    kpi = KpiId(row[1], row[2])
+    row[CSV_HEADER.index(field)] = text
+    body[i] = ",".join(row)
+    source = ending.join([header, *body, ""])
+    got = outcome(ingest_csv, source)
+    assert got == outcome(oracles.ingest_csv_rows, source)
+    assert got == outcome(split_oracle(1 << 16), source)
+    if field == "resource":
+        return
+    try:
+        number = parse_timestamp(text) if field == "timestamp" else float(text)
+    except ValueError:
+        assert got[:2] == (CsvParseError, i + 2)
+        assert f"bad {field} {text!r}" in got[2]
+        return
+    if field == "value" and not np.isfinite(number):
+        assert got[:2] == (CsvParseError, i + 2) and "non-finite" in got[2]
+        return
+    series = dict(got)[kpi]
+    if field == "timestamp":
+        assert number in series.timestamps.tolist()
+    else:
+        assert series.values[series.timestamps.tolist().index(parse_timestamp(row[0]))] == number
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIMESTAMP_TEXT.filter(lambda text: len(text.encode()) == 20), min_size=1, max_size=8))
+def test_canonical_timestamps_are_the_ones_numpy_parses_and_renders_back(texts):
+    """The 20-byte heads the byte scan parses itself: exactly those that
+    ``_parse_timestamps`` would take from numpy, at the same second."""
+    heads = np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 20)
+    stamps, canonical = faultcast.io._canonical_timestamps(heads)
+    for text, ts, ok in zip(texts, stamps.tolist(), canonical.tolist()):
+        try:
+            with warnings.catch_warnings():  # numpy warns of a timezone, then ignores it
+                warnings.simplefilter("ignore", UserWarning)
+                numpy_ts = np.datetime64(text[:19], "s")
+        except ValueError:
+            numpy_ts = None
+        renders_back = numpy_ts is not None and np.datetime_as_string(numpy_ts) == text[:19]
+        assert ok == (renders_back and text[19] == "Z" and "1" <= text[0] <= "9")
+        if ok:
+            assert ts == parse_timestamp(text)
+
+
+def read_without_csv_reader(read, text, block_chars, monkeypatch):
+    """``read`` of ``text`` in blocks of ``block_chars`` characters, failing
+    if ``csv.reader`` is called for more than the header."""
+    calls = []
+    real = csv.reader
+
+    def header_only(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise AssertionError("a block went through csv.reader")
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(faultcast.io.csv, "reader", header_only)
+        patch.setattr(faultcast.io, "_BLOCK_CHARS", block_chars)
+        return read(io.StringIO(text, newline=""))
+
+
+@pytest.mark.parametrize("block_chars", [faultcast.io._BLOCK_CHARS, 1])
+def test_written_files_are_read_without_csv_reader(block_chars, monkeypatch):
+    """What ``write_csv`` and ``write_anomaly_log`` write takes the byte scan,
+    a block at a time and a line at a time."""
+    series_map, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 3600, seed=3)
+    assert read_without_csv_reader(ingest_csv, csv_text(series_map), block_chars, monkeypatch) == series_map
+    kpis = [KpiId("Homer", "CpuIdlePct"), KpiId("Sprout", "Mem Used"), KpiId("Ralph é", "x;y")]
+    events = [AnomalyEvent(300 * (i // 3), kpis[i % 3], list(AnomalyKind)[i // 3 % 2], i / 7) for i in range(400)]
+    buf = io.StringIO()
+    write_anomaly_log(events, buf)
+    assert read_without_csv_reader(read_anomaly_log, buf.getvalue(), block_chars, monkeypatch) == events
+
+
+@pytest.mark.parametrize("quote", [False, True])
+def test_a_stray_cr_in_a_file_reads_like_the_oracle(tmp_path, quote):
+    """A file opened with ``newline=""`` ends a line at a lone CR, as
+    iterating it does for the oracle; a later quote sends the rest through
+    ``csv.reader`` from the block that holds it."""
+    series_map, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 3600, seed=3)
+    header, *body = csv_text(series_map).splitlines(keepends=True)
+    i = len(body) // 3
+    body[i] = body[i].rstrip("\n") + "\r" + body[i + 1].split(",", 1)[1]
+    del body[i + 1]
+    if quote:
+        body[-5] = '"' + body[-5].replace(",", '",', 1)
+    path = tmp_path / "stray.csv"
+    path.write_bytes((header + "".join(body)).encode())
+
+    def read(reader):
+        with open(path, encoding="utf-8", newline="") as stream:
+            try:
+                return list(reader(stream).items())
+            except CsvParseError as exc:
+                return type(exc), exc.line_no, str(exc)
+
+    assert read(ingest_csv) == read(oracles.ingest_csv_rows) == read(split_oracle(1 << 16))
