@@ -55,8 +55,8 @@ def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
 
 #: Characters of CSV body read per block.  Reading the 2-day simulated CSV
 #: (187,200 rows) with blocks of 64 KB, 128 KB, 256 KB, 512 KB and 1 MB
-#: took 127, 127, 117, 114 and 110 ms and peaked at 25, 25, 28, 36 and 52
-#: traced bytes a row.  Below 128 KiB a block's text and byte buffers stay
+#: took 127, 127, 117, 114 and 110 ms (two shared x86 cores, Python 3.11,
+#: numpy 2.4) and peaked at 25, 25, 28, 36 and 52 traced bytes a row.  Below 128 KiB a block's text and byte buffers stay
 #: under glibc's default mmap threshold: in six runs of the benchmark's
 #: offline pass, 256 KB blocks held 0.4 to 1.9 MB more resident memory than
 #: the comma-split reader this replaced, 120 KB blocks -0.7 to 1.2 MB, at

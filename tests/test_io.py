@@ -426,8 +426,6 @@ def test_duplicates_fail_like_the_oracle(series_map, copies, rnd, block_chars):
     assert same_outcome(header + "".join(body), block_chars)[0] is DuplicateSampleError
 
 
-
-
 def plain_body(series_map, rnd):
     """The header and the shuffled body lines of a map's CSV."""
     header, *body = reference_text(series_map).splitlines(keepends=True)
