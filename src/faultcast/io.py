@@ -92,9 +92,9 @@ def read_rows(stream: TextIO, header: List[str], parse, types: str) -> "_Columns
 
     The body is read in blocks of whole lines.  A block without ``"``, NUL,
     a CR but in CRLF line endings or a line longer than the field size
-    limit, whose every line holds a row's commas, splits on commas exactly
-    as :func:`csv.reader` would, and is checked as arrays over its UTF-8
-    bytes (:meth:`_Columns.add_block`).  Any other block goes through
+    limit or four times the block's mean line, whose every line holds a
+    row's commas, splits on commas exactly as :func:`csv.reader` would, and
+    is checked as arrays over its UTF-8 bytes (:meth:`_Columns.add_block`).  Any other block goes through
     :func:`csv.reader`, and so does everything from the first ``"`` on,
     since a quoted field may span lines.  So does a block that fails a
     check, such as one holding a value that ``float`` reads only as text,
@@ -348,7 +348,9 @@ class _Columns:
         commas = commas.reshape(lines, self.width - 1)
         longest = int((ends - starts).max())
         within = (commas[:, 0] >= starts).all() and (commas[:, -1] < ends).all()
-        if not within or longest > csv.field_size_limit():
+        # a field's texts are gathered at the width of its longest: a line
+        # over four times the mean would gather that many times the block
+        if not within or longest > min(csv.field_size_limit(), 4 * len(buf) / lines):
             return 0
         ends -= buf[ends - 1] == ord("\r")
         # each field's first byte and the byte after it, a row a field;

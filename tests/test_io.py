@@ -743,18 +743,23 @@ def test_ingest_peak_memory_per_row():
     stream = io.StringIO(csv_text(series_map))
     rows = sum(map(len, series_map.values()))
     del series_map
+    result, peak = traced_peak(ingest_csv, stream)
+    assert sum(map(len, result.values())) == rows == 187200
+    assert peak / rows < 35, f"ingest peaked at {peak / rows:.1f} bytes a row"
+
+
+def traced_peak(read, stream):
+    """``read(stream)`` and the traced memory it peaked at."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        result = ingest_csv(stream)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = read(stream)
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert sum(map(len, result.values())) == rows == 187200
-    assert peak / rows < 35, f"ingest peaked at {peak / rows:.1f} bytes a row"
 
 
 # ---------------------------------------------------------------------------
@@ -875,3 +880,21 @@ def test_a_stray_cr_in_a_file_reads_like_the_oracle(tmp_path, quote):
                 return type(exc), exc.line_no, str(exc)
 
     assert read(ingest_csv) == read(oracles.ingest_csv_rows) == read(split_oracle(1 << 16))
+
+
+def test_a_long_line_among_short_ones_is_read_in_little_memory():
+    """A value padded to 60,000 characters, which ``float`` takes, among
+    rows of some 60: read as both oracles read it, within a few blocks'
+    memory.  Gathering the value texts of its block at their longest width
+    peaked at 235 MB."""
+    series_map, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 3600, seed=3)
+    header, *body = csv_text(series_map).splitlines(keepends=True)
+    i = len(body) // 2
+    row = body[i].rstrip("\n").split(",")
+    row[3] = " " * 60000 + row[3]
+    body[i] = ",".join(row) + "\n"
+    text = header + "".join(body)
+    assert outcome(ingest_csv, text) == outcome(oracles.ingest_csv_rows, text) == outcome(split_oracle(1 << 16), text)
+    result, peak = traced_peak(ingest_csv, io.StringIO(text, newline=""))
+    assert result == series_map
+    assert peak < 4 << 20, f"ingest peaked at {peak / 2**20:.1f} MiB"
