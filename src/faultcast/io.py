@@ -56,11 +56,11 @@ def _open_text(path_or_stream, mode: str) -> Iterator[TextIO]:
 #: Characters of CSV body read per block.  Reading the 2-day simulated CSV
 #: (187,200 rows) with blocks of 64 KB, 128 KB, 256 KB, 512 KB and 1 MB
 #: took 127, 127, 117, 114 and 110 ms (two shared x86 cores, Python 3.11,
-#: numpy 2.4) and peaked at 25, 25, 28, 36 and 52 traced bytes a row.  Below 128 KiB a block's text and byte buffers stay
-#: under glibc's default mmap threshold: in six runs of the benchmark's
-#: offline pass, 256 KB blocks held 0.4 to 1.9 MB more resident memory than
-#: the comma-split reader this replaced, 120 KB blocks -0.7 to 1.2 MB, at
-#: the same speed.
+#: numpy 2.4) and peaked at 25, 25, 28, 36 and 52 traced bytes a row.
+#: Below 128 KiB a block's text and byte buffers stay under glibc's default
+#: mmap threshold: in six runs each of the benchmark's offline pass, 256 KB
+#: blocks held about 1 MB more resident memory than 120 KB blocks, at the
+#: same speed.
 _BLOCK_CHARS = 120 << 10
 
 #: Rows from :func:`csv.reader` checked at once, about a block's worth.
@@ -94,13 +94,14 @@ def read_rows(stream: TextIO, header: List[str], parse, types: str) -> "_Columns
     a CR but in CRLF line endings or a line longer than the field size
     limit or four times the block's mean line, whose every line holds a
     row's commas, splits on commas exactly as :func:`csv.reader` would, and
-    is checked as arrays over its UTF-8 bytes (:meth:`_Columns.add_block`).  Any other block goes through
-    :func:`csv.reader`, and so does everything from the first ``"`` on,
-    since a quoted field may span lines.  So does a block that fails a
-    check, such as one holding a value that ``float`` reads only as text,
-    like a non-ASCII digit.  Rows from :func:`csv.reader` are checked column
-    by column in batches, and a batch that fails a check is checked again
-    row by row, which raises the first error in row order.
+    is checked as arrays over its UTF-8 bytes (:meth:`_Columns.add_block`).
+    Any other block goes through :func:`csv.reader`, and so does everything
+    from the first ``"`` on, since a quoted field may span lines.  So does
+    a block that fails a check, such as one holding a value that ``float``
+    reads only as text, like a non-ASCII digit.  Rows from
+    :func:`csv.reader` are checked column by column in batches, and a batch
+    that fails a check is checked again row by row, which raises the first
+    error in row order.
     """
     try:
         found = next(csv.reader(stream), None)
@@ -133,9 +134,10 @@ def _blocks(stream: TextIO) -> Iterator[Tuple[str, Optional[List[str]]]]:
     the text split with universal newlines (at LF, CRLF and a lone CR).
 
     A stream that records the newlines it reads (opened with ``newline``
-    None or ``""``) splits lines so, and is read in large pieces.  Any
-    other stream is read by lines, which are given unless LF ends each of
-    them and no CR is among them."""
+    None or ``""``) splits lines so, and is read in large pieces: on the
+    2-day and the 2-week simulated CSV that reads 16 % and 20 % faster
+    than ``readlines`` and a join.  Any other stream is read by lines,
+    given unless an LF ends each of them and a CR only comes before an LF."""
     if getattr(stream, "newlines", None) is not None:
         while text := stream.read(_BLOCK_CHARS):
             if not text.endswith("\n"):  # the stream's own readline ends the last line
@@ -144,8 +146,9 @@ def _blocks(stream: TextIO) -> Iterator[Tuple[str, Optional[List[str]]]]:
     else:
         while lines := stream.readlines(_BLOCK_CHARS):
             text = "".join(lines)
-            plain = "\r" not in text and text.count("\n") == len(lines) - (not text.endswith("\n"))
-            yield text, None if plain else lines
+            lone_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+            lf_ends = text.count("\n") == len(lines) - (not text.endswith("\n"))
+            yield text, lines if lone_cr or not lf_ends else None
 
 
 def _finite_values(texts: np.ndarray):

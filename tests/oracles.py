@@ -51,6 +51,7 @@ from faultcast.baseline import (
     _restricted_fit,
 )
 from faultcast.core import (
+    _KIND_CODES,
     _KINDS,
     CADENCE_S,
     HOURS_PER_WEEK,
@@ -69,9 +70,9 @@ from faultcast.core import (
     lags,
     parse_timestamp,
 )
-from faultcast.detect import ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents, _kinds_and_scores
+from faultcast.detect import _SCORE_ERROR, ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
-from faultcast.io import CSV_HEADER, _Columns, _finite_values, check_kind, typed
+from faultcast.io import CSV_HEADER, _Columns, check_kind, typed
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
 from faultcast.sim import FaultSpec, Pattern
 from faultcast.signature import (
@@ -147,19 +148,99 @@ def ingest_csv_rows(stream):
     return result
 
 
+class _SplitColumns(_Columns):
+    """``io._Columns`` as the split reader checked rows: lists of texts,
+    typed by a ``parse`` of lists, timestamps parsed by one numpy call for
+    the canonical texts of a list.  Only the KPI memo, ``add_rows`` and
+    ``series_map`` are the optimized class's."""
+
+    def _timestamps(self, texts):
+        try:
+            return list(map(self.ts_memo.__getitem__, texts))
+        except KeyError:
+            new = [text for text in dict.fromkeys(texts) if text not in self.ts_memo]
+            try:
+                self.ts_memo.update(zip(new, parse_timestamps_numpy(new)))
+            except ValueError:
+                raise ValueError(f"bad timestamp {texts[0]!r}") from None
+            return list(map(self.ts_memo.__getitem__, texts))
+
+    def add(self, fields, numbers):
+        w, n = self.width, len(numbers)
+        try:
+            stamps = self._timestamps(fields[0 : w * n : w])
+            kids = self._kpis(fields[1 : w * n : w], fields[2 : w * n : w])
+            tail = self.parse(*(fields[i : w * n : w] for i in range(3, w)))
+        except ValueError as exc:
+            if n == 1:
+                raise CsvParseError(numbers[0], str(exc)) from None
+            for i, number in enumerate(numbers):
+                self.add(fields[w * i : w * (i + 1)], [number])
+            return
+        row = len(self.columns[0])
+        for i, line in [(0, numbers[0])] if isinstance(numbers, range) else enumerate(numbers):
+            if not self.run_rows or line - self.run_lines[-1] != row + i - self.run_rows[-1]:
+                self.run_rows.append(row + i)
+                self.run_lines.append(line)
+        for column, values in zip(self.columns, (stamps, kids, *tail)):
+            column.extend(values)
+
+
+def parse_timestamps_numpy(texts):
+    """``parse_timestamp`` of each text: canonical texts by one numpy call,
+    kept where they render back to their text, every other text and every
+    text of a list numpy rejects through ``parse_timestamp``."""
+    canonical = [i for i, text in enumerate(texts) if len(text) == 20 and text[19] == "Z" and "1" <= text[0] <= "9"]
+    heads = np.array([texts[i][:19] for i in canonical], dtype="U19")
+    found = {}
+    try:
+        parsed = heads.astype("datetime64[s]")
+    except ValueError:
+        pass
+    else:
+        exact = np.datetime_as_string(parsed, unit="s") == heads
+        found = {i: ts for i, ts, ok in zip(canonical, parsed.astype(np.int64).tolist(), exact.tolist()) if ok}
+    return [found[i] if i in found else parse_timestamp(text) for i, text in enumerate(texts)]
+
+
+def finite_values_list(texts):
+    """The value column of a list of texts as floats, or ``ValueError``
+    naming the first text."""
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        raise ValueError(f"bad value {texts[0]!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite value {texts[0]!r}")
+    return (values,)
+
+
+def kinds_and_scores_list(kinds, scores):
+    """The kind codes and scores of lists of log texts, or ``ValueError``:
+    an unknown kind first, naming it, then a bad score."""
+    try:
+        codes = list(map(_KIND_CODES.__getitem__, kinds))
+    except KeyError as exc:
+        AnomalyKind(exc.args[0])
+    values = list(map(float, scores))
+    if not (all(map(math.isfinite, values)) and min(values, default=0.0) >= 0.0):
+        raise ValueError(_SCORE_ERROR)
+    return codes, values
+
+
 def read_rows_split(stream, header, parse, types, block_chars=1 << 16):
     """``io.read_rows`` before its byte scan: a block of lines (``readlines``)
     without ``"``, NUL, a stray CR or a line over the field size limit,
     whose every line holds a row's commas, is split on commas in Python and
-    checked as lists of texts; any other block goes through ``csv.reader``,
-    as does everything from the first ``"`` on."""
+    checked as lists of texts (:class:`_SplitColumns`); any other block goes
+    through ``csv.reader``, as does everything from the first ``"`` on."""
     try:
         found = next(csv.reader(stream), None)
     except csv.Error as exc:
         raise CsvParseError(1, str(exc)) from None
     if found != header:
         raise CsvParseError(1, f"expected header {','.join(header)!r}, got {found!r}")
-    columns = _Columns(parse, types)
+    columns = _SplitColumns(parse, types)
     limit = csv.field_size_limit()
     line_no = 2
     while block := stream.readlines(block_chars):
@@ -182,12 +263,12 @@ def read_rows_split(stream, header, parse, types, block_chars=1 << 16):
 
 def ingest_csv_split(stream, block_chars=1 << 16):
     """The KPI map as :func:`read_rows_split` reads it."""
-    return read_rows_split(stream, CSV_HEADER, _finite_values, "d", block_chars).series_map()
+    return read_rows_split(stream, CSV_HEADER, finite_values_list, "d", block_chars).series_map()
 
 
 def read_anomaly_log_split(stream, block_chars=1 << 16):
     """The anomaly log as :func:`read_rows_split` reads it."""
-    rows = read_rows_split(stream, ANOMALY_LOG_HEADER, _kinds_and_scores, "bd", block_chars)
+    rows = read_rows_split(stream, ANOMALY_LOG_HEADER, kinds_and_scores_list, "bd", block_chars)
     start, kpi, kind, score = rows.columns
     return AnomalyEvents(rows.kpis, start, kpi, kind, score)
 

@@ -627,8 +627,9 @@ def unquoted(events, plain):
     st.sampled_from(["\n", "\r\n"]),
     st.lists(st.integers(0, 10**6), max_size=3),
     BLOCK_CHARS,
+    st.sampled_from(["\n", ""]),
 )
-def test_anomaly_log_round_trips_with_the_row_writers_bytes(events, plain, ending, blanks, block_chars):
+def test_anomaly_log_round_trips_with_the_row_writers_bytes(events, plain, ending, blanks, block_chars, newline):
     events = unquoted(events, plain)
     expected = io.StringIO()
     oracles.write_anomaly_log_rows(events, expected)
@@ -639,14 +640,15 @@ def test_anomaly_log_round_trips_with_the_row_writers_bytes(events, plain, endin
         back = read_anomaly_log(io.StringIO(buf.getvalue()))
         assert back == given_events and back == events
         assert back == oracles.read_anomaly_log_rows(io.StringIO(buf.getvalue()))
-    # CRLF endings and blank lines, read a few lines at a time
+    # CRLF endings and blank lines, read a few lines at a time from a
+    # stream that splits lines at LF or one that records its newlines
     header, *body = buf.getvalue().split("\n")[:-1]
     for where in blanks:
         body.insert(where % (len(body) + 1), "")
     text = ending.join([header, *body, ""])
-    back = in_blocks(block_chars)(io.StringIO(text))
-    assert back == events and back == oracles.read_anomaly_log_rows(io.StringIO(text))
-    assert back == oracles.read_anomaly_log_split(io.StringIO(text), block_chars)
+    back = in_blocks(block_chars)(io.StringIO(text, newline=newline))
+    assert back == events and back == oracles.read_anomaly_log_rows(io.StringIO(text, newline=newline))
+    assert back == oracles.read_anomaly_log_split(io.StringIO(text, newline=newline), block_chars)
 
 
 #: A bad value for one field of a log row; field 5 is one field too many
@@ -672,10 +674,11 @@ bad_fields = st.sampled_from(
 )
 
 
-def log_outcome(read, text):
-    """The events a reader returns, or the type and message it raises."""
+def log_outcome(read, text, newline="\n"):
+    """The events a reader returns, or the type and message it raises.
+    ``newline`` is the stream's, as for ``open``."""
     try:
-        return list(read(io.StringIO(text)))
+        return list(read(io.StringIO(text, newline=newline)))
     except CsvParseError as exc:
         return type(exc), str(exc)
 
@@ -701,10 +704,11 @@ def test_anomaly_log_reader_errors_match_the_row_reader(events, plain, data):
         lines.insert(line, "")  # a blank line still counts
     text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
     block_chars = data.draw(BLOCK_CHARS)
-    got = log_outcome(in_blocks(block_chars), text)
-    assert got == log_outcome(read_anomaly_log, text)
-    assert got == log_outcome(oracles.read_anomaly_log_rows, text)
-    assert got == log_outcome(lambda stream: oracles.read_anomaly_log_split(stream, block_chars), text)
+    newline = data.draw(st.sampled_from(["\n", ""]))
+    got = log_outcome(in_blocks(block_chars), text, newline)
+    assert got == log_outcome(read_anomaly_log, text, newline)
+    assert got == log_outcome(oracles.read_anomaly_log_rows, text, newline)
+    assert got == log_outcome(lambda stream: oracles.read_anomaly_log_split(stream, block_chars), text, newline)
 
 
 @pytest.mark.parametrize(

@@ -826,9 +826,10 @@ def test_canonical_timestamps_are_the_ones_numpy_parses_and_renders_back(texts):
             assert ts == parse_timestamp(text)
 
 
-def read_without_csv_reader(read, text, block_chars, monkeypatch):
-    """``read`` of ``text`` in blocks of ``block_chars`` characters, failing
-    if ``csv.reader`` is called for more than the header."""
+def read_without_csv_reader(read, text, block_chars, newline, monkeypatch):
+    """``read`` of ``text`` from a stream opened with ``newline``, in blocks
+    of ``block_chars`` characters, failing if ``csv.reader`` is called for
+    more than the header."""
     calls = []
     real = csv.reader
 
@@ -841,20 +842,25 @@ def read_without_csv_reader(read, text, block_chars, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(faultcast.io.csv, "reader", header_only)
         patch.setattr(faultcast.io, "_BLOCK_CHARS", block_chars)
-        return read(io.StringIO(text, newline=""))
+        return read(io.StringIO(text, newline=newline))
 
 
 @pytest.mark.parametrize("block_chars", [faultcast.io._BLOCK_CHARS, 1])
-def test_written_files_are_read_without_csv_reader(block_chars, monkeypatch):
+@pytest.mark.parametrize("newline", ["", "\n"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_written_files_are_read_without_csv_reader(block_chars, newline, ending, monkeypatch):
     """What ``write_csv`` and ``write_anomaly_log`` write takes the byte scan,
-    a block at a time and a line at a time."""
+    a block at a time and a line at a time, with LF or CRLF endings, from a
+    stream that records its newlines and from one that splits at LF."""
     series_map, _ = gen_run(default_topology(), WorkloadModel(), None, 0, 3600, seed=3)
-    assert read_without_csv_reader(ingest_csv, csv_text(series_map), block_chars, monkeypatch) == series_map
+    text = csv_text(series_map).replace("\n", ending)
+    assert read_without_csv_reader(ingest_csv, text, block_chars, newline, monkeypatch) == series_map
     kpis = [KpiId("Homer", "CpuIdlePct"), KpiId("Sprout", "Mem Used"), KpiId("Ralph é", "x;y")]
     events = [AnomalyEvent(300 * (i // 3), kpis[i % 3], list(AnomalyKind)[i // 3 % 2], i / 7) for i in range(400)]
     buf = io.StringIO()
     write_anomaly_log(events, buf)
-    assert read_without_csv_reader(read_anomaly_log, buf.getvalue(), block_chars, monkeypatch) == events
+    text = buf.getvalue().replace("\n", ending)
+    assert read_without_csv_reader(read_anomaly_log, text, block_chars, newline, monkeypatch) == events
 
 
 @pytest.mark.parametrize("quote", [False, True])
