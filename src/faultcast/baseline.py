@@ -6,7 +6,7 @@ import itertools
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .core import (
     hour_of_week,
     lags,
 )
-from .io import check_kind, check_ranges, load_json, save_json, typed, typed_array
+from .io import Artifact, check_kind, check_ranges, from_json, to_json, typed_array
 
 logger = logging.getLogger(__name__)
 
@@ -659,7 +659,7 @@ def _stack(rows: list, key: str, width: int = 0, name=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BaselineModel:
+class BaselineModel(Artifact):
     """Everything the online detector needs: per-KPI baselines plus the graph.
 
     Construction stacks the rows once into the read-only arrays detection
@@ -719,7 +719,7 @@ class BaselineModel:
         return {
             "kind": BASELINE_KIND,
             "schema_version": BASELINE_SCHEMA_VERSION,
-            "config": asdict(self.config),
+            "config": to_json(self.config),
             "baselines": [
                 {
                     "resource": kpi.resource,
@@ -749,11 +749,7 @@ class BaselineModel:
         (:func:`~faultcast.io.typed_array`), and each edge endpoint resolves
         to the file's own KPI; the model checks the values."""
         check_kind(data, BASELINE_KIND, BASELINE_SCHEMA_VERSION)
-        cfg = data["config"]
-        config = BaselineConfig(
-            typed("config lag_order", cfg["lag_order"], int),
-            *(typed(f"config {name}", cfg[name], float) for name in ("alpha", "k_sigma", "prefilter_r")),
-        )
+        config = from_json(BaselineConfig, data["config"], prefix="config ")
         bands, links = data["baselines"], data["edges"]
         kpis = [KpiId(item["resource"], item["metric"]) for item in bands]
         own = {(kpi.resource, kpi.metric): kpi for kpi in kpis}
@@ -789,13 +785,6 @@ class BaselineModel:
             column(links, "residual_std", edge),
         )
         return cls(dict(zip(kpis, map(UnivariateBaseline, kpis, *columns))), tuple(edges), config)
-
-    def save(self, path) -> None:
-        save_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "BaselineModel":
-        return load_json(path, cls.from_dict)
 
 
 def fit_baseline_model(

@@ -56,6 +56,18 @@ class OrderingError(FaultcastError):
     """Intervals were fed to the predictor out of order."""
 
 
+def typed(name: str, value, kind: type):
+    """``value`` as a ``kind``, int, float, bool or str (an int is a float
+    too, a bool neither); any other value raises :class:`ValueError` naming
+    ``name``."""
+    if kind is bool or kind is str:
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} {value!r} must be {'true or false' if kind is bool else 'a string'}")
+    elif isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"{name} {value!r} must be {'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
 # ---------------------------------------------------------------------------
 # timestamps
 
@@ -100,7 +112,7 @@ class KpiId:
 
     def __post_init__(self):
         for field_name in ("resource", "metric"):
-            value = getattr(self, field_name)
+            value = typed(f"KpiId.{field_name}", getattr(self, field_name), str)
             if not value:
                 raise ValueError(f"KpiId.{field_name} must be non-empty")
             if any(ch in value for ch in (",", "\n", "\r")):
@@ -252,6 +264,14 @@ class FaultType(str, Enum):
     NORMAL = "Normal"
 
 
+class Pattern(str, Enum):
+    """How an injected fault's intensity evolves over time."""
+
+    CONSTANT = "Constant"
+    EXPONENTIAL = "Exponential"
+    RANDOM = "Random"
+
+
 #: Pseudo-resource for system-wide conditions (excessive workload).
 SYSTEM_RESOURCE = "SYSTEM"
 
@@ -268,6 +288,7 @@ class FailureClass:
     resource: str = ""
 
     def __post_init__(self):
+        typed("resource", self.resource, str)
         if self.fault_type is FaultType.NORMAL:
             if self.resource:
                 raise ValueError("Normal carries no resource")

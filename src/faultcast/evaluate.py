@@ -18,7 +18,7 @@ a row of ``default_run_specs``, ``rq3_run_specs`` or ``rq4_run_specs``.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,13 +36,12 @@ from .core import (
     NORMAL_CLASS,
     SYSTEM_RESOURCE,
     TimeSeries,
-    format_timestamp,
     hour_of_week,
     parse_timestamp,
     slide_windows,
 )
 from .detect import DEFAULT_TAU, AnomalyEvent, AnomalyEvents, check_tau, detect_stream
-from .io import RunManifest, check_kind, check_ranges, check_types, load_json, save_json
+from .io import Artifact, RunManifest, Timestamp, check_fields, check_ranges
 from .metrics import Contingency, EffectivenessMetrics, metrics, micro_contingency
 from .predict import EarlinessReport, measure_earliness, run_predictor
 from .sim import (
@@ -63,9 +62,6 @@ from .signature import (
 
 logger = logging.getLogger(__name__)
 
-SUITE_KIND = "faultcast-suite"
-SUITE_SCHEMA_VERSION = 1
-
 _HOST_FAULTS = (
     FaultType.PACKET_LOSS,
     FaultType.PACKET_LATENCY,
@@ -76,10 +72,12 @@ _HOST_FAULTS = (
 
 
 @dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Artifact):
     """Everything that determines a suite: topology-independent knobs only."""
 
-    training_start: int = parse_timestamp("2026-01-05T00:00:00Z")  # a Monday
+    KIND, SCHEMA_VERSION = "faultcast-suite", 1
+
+    training_start: Timestamp = parse_timestamp("2026-01-05T00:00:00Z")  # a Monday
     training_days: int = 28
     run_duration_min: int = 180
     injection_min: int = 15
@@ -101,7 +99,7 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         # 2.5 folds would fail in numpy after the build; true days run one
         # and a true tau is 1
-        check_types(self)
+        check_fields(self)
         minutes, targets = self.run_duration_min, self.fault_targets
         all_text = isinstance(targets, tuple) and all(isinstance(target, str) for target in targets)
         check_ranges(
@@ -126,29 +124,6 @@ class SuiteConfig:
     @property
     def training_end(self) -> int:
         return self.training_start + self.training_days * DAY_S
-
-    def to_dict(self) -> dict:
-        fields = asdict(self)
-        fields["training_start"] = format_timestamp(self.training_start)
-        return {"kind": SUITE_KIND, "schema_version": SUITE_SCHEMA_VERSION, **fields}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuiteConfig":
-        check_kind(data, SUITE_KIND, SUITE_SCHEMA_VERSION)
-        kwargs = {k: v for k, v in data.items() if k not in ("kind", "schema_version")}
-        kwargs["training_start"] = parse_timestamp(kwargs["training_start"])
-        if isinstance(kwargs.get("fault_targets"), list):  # JSON has no tuples
-            kwargs["fault_targets"] = tuple(kwargs["fault_targets"])
-        if "workload" in kwargs:
-            kwargs["workload"] = WorkloadModel.from_dict(kwargs["workload"])
-        return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path) -> "SuiteConfig":
-        return load_json(path, cls.from_dict)
-
-    def save(self, path) -> None:
-        save_json(self.to_dict(), path)
 
 
 @dataclass(frozen=True)

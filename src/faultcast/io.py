@@ -1,5 +1,5 @@
-"""File formats: the KPI sample CSV, the JSON run manifest, and the envelope
-every JSON artifact shares."""
+"""File formats: the KPI sample CSV, the JSON run manifest, and the codec
+of the JSON artifacts: their envelope and their dataclass-shaped objects."""
 
 from __future__ import annotations
 
@@ -10,21 +10,26 @@ import os
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
+from functools import cache
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Annotated, Dict, Iterator, List, Optional, TextIO, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .core import (
     CsvParseError,
     DuplicateSampleError,
+    FailureClass,
     FaultType,
     KpiId,
+    Pattern,
     SchemaVersionError,
     TimeSeries,
     format_timestamp,
     parse_timestamp,
+    typed,
 )
 
 CSV_HEADER = ["timestamp", "resource", "metric", "value"]
@@ -33,9 +38,6 @@ CSV_HEADER = ["timestamp", "resource", "metric", "value"]
 #: four-digit ``%Y`` accepts (1000-01-01T00:00:00Z .. 9999-12-31T23:59:59Z).
 MIN_CSV_TIMESTAMP = -30610224000
 MAX_CSV_TIMESTAMP = 253402300799
-
-MANIFEST_KIND = "faultcast-run-manifest"
-MANIFEST_SCHEMA_VERSION = 1
 
 
 @contextmanager
@@ -502,12 +504,8 @@ def write_csv(series_map: Dict[KpiId, TimeSeries], target: Union[str, os.PathLik
 # JSON artifacts: models, suite configs, run manifests and scenarios are JSON
 # objects tagged with a "kind" and a "schema_version"
 
-
-def save_json(data: dict, path) -> None:
-    """Write an artifact as JSON indented by two spaces, with a final newline."""
-    with _open_text(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+#: An epoch-seconds field that a JSON file holds as ISO-8601 UTC text
+Timestamp = Annotated[int, "ISO-8601 UTC text in JSON"]
 
 
 def check_kind(data, kind: str, version: int) -> None:
@@ -521,17 +519,6 @@ def check_kind(data, kind: str, version: int) -> None:
         raise SchemaVersionError(f"unsupported {kind} schema_version {data.get('schema_version')!r}")
 
 
-def typed(name: str, value, kind: type):
-    """``value`` as a ``kind``, int, float or bool (an int is a float too, a
-    bool neither); any other value raises :class:`ValueError` naming ``name``."""
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} {value!r} must be true or false")
-    elif isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ValueError(f"{name} {value!r} must be {'an integer' if kind is int else 'a number'}")
-    return kind(value)
-
-
 def typed_array(name, values: list, kind: type = float) -> np.ndarray:
     """``values`` as one array of ``kind``, int or float, checked as
     :func:`typed` checks one value but by one pass over their types: the
@@ -543,18 +530,26 @@ def typed_array(name, values: list, kind: type = float) -> np.ndarray:
     return np.array(values, dtype=kind)
 
 
-#: The field annotations :func:`check_types` checks; the dataclasses it is
-#: given use ``from __future__ import annotations``, so annotations are text.
-_TYPED_FIELDS = {"int": int, "float": float, "bool": bool}
+@cache
+def _fields(cls) -> tuple:
+    """(name, annotation, required) of each field of the dataclass ``cls``,
+    resolved once.  A file must give a field without a default, and a
+    timestamp, which places its data in time."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple(
+        (f.name, hints[f.name], hints[f.name] == Timestamp or f.default is f.default_factory is MISSING)
+        for f in fields(cls)
+    )
 
 
-def check_types(obj) -> None:
-    """Raise :func:`typed`'s :class:`ValueError` for the first int, float or
-    bool field of the dataclass ``obj`` that holds another type: a JSON
-    ``2.7`` minutes, ``true`` sigmas or ``"false"`` flag is not cast."""
-    for f in fields(obj):
-        if f.type in _TYPED_FIELDS:
-            typed(f.name, getattr(obj, f.name), _TYPED_FIELDS[f.type])
+def check_fields(obj) -> None:
+    """Raise :func:`typed`'s :class:`ValueError` for the first int, float,
+    bool, str or timestamp field of the dataclass ``obj`` that holds another
+    type: a JSON ``2.7`` minutes or ``"false"`` flag is not cast."""
+    for name, hint, _ in _fields(type(obj)):
+        kind = int if hint == Timestamp else hint
+        if kind in (int, float, bool, str):
+            typed(name, getattr(obj, name), kind)
 
 
 def check_ranges(obj, *rules) -> None:
@@ -563,6 +558,66 @@ def check_ranges(obj, *rules) -> None:
     for name, ok, rule in rules:
         if not ok:
             raise ValueError(f"{name} {getattr(obj, name)!r} must be {rule}")
+
+
+def from_json(cls, data: dict, kind: Optional[str] = None, version: int = 1, prefix: str = "", **given):
+    """The dataclass ``cls`` that the JSON object ``data`` holds, in a
+    ``kind`` and schema ``version`` envelope if one is named: each field not
+    ``given`` read by its annotation (:func:`_read`), names in messages led
+    by ``prefix``.  A key that is no field, or a given one, raises
+    :class:`ValueError`, a missing one :class:`KeyError` unless its field
+    has a default (:func:`_fields`)."""
+    known = {name for name, _, _ in _fields(cls) if name not in given}
+    if kind is not None:
+        check_kind(data, kind, version)
+        known |= {"kind", "schema_version"}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown {prefix}key {key!r}")
+    for name, hint, required in _fields(cls):
+        if name in data:
+            given[name] = _read(hint, data[name], prefix + name, prefix)
+        elif required and name not in given:
+            raise KeyError(name)
+    return cls(**given)
+
+
+def _read(hint, value, name: str, prefix: str):
+    """A field's JSON ``value`` as its annotation ``hint`` has it: a scalar
+    checked by :func:`typed`, a timestamp parsed, an enum by its value, a
+    dataclass from its object, a tuple from a list; any other shape is left
+    to the class's own checks."""
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if value is None else _read(get_args(hint)[0], value, name, prefix)
+    if hint == Timestamp:
+        return parse_timestamp(value)
+    if hint in (int, float, bool, str):
+        typed(name, value, hint)  # not cast: an integer number stays as the file gives it
+        return value
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} {value!r} must be a JSON object")
+        return from_json(hint, value, prefix=prefix)
+    return tuple(value) if isinstance(value, list) else value  # a tuple
+
+
+def to_json(obj, kind: Optional[str] = None, version: int = 1) -> dict:
+    """The JSON object of the dataclass ``obj`` that :func:`from_json` reads,
+    in a ``kind`` and schema ``version`` envelope if one is named."""
+    body = {name: _write(hint, getattr(obj, name)) for name, hint, _ in _fields(type(obj))}
+    return body if kind is None else {"kind": kind, "schema_version": version, **body}
+
+
+def _write(hint, value):
+    """A field's ``value`` as JSON holds it, by its annotation ``hint``."""
+    hint = get_args(hint)[0] if get_origin(hint) is Union else hint  # Optional[X]
+    if value is None or hint in (int, float, bool, str) or get_origin(hint) is tuple:
+        return value
+    if hint == Timestamp:
+        return format_timestamp(value)
+    return to_json(value) if is_dataclass(hint) else hint(value).value  # a dataclass, or an enum
 
 
 def load_json(path, from_dict):
@@ -580,6 +635,30 @@ def load_json(path, from_dict):
         raise ValueError(f"malformed {os.fspath(path)}: {type(exc).__name__} {exc}") from exc
 
 
+class Artifact:
+    """A dataclass kept as a JSON file: :func:`to_json` writes it and
+    :func:`from_json` reads it, in its class's ``KIND`` and
+    ``SCHEMA_VERSION`` envelope.  A class with another layout defines its
+    own ``to_dict`` and ``from_dict``."""
+
+    def to_dict(self) -> dict:
+        return to_json(self, self.KIND, self.SCHEMA_VERSION)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return from_json(cls, data, cls.KIND, cls.SCHEMA_VERSION)
+
+    def save(self, path) -> None:
+        """Write the file: JSON indented by two spaces, with a final newline."""
+        with _open_text(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=2)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        return load_json(path, cls.from_dict)
+
+
 # ---------------------------------------------------------------------------
 # run manifests
 
@@ -588,75 +667,38 @@ def load_json(path, from_dict):
 class InjectedFault:
     """The fault a run was seeded with.  ``injection_time`` is the instant the
     fault first became active (for intermittent activation this is the first
-    active interval, not the nominal start)."""
+    active interval, not the nominal start).  It names the class a run's
+    windows are labelled with, so it is never Normal."""
 
     fault_type: FaultType
     resource: str
-    pattern: str
-    injection_time: int
+    pattern: Pattern
+    injection_time: Timestamp
+
+    def __post_init__(self):
+        if self.fault_type is FaultType.NORMAL:
+            raise ValueError("a run's fault cannot be Normal")
+        FailureClass(self.fault_type, self.resource)  # a pair the class refuses raises
 
 
 @dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Artifact):
     """Ground truth for one run: identity, time range, seeded fault, failure."""
 
+    KIND, SCHEMA_VERSION = "faultcast-run-manifest", 1
+
     run_id: str
-    start: int
-    end: int
+    start: Timestamp
+    end: Timestamp
     fault: Optional[InjectedFault] = None
-    failure_time: Optional[int] = None
+    failure_time: Optional[Timestamp] = None
 
     def __post_init__(self):
         if self.end <= self.start:
             raise ValueError("run end must be after start")
         if not self.run_id:
             raise ValueError("run_id must be non-empty")
-
-    def to_dict(self) -> dict:
-        fault = None
-        if self.fault is not None:
-            fault = {
-                "fault_type": self.fault.fault_type.value,
-                "resource": self.fault.resource,
-                "pattern": self.fault.pattern,
-                "injection_time": format_timestamp(self.fault.injection_time),
-            }
-        return {
-            "kind": MANIFEST_KIND,
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "start": format_timestamp(self.start),
-            "end": format_timestamp(self.end),
-            "fault": fault,
-            "failure_time": (
-                None if self.failure_time is None else format_timestamp(self.failure_time)
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        check_kind(data, MANIFEST_KIND, MANIFEST_SCHEMA_VERSION)
-        fault = None
-        if data.get("fault") is not None:
-            f = data["fault"]
-            fault = InjectedFault(
-                fault_type=FaultType(f["fault_type"]),
-                resource=f["resource"],
-                pattern=f["pattern"],
-                injection_time=parse_timestamp(f["injection_time"]),
-            )
-        failure = data.get("failure_time")
-        return cls(
-            run_id=data["run_id"],
-            start=parse_timestamp(data["start"]),
-            end=parse_timestamp(data["end"]),
-            fault=fault,
-            failure_time=None if failure is None else parse_timestamp(failure),
-        )
-
-    def save(self, path) -> None:
-        save_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        return load_json(path, cls.from_dict)
+        injection = self.fault and self.fault.injection_time
+        for name, at in (("fault injection_time", injection), ("failure_time", self.failure_time)):
+            if at is not None and not self.start <= at <= self.end:
+                raise ValueError(f"{name} {format_timestamp(at)} must lie within the run")

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import _MULTIVARIATE, _UNIVARIATE, DEFAULT_WINDOW_MIN, FailureClass, FaultType, KpiId, SchemaVersionError
-from .io import check_kind, load_json, save_json, typed
+from .io import Artifact, check_kind, typed
 from .metrics import Contingency
 
 logger = logging.getLogger(__name__)
@@ -492,7 +492,7 @@ _MODELS = {"tree": DecisionTreeModel, "nb": NaiveBayesModel}
 
 
 @dataclass
-class SignatureModel:
+class SignatureModel(Artifact):
     """A trained classifier plus the vocabulary and window length it expects;
     its algorithm's name is the one ``_MODELS`` gives the model's class."""
 
@@ -546,13 +546,6 @@ class SignatureModel:
             raise SchemaVersionError(f"unknown signature algorithm {algorithm!r}")
         model = _MODELS[algorithm].from_dict(data["model"], classes, vocab.dimension)
         return cls(vocabulary=vocab, window_min=window_min, model=model)
-
-    def save(self, path) -> None:
-        save_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "SignatureModel":
-        return load_json(path, cls.from_dict)
 
 
 def _label_indices(labels: Sequence[FailureClass]) -> Tuple[np.ndarray, Tuple[FailureClass, ...]]:

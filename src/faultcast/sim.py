@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -21,12 +20,15 @@ from .core import (
     CADENCE_S,
     FaultType,
     KpiId,
+    Pattern,
     SYSTEM_RESOURCE,
     TimeSeries,
     hour_of_week,
     parse_timestamp,
+    typed,
 )
-from .io import InjectedFault, RunManifest, check_kind, check_ranges, check_types, load_json, typed, typed_array
+from .io import InjectedFault, RunManifest, Timestamp, check_fields, check_kind, check_ranges, from_json, load_json
+from .io import typed_array
 
 SCENARIO_KIND = "faultcast-scenario"
 SCENARIO_SCHEMA_VERSION = 1
@@ -74,14 +76,6 @@ def timeouts_metric(callee: str) -> str:
     return f"TimeoutsTo{callee}PerSec"
 
 
-class Pattern(str, Enum):
-    """How an injected fault's intensity evolves over time."""
-
-    CONSTANT = "Constant"
-    EXPONENTIAL = "Exponential"
-    RANDOM = "Random"
-
-
 @dataclass(frozen=True)
 class WorkloadModel:
     """Seasonal call-rate model: weekday/weekend factors times an hourly
@@ -94,7 +88,7 @@ class WorkloadModel:
     noise_std: float = 0.08
 
     def __post_init__(self):
-        check_types(self)
+        check_fields(self)
         profile = typed_array(lambda i: "hourly_profile", self.hourly_profile)
         profile_ok = len(profile) == 24 and ((0 < profile) & (profile < math.inf)).all()
         check_ranges(
@@ -105,13 +99,6 @@ class WorkloadModel:
             ("hourly_profile", profile_ok, "24 finite and positive multipliers"),
             ("noise_std", 0 <= self.noise_std < math.inf, "finite and non-negative"),
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadModel":
-        kwargs = dict(data)
-        if "hourly_profile" in kwargs:
-            kwargs["hourly_profile"] = tuple(kwargs["hourly_profile"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -125,7 +112,7 @@ class FaultSpec:
     fault_type: FaultType
     resource: str
     pattern: Pattern
-    injection_time: int
+    injection_time: Timestamp
     severity: float = 1.0
     constant_level: float = 0.6
     exp_a0: float = 0.1
@@ -134,7 +121,7 @@ class FaultSpec:
     random_block_min: int = 5
 
     def __post_init__(self):
-        check_types(self)
+        check_fields(self)
         if self.fault_type is FaultType.NORMAL:
             raise ValueError("a FaultSpec cannot seed the Normal class")
         if (self.fault_type is FaultType.EXCESSIVE_WORKLOAD) != (
@@ -169,23 +156,6 @@ class Topology:
     latency_base: Mapping[str, float]
     incoming_gain: Mapping[str, float]
     callees: Mapping[str, Tuple[str, ...]]
-
-    def __post_init__(self):
-        for vm in self.app_vms:
-            if vm not in self.placement:
-                raise ValueError(f"VM {vm} has no compute placement")
-        for vm in self.call_path:
-            if vm not in self.app_vms:
-                raise ValueError(f"call-path member {vm} is not an app VM")
-        for vm in self.queue_vms:
-            if vm not in self.call_path:
-                raise ValueError(f"queue VM {vm} is not on the call path")
-        for caller, targets in self.callees.items():
-            if caller not in self.app_vms:
-                raise ValueError(f"caller {caller} is not an app VM")
-            for callee in targets:
-                if callee not in self.app_vms:
-                    raise ValueError(f"callee {callee} is not an app VM")
 
     @property
     def compute_nodes(self) -> Tuple[str, ...]:
@@ -599,7 +569,7 @@ def gen_run(
         manifest_fault = InjectedFault(
             fault_type=fault.fault_type,
             resource=fault.resource,
-            pattern=fault.pattern.value,
+            pattern=fault.pattern,
             injection_time=first_active if first_active is not None else fault.injection_time,
         )
     manifest = RunManifest(
@@ -634,7 +604,7 @@ class Scenario:
     """A declarative run description loadable from JSON."""
 
     run_id: str
-    start: int
+    start: Timestamp
     duration_s: int
     seed: int
     workload: WorkloadModel = field(default_factory=WorkloadModel)
@@ -643,7 +613,7 @@ class Scenario:
     zero_noise: bool = False
 
     def __post_init__(self):
-        check_types(self)
+        check_fields(self)
         check_ranges(
             self,
             ("seed", self.seed >= 0, "non-negative"),
@@ -665,36 +635,20 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario a file holds.  The file gives the run's length as
+        ``duration_min``, and the fault's start as ``injection_min``,
+        minutes into the run, or as an ``injection_time``."""
         check_kind(data, SCENARIO_KIND, SCENARIO_SCHEMA_VERSION)
-        start = parse_timestamp(data["start"])
-        fault = None
-        if data.get("fault") is not None:
-            f = dict(data["fault"])
-            fault_type = FaultType(f.pop("fault_type"))
-            resource = f.pop("resource")
-            pattern = Pattern(f.pop("pattern"))
-            if "injection_min" in f:
-                injection = start + 60 * typed("injection_min", f.pop("injection_min"), int)
-            else:
-                injection = parse_timestamp(f.pop("injection_time"))
-            fault = FaultSpec(
-                fault_type=fault_type,
-                resource=resource,
-                pattern=pattern,
-                injection_time=injection,
-                **f,
-            )
-        workload = WorkloadModel.from_dict(data.get("workload", {}))
-        return cls(
-            run_id=data["run_id"],
-            start=start,
-            duration_s=60 * typed("duration_min", data["duration_min"], int),
-            seed=data["seed"],
-            workload=workload,
-            fault=fault,
-            workload_deviation=data.get("workload_deviation", 0.0),
-            zero_noise=data.get("zero_noise", False),
-        )
+        data = dict(data)
+        duration_s = 60 * typed("duration_min", data.pop("duration_min"), int)
+        fault = data.pop("fault", None)
+        if fault is not None:
+            fault, given = dict(fault), {}
+            if "injection_min" in fault:
+                minutes = typed("injection_min", fault.pop("injection_min"), int)
+                given["injection_time"] = parse_timestamp(data["start"]) + 60 * minutes
+            fault = from_json(FaultSpec, fault, **given)
+        return from_json(cls, data, SCENARIO_KIND, SCENARIO_SCHEMA_VERSION, duration_s=duration_s, fault=fault)
 
 
 def load_scenario(path) -> Scenario:

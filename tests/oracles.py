@@ -30,7 +30,7 @@ import itertools
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import groupby
 from operator import attrgetter
 from typing import Optional, Tuple
@@ -69,12 +69,13 @@ from faultcast.core import (
     hour_of_week,
     lags,
     parse_timestamp,
+    typed,
 )
 from faultcast.detect import _SCORE_ERROR, ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
-from faultcast.evaluate import _HOST_FAULTS, RunSpec, run_day
-from faultcast.io import CSV_HEADER, _Columns, check_kind, typed
+from faultcast.evaluate import _HOST_FAULTS, RunSpec, SuiteConfig, run_day
+from faultcast.io import CSV_HEADER, InjectedFault, RunManifest, _Columns, check_kind
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
-from faultcast.sim import FaultSpec, Pattern
+from faultcast.sim import SCENARIO_KIND, SCENARIO_SCHEMA_VERSION, FaultSpec, Pattern, Scenario, WorkloadModel
 from faultcast.signature import (
     _GAIN_EPS,
     Windows,
@@ -458,6 +459,14 @@ def lag_test(target, own, cause):
     return False, p_value, tuple(fits[1][0].tolist()), math.sqrt(rss_u / df)
 
 
+def baseline_config_from_dict(cfg):
+    """The ``config`` block of a baseline file, each value typed by hand."""
+    return BaselineConfig(
+        typed("config lag_order", cfg["lag_order"], int),
+        *(typed(f"config {name}", cfg[name], float) for name in ("alpha", "k_sigma", "prefilter_r")),
+    )
+
+
 def baseline_from_dict(data):
     """``BaselineModel.from_dict`` as it was before a model checked its
     values as whole arrays: each value typed on its own, each band and edge
@@ -465,11 +474,7 @@ def baseline_from_dict(data):
     model.  Returns what it reads as ``to_dict()`` rendered a model then,
     band by band and edge by edge."""
     check_kind(data, BASELINE_KIND, BASELINE_SCHEMA_VERSION)
-    cfg = data["config"]
-    config = BaselineConfig(
-        typed("config lag_order", cfg["lag_order"], int),
-        *(typed(f"config {name}", cfg[name], float) for name in ("alpha", "k_sigma", "prefilter_r")),
-    )
+    config = baseline_config_from_dict(data["config"])
     baselines = {}
     for item in data["baselines"]:
         kpi = KpiId(item["resource"], item["metric"])
@@ -1376,3 +1381,137 @@ def rq4_run_specs_loops(config, seeds_per_combo, duration_min, target):
                 specs.append(RunSpec(run_id, start, duration_min * 60, seed, fault))
                 idx += 1
     return specs
+
+
+# ---------------------------------------------------------------------------
+# the JSON intake that io.from_json and io.to_json replaced
+
+#: The field annotations ``check_types`` checked; the dataclasses it is given
+#: use ``from __future__ import annotations``, so annotations are text.  A
+#: timestamp, once annotated ``int``, is an int.
+_TYPED_FIELDS = {"int": int, "Timestamp": int, "float": float, "bool": bool}
+
+
+def check_types(obj):
+    """Raise ``typed``'s ValueError for the first int, float or bool field of
+    the dataclass ``obj`` that holds another type."""
+    for f in fields(obj):
+        if f.type in _TYPED_FIELDS:
+            typed(f.name, getattr(obj, f.name), _TYPED_FIELDS[f.type])
+
+
+def check_topology(topology):
+    """The checks a ``Topology`` once made when it was built."""
+    for vm in topology.app_vms:
+        if vm not in topology.placement:
+            raise ValueError(f"VM {vm} has no compute placement")
+    for vm in topology.call_path:
+        if vm not in topology.app_vms:
+            raise ValueError(f"call-path member {vm} is not an app VM")
+    for vm in topology.queue_vms:
+        if vm not in topology.call_path:
+            raise ValueError(f"queue VM {vm} is not on the call path")
+    for caller, targets in topology.callees.items():
+        if caller not in topology.app_vms:
+            raise ValueError(f"caller {caller} is not an app VM")
+        for callee in targets:
+            if callee not in topology.app_vms:
+                raise ValueError(f"callee {callee} is not an app VM")
+
+
+def workload_from_dict(data):
+    kwargs = dict(data)
+    if "hourly_profile" in kwargs:
+        kwargs["hourly_profile"] = tuple(kwargs["hourly_profile"])
+    return WorkloadModel(**kwargs)
+
+
+def suite_config_to_dict(config):
+    fields = asdict(config)
+    fields["training_start"] = format_timestamp(config.training_start)
+    return {"kind": SuiteConfig.KIND, "schema_version": SuiteConfig.SCHEMA_VERSION, **fields}
+
+
+def suite_config_from_dict(data):
+    check_kind(data, SuiteConfig.KIND, SuiteConfig.SCHEMA_VERSION)
+    kwargs = {k: v for k, v in data.items() if k not in ("kind", "schema_version")}
+    kwargs["training_start"] = parse_timestamp(kwargs["training_start"])
+    if isinstance(kwargs.get("fault_targets"), list):  # JSON has no tuples
+        kwargs["fault_targets"] = tuple(kwargs["fault_targets"])
+    if "workload" in kwargs:
+        kwargs["workload"] = workload_from_dict(kwargs["workload"])
+    return SuiteConfig(**kwargs)
+
+
+def manifest_to_dict(manifest):
+    fault = None
+    if manifest.fault is not None:
+        fault = {
+            "fault_type": manifest.fault.fault_type.value,
+            "resource": manifest.fault.resource,
+            "pattern": manifest.fault.pattern,
+            "injection_time": format_timestamp(manifest.fault.injection_time),
+        }
+    return {
+        "kind": RunManifest.KIND,
+        "schema_version": RunManifest.SCHEMA_VERSION,
+        "run_id": manifest.run_id,
+        "start": format_timestamp(manifest.start),
+        "end": format_timestamp(manifest.end),
+        "fault": fault,
+        "failure_time": (None if manifest.failure_time is None else format_timestamp(manifest.failure_time)),
+    }
+
+
+def manifest_from_dict(data):
+    check_kind(data, RunManifest.KIND, RunManifest.SCHEMA_VERSION)
+    fault = None
+    if data.get("fault") is not None:
+        f = data["fault"]
+        fault = InjectedFault(
+            fault_type=FaultType(f["fault_type"]),
+            resource=f["resource"],
+            pattern=f["pattern"],
+            injection_time=parse_timestamp(f["injection_time"]),
+        )
+    failure = data.get("failure_time")
+    return RunManifest(
+        run_id=data["run_id"],
+        start=parse_timestamp(data["start"]),
+        end=parse_timestamp(data["end"]),
+        fault=fault,
+        failure_time=None if failure is None else parse_timestamp(failure),
+    )
+
+
+def scenario_from_dict(data):
+    check_kind(data, SCENARIO_KIND, SCENARIO_SCHEMA_VERSION)
+    start = parse_timestamp(data["start"])
+    fault = None
+    if data.get("fault") is not None:
+        f = dict(data["fault"])
+        fault_type = FaultType(f.pop("fault_type"))
+        resource = f.pop("resource")
+        pattern = Pattern(f.pop("pattern"))
+        if "injection_min" in f:
+            injection = start + 60 * typed("injection_min", f.pop("injection_min"), int)
+        else:
+            injection = parse_timestamp(f.pop("injection_time"))
+        fault = FaultSpec(
+            fault_type=fault_type,
+            resource=resource,
+            pattern=pattern,
+            injection_time=injection,
+            **f,
+        )
+    workload = workload_from_dict(data.get("workload", {}))
+    return Scenario(
+        run_id=data["run_id"],
+        start=start,
+        duration_s=60 * typed("duration_min", data["duration_min"], int),
+        seed=data["seed"],
+        workload=workload,
+        fault=fault,
+        workload_deviation=data.get("workload_deviation", 0.0),
+        zero_noise=data.get("zero_noise", False),
+    )

@@ -38,7 +38,6 @@ from faultcast.sim import (
     FaultSpec,
     Pattern,
     Scenario,
-    Topology,
     WorkloadModel,
     activation_profile,
     default_topology,
@@ -350,20 +349,6 @@ def test_topology_validation():
     assert topology.compute_nodes == ("Compute1", "Compute2")
     assert topology.hosted("Compute2") == ("Homer", "Ralf", "Ellis")
     assert len(catalog(topology)) == 65
-    with pytest.raises(ValueError):
-        Topology(
-            app_vms=("A",),
-            call_path=("A",),
-            queue_vms=(),
-            placement={"A": "C1"},
-            load_share={"A": 1.0},
-            peak_util={"A": 0.5},
-            mem_base={"A": 40.0},
-            recv_gain={"A": 100.0},
-            latency_base={"A": 30.0},
-            incoming_gain={"A": 1.0},
-            callees={"A": ("Ghost",)},
-        )
 
 
 def test_scenario_file_round_trip(tmp_path):
