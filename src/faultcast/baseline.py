@@ -666,9 +666,11 @@ class BaselineModel(Artifact):
     reads: ``kpis``, sorted; by KPI number the [K, 168] ``bucket_means`` and
     ``bucket_stds`` and the [K] ``k_sigma``; by edge, in the model's order,
     the [E] ``cause`` and ``effect`` KPI numbers, the [E, 2p + 1]
-    ``coefficients`` and the [E] ``residual_std``.  It checks every value
-    there, rule by rule as whole arrays, and a :class:`ValueError` names the
-    first bad KPI or edge.  Every edge has the model's one lag order p.
+    ``coefficients`` and the [E] ``residual_std``; and ``effect_order``, the
+    edge numbers sorted by effect, in model order within one effect.  It
+    checks every value there, rule by rule as whole arrays, and a
+    :class:`ValueError` names the first bad KPI or edge.  Every edge has the
+    model's one lag order p.
     """
 
     baselines: Dict[KpiId, UnivariateBaseline]
@@ -710,6 +712,7 @@ class BaselineModel(Artifact):
         _positive(residual_std, lambda e: f"{edge(e)} residual_std")
 
         arrays = dict(bucket_means=means, bucket_stds=stds, k_sigma=k_sigma, cause=cause, effect=effect)
+        arrays.update(effect_order=np.argsort(effect, kind="stable"))
         arrays.update(coefficients=coefficients, residual_std=residual_std)
         for array in arrays.values():
             array.setflags(write=False)

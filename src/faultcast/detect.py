@@ -38,8 +38,9 @@ DEFAULT_TAU = 3.0
 ANOMALY_LOG_HEADER = ["interval_start", "resource", "metric", "kind", "score"]
 
 #: Cells of one [edges, samples] block scored at once by the multivariate
-#: detector (2 MB of float64 per temporary).
-_CHUNK_CELLS = 1 << 18
+#: detector: 256 kB of float64 per buffer, so that a block's five buffers
+#: stay within a core's cache.
+_CHUNK_CELLS = 1 << 15
 
 _SCORE_ERROR = "anomaly score must be finite and non-negative"
 
@@ -151,31 +152,88 @@ def _interval_bins(timestamps: np.ndarray, run_start: int):
     return first + k[lo - m0] * INTERVAL_S, lo
 
 
-def _edge_scores(coef: np.ndarray, x: np.ndarray, y: np.ndarray, full: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Sums of squared one-step residuals of every edge over every interval
-    starting at ``lo``, as an [edges, intervals] matrix: row i of ``x``, ``y``
-    and ``coef`` holds edge i's cause and effect frame rows and its 2p + 1
-    coefficients, and only the columns where row i of ``full`` holds count.
-    The prediction adds the lag terms in a fixed order and each interval's
-    squares, 0 where not counted, are summed as one contiguous row, so a sum
-    does not depend on how many edges or intervals are scored together.
+def _kind_pairs(model: BaselineModel, history: np.ndarray, present: np.ndarray, lo: np.ndarray):
+    """The edges' masks, computed once per (cause kind, effect kind) pair:
+    KPIs share a kind when their ``history`` and ``present`` rows are equal,
+    so a run without gaps has one pair.  Returns each edge's pair number and,
+    by pair, the [P, T] ``full`` columns where both KPIs and their p lags
+    hold a sample, the [P, intervals] ``scored`` count of those and ``ok``,
+    where an edge is scored: at least half the expected samples aligned, and
+    none of them short of lags."""
+    kinds: Dict[bytes, int] = {}
+    kind = np.array([kinds.setdefault(h.tobytes() + q.tobytes(), k) for k, (h, q) in enumerate(zip(history, present))])
+    pairs, pair = np.unique(kind[model.cause] * len(kind) + kind[model.effect], return_inverse=True)
+    cause, effect = np.divmod(pairs, len(kind))
+    full = history[cause] & history[effect]
+    aligned = np.add.reduceat(present[cause] & present[effect], lo, axis=1, dtype=np.intp)
+    scored = np.add.reduceat(full, lo, axis=1, dtype=np.intp)
+    ok = (2 * scored >= INTERVAL_S // CADENCE_S) & (scored == aligned)
+    return pair, full, scored, ok
+
+
+def _edge_worst(model: BaselineModel, values: np.ndarray, present: np.ndarray, history: np.ndarray, lo: np.ndarray):
+    """The worst multivariate score of each KPI over its incoming edges in
+    each interval starting at ``lo``, as a [K, intervals] matrix, -inf where
+    no edge is scored; and the (edge, interval) of the first score, in model
+    order, that is not finite, or None.
+
+    Each edge predicts its effect's row of ``values`` one step ahead, adding
+    the lag terms in a fixed order; its squared residuals, 0 in the columns
+    that do not count, are summed per interval as one contiguous row, so a
+    score does not depend on which edges are scored together.  The edges are
+    taken in effect order, in blocks of at most ``_CHUNK_CELLS`` cells
+    through reused buffers, and each block's effects are reduced at once.
     """
-    p = coef.shape[1] // 2
-    y_lags, x_lags = lags(y, p), lags(x, p)
-    pred = np.empty((len(coef), y.shape[1] - p))
-    pred[:] = coef[:, :1]
-    for i in range(p):
-        pred += coef[:, 1 + i, None] * y_lags[:, i]
-        pred += coef[:, p + 1 + i, None] * x_lags[:, i]
-    sq = np.zeros(y.shape)
-    np.copyto(sq[:, p:], (y[:, p:] - pred) ** 2, where=full[:, p:])
-    h = np.diff(lo, append=y.shape[1])
-    sums = np.empty((len(coef), len(lo)))
-    for width in np.unique(h):
-        at = np.flatnonzero(h == width)
-        cols = lo[at][:, None] + np.arange(width)
-        sums[:, at] = np.add.reduce(np.take(sq, cols, axis=1), axis=-1)
-    return sums
+    p, n = model.config.lag_order, values.shape[1]
+    pair, full, scored, ok = _kind_pairs(model, history, present, lo)
+    worst = np.full((len(model.kpis), len(lo)), -np.inf)
+    edges = model.effect_order[ok.any(axis=1)[pair[model.effect_order]]]
+    if not len(edges):
+        return worst, None
+    holes = p + np.flatnonzero(~full[:, p:].all(axis=0))  # columns some pair does not count
+    count = np.maximum(scored, 1)
+    h = np.diff(lo, append=n)
+    widths = [(int(w), np.flatnonzero(h == w)) for w in np.unique(h)]
+    step = max(1, _CHUNK_CELLS // n)
+    rows = min(step, len(edges))
+    pred, term, sq = np.empty((rows, n - p)), np.empty((rows, n - p)), np.zeros((rows, n))
+    bad = []
+    for first in range(0, len(edges), step):
+        chunk = edges[first : first + step]
+        m, on = len(chunk), pair[chunk]
+        coef, y = model.coefficients[chunk], values[model.effect[chunk]]
+        y_lags, x_lags = lags(y, p), lags(values[model.cause[chunk]], p)
+        guess, lag, squares = pred[:m], term[:m], sq[:m]
+        guess[:] = coef[:, :1]
+        for i in range(p):
+            guess += np.multiply(coef[:, 1 + i, None], y_lags[:, i], out=lag)
+            guess += np.multiply(coef[:, p + 1 + i, None], x_lags[:, i], out=lag)
+        residual = squares[:, p:]
+        np.square(np.subtract(y[:, p:], guess, out=residual), out=residual)
+        if len(holes):
+            squares[:, holes] = np.where(full[on[:, None], holes], squares[:, holes], 0.0)
+        sums = np.empty((m, len(lo)))
+        for width, at in widths:
+            if at[-1] - at[0] == len(at) - 1:  # consecutive intervals: one view
+                cols = squares[:, lo[at[0]] : lo[at[0]] + len(at) * width].reshape(m, len(at), width)
+                np.add.reduce(cols, axis=-1, out=sums[:, at[0] : at[-1] + 1])
+            else:
+                sums[:, at] = np.add.reduce(np.take(squares, lo[at][:, None] + np.arange(width), axis=1), axis=-1)
+        scores = np.sqrt(sums / count[on]) / model.residual_std[chunk, None]
+        counted = ok[on]
+        e, i = np.nonzero(counted & ~np.isfinite(scores))
+        bad += zip(chunk[e].tolist(), i.tolist())
+        scores[~counted] = -np.inf
+        effect = model.effect[chunk]
+        heads = np.flatnonzero(np.diff(effect, prepend=-1))
+        kpi = effect[heads]
+        worst[kpi] = np.maximum(worst[kpi], np.maximum.reduceat(scores, heads, axis=0))
+    return worst, min(bad, default=None)
+
+
+def _too_large(name: str, start) -> FaultcastError:
+    at = format_timestamp(int(start))
+    return FaultcastError(f"{name}: a value in the interval at {at} is too large to score")
 
 
 def _check_scores(counted: np.ndarray, scores: np.ndarray, starts: np.ndarray, name) -> None:
@@ -184,8 +242,7 @@ def _check_scores(counted: np.ndarray, scores: np.ndarray, starts: np.ndarray, n
     bad = np.argwhere(counted & ~np.isfinite(scores))
     if len(bad):
         row, i = bad[0]
-        at = format_timestamp(int(starts[i]))
-        raise FaultcastError(f"{name(row)}: a value in the interval at {at} is too large to score")
+        raise _too_large(name(row), starts[i])
 
 
 def check_tau(tau: float) -> None:
@@ -221,9 +278,10 @@ def detect_stream(
 
     The work is done on the model's arrays
     (:class:`~faultcast.baseline.BaselineModel`) and the run's
-    :class:`~faultcast.core.Frame`, edges in blocks.  The events come back as
-    :class:`AnomalyEvents` columns over the model's KPIs, sorted by (interval
-    start, KPI, kind), with the worst score over an effect's incoming edges.
+    :class:`~faultcast.core.Frame`, edges in blocks (:func:`_edge_worst`).
+    The events come back as :class:`AnomalyEvents` columns over the model's
+    KPIs, sorted by (interval start, KPI, kind), with the worst score over an
+    effect's incoming edges.
     """
     check_tau(tau)
     frame = Frame.of(series_map, model.kpis)
@@ -245,39 +303,18 @@ def detect_stream(
     coverage = np.add.reduceat(present, lo, axis=1, dtype=np.intp)
     evaluated = 2 * coverage >= expected
     _check_scores(evaluated, peaks, starts, lambda r: str(model.kpis[r]))
-    r, i = np.nonzero(evaluated & (peaks > model.k_sigma[:, None]))
-    # exceedance columns: (start, KPI, kind, score)
-    found = [(starts[i], r, _UNIVARIATE, peaks[r, i])]
-
-    history = frame.history(model.config.lag_order)
-    step = max(1, _CHUNK_CELLS // len(frame.timestamps))  # bounds the [edges, timestamps] temporaries
-    for chunk in np.split(np.arange(len(model.edges)), np.arange(step, len(model.edges), step)):
-        cause, effect = model.cause[chunk], model.effect[chunk]
-        full = history[cause] & history[effect]
-        aligned = np.add.reduceat(present[cause] & present[effect], lo, axis=1, dtype=np.intp)
-        scored = np.add.reduceat(full, lo, axis=1, dtype=np.intp)
-        # at least half the expected samples aligned, and none of them short of lags
-        ok = (2 * scored >= expected) & (scored == aligned)
-        if not ok.any():
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = _edge_scores(model.coefficients[chunk], frame.values[cause], frame.values[effect], full, lo)
-            scores = np.sqrt(sums / np.maximum(scored, 1)) / model.residual_std[chunk, None]
-        _check_scores(ok, scores, starts, lambda e: f"edge {model.kpis[cause[e]]} -> {model.kpis[effect[e]]}")
-        e, i = np.nonzero(ok & (scores > tau))
-        found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
-
-    start = np.concatenate([part[0] for part in found])
-    kpi = np.concatenate([part[1] for part in found])
-    kind = np.concatenate([np.full(len(part[0]), part[2], np.int8) for part in found])
-    score = np.concatenate([part[3] for part in found])
-    # one verdict per (start, KPI, kind) cell: the first in this order, the
-    # worst score over an effect's incoming edges
-    order = np.lexsort((-score, kind, kpi, start))
-    start, kpi, kind, score = start[order], kpi[order], kind[order], score[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (np.diff(start) != 0) | (np.diff(kpi) != 0) | (np.diff(kind) != 0)
-    return AnomalyEvents(model.kpis, start[first], kpi[first], kind[first], score[first])
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst, bad = _edge_worst(model, frame.values, present, frame.history(model.config.lag_order), lo)
+    if bad is not None:
+        e, i = bad
+        raise _too_large(f"edge {model.kpis[model.cause[e]]} -> {model.kpis[model.effect[e]]}", starts[i])
+    # one verdict per (interval, KPI, kind) cell, in that order
+    flags = np.zeros((len(starts), len(model.kpis), len(_KINDS)), dtype=bool)
+    flags[..., _MULTIVARIATE] = (worst > tau).T
+    flags[..., _UNIVARIATE] = (evaluated & (peaks > model.k_sigma[:, None])).T
+    i, kpi, kind = np.nonzero(flags)
+    score = np.where(kind == _MULTIVARIATE, worst[kpi, i], peaks[kpi, i])
+    return AnomalyEvents(model.kpis, starts[i], kpi, kind, score)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +324,14 @@ def detect_stream(
 def write_anomaly_log(events: Sequence[AnomalyEvent], target: Union[str, os.PathLike, TextIO]) -> None:
     """Write events as CSV: interval_start,resource,metric,kind,score.
 
-    Each distinct interval start is formatted once, each KPI's names once
-    (quoted by the csv writer) and the scores by one ``repr`` of the whole
-    column.
+    Each distinct interval start is formatted once, the names of each KPI
+    the events name once (quoted by the csv writer) and the scores by one
+    ``repr`` of the whole column.
     """
     events = AnomalyEvents.of(events)
     starts, at = np.unique(events.start, return_inverse=True)
     stamps = [format_timestamp(ts) + "," for ts in starts.tolist()]
-    names = [_kpi_fields(kpi)[1:] for kpi in events.kpis]
+    names = {k: _kpi_fields(events.kpis[k])[1:] for k in np.unique(events.kpi).tolist()}
     kinds = [kind.value + "," for kind in _KINDS]
     # repr of a list of floats is the repr of each, joined by ", "
     scores = repr(events.score.tolist())[1:-1].split(", ")

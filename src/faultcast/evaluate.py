@@ -140,10 +140,14 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """A generated run reduced to what the classifiers need."""
+    """A generated run reduced to what the classifiers need; the events are
+    held as :class:`AnomalyEvents` columns, converted once here."""
 
     manifest: RunManifest
     events: Sequence[AnomalyEvent]
+
+    def __post_init__(self):
+        object.__setattr__(self, "events", AnomalyEvents.of(self.events))
 
 
 @dataclass
@@ -256,14 +260,13 @@ def assemble_windows(runs: Sequence[RunRecord], l_min: int, step_min: int) -> Wi
     Each run's windows come from :func:`window_cells` over the pool's
     sorted KPIs.
     """
-    events = [AnomalyEvents.of(rec.events) for rec in runs]
-    kpis = tuple(sorted(set().union(*(ev.kpis for ev in events))))
+    kpis = tuple(sorted(set().union(*(rec.events.kpis for rec in runs))))
     index = {kpi: i for i, kpi in enumerate(kpis)}
     cells, bounds, labels = [np.zeros((0, len(kpis), 2), dtype=bool)], [], []
-    for rec, ev in zip(runs, events):
+    for rec in runs:
         windows = slide_windows(rec.manifest.start, rec.manifest.end, l_min, step_min)
-        numbers = np.array([index[kpi] for kpi in ev.kpis], dtype=np.intp)[ev.kpi]
-        cells.append(window_cells(ev, numbers, len(kpis), windows))
+        numbers = np.array([index[kpi] for kpi in rec.events.kpis], dtype=np.intp)[rec.events.kpi]
+        cells.append(window_cells(rec.events, numbers, len(kpis), windows))
         bounds += windows
         labels += [window_label(rec.manifest, start, end) for start, end in windows]
     start, end = np.array(bounds, dtype=np.int64).reshape(-1, 2).T

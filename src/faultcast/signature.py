@@ -576,8 +576,12 @@ def train_signature(
     min_leaf: int = DEFAULT_MIN_LEAF,
 ) -> SignatureModel:
     """Train a signature classifier from a pool of labeled windows: a tree
-    of unbounded depth, or naive Bayes with the default smoothing."""
+    of unbounded depth, or naive Bayes with the default smoothing.  The pool
+    must hold two classes at least: one class alone would be named for every
+    window, fault-free ones too."""
     x, y, classes = _dataset(pool, vocab, algorithm)
+    if len(classes) < 2:
+        raise ValueError(f"every window is labelled {classes[0]}; a signature needs windows of two classes at least")
     model = train_tree(x, y, classes, min_leaf) if algorithm == "tree" else train_nb(x, y, classes)
     return SignatureModel(vocabulary=vocab, window_min=window_min, model=model)
 

@@ -5,7 +5,8 @@ reader, the reader that split blocks of lines on commas in Python, the
 per-pair causality graph loop, the one-``lstsq``-per-pair graph, the
 baseline file reader that typed one value and checked one row at a time,
 the per-(edge, interval) detector, the ``KpiId``-keyed batched detector that
-the model's arrays replaced, the per-feature and the one-node-at-a-time tree
+the model's arrays replaced, the model-array detector with every edge's
+masks of its own that the kind-pair masks replaced, the per-feature and the one-node-at-a-time tree
 growers, the tree as a graph of node objects walked one row at a time, the
 tree descent through a block's next-node map, the per-sample fold deal, the
 per-row and per-fold classifiers, the class distribution's top rule, the
@@ -53,6 +54,8 @@ from faultcast.baseline import (
 from faultcast.core import (
     _KIND_CODES,
     _KINDS,
+    _MULTIVARIATE,
+    _UNIVARIATE,
     CADENCE_S,
     HOURS_PER_WEEK,
     INTERVAL_S,
@@ -60,7 +63,9 @@ from faultcast.core import (
     CsvParseError,
     DuplicateSampleError,
     FailureClass,
+    FaultcastError,
     FaultType,
+    Frame,
     KpiId,
     OrderingError,
     SYSTEM_RESOURCE,
@@ -71,7 +76,16 @@ from faultcast.core import (
     parse_timestamp,
     typed,
 )
-from faultcast.detect import _SCORE_ERROR, ANOMALY_LOG_HEADER, DEFAULT_TAU, AnomalyEvent, AnomalyEvents
+from faultcast.detect import (
+    _SCORE_ERROR,
+    ANOMALY_LOG_HEADER,
+    DEFAULT_TAU,
+    AnomalyEvent,
+    AnomalyEvents,
+    _check_scores,
+    check_tau,
+)
+from faultcast.detect import _interval_bins as _frame_bins
 from faultcast.evaluate import _HOST_FAULTS, RunSpec, SuiteConfig, run_day
 from faultcast.io import CSV_HEADER, InjectedFault, RunManifest, _Columns, check_kind
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
@@ -805,6 +819,84 @@ def detect_stream_batched(model, series_map, run_start, *, tau=DEFAULT_TAU, chun
         events.append(AnomalyEvent(start, kpi, AnomalyKind.MULTIVARIATE, score))
     events.sort()
     return events
+
+
+def _edge_scores_masked(coef, x, y, full, lo):
+    """Sums of squared one-step residuals of every edge over every interval
+    starting at ``lo``: row i of ``x``, ``y`` and ``coef`` holds edge i's
+    cause and effect frame rows and its 2p + 1 coefficients, and only the
+    columns where row i of ``full`` holds count, each interval's squares, 0
+    where not counted, summed as one contiguous row."""
+    p = coef.shape[1] // 2
+    y_lags, x_lags = lags(y, p), lags(x, p)
+    pred = np.empty((len(coef), y.shape[1] - p))
+    pred[:] = coef[:, :1]
+    for i in range(p):
+        pred += coef[:, 1 + i, None] * y_lags[:, i]
+        pred += coef[:, p + 1 + i, None] * x_lags[:, i]
+    sq = np.zeros(y.shape)
+    np.copyto(sq[:, p:], (y[:, p:] - pred) ** 2, where=full[:, p:])
+    h = np.diff(lo, append=y.shape[1])
+    sums = np.empty((len(coef), len(lo)))
+    for width in np.unique(h):
+        at = np.flatnonzero(h == width)
+        cols = lo[at][:, None] + np.arange(width)
+        sums[:, at] = np.add.reduce(np.take(sq, cols, axis=1), axis=-1)
+    return sums
+
+
+def detect_stream_edge_masks(model, series_map, run_start, *, tau=DEFAULT_TAU, chunk_cells=1 << 18):
+    """The model-array detector with every edge's masks of its own: edges
+    scored in model order in blocks of ``chunk_cells`` cells, each block's
+    masks from its edges' ``history`` and presence rows, one temporary per
+    lag term, the interval sums through ``np.take`` copies, and the worst
+    score per (interval, effect) kept by a 4-key sort of every exceedance."""
+    check_tau(tau)
+    frame = Frame.of(series_map, model.kpis)
+    present = np.isfinite(frame.values)
+    missing = np.flatnonzero(~present.any(axis=1))
+    if len(missing):
+        raise FaultcastError(f"the data lacks {len(missing)} of the baseline's KPIs, first {model.kpis[missing[0]]}")
+    if not len(frame.timestamps):
+        return AnomalyEvents(model.kpis, [], [], [], [])
+    expected = INTERVAL_S // CADENCE_S
+    starts, lo = _frame_bins(frame.timestamps, run_start)
+    bucket = hour_of_week(frame.timestamps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.abs(frame.values - model.bucket_means[:, bucket]) / model.bucket_stds[:, bucket]
+    peaks = np.fmax.reduceat(z, lo, axis=1)
+    coverage = np.add.reduceat(present, lo, axis=1, dtype=np.intp)
+    evaluated = 2 * coverage >= expected
+    _check_scores(evaluated, peaks, starts, lambda r: str(model.kpis[r]))
+    r, i = np.nonzero(evaluated & (peaks > model.k_sigma[:, None]))
+    found = [(starts[i], r, _UNIVARIATE, peaks[r, i])]
+
+    history = frame.history(model.config.lag_order)
+    step = max(1, chunk_cells // len(frame.timestamps))
+    for chunk in np.split(np.arange(len(model.edges)), np.arange(step, len(model.edges), step)):
+        cause, effect = model.cause[chunk], model.effect[chunk]
+        full = history[cause] & history[effect]
+        aligned = np.add.reduceat(present[cause] & present[effect], lo, axis=1, dtype=np.intp)
+        scored = np.add.reduceat(full, lo, axis=1, dtype=np.intp)
+        ok = (2 * scored >= expected) & (scored == aligned)
+        if not ok.any():
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _edge_scores_masked(model.coefficients[chunk], frame.values[cause], frame.values[effect], full, lo)
+            scores = np.sqrt(sums / np.maximum(scored, 1)) / model.residual_std[chunk, None]
+        _check_scores(ok, scores, starts, lambda e: f"edge {model.kpis[cause[e]]} -> {model.kpis[effect[e]]}")
+        e, i = np.nonzero(ok & (scores > tau))
+        found.append((starts[i], effect[e], _MULTIVARIATE, scores[e, i]))
+
+    start = np.concatenate([part[0] for part in found])
+    kpi = np.concatenate([part[1] for part in found])
+    kind = np.concatenate([np.full(len(part[0]), part[2], np.int8) for part in found])
+    score = np.concatenate([part[3] for part in found])
+    order = np.lexsort((-score, kind, kpi, start))
+    start, kpi, kind, score = start[order], kpi[order], kind[order], score[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(start) != 0) | (np.diff(kpi) != 0) | (np.diff(kind) != 0)
+    return AnomalyEvents(model.kpis, start[first], kpi[first], kind[first], score[first])
 
 
 def write_anomaly_log_rows(events, stream):

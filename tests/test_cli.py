@@ -37,6 +37,7 @@ from faultcast.evaluate import RunRecord, SuiteConfig, assemble_windows, build_s
 from faultcast.io import RunManifest, ingest_csv
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, run_predictor, write_alert_log
 from faultcast.signature import SignatureModel, Vocabulary, train_signature
+from faultcast.sim import load_scenario
 
 import oracles
 from conftest import run_cli
@@ -284,6 +285,24 @@ def test_a_value_too_large_to_score_is_one_error_line(quick_start_files, tmp_pat
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Sprout/CpuIdlePct" in proc.stderr and "2026-01-19T" in proc.stderr, proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_train_signature_rejects_windows_of_one_class(quick_start_files, tmp_path, capsys):
+    # every window of the leak run holds the fault: trained on it alone, a
+    # signature once made predict alert on a fault-free day
+    _, manifest = load_scenario(CONFIGS / "leak-sprout-constant.json").generate()
+    log, manifest_path, out = tmp_path / "leak-anomalies.csv", tmp_path / "leak.manifest.json", tmp_path / "sig.json"
+    write_anomaly_log(quick_start_files["events"], log)
+    manifest.save(manifest_path)
+    baseline = quick_start_files["baseline.json"]
+    args = ["train-signature", "--baseline", baseline, "--run", log, manifest_path, "--out", out]
+    capsys.readouterr()
+    assert cli.main([str(arg) for arg in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: every window is labelled MemoryLeak(Sprout); a signature needs windows of two classes at least\n"
+    )
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["detect", "predict"])

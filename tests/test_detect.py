@@ -405,6 +405,86 @@ def test_stream_with_gaps_equals_the_by_timestamp_oracle(case, chunk_cells):
     assert events == oracles.detect_stream_by_timestamp(model, series, run_start, tau=tau)
 
 
+def outcome(detector, *args, **kwargs):
+    """The KPIs and the bytes of each event column, or the message of the
+    error raised."""
+    try:
+        events = detector(*args, **kwargs)
+    except FaultcastError as exc:
+        return str(exc)
+    return events.kpis, *(column.tobytes() for column in (events.start, events.kpi, events.kind, events.score))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(detection_cases(), detection_cases(gaps=True)),
+    st.sampled_from([detect._CHUNK_CELLS, 1, 40]),
+    st.data(),
+)
+def test_kind_pair_stream_equals_the_per_edge_mask_oracle_bit_for_bit(case, chunk_cells, data):
+    # the same columns bit for bit, or the same overflow naming the first
+    # edge in model order, whichever block scores it
+    model, series, run_start, tau = case
+    if data.draw(st.booleans()):  # a value whose square overflows
+        for kpi in data.draw(st.lists(st.sampled_from(sorted(series)), min_size=1, max_size=3)):
+            values = series[kpi].values.copy()
+            values[data.draw(st.integers(0, len(values) - 1))] = 1e200
+            series[kpi] = TimeSeries(kpi, series[kpi].timestamps, values)
+    with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells):
+        got = outcome(detect_stream, model, series, run_start, tau=tau)
+    assert got == outcome(oracles.detect_stream_edge_masks, model, series, run_start, tau=tau)
+
+
+def test_kpis_that_differ_in_their_gaps_are_scored_in_several_kind_pairs(suite_data):
+    # the leak run with a different span cut from each of three KPIs: their
+    # edges fall into several (cause kind, effect kind) pairs
+    scenario = load_scenario(CONFIGS / "leak-sprout-constant.json")
+    series, _ = scenario.generate(default_topology())
+    cuts = {
+        KpiId("Sprout", "CpuIdlePct"): (60, 70),
+        KpiId("Homer", "CpuIdlePct"): (20, 24),
+        KpiId("Sprout", "MemUsedPct"): (100, 101),
+    }
+    for kpi, (lo, hi) in cuts.items():
+        rows = np.r_[0:lo, hi : len(series[kpi])]
+        series[kpi] = TimeSeries(kpi, series[kpi].timestamps[rows], series[kpi].values[rows])
+    real, pairs = detect._kind_pairs, []
+
+    def kind_pairs(*args):
+        pair, full, scored, ok = real(*args)
+        pairs.append(len(full))
+        return pair, full, scored, ok
+
+    with mock.patch.object(detect, "_kind_pairs", kind_pairs):
+        got = outcome(detect_stream, suite_data.baseline, series, scenario.start, tau=0.0)
+    assert pairs[0] > 4, pairs
+    expected = outcome(oracles.detect_stream_edge_masks, suite_data.baseline, series, scenario.start, tau=0.0)
+    assert got == expected
+    with mock.patch.object(detect, "_kind_pairs", kind_pairs):
+        unbroken = detect_stream(suite_data.baseline, scenario.generate(default_topology())[0], scenario.start)
+    assert pairs[1] == 1 and unbroken
+
+
+def test_an_overflow_names_the_first_edge_in_model_order():
+    # C -> B comes first in effect order, A -> C first in the model's; a
+    # value too large in C overflows both in the interval at minute 10
+    ka, kb, kc = KpiId("A", "m"), KpiId("B", "m"), KpiId("C", "m")
+    baselines = {kpi: flat_baseline(kpi, 0.0, 1.0) for kpi in (ka, kb, kc)}
+    shared = dict(weight=0.99, lag_order=1, coefficients=(0.0, 0.5, 0.5), residual_std=1.0)
+    edges = (GrangerEdge(cause=ka, effect=kc, **shared), GrangerEdge(cause=kc, effect=kb, **shared))
+    model = BaselineModel(baselines=baselines, edges=edges, config=BaselineConfig(lag_order=1))
+    assert model.effect_order.tolist() == [1, 0]
+    ts = 60 * np.arange(20, dtype=np.int64)
+    values = np.zeros(20)
+    values[12] = 1e200
+    series = {kpi: TimeSeries(kpi, ts, np.zeros(20)) for kpi in (ka, kb)}
+    series[kc] = TimeSeries(kc, ts, values)
+    message = r"^edge A/m -> C/m: a value in the interval at 1970-01-01T00:10:00Z is too large"
+    for chunk_cells in (detect._CHUNK_CELLS, 1):
+        with mock.patch.object(detect, "_CHUNK_CELLS", chunk_cells), pytest.raises(FaultcastError, match=message):
+            detect_stream(model, series, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(detection_cases(), st.sampled_from(["shifted", "sub-cadence", "dropped"]), st.data())
 def test_stream_rejects_off_cadence_samples_and_missing_kpis(case, fault, data):
@@ -483,6 +563,9 @@ def test_anomaly_log_reader_shares_kpis_and_keeps_error_lines():
     events = read_anomaly_log(io.StringIO(text))
     assert [e.interval_start for e in events] == [1767225600, 1767225600, 1767225900]
     assert events[0].kpi is events[1].kpi is events[2].kpi
+    # one object for the names over every file read, the row reader's too
+    again = read_anomaly_log(io.StringIO(text.replace("Homer,m,Multivariate", '"Homer",m,Multivariate')))
+    assert again[0].kpi is again[1].kpi is events[0].kpi
     # a bad repeat of a good timestamp or KPI still fails at its own line
     for bad, message in [
         ("2026-01-01T00:00:00,Homer,m,Univariate,1.0", "line 5"),

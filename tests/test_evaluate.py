@@ -15,13 +15,16 @@ from faultcast.core import (
     DAY_S,
     NORMAL_CLASS,
     SYSTEM_RESOURCE,
+    AnomalyKind,
     FailureClass,
     FaultType,
+    KpiId,
     SchemaVersionError,
     hour_of_week,
     parse_timestamp,
     slide_windows,
 )
+from faultcast.detect import AnomalyEvent, AnomalyEvents
 from faultcast.io import InjectedFault, RunManifest
 from faultcast.metrics import Contingency, EffectivenessMetrics, metrics
 from faultcast.evaluate import (
@@ -31,6 +34,7 @@ from faultcast.evaluate import (
     RQ4_TARGET,
     Rq1Row,
     Rq3Run,
+    RunRecord,
     SuiteConfig,
     assemble_windows,
     default_run_specs,
@@ -289,6 +293,23 @@ def fake_rq1_row(window_min, f_measure, algorithm="tree"):
         ),
         alarm_rate=0.0,
     )
+
+
+def test_a_run_record_holds_its_events_as_columns():
+    ka, kb = KpiId("Sprout", "CpuIdlePct"), KpiId("Homer", "MemUsedPct")
+    events = [
+        AnomalyEvent(0, kb, AnomalyKind.UNIVARIATE, 4.5),
+        AnomalyEvent(300, ka, AnomalyKind.MULTIVARIATE, 3.25),
+        AnomalyEvent(300, kb, AnomalyKind.UNIVARIATE, 6.0),
+    ]
+    columns = AnomalyEvents.of(events)
+    manifest = RunManifest("run", 0, 900)
+    for given_events in (tuple(events), list(events), columns):
+        record = RunRecord(manifest, given_events)
+        assert type(record.events) is AnomalyEvents
+        assert record.events == events and record.events.kpis == (kb, ka)
+    assert RunRecord(manifest, columns).events is columns  # converted once, not copied
+    assert RunRecord(manifest, ()).events == [] and RunRecord(manifest, ()) == RunRecord(manifest, [])
 
 
 def test_rq1_f_gap_measures_distance_to_the_best_length():

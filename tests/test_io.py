@@ -23,6 +23,7 @@ from faultcast.core import (
     AnomalyKind,
     CsvParseError,
     DuplicateSampleError,
+    FailureClass,
     FaultType,
     KpiId,
     SchemaVersionError,
@@ -174,8 +175,10 @@ def tiny_baseline() -> dict:
 
 
 def tiny_signature() -> dict:
-    vocab = Vocabulary([KpiId("Homer", "CpuIdlePct")])
-    return train_signature(oracles.pool_of([(0, 600, frozenset(), NORMAL_CLASS)]), vocab).to_dict()
+    kpi = KpiId("Homer", "CpuIdlePct")
+    hog = FailureClass(FaultType.CPU_HOG, "Homer")
+    windows = [(0, 600, frozenset(), NORMAL_CLASS), (0, 600, frozenset([(kpi, AnomalyKind.UNIVARIATE)]), hog)]
+    return train_signature(oracles.pool_of(windows), Vocabulary([kpi])).to_dict()
 
 
 def tiny_scenario() -> dict:

@@ -304,8 +304,8 @@ def intake(short_pipeline, tmp_path_factory):
     """The JSON inputs of one small pass, as text, and the arguments of each
     command that reads them: a 30-minute leak scenario for ``simulate``, the
     one-day baseline for ``detect``, the leak run's anomaly log and manifest
-    for ``train-signature`` and the signature trained on them for
-    ``predict``."""
+    for ``train-signature``, with the fault-free training run's, and the
+    signature trained on them for ``predict``."""
     root = tmp_path_factory.mktemp("intake")
     scenario = json.loads(short_pipeline["fault_scenario"].read_text(encoding="utf-8"))
     scenario["duration_min"] = 30
@@ -313,7 +313,11 @@ def intake(short_pipeline, tmp_path_factory):
     baseline, data, manifest = (short_pipeline[key] for key in ("baseline", "fault_csv", "fault_manifest"))
     start = ["--run-start", short_pipeline["run_start"]]
     assert cli.main(["detect", "--baseline", str(baseline), "--data", str(data), "--out", str(log), *start]) == 0
-    args = ["train-signature", "--baseline", str(baseline), "--run", str(log), str(manifest)]
+    # a fault-free run, so that the windows hold two classes
+    normal = ["--run", root / "training-anomalies.csv", short_pipeline["train_csv"].with_suffix(".manifest.json")]
+    detect_normal = ["detect", "--baseline", baseline, "--data", short_pipeline["train_csv"], "--out", normal[1]]
+    assert cli.main([str(arg) for arg in detect_normal]) == 0
+    args = ["train-signature", "--baseline", str(baseline), "--run", str(log), str(manifest), *map(str, normal)]
     assert cli.main([*args, "--out", str(signature)]) == 0
     texts = {
         "scenario": json.dumps(scenario),
@@ -325,7 +329,7 @@ def intake(short_pipeline, tmp_path_factory):
         "simulate": lambda f, out: ["simulate", "--scenario", f["scenario"], "--out", out],
         "detect": lambda f, out: ["detect", "--baseline", f["baseline"], "--data", data, "--out", out, *start],
         "train-signature": lambda f, out: [
-            "train-signature", "--baseline", f["baseline"], "--run", log, f["manifest"], "--out", out,
+            "train-signature", "--baseline", f["baseline"], "--run", log, f["manifest"], *normal, "--out", out,
         ],
         "predict": lambda f, out: [
             "predict", "--baseline", f["baseline"], "--signature", f["signature"], "--data", data, "--out", out,

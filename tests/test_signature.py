@@ -239,9 +239,10 @@ def test_window_features_of_columns_equal_those_of_the_events(events, data):
     events += data.draw(st.lists(st.sampled_from(events), max_size=10)) if events else []
     columns = AnomalyEvents.of(events)
     manifest = RunManifest("run", -1200, 9300)
-    pools = [assemble_windows([RunRecord(manifest, e)], 175, 5) for e in (columns, list(columns), events)]
+    given_events = (columns, list(columns), events, tuple(events), tuple(columns))
+    pools = [assemble_windows([RunRecord(manifest, e)], 175, 5) for e in given_events]
     features = [oracles.pool_features(pool) for pool in pools]
-    assert features[0] == features[1] == features[2]
+    assert all(f == features[0] for f in features[1:])
     assert features[0][0] == oracles.window_features(columns) == oracles.buffer_anomalies([(0, events)])
     assert all(type(kpi) is KpiId and type(kind) is AnomalyKind for kpi, kind in features[0][0])
 
@@ -692,6 +693,20 @@ def test_signature_rejects_wrong_payload(tmp_path):
         cross_validate(empty, vocab, algorithm="forest")
     with pytest.raises(ValueError, match="no window samples"):
         train_signature(empty, vocab)
+
+
+@pytest.mark.parametrize("algorithm", ["tree", "nb"])
+def test_windows_of_one_class_train_no_signature(algorithm):
+    # a signature trained on leak windows alone names the leak for any
+    # window, the fault-free ones too
+    vocab, pool = window_fixture()
+    marker = vocab.kpis[0]
+    leak_only = oracles.pool_of([(0, 5400, frozenset([anomaly(marker)]), LOSS_HOMER)] * 3)
+    message = r"^every window is labelled PacketLoss\(Homer\); a signature needs windows of two classes at least$"
+    with pytest.raises(ValueError, match=message):
+        train_signature(leak_only, vocab, algorithm)
+    two = oracles.pool_of([(0, 5400, frozenset(), NORMAL_CLASS), (0, 5400, frozenset([anomaly(marker)]), LOSS_HOMER)])
+    assert set(train_signature(two, vocab, algorithm).classes) == {LOSS_HOMER, NORMAL_CLASS}
 
 
 @pytest.mark.parametrize("entry", [["Homer", 3], ["Homer", "m", "x"], "Homer/m", ["Homer", None]])
