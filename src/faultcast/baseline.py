@@ -20,6 +20,7 @@ from .core import (
     KpiId,
     TimeSeries,
     hour_of_week,
+    kpi_id,
     lags,
 )
 from .io import Artifact, check_kind, check_ranges, from_json, to_json, typed_array
@@ -754,13 +755,10 @@ class BaselineModel(Artifact):
         check_kind(data, BASELINE_KIND, BASELINE_SCHEMA_VERSION)
         config = from_json(BaselineConfig, data["config"], prefix="config ")
         bands, links = data["baselines"], data["edges"]
-        kpis = [KpiId(item["resource"], item["metric"]) for item in bands]
-        own = {(kpi.resource, kpi.metric): kpi for kpi in kpis}
-        if len(own) < len(kpis):
+        kpis = [kpi_id(item["resource"], item["metric"]) for item in bands]
+        if len(set(kpis)) < len(kpis):
             raise ValueError(f"{next(kpi for k, kpi in enumerate(kpis) if kpi in kpis[:k])} has two baselines")
-        cause, effect = (
-            [own.get(tuple(item[key])) or KpiId(*item[key]) for item in links] for key in ("cause", "effect")
-        )
+        cause, effect = ([kpi_id(*item[key]) for item in links] for key in ("cause", "effect"))
 
         def column(items, key, name, kind=float) -> list:
             return typed_array(lambda i: f"{name(i)} {key}", [item[key] for item in items], kind).tolist()

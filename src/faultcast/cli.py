@@ -30,7 +30,7 @@ from .evaluate import (
 )
 from .io import RunManifest, _open_text, ingest_csv, write_csv
 from .predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, check_alert_rule, run_predictor, write_alert_log
-from .sim import default_topology, load_scenario
+from .sim import load_scenario
 from .signature import SignatureModel, Vocabulary, train_signature
 
 logger = logging.getLogger(__name__)
@@ -65,7 +65,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    series, manifest = scenario.generate(default_topology())
+    series, manifest = scenario.generate()
     write_csv(series, args.out)
     manifest_path = args.manifest or str(Path(args.out).with_suffix("")) + ".manifest.json"
     manifest.save(manifest_path)

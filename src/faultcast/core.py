@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -131,6 +132,20 @@ class KpiId:
 
     def __str__(self) -> str:
         return f"{self.resource}/{self.metric}"
+
+
+_interned = lru_cache(maxsize=1 << 12)(KpiId)
+
+
+def kpi_id(resource: str, metric: str) -> KpiId:
+    """The checked :class:`KpiId` of a name pair, one object for the pair in
+    the process (of the 4096 pairs last used), so that a KPI made by the
+    simulator, a file reader or a loaded model finds another's dict entry by
+    identity, not by ``__eq__``."""
+    try:
+        return _interned(resource, metric)
+    except TypeError:  # an unhashable name: KpiId says what is wrong with it
+        return KpiId(resource, metric)
 
 
 class TimeSeries:

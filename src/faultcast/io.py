@@ -12,7 +12,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain
 from typing import Annotated, Dict, Iterator, List, Optional, TextIO, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -28,6 +28,7 @@ from .core import (
     SchemaVersionError,
     TimeSeries,
     format_timestamp,
+    kpi_id,
     parse_timestamp,
     typed,
 )
@@ -234,14 +235,6 @@ def _texts(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out.view(f"S{width}")[:, 0]
 
 
-@lru_cache(maxsize=1 << 12)
-def _kpi_id(resource: str, metric: str) -> KpiId:
-    """The checked :class:`KpiId` of a name pair, one object for the pair
-    over every file read, so that a process reading many files holds each
-    KPI's names once."""
-    return KpiId(resource, metric)
-
-
 class _Columns:
     """The rows of one CSV body as typed ``columns``: timestamps, numbers
     into ``kpis``, then the fields after ``timestamp,resource,metric`` as
@@ -285,7 +278,7 @@ class _Columns:
             # validated and numbered in order of first appearance
             for resource, metric in dict.fromkeys(zip(resources, metrics)):
                 if metric not in self.kpi_memo.get(resource, ()):
-                    self.kpis.append(_kpi_id(resource, metric))
+                    self.kpis.append(kpi_id(resource, metric))
                     self.kpi_memo.setdefault(resource, {})[metric] = len(self.kpis) - 1
             return list(map(dict.__getitem__, map(self.kpi_memo.__getitem__, resources), metrics))
 

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import _MULTIVARIATE, _UNIVARIATE, DEFAULT_WINDOW_MIN, FailureClass, FaultType, KpiId, SchemaVersionError
+from .core import kpi_id
 from .io import Artifact, check_kind, typed
 from .metrics import Contingency
 
@@ -537,7 +538,7 @@ class SignatureModel(Artifact):
         for entry in data["vocabulary"]:
             if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(name, str) for name in entry)):
                 raise TypeError(f"vocabulary entry {entry!r} must be two strings, a resource and a metric")
-        vocab = Vocabulary((KpiId(r, m) for r, m in data["vocabulary"]), split_kinds=split_kinds)
+        vocab = Vocabulary((kpi_id(r, m) for r, m in data["vocabulary"]), split_kinds=split_kinds)
         classes = tuple(FailureClass(FaultType(ft), res) for ft, res in data["classes"])
         if not classes or list(classes) != sorted(set(classes)):
             raise ValueError("classes must be listed sorted and distinct, as training writes them")

@@ -23,12 +23,14 @@ from .core import (
     Pattern,
     SYSTEM_RESOURCE,
     TimeSeries,
+    format_timestamp,
     hour_of_week,
+    kpi_id,
     parse_timestamp,
     typed,
 )
 from .io import InjectedFault, RunManifest, Timestamp, check_fields, check_kind, check_ranges, from_json, load_json
-from .io import typed_array
+from .io import MAX_CSV_TIMESTAMP, MIN_CSV_TIMESTAMP, typed_array
 
 SCENARIO_KIND = "faultcast-scenario"
 SCENARIO_SCHEMA_VERSION = 1
@@ -278,8 +280,6 @@ def activation_profile(
 
 
 def _lag1(values: np.ndarray) -> np.ndarray:
-    if len(values) == 0:
-        return values
     return np.concatenate(([values[0]], values[:-1]))
 
 
@@ -308,99 +308,65 @@ _CUMULATIVE_DROP = {
 _LEAK_RATE_PER_MIN = 0.85
 _HOG_BUSY_ADD = 72.0
 _EW_MULTIPLIER = 2.5
-_CORRUPTION_ERRORS = 22.0
-_LOSS_RETRANS = 45.0
-_CORRUPTION_RETRANS = 27.0
-_LATENCY_TIMEOUTS = 12.0
+
+#: the packet faults' footprint per unit of ``strength * a * severity``:
+#: loss off the net factor, latency added on a call-path VM and on the hub
+#: for a backend VM, and the other terms added on the faulty VM
+_PACKET = {
+    FaultType.PACKET_LOSS: (0.6, 150.0, 120.0, {"retrans": 45.0}),
+    FaultType.PACKET_LATENCY: (0.12, 260.0, 200.0, {"timeout": 12.0}),
+    FaultType.PACKET_CORRUPTION: (-0.08, 90.0, 70.0, {"errors": 22.0, "retrans": 27.0}),
+}
 
 #: system-wide utilization knee above which calls get rejected / success
 #: collapses; unreachable without an excessive-workload fault
 _CAPACITY_KNEE = 1.55
 
 
-class _FaultEffects:
-    """Per-resource activation slices derived from one FaultSpec."""
+def fault_footprint(topology: Topology, fault: FaultSpec, a: np.ndarray) -> Dict[Tuple[str, str], np.ndarray]:
+    """The terms a fault sets in a run, keyed by (term, resource): the
+    ``net`` and ``workload`` factors and the ``latency``, ``errors``,
+    ``retrans``, ``timeout`` (keyed by the slow callee), ``busy``, ``leak``,
+    ``immediate`` and ``cumulative`` additions; run-wide terms are keyed by
+    ``SYSTEM_RESOURCE``.  A term the fault leaves alone is absent: a factor
+    of one, an addition of zero."""
+    if not np.any(a > 0):
+        return {}
+    sev, kind, target = fault.severity, fault.fault_type, fault.resource
+    s_min = np.cumsum(a)  # full-intensity minutes of activation
 
-    def __init__(self, topology: Topology, fault: Optional[FaultSpec], a: np.ndarray, n: int):
-        zero = np.zeros(n)
-        self.workload_mult = np.ones(n)
-        self.net_factor = {vm: np.ones(n) for vm in topology.app_vms}
-        self.latency_add = {vm: zero.copy() for vm in topology.call_path}
-        self.errors_add = {vm: zero.copy() for vm in topology.app_vms}
-        self.retrans_add = {vm: zero.copy() for vm in topology.app_vms}
-        # keyed by the slow callee; emitted on every VM that calls it
-        self.timeout_add = {vm: zero.copy() for vm in topology.app_vms}
-        self.busy_add = {r: zero.copy() for r in topology.app_vms + topology.compute_nodes}
-        self.leak = {r: zero.copy() for r in topology.app_vms + topology.compute_nodes}
-        self.immediate = zero.copy()
-        self.cumulative = zero.copy()
-        if fault is None or not np.any(a > 0):
-            return
+    fx = {("immediate", SYSTEM_RESOURCE): _IMMEDIATE_DROP[kind] * a * sev}
+    drop, tau = _CUMULATIVE_DROP[kind]
+    if drop > 0:
+        fx["cumulative", SYSTEM_RESOURCE] = drop * sev * np.minimum(1.0, s_min / tau) ** 2
 
-        sev = fault.severity
-        kind = fault.fault_type
-        target = fault.resource
-        s_min = np.cumsum(a)  # full-intensity minutes of activation
+    if kind is FaultType.EXCESSIVE_WORKLOAD:
+        fx["workload", SYSTEM_RESOURCE] = 1.0 + _EW_MULTIPLIER * a * sev
+    elif kind is FaultType.MEMORY_LEAK:
+        fx["leak", target] = _LEAK_RATE_PER_MIN * sev * s_min
+    elif kind is FaultType.CPU_HOG:
+        fx["busy", target] = _HOG_BUSY_ADD * a * sev
+    else:
+        loss, lat_own, lat_side, adds = _PACKET[kind]
+        hosted = topology.hosted(target) if target in topology.compute_nodes else ()
+        strength = 0.5 if hosted else 1.0
 
-        self.immediate = _IMMEDIATE_DROP[kind] * a * sev
-        drop, tau = _CUMULATIVE_DROP[kind]
-        if drop > 0:
-            self.cumulative = drop * sev * np.minimum(1.0, s_min / tau) ** 2
+        def add(term: str, resource: str, gain: float) -> None:
+            fx[term, resource] = fx.get((term, resource), 0.0) + gain * strength * a * sev
 
-        compute_targets = ()
-        if target in topology.compute_nodes:
-            compute_targets = topology.hosted(target)
-
-        if kind is FaultType.EXCESSIVE_WORKLOAD:
-            self.workload_mult = 1.0 + _EW_MULTIPLIER * a * sev
-        elif kind is FaultType.PACKET_LOSS:
-            self._packet(
-                topology, target, compute_targets, a, sev,
-                loss=0.6, lat_own=150.0, lat_side=120.0, retrans=_LOSS_RETRANS,
-            )
-        elif kind is FaultType.PACKET_LATENCY:
-            self._packet(
-                topology, target, compute_targets, a, sev,
-                loss=0.12, lat_own=260.0, lat_side=200.0, timeouts=_LATENCY_TIMEOUTS,
-            )
-        elif kind is FaultType.PACKET_CORRUPTION:
-            self._packet(
-                topology, target, compute_targets, a, sev,
-                loss=-0.08, lat_own=90.0, lat_side=70.0,
-                errors=_CORRUPTION_ERRORS, retrans=_CORRUPTION_RETRANS,
-            )
-        elif kind is FaultType.MEMORY_LEAK:
-            self.leak[target] = _LEAK_RATE_PER_MIN * sev * s_min
-        elif kind is FaultType.CPU_HOG:
-            self.busy_add[target] = _HOG_BUSY_ADD * a * sev
-
-    def _packet(
-        self, topology, target, compute_targets, a, sev,
-        *, loss, lat_own, lat_side, errors=0.0, retrans=0.0, timeouts=0.0,
-    ):
-        """Shared footprint builder for the three packet-level faults."""
-        vms = compute_targets or (target,)
-        strength = 0.5 if compute_targets else 1.0
-        for vm in vms:
-            self.net_factor[vm] = 1.0 - loss * strength * a * sev
-            if errors:
-                self.errors_add[vm] = errors * strength * a * sev
-            if retrans:
-                self.retrans_add[vm] = self.retrans_add[vm] + retrans * strength * a * sev
-            if timeouts:
-                self.timeout_add[vm] = self.timeout_add[vm] + timeouts * strength * a * sev
+        for vm in hosted or (target,):
+            fx["net", vm] = 1.0 - loss * strength * a * sev
+            for name, gain in adds.items():
+                add(name, vm, gain)
             if vm in topology.call_path:
-                self.latency_add[vm] = self.latency_add[vm] + lat_own * strength * a * sev
+                add("latency", vm, lat_own)
                 upstream = {"Sprout": "Bono", "Homestead": "Sprout"}.get(vm)
-                if upstream and upstream in self.latency_add:
-                    self.latency_add[upstream] = (
-                        self.latency_add[upstream] + 0.45 * lat_own * strength * a * sev
-                    )
+                if upstream:
+                    add("latency", upstream, 0.45 * lat_own)
             else:
                 # backend VMs surface their trouble on the hub's client side
-                for hub in ("Sprout",):
-                    if hub in self.latency_add:
-                        self.latency_add[hub] = self.latency_add[hub] + lat_side * strength * a * sev
+                add("latency", "Sprout", lat_side)
+    return fx
 
 
 def gen_run(
@@ -418,10 +384,16 @@ def gen_run(
     """Generate one run of every catalog KPI plus its ground-truth manifest.
 
     The same (topology, workload, fault, start, duration, seed) tuple always
-    produces identical output, down to CSV bytes.
+    produces identical output, down to CSV bytes.  A run that a CSV and a
+    manifest cannot date is rejected before anything is allocated.
     """
     if duration_s < CADENCE_S:
         raise ValueError("duration must cover at least one sample")
+    if start < MIN_CSV_TIMESTAMP or start + duration_s > MAX_CSV_TIMESTAMP:
+        raise ValueError(
+            f"a run must lie within {format_timestamp(MIN_CSV_TIMESTAMP)} .. {format_timestamp(MAX_CSV_TIMESTAMP)},"
+            " the timestamps a CSV can carry"
+        )
     n = duration_s // CADENCE_S
     timestamps = start + CADENCE_S * np.arange(n, dtype=np.int64)
     if fault is not None:
@@ -446,23 +418,26 @@ def gen_run(
         w = np.clip(w * factors, 0.0, None)
 
     # 2. fault activation
-    a = np.zeros(n)
-    first_active: Optional[int] = None
+    fx: Dict[Tuple[str, str], np.ndarray] = {}
+    manifest_fault = None
     if fault is not None:
         a = activation_profile(fault, start, n, rng)
         nz = np.nonzero(a > 0)[0]
+        fx = fault_footprint(topology, fault, a)
         first_active = int(timestamps[nz[0]]) if len(nz) else fault.injection_time
+        manifest_fault = InjectedFault(fault.fault_type, fault.resource, fault.pattern, first_active)
 
-    fx = _FaultEffects(topology, fault, a, n)
-    w_eff = np.clip(w * fx.workload_mult, 0.0, None)
+    def term(name: str, resource: str = SYSTEM_RESOURCE):
+        return fx.get((name, resource), 1.0 if name in ("net", "workload") else 0.0)
+
+    w_eff = np.clip(w * term("workload"), 0.0, None)
     util_total = 0.8 * w_eff / workload.base_rate
 
     series: Dict[KpiId, TimeSeries] = {}
 
     def put(resource: str, metric: str, values: np.ndarray) -> np.ndarray:
-        series[KpiId(resource, metric)] = TimeSeries(
-            KpiId(resource, metric), timestamps, values
-        )
+        kpi = kpi_id(resource, metric)
+        series[kpi] = TimeSeries(kpi, timestamps, values)
         return values
 
     # 3. per-VM network and memory KPIs (noise drawn in fixed catalog order)
@@ -471,14 +446,14 @@ def gen_run(
     for vm in topology.app_vms:
         load = topology.load_share[vm] * w_eff
         gain = topology.recv_gain[vm]
-        net = fx.net_factor[vm]
+        net = term("net", vm)
         recv[vm] = put(vm, BYTES_RECV, np.clip(gain * load * (1.0 + noise(0.03)) * net, 0.0, None))
         put(vm, BYTES_SENT, np.clip(0.75 * gain * load * (1.0 + noise(0.03)) * net, 0.0, None))
         mem[vm] = put(
-            vm, MEM_USED, np.clip(topology.mem_base[vm] + noise(1.0) + fx.leak[vm], 0.0, 100.0)
+            vm, MEM_USED, np.clip(topology.mem_base[vm] + noise(1.0) + term("leak", vm), 0.0, 100.0)
         )
-        put(vm, ERRORS, np.clip(0.8 + noise(0.25) + fx.errors_add[vm], 0.0, None))
-        put(vm, RETRANS, np.clip(1.6 + noise(0.45) + fx.retrans_add[vm], 0.0, None))
+        put(vm, ERRORS, np.clip(0.8 + noise(0.25) + term("errors", vm), 0.0, None))
+        put(vm, RETRANS, np.clip(1.6 + noise(0.45) + term("retrans", vm), 0.0, None))
 
     # 4. CPU: utilization tracks the workload; Sprout additionally follows
     #    Homer's ingress bytes with a one-minute lag
@@ -493,7 +468,7 @@ def gen_run(
                 topology.recv_gain["Homer"] * topology.load_share["Homer"] * workload.base_rate
             )
             eff_util = 0.55 * util[vm] + 0.45 * _lag1(homer_util)
-        b = 100.0 * np.minimum(eff_util, 1.0) + noise(2.0) + fx.busy_add[vm]
+        b = 100.0 * np.minimum(eff_util, 1.0) + noise(2.0) + term("busy", vm)
         busy[vm] = np.clip(b, 0.0, 100.0)
         put(vm, CPU_IDLE, 100.0 - busy[vm])
 
@@ -506,14 +481,14 @@ def gen_run(
     # request timeouts per destination, counted on the calling side
     for caller in topology.app_vms:
         for callee in topology.callees.get(caller, ()):
-            t = 0.25 + noise(0.15) + fx.timeout_add[callee]
+            t = 0.25 + noise(0.15) + term("timeout", callee)
             put(caller, timeouts_metric(callee), np.clip(t, 0.0, None))
 
     # 5. call-path service KPIs
     for vm in topology.call_path:
         l0 = topology.latency_base[vm]
         lat = l0 * (1.0 + 0.3 * _lag1(util[vm]) + 3.0 * _relu(util[vm] - 0.92))
-        lat = lat + fx.latency_add[vm] + 3.0 * _relu(busy[vm] - 88.0)
+        lat = lat + term("latency", vm) + 3.0 * _relu(busy[vm] - 88.0)
         # backends dragging: a hogged or hosed backend slows its hub client
         if vm == "Sprout":
             for backend in ("Homer", "Ralf", "Ellis"):
@@ -528,7 +503,7 @@ def gen_run(
             feed = _lag1(recv["Sprout"] * 0.75) / sprout_sent_ref
             inc = gain * (0.45 * load + 0.55 * topology.load_share[vm] * feed)
         else:
-            inc = gain * load * fx.net_factor[vm]
+            inc = gain * load * term("net", vm)
         put(vm, INCOMING, np.clip(inc * (1.0 + noise(0.03)), 0.0, None))
 
         rej = 0.5 + noise(0.15) + 0.12 * load * _relu(util_total - _CAPACITY_KNEE)
@@ -542,10 +517,10 @@ def gen_run(
     for node in topology.compute_nodes:
         hosted = topology.hosted(node)
         mean_busy = np.mean([busy[vm] for vm in hosted], axis=0)
-        node_busy = np.clip(14.0 + 0.48 * mean_busy + noise(2.0) + fx.busy_add[node], 0.0, 100.0)
+        node_busy = np.clip(14.0 + 0.48 * mean_busy + noise(2.0) + term("busy", node), 0.0, 100.0)
         put(node, CPU_IDLE, 100.0 - node_busy)
         mean_mem = np.mean([mem[vm] for vm in hosted], axis=0)
-        node_mem = np.clip(24.0 + 0.38 * mean_mem + noise(1.0) + fx.leak[node], 0.0, 100.0)
+        node_mem = np.clip(24.0 + 0.38 * mean_mem + noise(1.0) + term("leak", node), 0.0, 100.0)
         put(node, MEM_USED, node_mem)
         pressure = sum(_relu(mem[vm] - 90.0) for vm in hosted) + _relu(node_mem - 88.0)
         put(node, SWAP, np.clip(2.0 + noise(0.5) + 4.0 * pressure, 0.0, None))
@@ -553,9 +528,9 @@ def gen_run(
     # 7. the system-level view
     put(SYSTEM_RESOURCE, CALLS, w_eff)
 
-    drop = fx.immediate + fx.cumulative
+    drop = term("immediate") + term("cumulative")
     if fault is not None and fault.fault_type is FaultType.MEMORY_LEAK:
-        target_mem = series[KpiId(fault.resource, MEM_USED)].values
+        target_mem = series[kpi_id(fault.resource, MEM_USED)].values
         drop = drop + 0.55 * np.minimum(1.0, _relu(target_mem - 92.0) / 6.0) ** 2
     over = _relu(util_total - _CAPACITY_KNEE)
     if np.any(over > 0):
@@ -563,15 +538,7 @@ def gen_run(
     success = 0.9965 - 0.008 * _lag1(util_total) - drop + noise(0.003)
     put(SYSTEM_RESOURCE, SUCCESS_RATE, np.clip(success, 0.0, 1.0))
 
-    failure_time = failure_oracle(series[KpiId(SYSTEM_RESOURCE, SUCCESS_RATE)])
-    manifest_fault = None
-    if fault is not None:
-        manifest_fault = InjectedFault(
-            fault_type=fault.fault_type,
-            resource=fault.resource,
-            pattern=fault.pattern,
-            injection_time=first_active if first_active is not None else fault.injection_time,
-        )
+    failure_time = failure_oracle(series[kpi_id(SYSTEM_RESOURCE, SUCCESS_RATE)])
     manifest = RunManifest(
         run_id=run_id or f"run-{seed}",
         start=start,

@@ -13,8 +13,10 @@ per-row and per-fold classifiers, the class distribution's top rule, the
 frozenset windowing, the dict encoding, the buffered predictor step and the
 per-window event scans that the array-shaped versions in ``faultcast.io``, ``faultcast.baseline``,
 ``faultcast.detect``, ``faultcast.signature``, ``faultcast.evaluate`` and
-``faultcast.predict`` replaced, and the nested scheduling loops that ``faultcast.evaluate``'s run
-tables replaced.  The per-pair graph and the per-(edge, interval) detector
+``faultcast.predict`` replaced, the nested scheduling loops that ``faultcast.evaluate``'s run
+tables replaced, and the dense fault effects, an array of zeros or ones for
+every term and resource a fault could touch, that ``faultcast.sim``'s sparse
+footprint replaced.  The per-pair graph and the per-(edge, interval) detector
 take lags by position, so they are references on gap-free input only; the
 by-timestamp graph and detector, which look each lag up at
 ``t - i * CADENCE_S``, are the references on any on-cadence input.  The
@@ -90,6 +92,7 @@ from faultcast.evaluate import _HOST_FAULTS, RunSpec, SuiteConfig, run_day
 from faultcast.io import CSV_HEADER, InjectedFault, RunManifest, _Columns, check_kind
 from faultcast.predict import DEFAULT_CONFIDENCE, DEFAULT_STREAK, Alert, AlertKind, check_alert_rule
 from faultcast.sim import SCENARIO_KIND, SCENARIO_SCHEMA_VERSION, FaultSpec, Pattern, Scenario, WorkloadModel
+from faultcast.sim import _CUMULATIVE_DROP, _EW_MULTIPLIER, _HOG_BUSY_ADD, _IMMEDIATE_DROP, _LEAK_RATE_PER_MIN
 from faultcast.signature import (
     _GAIN_EPS,
     Windows,
@@ -1607,3 +1610,98 @@ def scenario_from_dict(data):
         workload_deviation=data.get("workload_deviation", 0.0),
         zero_noise=data.get("zero_noise", False),
     )
+
+
+# ---------------------------------------------------------------------------
+# the dense fault effects that sim.fault_footprint replaced
+
+_CORRUPTION_ERRORS = 22.0
+_LOSS_RETRANS = 45.0
+_CORRUPTION_RETRANS = 27.0
+_LATENCY_TIMEOUTS = 12.0
+
+
+class FaultEffects:
+    """Per-resource activation slices derived from one FaultSpec, one dense
+    array a term and resource, zeros or ones where the fault sets nothing."""
+
+    def __init__(self, topology, fault, a, n):
+        zero = np.zeros(n)
+        self.workload_mult = np.ones(n)
+        self.net_factor = {vm: np.ones(n) for vm in topology.app_vms}
+        self.latency_add = {vm: zero.copy() for vm in topology.call_path}
+        self.errors_add = {vm: zero.copy() for vm in topology.app_vms}
+        self.retrans_add = {vm: zero.copy() for vm in topology.app_vms}
+        # keyed by the slow callee; emitted on every VM that calls it
+        self.timeout_add = {vm: zero.copy() for vm in topology.app_vms}
+        self.busy_add = {r: zero.copy() for r in topology.app_vms + topology.compute_nodes}
+        self.leak = {r: zero.copy() for r in topology.app_vms + topology.compute_nodes}
+        self.immediate = zero.copy()
+        self.cumulative = zero.copy()
+        if fault is None or not np.any(a > 0):
+            return
+
+        sev = fault.severity
+        kind = fault.fault_type
+        target = fault.resource
+        s_min = np.cumsum(a)  # full-intensity minutes of activation
+
+        self.immediate = _IMMEDIATE_DROP[kind] * a * sev
+        drop, tau = _CUMULATIVE_DROP[kind]
+        if drop > 0:
+            self.cumulative = drop * sev * np.minimum(1.0, s_min / tau) ** 2
+
+        compute_targets = ()
+        if target in topology.compute_nodes:
+            compute_targets = topology.hosted(target)
+
+        if kind is FaultType.EXCESSIVE_WORKLOAD:
+            self.workload_mult = 1.0 + _EW_MULTIPLIER * a * sev
+        elif kind is FaultType.PACKET_LOSS:
+            self._packet(
+                topology, target, compute_targets, a, sev,
+                loss=0.6, lat_own=150.0, lat_side=120.0, retrans=_LOSS_RETRANS,
+            )
+        elif kind is FaultType.PACKET_LATENCY:
+            self._packet(
+                topology, target, compute_targets, a, sev,
+                loss=0.12, lat_own=260.0, lat_side=200.0, timeouts=_LATENCY_TIMEOUTS,
+            )
+        elif kind is FaultType.PACKET_CORRUPTION:
+            self._packet(
+                topology, target, compute_targets, a, sev,
+                loss=-0.08, lat_own=90.0, lat_side=70.0,
+                errors=_CORRUPTION_ERRORS, retrans=_CORRUPTION_RETRANS,
+            )
+        elif kind is FaultType.MEMORY_LEAK:
+            self.leak[target] = _LEAK_RATE_PER_MIN * sev * s_min
+        elif kind is FaultType.CPU_HOG:
+            self.busy_add[target] = _HOG_BUSY_ADD * a * sev
+
+    def _packet(
+        self, topology, target, compute_targets, a, sev,
+        *, loss, lat_own, lat_side, errors=0.0, retrans=0.0, timeouts=0.0,
+    ):
+        """Shared footprint builder for the three packet-level faults."""
+        vms = compute_targets or (target,)
+        strength = 0.5 if compute_targets else 1.0
+        for vm in vms:
+            self.net_factor[vm] = 1.0 - loss * strength * a * sev
+            if errors:
+                self.errors_add[vm] = errors * strength * a * sev
+            if retrans:
+                self.retrans_add[vm] = self.retrans_add[vm] + retrans * strength * a * sev
+            if timeouts:
+                self.timeout_add[vm] = self.timeout_add[vm] + timeouts * strength * a * sev
+            if vm in topology.call_path:
+                self.latency_add[vm] = self.latency_add[vm] + lat_own * strength * a * sev
+                upstream = {"Sprout": "Bono", "Homestead": "Sprout"}.get(vm)
+                if upstream and upstream in self.latency_add:
+                    self.latency_add[upstream] = (
+                        self.latency_add[upstream] + 0.45 * lat_own * strength * a * sev
+                    )
+            else:
+                # backend VMs surface their trouble on the hub's client side
+                for hub in ("Sprout",):
+                    if hub in self.latency_add:
+                        self.latency_add[hub] = self.latency_add[hub] + lat_side * strength * a * sev

@@ -872,6 +872,26 @@ def test_simulate_rejects_a_non_finite_scenario_value(tmp_path):
     assert not out.exists() and not manifest.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_a_run_past_the_csv_timestamps_is_one_error_line(tmp_path, command):
+    # such a run once ended in a numpy allocation traceback
+    if command == "simulate":
+        data = json.loads((CONFIGS / "leak-sprout-constant.json").read_text(encoding="utf-8"))
+        data["duration_min"] = 10**13
+        args = ["simulate", "--scenario", str(tmp_path / "in.json"), "--out", str(tmp_path / "x.csv")]
+    else:
+        data = SuiteConfig(training_days=2, run_duration_min=130, allow_short_training=True).to_dict()
+        data["training_days"] = 10**9
+        args = ["evaluate", "--suite", "rq2", "--config", str(tmp_path / "in.json")]
+    (tmp_path / "in.json").write_text(json.dumps(data), encoding="utf-8")
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: a run must lie within 1000-01-01T00:00:00Z .. 9999-12-31T23:59:59Z, the timestamps a CSV can carry\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_evaluate_rejects_a_config_that_is_not_an_object(tmp_path):
     cfg = tmp_path / "list.json"
     cfg.write_text("[]", encoding="utf-8")

@@ -25,6 +25,7 @@ from faultcast.core import (
     TimeSeries,
     format_timestamp,
     hour_of_week,
+    kpi_id,
     lags,
     parse_timestamp,
     slide_windows,
@@ -98,6 +99,19 @@ def test_kpi_id_hash_is_cached_and_keeps_the_dataclass_behaviour():
     assert dataclasses.replace(kpi, metric="CpuIdlePct") == KpiId("Homer", "CpuIdlePct")
     for again in (copy.copy(kpi), copy.deepcopy(kpi), pickle.loads(pickle.dumps(kpi))):
         assert again == kpi and hash(again) == hash(kpi) and repr(again) == repr(kpi)
+
+
+def test_kpi_id_gives_one_checked_object_a_name_pair():
+    assert kpi_id("Homer", "CpuIdlePct") is kpi_id("Homer", "CpuIdlePct") == KpiId("Homer", "CpuIdlePct")
+    assert kpi_id("Homer", "CpuIdlePct") is not kpi_id("Homer", "MemUsedPct")
+    # a bad name gets KpiId's own message, an unhashable one too
+    for resource, metric, said in (
+        (["x"], "m", r"^KpiId.resource \['x'\] must be a string$"),
+        ("Homer", 5, r"^KpiId.metric 5 must be a string$"),
+        ("Homer", "", r"^KpiId.metric must be non-empty$"),
+    ):
+        with pytest.raises(ValueError, match=said):
+            kpi_id(resource, metric)
 
 
 def test_a_pickled_kpi_id_hashes_as_in_the_loading_process():

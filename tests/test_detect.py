@@ -465,6 +465,26 @@ def test_kpis_that_differ_in_their_gaps_are_scored_in_several_kind_pairs(suite_d
     assert pairs[1] == 1 and unbroken
 
 
+def test_detect_stream_finds_every_kpi_by_identity(quick_start_files, suite_data):
+    # a KPI equal to a dict key but another object costs a Python-level
+    # __eq__ on every lookup: a loaded baseline, a read CSV and a simulated
+    # run share one KpiId a name pair, so a lookup never compares fields
+    loaded = BaselineModel.load(quick_start_files["baseline.json"])
+    ingested = faultcast.io.ingest_csv(quick_start_files["leak.csv"])
+    scenario = load_scenario(CONFIGS / "leak-sprout-constant.json")
+    simulated, _ = scenario.generate()
+    compare, calls = KpiId.__eq__, []
+
+    def counted(self, other):
+        calls.append((self, other))
+        return compare(self, other)
+
+    with mock.patch.object(KpiId, "__eq__", counted):
+        detect_stream(loaded, ingested, scenario.start)
+        detect_stream(suite_data.baseline, simulated, scenario.start)
+    assert calls == []
+
+
 def test_an_overflow_names_the_first_edge_in_model_order():
     # C -> B comes first in effect order, A -> C first in the model's; a
     # value too large in C overflows both in the interval at minute 10

@@ -3,11 +3,15 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import csv_text
 from faultcast.core import (
     FaultType,
@@ -16,10 +20,11 @@ from faultcast.core import (
     SchemaVersionError,
     TimeSeries,
     hour_of_week,
+    kpi_id,
     parse_timestamp,
 )
 from faultcast.evaluate import SuiteConfig
-from faultcast.io import write_csv
+from faultcast.io import MAX_CSV_TIMESTAMP, MIN_CSV_TIMESTAMP, RunManifest, write_csv
 from faultcast.sim import (
     BYTES_RECV,
     BYTES_SENT,
@@ -42,6 +47,7 @@ from faultcast.sim import (
     activation_profile,
     default_topology,
     failure_oracle,
+    fault_footprint,
     gen_run,
     load_scenario,
     timeouts_metric,
@@ -302,6 +308,84 @@ def test_manifest_reports_first_active_minute_for_random_pattern():
         default_topology(), WorkloadModel(), constant, BUSY_MONDAY, 120 * 60, seed=21
     )
     assert manifest.fault.injection_time == nominal
+
+
+def test_a_run_lies_within_the_csv_timestamps(tmp_path):
+    topology, model = default_topology(), WorkloadModel()
+    for start in (MIN_CSV_TIMESTAMP, MAX_CSV_TIMESTAMP - 7200):
+        series, manifest = gen_run(topology, model, None, start, 7200, seed=2)
+        write_csv(series, tmp_path / "run.csv")
+        manifest.save(tmp_path / "run.manifest.json")
+        assert RunManifest.load(tmp_path / "run.manifest.json") == manifest
+    # checked before anything is allocated: 10**13 minutes would be 73 TiB
+    for start, duration_s in ((MIN_CSV_TIMESTAMP - 1, 7200), (MAX_CSV_TIMESTAMP - 7199, 7200), (0, 60 * 10**13)):
+        with pytest.raises(ValueError, match=r"^a run must lie within 1000-01-01T00:00:00Z \.\. 9999-12-31"):
+            gen_run(topology, model, None, start, duration_s, seed=2)
+
+
+@st.composite
+def footprint_cases(draw):
+    """A fault of any type on any target it may hit, and any activation."""
+    topology = default_topology()
+    fault_type = draw(st.sampled_from([t for t in FaultType if t is not FaultType.NORMAL]))
+    hosts = topology.app_vms + topology.compute_nodes
+    resource = SYSTEM_RESOURCE if fault_type is FaultType.EXCESSIVE_WORKLOAD else draw(st.sampled_from(hosts))
+    severity = draw(st.floats(min_value=1e-3, max_value=1e3))
+    fault = FaultSpec(fault_type, resource, draw(st.sampled_from(list(Pattern))), 0, severity=severity)
+    values = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+    idle = st.lists(st.just(0.0), min_size=1, max_size=5)
+    a = np.array(draw(idle | st.lists(values, min_size=1, max_size=40)))
+    return topology, fault, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(footprint_cases())
+def test_the_sparse_footprint_matches_the_dense_effects_bit_for_bit(case):
+    topology, fault, a = case
+    dense = oracles.FaultEffects(topology, fault, a, len(a))
+    expected = {
+        ("workload", SYSTEM_RESOURCE): dense.workload_mult,
+        ("immediate", SYSTEM_RESOURCE): dense.immediate,
+        ("cumulative", SYSTEM_RESOURCE): dense.cumulative,
+    }
+    for term, per_resource in (
+        ("net", dense.net_factor),
+        ("latency", dense.latency_add),
+        ("errors", dense.errors_add),
+        ("retrans", dense.retrans_add),
+        ("timeout", dense.timeout_add),
+        ("busy", dense.busy_add),
+        ("leak", dense.leak),
+    ):
+        expected.update(((term, resource), values) for resource, values in per_resource.items())
+    got = fault_footprint(topology, fault, a)
+    assert set(got) <= set(expected)
+    assert got or not np.any(a > 0)
+    for (term, resource), values in expected.items():
+        absent = np.full(len(a), 1.0 if term in ("net", "workload") else 0.0)
+        assert got.get((term, resource), absent).tobytes() == values.tobytes(), (term, resource)
+
+
+def test_a_fault_free_run_peaks_under_1_75_times_the_bytes_it_returns():
+    # the footprint holds only the terms a fault sets: a fault-free run
+    # allocates no per-resource arrays of zeros and ones
+    tracemalloc.start()
+    try:
+        series, _ = gen_run(default_topology(), WorkloadModel(), None, MONDAY, 2 * 86400, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = {id(a): a.nbytes for s in series.values() for a in (s.timestamps, s.values)}
+    assert all(a.base is None for s in series.values() for a in (s.timestamps, s.values))
+    assert peak <= 1.75 * sum(buffers.values()), peak / sum(buffers.values())
+
+
+def test_a_run_shares_one_kpi_id_a_name_pair_with_every_other():
+    first, _ = gen_run(default_topology(), WorkloadModel(), None, MONDAY, 600, seed=3)
+    second, _ = gen_run(default_topology(), WorkloadModel(), None, BUSY_MONDAY, 600, seed=4)
+    assert all(kpi is series.kpi for kpi, series in first.items())
+    assert [id(kpi) for kpi in first] == [id(kpi) for kpi in second]
+    assert all(kpi is kpi_id(kpi.resource, kpi.metric) for kpi in first)
 
 
 # ---------------------------------------------------------------------------
